@@ -19,10 +19,10 @@ import sys
 from .catalog import builtin_raw, catalog_names, load_builtin
 from .errors import ValidationError
 from .linalg import Mat
-from .reduction import dirac_reduce, fiber_data, gk_reduce, reduced_type, reduced_type_of_matrix
+from .reduction import reduced_type, reduced_type_of_matrix
 from .report import build_report, render_json, render_text, report_passed
 from .ring import scalar_text
-from .runner import _Workspace, run_scenario
+from .runner import Workspace, run_scenario
 from .scenario import Scenario, scenario_from_path
 from .selftest import run_selftest
 
@@ -58,17 +58,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     scen = _load(args.scenario)
-    if scen.moment is None or not scen.level:
+    if scen.moment is None or len(scen.level) != scen.moment.action.k:
         raise ValidationError("scenario has no moment data and level to reduce at")
     if args.point not in scen.points:
         raise ValidationError(
             f"no point named {args.point!r}; scenario has {sorted(scen.points)}"
         )
-    point = scen.points[args.point]
-    ws = _Workspace(scen)
-    primary = ws.primary_connection()
-    struct, moment, _ = ws.reduction_entry(scen.moment_structure, primary)
-    fiber = fiber_data(moment, point, scen.level)
+    ws = Workspace(scen)
+    fiber = ws.fiber(args.point)
     print(f"scenario {scen.name}, point {args.point}")
     print(
         f"ambient dimension {fiber.n}, group rank {fiber.k}, "
@@ -77,15 +74,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if fiber.m == 0:
         print("the quotient is zero dimensional")
         return 0
-    red = dirac_reduce(struct, fiber)
+    red = ws.reduced(scen.moment_structure, args.point)
     print(f"reduced structure for {scen.moment_structure} (type {reduced_type(red)}):")
     print(_fmt_matrix(red.jmat))
-    if scen.pair is not None and scen.moment_structure in scen.pair:
-        other = (
-            scen.pair[1] if scen.pair[0] == scen.moment_structure else scen.pair[0]
-        )
-        partner, _, _ = ws.reduction_entry(other, primary)
-        gk = gk_reduce(red, struct, partner)
+    other = ws.partner()
+    if other is not None:
+        gk = ws.gk_reduced(args.point)
         rtype = reduced_type_of_matrix(gk.jmat2, fiber.m)
         print(f"transported partner {other} (type {rtype}):")
         print(_fmt_matrix(gk.jmat2))

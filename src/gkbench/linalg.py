@@ -13,7 +13,7 @@ which is what chart-wide inversion of a symplectic form requires.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .ring import Chart, EvalPoint, ONE, RingElement, Scalar, ZERO
@@ -45,15 +45,8 @@ def transpose(m: Mat) -> Mat:
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, s: Scalar) -> Mat:
-    return tuple(tuple(x * s for x in row) for row in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -78,14 +71,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 def mat_conj(a: Mat) -> Mat:
     return tuple(tuple(x.conj() for x in row) for row in a)
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
-
-
-def is_zero_mat(a: Mat) -> bool:
-    return all(x.is_zero for row in a for x in row)
 
 
 # --- elimination --------------------------------------------------------
@@ -366,6 +351,20 @@ def rmat_mul(a: RMat, b: RMat) -> RMat:
     return tuple(out)
 
 
+def rmat_vec(a: RMat, col: Sequence[RingElement]) -> tuple[RingElement, ...]:
+    """A ring matrix times a column, skipping zero entries on either side."""
+    zero = RingElement.zero(col[0].chart)
+    out = []
+    for row in a:
+        total = zero
+        for entry, comp in zip(row, col):
+            if entry.is_zero or comp.is_zero:
+                continue
+            total = total + entry * comp
+        out.append(total)
+    return tuple(out)
+
+
 def rmat_transpose(m: RMat) -> RMat:
     if not m:
         return ()
@@ -378,10 +377,6 @@ def rmat_is_zero(m: RMat) -> bool:
 
 def rmat_eval(m: RMat, point: EvalPoint) -> Mat:
     return tuple(tuple(x.evaluate(point) for x in row) for row in m)
-
-
-def rmat_map(m: RMat, f: Callable[[RingElement], RingElement]) -> RMat:
-    return tuple(tuple(f(x) for x in row) for row in m)
 
 
 def ring_det(m: RMat) -> RingElement:

@@ -14,6 +14,11 @@ D inside ann(A).  With that ordering the upper-right block of a reduced
 structure matrix plays the same role as on the chart, so reduced types
 read off the same way.
 
+FiberData is the one quotient type: a subspace W, the subspace W-perp
+it is divided by, lifts of a quotient basis and the induced pairing,
+with one coordinate solve.  The one-step quotient at a point and both
+stages of the two-step factorization are FiberData values.
+
 The one-step Dirac quotient, an independent two-step factorization
 (first the moment directions, then the group directions) with an explicit
 comparison isomorphism, the induced second structure of a generalized
@@ -41,18 +46,22 @@ from .linalg import (
     inverse,
     is_positive_definite,
     mat,
+    mat_conj,
     mat_mul,
     mat_sub,
     mat_vec,
     nullspace,
     rank,
     rmat_eval,
+    rmat_identity,
+    rmat_sub,
+    rmat_vec,
     row_space_basis,
     solve,
     symmetric_signature,
     transpose,
 )
-from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO
+from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
 from .structures import (
     GenSection,
     GenStructure,
@@ -83,29 +92,58 @@ def _bilinear(u: Vec, g: Mat, v: Vec) -> Scalar:
     return total
 
 
+def _gram(rows: Sequence[Vec], g: Mat) -> Mat:
+    return tuple(tuple(_bilinear(u, g, v) for v in rows) for u in rows)
+
+
 @dataclass(frozen=True)
 class FiberData:
-    """The quotient data of the reducible subspace at one point."""
+    """A quotient W / W-perp of a 2n-dimensional fiber at a point.
+
+    W is the span of w_rows and W-perp the span of the k orbit directions
+    a_rows and the moment covectors d_rows; the quotient basis is the
+    classes of lifts, with gram_q the pairing induced on them, and 2m is
+    the quotient dimension.  fiber_data builds the one-step quotient of a
+    rank-k action; the two stages of the two-step factorization are
+    quotients of the same type, by d_rows alone and then by a_rows alone.
+    """
 
     point: EvalPoint
     n: int
-    k: int
-    m: int
     lifts: tuple[Vec, ...]
-    wperp: tuple[Vec, ...]
     w_rows: tuple[Vec, ...]
-    gram_q: Mat
     a_rows: tuple[Vec, ...]
     d_rows: tuple[Vec, ...]
+    gram_q: Mat
+
+    @property
+    def k(self) -> int:
+        return len(self.a_rows)
+
+    @property
+    def m(self) -> int:
+        return len(self.lifts) // 2
+
+    @property
+    def wperp(self) -> tuple[Vec, ...]:
+        return self.a_rows + self.d_rows
 
     def coords(self, v: Vec) -> Vec:
         """Quotient coordinates of a fiber vector lying in W."""
-        columns = self.lifts + self.wperp
-        system = transpose(mat(columns))
+        system = transpose(mat(self.lifts + self.wperp))
         x = solve(system, tuple(v))
         if x is None:
             raise ValidationError("vector does not lie in the reducible subspace")
-        return tuple(x[: 2 * self.m])
+        return tuple(x[: len(self.lifts)])
+
+
+def _push_down(
+    rows: Sequence[Vec], quot: FiberData
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """The meet of span(rows) with W, and the canonical basis of its
+    image in the quotient."""
+    meet = intersect_spans(rows, quot.w_rows)
+    return meet, row_space_basis([quot.coords(v) for v in meet])
 
 
 def fiber_data(
@@ -134,9 +172,10 @@ def fiber_data(
         raise ValidationError("action generators are dependent at the point")
     if rank(mat(df_rows)) != k:
         raise ValidationError("moment map is rank-deficient at the point")
-    for i, df in enumerate(df_rows):
-        for j, xi in enumerate(xi_rows):
-            if not _bilinear_plain(df, xi).is_zero:
+    tangency = mat_mul(mat(df_rows), transpose(mat(xi_rows)))
+    for i, row in enumerate(tangency):
+        for j, value in enumerate(row):
+            if not value.is_zero:
                 raise ValidationError(
                     f"generator {j + 1} is not tangent to the level set "
                     f"(df_{i + 1} does not vanish on it)"
@@ -159,48 +198,26 @@ def fiber_data(
     )
     a_rows = tuple(_embed_vector(n, row) for row in xi_rows)
     d_rows = tuple(_embed_covector(n, row) for row in df_rows)
-    wperp = a_rows + d_rows
     w_span = (
         tuple(_embed_vector(n, row) for row in ker_df)
         + tuple(_embed_covector(n, row) for row in ann_a)
     )
     w_rows = row_space_basis(w_span)
-    for row in wperp:
+    for row in a_rows + d_rows:
         if solve(transpose(mat(w_rows)), row) is None:
             raise ValidationError("W-perp does not sit inside W at the point")
 
-    m = n - 2 * k
-    gram = pairing_matrix(n)
-    gram_q = tuple(
-        tuple(_bilinear(lifts[i], gram, lifts[j]) for j in range(2 * m))
-        for i in range(2 * m)
-    )
+    gram_q = _gram(lifts, pairing_matrix(n))
+    fiber = FiberData(point, n, lifts, w_rows, a_rows, d_rows, gram_q)
+    m = fiber.m
     if m > 0:
-        sig = symmetric_signature(gram_q)
+        sig = symmetric_signature(fiber.gram_q)
         if sig != (m, m, 0):
             raise ValidationError(
                 f"induced pairing on the quotient has signature {sig}, "
                 f"expected ({m}, {m}, 0)"
             )
-    return FiberData(
-        point=point,
-        n=n,
-        k=k,
-        m=m,
-        lifts=lifts,
-        wperp=wperp,
-        w_rows=w_rows,
-        gram_q=gram_q,
-        a_rows=a_rows,
-        d_rows=d_rows,
-    )
-
-
-def _bilinear_plain(cov: Vec, vec: Vec) -> Scalar:
-    total = ZERO
-    for a, b in zip(cov, vec):
-        total = total + a * b
-    return total
+    return fiber
 
 
 def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:
@@ -225,10 +242,7 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
     """Push the +i eigenbundle through the quotient and rebuild the
     structure matrix from the reduced eigenbundle."""
     m = fiber.m
-    l_rows = eigenbundle_rows(struct, fiber.point)
-    meet = intersect_spans(l_rows, fiber.w_rows)
-    images = [fiber.coords(v) for v in meet]
-    lq_rows = row_space_basis(images)
+    _, lq_rows = _push_down(eigenbundle_rows(struct, fiber.point), fiber)
     if len(lq_rows) != m:
         raise ValidationError(
             f"reduced eigenbundle has dimension {len(lq_rows)}, expected {m}"
@@ -239,12 +253,12 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
         for v in lq_rows[i:]:
             if not _bilinear(u, fiber.gram_q, v).is_zero:
                 raise ValidationError("reduced eigenbundle is not isotropic")
-    conj_rows = tuple(tuple(x.conj() for x in row) for row in lq_rows)
+    conj_rows = mat_conj(lq_rows)
     if intersect_spans(lq_rows, conj_rows):
         raise ValidationError(
             "reduced eigenbundle meets its conjugate; no real structure exists"
         )
-    jmat = _structure_from_eigenrows(lq_rows)
+    jmat = _eigen_matrix(lq_rows, conj_rows, IMAG)
     for row in jmat:
         for entry in row:
             if entry.im != 0:
@@ -268,48 +282,27 @@ def reduced_type(red: ReducedFiber) -> int:
 # --- two-step factorization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Quotient:
-    lifts: tuple[Vec, ...]
-    perp: tuple[Vec, ...]
-    gram_q: Mat
-
-    def coords(self, v: Vec) -> Vec:
-        columns = self.lifts + self.perp
-        x = solve(transpose(mat(columns)), tuple(v))
-        if x is None:
-            raise ValidationError("vector does not lie in the quotient domain")
-        return tuple(x[: len(self.lifts)])
-
-
-def _make_quotient(lifts: Sequence[Vec], perp: Sequence[Vec], gram: Mat) -> _Quotient:
-    gram_q = tuple(
-        tuple(_bilinear(u, gram, v) for v in lifts) for u in lifts
+def _eigen_matrix(plus: Sequence[Vec], minus: Sequence[Vec], value: Scalar) -> Mat:
+    """The matrix acting as value on span(plus) and as -value on
+    span(minus): U diag U^-1 with the rows of plus and minus as the
+    columns of U."""
+    u_cols = transpose(mat(tuple(plus) + tuple(minus)))
+    size = len(u_cols)
+    diag = tuple(
+        tuple(
+            (value if i < len(plus) else -value) if i == j else ZERO
+            for j in range(size)
+        )
+        for i in range(size)
     )
-    return _Quotient(tuple(lifts), tuple(perp), gram_q)
-
-
-def _reduce_rows_through(
-    rows: Sequence[Vec], domain_rows: Sequence[Vec], quot: _Quotient
-) -> tuple[Vec, ...]:
-    meet = intersect_spans(rows, domain_rows)
-    return row_space_basis([quot.coords(v) for v in meet])
+    return mat_mul(u_cols, mat_mul(diag, inverse(u_cols)))
 
 
 def _structure_from_eigenrows(rows: Sequence[Vec]) -> Mat:
-    m = len(rows)
-    conj_rows = tuple(tuple(x.conj() for x in row) for row in rows)
+    conj_rows = mat_conj(rows)
     if intersect_spans(rows, conj_rows):
         raise ValidationError("eigenbundle meets its conjugate")
-    u_cols = transpose(mat(tuple(rows) + conj_rows))
-    diag = tuple(
-        tuple(
-            (IMAG if i == j and i < m else (-IMAG if i == j else ZERO))
-            for j in range(2 * m)
-        )
-        for i in range(2 * m)
-    )
-    return mat_mul(u_cols, mat_mul(diag, inverse(u_cols)))
+    return _eigen_matrix(rows, conj_rows, IMAG)
 
 
 @dataclass(frozen=True)
@@ -347,10 +340,11 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
         _embed_covector(n, identity(n)[i]) for i in range(n)
     )
     w1_rows = row_space_basis(w1_span)
-    quot1 = _make_quotient(lifts1, fiber.d_rows, gram)
+    quot1 = FiberData(
+        point, n, lifts1, w1_rows, (), fiber.d_rows, _gram(lifts1, gram)
+    )
 
-    l_rows = eigenbundle_rows(struct, point)
-    l1_rows = _reduce_rows_through(l_rows, w1_rows, quot1)
+    _, l1_rows = _push_down(eigenbundle_rows(struct, point), quot1)
     if len(l1_rows) != n - k:
         raise ValidationError(
             f"stage-one eigenbundle has dimension {len(l1_rows)}, "
@@ -372,9 +366,10 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
         lifts2 = tuple(w2_rows[i] for i in chosen)
     if len(lifts2) != 2 * m:
         raise ValidationError("stage-two quotient has the wrong dimension")
-    quot2 = _make_quotient(lifts2, a1_rows, quot1.gram_q)
     w2_full = row_space_basis(tuple(w2_rows) + tuple(a1_rows))
-    l2_rows = _reduce_rows_through(l1_rows, w2_full, quot2)
+    gram2 = _gram(lifts2, quot1.gram_q)
+    quot2 = FiberData(point, n - k, lifts2, w2_full, a1_rows, (), gram2)
+    _, l2_rows = _push_down(l1_rows, quot2)
     if len(l2_rows) != m:
         raise ValidationError(
             f"stage-two eigenbundle has dimension {len(l2_rows)}, expected {m}"
@@ -421,19 +416,15 @@ def gk_reduce(
             f"the +1 eigenspace of the product operator has dimension "
             f"{len(c_plus)}, expected {n}"
         )
-    meet = intersect_spans(c_plus, fiber.w_rows)
+    meet, c_rows = _push_down(c_plus, fiber)
     if len(meet) != n - 2 * fiber.k:
         raise ValidationError(
             f"the +1 eigenspace meets the reducible subspace in dimension "
             f"{len(meet)}, expected {n - 2 * fiber.k}"
         )
-    c_rows = row_space_basis([fiber.coords(v) for v in meet])
     if len(c_rows) != m:
         raise ValidationError("reduced +1 eigenspace has the wrong dimension")
-    restricted = tuple(
-        tuple(_bilinear(u, fiber.gram_q, v) for v in c_rows) for u in c_rows
-    )
-    ok, minors = is_positive_definite(restricted)
+    ok, minors = is_positive_definite(_gram(c_rows, fiber.gram_q))
     if not ok:
         raise ValidationError(
             "induced pairing on the reduced +1 eigenspace is not positive "
@@ -443,15 +434,7 @@ def gk_reduce(
     c_minus = nullspace(constraint)
     if len(c_minus) != m:
         raise ValidationError("orthogonal complement has the wrong dimension")
-    u_cols = transpose(mat(tuple(c_rows) + tuple(c_minus)))
-    diag = tuple(
-        tuple(
-            (ONE if i == j and i < m else (-ONE if i == j else ZERO))
-            for j in range(2 * m)
-        )
-        for i in range(2 * m)
-    )
-    g_tilde = mat_mul(u_cols, mat_mul(diag, inverse(u_cols)))
+    g_tilde = _eigen_matrix(c_rows, c_minus, ONE)
     jmat2 = mat_mul(red1.jmat, g_tilde)
 
     minus_ident = tuple(tuple(-x for x in row) for row in identity(2 * m))
@@ -516,36 +499,43 @@ def gk_type_prediction(
 # --- level-set closure ---------------------------------------------------------
 
 
+def _cross_eliminate(
+    sections: list[GenSection], moment: MomentData
+) -> tuple[GenSection, ...]:
+    """Cross-elimination against each moment function in turn: keep the
+    sections whose vector part df annihilates, add c_b u_a - c_a u_b for
+    every pair with nonzero coefficients c_a = df(u_a), c_b = df(u_b), and
+    drop the zero sections."""
+    for f in moment.functions:
+        df = DiffForm.function(f).d()
+        coeffs = [df.apply([u.vector]) for u in sections]
+        kept = [u for u, c in zip(sections, coeffs) if c.is_zero]
+        for a in range(len(sections)):
+            if coeffs[a].is_zero:
+                continue
+            for b in range(a + 1, len(sections)):
+                if coeffs[b].is_zero:
+                    continue
+                kept.append(
+                    sections[a].scale(coeffs[b]) - sections[b].scale(coeffs[a])
+                )
+        sections = [u for u in kept if not u.is_zero]
+    return tuple(sections)
+
+
 def coisotropic_frame(moment: MomentData) -> tuple[GenSection, ...]:
     """Spanning sections of the annihilator distribution of the moment
     differentials: every coordinate covector, plus vector fields obtained
     by cross-elimination against each moment function in turn."""
     chart = moment.action.chart
-    n = chart.dim
-    vectors: list[VectorField] = [
-        VectorField.coordinate(chart, name) for name in chart.names
-    ]
-    for f in moment.functions:
-        df = DiffForm.function(f).d()
-        coeffs = [df.apply([v]) for v in vectors]
-        kept: list[VectorField] = [
-            v for v, c in zip(vectors, coeffs) if c.is_zero
-        ]
-        for a in range(len(vectors)):
-            if coeffs[a].is_zero:
-                continue
-            for b in range(a + 1, len(vectors)):
-                if coeffs[b].is_zero:
-                    continue
-                kept.append(
-                    vectors[a].scale(coeffs[b]) - vectors[b].scale(coeffs[a])
-                )
-        vectors = kept
-    sections = [
+    covectors = tuple(
         GenSection.of(form=DiffForm.d_coord(chart, name)) for name in chart.names
+    )
+    vectors = [
+        GenSection.of(vector=VectorField.coordinate(chart, name))
+        for name in chart.names
     ]
-    sections.extend(GenSection.of(vector=v) for v in vectors if not v.is_zero)
-    return tuple(sections)
+    return covectors + _cross_eliminate(vectors, moment)
 
 
 def level_substitution(
@@ -582,8 +572,6 @@ def level_substitution(
     ]
     if not kept:
         return None
-    from .ring import make_chart
-
     sub = make_chart(*kept)
     affine_values: dict[str, RingElement] = {}
     periodic_values: dict[str, tuple[str | None, int]] = {}
@@ -597,6 +585,13 @@ def level_substitution(
     return ChartMap(sub, chart, affine_values, periodic_values)
 
 
+def _vanishes(g: RingElement, restrict: ChartMap | None) -> bool:
+    """g is zero, on the level slice when a restriction map is given."""
+    if restrict is not None:
+        g = restrict.pull_function(g)
+    return g.is_zero
+
+
 def check_level_closure(
     struct: GenStructure, moment: MomentData, restrict: ChartMap | None = None
 ) -> tuple[bool, str]:
@@ -606,15 +601,9 @@ def check_level_closure(
     it is checked after substituting the level slice."""
     frame = coisotropic_frame(moment)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-
-    def vanishes(g: RingElement) -> bool:
-        if restrict is not None:
-            g = restrict.pull_function(g)
-        return g.is_zero
-
     for s in frame:
         for i, df in enumerate(dfs):
-            if not vanishes(df.apply([s.vector])):
+            if not _vanishes(df.apply([s.vector]), restrict):
                 return False, f"frame section is not tangent to level sets of f_{i+1}"
     count = 0
     for a in range(len(frame)):
@@ -623,7 +612,7 @@ def check_level_closure(
             count += 1
             for i, df in enumerate(dfs):
                 residual = df.apply([w.vector])
-                if not vanishes(residual):
+                if not _vanishes(residual, restrict):
                     return (
                         False,
                         f"bracket of frame sections {a} and {b} leaves the "
@@ -639,22 +628,7 @@ def adapted_eigen_frame(
     """Spanning sections of the eigenbundle that are tangent to the level
     sets, produced by cross-elimination of the projected frame against
     each moment function."""
-    sections = [u for u in plus_i_frame(struct) if not u.is_zero]
-    for f in moment.functions:
-        df = DiffForm.function(f).d()
-        coeffs = [df.apply([u.vector]) for u in sections]
-        kept = [u for u, c in zip(sections, coeffs) if c.is_zero]
-        for a in range(len(sections)):
-            if coeffs[a].is_zero:
-                continue
-            for b in range(a + 1, len(sections)):
-                if coeffs[b].is_zero:
-                    continue
-                kept.append(
-                    sections[a].scale(coeffs[b]) - sections[b].scale(coeffs[a])
-                )
-        sections = [u for u in kept if not u.is_zero]
-    return tuple(sections)
+    return _cross_eliminate([u for u in plus_i_frame(struct) if not u.is_zero], moment)
 
 
 def check_adapted_closure(
@@ -662,39 +636,25 @@ def check_adapted_closure(
 ) -> tuple[bool, str]:
     """Brackets of level-tangent eigenbundle sections stay in the
     eigenbundle and stay tangent, globally or on the level slice."""
-    from .linalg import rmat_identity, rmat_sub
-
     frame = adapted_eigen_frame(struct, moment)
     chart = struct.chart
     proj = struct.eigenprojector()
     anti_rows = rmat_sub(rmat_identity(chart, 2 * chart.dim), proj)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-
-    def vanishes(g: RingElement) -> bool:
-        if restrict is not None:
-            g = restrict.pull_function(g)
-        return g.is_zero
-
     count = 0
     for a in range(len(frame)):
         for b in range(a + 1, len(frame)):
             w = courant_bracket(frame[a], frame[b], struct.twist)
             count += 1
-            col = w.column()
-            for row in anti_rows:
-                total = RingElement.zero(chart)
-                for entry, comp in zip(row, col):
-                    if entry.is_zero or comp.is_zero:
-                        continue
-                    total = total + entry * comp
-                if not vanishes(total):
+            for total in rmat_vec(anti_rows, w.column()):
+                if not _vanishes(total, restrict):
                     return (
                         False,
                         f"bracket of adapted sections {a} and {b} leaves the "
                         "eigenbundle",
                     )
             for i, df in enumerate(dfs):
-                if not vanishes(df.apply([w.vector])):
+                if not _vanishes(df.apply([w.vector]), restrict):
                     return (
                         False,
                         f"bracket of adapted sections {a} and {b} is not "

@@ -10,6 +10,16 @@ closure, and reduction checks operate on the transformed structure and
 transported moment data; when the transported moment one-forms are not
 zero, reduction first applies the potential of the scenario's first
 connection to remove them.
+
+The Workspace reduces each point once per run: `fiber` builds the
+quotient data at a named point and `reduced` the Dirac reduction of a
+structure there, and the reduction, gk_reduction and b_commute checks
+and the `reduce` command all read them.  Only successes are cached: a
+point whose reduction raises ValidationError is recomputed by the next
+check that asks and raises the same message again, so each check
+reports its own failing verdict for it.  The two-step factorization
+stays an independent oracle, computed once per point by the reduction
+check.
 """
 
 from __future__ import annotations
@@ -27,8 +37,11 @@ from .equivariant import (
     moment_b_transform,
 )
 from .errors import ValidationError
-from .linalg import inverse, mat_mul, mat_vec, rmat_eval, span_eq
+from .linalg import Mat, inverse, mat_mul, mat_vec, rmat_eval, span_eq
 from .reduction import (
+    FiberData,
+    GkReducedFiber,
+    ReducedFiber,
     check_adapted_closure,
     check_level_closure,
     descend_endomorphism,
@@ -75,7 +88,7 @@ def _skip(check: str, detail: str) -> Verdict:
     return Verdict(check, "skipped", detail)
 
 
-class _Workspace:
+class Workspace:
     """Shared derived objects for one scenario run."""
 
     def __init__(self, scen: Scenario):
@@ -84,6 +97,8 @@ class _Workspace:
         self._work: dict[str, GenStructure] = {}
         self._moment_w: MomentData | None = None
         self._reduction: dict[str | None, tuple] = {}
+        self._fibers: dict[str, FiberData] = {}
+        self._reduced: dict[tuple[str, str], ReducedFiber] = {}
 
     def work(self, name: str) -> GenStructure:
         """The structure after the scenario's B-field, if any."""
@@ -145,8 +160,61 @@ class _Workspace:
         names = list(self.scen.connections)
         return names[0] if names else None
 
+    def partner(self) -> str | None:
+        """The member of the pair that is not the moment structure, or
+        None when the pair does not contain the moment structure."""
+        pair, name = self.scen.pair, self.scen.moment_structure
+        if pair is None or name not in pair:
+            return None
+        return pair[1] if pair[0] == name else pair[0]
 
-def _check_algebraic(ws: _Workspace) -> list[Verdict]:
+    def fiber(self, point_name: str) -> FiberData:
+        """Reduction data at a named point.  A B-field or potential leaves
+        the moment functions and the action unchanged, so the moment data
+        of the moment structure's reduction entry serves every structure."""
+        if point_name not in self._fibers:
+            _, moment, _ = self.reduction_entry(
+                self.scen.moment_structure, self.primary_connection()
+            )
+            self._fibers[point_name] = fiber_data(
+                moment, self.scen.points[point_name], self.scen.level
+            )
+        return self._fibers[point_name]
+
+    def reduced(self, structure_name: str, point_name: str) -> ReducedFiber:
+        """A structure's reduction entry for the primary connection,
+        reduced at a named point."""
+        key = (structure_name, point_name)
+        if key not in self._reduced:
+            struct, _, _ = self.reduction_entry(
+                structure_name, self.primary_connection()
+            )
+            self._reduced[key] = dirac_reduce(struct, self.fiber(point_name))
+        return self._reduced[key]
+
+    def gk_reduced(self, point_name: str) -> GkReducedFiber:
+        """The partner transported through the moment structure's
+        reduction at a named point; needs a partner."""
+        primary = self.primary_connection()
+        struct1, _, _ = self.reduction_entry(self.scen.moment_structure, primary)
+        struct2, _, _ = self.reduction_entry(self.partner(), primary)
+        red1 = self.reduced(self.scen.moment_structure, point_name)
+        return gk_reduce(red1, struct1, struct2)
+
+
+def _conjugate_by_descended(b_field: DiffForm, red: ReducedFiber) -> Mat:
+    """The reduced structure conjugated by the B-transform of a basic
+    two-form, descended to the quotient."""
+    fiber = red.fiber
+    if not fiber.m:
+        return ()
+    carrier = descend_endomorphism(
+        rmat_eval(b_exponential(b_field), fiber.point), fiber
+    )
+    return mat_mul(carrier, mat_mul(red.jmat, inverse(carrier)))
+
+
+def _check_algebraic(ws: Workspace) -> list[Verdict]:
     out = []
     for name in sorted(ws.scen.structures):
         ok, detail = check_algebraic(ws.scen.structures[name])
@@ -161,7 +229,7 @@ def _check_algebraic(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-def _check_integrability(ws: _Workspace) -> list[Verdict]:
+def _check_integrability(ws: Workspace) -> list[Verdict]:
     out = []
     points = list(ws.scen.points.values())
     for name in sorted(ws.scen.structures):
@@ -179,7 +247,7 @@ def _check_integrability(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-def _check_type(ws: _Workspace) -> list[Verdict]:
+def _check_type(ws: Workspace) -> list[Verdict]:
     want = ws.scen.expected.get("types", {})
     if not want:
         return [_bad("type", "scenario lists the type check but expects no types")]
@@ -214,7 +282,7 @@ def _check_type(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-def _check_gk_pair(ws: _Workspace) -> list[Verdict]:
+def _check_gk_pair(ws: Workspace) -> list[Verdict]:
     if ws.scen.pair is None:
         return [_bad("gk_pair", "scenario lists gk_pair but names no pair")]
     a, b = ws.scen.pair
@@ -223,19 +291,19 @@ def _check_gk_pair(ws: _Workspace) -> list[Verdict]:
     return [Verdict("gk_pair", "pass" if ok else "fail", detail)]
 
 
-def _check_moment(ws: _Workspace) -> list[Verdict]:
+def _check_moment(ws: Workspace) -> list[Verdict]:
     struct = ws.work(ws.scen.moment_structure)
     ok, detail = check_moment_map(struct, ws.moment_w())
     return [Verdict("moment", "pass" if ok else "fail", detail)]
 
 
-def _check_equivariant(ws: _Workspace) -> list[Verdict]:
+def _check_equivariant(ws: Workspace) -> list[Verdict]:
     struct = ws.work(ws.scen.moment_structure)
     ok, detail = is_equivariantly_closed(struct.twist, ws.moment_w())
     return [Verdict("equivariant", "pass" if ok else "fail", detail)]
 
 
-def _check_gamma(ws: _Workspace) -> list[Verdict]:
+def _check_gamma(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if not scen.connections:
         return [_bad("gamma", "scenario lists gamma but has no connections")]
@@ -307,7 +375,7 @@ def _check_gamma(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-def _check_level_closure(ws: _Workspace) -> list[Verdict]:
+def _check_level_closure(ws: Workspace) -> list[Verdict]:
     struct = ws.work(ws.scen.moment_structure)
     moment = ws.moment_w()
     out = []
@@ -336,7 +404,7 @@ def _check_level_closure(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-def _check_reduction(ws: _Workspace) -> list[Verdict]:
+def _check_reduction(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     out = []
     primary = ws.primary_connection()
@@ -344,11 +412,11 @@ def _check_reduction(ws: _Workspace) -> list[Verdict]:
     want_dim = scen.expected.get("reduced_dim")
     want_type = scen.expected.get("reduced_types", {}).get(scen.moment_structure)
     reds = {}
-    for pname, point in scen.points.items():
+    for pname in scen.points:
         check = f"reduction:{pname}"
         try:
-            fiber = fiber_data(moment, point, scen.level)
-            red = dirac_reduce(struct, fiber)
+            fiber = ws.fiber(pname)
+            red = ws.reduced(scen.moment_structure, pname)
             two = two_step_reduce(struct, fiber)
         except ValidationError as e:
             out.append(_bad(check, str(e)))
@@ -403,14 +471,7 @@ def _check_reduction(ws: _Workspace) -> list[Verdict]:
             for pname, (fiber, red) in reds.items():
                 try:
                     red_alt = dirac_reduce(struct_alt, fiber)
-                    carrier = descend_endomorphism(
-                        rmat_eval(b_exponential(diff), fiber.point), fiber
-                    )
-                    moved = (
-                        mat_mul(carrier, mat_mul(red.jmat, inverse(carrier)))
-                        if fiber.m
-                        else ()
-                    )
+                    moved = _conjugate_by_descended(diff, red)
                 except ValidationError as e:
                     problems.append(f"{pname}: {e}")
                     continue
@@ -432,7 +493,7 @@ def _check_reduction(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-def _check_gk_reduction(ws: _Workspace) -> list[Verdict]:
+def _check_gk_reduction(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if scen.pair is None:
         return [_bad("gk_reduction", "scenario names no pair")]
@@ -440,19 +501,18 @@ def _check_gk_reduction(ws: _Workspace) -> list[Verdict]:
         return [
             _bad("gk_reduction", "moment structure is not part of the pair")
         ]
-    other = scen.pair[1] if scen.pair[0] == scen.moment_structure else scen.pair[0]
+    other = ws.partner()
     primary = ws.primary_connection()
-    struct1, moment, _ = ws.reduction_entry(scen.moment_structure, primary)
+    _, moment, _ = ws.reduction_entry(scen.moment_structure, primary)
     struct2, _, _ = ws.reduction_entry(other, primary)
     want = scen.expected.get("reduced_types", {}).get(other)
     out = []
     seen_type = None
-    for pname, point in scen.points.items():
+    for pname in scen.points:
         check = f"gk_reduction:{pname}"
         try:
-            fiber = fiber_data(moment, point, scen.level)
-            red1 = dirac_reduce(struct1, fiber)
-            gk = gk_reduce(red1, struct1, struct2)
+            fiber = ws.fiber(pname)
+            gk = ws.gk_reduced(pname)
         except ValidationError as e:
             out.append(_bad(check, str(e)))
             continue
@@ -478,7 +538,7 @@ def _check_gk_reduction(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-def _check_b_flip(ws: _Workspace) -> list[Verdict]:
+def _check_b_flip(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if scen.b_field is None:
         return [_bad("b_flip", "scenario lists b_flip but has no b_field")]
@@ -518,7 +578,7 @@ def _check_b_flip(ws: _Workspace) -> list[Verdict]:
     ]
 
 
-def _check_b_commute(ws: _Workspace) -> list[Verdict]:
+def _check_b_commute(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if scen.basic_field is None:
         return [_bad("b_commute", "scenario lists b_commute but no basic_field")]
@@ -529,20 +589,13 @@ def _check_b_commute(ws: _Workspace) -> list[Verdict]:
         return [_bad("b_commute", "basic_field is not basic for the action")]
     moved = b_transform_structure(basic, struct)
     out = []
-    for pname, point in scen.points.items():
+    for pname in scen.points:
         check = f"b_commute:{pname}"
         try:
-            fiber = fiber_data(moment, point, scen.level)
-            red = dirac_reduce(struct, fiber)
+            fiber = ws.fiber(pname)
+            red = ws.reduced(scen.moment_structure, pname)
             red_moved = dirac_reduce(moved, fiber)
-            carrier = descend_endomorphism(
-                rmat_eval(b_exponential(basic), point), fiber
-            )
-            conjugated = (
-                mat_mul(carrier, mat_mul(red.jmat, inverse(carrier)))
-                if fiber.m
-                else ()
-            )
+            conjugated = _conjugate_by_descended(basic, red)
         except ValidationError as e:
             out.append(_bad(check, str(e)))
             continue
@@ -557,7 +610,7 @@ def _check_b_commute(ws: _Workspace) -> list[Verdict]:
     return out
 
 
-_REGISTRY: dict[str, Callable[[_Workspace], list[Verdict]]] = {
+_REGISTRY: dict[str, Callable[[Workspace], list[Verdict]]] = {
     "algebraic": _check_algebraic,
     "integrability": _check_integrability,
     "type": _check_type,
@@ -576,7 +629,7 @@ assert tuple(_REGISTRY) == KNOWN_CHECKS
 
 
 def run_scenario(scen: Scenario) -> tuple[list[Verdict], dict[str, Any]]:
-    ws = _Workspace(scen)
+    ws = Workspace(scen)
     verdicts: list[Verdict] = []
     for check in KNOWN_CHECKS:
         if check not in scen.checks:

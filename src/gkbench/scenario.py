@@ -92,6 +92,24 @@ def form_from_terms(
     return total
 
 
+def _rational(raw: Any, where: str) -> Fraction:
+    try:
+        return Fraction(str(raw))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValidationError(f"{where}: {raw}") from e
+
+
+def _field(data: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
+    """data[key], or default when the key is absent; the value must be a
+    JSON list (kind list) or a JSON object (kind dict)."""
+    value = data.get(key, default)
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{key} must be {'a list' if kind is list else 'an object'}"
+        )
+    return value
+
+
 def _point(chart: Chart, values: Mapping[str, Any], where: str) -> EvalPoint:
     converted: dict[str, Any] = {}
     for i, name in enumerate(chart.names):
@@ -99,10 +117,7 @@ def _point(chart: Chart, values: Mapping[str, Any], where: str) -> EvalPoint:
             raise ValidationError(f"{where}: missing coordinate {name}")
         raw = values[name]
         if chart.is_affine(i):
-            try:
-                converted[name] = Fraction(str(raw))
-            except (ValueError, ZeroDivisionError) as e:
-                raise ValidationError(f"{where}: bad value for {name}: {raw}") from e
+            converted[name] = _rational(raw, f"{where}: bad value for {name}")
         else:
             if not isinstance(raw, int):
                 raise ValidationError(
@@ -228,7 +243,7 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     if "moment" in data:
         if action is None:
             raise ValidationError("moment data requires an action")
-        mdata = data["moment"]
+        mdata = _field(data, "moment", dict, {})
         moment_structure = mdata.get("structure")
         if moment_structure not in structures:
             raise ValidationError(
@@ -253,10 +268,9 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
             raise ValidationError(f"moment: {e}") from e
 
     connections: dict[str, Connection] = {}
-    for cname in data.get("connections", {}):
+    for cname, terms_list in _field(data, "connections", dict, {}).items():
         if action is None:
             raise ValidationError("connections require an action")
-        terms_list = data["connections"][cname]
         forms = tuple(
             form_from_terms(chart, terms, 1, f"connection {cname}")
             for terms in terms_list
@@ -266,10 +280,12 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
         except ValidationError as e:
             raise ValidationError(f"connection {cname}: {e}") from e
 
-    level = tuple(Fraction(str(x)) for x in data.get("level", []))
+    level = tuple(
+        _rational(x, "level: bad value") for x in _field(data, "level", list, [])
+    )
 
     points: dict[str, EvalPoint] = {}
-    for item in data.get("points", []):
+    for item in _field(data, "points", list, []):
         pname = item.get("name")
         if not pname or pname in points:
             raise ValidationError("every point needs a distinct name")
@@ -284,7 +300,7 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     if "basic_field" in data:
         basic_field = form_from_terms(chart, data["basic_field"], 2, "basic_field")
 
-    checks = tuple(data["checks"])
+    checks = tuple(_field(data, "checks", list, []))
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ValidationError(f"unknown check {c!r}")

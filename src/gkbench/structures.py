@@ -43,6 +43,7 @@ from .linalg import (
     rmat_scale,
     rmat_sub,
     rmat_transpose,
+    rmat_vec,
     rmat_zeros,
 )
 from .ring import Chart, EvalPoint, IMAG, RingElement, Scalar, ZERO
@@ -199,7 +200,7 @@ def interior_operator(b_field: DiffForm) -> RMat:
     return rmat_transpose(two_form_rmatrix(b_field))
 
 
-def _block(chart: Chart, ul: RMat, ur: RMat, ll: RMat, lr: RMat) -> RMat:
+def _block(ul: RMat, ur: RMat, ll: RMat, lr: RMat) -> RMat:
     top = tuple(ul[i] + ur[i] for i in range(len(ul)))
     bottom = tuple(ll[i] + lr[i] for i in range(len(ll)))
     return top + bottom
@@ -210,7 +211,6 @@ def b_exponential(b_field: DiffForm) -> RMat:
     chart = b_field.chart
     n = chart.dim
     return _block(
-        chart,
         rmat_identity(chart, n),
         rmat_zeros(chart, n, n),
         interior_operator(b_field),
@@ -256,16 +256,7 @@ class GenStructure:
         return self.chart.dim
 
     def apply(self, u: GenSection) -> GenSection:
-        col = u.column()
-        out = []
-        for row in self.matrix:
-            total = RingElement.zero(self.chart)
-            for entry, comp in zip(row, col):
-                if entry.is_zero or comp.is_zero:
-                    continue
-                total = total + entry * comp
-            out.append(total)
-        return section_from_column(self.chart, out)
+        return section_from_column(self.chart, rmat_vec(self.matrix, u.column()))
 
     def eigenprojector(self) -> RMat:
         """P = (Id - i J)/2, projecting onto the +i eigenbundle."""
@@ -299,7 +290,6 @@ def symplectic_structure(omega: DiffForm, twist: DiffForm | None = None) -> GenS
         raise ValidationError(f"symplectic form is not invertible: {exc}") from exc
     n = chart.dim
     matrix = _block(
-        chart,
         rmat_zeros(chart, n, n),
         op_inv,
         rmat_scale(op, Scalar.of(-1)),
@@ -318,7 +308,6 @@ def complex_structure(jmat: RMat, chart: Chart, twist: DiffForm | None = None) -
     if not rmat_is_zero(rmat_add(square, rmat_identity(chart, n))):
         raise ValidationError("J does not square to minus the identity")
     matrix = _block(
-        chart,
         rmat_scale(jmat, Scalar.of(-1)),
         rmat_zeros(chart, n, n),
         rmat_zeros(chart, n, n),
@@ -366,19 +355,10 @@ def plus_i_frame(struct: GenStructure) -> tuple[GenSection, ...]:
     """Spanning sections of the +i eigenbundle: the projector applied to
     the standard frame."""
     proj = struct.eigenprojector()
-    cols = []
-    for e in standard_frame(struct.chart):
-        col = e.column()
-        out = []
-        for row in proj:
-            total = RingElement.zero(struct.chart)
-            for entry, comp in zip(row, col):
-                if entry.is_zero or comp.is_zero:
-                    continue
-                total = total + entry * comp
-            out.append(total)
-        cols.append(section_from_column(struct.chart, out))
-    return tuple(cols)
+    return tuple(
+        section_from_column(struct.chart, rmat_vec(proj, e.column()))
+        for e in standard_frame(struct.chart)
+    )
 
 
 def check_integrable(
@@ -411,13 +391,7 @@ def check_integrable(
             if frame[b].is_zero:
                 continue
             w = courant_bracket(frame[a], frame[b], struct.twist)
-            col = w.column()
-            for row in anti:
-                total = RingElement.zero(chart)
-                for entry, comp in zip(row, col):
-                    if entry.is_zero or comp.is_zero:
-                        continue
-                    total = total + entry * comp
+            for total in rmat_vec(anti, w.column()):
                 if not total.is_zero:
                     return (
                         False,

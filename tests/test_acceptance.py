@@ -38,7 +38,7 @@ from gkbench.reduction import (
     two_step_reduce,
 )
 from gkbench.ring import Scalar, parse_expr
-from gkbench.runner import _Workspace
+from gkbench.runner import Workspace
 from gkbench.structures import (
     GenStructure,
     b_transform_structure,
@@ -58,7 +58,7 @@ def moment_scenarios():
 
 
 def workspace_moment(scen):
-    ws = _Workspace(scen)
+    ws = Workspace(scen)
     return ws, ws.work(scen.moment_structure), ws.moment_w()
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
+from gkbench import runner
 from gkbench.cli import main
 from gkbench.errors import ValidationError
 from gkbench.report import build_report, render_json, render_text, report_passed
@@ -188,6 +189,30 @@ class TestRunner:
         assert statuses["reduction:outside"] == "fail"
         assert statuses["reduction:pole_x1"] == "pass"
 
+    def test_each_point_is_reduced_once(self, monkeypatch):
+        points, reductions = [], []
+
+        def counted_fiber_data(moment, point, level):
+            points.append(point)
+            return fiber_data(moment, point, level)
+
+        def counted_dirac_reduce(struct, fiber):
+            reductions.append((struct, fiber.point))
+            return dirac_reduce(struct, fiber)
+
+        fiber_data, dirac_reduce = runner.fiber_data, runner.dirac_reduce
+        monkeypatch.setattr(runner, "fiber_data", counted_fiber_data)
+        monkeypatch.setattr(runner, "dirac_reduce", counted_dirac_reduce)
+        scen = load_builtin("gamma_cylinder_product")
+        verdicts, _ = run_scenario(scen)
+        assert all(v.status == "pass" for v in verdicts)
+        assert len(points) == len(set(points)) == len(scen.points)
+        distinct = []
+        for pair in reductions:
+            if pair not in distinct:
+                distinct.append(pair)
+        assert len(reductions) == len(distinct) == 6
+
 
 class TestReport:
     def test_json_rendering_is_deterministic(self):
@@ -254,6 +279,30 @@ class TestCli:
     def test_reduce_unknown_point(self, capsys):
         code = main(["reduce", "--scenario", "kahler_c2_circle", "--point", "nope"])
         assert code == 2
+
+    def test_reduce_zero_generator_action(self, capsys):
+        code = main(["reduce", "--scenario", "trivial_action", "--point", "origin"])
+        assert code == 0
+        assert "quotient dimension 8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("level", ["nan"]),
+            ("level", ["abc"]),
+            ("points", 5),
+            ("moment", [{"structure": "j"}]),
+            ("connections", [[]]),
+            ("checks", "reduction"),
+        ],
+    )
+    def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):
+        raw = copy.deepcopy(builtin_raw("gamma_torus_cylinder"))
+        raw[key] = value
+        target = tmp_path / "hostile.json"
+        target.write_text(json.dumps(raw))
+        assert main(["check", "--scenario", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSelftest:
