@@ -58,7 +58,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     scen = _load(args.scenario)
-    if scen.moment is None or len(scen.level) != scen.moment.action.k:
+    if scen.moment is None:
         raise ValidationError("scenario has no moment data and level to reduce at")
     if args.point not in scen.points:
         raise ValidationError(

@@ -469,9 +469,7 @@ def reduced_type_of_matrix(jmat: Mat, m: int) -> int:
     return (m - r) // 2
 
 
-def gk_type_prediction(
-    j2: GenStructure, moment: MomentData, fiber: FiberData
-) -> tuple[int, str]:
+def gk_type_prediction(j2: GenStructure, fiber: FiberData) -> tuple[int, str]:
     """The reduced-type arithmetic for the second structure: type at the
     point, minus half the group and stabilizer dimensions (equal here,
     the torus acts on its level set), plus twice the complex overlap of

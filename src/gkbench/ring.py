@@ -11,6 +11,11 @@ rational.  The representation is a dict mapping one exponent tuple per
 coordinate to its coefficient, with zero coefficients never stored, so
 equality of dicts is equality in the ring.
 
+A Gaussian rational (`Scalar`) is the integer triple (a, b, d) standing
+for (a + b*I)/d, normalized to d > 0 and gcd(a, b, d) == 1 with zero as
+(0, 0, 1).  Equal values therefore have equal triples, and scalar
+arithmetic is plain int work.
+
 The ring is closed under addition, multiplication, partial derivatives and
 complex conjugation.  Evaluation is exact at points whose periodic
 coordinates sit at quarter turns (integer multiples of pi/2), where
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 from .errors import ChartMismatchError, ParseError, ValidationError
@@ -86,62 +92,134 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """Gaussian rational a + b*I with exact Fraction parts."""
+    """Gaussian rational (a + b*I)/d held as an integer triple (a, b, d).
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The triple is normalized: d > 0 and gcd(a, b, d) == 1, with zero as
+    (0, 0, 1), so equal values have equal triples.  Arithmetic is plain
+    int work and builds no Fraction; `re` and `im` give the parts as
+    Fractions.  As with Fraction, instances are immutable: the triple sits
+    in slots behind read-only properties.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
 
     @staticmethod
     def of(re: RationalLike = 0, im: RationalLike = 0) -> "Scalar":
-        return Scalar(_as_fraction(re), _as_fraction(im))
+        return Scalar(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        d = self._d
+        if d == other._d:
+            return _make(self._a + other._a, self._b + other._b, d)
+        e = other._d
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        d = self._d
+        if d == other._d:
+            return _make(self._a - other._a, self._b - other._b, d)
+        e = other._d
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not b and not e:
+            return _make(a * c, 0, d * f)
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def inverse(self) -> "Scalar":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
+        a, b, d = self._a, self._b, self._d
+        if not a and not b:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.re / norm, -self.im / norm)
+        return _make(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._a or self._b)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"Scalar(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
         return scalar_text(self)
 
 
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> Scalar:
+    """The Scalar of a triple that is already normalized."""
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _make(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*I)/d for any d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    # _triple's body, inline: this runs once per scalar operation.
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
 ZERO = Scalar()
-ONE = Scalar(Fraction(1), Fraction(0))
-IMAG = Scalar(Fraction(0), Fraction(1))
+ONE = Scalar(1)
+IMAG = Scalar(0, 1)
 
 # i^k for k mod 4, used by quarter-turn evaluation.
 _I_POWERS = (ONE, IMAG, -ONE, -IMAG)
@@ -215,7 +293,7 @@ Exponent = tuple[int, ...]
 
 
 def _check_chart(a: "RingElement", b: "RingElement") -> None:
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatchError(f"charts differ: {a.chart} vs {b.chart}")
 
 
@@ -237,6 +315,15 @@ class RingElement:
                 clean[expo] = coeff
         self.chart = chart
         self.terms = clean
+
+    @staticmethod
+    def _of_valid(chart: Chart, terms: Mapping[Exponent, Scalar]) -> "RingElement":
+        """An element from terms whose exponents are valid by construction
+        (results of ring operations); only zero coefficients are dropped."""
+        out = _new(RingElement)
+        out.chart = chart
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     # --- constructors -------------------------------------------------
 
@@ -279,13 +366,13 @@ class RingElement:
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
             out[expo] = out.get(expo, ZERO) + coeff
-        return RingElement(self.chart, out)
+        return RingElement._of_valid(self.chart, out)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.chart, {e: -c for e, c in self.terms.items()})
+        return RingElement._of_valid(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         _check_chart(self, other)
@@ -298,10 +385,11 @@ class RingElement:
                     out[expo] = out[expo] + prod
                 else:
                     out[expo] = prod
-        return RingElement(self.chart, out)
+        return RingElement._of_valid(self.chart, out)
 
     def scale(self, s: Scalar) -> "RingElement":
-        return RingElement(self.chart, {e: c * s for e, c in self.terms.items()})
+        scaled = {e: c * s for e, c in self.terms.items()}
+        return RingElement._of_valid(self.chart, scaled)
 
     def __pow__(self, power: int) -> "RingElement":
         if power < 0:
@@ -323,7 +411,7 @@ class RingElement:
                 -e if not self.chart.is_affine(i) else e for i, e in enumerate(expo)
             )
             out[flipped] = coeff.conj()
-        return RingElement(self.chart, out)
+        return RingElement._of_valid(self.chart, out)
 
     def partial(self, name: str) -> "RingElement":
         """Exact partial derivative in the named coordinate."""
@@ -346,7 +434,7 @@ class RingElement:
                 out[dropped] = out[dropped] + add
             else:
                 out[dropped] = add
-        return RingElement(self.chart, out)
+        return RingElement._of_valid(self.chart, out)
 
     def evaluate(self, point: EvalPoint) -> Scalar:
         if point.chart != self.chart:
@@ -358,8 +446,9 @@ class RingElement:
                 if e == 0:
                     continue
                 if self.chart.is_affine(i):
-                    base = point.values[i]
-                    value = value * Scalar.of(Fraction(base) ** e)
+                    base = point.values[i]  # in lowest terms, so is its power
+                    power = _triple(base.numerator**e, 0, base.denominator**e)
+                    value = value * power
                 else:
                     q = point.values[i]
                     value = value * _I_POWERS[(e * q) % 4]

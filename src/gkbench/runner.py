@@ -502,9 +502,7 @@ def _check_gk_reduction(ws: Workspace) -> list[Verdict]:
             _bad("gk_reduction", "moment structure is not part of the pair")
         ]
     other = ws.partner()
-    primary = ws.primary_connection()
-    _, moment, _ = ws.reduction_entry(scen.moment_structure, primary)
-    struct2, _, _ = ws.reduction_entry(other, primary)
+    struct2, _, _ = ws.reduction_entry(other, ws.primary_connection())
     want = scen.expected.get("reduced_types", {}).get(other)
     out = []
     seen_type = None
@@ -517,7 +515,7 @@ def _check_gk_reduction(ws: Workspace) -> list[Verdict]:
             out.append(_bad(check, str(e)))
             continue
         rtype = reduced_type_of_matrix(gk.jmat2, fiber.m)
-        predicted, formula = gk_type_prediction(struct2, moment, fiber)
+        predicted, formula = gk_type_prediction(struct2, fiber)
         problems = []
         if rtype != predicted:
             problems.append(

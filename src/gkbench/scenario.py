@@ -110,7 +110,9 @@ def _field(data: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
     return value
 
 
-def _point(chart: Chart, values: Mapping[str, Any], where: str) -> EvalPoint:
+def _point(chart: Chart, values: Any, where: str) -> EvalPoint:
+    if not isinstance(values, dict):
+        raise ValidationError(f"{where}: values must be an object")
     converted: dict[str, Any] = {}
     for i, name in enumerate(chart.names):
         if name not in values:
@@ -134,6 +136,8 @@ def _point(chart: Chart, values: Mapping[str, Any], where: str) -> EvalPoint:
 def _structure(
     chart: Chart, spec: Mapping[str, Any], twist: DiffForm, where: str
 ) -> GenStructure:
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{where}: must be an object")
     kind = spec.get("kind")
     wanted = {"symplectic": {"kind", "two_form"}}.get(kind, {"kind", "matrix"})
     extra = set(spec) - wanted
@@ -201,8 +205,9 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     twist = form_from_terms(chart, data.get("twist", []), 3, "twist")
 
     structures: dict[str, GenStructure] = {}
-    for sname in sorted(data["structures"]):
-        spec = data["structures"][sname]
+    specs = _field(data, "structures", dict, {})
+    for sname in sorted(specs):
+        spec = specs[sname]
         try:
             structures[sname] = _structure(
                 chart, spec, twist, f"structure {sname}"
@@ -214,16 +219,18 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
 
     pair = None
     if "pair" in data:
-        pair_names = tuple(data["pair"])
-        if len(pair_names) != 2 or any(p not in structures for p in pair_names):
+        pair_names = tuple(_field(data, "pair", list, []))
+        if len(pair_names) != 2 or any(
+            not isinstance(p, str) or p not in structures for p in pair_names
+        ):
             raise ValidationError("pair must name two defined structures")
         pair = pair_names
 
     action = None
     if "action" in data:
         gens = []
-        for i, comps in enumerate(data["action"]):
-            if len(comps) != chart.dim:
+        for i, comps in enumerate(_field(data, "action", list, [])):
+            if not isinstance(comps, list) or len(comps) != chart.dim:
                 raise ValidationError(
                     f"action generator {i + 1} needs {chart.dim} components"
                 )
@@ -271,6 +278,8 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     for cname, terms_list in _field(data, "connections", dict, {}).items():
         if action is None:
             raise ValidationError("connections require an action")
+        if not isinstance(terms_list, list):
+            raise ValidationError(f"connection {cname} must be a list of one-forms")
         forms = tuple(
             form_from_terms(chart, terms, 1, f"connection {cname}")
             for terms in terms_list
@@ -286,8 +295,10 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
 
     points: dict[str, EvalPoint] = {}
     for item in _field(data, "points", list, []):
+        if not isinstance(item, dict):
+            raise ValidationError("every point must be an object")
         pname = item.get("name")
-        if not pname or pname in points:
+        if not isinstance(pname, str) or not pname or pname in points:
             raise ValidationError("every point needs a distinct name")
         points[pname] = _point(chart, item.get("values", {}), f"point {pname}")
 

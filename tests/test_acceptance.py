@@ -232,7 +232,7 @@ def test_criterion_6_type_formulas():
         assert reduced_type(red1) == 0, pname
         gk = gk_reduce(red1, struct1, struct2)
         computed = reduced_type_of_matrix(gk.jmat2, fiber.m)
-        predicted, formula = gk_type_prediction(struct2, moment_r, fiber)
+        predicted, formula = gk_type_prediction(struct2, fiber)
         assert computed == predicted == 1, (pname, formula)
         assert type_at(struct2, point) - fiber.k == 1, pname
 
@@ -246,7 +246,7 @@ def test_criterion_6_type_formulas():
         assert reduced_type(red1) == type_at(struct1, point) == 0, pname
         gk = gk_reduce(red1, struct1, struct2)
         computed = reduced_type_of_matrix(gk.jmat2, fiber.m)
-        predicted, formula = gk_type_prediction(struct2, moment_r, fiber)
+        predicted, formula = gk_type_prediction(struct2, fiber)
         assert computed == predicted == 1, (pname, formula)
         assert "2*1" in formula, formula
     print(

@@ -256,7 +256,7 @@ class TestGkReduce:
         j2 = complex_r4()
         red1 = dirac_reduce(j1, fiber)
         gk = gk_reduce(red1, j1, j2)
-        predicted, detail = gk_type_prediction(j2, sphere_moment(), fiber)
+        predicted, detail = gk_type_prediction(j2, fiber)
         assert reduced_type_of_matrix(gk.jmat2, fiber.m) == 1
         assert predicted == 1
         assert "2*0" in detail
@@ -269,7 +269,7 @@ class TestGkReduce:
             fiber = fiber_data(moment, p, SPHERE_LEVEL)
             red1 = dirac_reduce(j1, fiber)
             gk = gk_reduce(red1, j1, j2)
-            predicted, _ = gk_type_prediction(j2, moment, fiber)
+            predicted, _ = gk_type_prediction(j2, fiber)
             assert reduced_type_of_matrix(gk.jmat2, fiber.m) == predicted == 1
 
 
@@ -294,7 +294,7 @@ class TestTrivialAction:
         red1 = dirac_reduce(j1, fiber)
         gk = gk_reduce(red1, j1, j2)
         assert gk.jmat2 == rmat_eval(j2.matrix, p)
-        predicted, _ = gk_type_prediction(j2, self.trivial_moment(), fiber)
+        predicted, _ = gk_type_prediction(j2, fiber)
         assert predicted == reduced_type_of_matrix(gk.jmat2, 4) == 2
 
 

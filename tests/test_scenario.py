@@ -285,6 +285,27 @@ class TestCli:
         assert code == 0
         assert "quotient dimension 8" in capsys.readouterr().out
 
+    def test_reduce_names_the_reduction_check_problem(self, capsys):
+        # mixed_r4_rotation has moment data whose one-forms no connection
+        # removes: reduce reports what the reduction check reports.
+        raw = copy.deepcopy(builtin_raw("mixed_r4_rotation"))
+        raw["checks"] = ["reduction"]
+        verdicts, _ = run_scenario(load_scenario(raw))
+        code = main(["reduce", "--scenario", "mixed_r4_rotation", "--point", "unit"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {verdicts[0].detail}\n"
+        assert "one-forms are nonzero" in verdicts[0].detail
+
+    def test_reduce_level_of_wrong_length(self, tmp_path, capsys):
+        raw = copy.deepcopy(builtin_raw("kahler_c2_circle"))
+        raw["level"] = ["1", "2"]
+        target = tmp_path / "two_levels.json"
+        target.write_text(json.dumps(raw))
+        code = main(["reduce", "--scenario", str(target), "--point", "pythagorean"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: level length does not match the number of generators\n"
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -294,6 +315,12 @@ class TestCli:
             ("moment", [{"structure": "j"}]),
             ("connections", [[]]),
             ("checks", "reduction"),
+            ("points", [5]),
+            ("pair", 5),
+            ("action", 5),
+            ("structures", [1]),
+            ("connections", {"theta": 5}),
+            ("points", [{"name": "a", "values": 5}]),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):

@@ -1,0 +1,137 @@
+"""Differential oracle: the exact Gaussian-rational linear algebra of
+gkbench.linalg against sympy on hypothesis-drawn matrices.
+
+sympy is not a dependency of gkbench; without it this module is skipped.
+"""
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from fractions import Fraction  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gkbench.errors import ValidationError  # noqa: E402
+from gkbench.linalg import (  # noqa: E402
+    det,
+    inverse,
+    mat,
+    mat_mul,
+    nullspace,
+    rank,
+    symmetric_signature,
+    transpose,
+)
+from gkbench.ring import ZERO, Scalar  # noqa: E402
+
+# Zero is drawn often so that singular and rank-deficient matrices are common.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+gaussians = st.builds(Scalar, rationals, rationals)
+reals = st.builds(Scalar, rationals)
+
+
+@st.composite
+def matrices(draw, entries=gaussians, square=False):
+    r = draw(st.integers(1, 4))
+    c = r if square else draw(st.integers(1, 4))
+    m = mat([[draw(entries) for _ in range(c)] for _ in range(r)])
+    if draw(st.booleans()):
+        # A product through an inner dimension k has rank at most k:
+        # rank-deficient matrices without zero rows or columns, which
+        # plain draws rarely give.
+        k = draw(st.integers(1, min(r, c)))
+        left = mat([[draw(entries) for _ in range(k)] for _ in range(r)])
+        right = mat([[draw(entries) for _ in range(c)] for _ in range(k)])
+        m = mat_mul(left, right)
+    return m
+
+
+@st.composite
+def symmetric_matrices(draw):
+    m = draw(matrices(entries=reals, square=True))
+    return mat_mul(transpose(m), m) if draw(st.booleans()) else _symmetrize(m)
+
+
+def _symmetrize(m):
+    n = len(m)
+    return mat([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+def to_sympy(x):
+    return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
+        x.im.numerator, x.im.denominator
+    )
+
+
+def sym_matrix(m):
+    return sympy.Matrix([[to_sympy(x) for x in row] for row in m])
+
+
+def sym_vector(v):
+    return sympy.Matrix([to_sympy(x) for x in v])
+
+
+def descartes_inertia(m):
+    """(positive, negative, zero) eigenvalue counts of a real symmetric
+    matrix from its characteristic polynomial.  Every root is real, so
+    Descartes' rule of signs counts the positive and negative roots
+    exactly, with multiplicity."""
+    lam = sympy.Symbol("lam")
+    coeffs = m.charpoly(lam).all_coeffs()  # highest degree first
+    zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    degree = len(coeffs) - 1
+
+    def variations(seq):
+        signs = [sympy.sign(c) for c in seq if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    flipped = [c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]
+    return variations(coeffs), variations(flipped), zero
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(matrices())
+def test_rank_and_nullspace_match_sympy(m):
+    sm = sym_matrix(m)
+    assert rank(m) == sm.rank()
+    ours = nullspace(m)
+    assert len(ours) == len(sm.nullspace()) == len(m[0]) - rank(m)
+    for v in ours:
+        assert sympy.expand(sm * sym_vector(v)) == sympy.zeros(len(m), 1)
+    if ours:
+        # Independent vectors inside the nullspace, as many as its
+        # dimension: the same span.
+        assert sympy.Matrix.hstack(*[sym_vector(v) for v in ours]).rank() == len(ours)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(matrices(square=True))
+def test_det_and_inverse_match_sympy(m):
+    sm = sym_matrix(m)
+    want = sympy.expand(sm.det())
+    assert to_sympy(det(m)) == want
+    if want == 0:
+        with pytest.raises(ValidationError, match="singular"):
+            inverse(m)
+    else:
+        assert sym_matrix(inverse(m)) == sympy.expand(sm.inv())
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(symmetric_matrices())
+def test_symmetric_signature_matches_sympy(m):
+    assert symmetric_signature(m) == descartes_inertia(sym_matrix(m))
+
+
+def test_descartes_inertia_of_a_diagonal():
+    # The reference itself: diag(1, -2, 0) has one eigenvalue of each sign.
+    m = mat([[Scalar(1), ZERO, ZERO], [ZERO, Scalar(-2), ZERO], [ZERO] * 3])
+    assert descartes_inertia(sym_matrix(m)) == (1, 1, 1)
+    assert symmetric_signature(m) == (1, 1, 1)
