@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ValidationError
-from .linalg import Mat, rmat, ring_det
+from .linalg import mat, ring_det
 from .ring import Chart, EvalPoint, RingElement, Scalar, PERIODIC, ZERO, quarter_phase
 
 Index = tuple[int, ...]
@@ -302,21 +302,9 @@ class DiffForm:
         if self.degree == 0:
             return self.terms.get((), total)
         for idx, coeff in self.terms.items():
-            block = rmat([[v.components[i] for i in idx] for v in vectors])
+            block = mat([[v.components[i] for i in idx] for v in vectors])
             total = total + coeff * ring_det(block)
         return total
-
-    def matrix_at(self, point: EvalPoint) -> Mat:
-        """For a 2-form: the skew matrix M[i][j] = form(d_i, d_j) at a point."""
-        if self.degree != 2:
-            raise ValidationError("matrix_at needs a 2-form")
-        n = self.chart.dim
-        grid = [[ZERO] * n for _ in range(n)]
-        for (i, j), coeff in self.terms.items():
-            val = coeff.evaluate(point)
-            grid[i][j] = val
-            grid[j][i] = -val
-        return tuple(tuple(row) for row in grid)
 
     def covector_at(self, point: EvalPoint) -> tuple[Scalar, ...]:
         """For a 1-form: its component tuple at a point."""

@@ -1,36 +1,45 @@
 """Exact linear algebra over Gaussian rationals and over the function ring.
 
-Scalar matrices are tuples of tuples of Scalar and support the usual
-elimination toolkit: reduced row echelon form, rank, nullspace, solving,
-inversion, determinants, subspace comparisons, and signatures of real
-symmetric matrices.  Everything is exact; no pivot thresholds exist.
+A matrix is a tuple of row tuples.  One set of arithmetic helpers --
+mat, transpose, mat_sub, mat_neg, mat_mul and mat_vec -- serves both
+entry types: Scalar entries at a point and RingElement entries over a
+chart.  They use only +, -, *, unary minus and is_zero; the products
+skip every term with a zero factor and take the zero of the entry type
+from the operands, so no helper branches on the entry type.  Matrix
+identities are stated with ==, since both entry types are canonical.
 
-Ring matrices hold RingElement entries.  They multiply, differentiate
-nothing, and invert only when the determinant is an invertible constant,
-which is what chart-wide inversion of a symplectic form requires.
+Scalar matrices also get the elimination toolkit: reduced row echelon
+form, rank, nullspace, solving, inversion, determinants, subspace
+comparisons, and signatures of real symmetric matrices.  Everything is
+exact; no pivot thresholds exist.
+
+Ring matrices add what needs a chart or a cofactor expansion: the
+chart-bound constructors, scaling, evaluation at a point, and an inverse
+that exists only when the determinant is an invertible constant, which
+is what chart-wide inversion of a symplectic form requires.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .errors import ValidationError
 from .ring import Chart, EvalPoint, ONE, RingElement, Scalar, ZERO
 
 Vec = tuple[Scalar, ...]
 Mat = tuple[Vec, ...]
+RMat = tuple[tuple[RingElement, ...], ...]
+
+Entry = TypeVar("Entry", Scalar, RingElement)
+Matrix = tuple[tuple[Entry, ...], ...]
 
 
-# --- construction and arithmetic ---------------------------------------
+# --- construction and arithmetic, for either entry type --------------------
 
 
-def mat(rows: Sequence[Sequence[Scalar]]) -> Mat:
+def mat(rows: Sequence[Sequence[Entry]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
-
-
-def zeros(r: int, c: int) -> Mat:
-    return tuple((ZERO,) * c for _ in range(r))
 
 
 def identity(n: int) -> Mat:
@@ -39,17 +48,21 @@ def identity(n: int) -> Mat:
     )
 
 
-def transpose(m: Mat) -> Mat:
+def transpose(m: Matrix) -> Matrix:
     if not m:
         return ()
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
+def mat_neg(a: Matrix) -> Matrix:
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValidationError("matrix shapes do not compose")
     bt = transpose(b)
@@ -58,14 +71,29 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    total = ZERO
+def _dot(u: Sequence[Entry], v: Sequence[Entry]) -> Entry:
+    """The sum of x * y over paired entries, skipping each pair with a
+    zero factor.  When every pair has one, that zero factor is the sum,
+    so the result keeps the operands' entry type."""
+    total = zero = None
     for x, y in zip(u, v):
-        total = total + x * y
-    return total
+        if x.is_zero:
+            zero = x
+        elif y.is_zero:
+            zero = y
+        elif total is None:
+            total = x * y
+        else:
+            total = total + x * y
+    if total is not None:
+        return total
+    if zero is None:
+        raise ValidationError("an empty sum has no entry to take its zero from")
+    return zero
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
+def mat_vec(a: Matrix, v: Sequence[Entry]) -> tuple[Entry, ...]:
+    """A matrix times a column."""
     return tuple(_dot(row, v) for row in a)
 
 
@@ -179,13 +207,6 @@ def row_space_basis(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(reduced[i] for i in range(len(pivots)))
 
 
-def span_contains(rows: Sequence[Vec], v: Vec) -> bool:
-    if not rows:
-        return all(x.is_zero for x in v)
-    base = mat(rows)
-    return rank(base) == rank(base + (v,))
-
-
 def span_eq(a: Sequence[Vec], b: Sequence[Vec]) -> bool:
     return row_space_basis(a) == row_space_basis(b)
 
@@ -297,12 +318,6 @@ def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:
 
 # --- matrices over the function ring -------------------------------------
 
-RMat = tuple[tuple[RingElement, ...], ...]
-
-
-def rmat(rows: Sequence[Sequence[RingElement]]) -> RMat:
-    return tuple(tuple(row) for row in rows)
-
 
 def rmat_from_scalars(chart: Chart, m: Mat) -> RMat:
     return tuple(
@@ -323,56 +338,8 @@ def rmat_zeros(chart: Chart, r: int, c: int) -> RMat:
     return tuple((zero,) * c for _ in range(r))
 
 
-def rmat_add(a: RMat, b: RMat) -> RMat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def rmat_sub(a: RMat, b: RMat) -> RMat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def rmat_scale(a: RMat, s: Scalar) -> RMat:
     return tuple(tuple(x.scale(s) for x in row) for row in a)
-
-
-def rmat_mul(a: RMat, b: RMat) -> RMat:
-    if a and b and len(a[0]) != len(b):
-        raise ValidationError("matrix shapes do not compose")
-    out = []
-    for row in a:
-        line = []
-        for j in range(len(b[0]) if b else 0):
-            total = None
-            for k in range(len(b)):
-                piece = row[k] * b[k][j]
-                total = piece if total is None else total + piece
-            line.append(total)
-        out.append(tuple(line))
-    return tuple(out)
-
-
-def rmat_vec(a: RMat, col: Sequence[RingElement]) -> tuple[RingElement, ...]:
-    """A ring matrix times a column, skipping zero entries on either side."""
-    zero = RingElement.zero(col[0].chart)
-    out = []
-    for row in a:
-        total = zero
-        for entry, comp in zip(row, col):
-            if entry.is_zero or comp.is_zero:
-                continue
-            total = total + entry * comp
-        out.append(total)
-    return tuple(out)
-
-
-def rmat_transpose(m: RMat) -> RMat:
-    if not m:
-        return ()
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
-
-
-def rmat_is_zero(m: RMat) -> bool:
-    return all(x.is_zero for row in m for x in row)
 
 
 def rmat_eval(m: RMat, point: EvalPoint) -> Mat:
@@ -426,5 +393,5 @@ def ring_inverse(m: RMat) -> RMat:
                 entry = -entry
             line.append(entry)
         cof.append(tuple(line))
-    adjugate = rmat_transpose(tuple(cof))
+    adjugate = transpose(tuple(cof))
     return rmat_scale(adjugate, dinv)

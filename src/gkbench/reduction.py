@@ -48,14 +48,13 @@ from .linalg import (
     mat,
     mat_conj,
     mat_mul,
+    mat_neg,
     mat_sub,
     mat_vec,
     nullspace,
     rank,
     rmat_eval,
     rmat_identity,
-    rmat_sub,
-    rmat_vec,
     row_space_basis,
     solve,
     symmetric_signature,
@@ -80,20 +79,9 @@ def _embed_covector(n: int, comps: Sequence[Scalar]) -> Vec:
     return (ZERO,) * n + tuple(comps)
 
 
-def _bilinear(u: Vec, g: Mat, v: Vec) -> Scalar:
-    total = ZERO
-    for i, ui in enumerate(u):
-        if ui.is_zero:
-            continue
-        for j, vj in enumerate(v):
-            if vj.is_zero or g[i][j].is_zero:
-                continue
-            total = total + ui * g[i][j] * vj
-    return total
-
-
 def _gram(rows: Sequence[Vec], g: Mat) -> Mat:
-    return tuple(tuple(_bilinear(u, g, v) for v in rows) for u in rows)
+    """The Gram matrix rows . g . rows^T of a bilinear form g."""
+    return mat_mul(mat(rows), mat_mul(g, transpose(mat(rows))))
 
 
 @dataclass(frozen=True)
@@ -249,10 +237,8 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
         )
     if m == 0:
         return ReducedFiber(fiber, (), ())
-    for i, u in enumerate(lq_rows):
-        for v in lq_rows[i:]:
-            if not _bilinear(u, fiber.gram_q, v).is_zero:
-                raise ValidationError("reduced eigenbundle is not isotropic")
+    if not all(x.is_zero for row in _gram(lq_rows, fiber.gram_q) for x in row):
+        raise ValidationError("reduced eigenbundle is not isotropic")
     conj_rows = mat_conj(lq_rows)
     if intersect_spans(lq_rows, conj_rows):
         raise ValidationError(
@@ -263,9 +249,7 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
         for entry in row:
             if entry.im != 0:
                 raise ValidationError("reduced structure matrix is not real")
-    if mat_mul(jmat, jmat) != tuple(
-        tuple(-x for x in row) for row in identity(2 * m)
-    ):
+    if mat_mul(jmat, jmat) != mat_neg(identity(2 * m)):
         raise ValidationError("reduced structure does not square to minus identity")
     lhs = mat_mul(transpose(jmat), mat_mul(fiber.gram_q, jmat))
     if lhs != fiber.gram_q:
@@ -407,9 +391,7 @@ def gk_reduce(
         return GkReducedFiber((), (), ())
     j1_val = rmat_eval(j1.matrix, point)
     j2_val = rmat_eval(j2.matrix, point)
-    g_big = tuple(
-        tuple(-x for x in row) for row in mat_mul(j1_val, j2_val)
-    )
+    g_big = mat_neg(mat_mul(j1_val, j2_val))
     c_plus = nullspace(mat_sub(g_big, identity(2 * n)))
     if len(c_plus) != n:
         raise ValidationError(
@@ -437,15 +419,11 @@ def gk_reduce(
     g_tilde = _eigen_matrix(c_rows, c_minus, ONE)
     jmat2 = mat_mul(red1.jmat, g_tilde)
 
-    minus_ident = tuple(tuple(-x for x in row) for row in identity(2 * m))
-    if mat_mul(jmat2, jmat2) != minus_ident:
+    if mat_mul(jmat2, jmat2) != mat_neg(identity(2 * m)):
         raise ValidationError("reduced second structure does not square to -Id")
     if mat_mul(red1.jmat, jmat2) != mat_mul(jmat2, red1.jmat):
         raise ValidationError("reduced structures do not commute")
-    product = tuple(
-        tuple(-x for x in row) for row in mat_mul(red1.jmat, jmat2)
-    )
-    if product != g_tilde:
+    if mat_neg(mat_mul(red1.jmat, jmat2)) != g_tilde:
         raise ValidationError("reduced product operator mismatch")
     metric = mat_mul(fiber.gram_q, g_tilde)
     if metric != transpose(metric):
@@ -637,14 +615,14 @@ def check_adapted_closure(
     frame = adapted_eigen_frame(struct, moment)
     chart = struct.chart
     proj = struct.eigenprojector()
-    anti_rows = rmat_sub(rmat_identity(chart, 2 * chart.dim), proj)
+    anti_rows = mat_sub(rmat_identity(chart, 2 * chart.dim), proj)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
     count = 0
     for a in range(len(frame)):
         for b in range(a + 1, len(frame)):
             w = courant_bracket(frame[a], frame[b], struct.twist)
             count += 1
-            for total in rmat_vec(anti_rows, w.column()):
+            for total in mat_vec(anti_rows, w.column()):
                 if not _vanishes(total, restrict):
                     return (
                         False,

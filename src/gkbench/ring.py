@@ -36,6 +36,11 @@ PERIODIC = "periodic"
 
 _RESERVED_NAMES = {"I", "E", "cos", "sin"}
 
+# Largest integer the parser accepts after '^' and, in absolute value, as
+# the k of E(y; k).  The catalog's largest exponent is 2; a bound keeps a
+# hostile literal such as x^200000 from building huge values at a point.
+MAX_EXPONENT = 16
+
 RationalLike = Union[int, Fraction]
 
 
@@ -400,8 +405,9 @@ class RingElement:
         while p:
             if p & 1:
                 out = out * base
-            base = base * base
             p >>= 1
+            if p:
+                base = base * base
         return out
 
     def conj(self) -> "RingElement":
@@ -544,9 +550,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < len(src) and src[j].isdigit():
+                while j < len(src) and "0" <= src[j] <= "9":
                     j += 1
                 self.items.append(("num", src[i:j], i))
                 i = j
@@ -586,8 +592,9 @@ def parse_expr(src: str, chart: Chart) -> RingElement:
         atom   := rational | 'I' | ident | 'E' '(' ident ';' int ')'
                 | 'cos' '(' ident ')' | 'sin' '(' ident ')' | '(' expr ')'
 
-    with rationals written p/q or as integers.  cos and sin expand into
-    Fourier exponentials: cos(y) = (E(y;1)+E(y;-1))/2 and
+    with rationals written p/q or as integers, and the integer after '^'
+    or in E(y; k) at most MAX_EXPONENT in absolute value.  cos and sin
+    expand into Fourier exponentials: cos(y) = (E(y;1)+E(y;-1))/2 and
     sin(y) = (E(y;1)-E(y;-1))/(2i).
     """
     toks = _Tokens(src)
@@ -631,7 +638,7 @@ def _parse_factor(toks: _Tokens, chart: Chart) -> RingElement:
         kind, text, pos = toks.take()
         if kind != "num":
             raise ParseError("exponent must be a nonnegative integer", pos)
-        value = value ** int(text)
+        value = value ** _bounded(text, pos)
     return value
 
 
@@ -641,8 +648,17 @@ def _parse_int(toks: _Tokens) -> int:
     if kind in ("+", "-"):
         toks.take()
         sign = -1 if kind == "-" else 1
-    _, text, _ = toks.take("num")
-    return sign * int(text)
+    _, text, pos = toks.take("num")
+    return sign * _bounded(text, pos)
+
+
+def _bounded(text: str, pos: int) -> int:
+    """A digit string as an int of at most MAX_EXPONENT; its length is
+    judged first, so that no huge literal is converted."""
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise ParseError(f"integer exceeds the bound {MAX_EXPONENT}", pos)
+    return int(digits)
 
 
 def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:

@@ -62,6 +62,10 @@ _TOP_KEYS = {
 
 
 def _expr(text: str, chart: Chart, where: str) -> RingElement:
+    if not isinstance(text, str):
+        raise ValidationError(
+            f"{where}: expression must be a string, got {type(text).__name__}"
+        )
     try:
         return parse_expr(text, chart)
     except ParseError as e:
@@ -71,12 +75,16 @@ def _expr(text: str, chart: Chart, where: str) -> RingElement:
 def form_from_terms(
     chart: Chart, terms: Sequence[Mapping[str, Any]], degree: int, where: str
 ) -> DiffForm:
+    if not isinstance(terms, list):
+        raise ValidationError(f"{where}: terms must be a list")
     total = DiffForm.zero(chart, degree)
     for item in terms:
+        if not isinstance(item, dict):
+            raise ValidationError(f"{where}: every term must be an object")
         extra = set(item) - {"coeff", "frame"}
         if extra:
             raise ValidationError(f"{where}: unknown term keys {sorted(extra)}")
-        frame = item.get("frame", [])
+        frame = _field(item, "frame", list, [])
         if len(frame) != degree:
             raise ValidationError(
                 f"{where}: term frame {frame} does not have degree {degree}"
@@ -146,24 +154,20 @@ def _structure(
     if kind == "symplectic":
         two_form = form_from_terms(chart, spec.get("two_form", []), 2, where)
         return symplectic_structure(two_form, twist)
-    if kind == "complex":
-        rows = spec.get("matrix", [])
-        n = chart.dim
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValidationError(f"{where}: matrix must be {n} x {n}")
-        rmat = tuple(
+    if kind in ("complex", "matrix"):
+        # an n x n J on the tangent bundle, or the 2n x 2n structure itself
+        size = chart.dim if kind == "complex" else 2 * chart.dim
+        rows = _field(spec, "matrix", list, [])
+        if len(rows) != size or any(
+            not isinstance(r, list) or len(r) != size for r in rows
+        ):
+            raise ValidationError(f"{where}: matrix must be {size} x {size}")
+        entries = tuple(
             tuple(_expr(entry, chart, where) for entry in row) for row in rows
         )
-        return complex_structure(rmat, chart, twist)
-    if kind == "matrix":
-        rows = spec.get("matrix", [])
-        n2 = 2 * chart.dim
-        if len(rows) != n2 or any(len(r) != n2 for r in rows):
-            raise ValidationError(f"{where}: matrix must be {n2} x {n2}")
-        rmat = tuple(
-            tuple(_expr(entry, chart, where) for entry in row) for row in rows
-        )
-        return GenStructure(chart, rmat, twist)
+        if kind == "complex":
+            return complex_structure(entries, chart, twist)
+        return GenStructure(chart, entries, twist)
     raise ValidationError(f"{where}: unknown structure kind {kind!r}")
 
 
@@ -252,22 +256,24 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
             raise ValidationError("moment data requires an action")
         mdata = _field(data, "moment", dict, {})
         moment_structure = mdata.get("structure")
-        if moment_structure not in structures:
+        if (
+            not isinstance(moment_structure, str)
+            or moment_structure not in structures
+        ):
             raise ValidationError(
                 "moment data must name one of the defined structures"
             )
         k = action.k
-        raw_forms = mdata.get("one_forms")
-        if raw_forms is None:
+        if "one_forms" not in mdata:
             one_forms = tuple(DiffForm.zero(chart, 1) for _ in range(k))
         else:
             one_forms = tuple(
                 form_from_terms(chart, terms, 1, f"moment one-form {i + 1}")
-                for i, terms in enumerate(raw_forms)
+                for i, terms in enumerate(_field(mdata, "one_forms", list, []))
             )
         functions = tuple(
             _expr(text, chart, f"moment function {i + 1}")
-            for i, text in enumerate(mdata.get("functions", []))
+            for i, text in enumerate(_field(mdata, "functions", list, []))
         )
         try:
             moment = MomentData(action, one_forms, functions)
@@ -316,6 +322,10 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
         if c not in KNOWN_CHECKS:
             raise ValidationError(f"unknown check {c!r}")
 
+    expected = dict(_field(data, "expected", dict, {}))
+    for key in ("types", "reduced_types"):
+        _field(expected, key, dict, {})
+
     return Scenario(
         name=name,
         title=data.get("title", name),
@@ -332,7 +342,7 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
         b_field=b_field,
         basic_field=basic_field,
         checks=checks,
-        expected=dict(data.get("expected", {})),
+        expected=expected,
         raw=dict(data),
     )
 
@@ -343,7 +353,7 @@ def scenario_from_path(path: str) -> Scenario:
             data = json.load(handle)
     except OSError as e:
         raise ValidationError(f"cannot read scenario file: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"scenario file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ValidationError("scenario file must contain a JSON object")

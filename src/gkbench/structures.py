@@ -31,20 +31,19 @@ from .linalg import (
     Mat,
     RMat,
     is_positive_definite,
+    mat,
+    mat_mul,
+    mat_neg,
+    mat_sub,
+    mat_vec,
     rank,
     ring_inverse,
-    rmat,
-    rmat_add,
     rmat_eval,
     rmat_from_scalars,
     rmat_identity,
-    rmat_is_zero,
-    rmat_mul,
     rmat_scale,
-    rmat_sub,
-    rmat_transpose,
-    rmat_vec,
     rmat_zeros,
+    transpose,
 )
 from .ring import Chart, EvalPoint, IMAG, RingElement, Scalar, ZERO
 
@@ -192,12 +191,12 @@ def two_form_rmatrix(b_field: DiffForm) -> RMat:
     for (i, j), coeff in b_field.terms.items():
         grid[i][j] = coeff
         grid[j][i] = -coeff
-    return rmat(grid)
+    return mat(grid)
 
 
 def interior_operator(b_field: DiffForm) -> RMat:
     """Matrix of X -> i_X B on components: the transpose of two_form_rmatrix."""
-    return rmat_transpose(two_form_rmatrix(b_field))
+    return transpose(two_form_rmatrix(b_field))
 
 
 def _block(ul: RMat, ur: RMat, ll: RMat, lr: RMat) -> RMat:
@@ -256,13 +255,13 @@ class GenStructure:
         return self.chart.dim
 
     def apply(self, u: GenSection) -> GenSection:
-        return section_from_column(self.chart, rmat_vec(self.matrix, u.column()))
+        return section_from_column(self.chart, mat_vec(self.matrix, u.column()))
 
     def eigenprojector(self) -> RMat:
         """P = (Id - i J)/2, projecting onto the +i eigenbundle."""
         n2 = 2 * self.chart.dim
         ident = rmat_identity(self.chart, n2)
-        return rmat_scale(rmat_sub(ident, rmat_scale(self.matrix, IMAG)), HALF)
+        return rmat_scale(mat_sub(ident, rmat_scale(self.matrix, IMAG)), HALF)
 
 
 def zero_twist(chart: Chart) -> DiffForm:
@@ -292,7 +291,7 @@ def symplectic_structure(omega: DiffForm, twist: DiffForm | None = None) -> GenS
     matrix = _block(
         rmat_zeros(chart, n, n),
         op_inv,
-        rmat_scale(op, Scalar.of(-1)),
+        mat_neg(op),
         rmat_zeros(chart, n, n),
     )
     return GenStructure(chart, matrix, twist if twist is not None else zero_twist(chart))
@@ -304,14 +303,13 @@ def complex_structure(jmat: RMat, chart: Chart, twist: DiffForm | None = None) -
     n = chart.dim
     if len(jmat) != n or any(len(r) != n for r in jmat):
         raise ValidationError("J must be n x n")
-    square = rmat_mul(jmat, jmat)
-    if not rmat_is_zero(rmat_add(square, rmat_identity(chart, n))):
+    if mat_mul(jmat, jmat) != mat_neg(rmat_identity(chart, n)):
         raise ValidationError("J does not square to minus the identity")
     matrix = _block(
-        rmat_scale(jmat, Scalar.of(-1)),
+        mat_neg(jmat),
         rmat_zeros(chart, n, n),
         rmat_zeros(chart, n, n),
-        rmat_transpose(jmat),
+        transpose(jmat),
     )
     return GenStructure(chart, matrix, twist if twist is not None else zero_twist(chart))
 
@@ -326,7 +324,7 @@ def b_transform_structure(b_field: DiffForm, struct: GenStructure) -> GenStructu
         raise ValidationError("B-field must be real")
     e_plus = b_exponential(b_field)
     e_minus = b_exponential(-b_field)
-    matrix = rmat_mul(e_plus, rmat_mul(struct.matrix, e_minus))
+    matrix = mat_mul(e_plus, mat_mul(struct.matrix, e_minus))
     return GenStructure(struct.chart, matrix, struct.twist - b_field.d())
 
 
@@ -341,12 +339,10 @@ def check_algebraic(struct: GenStructure) -> tuple[bool, str]:
         for entry in row:
             if not entry.is_real:
                 return False, "matrix has a non-real entry"
-    ident = rmat_identity(chart, n2)
-    if not rmat_is_zero(rmat_add(rmat_mul(struct.matrix, struct.matrix), ident)):
+    if mat_mul(struct.matrix, struct.matrix) != mat_neg(rmat_identity(chart, n2)):
         return False, "matrix does not square to minus the identity"
     gram = rmat_from_scalars(chart, pairing_matrix(chart.dim))
-    lhs = rmat_mul(rmat_transpose(struct.matrix), rmat_mul(gram, struct.matrix))
-    if not rmat_is_zero(rmat_sub(lhs, gram)):
+    if mat_mul(transpose(struct.matrix), mat_mul(gram, struct.matrix)) != gram:
         return False, "matrix does not preserve the pairing"
     return True, "real, squares to -Id, preserves the pairing"
 
@@ -356,7 +352,7 @@ def plus_i_frame(struct: GenStructure) -> tuple[GenSection, ...]:
     the standard frame."""
     proj = struct.eigenprojector()
     return tuple(
-        section_from_column(struct.chart, rmat_vec(proj, e.column()))
+        section_from_column(struct.chart, mat_vec(proj, e.column()))
         for e in standard_frame(struct.chart)
     )
 
@@ -375,15 +371,14 @@ def check_integrable(
     chart = struct.chart
     n = chart.dim
     proj = struct.eigenprojector()
-    if not rmat_is_zero(rmat_sub(rmat_mul(proj, proj), proj)):
+    if mat_mul(proj, proj) != proj:
         return False, "eigenprojector is not idempotent"
     for p in points:
         if rank(rmat_eval(proj, p)) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
     frame = plus_i_frame(struct)
     n2 = 2 * n
-    ident = rmat_identity(chart, n2)
-    anti = rmat_sub(ident, proj)  # projector onto the -i eigenbundle
+    anti = mat_sub(rmat_identity(chart, n2), proj)  # projector onto the -i eigenbundle
     for a in range(n2):
         if frame[a].is_zero:
             continue
@@ -391,7 +386,7 @@ def check_integrable(
             if frame[b].is_zero:
                 continue
             w = courant_bracket(frame[a], frame[b], struct.twist)
-            for total in rmat_vec(anti, w.column()):
+            for total in mat_vec(anti, w.column()):
                 if not total.is_zero:
                     return (
                         False,
@@ -428,23 +423,24 @@ def check_gk_pair(
     Positivity of the pairing restricted to the +1 eigenbundle of
     G = -J1 J2 is equivalent to positive definiteness of (gram . G),
     which is tested at every sample point through its leading principal
-    minors; a zero minor is reported as non-positive.
+    minors; a zero minor is reported as non-positive.  The verdict claims
+    positivity chart-wide only when every metric entry is constant, and
+    otherwise at the sample points alone.
     """
     if j1.chart != j2.chart:
         return False, "structures live on different charts"
     if j1.twist != j2.twist:
         return False, "structures carry different twists"
     chart = j1.chart
-    prod = rmat_mul(j1.matrix, j2.matrix)
-    if not rmat_is_zero(rmat_sub(prod, rmat_mul(j2.matrix, j1.matrix))):
+    prod = mat_mul(j1.matrix, j2.matrix)
+    if prod != mat_mul(j2.matrix, j1.matrix):
         return False, "structures do not commute"
-    g_op = rmat_scale(prod, Scalar.of(-1))
-    n2 = 2 * chart.dim
-    if not rmat_is_zero(rmat_sub(rmat_mul(g_op, g_op), rmat_identity(chart, n2))):
+    g_op = mat_neg(prod)
+    if mat_mul(g_op, g_op) != rmat_identity(chart, 2 * chart.dim):
         return False, "product operator does not square to the identity"
     gram_ring = rmat_from_scalars(chart, pairing_matrix(chart.dim))
-    metric = rmat_mul(gram_ring, g_op)
-    if not rmat_is_zero(rmat_sub(metric, rmat_transpose(metric))):
+    metric = mat_mul(gram_ring, g_op)
+    if metric != transpose(metric):
         return False, "product metric is not symmetric"
     if not points:
         return False, "positivity needs at least one sample point"
@@ -458,4 +454,8 @@ def check_gk_pair(
                 f"product metric not positive definite at {p}: leading minor "
                 f"{bad + 1} is {minors[bad]} (non-positive)",
             )
-    return True, "commuting pair with positive definite product metric"
+    if all(x.is_constant() for row in metric for x in row):
+        scope = "chart-wide (the metric is constant)"
+    else:
+        scope = f"at {len(points)} point" + ("s" if len(points) != 1 else "")
+    return True, f"commuting pair with positive definite product metric, {scope}"

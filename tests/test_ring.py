@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkbench.errors import ChartMismatchError, ParseError, ValidationError
 from gkbench.ring import (
+    MAX_EXPONENT,
     Chart,
     EvalPoint,
     RingElement,
@@ -105,6 +106,19 @@ class TestParsing:
     def test_zero_denominator(self):
         with pytest.raises(ParseError, match="zero denominator"):
             elem("1/0")
+
+    def test_exponents_are_bounded(self):
+        top = MAX_EXPONENT
+        assert elem(f"x^{top}").terms == {(top, 0, 0): Scalar.of(1)}
+        assert elem(f"E(y;-{top})").terms == {(0, -top, 0): Scalar.of(1)}
+        too_big = (f"x^{top + 1}", f"E(y;{top + 1})", f"E(y;-{top + 1})")
+        for text in too_big + ("x^" + "9" * 5000,):
+            with pytest.raises(ParseError, match="exceeds the bound"):
+                elem(text)
+
+    def test_only_ascii_digits_are_numerals(self):
+        with pytest.raises(ParseError, match="unexpected character"):
+            elem("x^\u00b2")
 
 
 class TestChart:

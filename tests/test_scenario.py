@@ -321,6 +321,20 @@ class TestCli:
             ("structures", [1]),
             ("connections", {"theta": 5}),
             ("points", [{"name": "a", "values": 5}]),
+            ("b_field", [{"coeff": 5, "frame": ["x1", "x2"]}]),
+            ("structures", {"j": {"kind": "complex", "matrix": [[0] * 4] * 4}}),
+            ("action", [[1, "0", "0", "0"]]),
+            ("moment", {"structure": "j", "functions": [5, "-t2"]}),
+            ("b_field", [{"coeff": "t1", "frame": 5}]),
+            ("b_field", 5),
+            ("twist", 5),
+            ("moment", {"structure": "j", "functions": ["-t1", "-t2"], "one_forms": 5}),
+            ("expected", 5),
+            ("expected", {"types": 5}),
+            ("expected", {"reduced_types": 5}),
+            ("moment", {"structure": ["j"], "functions": ["-t1", "-t2"]}),
+            ("moment", {"structure": "j", "functions": ["t1^200000", "-t2"]}),
+            ("b_field", [{"coeff": "E(x2; 17) + E(x2; -17)", "frame": ["x1", "x2"]}]),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):
@@ -330,6 +344,14 @@ class TestCli:
         target.write_text(json.dumps(raw))
         assert main(["check", "--scenario", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys):
+        text = json.dumps(builtin_raw("gamma_torus_cylinder"))
+        target = tmp_path / "long_integer.json"
+        target.write_text(text.replace('"x1": 0', '"x1": ' + "1" * 5000, 1))
+        assert main(["check", "--scenario", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario file is not valid JSON")
 
 
 class TestSelftest:

@@ -311,6 +311,21 @@ class TestGkPair:
         ok, detail = check_gk_pair(j1, j2, [origin])
         assert ok, detail
 
+    def test_verdict_claims_only_what_was_checked(self):
+        j1, j2 = self.kahler_pair()
+        points = [
+            EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0),
+            EvalPoint.at(R4, x1=1, y1=2, x2=0, y2=1),
+        ]
+        ok, detail = check_gk_pair(j1, j2, points[:1])
+        assert ok and detail.endswith("chart-wide (the metric is constant)")
+        b = d(R4, "x1").wedge(d(R4, "x2")).scale(fn("y1", R4))
+        moved = (b_transform_structure(b, j1), b_transform_structure(b, j2))
+        ok, detail = check_gk_pair(*moved, points)
+        assert ok and detail.endswith("metric, at 2 points")
+        ok, detail = check_gk_pair(*moved, points[:1])
+        assert ok and detail.endswith("metric, at 1 point")
+
     def test_pair_with_itself_fails_positivity(self):
         j1, _ = self.kahler_pair()
         origin = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
