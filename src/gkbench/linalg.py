@@ -235,17 +235,14 @@ def intersect_spans(a: Sequence[Vec], b: Sequence[Vec]) -> tuple[Vec, ...]:
 
 def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, ...]:
     """Indices of candidates that extend rows to a larger independent set,
-    greedily in order, until no candidate adds rank."""
-    current = list(rows)
-    have = rank(mat(current)) if current else 0
-    chosen: list[int] = []
-    for i, v in enumerate(candidates):
-        trial = current + [list(v)]
-        if rank(mat(trial)) > have:
-            current = trial
-            have += 1
-            chosen.append(i)
-    return tuple(chosen)
+    greedily in order, until no candidate adds rank.
+
+    One elimination decides it: with the rows and then the candidates as
+    columns, a column is a pivot exactly when it lies outside the span
+    of the columns before it, which is the greedy rule.
+    """
+    _, pivots = rref(transpose(mat(tuple(rows) + tuple(candidates))))
+    return tuple(c - len(rows) for c in pivots if c >= len(rows))
 
 
 # --- real symmetric forms ------------------------------------------------

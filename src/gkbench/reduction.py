@@ -26,15 +26,25 @@ Kahler pair, the reduced-type arithmetic, level-set bracket closure, and
 descent of basic B-fields all live here.  Functions raise
 ValidationError with a sharp message whenever a precondition fails; the
 scenario runner turns those into failing verdicts.
+
+Level-set closure is one pass over the frame pairs per check, through
+structures.open_brackets.  check_level_closure reads only vector parts
+(the vector part of a twisted bracket is the Lie bracket of the vector
+parts), and each check also judges the level slice from the same pass,
+pulling back only the residuals that did not vanish on the chart.
+level_substitution returns a slice map only when every moment function
+pulls back to its level constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, combinations
+from math import comb
+from typing import Callable, Iterator, Sequence
 
-from .calculus import ChartMap, DiffForm, VectorField
+from .calculus import ChartMap, DiffForm, lie_bracket
 from .equivariant import MomentData
 from .errors import ValidationError
 from .linalg import (
@@ -54,8 +64,8 @@ from .linalg import (
     nullspace,
     rank,
     rmat_eval,
-    rmat_identity,
     row_space_basis,
+    rref,
     solve,
     symmetric_signature,
     transpose,
@@ -65,8 +75,9 @@ from .structures import (
     GenSection,
     GenStructure,
     courant_bracket,
+    open_brackets,
     pairing_matrix,
-    plus_i_frame,
+    standard_frame,
     type_at,
 )
 
@@ -210,7 +221,7 @@ def fiber_data(
 
 def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:
     """Canonical basis of the +i eigenbundle of a structure at a point."""
-    proj = rmat_eval(struct.eigenprojector(), point)
+    proj = rmat_eval(struct.eigenprojector, point)
     rows = row_space_basis(transpose(proj))
     if len(rows) != struct.chart.dim:
         raise ValidationError("eigenbundle does not have half rank at the point")
@@ -239,16 +250,9 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
         return ReducedFiber(fiber, (), ())
     if not all(x.is_zero for row in _gram(lq_rows, fiber.gram_q) for x in row):
         raise ValidationError("reduced eigenbundle is not isotropic")
-    conj_rows = mat_conj(lq_rows)
-    if intersect_spans(lq_rows, conj_rows):
-        raise ValidationError(
-            "reduced eigenbundle meets its conjugate; no real structure exists"
-        )
-    jmat = _eigen_matrix(lq_rows, conj_rows, IMAG)
-    for row in jmat:
-        for entry in row:
-            if entry.im != 0:
-                raise ValidationError("reduced structure matrix is not real")
+    jmat = _structure_from_eigenrows(lq_rows)
+    if any(entry.im != 0 for row in jmat for entry in row):
+        raise ValidationError("reduced structure matrix is not real")
     if mat_mul(jmat, jmat) != mat_neg(identity(2 * m)):
         raise ValidationError("reduced structure does not square to minus identity")
     lhs = mat_mul(transpose(jmat), mat_mul(fiber.gram_q, jmat))
@@ -271,21 +275,22 @@ def _eigen_matrix(plus: Sequence[Vec], minus: Sequence[Vec], value: Scalar) -> M
     span(minus): U diag U^-1 with the rows of plus and minus as the
     columns of U."""
     u_cols = transpose(mat(tuple(plus) + tuple(minus)))
-    size = len(u_cols)
+    values = [value] * len(plus) + [-value] * len(minus)
     diag = tuple(
-        tuple(
-            (value if i < len(plus) else -value) if i == j else ZERO
-            for j in range(size)
-        )
-        for i in range(size)
+        tuple(x if i == j else ZERO for j in range(len(values)))
+        for i, x in enumerate(values)
     )
     return mat_mul(u_cols, mat_mul(diag, inverse(u_cols)))
 
 
 def _structure_from_eigenrows(rows: Sequence[Vec]) -> Mat:
+    """The matrix with +i eigenspace span(rows) and -i eigenspace their
+    conjugate."""
     conj_rows = mat_conj(rows)
     if intersect_spans(rows, conj_rows):
-        raise ValidationError("eigenbundle meets its conjugate")
+        raise ValidationError(
+            "reduced eigenbundle meets its conjugate; no real structure exists"
+        )
     return _eigen_matrix(rows, conj_rows, IMAG)
 
 
@@ -486,15 +491,11 @@ def _cross_eliminate(
         df = DiffForm.function(f).d()
         coeffs = [df.apply([u.vector]) for u in sections]
         kept = [u for u, c in zip(sections, coeffs) if c.is_zero]
-        for a in range(len(sections)):
-            if coeffs[a].is_zero:
-                continue
-            for b in range(a + 1, len(sections)):
-                if coeffs[b].is_zero:
-                    continue
-                kept.append(
-                    sections[a].scale(coeffs[b]) - sections[b].scale(coeffs[a])
-                )
+        moving = [a for a, c in enumerate(coeffs) if not c.is_zero]
+        kept += [
+            sections[a].scale(coeffs[b]) - sections[b].scale(coeffs[a])
+            for a, b in combinations(moving, 2)
+        ]
         sections = [u for u in kept if not u.is_zero]
     return tuple(sections)
 
@@ -504,98 +505,102 @@ def coisotropic_frame(moment: MomentData) -> tuple[GenSection, ...]:
     differentials: every coordinate covector, plus vector fields obtained
     by cross-elimination against each moment function in turn."""
     chart = moment.action.chart
-    covectors = tuple(
-        GenSection.of(form=DiffForm.d_coord(chart, name)) for name in chart.names
-    )
-    vectors = [
-        GenSection.of(vector=VectorField.coordinate(chart, name))
-        for name in chart.names
-    ]
-    return covectors + _cross_eliminate(vectors, moment)
+    frame = standard_frame(chart)
+    return frame[chart.dim:] + _cross_eliminate(list(frame[: chart.dim]), moment)
 
 
 def level_substitution(
     moment: MomentData, level: Sequence[Fraction]
 ) -> ChartMap | None:
-    """A chart map onto the level slice, when every moment function is an
-    affine function c*t + b of its own affine coordinate.  Returns None
-    when the chart does not admit the substitution."""
+    """A chart map onto the level slice, when the moment functions are
+    affine in the affine coordinates: one elimination solves f_i = level_i
+    for one coordinate per function (the pivots), as an affine expression
+    in the kept ones.  Returns None unless every moment function pulls
+    back to its level constant and some coordinate is kept."""
     chart = moment.action.chart
-    dropped: dict[str, Scalar] = {}
-    for f, want in zip(moment.functions, level):
-        coord = None
-        const = Scalar.of(0)
-        slope = None
+    if len(level) != len(moment.functions):
+        return None
+    affine = [i for i in range(chart.dim) if chart.is_affine(i)]
+    targets = [Scalar.of(Fraction(want)) for want in level]
+    rows = []
+    for f, target in zip(moment.functions, targets):
+        row = dict.fromkeys(affine, ZERO)
+        const = ZERO
         for exps, coeff in f.terms.items():
-            degree = sum(abs(e) for e in exps)
-            if degree == 0:
+            moved = [i for i, e in enumerate(exps) if e != 0]
+            if not moved:
                 const = coeff
-                continue
-            if degree != 1:
+            elif len(moved) == 1 and exps[moved[0]] == 1 and moved[0] in row:
+                row[moved[0]] = coeff
+            else:
                 return None
-            pos = next(i for i, e in enumerate(exps) if e != 0)
-            if not chart.is_affine(pos) or exps[pos] != 1:
-                return None
-            coord = chart.names[pos]
-            slope = coeff
-        if coord is None or slope is None or coord in dropped:
-            return None
-        dropped[coord] = (Scalar.of(Fraction(want)) - const) * slope.inverse()
-    kept = [
-        (name, chart.kind(i))
-        for i, name in enumerate(chart.names)
-        if name not in dropped
-    ]
+        rows.append(tuple(row.values()) + (target - const,))
+    reduced, pivots = rref(mat(rows))
+    dropped = {affine[c]: reduced[r] for r, c in enumerate(pivots) if c < len(affine)}
+    kept = [(n, chart.kind(i)) for i, n in enumerate(chart.names) if i not in dropped]
     if not kept:
         return None
     sub = make_chart(*kept)
-    affine_values: dict[str, RingElement] = {}
-    periodic_values: dict[str, tuple[str | None, int]] = {}
-    for i, name in enumerate(chart.names):
-        if name in dropped:
-            affine_values[name] = RingElement.constant(sub, dropped[name])
-        elif chart.is_affine(i):
-            affine_values[name] = RingElement.coordinate(sub, name)
-        else:
-            periodic_values[name] = (name, 0)
-    return ChartMap(sub, chart, affine_values, periodic_values)
+    free = [(c, chart.names[j]) for c, j in enumerate(affine) if j not in dropped]
+    values = {name: RingElement.coordinate(sub, name) for _, name in free}
+    for j, row in dropped.items():
+        values[chart.names[j]] = sum(
+            (values[name].scale(-row[c]) for c, name in free),
+            RingElement.constant(sub, row[-1]),
+        )
+    periodic = {n: (n, 0) for i, n in enumerate(chart.names) if not chart.is_affine(i)}
+    restrict = ChartMap(sub, chart, values, periodic)
+    for f, target in zip(moment.functions, targets):
+        if restrict.pull_function(f) != RingElement.constant(sub, target):
+            return None
+    return restrict
 
 
-def _vanishes(g: RingElement, restrict: ChartMap | None) -> bool:
-    """g is zero, on the level slice when a restriction map is given."""
-    if restrict is not None:
-        g = restrict.pull_function(g)
-    return g.is_zero
+Outcome = tuple[bool, str]
+
+
+def _closure_verdicts(
+    hits: Iterator[tuple], restrict: ChartMap | None,
+    failure: Callable[[tuple], str], closed: Callable[[str], str],
+) -> tuple[Outcome, Outcome | None]:
+    """The chart verdict from the first open bracket of one pass and, given
+    a slice map, the slice verdict from the first open bracket whose
+    residual survives the pullback: a residual zero on the chart is zero
+    on the slice, so no bracket is computed twice."""
+    first = next(hits, None)
+    chart = (True, closed("globally")) if first is None else (False, failure(first))
+    if restrict is None:
+        return chart, None
+    rest = () if first is None else chain([first], hits)
+    bad = next((h for h in rest if not restrict.pull_function(h[3]).is_zero), None)
+    if bad is None:
+        return chart, (True, closed("on the level slice"))
+    return chart, (False, failure(bad))
 
 
 def check_level_closure(
-    struct: GenStructure, moment: MomentData, restrict: ChartMap | None = None
-) -> tuple[bool, str]:
-    """Brackets of the coisotropic frame stay inside the distribution:
-    the moment differentials annihilate every bracket's vector part.
-    Without a restriction map this holds globally on the chart; with one
-    it is checked after substituting the level slice."""
+    moment: MomentData, restrict: ChartMap | None = None
+) -> tuple[Outcome, Outcome | None]:
+    """Brackets of the coisotropic frame stay inside the distribution: the
+    moment differentials annihilate their vector parts, which are the Lie
+    brackets of the vector parts, so pairs with a pure-covector section
+    are skipped.  Returns the verdict on the chart and, given a slice
+    map, the verdict on the level slice (otherwise None)."""
     frame = coisotropic_frame(moment)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-    for s in frame:
-        for i, df in enumerate(dfs):
-            if not _vanishes(df.apply([s.vector]), restrict):
-                return False, f"frame section is not tangent to level sets of f_{i+1}"
-    count = 0
-    for a in range(len(frame)):
-        for b in range(a + 1, len(frame)):
-            w = courant_bracket(frame[a], frame[b], struct.twist)
-            count += 1
-            for i, df in enumerate(dfs):
-                residual = df.apply([w.vector])
-                if not _vanishes(residual, restrict):
-                    return (
-                        False,
-                        f"bracket of frame sections {a} and {b} leaves the "
-                        f"distribution: df_{i + 1} gives {residual}",
-                    )
-    where = "on the level slice" if restrict is not None else "globally"
-    return True, f"all {count} frame brackets stay tangent {where}"
+    hits = open_brackets(
+        [s.vector for s in frame], lie_bracket, lambda w: (df.apply([w]) for df in dfs)
+    )
+    count = comb(len(frame), 2)
+    return _closure_verdicts(
+        hits,
+        restrict,
+        lambda hit: (
+            f"bracket of frame sections {hit[0]} and {hit[1]} leaves the "
+            f"distribution: df_{hit[2] + 1} gives {hit[3]}"
+        ),
+        lambda where: f"all {count} frame brackets stay tangent {where}",
+    )
 
 
 def adapted_eigen_frame(
@@ -604,40 +609,43 @@ def adapted_eigen_frame(
     """Spanning sections of the eigenbundle that are tangent to the level
     sets, produced by cross-elimination of the projected frame against
     each moment function."""
-    return _cross_eliminate([u for u in plus_i_frame(struct) if not u.is_zero], moment)
+    return _cross_eliminate([u for u in struct.plus_i_frame if not u.is_zero], moment)
 
 
 def check_adapted_closure(
     struct: GenStructure, moment: MomentData, restrict: ChartMap | None = None
-) -> tuple[bool, str]:
+) -> tuple[Outcome, Outcome | None]:
     """Brackets of level-tangent eigenbundle sections stay in the
-    eigenbundle and stay tangent, globally or on the level slice."""
+    eigenbundle and stay tangent.  Returns the verdict on the chart and,
+    given a slice map, the verdict on the level slice (otherwise None)."""
     frame = adapted_eigen_frame(struct, moment)
-    chart = struct.chart
-    proj = struct.eigenprojector()
-    anti_rows = mat_sub(rmat_identity(chart, 2 * chart.dim), proj)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-    count = 0
-    for a in range(len(frame)):
-        for b in range(a + 1, len(frame)):
-            w = courant_bracket(frame[a], frame[b], struct.twist)
-            count += 1
-            for total in mat_vec(anti_rows, w.column()):
-                if not _vanishes(total, restrict):
-                    return (
-                        False,
-                        f"bracket of adapted sections {a} and {b} leaves the "
-                        "eigenbundle",
-                    )
-            for i, df in enumerate(dfs):
-                if not _vanishes(df.apply([w.vector]), restrict):
-                    return (
-                        False,
-                        f"bracket of adapted sections {a} and {b} is not "
-                        f"tangent to level sets of f_{i + 1}",
-                    )
-    where = "on the level slice" if restrict is not None else "globally"
-    return True, f"all {count} adapted brackets stay in the eigenbundle, {where}"
+    n2 = 2 * struct.dim
+    hits = open_brackets(
+        frame,
+        lambda u, v: courant_bracket(u, v, struct.twist),
+        lambda w: chain(
+            mat_vec(struct.anti_projector, w.column()),
+            (df.apply([w.vector]) for df in dfs),
+        ),
+    )
+
+    def failure(hit: tuple) -> str:
+        a, b, i, _ = hit
+        if i < n2:
+            return f"bracket of adapted sections {a} and {b} leaves the eigenbundle"
+        return (
+            f"bracket of adapted sections {a} and {b} is not "
+            f"tangent to level sets of f_{i - n2 + 1}"
+        )
+
+    count = comb(len(frame), 2)
+    return _closure_verdicts(
+        hits,
+        restrict,
+        failure,
+        lambda where: f"all {count} adapted brackets stay in the eigenbundle, {where}",
+    )
 
 
 # --- descent of endomorphisms ---------------------------------------------------
@@ -646,8 +654,4 @@ def check_adapted_closure(
 def descend_endomorphism(big: Mat, fiber: FiberData) -> Mat:
     """Push a 2n x 2n fiber endomorphism that preserves W and W-perp down
     to the quotient, in the adapted basis."""
-    cols = []
-    for b in fiber.lifts:
-        image = mat_vec(big, b)
-        cols.append(fiber.coords(image))
-    return transpose(mat(cols))
+    return transpose(mat([fiber.coords(mat_vec(big, b)) for b in fiber.lifts]))

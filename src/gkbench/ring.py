@@ -37,9 +37,12 @@ PERIODIC = "periodic"
 _RESERVED_NAMES = {"I", "E", "cos", "sin"}
 
 # Largest integer the parser accepts after '^' and, in absolute value, as
-# the k of E(y; k).  The catalog's largest exponent is 2; a bound keeps a
-# hostile literal such as x^200000 from building huge values at a point.
+# the k of E(y; k) and as any coordinate's exponent in a product or power.
+# The catalog's largest exponent is 2; a bound keeps x^200000 or
+# ((x^16)^16)^16 from building huge values at a point.  Numerals have at
+# most MAX_DIGITS digits, below the 4300 that int() converts.
 MAX_EXPONENT = 16
+MAX_DIGITS = 1000
 
 RationalLike = Union[int, Fraction]
 
@@ -592,8 +595,10 @@ def parse_expr(src: str, chart: Chart) -> RingElement:
         atom   := rational | 'I' | ident | 'E' '(' ident ';' int ')'
                 | 'cos' '(' ident ')' | 'sin' '(' ident ')' | '(' expr ')'
 
-    with rationals written p/q or as integers, and the integer after '^'
-    or in E(y; k) at most MAX_EXPONENT in absolute value.  cos and sin
+    with rationals written p/q or as integers of at most MAX_DIGITS
+    digits, the integer after '^' or in E(y; k) at most MAX_EXPONENT in
+    absolute value, and every product or power at most MAX_EXPONENT in
+    absolute value in each coordinate's exponent.  cos and sin
     expand into Fourier exponentials: cos(y) = (E(y;1)+E(y;-1))/2 and
     sin(y) = (E(y;1)-E(y;-1))/(2i).
     """
@@ -626,8 +631,10 @@ def _parse_sum(toks: _Tokens, chart: Chart) -> RingElement:
 def _parse_term(toks: _Tokens, chart: Chart) -> RingElement:
     value = _parse_factor(toks, chart)
     while toks.peek()[0] == "*":
-        toks.take()
-        value = value * _parse_factor(toks, chart)
+        _, _, pos = toks.take()
+        rhs = _parse_factor(toks, chart)
+        _check_degree(((value, 1), (rhs, 1)), pos)
+        value = value * rhs
     return value
 
 
@@ -638,8 +645,22 @@ def _parse_factor(toks: _Tokens, chart: Chart) -> RingElement:
         kind, text, pos = toks.take()
         if kind != "num":
             raise ParseError("exponent must be a nonnegative integer", pos)
-        value = value ** _bounded(text, pos)
+        power = _bounded(text, pos)
+        _check_degree(((value, power),), pos)
+        value = value ** power
     return value
+
+
+def _check_degree(factors: tuple[tuple[RingElement, int], ...], pos: int) -> None:
+    """Raise ParseError when the product of the factors, each to its power,
+    could have a coordinate exponent above MAX_EXPONENT in absolute value;
+    judged from the terms of the factors, before the product is built."""
+    if all(f.terms for f, _ in factors):
+        for i in range(factors[0][0].chart.dim):
+            for pick in (max, min):
+                reach = sum(p * pick(e[i] for e in f.terms) for f, p in factors)
+                if abs(reach) > MAX_EXPONENT:
+                    raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", pos)
 
 
 def _parse_int(toks: _Tokens) -> int:
@@ -661,16 +682,25 @@ def _bounded(text: str, pos: int) -> int:
     return int(digits)
 
 
+def _numeral(text: str, pos: int) -> int:
+    """A digit string as an int, of at most MAX_DIGITS digits."""
+    digits = text.lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"numeral has more than {MAX_DIGITS} digits", pos)
+    return int(digits)
+
+
 def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
     kind, text, pos = toks.take()
     if kind == "num":
-        numer = int(text)
+        numer = _numeral(text, pos)
         if toks.peek()[0] == "/":
             toks.take()
             _, dtext, dpos = toks.take("num")
-            if int(dtext) == 0:
+            denom = _numeral(dtext, dpos)
+            if denom == 0:
                 raise ParseError("zero denominator", dpos)
-            return RingElement.constant(chart, Scalar.of(Fraction(numer, int(dtext))))
+            return RingElement.constant(chart, Scalar.of(Fraction(numer, denom)))
         return RingElement.constant(chart, Scalar.of(numer))
     if kind == "(":
         inner = _parse_sum(toks, chart)

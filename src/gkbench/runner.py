@@ -76,16 +76,21 @@ class Verdict:
         return {"check": self.check, "status": self.status, "detail": self.detail}
 
 
-def _ok(check: str, detail: str) -> Verdict:
-    return Verdict(check, "pass", detail)
-
-
 def _bad(check: str, detail: str) -> Verdict:
     return Verdict(check, "fail", detail)
 
 
 def _skip(check: str, detail: str) -> Verdict:
     return Verdict(check, "skipped", detail)
+
+
+def _judged(check: str, ok: bool, detail: str) -> Verdict:
+    return Verdict(check, "pass" if ok else "fail", detail)
+
+
+def _listed(check: str, problems: list[str], passed: str) -> Verdict:
+    """Fails naming every problem, or passes with the given detail."""
+    return _judged(check, not problems, "; ".join(problems) or passed)
 
 
 class Workspace:
@@ -214,37 +219,28 @@ def _conjugate_by_descended(b_field: DiffForm, red: ReducedFiber) -> Mat:
     return mat_mul(carrier, mat_mul(red.jmat, inverse(carrier)))
 
 
-def _check_algebraic(ws: Workspace) -> list[Verdict]:
+def _each_structure(
+    ws: Workspace, label: str, check: Callable[[GenStructure], tuple[bool, str]]
+) -> list[Verdict]:
+    """A check of every structure, and of its B-transform when the
+    scenario has a B-field."""
     out = []
     for name in sorted(ws.scen.structures):
-        ok, detail = check_algebraic(ws.scen.structures[name])
-        out.append(Verdict(f"algebraic:{name}", "pass" if ok else "fail", detail))
+        out.append(_judged(f"{label}:{name}", *check(ws.scen.structures[name])))
         if ws.scen.b_field is not None:
-            ok, detail = check_algebraic(ws.work(name))
-            out.append(
-                Verdict(
-                    f"algebraic:{name}+b", "pass" if ok else "fail", detail
-                )
-            )
+            out.append(_judged(f"{label}:{name}+b", *check(ws.work(name))))
     return out
+
+
+def _check_algebraic(ws: Workspace) -> list[Verdict]:
+    return _each_structure(ws, "algebraic", check_algebraic)
 
 
 def _check_integrability(ws: Workspace) -> list[Verdict]:
-    out = []
     points = list(ws.scen.points.values())
-    for name in sorted(ws.scen.structures):
-        ok, detail = check_integrable(ws.scen.structures[name], points)
-        out.append(
-            Verdict(f"integrability:{name}", "pass" if ok else "fail", detail)
-        )
-        if ws.scen.b_field is not None:
-            ok, detail = check_integrable(ws.work(name), points)
-            out.append(
-                Verdict(
-                    f"integrability:{name}+b", "pass" if ok else "fail", detail
-                )
-            )
-    return out
+    return _each_structure(
+        ws, "integrability", lambda struct: check_integrable(struct, points)
+    )
 
 
 def _check_type(ws: Workspace) -> list[Verdict]:
@@ -261,22 +257,13 @@ def _check_type(ws: Workspace) -> list[Verdict]:
         values = {
             pname: type_at(struct, p) for pname, p in ws.scen.points.items()
         }
-        distinct = sorted(set(values.values()))
-        if all(v == want[name] for v in values.values()):
-            out.append(
-                _ok(
-                    f"type:{name}",
-                    f"type {want[name]} at all {len(values)} points",
-                )
-            )
+        ok = all(v == want[name] for v in values.values())
+        if ok:
             types_seen[name] = want[name]
-        else:
-            out.append(
-                _bad(
-                    f"type:{name}",
-                    f"expected type {want[name]}, computed {values}",
-                )
-            )
+        out.append(_judged(f"type:{name}", ok, (
+            f"type {want[name]} at all {len(values)} points" if ok
+            else f"expected type {want[name]}, computed {values}"
+        )))
     if types_seen:
         ws.quantities["types"] = types_seen
     return out
@@ -287,20 +274,18 @@ def _check_gk_pair(ws: Workspace) -> list[Verdict]:
         return [_bad("gk_pair", "scenario lists gk_pair but names no pair")]
     a, b = ws.scen.pair
     points = list(ws.scen.points.values())
-    ok, detail = check_gk_pair(ws.work(a), ws.work(b), points)
-    return [Verdict("gk_pair", "pass" if ok else "fail", detail)]
+    return [_judged("gk_pair", *check_gk_pair(ws.work(a), ws.work(b), points))]
 
 
 def _check_moment(ws: Workspace) -> list[Verdict]:
     struct = ws.work(ws.scen.moment_structure)
-    ok, detail = check_moment_map(struct, ws.moment_w())
-    return [Verdict("moment", "pass" if ok else "fail", detail)]
+    return [_judged("moment", *check_moment_map(struct, ws.moment_w()))]
 
 
 def _check_equivariant(ws: Workspace) -> list[Verdict]:
     struct = ws.work(ws.scen.moment_structure)
-    ok, detail = is_equivariantly_closed(struct.twist, ws.moment_w())
-    return [Verdict("equivariant", "pass" if ok else "fail", detail)]
+    closed = is_equivariantly_closed(struct.twist, ws.moment_w())
+    return [_judged("equivariant", *closed)]
 
 
 def _check_gamma(ws: Workspace) -> list[Verdict]:
@@ -329,16 +314,14 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
         shifted = struct.twist + gamma.d()
         if not is_basic(shifted, action):
             problems.append("twist plus d(potential) is not basic")
-        if problems:
-            out.append(_bad(check, "; ".join(problems)))
-        else:
-            out.append(
-                _ok(
-                    check,
-                    "potential contracts to the moment one-forms, is "
-                    "invariant, and makes the twist basic",
-                )
+        out.append(
+            _listed(
+                check,
+                problems,
+                "potential contracts to the moment one-forms, is "
+                "invariant, and makes the twist basic",
             )
+        )
     if gammas:
         first = next(iter(gammas))
         ws.quantities["gamma"] = str(gammas[first])
@@ -346,44 +329,32 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
             want = form_from_terms(
                 scen.chart, scen.expected["gamma"], 2, "expected gamma"
             )
-            if gammas[first] == want:
-                out.append(_ok("gamma:expected", f"potential equals {want}"))
-            else:
-                out.append(
-                    _bad(
-                        "gamma:expected",
-                        f"potential {gammas[first]} differs from expected {want}",
-                    )
-                )
+            same = gammas[first] == want
+            out.append(_judged("gamma:expected", same, (
+                f"potential equals {want}" if same
+                else f"potential {gammas[first]} differs from expected {want}"
+            )))
     names = list(gammas)
     for other in names[1:]:
-        diff = gammas[other] - gammas[names[0]]
-        if is_basic(diff, action):
-            out.append(
-                _ok(
-                    f"gamma:difference({other})",
-                    "potentials differ by a basic two-form",
-                )
-            )
-        else:
-            out.append(
-                _bad(
-                    f"gamma:difference({other})",
-                    "potentials do not differ by a basic two-form",
-                )
-            )
+        basic = is_basic(gammas[other] - gammas[names[0]], action)
+        out.append(_judged(
+            f"gamma:difference({other})",
+            basic,
+            f"potentials {'' if basic else 'do not '}differ by a basic two-form",
+        ))
     return out
 
 
 def _check_level_closure(ws: Workspace) -> list[Verdict]:
     struct = ws.work(ws.scen.moment_structure)
     moment = ws.moment_w()
-    out = []
-    ok, detail = check_level_closure(struct, moment)
-    out.append(Verdict("level_closure:frame", "pass" if ok else "fail", detail))
-    ok, detail = check_adapted_closure(struct, moment)
-    out.append(Verdict("level_closure:adapted", "pass" if ok else "fail", detail))
     sub = level_substitution(moment, ws.scen.level)
+    frame, frame_slice = check_level_closure(moment, sub)
+    adapted, adapted_slice = check_adapted_closure(struct, moment, sub)
+    out = [
+        _judged("level_closure:frame", *frame),
+        _judged("level_closure:adapted", *adapted),
+    ]
     if sub is None:
         out.append(
             _skip(
@@ -392,15 +363,8 @@ def _check_level_closure(ws: Workspace) -> list[Verdict]:
             )
         )
     else:
-        ok1, d1 = check_level_closure(struct, moment, sub)
-        ok2, d2 = check_adapted_closure(struct, moment, sub)
-        out.append(
-            Verdict(
-                "level_closure:slice",
-                "pass" if ok1 and ok2 else "fail",
-                d1 if not ok1 else d2,
-            )
-        )
+        (ok1, d1), (ok2, d2) = frame_slice, adapted_slice
+        out.append(_judged("level_closure:slice", ok1 and ok2, d2 if ok1 else d1))
     return out
 
 
@@ -437,16 +401,14 @@ def _check_reduction(ws: Workspace) -> list[Verdict]:
         rtype = reduced_type(red)
         if want_type is not None and rtype != want_type:
             problems.append(f"reduced type {rtype}, expected {want_type}")
-        if problems:
-            out.append(_bad(check, "; ".join(problems)))
-        else:
-            out.append(
-                _ok(
-                    check,
-                    f"quotient dimension {dim}, reduced type {rtype}, "
-                    "two-step factorization agrees",
-                )
+        out.append(
+            _listed(
+                check,
+                problems,
+                f"quotient dimension {dim}, reduced type {rtype}, "
+                "two-step factorization agrees",
             )
+        )
     if reds:
         some = next(iter(reds.values()))
         ws.quantities["reduced_dim"] = 2 * some[0].m
@@ -480,16 +442,14 @@ def _check_reduction(ws: Workspace) -> list[Verdict]:
                         f"{pname}: reduced structures differ by more than "
                         "the descended transform"
                     )
-            if problems:
-                out.append(_bad(check, "; ".join(problems)))
-            else:
-                out.append(
-                    _ok(
-                        check,
-                        "reduced structures agree up to the descended "
-                        "basic transform at all points",
-                    )
+            out.append(
+                _listed(
+                    check,
+                    problems,
+                    "reduced structures agree up to the descended "
+                    "basic transform at all points",
                 )
+            )
     return out
 
 
@@ -524,13 +484,11 @@ def _check_gk_reduction(ws: Workspace) -> list[Verdict]:
             )
         if want is not None and rtype != want:
             problems.append(f"reduced type {rtype}, expected {want}")
-        if problems:
-            out.append(_bad(check, "; ".join(problems)))
-        else:
+        if not problems:
             seen_type = rtype
-            out.append(
-                _ok(check, f"reduced type {rtype} matches the count: {formula}")
-            )
+        out.append(
+            _listed(check, problems, f"reduced type {rtype} matches the count: {formula}")
+        )
     if seen_type is not None:
         ws.quantities.setdefault("reduced_types", {})[other] = seen_type
     return out
@@ -567,13 +525,7 @@ def _check_b_flip(ws: Workspace) -> list[Verdict]:
         f"{'pass' if ok_back else detail_back}"
     )
     good = ok_shifted and not ok_same and not ok_up and ok_back
-    return [
-        Verdict(
-            "b_flip",
-            "pass" if good else "fail",
-            "; ".join(legs),
-        )
-    ]
+    return [_judged("b_flip", good, "; ".join(legs))]
 
 
 def _check_b_commute(ws: Workspace) -> list[Verdict]:
@@ -597,14 +549,9 @@ def _check_b_commute(ws: Workspace) -> list[Verdict]:
         except ValidationError as e:
             out.append(_bad(check, str(e)))
             continue
-        if red_moved.jmat == conjugated:
-            out.append(
-                _ok(check, "reduction commutes with the basic transform")
-            )
-        else:
-            out.append(
-                _bad(check, "reduction does not commute with the basic transform")
-            )
+        commutes = red_moved.jmat == conjugated
+        verb = "commutes" if commutes else "does not commute"
+        out.append(_judged(check, commutes, f"reduction {verb} with the basic transform"))
     return out
 
 

@@ -6,6 +6,10 @@ and generalized (almost) complex structures as 2n x 2n ring matrices all
 live here, together with the algebraic, integrability, type and
 generalized Kahler pair checks.
 
+A GenStructure builds its eigenprojector, the opposite projector and
+the +i frame once.  open_brackets is the one loop over frame pairs, for
+check_integrable here and the level-set closure checks of reduction.
+
 Sign conventions, fixed once and used everywhere:
 
   * pairing:  <X+a, Y+b> = (b(X) + a(Y)) / 2
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .calculus import DiffForm, VectorField, lie_bracket
 from .errors import ChartMismatchError, ValidationError
@@ -126,12 +132,9 @@ def section_from_column(chart: Chart, col: Sequence[RingElement]) -> GenSection:
 
 def standard_frame(chart: Chart) -> tuple[GenSection, ...]:
     """The 2n coordinate sections: d_x1 ... d_xn, dx1 ... dxn."""
-    out = []
-    for name in chart.names:
-        out.append(GenSection.of(vector=VectorField.coordinate(chart, name)))
-    for name in chart.names:
-        out.append(GenSection.of(form=DiffForm.d_coord(chart, name)))
-    return tuple(out)
+    return tuple(
+        GenSection.of(vector=VectorField.coordinate(chart, name)) for name in chart.names
+    ) + tuple(GenSection.of(form=DiffForm.d_coord(chart, name)) for name in chart.names)
 
 
 def pairing(u: GenSection, v: GenSection) -> RingElement:
@@ -237,10 +240,8 @@ class GenStructure:
         n = self.chart.dim
         if len(self.matrix) != 2 * n or any(len(r) != 2 * n for r in self.matrix):
             raise ValidationError("structure matrix must be 2n x 2n")
-        for row in self.matrix:
-            for entry in row:
-                if entry.chart != self.chart:
-                    raise ChartMismatchError("matrix entry over a different chart")
+        if any(entry.chart != self.chart for row in self.matrix for entry in row):
+            raise ChartMismatchError("matrix entry over a different chart")
         if self.twist.degree != 3:
             raise ValidationError("twist must be a 3-form")
         if self.twist.chart != self.chart:
@@ -257,11 +258,24 @@ class GenStructure:
     def apply(self, u: GenSection) -> GenSection:
         return section_from_column(self.chart, mat_vec(self.matrix, u.column()))
 
+    # Built on first use and kept in the instance __dict__, which a
+    # frozen dataclass allows.
+    @cached_property
     def eigenprojector(self) -> RMat:
         """P = (Id - i J)/2, projecting onto the +i eigenbundle."""
-        n2 = 2 * self.chart.dim
-        ident = rmat_identity(self.chart, n2)
+        ident = rmat_identity(self.chart, 2 * self.dim)
         return rmat_scale(mat_sub(ident, rmat_scale(self.matrix, IMAG)), HALF)
+
+    @cached_property
+    def anti_projector(self) -> RMat:
+        """Id - P, projecting onto the -i eigenbundle."""
+        return mat_sub(rmat_identity(self.chart, 2 * self.dim), self.eigenprojector)
+
+    @cached_property
+    def plus_i_frame(self) -> tuple[GenSection, ...]:
+        """P applied to the standard frame: the columns of P as sections."""
+        cols = transpose(self.eigenprojector)
+        return tuple(section_from_column(self.chart, col) for col in cols)
 
 
 def zero_twist(chart: Chart) -> DiffForm:
@@ -335,10 +349,8 @@ def check_algebraic(struct: GenStructure) -> tuple[bool, str]:
     """Real, squares to -Id, and preserves the pairing."""
     chart = struct.chart
     n2 = 2 * chart.dim
-    for row in struct.matrix:
-        for entry in row:
-            if not entry.is_real:
-                return False, "matrix has a non-real entry"
+    if not all(entry.is_real for row in struct.matrix for entry in row):
+        return False, "matrix has a non-real entry"
     if mat_mul(struct.matrix, struct.matrix) != mat_neg(rmat_identity(chart, n2)):
         return False, "matrix does not square to minus the identity"
     gram = rmat_from_scalars(chart, pairing_matrix(chart.dim))
@@ -347,14 +359,22 @@ def check_algebraic(struct: GenStructure) -> tuple[bool, str]:
     return True, "real, squares to -Id, preserves the pairing"
 
 
-def plus_i_frame(struct: GenStructure) -> tuple[GenSection, ...]:
-    """Spanning sections of the +i eigenbundle: the projector applied to
-    the standard frame."""
-    proj = struct.eigenprojector()
-    return tuple(
-        section_from_column(struct.chart, mat_vec(proj, e.column()))
-        for e in standard_frame(struct.chart)
-    )
+def open_brackets(
+    frame: Sequence,
+    bracket: Callable,
+    residuals: Callable[..., Iterable[RingElement]],
+) -> Iterator[tuple[int, int, int, RingElement]]:
+    """Bracket each pair a < b of nonzero frame sections once, in order,
+    and yield (a, b, i, r) for each nonzero entry r of the residuals of
+    the bracket.  The brackets stay in the subbundle the residuals test
+    exactly when nothing is yielded; pairs are bracketed lazily, so
+    stopping at the first yield brackets no further pair."""
+    live = [i for i, u in enumerate(frame) if not u.is_zero]
+    for a, b in combinations(live, 2):
+        w = bracket(frame[a], frame[b])
+        for i, r in enumerate(residuals(w)):
+            if not r.is_zero:
+                yield a, b, i, r
 
 
 def check_integrable(
@@ -368,31 +388,25 @@ def check_integrable(
     opposite projector).  For an isotropic subbundle this spanning-set
     computation settles involutivity for all sections.
     """
-    chart = struct.chart
-    n = chart.dim
-    proj = struct.eigenprojector()
+    n = struct.dim
+    proj = struct.eigenprojector
     if mat_mul(proj, proj) != proj:
         return False, "eigenprojector is not idempotent"
     for p in points:
         if rank(rmat_eval(proj, p)) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
-    frame = plus_i_frame(struct)
-    n2 = 2 * n
-    anti = mat_sub(rmat_identity(chart, n2), proj)  # projector onto the -i eigenbundle
-    for a in range(n2):
-        if frame[a].is_zero:
-            continue
-        for b in range(a + 1, n2):
-            if frame[b].is_zero:
-                continue
-            w = courant_bracket(frame[a], frame[b], struct.twist)
-            for total in mat_vec(anti, w.column()):
-                if not total.is_zero:
-                    return (
-                        False,
-                        f"bracket of frame sections {a} and {b} leaves the "
-                        f"eigenbundle (residual component {total})",
-                    )
+    hit = next(open_brackets(
+        struct.plus_i_frame,
+        lambda u, v: courant_bracket(u, v, struct.twist),
+        lambda w: mat_vec(struct.anti_projector, w.column()),
+    ), None)
+    if hit is not None:
+        a, b, _, total = hit
+        return (
+            False,
+            f"bracket of frame sections {a} and {b} leaves the "
+            f"eigenbundle (residual component {total})",
+        )
     return True, "eigenbundle is involutive for the twisted bracket"
 
 

@@ -293,15 +293,15 @@ def test_criterion_7_moment_map_examples():
 def test_criterion_8_closure_properties():
     scen = load_builtin("gamma_torus_cylinder")
     ws, struct, moment = workspace_moment(scen)
-    ok, detail = check_level_closure(struct, moment)
+    (ok, detail), _ = check_level_closure(moment)
     assert ok, detail
 
     names = []
     for name, scen in moment_scenarios():
         ws, struct, moment = workspace_moment(scen)
-        ok, detail = check_level_closure(struct, moment)
+        (ok, detail), _ = check_level_closure(moment)
         assert ok, f"{name}: {detail}"
-        ok, detail = check_adapted_closure(struct, moment)
+        (ok, detail), _ = check_adapted_closure(struct, moment)
         assert ok, f"{name}: {detail}"
         names.append(name)
     print(

@@ -277,3 +277,34 @@ def test_evaluation_commutes_with_products(a, b, p):
     assert tuple(x.evaluate(p) for x in mat_vec(a, col)) == mat_vec(
         rmat_eval(a, p), tuple(x.evaluate(p) for x in col)
     )
+
+
+def _greedy_extension(rows, candidates):
+    """extend_basis by its definition: a candidate is chosen when it raises
+    the rank of everything chosen so far."""
+    current = list(rows)
+    chosen = []
+    for i, v in enumerate(candidates):
+        before = rank(mat(current)) if current else 0
+        if rank(mat(current + [v])) > before:
+            current.append(v)
+            chosen.append(i)
+    return tuple(chosen)
+
+
+# Few distinct small entries, so that dependent vectors are common.
+sparse_vectors = st.lists(
+    st.sampled_from([0, 0, 0, 1, -1, 2]).map(Scalar.of), min_size=4, max_size=4
+).map(tuple)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(
+    st.lists(sparse_vectors, max_size=3),
+    st.lists(sparse_vectors, max_size=6),
+    st.booleans(),
+)
+def test_extend_basis_is_the_greedy_rank_rule(rows, candidates, repeat):
+    if repeat and rows:
+        rows = rows + [rows[0]]  # dependent rows
+    assert extend_basis(rows, candidates) == _greedy_extension(rows, candidates)

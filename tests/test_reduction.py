@@ -360,14 +360,13 @@ class TestDescent:
 
 class TestLevelClosure:
     def test_sphere_frame_closes(self):
-        j = symplectic_structure(omega_r4())
-        ok, detail = check_level_closure(j, sphere_moment())
+        (ok, detail), _ = check_level_closure(sphere_moment())
         assert ok, detail
         assert "brackets" in detail
 
     def test_adapted_eigen_frame_closes(self):
         j = symplectic_structure(omega_r4())
-        ok, detail = check_adapted_closure(j, sphere_moment())
+        (ok, detail), _ = check_adapted_closure(j, sphere_moment())
         assert ok, detail
 
     def test_cross_elimination_spans_the_distribution(self):
@@ -392,8 +391,7 @@ class TestLevelClosure:
         assert sub.source.names == ("x1", "x2")
         assert sub.pull_function(fn("t1", CYL)) == fn("1", sub.source)
         assert sub.pull_function(fn("t2", CYL)) == fn("2", sub.source)
-        omega = d(CYL, "x1").wedge(d(CYL, "t1")) + d(CYL, "x2").wedge(d(CYL, "t2"))
-        ok, detail = check_level_closure(symplectic_structure(omega), moment, sub)
+        _, (ok, detail) = check_level_closure(moment, sub)
         assert ok, detail
         assert "slice" in detail
 

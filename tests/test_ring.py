@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkbench.errors import ChartMismatchError, ParseError, ValidationError
 from gkbench.ring import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     Chart,
     EvalPoint,
@@ -114,6 +115,27 @@ class TestParsing:
         too_big = (f"x^{top + 1}", f"E(y;{top + 1})", f"E(y;-{top + 1})")
         for text in too_big + ("x^" + "9" * 5000,):
             with pytest.raises(ParseError, match="exceeds the bound"):
+                elem(text)
+
+    def test_products_and_powers_are_bounded(self):
+        top = MAX_EXPONENT
+        assert elem(f"x^{top // 2}*x^{top // 2}").terms == {(top, 0, 0): Scalar.of(1)}
+        assert elem(f"E(y;{top})*E(y;-{top})") == elem("1")
+        hostile = (
+            "(((x^16)^16)^16)^2",
+            "*".join(["x"] * (top + 1)),
+            f"x^{top // 2}*x^{top // 2 + 1}",
+            f"E(y;{top // 2 + 1})^2",
+            f"(x + t)^{top}*t",
+        )
+        for text in hostile:
+            with pytest.raises(ParseError, match="exponent exceeds the bound"):
+                elem(text)
+
+    def test_numerals_are_bounded(self):
+        assert elem("0" * 5000 + "7") == elem("7")
+        for text in ("1" * (MAX_DIGITS + 1), "1/" + "3" * 5000):
+            with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
                 elem(text)
 
     def test_only_ascii_digits_are_numerals(self):

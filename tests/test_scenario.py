@@ -335,6 +335,9 @@ class TestCli:
             ("moment", {"structure": ["j"], "functions": ["-t1", "-t2"]}),
             ("moment", {"structure": "j", "functions": ["t1^200000", "-t2"]}),
             ("b_field", [{"coeff": "E(x2; 17) + E(x2; -17)", "frame": ["x1", "x2"]}]),
+            ("b_field", [{"coeff": "1" * 5000, "frame": ["x1", "x2"]}]),
+            ("moment", {"structure": "j", "functions": ["(((t1^16)^16)^16)^2", "-t2"]}),
+            ("moment", {"structure": "j", "functions": ["*".join(["t1"] * 3000), "-t2"]}),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):

@@ -29,7 +29,6 @@ from gkbench.structures import (
     courant_bracket,
     pairing,
     pairing_matrix,
-    plus_i_frame,
     standard_frame,
     symplectic_structure,
     two_form_rmatrix,
@@ -202,7 +201,7 @@ class TestSymplectic:
     def test_eigenbundle_is_graph_of_i_omega(self):
         # The +i eigenbundle contains X + i i_X omega for coordinate fields.
         struct = symplectic_structure(omega_r4())
-        proj = struct.eigenprojector()
+        proj = struct.eigenprojector
         x = sec(R4, vector=coord_vf(R4, "x1"))
         expected = GenSection(
             x.vector, d(R4, "y1").scale(Scalar.of(0, 1))
