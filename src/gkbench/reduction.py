@@ -27,13 +27,18 @@ descent of basic B-fields all live here.  Functions raise
 ValidationError with a sharp message whenever a precondition fails; the
 scenario runner turns those into failing verdicts.
 
-Level-set closure is one pass over the frame pairs per check, through
-structures.open_brackets.  check_level_closure reads only vector parts
-(the vector part of a twisted bracket is the Lie bracket of the vector
-parts), and each check also judges the level slice from the same pass,
-pulling back only the residuals that did not vanish on the chart.
-level_substitution returns a slice map only when every moment function
-pulls back to its level constant.
+Level-set closure is one pass per check through
+structures.closing_brackets: given the scenario's named points, the
+brackets of a basis certified at one of them (for the coisotropic frame,
+N - rank(dF) vector fields; for the adapted frame, n - rank(dF.rho.P)
+eigenbundle sections), and the full frame's pairs when no point
+certifies a basis or some basis bracket fails.  check_level_closure
+reads only vector parts (the vector part of a twisted bracket is the Lie
+bracket of the vector parts).  Each check also judges the level slice
+from the same pass: a certified chart-wide pass is a slice pass, and a
+full-frame pass pulls back only the residuals that did not vanish on the
+chart.  level_substitution returns a slice map only when every moment
+function pulls back to its level constant.
 """
 
 from __future__ import annotations
@@ -74,8 +79,9 @@ from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
 from .structures import (
     GenSection,
     GenStructure,
+    Points,
+    closing_brackets,
     courant_bracket,
-    open_brackets,
     pairing_matrix,
     standard_frame,
     type_at,
@@ -579,19 +585,25 @@ def _closure_verdicts(
 
 
 def check_level_closure(
-    moment: MomentData, restrict: ChartMap | None = None
+    moment: MomentData, restrict: ChartMap | None = None, points: Points = ()
 ) -> tuple[Outcome, Outcome | None]:
     """Brackets of the coisotropic frame stay inside the distribution: the
     moment differentials annihilate their vector parts, which are the Lie
     brackets of the vector parts, so pairs with a pure-covector section
-    are skipped.  Returns the verdict on the chart and, given a slice
-    map, the verdict on the level slice (otherwise None)."""
+    are skipped.  Given points, only a basis certified at one of them is
+    bracketed when it closes.  Returns the verdict on the chart and,
+    given a slice map, the verdict on the level slice (otherwise None)."""
     frame = coisotropic_frame(moment)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-    hits = open_brackets(
-        [s.vector for s in frame], lie_bracket, lambda w: (df.apply([w]) for df in dfs)
+    dim = moment.action.chart.dim
+    basis, hits = closing_brackets(
+        [s.vector for s in frame],
+        lie_bracket,
+        lambda w: (df.apply([w]) for df in dfs),
+        points,
+        lambda p: dim - rank(mat([df.covector_at(p) for df in dfs])),
     )
-    count = comb(len(frame), 2)
+    done = basis or f"all {comb(len(frame), 2)} frame brackets"
     return _closure_verdicts(
         hits,
         restrict,
@@ -599,7 +611,7 @@ def check_level_closure(
             f"bracket of frame sections {hit[0]} and {hit[1]} leaves the "
             f"distribution: df_{hit[2] + 1} gives {hit[3]}"
         ),
-        lambda where: f"all {count} frame brackets stay tangent {where}",
+        lambda where: f"{done} stay tangent {where}",
     )
 
 
@@ -613,38 +625,51 @@ def adapted_eigen_frame(
 
 
 def check_adapted_closure(
-    struct: GenStructure, moment: MomentData, restrict: ChartMap | None = None
+    struct: GenStructure,
+    moment: MomentData,
+    restrict: ChartMap | None = None,
+    points: Points = (),
 ) -> tuple[Outcome, Outcome | None]:
     """Brackets of level-tangent eigenbundle sections stay in the
-    eigenbundle and stay tangent.  Returns the verdict on the chart and,
-    given a slice map, the verdict on the level slice (otherwise None)."""
+    eigenbundle and stay tangent.  Given points and an algebraic
+    structure, only a basis certified at one of them is bracketed when it
+    closes.  Returns the verdict on the chart and, given a slice map, the
+    verdict on the level slice (otherwise None)."""
     frame = adapted_eigen_frame(struct, moment)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-    n2 = 2 * struct.dim
-    hits = open_brackets(
+    n = struct.dim
+    top = struct.eigenprojector[:n]
+
+    def bound(p: EvalPoint) -> int:
+        dF = mat([df.covector_at(p) for df in dfs])
+        return n - rank(mat_mul(dF, rmat_eval(top, p)))
+
+    basis, hits = closing_brackets(
         frame,
         lambda u, v: courant_bracket(u, v, struct.twist),
         lambda w: chain(
             mat_vec(struct.anti_projector, w.column()),
             (df.apply([w.vector]) for df in dfs),
         ),
+        points if struct.algebraic[0] else (),
+        bound,
     )
 
     def failure(hit: tuple) -> str:
         a, b, i, _ = hit
-        if i < n2:
+        if i < 2 * n:
             return f"bracket of adapted sections {a} and {b} leaves the eigenbundle"
         return (
             f"bracket of adapted sections {a} and {b} is not "
-            f"tangent to level sets of f_{i - n2 + 1}"
+            f"tangent to level sets of f_{i - 2 * n + 1}"
         )
 
-    count = comb(len(frame), 2)
+    done = basis or f"all {comb(len(frame), 2)} adapted brackets"
     return _closure_verdicts(
         hits,
         restrict,
         failure,
-        lambda where: f"all {count} adapted brackets stay in the eigenbundle, {where}",
+        lambda where: f"{done} stay in the eigenbundle, {where}",
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, prod
 from typing import Mapping, Union
 
 from .errors import ChartMismatchError, ParseError, ValidationError
@@ -40,9 +40,13 @@ _RESERVED_NAMES = {"I", "E", "cos", "sin"}
 # the k of E(y; k) and as any coordinate's exponent in a product or power.
 # The catalog's largest exponent is 2; a bound keeps x^200000 or
 # ((x^16)^16)^16 from building huge values at a point.  Numerals have at
-# most MAX_DIGITS digits, below the 4300 that int() converts.
+# most MAX_DIGITS digits, below the 4300 that int() converts.  A product or
+# power may have at most MAX_TERMS terms by the count of its operands'
+# terms, which keeps (x1+y1+x2+y2+1)^16 (4845 terms) from being built; the
+# catalog's largest element has 4.
 MAX_EXPONENT = 16
 MAX_DIGITS = 1000
+MAX_TERMS = 1000
 
 RationalLike = Union[int, Fraction]
 
@@ -598,7 +602,8 @@ def parse_expr(src: str, chart: Chart) -> RingElement:
     with rationals written p/q or as integers of at most MAX_DIGITS
     digits, the integer after '^' or in E(y; k) at most MAX_EXPONENT in
     absolute value, and every product or power at most MAX_EXPONENT in
-    absolute value in each coordinate's exponent.  cos and sin
+    absolute value in each coordinate's exponent and at most MAX_TERMS
+    terms, both judged before it is built.  cos and sin
     expand into Fourier exponentials: cos(y) = (E(y;1)+E(y;-1))/2 and
     sin(y) = (E(y;1)-E(y;-1))/(2i).
     """
@@ -633,7 +638,7 @@ def _parse_term(toks: _Tokens, chart: Chart) -> RingElement:
     while toks.peek()[0] == "*":
         _, _, pos = toks.take()
         rhs = _parse_factor(toks, chart)
-        _check_degree(((value, 1), (rhs, 1)), pos)
+        _check_product(((value, 1), (rhs, 1)), pos)
         value = value * rhs
     return value
 
@@ -646,21 +651,26 @@ def _parse_factor(toks: _Tokens, chart: Chart) -> RingElement:
         if kind != "num":
             raise ParseError("exponent must be a nonnegative integer", pos)
         power = _bounded(text, pos)
-        _check_degree(((value, power),), pos)
+        _check_product(((value, power),), pos)
         value = value ** power
     return value
 
 
-def _check_degree(factors: tuple[tuple[RingElement, int], ...], pos: int) -> None:
+def _check_product(factors: tuple[tuple[RingElement, int], ...], pos: int) -> None:
     """Raise ParseError when the product of the factors, each to its power,
-    could have a coordinate exponent above MAX_EXPONENT in absolute value;
-    judged from the terms of the factors, before the product is built."""
+    could have a coordinate exponent above MAX_EXPONENT in absolute value
+    or more than MAX_TERMS terms; judged from the terms of the factors,
+    before the product is built.  A factor of t terms to the power p has at
+    most comb(t + p - 1, p) terms, one per multiset of p of its terms."""
     if all(f.terms for f, _ in factors):
         for i in range(factors[0][0].chart.dim):
             for pick in (max, min):
                 reach = sum(p * pick(e[i] for e in f.terms) for f, p in factors)
                 if abs(reach) > MAX_EXPONENT:
                     raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", pos)
+    terms = prod(comb(max(len(f.terms) + p - 1, 0), p) for f, p in factors)
+    if terms > MAX_TERMS:
+        raise ParseError(f"product or power could exceed {MAX_TERMS} terms", pos)
 
 
 def _parse_int(toks: _Tokens) -> int:

@@ -148,7 +148,12 @@ class Workspace:
                 )
             conn = self.scen.connections[connection]
             gamma = gamma_from_connection(moment, conn)
-            struct = b_transform_structure(-gamma, struct)
+            # e^-gamma e^B = e^(B - gamma): one transform of the scenario's
+            # structure, which keeps its matrix, and so its eigenbundle,
+            # when the potential equals the B-field.
+            b_field = self.scen.b_field
+            shift = -gamma if b_field is None else b_field - gamma
+            struct = b_transform_structure(shift, self.scen.structures[structure_name])
             _, moment = moment_b_transform(moment, -gamma, self.work(structure_name).twist)
             if any(not a.is_zero for a in moment.one_forms):
                 raise ValidationError(
@@ -237,9 +242,8 @@ def _check_algebraic(ws: Workspace) -> list[Verdict]:
 
 
 def _check_integrability(ws: Workspace) -> list[Verdict]:
-    points = list(ws.scen.points.values())
     return _each_structure(
-        ws, "integrability", lambda struct: check_integrable(struct, points)
+        ws, "integrability", lambda struct: check_integrable(struct, ws.scen.points)
     )
 
 
@@ -349,8 +353,9 @@ def _check_level_closure(ws: Workspace) -> list[Verdict]:
     struct = ws.work(ws.scen.moment_structure)
     moment = ws.moment_w()
     sub = level_substitution(moment, ws.scen.level)
-    frame, frame_slice = check_level_closure(moment, sub)
-    adapted, adapted_slice = check_adapted_closure(struct, moment, sub)
+    points = ws.scen.points
+    frame, frame_slice = check_level_closure(moment, sub, points)
+    adapted, adapted_slice = check_adapted_closure(struct, moment, sub, points)
     out = [
         _judged("level_closure:frame", *frame),
         _judged("level_closure:adapted", *adapted),
@@ -506,17 +511,13 @@ def _check_b_flip(ws: Workspace) -> list[Verdict]:
         return [
             _bad("b_flip", "b_field is closed, the twist shift would be zero")
         ]
-    points = list(scen.points.values())
-    moved = b_transform_structure(b, base)
+    points = scen.points
+    moved = ws.work(name)
     ok_shifted, detail = check_integrable(moved, points)
     legs = [f"with twist shifted down: {'pass' if ok_shifted else detail}"]
-    ok_same, _ = check_integrable(
-        GenStructure(scen.chart, moved.matrix, base.twist), points
-    )
+    ok_same, _ = check_integrable(moved.with_twist(base.twist), points)
     legs.append(f"with the original twist: {'fails' if not ok_same else 'PASSES'}")
-    ok_up, _ = check_integrable(
-        GenStructure(scen.chart, moved.matrix, base.twist + db), points
-    )
+    ok_up, _ = check_integrable(moved.with_twist(base.twist + db), points)
     legs.append(f"with twist shifted up: {'fails' if not ok_up else 'PASSES'}")
     back = b_transform_structure(-b, base)
     ok_back, detail_back = check_integrable(back, points)

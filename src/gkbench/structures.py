@@ -6,9 +6,17 @@ and generalized (almost) complex structures as 2n x 2n ring matrices all
 live here, together with the algebraic, integrability, type and
 generalized Kahler pair checks.
 
-A GenStructure builds its eigenprojector, the opposite projector and
-the +i frame once.  open_brackets is the one loop over frame pairs, for
-check_integrable here and the level-set closure checks of reduction.
+A GenStructure builds its eigenprojector, the opposite projector, the
++i frame and its algebraic verdict once; with_twist hands them to the
+same matrix under another twist.  open_brackets is the one loop over
+frame pairs.  closing_brackets is the one "certified basis, else full
+frame" pass over it, for check_integrable here and the level-set closure
+checks of reduction: certify_basis picks, at a named point, a subset of
+the frame that is a basis of its span over the fraction field of the
+coefficient ring, and when every bracket of that basis closes the whole
+frame closes.  When no point certifies a basis, or some basis bracket
+fails, the full frame is bracketed as before, so every failing detail
+names a pair in the full frame's numbering.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -29,13 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .calculus import DiffForm, VectorField, lie_bracket
 from .errors import ChartMismatchError, ValidationError
 from .linalg import (
     Mat,
     RMat,
+    extend_basis,
     is_positive_definite,
     mat,
     mat_mul,
@@ -277,6 +287,34 @@ class GenStructure:
         cols = transpose(self.eigenprojector)
         return tuple(section_from_column(self.chart, col) for col in cols)
 
+    @cached_property
+    def algebraic(self) -> tuple[bool, str]:
+        """Real, squares to -Id, and preserves the pairing: the verdict of
+        check_algebraic, which reads only the matrix."""
+        chart = self.chart
+        n2 = 2 * chart.dim
+        if not all(entry.is_real for row in self.matrix for entry in row):
+            return False, "matrix has a non-real entry"
+        if mat_mul(self.matrix, self.matrix) != mat_neg(rmat_identity(chart, n2)):
+            return False, "matrix does not square to minus the identity"
+        gram = rmat_from_scalars(chart, pairing_matrix(chart.dim))
+        if mat_mul(transpose(self.matrix), mat_mul(gram, self.matrix)) != gram:
+            return False, "matrix does not preserve the pairing"
+        return True, "real, squares to -Id, preserves the pairing"
+
+    def with_twist(self, twist: DiffForm) -> "GenStructure":
+        """The same matrix against another twist, keeping whatever of the
+        matrix-only values this structure has already built."""
+        other = GenStructure(self.chart, self.matrix, twist)
+        other.__dict__.update(
+            (k, v) for k, v in self.__dict__.items() if k in _MATRIX_ONLY
+        )
+        return other
+
+
+# The cached values of a GenStructure that depend on its matrix alone.
+_MATRIX_ONLY = ("eigenprojector", "anti_projector", "plus_i_frame", "algebraic")
+
 
 def zero_twist(chart: Chart) -> DiffForm:
     return DiffForm.zero(chart, 3)
@@ -339,6 +377,8 @@ def b_transform_structure(b_field: DiffForm, struct: GenStructure) -> GenStructu
     e_plus = b_exponential(b_field)
     e_minus = b_exponential(-b_field)
     matrix = mat_mul(e_plus, mat_mul(struct.matrix, e_minus))
+    if matrix == struct.matrix:
+        return struct.with_twist(struct.twist - b_field.d())
     return GenStructure(struct.chart, matrix, struct.twist - b_field.d())
 
 
@@ -346,17 +386,9 @@ def b_transform_structure(b_field: DiffForm, struct: GenStructure) -> GenStructu
 
 
 def check_algebraic(struct: GenStructure) -> tuple[bool, str]:
-    """Real, squares to -Id, and preserves the pairing."""
-    chart = struct.chart
-    n2 = 2 * chart.dim
-    if not all(entry.is_real for row in struct.matrix for entry in row):
-        return False, "matrix has a non-real entry"
-    if mat_mul(struct.matrix, struct.matrix) != mat_neg(rmat_identity(chart, n2)):
-        return False, "matrix does not square to minus the identity"
-    gram = rmat_from_scalars(chart, pairing_matrix(chart.dim))
-    if mat_mul(transpose(struct.matrix), mat_mul(gram, struct.matrix)) != gram:
-        return False, "matrix does not preserve the pairing"
-    return True, "real, squares to -Id, preserves the pairing"
+    """Real, squares to -Id, and preserves the pairing; computed once per
+    structure (GenStructure.algebraic)."""
+    return struct.algebraic
 
 
 def open_brackets(
@@ -377,29 +409,124 @@ def open_brackets(
                 yield a, b, i, r
 
 
-def check_integrable(
-    struct: GenStructure, points: Sequence[EvalPoint] = ()
-) -> tuple[bool, str]:
+@dataclass(frozen=True)
+class Basis:
+    """Frame indices certified at a named point to be a basis of the
+    frame's span over the fraction field of the coefficient ring."""
+
+    point: str
+    indices: tuple[int, ...]
+
+    def __str__(self) -> str:
+        k = len(self.indices)
+        pairs = comb(k, 2)
+        return (
+            f"all brackets of a {k}-section basis certified at {self.point} "
+            f"({pairs} pair{'' if pairs == 1 else 's'})"
+        )
+
+
+Points = Mapping[str, EvalPoint] | Sequence[EvalPoint]
+
+
+def named_points(points: Points) -> list[tuple[str, EvalPoint]]:
+    """Scenario points by name, in order; bare points are named by their
+    coordinates."""
+    if isinstance(points, Mapping):
+        return list(points.items())
+    return [(str(p), p) for p in points]
+
+
+def certify_basis(
+    frame: Sequence, points: Points, bound: Callable[[EvalPoint], int]
+) -> Basis | None:
+    """A basis of the frame's span over the fraction field of the
+    coefficient ring, certified at the first point that can, or None.
+
+    At each point p in order, the nonzero frame sections are evaluated and
+    a subset S independent at p is picked greedily (one elimination).  S
+    is accepted when |S| equals bound(p), an upper bound on the rank of
+    the frame's span read at p: an S independent at p has a nonzero minor
+    there, so it is independent over the fraction field, and the generic
+    rank lies between |S| and bound(p).  The bounds the checks use are n
+    for the columns of P (with the structure algebraic), n - rank(dF.rho.P)
+    at p for the level-tangent eigenbundle frame, and N - rank(dF) at p
+    for the vector parts of the coisotropic frame; rank at a point never
+    exceeds the generic rank, so each bounds the generic rank from above.
+
+    Why a certified S decides the same verdicts as the full frame.  The
+    coefficient ring Q(i)[x][E(y)^+-1] is an integral domain.  Cramer's
+    rule gives delta.v = sum_s r_s s for every frame section v, with delta
+    a nonzero minor of S and ring elements r_s.  Each check's residual map
+    is ring-linear and vanishes on every frame section, and on an
+    isotropic subbundle the Courant bracket obeys the Leibniz rule with no
+    pairing term, [u, f v] = f [u, v] + (rho(u) f) v (the Lie bracket of
+    vector fields obeys it with no condition).  So delta^2 times the
+    residual of any frame pair is a ring combination of the residuals of
+    the S-pairs: every residual vanishes exactly when every S-pair
+    residual does, and then every pullback to a level slice vanishes too.
+    A chart-wide pass of S therefore also gives the slice pass, and the
+    certifying point need not lie on the slice.  For a Courant frame,
+    isotropy of the eigenbundle needs the structure to be algebraic; the
+    callers pass no points otherwise.
+    """
+    live = [i for i, u in enumerate(frame) if not u.is_zero]
+    if not live:
+        return None
+    for name, p in named_points(points):
+        picked = extend_basis((), [frame[i].evaluate(p) for i in live])
+        if len(picked) == bound(p):
+            return Basis(name, tuple(live[i] for i in picked))
+    return None
+
+
+def closing_brackets(
+    frame: Sequence,
+    bracket: Callable,
+    residuals: Callable[..., Iterable[RingElement]],
+    points: Points,
+    bound: Callable[[EvalPoint], int],
+) -> tuple[Basis | None, Iterator[tuple[int, int, int, RingElement]]]:
+    """The one "certified basis, else full frame" closure pass.
+
+    Returns the certified basis and no open brackets when every bracket
+    of a basis from certify_basis closes; otherwise None and the full
+    frame's open_brackets, so a failure is reported in the full frame's
+    numbering, exactly as without a certificate."""
+    basis = certify_basis(frame, points, bound)
+    if basis is not None:
+        sub = [frame[i] for i in basis.indices]
+        if next(open_brackets(sub, bracket, residuals), None) is None:
+            return basis, iter(())
+    return None, open_brackets(frame, bracket, residuals)
+
+
+def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, str]:
     """Courant involutivity of the +i eigenbundle against the twist.
 
     The projector is checked to be idempotent, the eigenbundle rank is
     checked at the sample points, and every bracket of spanning sections
     is required to stay inside the eigenbundle (zero residual under the
     opposite projector).  For an isotropic subbundle this spanning-set
-    computation settles involutivity for all sections.
+    computation settles involutivity for all sections; when the structure
+    is algebraic, the brackets of n columns of P certified at a point
+    settle it (certify_basis).
     """
     n = struct.dim
     proj = struct.eigenprojector
     if mat_mul(proj, proj) != proj:
         return False, "eigenprojector is not idempotent"
-    for p in points:
+    for _, p in named_points(points):
         if rank(rmat_eval(proj, p)) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
-    hit = next(open_brackets(
+    basis, hits = closing_brackets(
         struct.plus_i_frame,
         lambda u, v: courant_bracket(u, v, struct.twist),
         lambda w: mat_vec(struct.anti_projector, w.column()),
-    ), None)
+        points if struct.algebraic[0] else (),
+        lambda p: n,
+    )
+    hit = next(hits, None)
     if hit is not None:
         a, b, _, total = hit
         return (
@@ -407,7 +534,9 @@ def check_integrable(
             f"bracket of frame sections {a} and {b} leaves the "
             f"eigenbundle (residual component {total})",
         )
-    return True, "eigenbundle is involutive for the twisted bracket"
+    if basis is None:
+        return True, "eigenbundle is involutive for the twisted bracket"
+    return True, f"eigenbundle is involutive for the twisted bracket: {basis} close"
 
 
 def type_at(struct: GenStructure, point: EvalPoint) -> int:

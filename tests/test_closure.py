@@ -1,26 +1,37 @@
 """Tests for the bracket-closure pass: the eigenbundle data a structure
-builds once, the one loop over frame pairs, and the level-slice verdict
-judged from the same brackets as the chart-wide one."""
+builds once, the one loop over frame pairs, the level-slice verdict
+judged from the same brackets as the chart-wide one, and the basis
+certified at a scenario point that decides the same verdicts as the full
+frame."""
 
 from __future__ import annotations
 
 import copy
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from gkbench import reduction
+from gkbench import reduction, structures
+from gkbench.calculus import DiffForm
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
-from gkbench.linalg import mat_sub, mat_vec, rmat_identity
+from gkbench.linalg import mat, mat_sub, mat_vec, rmat_identity
 from gkbench.reduction import (
-    adapted_eigen_frame,
-    coisotropic_frame,
+    check_adapted_closure,
+    check_level_closure,
     level_substitution,
 )
-from gkbench.ring import RingElement, Scalar
+from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart
 from gkbench.runner import Workspace, run_scenario
 from gkbench.scenario import load_scenario
-from gkbench.structures import section_from_column, standard_frame
+from gkbench.structures import (
+    GenStructure,
+    b_transform_structure,
+    check_integrable,
+    section_from_column,
+    standard_frame,
+    zero_twist,
+)
 
 
 def catalog_structures():
@@ -81,10 +92,6 @@ def test_level_slice_is_the_level_set():
 
 def test_level_closure_brackets_each_pair_once(monkeypatch):
     scen = load_builtin("gamma_torus_cylinder")
-    ws = Workspace(scen)
-    struct, moment = ws.work(scen.moment_structure), ws.moment_w()
-    vectors = sum(not s.vector.is_zero for s in coisotropic_frame(moment))
-    adapted = len(adapted_eigen_frame(struct, moment))
     calls = []
     for name in ("courant_bracket", "lie_bracket"):
         original = getattr(reduction, name, None)
@@ -97,10 +104,12 @@ def test_level_closure_brackets_each_pair_once(monkeypatch):
 
         monkeypatch.setattr(reduction, name, counted)
     assert [status for _, status, _ in closure_verdicts(scen.name)] == ["pass"] * 3
-    # Only the vector parts of the level frame are bracketed, pairs with a
-    # pure covector are skipped, and the slice reuses the chart's brackets.
-    assert calls.count("lie_bracket") == comb(vectors, 2)
-    assert calls.count("courant_bracket") == comb(adapted, 2)
+    # Only a basis certified at a scenario point is bracketed, and the slice
+    # reuses the chart's brackets.  The free torus action makes the level
+    # distribution and the level-tangent eigenbundle both of rank N - k.
+    rank = scen.chart.dim - len(scen.level)
+    assert calls.count("lie_bracket") == comb(rank, 2)
+    assert calls.count("courant_bracket") == comb(rank, 2)
 
 
 @pytest.mark.parametrize(
@@ -157,3 +166,189 @@ def test_failing_closure_verdicts(name, twist, adapted, on_slice):
     assert frame[:2] == ("level_closure:frame", "pass")
     assert got_adapted == ("level_closure:adapted", *adapted)
     assert got_slice == ("level_closure:slice", *on_slice)
+
+
+SLICE_SCENARIOS = (
+    "bihermitian_r4_translation",
+    "gamma_torus_cylinder",
+    "gamma_cylinder_product",
+)
+
+
+def closure_verdicts_with_points(name: str, points: list) -> list[tuple[str, str, str]]:
+    raw = copy.deepcopy(builtin_raw(name))
+    raw["checks"] = ["level_closure"]
+    raw["points"] = points
+    verdicts, _ = run_scenario(load_scenario(raw))
+    return [(v.check, v.status, v.detail) for v in verdicts]
+
+
+def closure_inputs(name: str, twist=None):
+    """The moment structure, transported moment data, slice map and points
+    the runner's level_closure check uses, for a builtin with an optional
+    replacement twist."""
+    raw = copy.deepcopy(builtin_raw(name))
+    if twist is not None:
+        raw["twist"] = twist
+    scen = load_scenario(raw)
+    ws = Workspace(scen)
+    moment = ws.moment_w()
+    sub = level_substitution(moment, scen.level)
+    return ws.work(scen.moment_structure), moment, sub, scen.points
+
+
+def all_outcomes(struct, moment, sub, points):
+    """Chart and slice verdicts of both closure checks, and integrability."""
+    return (
+        *check_level_closure(moment, sub, points),
+        *check_adapted_closure(struct, moment, sub, points),
+        check_integrable(struct, points),
+    )
+
+
+def failing(outcomes):
+    return [o for o in outcomes if o is not None and not o[0]]
+
+
+def twist_variants(name: str):
+    """The scenario's own twist, then replacements built from closed terms
+    (each coefficient depends only on its own frame's coordinates): a
+    constant one, one that vanishes where a coordinate is 1, and that one
+    with a second constant term."""
+    coords = [c for c, _ in builtin_raw(name)["chart"]]
+    first, second = coords[:3], coords[1:4]
+    yield None
+    yield [{"coeff": "1", "frame": first}]
+    yield [{"coeff": f"{first[1]} - 1", "frame": first}]
+    yield [
+        {"coeff": f"{first[1]} - 1", "frame": first},
+        {"coeff": "1", "frame": second},
+    ]
+
+
+def test_certified_basis_decides_as_the_full_frame():
+    # Passing no points forces the full frame; the statuses agree, and a
+    # failing verdict is the full frame's, byte for byte.
+    failures = 0
+    for name in SLICE_SCENARIOS:
+        for twist in twist_variants(name):
+            struct, moment, sub, points = closure_inputs(name, twist)
+            certified = all_outcomes(struct, moment, sub, points)
+            full = all_outcomes(struct, moment, sub, ())
+            assert [o and o[0] for o in certified] == [o and o[0] for o in full]
+            assert failing(certified) == failing(full), (name, twist)
+            failures += len(failing(full))
+    assert failures
+
+
+def test_full_frame_without_points():
+    verdicts = closure_verdicts_with_points("gamma_torus_cylinder", [])
+    assert verdicts == [
+        ("level_closure:frame", "pass", "all 15 frame brackets stay tangent globally"),
+        (
+            "level_closure:adapted",
+            "pass",
+            "all 15 adapted brackets stay in the eigenbundle, globally",
+        ),
+        (
+            "level_closure:slice",
+            "pass",
+            "all 15 adapted brackets stay in the eigenbundle, on the level slice",
+        ),
+    ]
+
+
+def test_full_frame_when_the_point_drops_rank():
+    # dF vanishes at the origin of C^2, so the level bound there is N = 4,
+    # while every rotation field vanishes there: no basis is certified.
+    origin = {"name": "origin", "values": dict.fromkeys(["x1", "y1", "x2", "y2"], "0")}
+    frame, adapted, _ = closure_verdicts_with_points("kahler_c2_circle", [origin])
+    assert frame[1:] == ("pass", "all 45 frame brackets stay tangent globally")
+    assert adapted[1:] == (
+        "pass",
+        "all 276 adapted brackets stay in the eigenbundle, globally",
+    )
+    pole = {"name": "pole", "values": {**origin["values"], "x1": "1"}}
+    frame, adapted, _ = closure_verdicts_with_points("kahler_c2_circle", [origin, pole])
+    assert frame[1:] == (
+        "pass",
+        "all brackets of a 3-section basis certified at pole (3 pairs) stay "
+        "tangent globally",
+    )
+    assert adapted[1:] == (
+        "pass",
+        "all brackets of a 3-section basis certified at pole (3 pairs) stay in "
+        "the eigenbundle, globally",
+    )
+
+
+def test_full_frame_when_the_structure_is_not_algebraic(monkeypatch):
+    # J squares to -Id, so P is idempotent and the constant eigenbundle is
+    # involutive, but J does not preserve the pairing: isotropy, which the
+    # certificate needs, is not known, and all frame pairs are bracketed.
+    chart = make_chart(("x", "affine"), ("y", "affine"))
+
+    def c(text):
+        return RingElement.constant(chart, Scalar.of(Fraction(text)))
+
+    a = ((c("0"), c("-2")), (c("1/2"), c("0")))
+    zero = ((c("0"), c("0")), (c("0"), c("0")))
+    matrix = mat([a[0] + zero[0], a[1] + zero[1], zero[0] + a[0], zero[1] + a[1]])
+    struct = GenStructure(chart, matrix, zero_twist(chart))
+    assert struct.algebraic == (False, "matrix does not preserve the pairing")
+    calls = []
+    original = structures.courant_bracket
+    monkeypatch.setattr(
+        structures, "courant_bracket", lambda *a: calls.append(1) or original(*a)
+    )
+    point = EvalPoint.at(chart, x=0, y=0)
+    ok, detail = check_integrable(struct, [point])
+    assert (ok, detail) == (True, "eigenbundle is involutive for the twisted bracket")
+    live = sum(not u.is_zero for u in struct.plus_i_frame)
+    assert len(calls) == comb(live, 2) > comb(struct.dim, 2)
+
+
+def test_full_frame_witness_when_a_basis_bracket_fails():
+    twist = [{"coeff": "1", "frame": ["t1", "u", "v"]}]
+    struct, moment, sub, points = closure_inputs("gamma_cylinder_product", twist)
+    got = check_adapted_closure(struct, moment, sub, points)
+    assert got == check_adapted_closure(struct, moment, sub)
+    want = (False, "bracket of adapted sections 0 and 4 leaves the eigenbundle")
+    assert got == (want, want)
+    wrong = struct.with_twist(struct.twist.scale(Scalar.of(2)))
+    ok, detail = check_integrable(wrong, points)
+    assert not ok
+    assert (ok, detail) == check_integrable(wrong, ())
+    assert detail.startswith("bracket of frame sections ")
+
+
+def test_with_twist_keeps_the_matrix_only_values():
+    scen = load_builtin("btwist_t4")
+    struct = scen.structures["j"]
+    struct.plus_i_frame, struct.algebraic  # built here, anti_projector not
+    db = scen.b_field.d()
+    other = struct.with_twist(db)
+    assert other.twist == db and other.matrix == struct.matrix
+    assert other.eigenprojector is struct.eigenprojector
+    assert other.plus_i_frame is struct.plus_i_frame
+    assert other.algebraic is struct.algebraic
+    assert "anti_projector" not in vars(other)
+    # A transform that leaves the matrix alone shares what was built.
+    zero = DiffForm.zero(struct.chart, 2)
+    same = b_transform_structure(zero, struct)
+    assert same.eigenprojector is struct.eigenprojector
+
+
+def test_each_matrix_builds_its_eigenbundle_once_per_run(monkeypatch):
+    prop = structures.GenStructure.__dict__["eigenprojector"]
+    built = []
+
+    def counted(struct, _original=prop.func):
+        built.append(str(struct.matrix))
+        return _original(struct)
+
+    monkeypatch.setattr(prop, "func", counted)
+    for name in catalog_names():
+        built.clear()
+        run_scenario(load_builtin(name))
+        assert len(built) == len(set(built)), name

@@ -2,6 +2,7 @@
 conjugation, evaluation and canonical printing."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from gkbench.errors import ChartMismatchError, ParseError, ValidationError
 from gkbench.ring import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_TERMS,
     Chart,
     EvalPoint,
     RingElement,
@@ -130,6 +132,19 @@ class TestParsing:
         )
         for text in hostile:
             with pytest.raises(ParseError, match="exponent exceeds the bound"):
+                elem(text)
+
+    def test_product_terms_are_bounded(self):
+        # (x + y + t + 1)^p has comb(p + 3, 3) terms, the bound the parser
+        # judges from the four operand terms before building the power.
+        assert len(elem("(x + t + E(y;1) + 1)^8").terms) == comb(11, 3)
+        assert len(elem("(x + t + 1)^2*(x + t + 2)^2").terms) == 15
+        for text in (
+            "(x + t + E(y;1) + x*t + 1)^16",
+            f"({' + '.join(['x^2', 'x', 't', 't^2', 'x*t', '1'])})^8",
+            "(x + t + E(y;1) + x*t + 1)^4*(x + t + E(y;-1) + x*t + 2)^4",
+        ):
+            with pytest.raises(ParseError, match=f"exceed {MAX_TERMS} terms"):
                 elem(text)
 
     def test_numerals_are_bounded(self):

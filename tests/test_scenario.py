@@ -338,6 +338,7 @@ class TestCli:
             ("b_field", [{"coeff": "1" * 5000, "frame": ["x1", "x2"]}]),
             ("moment", {"structure": "j", "functions": ["(((t1^16)^16)^16)^2", "-t2"]}),
             ("moment", {"structure": "j", "functions": ["*".join(["t1"] * 3000), "-t2"]}),
+            ("moment", {"structure": "j", "functions": ["(t1+t2+t1*t2+E(x1;1)+1)^16", "-t2"]}),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):

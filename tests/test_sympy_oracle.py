@@ -1,5 +1,7 @@
 """Differential oracle: the exact Gaussian-rational linear algebra of
-gkbench.linalg against sympy on hypothesis-drawn matrices.
+gkbench.linalg against sympy on hypothesis-drawn matrices, and the ring's
+partial derivatives, exterior derivative and evaluation against sympy on
+hypothesis-drawn ring elements, with E(y; k) read as exp(i k y).
 
 sympy is not a dependency of gkbench; without it this module is skipped.
 """
@@ -12,6 +14,7 @@ from fractions import Fraction  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from gkbench.calculus import DiffForm  # noqa: E402
 from gkbench.errors import ValidationError  # noqa: E402
 from gkbench.linalg import (  # noqa: E402
     det,
@@ -23,7 +26,7 @@ from gkbench.linalg import (  # noqa: E402
     symmetric_signature,
     transpose,
 )
-from gkbench.ring import ZERO, Scalar  # noqa: E402
+from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart  # noqa: E402
 
 # Zero is drawn often so that singular and rank-deficient matrices are common.
 rationals = st.one_of(
@@ -135,3 +138,72 @@ def test_descartes_inertia_of_a_diagonal():
     m = mat([[Scalar(1), ZERO, ZERO], [ZERO, Scalar(-2), ZERO], [ZERO] * 3])
     assert descartes_inertia(sym_matrix(m)) == (1, 1, 1)
     assert symmetric_signature(m) == (1, 1, 1)
+
+
+# --- the function ring ----------------------------------------------------
+
+CHART = make_chart(("x", "affine"), ("y", "periodic"), ("t", "affine"))
+SYMBOLS = sympy.symbols("x y t", real=True)
+
+
+@st.composite
+def ring_elements(draw):
+    exponents = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exponents, gaussians, max_size=5))
+    return RingElement(CHART, terms)
+
+
+def sym_function(f):
+    """The element as a sympy expression: E(y; k) is exp(i k y)."""
+    x, y, t = SYMBOLS
+    return sum(
+        (to_sympy(c) * x**a * sympy.exp(sympy.I * k * y) * t**b
+         for (a, k, b), c in f.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def same(a, b):
+    return sympy.expand(a - b) == 0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(ring_elements())
+def test_partial_and_d_match_sympy(f):
+    expr = sym_function(f)
+    df = DiffForm.function(f).d()
+    for i, (name, sym) in enumerate(zip(CHART.names, SYMBOLS)):
+        want = sympy.diff(expr, sym)
+        assert same(sym_function(f.partial(name)), want)
+        assert same(sym_function(df.terms.get((i,), RingElement.zero(CHART))), want)
+    assert df.d().is_zero
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(ring_elements(), min_size=3, max_size=3))
+def test_d_of_a_one_form_matches_sympy(coeffs):
+    form = DiffForm(CHART, 1, {(i,): c for i, c in enumerate(coeffs)})
+    exprs = [sym_function(c) for c in coeffs]
+    two = form.d()
+    for i in range(3):
+        for j in range(i + 1, 3):
+            want = sympy.diff(exprs[j], SYMBOLS[i]) - sympy.diff(exprs[i], SYMBOLS[j])
+            got = two.terms.get((i, j), RingElement.zero(CHART))
+            assert same(sym_function(got), want)
+    assert two.d().is_zero
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    ring_elements(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_evaluate_matches_sympy_at_quarter_turns(f, xv, turns, tv):
+    x, y, t = SYMBOLS
+    point = EvalPoint.at(CHART, x=xv, y=turns, t=tv)
+    at = {x: sympy.Rational(xv.numerator, xv.denominator),
+          y: turns * sympy.pi / 2,
+          t: sympy.Rational(tv.numerator, tv.denominator)}
+    assert same(to_sympy(f.evaluate(point)), sym_function(f).subs(at))
