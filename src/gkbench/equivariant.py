@@ -231,9 +231,7 @@ def is_equivariantly_closed(
     for i, gi in enumerate(action.generators):
         for j in range(i, action.k):
             gj = action.generators[j]
-            lhs = moment.one_forms[j].interior(gi)
-            rhs = moment.one_forms[i].interior(gj)
-            total = (lhs + rhs).terms.get((), RingElement.zero(action.chart))
+            total = moment.one_forms[j].apply([gi]) + moment.one_forms[i].apply([gj])
             if not total.is_zero:
                 return (
                     False,
@@ -310,7 +308,7 @@ class Connection:
                 raise ValidationError("connection forms must be real")
             for j, g in enumerate(self.action.generators):
                 want = RingElement.one(chart) if i == j else RingElement.zero(chart)
-                got = theta.interior(g).terms.get((), RingElement.zero(chart))
+                got = theta.apply([g])
                 if got != want:
                     raise ValidationError(
                         f"theta_{i + 1}(xi_{j + 1}) must be "
@@ -340,13 +338,7 @@ def gamma_from_connection(moment: MomentData, conn: Connection) -> DiffForm:
     action = moment.action
     chart = action.chart
     k = action.k
-    zero = RingElement.zero(chart)
-    c = [[zero for _ in range(k)] for _ in range(k)]
-    for l in range(k):
-        for i in range(k):
-            c[l][i] = moment.one_forms[i].interior(action.generators[l]).terms.get(
-                (), zero
-            )
+    c = [[alpha.apply([g]) for alpha in moment.one_forms] for g in action.generators]
     for l in range(k):
         for i in range(l, k):
             if not (c[l][i] + c[i][l]).is_zero:

@@ -8,10 +8,13 @@ skip every term with a zero factor and take the zero of the entry type
 from the operands, so no helper branches on the entry type.  Matrix
 identities are stated with ==, since both entry types are canonical.
 
-Scalar matrices also get the elimination toolkit: reduced row echelon
-form, rank, nullspace, solving, inversion, determinants, subspace
-comparisons, and signatures of real symmetric matrices.  Everything is
-exact; no pivot thresholds exist.
+Scalar matrices also get the elimination toolkit, built on one
+Gauss-Jordan pivot loop: rref, rank, nullspace and inversion read its
+reduced rows and pivot columns, det reads its pivot values and row
+swaps, and the subspace helpers (canonical bases, equality,
+intersection, greedy extension) and the Sylvester test on real
+symmetric matrices sit on those.  Everything is exact; no pivot
+thresholds exist.
 
 Ring matrices add what needs a chart or a cofactor expansion: the
 chart-bound constructors, scaling, evaluation at a point, and an inverse
@@ -21,7 +24,6 @@ is what chart-wide inversion of a symplectic form requires.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, TypeVar
 
 from .errors import ValidationError
@@ -104,28 +106,42 @@ def mat_conj(a: Mat) -> Mat:
 # --- elimination --------------------------------------------------------
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with its pivot columns."""
+def _eliminate(m: Mat) -> tuple[list[list[Scalar]], list[int], list[Scalar], int]:
+    """The one Gauss-Jordan pivot loop: the reduced rows, the pivot
+    columns, the pivot values as found (before their rows are scaled to
+    one) and the number of row swaps."""
     rows = [list(r) for r in m]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    values: list[Scalar] = []
+    swaps = 0
     r = 0
     for c in range(nc):
         pivot = next((i for i in range(r, nr) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            swaps += 1
+        value = rows[r][c]
+        inv = value.inverse()
         rows[r] = [x * inv for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c]:
                 factor = rows[i][c]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
+        values.append(value)
         r += 1
         if r == nr:
             break
+    return rows, pivots, values, swaps
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form with its pivot columns."""
+    rows, pivots, _, _ = _eliminate(m)
     return mat(rows), tuple(pivots)
 
 
@@ -150,44 +166,23 @@ def nullspace(m: Mat) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of a x = b, or None when inconsistent."""
-    nc = len(a[0]) if a else 0
-    augmented = tuple(row + (bv,) for row, bv in zip(a, b))
-    reduced, pivots = rref(augmented)
-    if nc in pivots:
-        return None
-    x = [ZERO] * nc
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][nc]
-    return tuple(x)
-
-
 def det(m: Mat) -> Scalar:
-    n = len(m)
-    rows = [list(r) for r in m]
-    sign = ONE
-    out = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        out = out * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = rows[i][c] * inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
-    return out * sign
+    """The product of the pivot values, negated for an odd number of row
+    swaps: scaling each pivot row to one and clearing its column reduce
+    a nonsingular matrix to the identity."""
+    _, pivots, values, swaps = _eliminate(m)
+    if len(pivots) < len(m):
+        return ZERO
+    out = -ONE if swaps % 2 else ONE
+    for value in values:
+        out = out * value
+    return out
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    augmented = tuple(row + identity(n)[i] for i, row in enumerate(m))
-    reduced, pivots = rref(augmented)
+    eye = identity(n)
+    reduced, pivots = rref(tuple(row + e for row, e in zip(m, eye)))
     if pivots != tuple(range(n)):
         raise ValidationError("matrix is singular")
     return tuple(row[n:] for row in reduced)
@@ -215,22 +210,13 @@ def intersect_spans(a: Sequence[Vec], b: Sequence[Vec]) -> tuple[Vec, ...]:
     """Canonical basis of span(a) ∩ span(b)."""
     if not a or not b:
         return ()
-    nc = len(a[0])
+    a_cols = transpose(mat(a))
     # Columns are the coefficient unknowns (s, t); rows enforce
     # sum_i s_i a_i - sum_j t_j b_j = 0 componentwise.
-    system = tuple(
-        tuple(a[i][c] for i in range(len(a)))
-        + tuple(-b[j][c] for j in range(len(b)))
-        for c in range(nc)
+    system = tuple(x + y for x, y in zip(a_cols, mat_neg(transpose(mat(b)))))
+    return row_space_basis(
+        [mat_vec(a_cols, coeffs[: len(a)]) for coeffs in nullspace(system)]
     )
-    out: list[Vec] = []
-    for coeffs in nullspace(system):
-        v = [ZERO] * nc
-        for i in range(len(a)):
-            for c in range(nc):
-                v[c] = v[c] + coeffs[i] * a[i][c]
-        out.append(tuple(v))
-    return row_space_basis(out)
 
 
 def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, ...]:
@@ -248,57 +234,6 @@ def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, .
 # --- real symmetric forms ------------------------------------------------
 
 
-def _real_entries(m: Mat) -> list[list[Fraction]]:
-    out: list[list[Fraction]] = []
-    for row in m:
-        line: list[Fraction] = []
-        for x in row:
-            if x.im != 0:
-                raise ValidationError("matrix entry is not real")
-            line.append(x.re)
-        out.append(line)
-    return out
-
-
-def symmetric_signature(m: Mat) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a real symmetric matrix,
-    computed by exact congruence reduction."""
-    work = _real_entries(m)
-    n = len(work)
-    for i in range(n):
-        for j in range(n):
-            if work[i][j] != work[j][i]:
-                raise ValidationError("matrix is not symmetric")
-
-    def go(a: list[list[Fraction]]) -> tuple[int, int, int]:
-        k = len(a)
-        if k == 0:
-            return (0, 0, 0)
-        d = next((i for i in range(k) if a[i][i] != 0), None)
-        if d is None:
-            od = next(
-                ((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j] != 0),
-                None,
-            )
-            if od is None:
-                return (0, 0, k)
-            i, j = od
-            for c in range(k):
-                a[i][c] += a[j][c]
-            for r in range(k):
-                a[r][i] += a[r][j]
-            return go(a)
-        pivot = a[d][d]
-        rest = [i for i in range(k) if i != d]
-        reduced = [
-            [a[i][j] - a[i][d] * a[d][j] / pivot for j in rest] for i in rest
-        ]
-        p, ng, z = go(reduced)
-        return (p + 1, ng, z) if pivot > 0 else (p, ng + 1, z)
-
-    return go(work)
-
-
 def leading_principal_minors(m: Mat) -> tuple[Scalar, ...]:
     n = len(m)
     return tuple(det(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(n))
@@ -307,9 +242,10 @@ def leading_principal_minors(m: Mat) -> tuple[Scalar, ...]:
 def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:
     """Sylvester test on a real symmetric matrix; returns the verdict with
     the leading principal minors as witnesses."""
-    _real_entries(m)  # validates realness
+    if not all(x.is_real for row in m for x in row):
+        raise ValidationError("matrix entry is not real")
     minors = leading_principal_minors(m)
-    ok = all(mi.im == 0 and mi.re > 0 for mi in minors)
+    ok = all(mi.is_real and mi.re > 0 for mi in minors)
     return ok, minors
 
 

@@ -16,8 +16,11 @@ read off the same way.
 
 FiberData is the one quotient type: a subspace W, the subspace W-perp
 it is divided by, lifts of a quotient basis and the induced pairing,
-with one coordinate solve.  The one-step quotient at a point and both
-stages of the two-step factorization are FiberData values.
+with one change of basis per quotient: a single elimination gives the
+inverse of the lifts and W-perp completed to a basis of the fiber, and
+every quotient coordinate is then one product with it.  The one-step
+quotient at a point and both stages of the two-step factorization are
+FiberData values.
 
 The one-step Dirac quotient, an independent two-step factorization
 (first the moment directions, then the group directions) with an explicit
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -71,8 +75,6 @@ from .linalg import (
     rmat_eval,
     row_space_basis,
     rref,
-    solve,
-    symmetric_signature,
     transpose,
 )
 from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
@@ -111,6 +113,8 @@ class FiberData:
     the quotient dimension.  fiber_data builds the one-step quotient of a
     rank-k action; the two stages of the two-step factorization are
     quotients of the same type, by d_rows alone and then by a_rows alone.
+    The lifts and W-perp are independent and span W, so one change of
+    basis per quotient, made on first use, gives every coordinate.
     """
 
     point: EvalPoint
@@ -133,13 +137,30 @@ class FiberData:
     def wperp(self) -> tuple[Vec, ...]:
         return self.a_rows + self.d_rows
 
+    @cached_property
+    def _change_of_basis(self) -> Mat:
+        """The inverse of the basis lifts + W-perp + unit vectors of the
+        fiber.  One elimination of [B | Id], with the lifts and W-perp as
+        the columns of B, gives it: the pivot columns past B are the unit
+        vectors that extend_basis would add, and the right half of the
+        reduced matrix is the inverse of B completed by them."""
+        basis = self.lifts + self.wperp
+        eye = identity(2 * self.n)
+        reduced, pivots = rref(
+            tuple(col + e for col, e in zip(transpose(mat(basis)), eye))
+        )
+        if pivots[: len(basis)] != tuple(range(len(basis))):
+            raise ValidationError("quotient lifts and W-perp are dependent")
+        return tuple(row[len(basis) :] for row in reduced)
+
     def coords(self, v: Vec) -> Vec:
-        """Quotient coordinates of a fiber vector lying in W."""
-        system = transpose(mat(self.lifts + self.wperp))
-        x = solve(system, tuple(v))
-        if x is None:
+        """Quotient coordinates of a fiber vector lying in W: its first
+        coordinates in the completed basis, whose unit-vector
+        coordinates vanish exactly when the vector lies in W."""
+        x = mat_vec(self._change_of_basis, v)
+        if any(not c.is_zero for c in x[len(self.lifts) + len(self.wperp) :]):
             raise ValidationError("vector does not lie in the reducible subspace")
-        return tuple(x[: len(self.lifts)])
+        return x[: len(self.lifts)]
 
 
 def _push_down(
@@ -208,21 +229,21 @@ def fiber_data(
         + tuple(_embed_covector(n, row) for row in ann_a)
     )
     w_rows = row_space_basis(w_span)
-    for row in a_rows + d_rows:
-        if solve(transpose(mat(w_rows)), row) is None:
-            raise ValidationError("W-perp does not sit inside W at the point")
+    if rank(mat(w_rows + a_rows + d_rows)) != len(w_rows):
+        raise ValidationError("W-perp does not sit inside W at the point")
 
+    # The lifts are real tangent vectors, then real covectors, and each
+    # kind is isotropic, so gram_q = [[0, X], [X^T, 0]]: its inertia is
+    # (r/2, r/2, 2m - r) with r = rank(gram_q) = 2 rank(X).
     gram_q = _gram(lifts, pairing_matrix(n))
-    fiber = FiberData(point, n, lifts, w_rows, a_rows, d_rows, gram_q)
-    m = fiber.m
-    if m > 0:
-        sig = symmetric_signature(fiber.gram_q)
-        if sig != (m, m, 0):
-            raise ValidationError(
-                f"induced pairing on the quotient has signature {sig}, "
-                f"expected ({m}, {m}, 0)"
-            )
-    return fiber
+    m = len(t_idx)
+    r = rank(gram_q)
+    if r != 2 * m:
+        raise ValidationError(
+            f"induced pairing on the quotient has signature "
+            f"{(r // 2, r // 2, 2 * m - r)}, expected ({m}, {m}, 0)"
+        )
+    return FiberData(point, n, lifts, w_rows, a_rows, d_rows, gram_q)
 
 
 def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:

@@ -288,14 +288,19 @@ class GenStructure:
         return tuple(section_from_column(self.chart, col) for col in cols)
 
     @cached_property
+    def squares_to_minus_one(self) -> bool:
+        """J^2 = -Id, which is also P^2 = P: P^2 - P = -(J^2 + Id)/4."""
+        minus_one = mat_neg(rmat_identity(self.chart, 2 * self.dim))
+        return mat_mul(self.matrix, self.matrix) == minus_one
+
+    @cached_property
     def algebraic(self) -> tuple[bool, str]:
         """Real, squares to -Id, and preserves the pairing: the verdict of
         check_algebraic, which reads only the matrix."""
         chart = self.chart
-        n2 = 2 * chart.dim
         if not all(entry.is_real for row in self.matrix for entry in row):
             return False, "matrix has a non-real entry"
-        if mat_mul(self.matrix, self.matrix) != mat_neg(rmat_identity(chart, n2)):
+        if not self.squares_to_minus_one:
             return False, "matrix does not square to minus the identity"
         gram = rmat_from_scalars(chart, pairing_matrix(chart.dim))
         if mat_mul(transpose(self.matrix), mat_mul(gram, self.matrix)) != gram:
@@ -313,7 +318,13 @@ class GenStructure:
 
 
 # The cached values of a GenStructure that depend on its matrix alone.
-_MATRIX_ONLY = ("eigenprojector", "anti_projector", "plus_i_frame", "algebraic")
+_MATRIX_ONLY = (
+    "eigenprojector",
+    "anti_projector",
+    "plus_i_frame",
+    "squares_to_minus_one",
+    "algebraic",
+)
 
 
 def zero_twist(chart: Chart) -> DiffForm:
@@ -504,7 +515,8 @@ def closing_brackets(
 def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, str]:
     """Courant involutivity of the +i eigenbundle against the twist.
 
-    The projector is checked to be idempotent, the eigenbundle rank is
+    The projector is checked to be idempotent (read from J^2 = -Id,
+    which is the same condition), the eigenbundle rank is
     checked at the sample points, and every bracket of spanning sections
     is required to stay inside the eigenbundle (zero residual under the
     opposite projector).  For an isotropic subbundle this spanning-set
@@ -513,9 +525,9 @@ def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, s
     settle it (certify_basis).
     """
     n = struct.dim
-    proj = struct.eigenprojector
-    if mat_mul(proj, proj) != proj:
+    if not struct.squares_to_minus_one:
         return False, "eigenprojector is not idempotent"
+    proj = struct.eigenprojector
     for _, p in named_points(points):
         if rank(rmat_eval(proj, p)) != n:
             return False, f"eigenbundle rank is not {n} at {p}"

@@ -1,11 +1,14 @@
-"""Tests for exact linear algebra: elimination, subspaces, signatures,
-and ring-matrix inversion."""
+"""Tests for exact linear algebra: elimination, subspaces, the Sylvester
+test, and ring-matrix inversion."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkbench import linalg
 from gkbench.errors import ValidationError
 from gkbench.linalg import (
     det,
@@ -28,9 +31,7 @@ from gkbench.linalg import (
     rmat_zeros,
     row_space_basis,
     rref,
-    solve,
     span_eq,
-    symmetric_signature,
     transpose,
 )
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
@@ -60,12 +61,6 @@ class TestElimination:
         basis = nullspace(a)
         assert len(basis) == 1
         assert all(x.is_zero for x in mat_vec(a, basis[0]))
-
-    def test_solve(self):
-        a = m([[2, 0], [1, 1]])
-        x = solve(a, (s(4), s(3)))
-        assert x == (s(2), s(1))
-        assert solve(m([[1, 1], [1, 1]]), (s(0), s(1))) is None
 
     def test_det(self):
         assert det(m([[1, 2], [3, 4]])) == s(-2)
@@ -101,17 +96,6 @@ class TestSubspaces:
 
 
 class TestSymmetric:
-    def test_signature_split(self):
-        g = m([[0, 1], [1, 0]])
-        assert symmetric_signature(g) == (1, 1, 0)
-
-    def test_signature_definite(self):
-        assert symmetric_signature(m([[2, 0], [0, 3]])) == (2, 0, 0)
-        assert symmetric_signature(m([[-1, 0], [0, -1]])) == (0, 2, 0)
-
-    def test_signature_degenerate(self):
-        assert symmetric_signature(m([[1, 1], [1, 1]])) == (1, 0, 1)
-
     def test_positive_definite(self):
         ok, minors = is_positive_definite(m([[2, 1], [1, 2]]))
         assert ok and minors == (s(2), s(3))
@@ -120,7 +104,7 @@ class TestSymmetric:
 
     def test_rejects_nonreal(self):
         with pytest.raises(ValidationError, match="not real"):
-            symmetric_signature(mat([[Scalar.of(0, 1)]]))
+            is_positive_definite(mat([[Scalar.of(0, 1)]]))
 
 
 class TestRingMatrices:
@@ -225,21 +209,28 @@ def test_transpose_preserves_rank(a):
     assert rank(a) == rank(transpose(a))
 
 
-@settings(max_examples=30, derandomize=True)
-@given(square())
-def test_signature_counts_dimensions(a):
-    sym = mat(
-        [
-            [
-                (a[i][j] + a[j][i]) * Scalar.of(Fraction(1, 2))
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-    )
-    p, n, z = symmetric_signature(sym)
-    assert p + n + z == 3
-    assert p + n == rank(sym)
+def _fraction_names(source: str) -> set[str]:
+    """The names of the fractions module and its Fraction type that a
+    source imports, reads or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found & {"Fraction", "fractions"}
+
+
+def test_linalg_uses_no_fraction():
+    """Every elimination runs on Scalar triples."""
+    assert _fraction_names(Path(linalg.__file__).read_text(encoding="utf-8")) == set()
+    seen = "from fractions import Fraction\nimport fractions\nx = fractions.Fraction(1)\n"
+    assert _fraction_names(seen) == {"Fraction", "fractions"}
 
 
 _RING_CHART = TestRingMatrices.CHART

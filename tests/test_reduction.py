@@ -9,22 +9,28 @@ below were computed by hand from the eigenbundle images and frozen.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkbench.calculus import DiffForm, VectorField
+from gkbench.catalog import catalog_names, load_builtin
 from gkbench.equivariant import MomentData, TorusAction
 from gkbench.errors import ValidationError
 from gkbench.linalg import (
+    identity,
     inverse,
     mat,
     mat_mul,
     mat_vec,
+    rank,
     rmat_eval,
     span_eq,
     transpose,
 )
 from gkbench.reduction import (
+    FiberData,
     level_substitution,
     check_adapted_closure,
     check_level_closure,
@@ -39,6 +45,7 @@ from gkbench.reduction import (
     two_step_reduce,
 )
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
+from gkbench.runner import Workspace
 from gkbench.structures import (
     b_exponential,
     b_transform_structure,
@@ -397,3 +404,85 @@ class TestLevelClosure:
 
     def test_no_substitution_for_quadratic_moment(self):
         assert level_substitution(sphere_moment(), SPHERE_LEVEL) is None
+
+
+# --- the quotient at every reducible catalog point ------------------------------
+
+
+@cache
+def catalog_fibers():
+    """(scenario/point, FiberData) at every catalog point where the
+    reduction data is valid."""
+    out = []
+    for name in catalog_names():
+        scen = load_builtin(name)
+        if scen.moment is None:
+            continue
+        ws = Workspace(scen)
+        for point in sorted(scen.points):
+            try:
+                out.append((f"{name}/{point}", ws.fiber(point)))
+            except ValidationError:
+                continue
+    return tuple(out)
+
+
+def test_catalog_has_reducible_points_of_every_shape():
+    shapes = {(f.n, f.k, f.m) for _, f in catalog_fibers()}
+    assert len(catalog_fibers()) == 15
+    assert {(4, 1, 2), (4, 2, 0), (4, 0, 4), (6, 2, 2)} <= shapes
+
+
+def test_quotient_pairing_has_zero_diagonal_blocks():
+    """Tangent lifts first, covector lifts second, each kind isotropic:
+    gram_q = [[0, X], [X^T, 0]], the shape from which fiber_data reads
+    the signature (r/2, r/2, 2m - r), r = rank(gram_q)."""
+    for label, fiber in catalog_fibers():
+        m, g = fiber.m, fiber.gram_q
+        assert len(g) == 2 * m, label
+        for i in range(2 * m):
+            for j in range(2 * m):
+                if (i < m) == (j < m):
+                    assert g[i][j].is_zero, (label, i, j)
+        assert rank(g) == 2 * m, label
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_SCALARS = st.builds(Scalar, _SMALL, _SMALL)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_coords_round_trip(data):
+    """coords(sum x_i lift_i + sum y_j wperp_j) = x, and adding a vector
+    outside W makes coords raise."""
+    label, fiber = data.draw(st.sampled_from(catalog_fibers()))
+    basis = fiber.lifts + fiber.wperp
+    x = tuple(data.draw(_SCALARS) for _ in fiber.lifts)
+    y = tuple(data.draw(_SCALARS) for _ in fiber.wperp)
+    v = mat_vec(transpose(mat(basis)), x + y)
+    assert fiber.coords(v) == x, label
+    outside = next(
+        (e for e in identity(2 * fiber.n)
+         if rank(mat(fiber.w_rows + (e,))) > len(fiber.w_rows)),
+        None,
+    )
+    if outside is None:  # W is the whole fiber: the action is trivial
+        assert fiber.k == 0, label
+        return
+    c = data.draw(_SCALARS.filter(lambda c: not c.is_zero))
+    off = tuple(a + c * b for a, b in zip(v, outside))
+    with pytest.raises(ValidationError, match="does not lie in the reducible subspace"):
+        fiber.coords(off)
+
+
+def test_coords_refuses_a_dependent_basis():
+    """The change of basis needs lifts and W-perp independent; a lift
+    repeated in W-perp is refused, not read as coordinates."""
+    fiber = next(f for _, f in catalog_fibers() if f.k and f.m)
+    bad = FiberData(
+        fiber.point, fiber.n, fiber.lifts, fiber.w_rows,
+        fiber.a_rows + fiber.lifts[:1], fiber.d_rows, fiber.gram_q,
+    )
+    with pytest.raises(ValidationError, match="dependent"):
+        bad.coords(fiber.lifts[0])

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkbench.calculus import DiffForm, VectorField, wedge_all
 from gkbench.errors import ValidationError
+from gkbench.linalg import mat_mul
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.structures import (
     GenSection,
@@ -240,6 +241,21 @@ class TestComplex:
         one = RingElement.one(R2)
         with pytest.raises(ValidationError, match="square"):
             complex_structure(((one, z), (z, one)), R2)
+
+    def test_non_square_root_is_not_idempotent(self):
+        """P^2 - P = -(J^2 + Id)/4, so integrability reads its idempotence
+        verdict from J^2 = -Id, one value per matrix."""
+        z = RingElement.zero(R2)
+        one = RingElement.one(R2)
+        matrix = tuple(tuple(one if i == j else z for j in range(4)) for i in range(4))
+        struct = GenStructure(R2, matrix, zero_twist(R2))
+        assert check_integrable(struct) == (False, "eigenprojector is not idempotent")
+        assert not check_algebraic(struct)[0]
+        assert "squares_to_minus_one" in vars(struct.with_twist(struct.twist))
+        good = complex_structure(jmat_r2(), R2)
+        for candidate in (struct, good):
+            p = candidate.eigenprojector
+            assert (mat_mul(p, p) == p) is candidate.squares_to_minus_one
 
 
 class TestTwistSign:
