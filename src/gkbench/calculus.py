@@ -6,6 +6,19 @@ interior product (contraction in the first slot), wedge product, Lie
 derivative and Lie bracket are all implemented directly from their
 coordinate formulas, so identities like the Cartan magic formula stay
 honest test material instead of definitions.
+
+The public constructors (`DiffForm(...)`, the `VectorField` dataclass and
+the named constructors) validate what they are given: index arity,
+strictly increasing indices inside the chart, one component per
+coordinate, and every coefficient over the same chart; they drop zero
+coefficients.  The results of +, -, scale, conj, wedge, d, interior,
+lie and the Lie bracket are built through private `_of_valid`
+constructors that trust their terms.  That is sound because these
+operations only combine valid inputs: merged indices are sorted and stay
+inside the chart, every coefficient comes from ring operations on the
+operands' coefficients (so it is over their chart), a product of nonzero
+coefficients is nonzero because the function ring is an integral
+domain, and a sum that cancels is deleted where it cancels.
 """
 
 from __future__ import annotations
@@ -19,6 +32,9 @@ from .ring import Chart, EvalPoint, RingElement, Scalar, PERIODIC, ZERO, quarter
 
 Index = tuple[int, ...]
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -31,8 +47,17 @@ class VectorField:
         if len(self.components) != self.chart.dim:
             raise ValidationError("component count does not match chart")
         for c in self.components:
-            if c.chart != self.chart:
+            if c.chart is not self.chart and c.chart != self.chart:
                 raise ChartMismatchError("component over a different chart")
+
+    @staticmethod
+    def _of_valid(chart: Chart, components: tuple[RingElement, ...]) -> "VectorField":
+        """A field from one component per coordinate over the chart, taken
+        as it is (results of field operations)."""
+        out = _new(VectorField)
+        _set(out, "chart", chart)
+        _set(out, "components", components)
+        return out
 
     @staticmethod
     def zero(chart: Chart) -> "VectorField":
@@ -51,7 +76,7 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_chart(self.chart, other.chart)
-        return VectorField(
+        return VectorField._of_valid(
             self.chart, tuple(a + b for a, b in zip(self.components, other.components))
         )
 
@@ -59,26 +84,27 @@ class VectorField:
         return self + (-other)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-c for c in self.components))
+        return VectorField._of_valid(self.chart, tuple(-c for c in self.components))
 
     def scale(self, f: Union[RingElement, Scalar]) -> "VectorField":
         if isinstance(f, Scalar):
-            return VectorField(self.chart, tuple(c.scale(f) for c in self.components))
-        return VectorField(self.chart, tuple(f * c for c in self.components))
+            return VectorField._of_valid(self.chart, tuple(c.scale(f) for c in self.components))
+        return VectorField._of_valid(self.chart, tuple(f * c for c in self.components))
 
     def apply(self, f: RingElement) -> RingElement:
         """Directional derivative X(f)."""
-        if f.chart != self.chart:
+        if f.chart is not self.chart and f.chart != self.chart:
             raise ChartMismatchError("function over a different chart")
         total = RingElement.zero(self.chart)
+        names = self.chart.names
         for i, comp in enumerate(self.components):
             if comp.is_zero:
                 continue
-            total = total + comp * f.partial(self.chart.names[i])
+            total = total + comp * f.partial(names[i])
         return total
 
     def conj(self) -> "VectorField":
-        return VectorField(self.chart, tuple(c.conj() for c in self.components))
+        return VectorField._of_valid(self.chart, tuple(c.conj() for c in self.components))
 
     @property
     def is_zero(self) -> bool:
@@ -99,14 +125,14 @@ class VectorField:
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y] with components X(Y^i) - Y(X^i)."""
     _same_chart(x.chart, y.chart)
-    return VectorField(
+    return VectorField._of_valid(
         x.chart,
         tuple(x.apply(yc) - y.apply(xc) for xc, yc in zip(x.components, y.components)),
     )
 
 
 def _same_chart(a: Chart, b: Chart) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ChartMismatchError(f"charts differ: {a} vs {b}")
 
 
@@ -128,6 +154,20 @@ def _merge_sign(left: Index, right: Index) -> tuple[Index, int]:
     return tuple(merged), sign
 
 
+def _accumulate(out: dict[Index, RingElement], idx: Index, coeff: RingElement) -> None:
+    """Add a nonzero coefficient into out[idx], deleting the key when the
+    sum cancels, so that out never holds a zero coefficient."""
+    cur = out.get(idx)
+    if cur is None:
+        out[idx] = coeff
+    else:
+        coeff = cur + coeff
+        if coeff.is_zero:
+            del out[idx]
+        else:
+            out[idx] = coeff
+
+
 class DiffForm:
     """A differential form of fixed degree with sparse exact coefficients."""
 
@@ -144,13 +184,24 @@ class DiffForm:
                 raise ValidationError("indices must be strictly increasing")
             if idx and (idx[0] < 0 or idx[-1] >= chart.dim):
                 raise ValidationError("index out of chart range")
-            if coeff.chart != chart:
+            if coeff.chart is not chart and coeff.chart != chart:
                 raise ChartMismatchError("coefficient over a different chart")
             if not coeff.is_zero:
                 clean[idx] = coeff
         self.chart = chart
         self.degree = degree
         self.terms = clean
+
+    @staticmethod
+    def _of_valid(chart: Chart, degree: int, terms: dict[Index, RingElement]) -> "DiffForm":
+        """A form from canonical terms (strictly increasing indices of the
+        degree's arity inside the chart, nonzero coefficients over it),
+        taken as they are: the dict becomes the form's."""
+        out = _new(DiffForm)
+        out.chart = chart
+        out.degree = degree
+        out.terms = terms
+        return out
 
     # --- constructors ----------------------------------------------------
 
@@ -172,27 +223,34 @@ class DiffForm:
         _same_chart(self.chart, other.chart)
         if self.degree != other.degree:
             raise ValidationError("cannot add forms of different degree")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
-            cur = out.get(idx)
-            out[idx] = coeff if cur is None else cur + coeff
-        return DiffForm(self.chart, self.degree, out)
+            _accumulate(out, idx, coeff)
+        return DiffForm._of_valid(self.chart, self.degree, out)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
+        return DiffForm._of_valid(
+            self.chart, self.degree, {i: -c for i, c in self.terms.items()}
+        )
 
     def scale(self, f: Union[RingElement, Scalar]) -> "DiffForm":
         if isinstance(f, Scalar):
-            return DiffForm(
-                self.chart, self.degree, {i: c.scale(f) for i, c in self.terms.items()}
-            )
-        return DiffForm(self.chart, self.degree, {i: f * c for i, c in self.terms.items()})
+            terms = {i: c.scale(f) for i, c in self.terms.items()}
+        else:
+            terms = {i: f * c for i, c in self.terms.items()}
+        return DiffForm._of_valid(self.chart, self.degree, {} if f.is_zero else terms)
 
     def conj(self) -> "DiffForm":
-        return DiffForm(self.chart, self.degree, {i: c.conj() for i, c in self.terms.items()})
+        return DiffForm._of_valid(
+            self.chart, self.degree, {i: c.conj() for i, c in self.terms.items()}
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -214,6 +272,11 @@ class DiffForm:
     __hash__ = None  # type: ignore[assignment]
 
     # --- the calculus ------------------------------------------------------
+    #
+    # Each result is built canonical: a product of nonzero coefficients is
+    # nonzero (the function ring is an integral domain), merged indices
+    # stay sorted and inside the chart, and _accumulate deletes a
+    # coefficient where it cancels.
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
         _same_chart(self.chart, other.chart)
@@ -225,11 +288,8 @@ class DiffForm:
                 except ValueError:
                     continue
                 piece = c1 * c2
-                if sign < 0:
-                    piece = -piece
-                cur = out.get(merged)
-                out[merged] = piece if cur is None else cur + piece
-        return DiffForm(self.chart, self.degree + other.degree, out)
+                _accumulate(out, merged, piece if sign > 0 else -piece)
+        return DiffForm._of_valid(self.chart, self.degree + other.degree, out)
 
     def d(self) -> "DiffForm":
         """Exterior derivative."""
@@ -243,10 +303,8 @@ class DiffForm:
                 if dcoeff.is_zero:
                     continue
                 merged, sign = _merge_sign((i,), idx)
-                piece = dcoeff if sign > 0 else -dcoeff
-                cur = out.get(merged)
-                out[merged] = piece if cur is None else cur + piece
-        return DiffForm(self.chart, self.degree + 1, out)
+                _accumulate(out, merged, dcoeff if sign > 0 else -dcoeff)
+        return DiffForm._of_valid(self.chart, self.degree + 1, out)
 
     def interior(self, x: VectorField) -> "DiffForm":
         """Contraction in the first slot."""
@@ -260,37 +318,32 @@ class DiffForm:
                 if comp.is_zero:
                     continue
                 piece = comp * coeff
-                if pos % 2 == 1:
-                    piece = -piece
-                rest = idx[:pos] + idx[pos + 1 :]
-                cur = out.get(rest)
-                out[rest] = piece if cur is None else cur + piece
-        return DiffForm(self.chart, self.degree - 1, out)
+                _accumulate(out, idx[:pos] + idx[pos + 1 :], -piece if pos % 2 else piece)
+        return DiffForm._of_valid(self.chart, self.degree - 1, out)
 
     def lie(self, x: VectorField) -> "DiffForm":
         """Lie derivative along x, computed term by term from the
         derivation rule (not from the Cartan formula, which stays a
         theorem to test against)."""
         _same_chart(self.chart, x.chart)
-        out = DiffForm.zero(self.chart, self.degree)
-        names = self.chart.names
+        chart = self.chart
+        one = RingElement.one(chart)
+        out: dict[Index, RingElement] = {}
         for idx, coeff in self.terms.items():
             # X(f) dx_I
-            piece = DiffForm(self.chart, self.degree, {idx: x.apply(coeff)})
-            out = out + piece
+            xf = x.apply(coeff)
+            if not xf.is_zero:
+                _accumulate(out, idx, xf)
             # f dx_{i1} ^ ... ^ d(X^{ij}) ^ ... ^ dx_{ik}
             for pos, i in enumerate(idx):
                 dcomp = DiffForm.function(x.components[i]).d()
                 if dcomp.is_zero:
                     continue
-                left = DiffForm(self.chart, pos, {idx[:pos]: coeff})
-                right = DiffForm(
-                    self.chart,
-                    self.degree - pos - 1,
-                    {idx[pos + 1 :]: RingElement.one(self.chart)},
-                )
-                out = out + left.wedge(dcomp).wedge(right)
-        return out
+                left = DiffForm._of_valid(chart, pos, {idx[:pos]: coeff})
+                right = DiffForm._of_valid(chart, self.degree - pos - 1, {idx[pos + 1 :]: one})
+                for j, c in left.wedge(dcomp).wedge(right).terms.items():
+                    _accumulate(out, j, c)
+        return DiffForm._of_valid(chart, self.degree, out)
 
     def apply(self, vectors: Sequence[VectorField]) -> RingElement:
         """Full evaluation on a list of vector fields."""

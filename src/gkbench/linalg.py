@@ -11,10 +11,10 @@ identities are stated with ==, since both entry types are canonical.
 Scalar matrices also get the elimination toolkit, built on one
 Gauss-Jordan pivot loop: rref, rank, nullspace and inversion read its
 reduced rows and pivot columns, det reads its pivot values and row
-swaps, and the subspace helpers (canonical bases, equality,
-intersection, greedy extension) and the Sylvester test on real
-symmetric matrices sit on those.  Everything is exact; no pivot
-thresholds exist.
+swaps, and the subspace helpers (canonical bases, equality, greedy
+extension) sit on those.  The Sylvester test on real symmetric
+matrices reads its leading minors from one elimination without row
+swaps.  Everything is exact; no pivot thresholds exist.
 
 Ring matrices add what needs a chart or a cofactor expansion: the
 chart-bound constructors, scaling, evaluation at a point, and an inverse
@@ -206,19 +206,6 @@ def span_eq(a: Sequence[Vec], b: Sequence[Vec]) -> bool:
     return row_space_basis(a) == row_space_basis(b)
 
 
-def intersect_spans(a: Sequence[Vec], b: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Canonical basis of span(a) ∩ span(b)."""
-    if not a or not b:
-        return ()
-    a_cols = transpose(mat(a))
-    # Columns are the coefficient unknowns (s, t); rows enforce
-    # sum_i s_i a_i - sum_j t_j b_j = 0 componentwise.
-    system = tuple(x + y for x, y in zip(a_cols, mat_neg(transpose(mat(b)))))
-    return row_space_basis(
-        [mat_vec(a_cols, coeffs[: len(a)]) for coeffs in nullspace(system)]
-    )
-
-
 def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, ...]:
     """Indices of candidates that extend rows to a larger independent set,
     greedily in order, until no candidate adds rank.
@@ -235,8 +222,34 @@ def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, .
 
 
 def leading_principal_minors(m: Mat) -> tuple[Scalar, ...]:
+    """The determinants of the leading k x k blocks, k = 1..n.
+
+    One elimination without row swaps gives them: adding a multiple of
+    an earlier row to a later one changes no leading minor, and once the
+    first k columns are cleared below the diagonal the leading block of
+    order k + 1 is triangular, so its minor is the running product of
+    the pivots.  After the first zero pivot, whose minor is that zero
+    product, the remaining minors are computed one by one with det.
+    """
     n = len(m)
-    return tuple(det(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(n))
+    rows = [list(row) for row in m]
+    minors: list[Scalar] = []
+    running = ONE
+    for k in range(n):
+        pivot = rows[k][k]
+        running = running * pivot
+        minors.append(running)
+        if not pivot:
+            break
+        inv = pivot.inverse()
+        for i in range(k + 1, n):
+            if rows[i][k]:
+                factor = rows[i][k] * inv
+                for j in range(k + 1, n):
+                    rows[i][j] = rows[i][j] - factor * rows[k][j]
+    for k in range(len(minors), n):
+        minors.append(det(tuple(row[: k + 1] for row in m[: k + 1])))
+    return tuple(minors)
 
 
 def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:

@@ -61,7 +61,6 @@ from .linalg import (
     Vec,
     extend_basis,
     identity,
-    intersect_spans,
     inverse,
     is_positive_definite,
     mat,
@@ -163,13 +162,25 @@ class FiberData:
         return x[: len(self.lifts)]
 
 
-def _push_down(
-    rows: Sequence[Vec], quot: FiberData
-) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """The meet of span(rows) with W, and the canonical basis of its
-    image in the quotient."""
-    meet = intersect_spans(rows, quot.w_rows)
-    return meet, row_space_basis([quot.coords(v) for v in meet])
+def _push_down(rows: Sequence[Vec], quot: FiberData) -> tuple[int, tuple[Vec, ...]]:
+    """The dimension of the meet of span(rows) with W, for independent
+    rows, and the canonical basis of its image in the quotient.
+
+    One product with the change of basis per row decides both: a
+    combination of the rows lies in W exactly when the same combination
+    of their unit-vector coordinates vanishes, and its quotient image is
+    the same combination of their lift coordinates.  When W is the whole
+    fiber there are no unit-vector coordinates and every combination
+    lies in W.
+    """
+    lead = len(quot.lifts)
+    cut = lead + len(quot.wperp)
+    xs = [mat_vec(quot._change_of_basis, v) for v in rows]
+    heads = mat([x[:lead] for x in xs])
+    outside = transpose(mat([x[cut:] for x in xs]))
+    if outside:
+        heads = mat_mul(nullspace(outside), heads)
+    return len(heads), row_space_basis(heads)
 
 
 def fiber_data(
@@ -312,13 +323,15 @@ def _eigen_matrix(plus: Sequence[Vec], minus: Sequence[Vec], value: Scalar) -> M
 
 def _structure_from_eigenrows(rows: Sequence[Vec]) -> Mat:
     """The matrix with +i eigenspace span(rows) and -i eigenspace their
-    conjugate."""
-    conj_rows = mat_conj(rows)
-    if intersect_spans(rows, conj_rows):
+    conjugate.  The rows are independent and so are their conjugates,
+    so the eigenvector matrix is singular exactly when the two spans
+    meet."""
+    try:
+        return _eigen_matrix(rows, mat_conj(rows), IMAG)
+    except ValidationError:
         raise ValidationError(
             "reduced eigenbundle meets its conjugate; no real structure exists"
-        )
-    return _eigen_matrix(rows, conj_rows, IMAG)
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -431,10 +444,10 @@ def gk_reduce(
             f"{len(c_plus)}, expected {n}"
         )
     meet, c_rows = _push_down(c_plus, fiber)
-    if len(meet) != n - 2 * fiber.k:
+    if meet != n - 2 * fiber.k:
         raise ValidationError(
             f"the +1 eigenspace meets the reducible subspace in dimension "
-            f"{len(meet)}, expected {n - 2 * fiber.k}"
+            f"{meet}, expected {n - 2 * fiber.k}"
         )
     if len(c_rows) != m:
         raise ValidationError("reduced +1 eigenspace has the wrong dimension")

@@ -16,6 +16,13 @@ for (a + b*I)/d, normalized to d > 0 and gcd(a, b, d) == 1 with zero as
 (0, 0, 1).  Equal values therefore have equal triples, and scalar
 arithmetic is plain int work.
 
+Elements made by the public constructors (`RingElement(...)`, `zero`,
+`constant`, `coordinate`, `fourier`, `parse_expr`) are validated: each
+exponent has the chart's arity and no negative degree on an affine
+coordinate.  The results of ring operations are not re-checked: each
+operation builds its terms canonical in one pass (see RingElement), so
+scenario input is checked once, where it enters.
+
 The ring is closed under addition, multiplication, partial derivatives and
 complex conjugation.  Evaluation is exact at points whose periodic
 coordinates sit at quarter turns (integer multiples of pi/2), where
@@ -24,9 +31,10 @@ e^{i k y} lands in {1, i, -1, -i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, prod
+from operator import add as _add
 from typing import Mapping, Union
 
 from .errors import ChartMismatchError, ParseError, ValidationError
@@ -53,9 +61,17 @@ RationalLike = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class Chart:
-    """An ordered list of named coordinates, each affine or periodic."""
+    """An ordered list of named coordinates, each affine or periodic.
+
+    The names, the affine mask and the name-to-index map are built once,
+    when the chart is made; they take no part in equality or hashing,
+    which read the coordinates alone.
+    """
 
     coords: tuple[tuple[str, str], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    affine: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
@@ -69,26 +85,26 @@ class Chart:
             if name in seen:
                 raise ValidationError(f"duplicate coordinate name {name!r}")
             seen.add(name)
+        names = tuple(name for name, _ in self.coords)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "affine", tuple(kind == AFFINE for _, kind in self.coords))
+        object.__setattr__(self, "_positions", {name: i for i, name in enumerate(names)})
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.coords)
-
     def index(self, name: str) -> int:
-        for i, (cname, _) in enumerate(self.coords):
-            if cname == name:
-                return i
-        raise ValidationError(f"unknown coordinate {name!r}")
+        i = self._positions.get(name) if isinstance(name, str) else None
+        if i is None:
+            raise ValidationError(f"unknown coordinate {name!r}")
+        return i
 
     def kind(self, i: int) -> str:
         return self.coords[i][1]
 
     def is_affine(self, i: int) -> bool:
-        return self.coords[i][1] == AFFINE
+        return self.affine[i]
 
     def __str__(self) -> str:
         return "(" + ", ".join(f"{n}:{k}" for n, k in self.coords) + ")"
@@ -310,7 +326,16 @@ def _check_chart(a: "RingElement", b: "RingElement") -> None:
 
 
 class RingElement:
-    """A canonical sparse sum of monomials over a fixed chart."""
+    """A canonical sparse sum of monomials over a fixed chart.
+
+    The public constructors validate their terms: every exponent has the
+    chart's arity and no negative degree on an affine coordinate, and
+    zero coefficients are dropped.  The results of ring operations are
+    built through `_of_valid`, which trusts its terms, because each
+    operation keeps the terms canonical as it builds them: exponents of
+    sums, products, conjugates and derivatives of valid exponents are
+    valid, and a coefficient that cancels is deleted where it cancels.
+    """
 
     __slots__ = ("chart", "terms")
 
@@ -329,12 +354,13 @@ class RingElement:
         self.terms = clean
 
     @staticmethod
-    def _of_valid(chart: Chart, terms: Mapping[Exponent, Scalar]) -> "RingElement":
-        """An element from terms whose exponents are valid by construction
-        (results of ring operations); only zero coefficients are dropped."""
+    def _of_valid(chart: Chart, terms: dict[Exponent, Scalar]) -> "RingElement":
+        """An element from canonical terms (valid exponents, no zero
+        coefficient), taken as they are: the dict becomes the element's,
+        so the caller must not keep changing it."""
         out = _new(RingElement)
         out.chart = chart
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.terms = terms
         return out
 
     # --- constructors -------------------------------------------------
@@ -372,12 +398,31 @@ class RingElement:
         return RingElement(chart, {expo: ONE})
 
     # --- ring operations ----------------------------------------------
+    #
+    # No operation filters its result for zero coefficients afterwards.
+    # A sum can only cancel where two terms meet on one exponent, and
+    # there the key is deleted.  Negation, conjugation, scaling by a
+    # nonzero scalar and partial derivatives send distinct exponents to
+    # distinct exponents and nonzero coefficients to nonzero ones, since
+    # Q(i) has no zero divisors.
 
     def __add__(self, other: "RingElement") -> "RingElement":
         _check_chart(self, other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, ZERO) + coeff
+            cur = out.get(expo)
+            if cur is None:
+                out[expo] = coeff
+            else:
+                coeff = cur + coeff
+                if coeff:
+                    out[expo] = coeff
+                else:
+                    del out[expo]
         return RingElement._of_valid(self.chart, out)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
@@ -391,17 +436,23 @@ class RingElement:
         out: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                expo = tuple(map(_add, e1, e2))
                 prod = c1 * c2
-                if expo in out:
-                    out[expo] = out[expo] + prod
-                else:
+                cur = out.get(expo)
+                if cur is None:
                     out[expo] = prod
+                else:
+                    prod = cur + prod
+                    if prod:
+                        out[expo] = prod
+                    else:
+                        del out[expo]
         return RingElement._of_valid(self.chart, out)
 
     def scale(self, s: Scalar) -> "RingElement":
-        scaled = {e: c * s for e, c in self.terms.items()}
-        return RingElement._of_valid(self.chart, scaled)
+        if not s:
+            return RingElement._of_valid(self.chart, {})
+        return RingElement._of_valid(self.chart, {e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, power: int) -> "RingElement":
         if power < 0:
@@ -418,53 +469,49 @@ class RingElement:
         return out
 
     def conj(self) -> "RingElement":
-        out: dict[Exponent, Scalar] = {}
-        for expo, coeff in self.terms.items():
-            flipped = tuple(
-                -e if not self.chart.is_affine(i) else e for i, e in enumerate(expo)
-            )
-            out[flipped] = coeff.conj()
-        return RingElement._of_valid(self.chart, out)
+        affine = self.chart.affine
+        return RingElement._of_valid(
+            self.chart,
+            {
+                tuple(e if a else -e for e, a in zip(expo, affine)): coeff.conj()
+                for expo, coeff in self.terms.items()
+            },
+        )
 
     def partial(self, name: str) -> "RingElement":
-        """Exact partial derivative in the named coordinate."""
+        """Exact partial derivative in the named coordinate.  Terms
+        constant in the coordinate drop out; each other term keeps its
+        own exponent (periodic) or lowers it by one (affine), so no two
+        terms meet."""
         i = self.chart.index(name)
         out: dict[Exponent, Scalar] = {}
-        affine = self.chart.is_affine(i)
-        for expo, coeff in self.terms.items():
-            e = expo[i]
-            if affine:
-                if e == 0:
-                    continue
-                dropped = tuple(v - 1 if j == i else v for j, v in enumerate(expo))
-                add = coeff * Scalar.of(e)
-            else:
-                if e == 0:
-                    continue
-                dropped = expo
-                add = coeff * Scalar.of(0, e)  # d/dy e^{iky} = i k e^{iky}
-            if dropped in out:
-                out[dropped] = out[dropped] + add
-            else:
-                out[dropped] = add
+        if self.chart.affine[i]:
+            for expo, coeff in self.terms.items():
+                e = expo[i]
+                if e:
+                    out[expo[:i] + (e - 1,) + expo[i + 1 :]] = coeff * Scalar.of(e)
+        else:
+            for expo, coeff in self.terms.items():
+                e = expo[i]
+                if e:
+                    out[expo] = coeff * Scalar.of(0, e)  # d/dy e^{iky} = i k e^{iky}
         return RingElement._of_valid(self.chart, out)
 
     def evaluate(self, point: EvalPoint) -> Scalar:
-        if point.chart != self.chart:
+        if point.chart is not self.chart and point.chart != self.chart:
             raise ChartMismatchError("point lives on a different chart")
         total = ZERO
+        slots = tuple(zip(self.chart.affine, point.values))
         for expo, coeff in self.terms.items():
             value = coeff
-            for i, e in enumerate(expo):
+            for e, (affine, base) in zip(expo, slots):
                 if e == 0:
                     continue
-                if self.chart.is_affine(i):
-                    base = point.values[i]  # in lowest terms, so is its power
-                    power = _triple(base.numerator**e, 0, base.denominator**e)
-                    value = value * power
+                if affine:
+                    # base is in lowest terms, so is its power
+                    value = value * _triple(base.numerator**e, 0, base.denominator**e)
                 else:
-                    q = point.values[i]
-                    value = value * _I_POWERS[(e * q) % 4]
+                    value = value * _I_POWERS[(e * base) % 4]
             total = total + value
         return total
 
@@ -479,7 +526,7 @@ class RingElement:
         return self == self.conj()
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in expo) for expo in self.terms)
+        return not any(any(expo) for expo in self.terms)
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
@@ -500,8 +547,8 @@ class RingElement:
         for i, e in enumerate(expo):
             if e == 0:
                 continue
-            name = self.chart.coords[i][0]
-            if self.chart.is_affine(i):
+            name = self.chart.names[i]
+            if self.chart.affine[i]:
                 factors.append(name if e == 1 else f"{name}^{e}")
             else:
                 factors.append(f"E({name};{e})")

@@ -251,3 +251,51 @@ def test_pullback_commutes_with_d(w):
 @given(one_forms(), one_forms())
 def test_pullback_respects_wedge(a, b):
     assert PHI.pull_form(a.wedge(b)) == PHI.pull_form(a).wedge(PHI.pull_form(b))
+
+
+def assert_canonical_function(c):
+    """No zero coefficient is stored, and the validating constructor
+    rebuilds an equal element from the stored terms."""
+    assert all(not x.is_zero for x in c.terms.values())
+    assert RingElement(c.chart, dict(c.terms)) == c
+
+
+def assert_canonical_form(w):
+    """The same for a form, at both levels: no zero coefficient function,
+    and the validating constructors rebuild an equal form."""
+    for c in w.terms.values():
+        assert not c.is_zero
+        assert_canonical_function(c)
+    assert DiffForm(w.chart, w.degree, dict(w.terms)) == w
+
+
+def assert_canonical_field(v):
+    for c in v.components:
+        assert_canonical_function(c)
+    assert VectorField(v.chart, v.components) == v
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(one_forms(), one_forms(), two_forms(), vector_fields(), vector_fields(), functions())
+def test_operation_results_are_canonical(a, b, w, x, y, f):
+    """Results of the form and field operations are built without the
+    constructors' checks; the cases include sums and wedges that cancel
+    (a - a, a ^ a) and scaling by zero."""
+    zero = RingElement.zero(CHART)
+    forms = [
+        a + b, a - b, a - a, (a + b) - b, -a, a.conj(), a - a.conj(),
+        a.scale(f), a.scale(zero), a.scale(Scalar.of(3, -1)), a.scale(Scalar()),
+        a.wedge(b), a.wedge(a), a.wedge(b) + b.wedge(a), a.wedge(w),
+        a.d(), w.d(), DiffForm.function(f).d(),
+        a.interior(x), w.interior(x), w.interior(x).interior(x),
+        a.lie(x), w.lie(x), w.lie(x) - w.d().interior(x) - w.interior(x).d(),
+    ]
+    for form in forms:
+        assert_canonical_form(form)
+    fields = [
+        x + y, x - y, x - x, -x, x.conj(), x.scale(f), x.scale(zero),
+        x.scale(Scalar.of(0, 2)), lie_bracket(x, y), lie_bracket(x, x),
+    ]
+    for field in fields:
+        assert_canonical_field(field)
+    assert_canonical_function(x.apply(f))

@@ -14,9 +14,9 @@ from gkbench.linalg import (
     det,
     extend_basis,
     identity,
-    intersect_spans,
     inverse,
     is_positive_definite,
+    leading_principal_minors,
     mat,
     mat_mul,
     mat_neg,
@@ -82,12 +82,6 @@ class TestSubspaces:
         b = [tuple(r) for r in m([[1, 0, -1], [1, 2, 1]])]
         assert span_eq(a, b)
         assert row_space_basis(a) == row_space_basis(b)
-
-    def test_intersection(self):
-        a = [tuple(r) for r in m([[1, 0, 0], [0, 1, 0]])]
-        b = [tuple(r) for r in m([[0, 1, 0], [0, 0, 1]])]
-        inter = intersect_spans(a, b)
-        assert inter == row_space_basis([tuple(m([[0, 1, 0]])[0])])
 
     def test_extend_basis(self):
         start = [tuple(m([[1, 0, 0]])[0])]
@@ -299,3 +293,13 @@ def test_extend_basis_is_the_greedy_rank_rule(rows, candidates, repeat):
     if repeat and rows:
         rows = rows + [rows[0]]  # dependent rows
     assert extend_basis(rows, candidates) == _greedy_extension(rows, candidates)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.one_of(st.lists(sparse_vectors, min_size=4, max_size=4).map(mat), square(4)))
+def test_leading_minors_are_the_leading_determinants(a):
+    """One elimination without row swaps gives every leading minor, and
+    past a zero pivot the rest still equal det of the leading blocks."""
+    assert leading_principal_minors(a) == tuple(
+        det(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))
+    )

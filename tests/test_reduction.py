@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkbench.calculus import DiffForm, VectorField
 from gkbench.catalog import catalog_names, load_builtin
@@ -24,13 +24,16 @@ from gkbench.linalg import (
     mat,
     mat_mul,
     mat_vec,
+    nullspace,
     rank,
     rmat_eval,
+    row_space_basis,
     span_eq,
     transpose,
 )
 from gkbench.reduction import (
     FiberData,
+    _push_down,
     level_substitution,
     check_adapted_closure,
     check_level_closure,
@@ -486,3 +489,34 @@ def test_coords_refuses_a_dependent_basis():
     )
     with pytest.raises(ValidationError, match="dependent"):
         bad.coords(fiber.lifts[0])
+
+
+def _meet(rows, w_rows):
+    """span(rows) and span(w_rows) meet in the combinations sum s_i rows_i
+    with (s, t) in the nullspace of [rows^T | -w_rows^T]."""
+    rows_t = transpose(mat(rows))
+    system = tuple(
+        r + tuple(-x for x in w) for r, w in zip(rows_t, transpose(mat(w_rows)))
+    )
+    return [mat_vec(rows_t, sol[: len(rows)]) for sol in nullspace(system)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_push_down_matches_the_meet_with_w(data):
+    """_push_down reads the meet with W from the change of basis; an
+    explicit meet of the spans, pushed through coords, gives the same
+    dimension and the same canonical quotient basis."""
+    label, fiber = data.draw(st.sampled_from(catalog_fibers()))
+    dim = 2 * fiber.n
+    rows = []
+    for _ in range(data.draw(st.integers(1, min(4, dim)))):
+        if data.draw(st.booleans()):  # a vector of W
+            coeffs = [data.draw(_SCALARS) for _ in fiber.w_rows]
+            rows.append(mat_vec(transpose(mat(fiber.w_rows)), coeffs))
+        else:
+            rows.append(tuple(data.draw(_SCALARS) for _ in range(dim)))
+    assume(rank(mat(rows)) == len(rows))
+    meet = _meet(rows, fiber.w_rows)
+    want = (len(meet), row_space_basis([fiber.coords(v) for v in meet]))
+    assert _push_down(rows, fiber) == want, label

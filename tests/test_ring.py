@@ -168,6 +168,17 @@ class TestChart:
         with pytest.raises(ValidationError):
             make_chart(("x", "affine"), ("x", "periodic"))
 
+    def test_built_once_and_compared_by_coordinates(self):
+        again = make_chart(("x", "affine"), ("y", "periodic"), ("t", "affine"))
+        assert again is not MIXED and again == MIXED and hash(again) == hash(MIXED)
+        assert MIXED.names == ("x", "y", "t")
+        assert MIXED.affine == (True, False, True)
+        assert [MIXED.index(n) for n in MIXED.names] == [0, 1, 2]
+        assert make_chart(("x", "affine")) != make_chart(("x", "periodic"))
+        for bad in ("z", ["x"], None):
+            with pytest.raises(ValidationError, match="unknown coordinate"):
+                MIXED.index(bad)
+
     def test_chart_mismatch(self):
         other = make_chart(("x", "affine"))
         with pytest.raises(ChartMismatchError):
@@ -282,6 +293,30 @@ def test_print_parse_round_trip(a):
 def test_torus_multiplication_commutes(a, b):
     assert a * b == b * a
 
+
+
+def assert_canonical(r):
+    """No zero coefficient is stored, and the validating constructor
+    rebuilds an equal element from the stored terms."""
+    assert all(not c.is_zero for c in r.terms.values())
+    assert RingElement(r.chart, dict(r.terms)) == r
+
+
+@settings(max_examples=60, derandomize=True)
+@given(ring_elements(), ring_elements(), coeffs, coeffs)
+def test_operation_results_are_canonical(a, b, re, im):
+    """Results of the ring operations are built without a final filter;
+    the cases include sums and products whose terms cancel (a - a, and
+    the cross terms of (a + b) * (a - b)) and scaling by zero."""
+    s = Scalar(re, im)
+    results = [
+        a + b, a - b, a - a, (a + b) - b, a * b, (a + b) * (a - b), a * b - b * a,
+        -a, a.scale(s), a.scale(Scalar()), a.conj(), a - a.conj(),
+    ]
+    results += [a.partial(name) for name in MIXED.names]
+    results += [(a * b).partial(name) - a.partial(name) * b for name in MIXED.names]
+    for r in results:
+        assert_canonical(r)
 
 def test_printing_examples():
     assert str(elem("0")) == "0"
