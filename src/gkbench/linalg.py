@@ -16,10 +16,13 @@ extension) sit on those.  The Sylvester test on real symmetric
 matrices reads its leading minors from one elimination without row
 swaps.  Everything is exact; no pivot thresholds exist.
 
-Ring matrices add what needs a chart or a cofactor expansion: the
-chart-bound constructors, scaling, evaluation at a point, and an inverse
-that exists only when the determinant is an invertible constant, which
-is what chart-wide inversion of a symplectic form requires.
+Ring matrices add what needs a chart or has no pivots: the chart-bound
+constructors, scaling, evaluation at a point, and the determinant and
+adjugate from one Faddeev-LeVerrier loop -- n - 1 matrix products and
+division by integers, so a dense n x n form costs O(n^4) ring products
+where cofactor expansion would cost n! -- with an inverse that exists only
+when the determinant is an invertible constant, which is what
+chart-wide inversion of a symplectic form requires.
 """
 
 from __future__ import annotations
@@ -292,21 +295,39 @@ def rmat_eval(m: RMat, point: EvalPoint) -> Mat:
     return tuple(tuple(x.evaluate(point) for x in row) for row in m)
 
 
-def ring_det(m: RMat) -> RingElement:
+def _det_and_adjugate(m: RMat) -> tuple[RingElement, RMat]:
+    """The determinant and the adjugate of a square ring matrix A, by the
+    Faddeev-LeVerrier loop: M_1 = Id, c_k = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_k Id; after n steps det A = (-1)^n c_n and
+    adj A = (-1)^(n+1) M_n.  It takes n - 1 matrix products and divides
+    only by integers, which the coefficient field allows."""
     n = len(m)
     if n == 0:
         raise ValidationError("determinant of an empty matrix")
     chart = m[0][0].chart
-    if n == 1:
+    one, zero = RingElement.one(chart), RingElement.zero(chart)
+    step = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    product = m  # A M_1
+    for k in range(1, n + 1):
+        trace = sum((product[i][i] for i in range(1, n)), product[0][0])
+        c = trace.scale(Scalar.of(-k).inverse())
+        if k < n:
+            step = tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(product)
+            )
+            product = mat_mul(m, step)
+    if n % 2:
+        return -c, step
+    return c, mat_neg(step)
+
+
+def ring_det(m: RMat) -> RingElement:
+    """The determinant; a 1 x 1 matrix, which every 1-form evaluation
+    on a vector field builds, is its entry without the loop."""
+    if len(m) == 1:
         return m[0][0]
-    total = RingElement.zero(chart)
-    for j in range(n):
-        if m[0][j].is_zero:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        piece = m[0][j] * ring_det(minor)
-        total = total + piece if j % 2 == 0 else total - piece
-    return total
+    return _det_and_adjugate(m)[0]
 
 
 def ring_inverse(m: RMat) -> RMat:
@@ -316,28 +337,10 @@ def ring_inverse(m: RMat) -> RMat:
     workbench needs the constant-determinant case (symplectic forms given
     by constant-coefficient matrices) and refuses anything else.
     """
-    n = len(m)
-    d = ring_det(m)
+    d, adjugate = _det_and_adjugate(m)
     if not d.is_constant() or d.is_zero:
         raise ValidationError(
             "matrix determinant is not an invertible constant; "
             "no chart-wide inverse"
         )
-    dinv = d.constant_value().inverse()
-    chart = m[0][0].chart
-    cof = []
-    for i in range(n):
-        line = []
-        for j in range(n):
-            minor = tuple(
-                row[:j] + row[j + 1 :]
-                for r, row in enumerate(m)
-                if r != i
-            )
-            entry = ring_det(minor) if n > 1 else RingElement.one(chart)
-            if (i + j) % 2 == 1:
-                entry = -entry
-            line.append(entry)
-        cof.append(tuple(line))
-    adjugate = transpose(tuple(cof))
-    return rmat_scale(adjugate, dinv)
+    return rmat_scale(adjugate, d.constant_value().inverse())

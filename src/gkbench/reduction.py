@@ -14,11 +14,12 @@ D inside ann(A).  With that ordering the upper-right block of a reduced
 structure matrix plays the same role as on the chart, so reduced types
 read off the same way.
 
-FiberData is the one quotient type: a subspace W, the subspace W-perp
-it is divided by, lifts of a quotient basis and the induced pairing,
-with one change of basis per quotient: a single elimination gives the
-inverse of the lifts and W-perp completed to a basis of the fiber, and
-every quotient coordinate is then one product with it.  The one-step
+FiberData is the one quotient type: lifts of a quotient basis, the
+subspace W-perp it is divided by and the induced pairing.  W is never
+built: it is the span of the lifts and W-perp, and one change of basis
+per quotient -- a single elimination giving the inverse of the lifts
+and W-perp completed to a basis of the fiber -- decides membership in W
+and gives every quotient coordinate as one product.  The one-step
 quotient at a point and both stages of the two-step factorization are
 FiberData values.
 
@@ -106,20 +107,20 @@ def _gram(rows: Sequence[Vec], g: Mat) -> Mat:
 class FiberData:
     """A quotient W / W-perp of a 2n-dimensional fiber at a point.
 
-    W is the span of w_rows and W-perp the span of the k orbit directions
-    a_rows and the moment covectors d_rows; the quotient basis is the
-    classes of lifts, with gram_q the pairing induced on them, and 2m is
-    the quotient dimension.  fiber_data builds the one-step quotient of a
-    rank-k action; the two stages of the two-step factorization are
+    The quotient is its lifts and W-perp: W-perp is the span of the k
+    orbit directions a_rows and the moment covectors d_rows, the
+    quotient basis is the classes of the lifts, with gram_q the pairing
+    induced on them, and 2m is the quotient dimension.  W itself is the
+    span of the lifts and W-perp, which are independent, so one change
+    of basis per quotient, made on first use, decides membership in W
+    and gives every coordinate.  fiber_data builds the one-step quotient
+    of a rank-k action; the two stages of the two-step factorization are
     quotients of the same type, by d_rows alone and then by a_rows alone.
-    The lifts and W-perp are independent and span W, so one change of
-    basis per quotient, made on first use, gives every coordinate.
     """
 
     point: EvalPoint
     n: int
     lifts: tuple[Vec, ...]
-    w_rows: tuple[Vec, ...]
     a_rows: tuple[Vec, ...]
     d_rows: tuple[Vec, ...]
     gram_q: Mat
@@ -186,7 +187,14 @@ def _push_down(rows: Sequence[Vec], quot: FiberData) -> tuple[int, tuple[Vec, ..
 def fiber_data(
     moment: MomentData, point: EvalPoint, level: Sequence[Fraction]
 ) -> FiberData:
-    """Extract and validate the reduction data at one point."""
+    """Extract and validate the reduction data at one point.
+
+    The nullspaces ann(A) and ker(df) come first, and their dimensions
+    say whether the generators and the moment differentials are
+    independent; the lifts then extend A inside ker(df) and D inside
+    ann(A).  Tangency, df_i(xi_j) = 0, is what puts A in ker(df) and D
+    in ann(A), so W-perp sits inside W once it holds.
+    """
     action = moment.action
     chart = action.chart
     n = chart.dim
@@ -205,9 +213,14 @@ def fiber_data(
     df_rows = tuple(
         DiffForm.function(f).d().covector_at(point) for f in moment.functions
     )
-    if rank(mat(xi_rows)) != k:
+    if k == 0:
+        ann_a = ker_df = tuple(identity(n))
+    else:
+        ann_a = nullspace(mat(xi_rows))
+        ker_df = nullspace(mat(df_rows))
+    if n - len(ann_a) != k:
         raise ValidationError("action generators are dependent at the point")
-    if rank(mat(df_rows)) != k:
+    if n - len(ker_df) != k:
         raise ValidationError("moment map is rank-deficient at the point")
     tangency = mat_mul(mat(df_rows), transpose(mat(xi_rows)))
     for i, row in enumerate(tangency):
@@ -218,12 +231,6 @@ def fiber_data(
                     f"(df_{i + 1} does not vanish on it)"
                 )
 
-    if k == 0:
-        ker_df = tuple(identity(n))
-        ann_a = tuple(identity(n))
-    else:
-        ker_df = nullspace(mat(df_rows))
-        ann_a = nullspace(mat(xi_rows))
     t_idx = extend_basis(xi_rows, ker_df)
     tstar_idx = extend_basis(df_rows, ann_a)
     if len(t_idx) != n - 2 * k or len(tstar_idx) != n - 2 * k:
@@ -235,13 +242,6 @@ def fiber_data(
     )
     a_rows = tuple(_embed_vector(n, row) for row in xi_rows)
     d_rows = tuple(_embed_covector(n, row) for row in df_rows)
-    w_span = (
-        tuple(_embed_vector(n, row) for row in ker_df)
-        + tuple(_embed_covector(n, row) for row in ann_a)
-    )
-    w_rows = row_space_basis(w_span)
-    if rank(mat(w_rows + a_rows + d_rows)) != len(w_rows):
-        raise ValidationError("W-perp does not sit inside W at the point")
 
     # The lifts are real tangent vectors, then real covectors, and each
     # kind is isotropic, so gram_q = [[0, X], [X^T, 0]]: its inertia is
@@ -254,7 +254,7 @@ def fiber_data(
             f"induced pairing on the quotient has signature "
             f"{(r // 2, r // 2, 2 * m - r)}, expected ({m}, {m}, 0)"
         )
-    return FiberData(point, n, lifts, w_rows, a_rows, d_rows, gram_q)
+    return FiberData(point, n, lifts, a_rows, d_rows, gram_q)
 
 
 def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:
@@ -365,13 +365,7 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
     lifts1 = tuple(_embed_vector(n, v) for v in ker_df) + tuple(
         _embed_covector(n, identity(n)[i]) for i in covector_ext
     )
-    w1_span = tuple(_embed_vector(n, v) for v in ker_df) + tuple(
-        _embed_covector(n, identity(n)[i]) for i in range(n)
-    )
-    w1_rows = row_space_basis(w1_span)
-    quot1 = FiberData(
-        point, n, lifts1, w1_rows, (), fiber.d_rows, _gram(lifts1, gram)
-    )
+    quot1 = FiberData(point, n, lifts1, (), fiber.d_rows, _gram(lifts1, gram))
 
     _, l1_rows = _push_down(eigenbundle_rows(struct, point), quot1)
     if len(l1_rows) != n - k:
@@ -384,20 +378,18 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
     a1_rows = tuple(quot1.coords(row) for row in fiber.a_rows)
     dim1 = len(lifts1)
     if k == 0:
-        w2_rows = tuple(identity(dim1))
-        lifts2 = w2_rows
+        lifts2 = tuple(identity(dim1))
     else:
         constraint = mat(
             tuple(mat_vec(quot1.gram_q, a) for a in a1_rows)
         )
-        w2_rows = nullspace(constraint)
-        chosen = extend_basis(a1_rows, w2_rows)
-        lifts2 = tuple(w2_rows[i] for i in chosen)
+        a1_perp = nullspace(constraint)
+        chosen = extend_basis(a1_rows, a1_perp)
+        lifts2 = tuple(a1_perp[i] for i in chosen)
     if len(lifts2) != 2 * m:
         raise ValidationError("stage-two quotient has the wrong dimension")
-    w2_full = row_space_basis(tuple(w2_rows) + tuple(a1_rows))
     gram2 = _gram(lifts2, quot1.gram_q)
-    quot2 = FiberData(point, n - k, lifts2, w2_full, a1_rows, (), gram2)
+    quot2 = FiberData(point, n - k, lifts2, a1_rows, (), gram2)
     _, l2_rows = _push_down(l1_rows, quot2)
     if len(l2_rows) != m:
         raise ValidationError(

@@ -119,26 +119,20 @@ def _field(data: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
 
 
 def _point(chart: Chart, values: Any, where: str) -> EvalPoint:
+    """Parse the affine values as rationals; EvalPoint judges the rest
+    (unknown, missing and periodic values), its message prefixed by
+    where."""
     if not isinstance(values, dict):
         raise ValidationError(f"{where}: values must be an object")
-    converted: dict[str, Any] = {}
-    for i, name in enumerate(chart.names):
-        if name not in values:
-            raise ValidationError(f"{where}: missing coordinate {name}")
-        raw = values[name]
-        if chart.is_affine(i):
-            converted[name] = _rational(raw, f"{where}: bad value for {name}")
-        else:
-            if not isinstance(raw, int):
-                raise ValidationError(
-                    f"{where}: periodic coordinate {name} takes integer "
-                    f"quarter turns, got {raw!r}"
-                )
-            converted[name] = raw
-    extra = set(values) - set(chart.names)
-    if extra:
-        raise ValidationError(f"{where}: unknown coordinates {sorted(extra)}")
-    return EvalPoint.at(chart, **converted)
+    affine = {name for name, flag in zip(chart.names, chart.affine) if flag}
+    converted = {
+        name: _rational(raw, f"{where}: bad value for {name}") if name in affine else raw
+        for name, raw in values.items()
+    }
+    try:
+        return EvalPoint.from_mapping(chart, converted)
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from e
 
 
 def _structure(

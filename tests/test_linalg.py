@@ -264,6 +264,22 @@ def test_evaluation_commutes_with_products(a, b, p):
     )
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: ring_matrices(n, n)))
+def test_adjugate_times_matrix_is_det_times_identity(a):
+    """The Faddeev-LeVerrier loop's adjugate and determinant satisfy
+    adj A . A = A . adj A = det A . Id, and ring_det's 1 x 1 shortcut
+    agrees with the loop."""
+    d, adj = linalg._det_and_adjugate(a)
+    assert ring_det(a) == d
+    zero = RingElement.zero(_RING_CHART)
+    scaled = tuple(
+        tuple(d if i == j else zero for j in range(len(a))) for i in range(len(a))
+    )
+    assert mat_mul(adj, a) == scaled
+    assert mat_mul(a, adj) == scaled
+
+
 def _greedy_extension(rows, candidates):
     """extend_basis by its definition: a candidate is chosen when it raises
     the rank of everything chosen so far."""

@@ -47,7 +47,7 @@ from gkbench.reduction import (
     reduced_type_of_matrix,
     two_step_reduce,
 )
-from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
+from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.runner import Workspace
 from gkbench.structures import (
     b_exponential,
@@ -183,6 +183,59 @@ class TestFiberData:
         origin = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
         with pytest.raises(ValidationError, match="dependent"):
             fiber_data(sphere_moment(), origin, (Fraction(0),))
+
+    @pytest.mark.parametrize(
+        "generators, functions, level, values, message",
+        [
+            # a level of the wrong length, at a point off the level set
+            (
+                [["-y1", "x1", "-y2", "x2"]], ["1/2*x1^2 + 1/2*y1^2"],
+                ["1/2", "1/2"], (2, 0, 0, 0),
+                "level length does not match the number of generators",
+            ),
+            # off the level set, at a fixed point of the action
+            (
+                [["-y1", "x1", "-y2", "x2"]], ["1/2*x1^2 + 1/2*y1^2"],
+                ["1/2"], (0, 0, 0, 0),
+                "point is not on the level set: f_1 = 0, expected 1/2",
+            ),
+            # a fixed point, where df vanishes too
+            (
+                [["-y1", "x1", "-y2", "x2"]], ["1/2*x1^2 + 1/2*y1^2"],
+                ["0"], (0, 0, 0, 0),
+                "action generators are dependent at the point",
+            ),
+            # df_1 = df_2 = dx1, which is also not zero on the first generator
+            (
+                [["1", "0", "0", "0"], ["0", "1", "0", "0"]], ["x1", "x1"],
+                ["0", "0"], (0, 0, 0, 0),
+                "moment map is rank-deficient at the point",
+            ),
+            # df_1 = dx1 vanishes on the first generator, not the second
+            (
+                [["0", "1", "0", "0"], ["1", "0", "0", "0"]], ["x1", "y1"],
+                ["0", "0"], (0, 0, 0, 0),
+                "generator 2 is not tangent to the level set "
+                "(df_1 does not vanish on it)",
+            ),
+        ],
+        ids=["level-length", "off-level", "dependent", "rank-deficient", "not-tangent"],
+    )
+    def test_preconditions_in_order(
+        self, generators, functions, level, values, message
+    ):
+        """Each precondition has its message, and an input breaking two
+        of them gets the earlier one's."""
+        action = TorusAction(R4, tuple(vf(R4, g) for g in generators))
+        moment = MomentData(
+            action,
+            tuple(DiffForm.zero(R4, 1) for _ in functions),
+            tuple(fn(f, R4) for f in functions),
+        )
+        point = EvalPoint.at(R4, **dict(zip(R4.names, values)))
+        with pytest.raises(ValidationError) as err:
+            fiber_data(moment, point, tuple(Fraction(x) for x in level))
+        assert str(err.value) == message
 
 
 class TestDiracReduce:
@@ -450,6 +503,28 @@ def test_quotient_pairing_has_zero_diagonal_blocks():
         assert rank(g) == 2 * m, label
 
 
+def _w_rows(fiber):
+    """W = ker(df) (+) ann(A), built from the moment covectors and the
+    orbit directions alone, so that it does not depend on the lifts."""
+    n = fiber.n
+    if not fiber.k:
+        return identity(2 * n)
+    ker_df = nullspace(mat([row[n:] for row in fiber.d_rows]))
+    ann_a = nullspace(mat([row[:n] for row in fiber.a_rows]))
+    zero = (ZERO,) * n
+    return tuple(v + zero for v in ker_df) + tuple(zero + c for c in ann_a)
+
+
+def test_lifts_and_wperp_span_w():
+    """W-perp sits inside W, and the lifts and W-perp are a basis of it:
+    what the change of basis of every quotient assumes."""
+    for label, fiber in catalog_fibers():
+        w = _w_rows(fiber)
+        assert rank(mat(w + fiber.wperp)) == len(w), label
+        basis = fiber.lifts + fiber.wperp
+        assert len(basis) == len(w) and span_eq(basis, w), label
+
+
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _SCALARS = st.builds(Scalar, _SMALL, _SMALL)
 
@@ -465,9 +540,9 @@ def test_coords_round_trip(data):
     y = tuple(data.draw(_SCALARS) for _ in fiber.wperp)
     v = mat_vec(transpose(mat(basis)), x + y)
     assert fiber.coords(v) == x, label
+    w = _w_rows(fiber)
     outside = next(
-        (e for e in identity(2 * fiber.n)
-         if rank(mat(fiber.w_rows + (e,))) > len(fiber.w_rows)),
+        (e for e in identity(2 * fiber.n) if rank(mat(w + (e,))) > len(w)),
         None,
     )
     if outside is None:  # W is the whole fiber: the action is trivial
@@ -484,7 +559,7 @@ def test_coords_refuses_a_dependent_basis():
     repeated in W-perp is refused, not read as coordinates."""
     fiber = next(f for _, f in catalog_fibers() if f.k and f.m)
     bad = FiberData(
-        fiber.point, fiber.n, fiber.lifts, fiber.w_rows,
+        fiber.point, fiber.n, fiber.lifts,
         fiber.a_rows + fiber.lifts[:1], fiber.d_rows, fiber.gram_q,
     )
     with pytest.raises(ValidationError, match="dependent"):
@@ -509,14 +584,15 @@ def test_push_down_matches_the_meet_with_w(data):
     dimension and the same canonical quotient basis."""
     label, fiber = data.draw(st.sampled_from(catalog_fibers()))
     dim = 2 * fiber.n
+    w = _w_rows(fiber)
     rows = []
     for _ in range(data.draw(st.integers(1, min(4, dim)))):
         if data.draw(st.booleans()):  # a vector of W
-            coeffs = [data.draw(_SCALARS) for _ in fiber.w_rows]
-            rows.append(mat_vec(transpose(mat(fiber.w_rows)), coeffs))
+            coeffs = [data.draw(_SCALARS) for _ in w]
+            rows.append(mat_vec(transpose(mat(w)), coeffs))
         else:
             rows.append(tuple(data.draw(_SCALARS) for _ in range(dim)))
     assume(rank(mat(rows)) == len(rows))
-    meet = _meet(rows, fiber.w_rows)
+    meet = _meet(rows, w)
     want = (len(meet), row_space_basis([fiber.coords(v) for v in meet]))
     assert _push_down(rows, fiber) == want, label

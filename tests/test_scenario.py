@@ -2,6 +2,8 @@
 
 import copy
 import json
+import time
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +15,12 @@ from gkbench.report import build_report, render_json, render_text, report_passed
 from gkbench.runner import run_scenario
 from gkbench.scenario import load_scenario, scenario_digest, scenario_from_path
 from gkbench.selftest import invariant_results
+
+
+# gamma_torus_cylinder's base point with JSON true for a periodic value.
+_TRUE_QUARTER_TURN = [
+    {"name": "base", "values": {"x1": True, "t1": "1", "x2": 0, "t2": "1"}}
+]
 
 
 def run_builtin(name):
@@ -58,6 +66,30 @@ class TestLoader:
         del raw["points"][0]["values"]["y"]
         with pytest.raises(ValidationError, match="missing"):
             load_scenario(raw)
+
+    def test_dense_symplectic_form_loads(self):
+        """A constant two-form with every dx_i ^ dx_j term on ten
+        coordinates: inverting its 10 x 10 matrix takes nine matrix
+        products, not a factorial cofactor expansion."""
+        names = [f"x{i}" for i in range(1, 11)]
+        raw = {
+            "name": "dense",
+            "chart": [[name, "affine"] for name in names],
+            "structures": {
+                "j": {
+                    "kind": "symplectic",
+                    "two_form": [
+                        {"coeff": "1", "frame": [a, b]}
+                        for a, b in combinations(names, 2)
+                    ],
+                }
+            },
+            "checks": ["algebraic"],
+        }
+        start = time.perf_counter()
+        scen = load_scenario(raw)
+        assert time.perf_counter() - start < 10
+        assert scen.structures["j"].chart.dim == 10
 
     def test_periodic_point_needs_integer(self):
         raw = copy.deepcopy(builtin_raw("symplectic_t4"))
@@ -339,6 +371,7 @@ class TestCli:
             ("moment", {"structure": "j", "functions": ["(((t1^16)^16)^16)^2", "-t2"]}),
             ("moment", {"structure": "j", "functions": ["*".join(["t1"] * 3000), "-t2"]}),
             ("moment", {"structure": "j", "functions": ["(t1+t2+t1*t2+E(x1;1)+1)^16", "-t2"]}),
+            ("points", _TRUE_QUARTER_TURN),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):
@@ -347,7 +380,15 @@ class TestCli:
         target = tmp_path / "hostile.json"
         target.write_text(json.dumps(raw))
         assert main(["check", "--scenario", str(target)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if value is _TRUE_QUARTER_TURN:
+            # JSON true is a Python bool, which is an int: refused once,
+            # by EvalPoint, with the point's name in front.
+            assert err == (
+                "error: point base: periodic coordinate 'x1' takes integer "
+                "quarter turns\n"
+            )
 
 
     def test_overlong_integer_literal_exits_2(self, tmp_path, capsys):

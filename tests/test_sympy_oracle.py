@@ -23,6 +23,7 @@ from gkbench.linalg import (  # noqa: E402
     mat_mul,
     nullspace,
     rank,
+    ring_det,
     transpose,
 )
 from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart  # noqa: E402
@@ -150,9 +151,9 @@ SYMBOLS = sympy.symbols("x y t", real=True)
 
 
 @st.composite
-def ring_elements(draw):
+def ring_elements(draw, max_terms=5):
     exponents = st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3))
-    terms = draw(st.dictionaries(exponents, gaussians, max_size=5))
+    terms = draw(st.dictionaries(exponents, gaussians, max_size=max_terms))
     return RingElement(CHART, terms)
 
 
@@ -210,3 +211,33 @@ def test_evaluate_matches_sympy_at_quarter_turns(f, xv, turns, tv):
           y: turns * sympy.pi / 2,
           t: sympy.Rational(tv.numerator, tv.denominator)}
     assert same(to_sympy(f.evaluate(point)), sym_function(f).subs(at))
+
+
+def sym_laurent(f):
+    """The element as a sympy Laurent polynomial, with z standing for
+    E(y; 1): products of E terms multiply as powers of z, which sympy
+    expands without rewriting exponentials."""
+    x, _, t = SYMBOLS
+    z = sympy.Symbol("z")
+    return sum(
+        (to_sympy(c) * x**a * z**k * t**b for (a, k, b), c in f.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(ring_elements(max_terms=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_ring_det_matches_sympy(rows):
+    m = mat(rows)
+    want = sympy.Matrix([[sym_laurent(x) for x in row] for row in m]).det(
+        method="berkowitz"
+    )
+    assert same(sym_laurent(ring_det(m)), want)
