@@ -268,12 +268,6 @@ def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:
 # --- matrices over the function ring -------------------------------------
 
 
-def rmat_from_scalars(chart: Chart, m: Mat) -> RMat:
-    return tuple(
-        tuple(RingElement.constant(chart, x) for x in row) for row in m
-    )
-
-
 def rmat_identity(chart: Chart, n: int) -> RMat:
     one = RingElement.one(chart)
     zero = RingElement.zero(chart)

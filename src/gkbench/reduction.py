@@ -27,9 +27,21 @@ The one-step Dirac quotient, an independent two-step factorization
 (first the moment directions, then the group directions) with an explicit
 comparison isomorphism, the induced second structure of a generalized
 Kahler pair, the reduced-type arithmetic, level-set bracket closure, and
-descent of basic B-fields all live here.  Functions raise
-ValidationError with a sharp message whenever a precondition fails; the
-scenario runner turns those into failing verdicts.
+descent of basic B-fields all live here.
+
+Each function checks what some input can break and leaves what its own
+construction guarantees to a one-line comment.  fiber_data checks the
+level, the independence of the generators and of the moment
+differentials, and tangency; the quotient then has dimension 2(n - 2k)
+and a nondegenerate pairing.  dirac_reduce checks the dimension and the
+isotropy of the pushed-down eigenbundle and that it misses its
+conjugate; the matrix built from it is then real, squares to -Id and
+preserves the pairing.  gk_reduce checks the +1 eigenspace C+ of -J1 J2
+(its dimension, its meet with W, its image and positivity there),
+J2^2 = -Id and a real C+; that the reduced pair commutes with a positive
+definite product metric follows.  The two-step oracle keeps all its
+checks.  A failed check raises ValidationError with a sharp message,
+which the scenario runner turns into a failing verdict.
 
 Level-set closure is one pass per check through
 structures.closing_brackets: given the scenario's named points, the
@@ -231,29 +243,16 @@ def fiber_data(
                     f"(df_{i + 1} does not vanish on it)"
                 )
 
+    # Tangency puts xi in ker(df) and df in ann(A), so each extension adds n - 2k.
     t_idx = extend_basis(xi_rows, ker_df)
     tstar_idx = extend_basis(df_rows, ann_a)
-    if len(t_idx) != n - 2 * k or len(tstar_idx) != n - 2 * k:
-        raise ValidationError(
-            "reducible subspace has the wrong dimension at the point"
-        )
     lifts = tuple(_embed_vector(n, ker_df[i]) for i in t_idx) + tuple(
         _embed_covector(n, ann_a[i]) for i in tstar_idx
     )
     a_rows = tuple(_embed_vector(n, row) for row in xi_rows)
     d_rows = tuple(_embed_covector(n, row) for row in df_rows)
-
-    # The lifts are real tangent vectors, then real covectors, and each
-    # kind is isotropic, so gram_q = [[0, X], [X^T, 0]]: its inertia is
-    # (r/2, r/2, 2m - r) with r = rank(gram_q) = 2 rank(X).
+    # gram_q is nondegenerate: W-perp is W's orthogonal, and the lifts complement it.
     gram_q = _gram(lifts, pairing_matrix(n))
-    m = len(t_idx)
-    r = rank(gram_q)
-    if r != 2 * m:
-        raise ValidationError(
-            f"induced pairing on the quotient has signature "
-            f"{(r // 2, r // 2, 2 * m - r)}, expected ({m}, {m}, 0)"
-        )
     return FiberData(point, n, lifts, a_rows, d_rows, gram_q)
 
 
@@ -288,14 +287,9 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
         return ReducedFiber(fiber, (), ())
     if not all(x.is_zero for row in _gram(lq_rows, fiber.gram_q) for x in row):
         raise ValidationError("reduced eigenbundle is not isotropic")
+    # U diag(i, -i) U^-1, U = [L | conj L], is real, squares to -Id and, with L
+    # and (gram_q being real) conj L isotropic, preserves gram_q.
     jmat = _structure_from_eigenrows(lq_rows)
-    if any(entry.im != 0 for row in jmat for entry in row):
-        raise ValidationError("reduced structure matrix is not real")
-    if mat_mul(jmat, jmat) != mat_neg(identity(2 * m)):
-        raise ValidationError("reduced structure does not square to minus identity")
-    lhs = mat_mul(transpose(jmat), mat_mul(fiber.gram_q, jmat))
-    if lhs != fiber.gram_q:
-        raise ValidationError("reduced structure does not preserve the pairing")
     return ReducedFiber(fiber, jmat, tuple(lq_rows))
 
 
@@ -449,28 +443,18 @@ def gk_reduce(
             "induced pairing on the reduced +1 eigenspace is not positive "
             f"definite (leading minors {[str(x) for x in minors]})"
         )
-    constraint = mat(tuple(mat_vec(fiber.gram_q, c) for c in c_rows))
-    c_minus = nullspace(constraint)
-    if len(c_minus) != m:
-        raise ValidationError("orthogonal complement has the wrong dimension")
+    # C- has dimension m: the m rows of c_rows are independent, gram_q invertible.
+    c_minus = nullspace(mat(tuple(mat_vec(fiber.gram_q, c) for c in c_rows)))
     g_tilde = _eigen_matrix(c_rows, c_minus, ONE)
     jmat2 = mat_mul(red1.jmat, g_tilde)
-
+    # As J1^2 = -Id and G~^2 = Id, J2^2 = -Id says J1 G~ = G~ J1, which gives
+    # J1 J2 = J2 J1 and -J1 J2 = G~; G~ is gram_q-self-adjoint, C- being C+-perp.
     if mat_mul(jmat2, jmat2) != mat_neg(identity(2 * m)):
         raise ValidationError("reduced second structure does not square to -Id")
-    if mat_mul(red1.jmat, jmat2) != mat_mul(jmat2, red1.jmat):
-        raise ValidationError("reduced structures do not commute")
-    if mat_neg(mat_mul(red1.jmat, jmat2)) != g_tilde:
-        raise ValidationError("reduced product operator mismatch")
-    metric = mat_mul(fiber.gram_q, g_tilde)
-    if metric != transpose(metric):
-        raise ValidationError("reduced product metric is not symmetric")
-    ok, minors = is_positive_definite(metric)
-    if not ok:
-        raise ValidationError(
-            "reduced product metric is not positive definite "
-            f"(leading minors {[str(x) for x in minors]})"
-        )
+    # A real C+ is positive, so C- is negative (gram_q has signature (m, m)) and
+    # the metric gram_q.G~ positive definite; a non-real partner may break it.
+    if not all(x.is_real for row in c_rows for x in row):
+        raise ValidationError("reduced +1 eigenspace is not real")
     return GkReducedFiber(jmat2=jmat2, g_mat=g_tilde, c_plus_rows=tuple(c_rows))
 
 

@@ -51,10 +51,13 @@ _RESERVED_NAMES = {"I", "E", "cos", "sin"}
 # most MAX_DIGITS digits, below the 4300 that int() converts.  A product or
 # power may have at most MAX_TERMS terms by the count of its operands'
 # terms, which keeps (x1+y1+x2+y2+1)^16 (4845 terms) from being built; the
-# catalog's largest element has 4.
+# catalog's largest element has 4.  A chart has at most MAX_COORDS
+# coordinates: checks cost about n^4.5 in the chart size n, the catalog's
+# largest chart has 6 and a Kahler C^6 needs 12.
 MAX_EXPONENT = 16
 MAX_DIGITS = 1000
 MAX_TERMS = 1000
+MAX_COORDS = 16
 
 RationalLike = Union[int, Fraction]
 
@@ -76,11 +79,17 @@ class Chart:
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
             raise ValidationError("chart needs at least one coordinate")
+        if len(self.coords) > MAX_COORDS:
+            raise ValidationError(
+                f"chart has {len(self.coords)} coordinates, at most "
+                f"{MAX_COORDS} are allowed"
+            )
         seen: set[str] = set()
         for name, kind in self.coords:
             if kind not in (AFFINE, PERIODIC):
                 raise ValidationError(f"unknown coordinate kind {kind!r}")
-            if not name.isidentifier() or name in _RESERVED_NAMES:
+            if not (isinstance(name, str) and name.isidentifier()
+                    and name not in _RESERVED_NAMES):
                 raise ValidationError(f"bad coordinate name {name!r}")
             if name in seen:
                 raise ValidationError(f"duplicate coordinate name {name!r}")

@@ -137,8 +137,8 @@ class Workspace:
         key = (structure_name, connection)
         if key in self._reduction:
             return self._reduction[key]
-        struct = self.work(structure_name)
         moment = self.moment_w()
+        struct = self.work(structure_name)
         gamma = None
         if any(not a.is_zero for a in moment.one_forms):
             if connection is None:
@@ -154,11 +154,9 @@ class Workspace:
             b_field = self.scen.b_field
             shift = -gamma if b_field is None else b_field - gamma
             struct = b_transform_structure(shift, self.scen.structures[structure_name])
+            # i_{xi_j} Gamma = alpha_j - alpha_j(xi_j) theta_j = alpha_j, as
+            # gamma_from_connection's antisymmetry check makes alpha_j(xi_j) = 0.
             _, moment = moment_b_transform(moment, -gamma, self.work(structure_name).twist)
-            if any(not a.is_zero for a in moment.one_forms):
-                raise ValidationError(
-                    "potential transform failed to remove the moment one-forms"
-                )
             if not is_basic(struct.twist, moment.action):
                 raise ValidationError(
                     "twist is not basic after the potential transform"
@@ -282,13 +280,15 @@ def _check_gk_pair(ws: Workspace) -> list[Verdict]:
 
 
 def _check_moment(ws: Workspace) -> list[Verdict]:
+    moment = ws.moment_w()
     struct = ws.work(ws.scen.moment_structure)
-    return [_judged("moment", *check_moment_map(struct, ws.moment_w()))]
+    return [_judged("moment", *check_moment_map(struct, moment))]
 
 
 def _check_equivariant(ws: Workspace) -> list[Verdict]:
+    moment = ws.moment_w()
     struct = ws.work(ws.scen.moment_structure)
-    closed = is_equivariantly_closed(struct.twist, ws.moment_w())
+    closed = is_equivariantly_closed(struct.twist, moment)
     return [_judged("equivariant", *closed)]
 
 
@@ -350,8 +350,8 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
 
 
 def _check_level_closure(ws: Workspace) -> list[Verdict]:
-    struct = ws.work(ws.scen.moment_structure)
     moment = ws.moment_w()
+    struct = ws.work(ws.scen.moment_structure)
     sub = level_substitution(moment, ws.scen.level)
     points = ws.scen.points
     frame, frame_slice = check_level_closure(moment, sub, points)
@@ -503,6 +503,8 @@ def _check_b_flip(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if scen.b_field is None:
         return [_bad("b_flip", "scenario lists b_flip but has no b_field")]
+    if not scen.structures:
+        return [_bad("b_flip", "scenario lists b_flip but has no structure")]
     name = scen.moment_structure or sorted(scen.structures)[0]
     base = scen.structures[name]
     b = scen.b_field

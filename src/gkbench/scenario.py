@@ -141,7 +141,7 @@ def _structure(
     if not isinstance(spec, dict):
         raise ValidationError(f"{where}: must be an object")
     kind = spec.get("kind")
-    wanted = {"symplectic": {"kind", "two_form"}}.get(kind, {"kind", "matrix"})
+    wanted = {"kind", "two_form"} if kind == "symplectic" else {"kind", "matrix"}
     extra = set(spec) - wanted
     if extra:
         raise ValidationError(f"{where}: unknown structure keys {sorted(extra)}")

@@ -55,7 +55,6 @@ from .linalg import (
     rank,
     ring_inverse,
     rmat_eval,
-    rmat_from_scalars,
     rmat_identity,
     rmat_scale,
     rmat_zeros,
@@ -296,14 +295,19 @@ class GenStructure:
     @cached_property
     def algebraic(self) -> tuple[bool, str]:
         """Real, squares to -Id, and preserves the pairing: the verdict of
-        check_algebraic, which reads only the matrix."""
-        chart = self.chart
+        check_algebraic, which reads only the matrix.
+
+        The pairing is tested once J^2 = -Id holds, and then J^T G J = G
+        says G J = J^-T G = -J^T G, that is, G J is skew.  With G the
+        pairing matrix, G J is half of J with its two row halves swapped,
+        so no product is formed."""
         if not all(entry.is_real for row in self.matrix for entry in row):
             return False, "matrix has a non-real entry"
         if not self.squares_to_minus_one:
             return False, "matrix does not square to minus the identity"
-        gram = rmat_from_scalars(chart, pairing_matrix(chart.dim))
-        if mat_mul(transpose(self.matrix), mat_mul(gram, self.matrix)) != gram:
+        n = self.dim
+        swapped = self.matrix[n:] + self.matrix[:n]
+        if swapped != mat_neg(transpose(swapped)):
             return False, "matrix does not preserve the pairing"
         return True, "real, squares to -Id, preserves the pairing"
 
@@ -593,8 +597,9 @@ def check_gk_pair(
     g_op = mat_neg(prod)
     if mat_mul(g_op, g_op) != rmat_identity(chart, 2 * chart.dim):
         return False, "product operator does not square to the identity"
-    gram_ring = rmat_from_scalars(chart, pairing_matrix(chart.dim))
-    metric = mat_mul(gram_ring, g_op)
+    # The pairing matrix times G: half of G with its row halves swapped.
+    n = chart.dim
+    metric = rmat_scale(g_op[n:] + g_op[:n], HALF)
     if metric != transpose(metric):
         return False, "product metric is not symmetric"
     if not points:

@@ -1,0 +1,84 @@
+"""No module of the package imports a name it never uses, so a deletion
+that leaves its last import behind is caught here.  A name counts as used
+when it is read anywhere in the module, named in a string annotation, or
+re-exported through __all__."""
+
+import ast
+from pathlib import Path
+
+import gkbench
+
+SOURCES = sorted(Path(gkbench.__file__).parent.rglob("*.py"))
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names read inside string annotations such as -> "GenSection"."""
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs
+            every += [a for a in (args.vararg, args.kwarg) if a is not None]
+            notes += [a.annotation for a in every] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+    names = set()
+    for note in filter(None, notes):
+        for leaf in ast.walk(note):
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                parsed = ast.parse(leaf.value, mode="eval")
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_names(tree) | _exported(tree)
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"ring.py", "linalg.py", "reduction.py"}
+
+
+def test_no_unused_imports():
+    offenders = {
+        path.name: names
+        for path in SOURCES
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_detector_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from .linalg import mat, rank\n"
+        "from .ring import Scalar\n"
+        "def f(x: \"Scalar\") -> int:\n"
+        "    return rank(os.sep)\n"
+    )
+    assert unused_imports(source) == ["line 2: system", "line 3: mat"]

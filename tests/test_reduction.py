@@ -8,6 +8,7 @@ the Kahler pair reduces to the standard complex model.  All matrices
 below were computed by hand from the eigenbundle images and frozen.
 """
 
+import copy
 from fractions import Fraction
 from functools import cache
 
@@ -15,14 +16,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkbench.calculus import DiffForm, VectorField
-from gkbench.catalog import catalog_names, load_builtin
+from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.equivariant import MomentData, TorusAction
 from gkbench.errors import ValidationError
 from gkbench.linalg import (
+    extend_basis,
     identity,
     inverse,
+    is_positive_definite,
     mat,
+    mat_conj,
     mat_mul,
+    mat_neg,
     mat_vec,
     nullspace,
     rank,
@@ -33,6 +38,7 @@ from gkbench.linalg import (
 )
 from gkbench.reduction import (
     FiberData,
+    _eigen_matrix,
     _push_down,
     level_substitution,
     check_adapted_closure,
@@ -47,14 +53,19 @@ from gkbench.reduction import (
     reduced_type_of_matrix,
     two_step_reduce,
 )
-from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart, parse_expr
+from gkbench.ring import (
+    IMAG, ONE, ZERO, EvalPoint, RingElement, Scalar, make_chart, parse_expr
+)
 from gkbench.runner import Workspace
+from gkbench.scenario import load_scenario
 from gkbench.structures import (
+    GenStructure,
     b_exponential,
     b_transform_structure,
     complex_structure,
     symplectic_structure,
     type_at,
+    zero_twist,
 )
 
 R4 = make_chart(("x1", "affine"), ("y1", "affine"), ("x2", "affine"), ("y2", "affine"))
@@ -466,20 +477,55 @@ class TestLevelClosure:
 
 
 @cache
+def catalog_workspaces():
+    """(scenario, Workspace) for every catalog scenario with moment data."""
+    return tuple(
+        (name, Workspace(scen))
+        for name in catalog_names()
+        if (scen := load_builtin(name)).moment is not None
+    )
+
+
+@cache
 def catalog_fibers():
     """(scenario/point, FiberData) at every catalog point where the
     reduction data is valid."""
     out = []
-    for name in catalog_names():
-        scen = load_builtin(name)
-        if scen.moment is None:
-            continue
-        ws = Workspace(scen)
-        for point in sorted(scen.points):
+    for name, ws in catalog_workspaces():
+        for point in sorted(ws.scen.points):
             try:
                 out.append((f"{name}/{point}", ws.fiber(point)))
             except ValidationError:
                 continue
+    return tuple(out)
+
+
+@cache
+def catalog_reductions():
+    """(scenario/structure/point, ReducedFiber) for every catalog
+    structure that reduces at a catalog point."""
+    out = []
+    for name, ws in catalog_workspaces():
+        for sname in sorted(ws.scen.structures):
+            for point in sorted(ws.scen.points):
+                try:
+                    out.append((f"{name}/{sname}/{point}", ws.reduced(sname, point)))
+                except ValidationError:
+                    continue
+    return tuple(out)
+
+
+@cache
+def catalog_gk_reductions():
+    """(scenario/point, moment structure's ReducedFiber, GkReducedFiber)
+    at every catalog point of a generalized Kahler pair."""
+    out = []
+    for name, ws in catalog_workspaces():
+        if ws.partner() is None:
+            continue
+        for point in sorted(ws.scen.points):
+            red1 = ws.reduced(ws.scen.moment_structure, point)
+            out.append((f"{name}/{point}", red1, ws.gk_reduced(point)))
     return tuple(out)
 
 
@@ -489,10 +535,18 @@ def test_catalog_has_reducible_points_of_every_shape():
     assert {(4, 1, 2), (4, 2, 0), (4, 0, 4), (6, 2, 2)} <= shapes
 
 
+def test_quotient_has_dimension_2_n_minus_2k():
+    """fiber_data does not count its lifts: tangency makes each of its
+    two basis extensions add n - 2k."""
+    for label, fiber in catalog_fibers():
+        assert len(fiber.lifts) == 2 * (fiber.n - 2 * fiber.k), label
+
+
 def test_quotient_pairing_has_zero_diagonal_blocks():
     """Tangent lifts first, covector lifts second, each kind isotropic:
-    gram_q = [[0, X], [X^T, 0]], the shape from which fiber_data reads
-    the signature (r/2, r/2, 2m - r), r = rank(gram_q)."""
+    gram_q = [[0, X], [X^T, 0]], and it is nondegenerate, which
+    fiber_data leaves to the algebra: W-perp is the pairing-orthogonal
+    of W and the lifts complement it in W."""
     for label, fiber in catalog_fibers():
         m, g = fiber.m, fiber.gram_q
         assert len(g) == 2 * m, label
@@ -596,3 +650,167 @@ def test_push_down_matches_the_meet_with_w(data):
     meet = _meet(rows, w)
     want = (len(meet), row_space_basis([fiber.coords(v) for v in meet]))
     assert _push_down(rows, fiber) == want, label
+
+
+# --- facts the reduction's construction guarantees -------------------------------
+
+
+def test_reduced_structures_are_generalized_complex():
+    """dirac_reduce builds J = U diag(i, -i) U^-1 from the pushed-down
+    eigenbundle and checks only its isotropy; J is then real, squares to
+    -Id and preserves the quotient pairing."""
+    reds = [(label, red) for label, red in catalog_reductions() if red.fiber.m]
+    assert len(reds) == 26
+    for label, red in reds:
+        j, g = red.jmat, red.fiber.gram_q
+        assert all(x.is_real for row in j for x in row), label
+        assert mat_mul(j, j) == mat_neg(identity(2 * red.fiber.m)), label
+        assert mat_mul(transpose(j), mat_mul(g, j)) == g, label
+
+
+def test_reduced_pairs_are_generalized_kahler():
+    """gk_reduce checks only J2^2 = -Id and the realness of C+; the two
+    reduced structures then commute, their product operator is g_mat,
+    and gram_q . g_mat is symmetric and positive definite."""
+    gks = catalog_gk_reductions()
+    assert len(gks) == 13
+    for label, red1, gk in gks:
+        j1, j2, g = red1.jmat, gk.jmat2, gk.g_mat
+        assert mat_mul(j1, j2) == mat_mul(j2, j1), label
+        assert mat_neg(mat_mul(j1, j2)) == g, label
+        metric = mat_mul(red1.fiber.gram_q, g)
+        assert metric == transpose(metric), label
+        assert is_positive_definite(metric)[0], label
+
+
+# --- a witness for each failure branch of dirac_reduce and gk_reduce -------------
+
+# The fiber of kahler_c2_circle at pole_x1 = (1, 0, 0, 0): W-perp is spanned
+# by d_y1 and dx1, W also holds d_x2, d_y2, dx2 and dy2, and W misses d_x1
+# and dy1.
+_SLOTS = ("x1", "y1", "x2", "y2", "dx1", "dy1", "dx2", "dy2")
+
+
+def fvec(**parts):
+    """A fiber vector: d_x1 ... d_y2, then dx1 ... dy2; a part given as
+    (re, im) is complex."""
+    return tuple(
+        S(*parts[k]) if isinstance(parts.get(k), tuple) else S(parts.get(k, 0))
+        for k in _SLOTS
+    )
+
+
+def constant_structure(matrix):
+    return GenStructure(
+        R4,
+        tuple(tuple(RingElement.constant(R4, x) for x in row) for row in matrix),
+        zero_twist(R4),
+    )
+
+
+def pole_workspace():
+    return dict(catalog_workspaces())["kahler_c2_circle"]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            # d_y1 + i(dx1 + d_x2) adds the class i d_x2 to the other two
+            [fvec(x2=1, dx2=(0, 1)), fvec(y2=1, dy2=(0, 1)),
+             fvec(y1=1, dx1=(0, 1), x2=(0, 1)), fvec(x1=1, dy1=(0, 1))],
+            "reduced eigenbundle has dimension 3, expected 2",
+        ),
+        (
+            # the image is spanned by the real classes d_x2 and d_y2
+            [fvec(x2=1, y1=(0, 1)), fvec(y2=1, dx1=(0, 1)),
+             fvec(x1=1, dx2=(0, 1)), fvec(dy1=1, dy2=(0, 1))],
+            "reduced eigenbundle meets its conjugate; no real structure exists",
+        ),
+        (
+            # <d_x2 + i dx2, d_x2 + i dx2> = i
+            [fvec(x2=1, dx2=(0, 1)), fvec(y2=1, dy2=(0, 1)),
+             fvec(x1=1, y1=(0, 1)), fvec(dy1=1, dx1=(0, 1))],
+            "reduced eigenbundle is not isotropic",
+        ),
+    ],
+    ids=["dimension", "conjugate", "isotropic"],
+)
+def test_dirac_reduce_failure_witnesses(rows, message):
+    """Each structure is real with J^2 = -Id and +i eigenbundle span(rows),
+    but does not preserve the pairing, so its eigenbundle pushes down to
+    something that is not a reduced structure."""
+    struct = constant_structure(_eigen_matrix(rows, mat_conj(rows), IMAG))
+    assert struct.squares_to_minus_one and not struct.algebraic[0]
+    fiber = pole_workspace().fiber("pole_x1")
+    with pytest.raises(ValidationError) as err:
+        dirac_reduce(struct, fiber)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "plus, message",
+    [
+        (
+            None,  # the pair (j1, j1): G = Id
+            "the +1 eigenspace of the product operator has dimension 8, expected 4",
+        ),
+        (
+            [fvec(x2=1), fvec(y2=1), fvec(dx2=1), fvec(x1=1)],
+            "the +1 eigenspace meets the reducible subspace in dimension 3, "
+            "expected 2",
+        ),
+        (
+            [fvec(y1=1), fvec(x2=1), fvec(x1=1), fvec(dy1=1)],
+            "reduced +1 eigenspace has the wrong dimension",
+        ),
+        (
+            [fvec(x2=1), fvec(y2=1), fvec(x1=1), fvec(dy1=1)],
+            "induced pairing on the reduced +1 eigenspace is not positive "
+            "definite (leading minors ['0', '0'])",
+        ),
+        (
+            # positive definite, but J1 moves d_x2 + dx2 out of C+
+            [fvec(x2=1, dx2=1), fvec(y2=1, dy2=2), fvec(x1=1), fvec(dy1=1)],
+            "reduced second structure does not square to -Id",
+        ),
+    ],
+    ids=["plus-dimension", "meet", "reduced-dimension", "positivity", "square"],
+)
+def test_gk_reduce_failure_witnesses(plus, message):
+    """The partner J2 = J1 G, for G = Id on span(plus) and -Id on unit
+    vectors completing it, has product operator -J1 J2 = G."""
+    ws = pole_workspace()
+    j1, _, _ = ws.reduction_entry("j1", None)
+    red1 = ws.reduced("j1", "pole_x1")
+    if plus is None:
+        j2 = j1
+    else:
+        units = identity(8)
+        minus = [units[i] for i in extend_basis(plus, units)]
+        g_big = _eigen_matrix(plus, minus, ONE)
+        j2 = constant_structure(mat_mul(rmat_eval(j1.matrix, red1.fiber.point), g_big))
+    with pytest.raises(ValidationError) as err:
+        gk_reduce(red1, j1, j2)
+    assert str(err.value) == message
+
+
+def test_eigenbundle_rows_needs_half_rank():
+    """J = 0 is no structure: P = Id/2 has rank 2n at every point."""
+    zero = tuple((Scalar.of(0),) * 8 for _ in range(8))
+    fiber = pole_workspace().fiber("pole_x1")
+    with pytest.raises(ValidationError) as err:
+        dirac_reduce(constant_structure(zero), fiber)
+    assert str(err.value) == "eigenbundle does not have half rank at the point"
+
+
+def test_potential_transform_needs_a_basic_twist():
+    """A closed twist dt1^dx2^dt2 that contracts with the second generator
+    stays unbasic after the potential transform, and the reduction check
+    says so."""
+    raw = copy.deepcopy(builtin_raw("gamma_torus_cylinder"))
+    raw["twist"] = [{"coeff": "1", "frame": ["t1", "x2", "t2"]}]
+    ws = Workspace(load_scenario(raw))
+    with pytest.raises(ValidationError) as err:
+        ws.reduction_entry("j", "theta")
+    assert str(err.value) == "twist is not basic after the potential transform"

@@ -6,12 +6,14 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench import runner
 from gkbench.cli import main
-from gkbench.errors import ValidationError
+from gkbench.errors import ParseError, ValidationError
 from gkbench.report import build_report, render_json, render_text, report_passed
+from gkbench.ring import MAX_COORDS
 from gkbench.runner import run_scenario
 from gkbench.scenario import load_scenario, scenario_digest, scenario_from_path
 from gkbench.selftest import invariant_results
@@ -21,6 +23,26 @@ from gkbench.selftest import invariant_results
 _TRUE_QUARTER_TURN = [
     {"name": "base", "values": {"x1": True, "t1": "1", "x2": 0, "t2": "1"}}
 ]
+
+
+def dense_symplectic(n, checks):
+    """A scenario with a constant two-form holding every dx_i ^ dx_j
+    term on n affine coordinates."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    return {
+        "name": "dense",
+        "chart": [[name, "affine"] for name in names],
+        "structures": {
+            "j": {
+                "kind": "symplectic",
+                "two_form": [
+                    {"coeff": "1", "frame": [a, b]}
+                    for a, b in combinations(names, 2)
+                ],
+            }
+        },
+        "checks": checks,
+    }
 
 
 def run_builtin(name):
@@ -71,25 +93,20 @@ class TestLoader:
         """A constant two-form with every dx_i ^ dx_j term on ten
         coordinates: inverting its 10 x 10 matrix takes nine matrix
         products, not a factorial cofactor expansion."""
-        names = [f"x{i}" for i in range(1, 11)]
-        raw = {
-            "name": "dense",
-            "chart": [[name, "affine"] for name in names],
-            "structures": {
-                "j": {
-                    "kind": "symplectic",
-                    "two_form": [
-                        {"coeff": "1", "frame": [a, b]}
-                        for a, b in combinations(names, 2)
-                    ],
-                }
-            },
-            "checks": ["algebraic"],
-        }
         start = time.perf_counter()
-        scen = load_scenario(raw)
+        scen = load_scenario(dense_symplectic(10, ["algebraic"]))
         assert time.perf_counter() - start < 10
         assert scen.structures["j"].chart.dim == 10
+
+    def test_largest_chart_loads_and_checks(self):
+        """MAX_COORDS coordinates with a dense form (120 terms on 16)
+        load and pass the algebraic and integrability checks well inside
+        the budget; the work grows about as the chart size to the 4.5."""
+        raw = dense_symplectic(MAX_COORDS, ["algebraic", "integrability"])
+        start = time.perf_counter()
+        verdicts, _ = run_scenario(load_scenario(raw))
+        assert time.perf_counter() - start < 10
+        assert [v.status for v in verdicts] == ["pass", "pass"]
 
     def test_periodic_point_needs_integer(self):
         raw = copy.deepcopy(builtin_raw("symplectic_t4"))
@@ -209,6 +226,28 @@ class TestRunner:
         verdicts, _ = run_scenario(scen)
         statuses = {v.check: v.status for v in verdicts}
         assert statuses["moment"] == "fail"
+
+    def test_checks_without_moment_data_fail_not_raise(self):
+        """Each moment-based check names the missing moment data before
+        it looks up the moment structure."""
+        raw = copy.deepcopy(builtin_raw("trivial_action"))
+        del raw["moment"]
+        raw["checks"].append("level_closure")
+        verdicts, _ = run_scenario(load_scenario(raw))
+        details = {v.check: v.detail for v in verdicts if v.status == "fail"}
+        assert details == {
+            check: "this check needs moment data"
+            for check in ("moment", "equivariant", "level_closure", "reduction")
+        } | {"gk_reduction": "moment structure is not part of the pair"}
+
+    def test_b_flip_without_structures_fails_not_raises(self):
+        raw = copy.deepcopy(builtin_raw("btwist_t4"))
+        raw["structures"] = {}
+        raw["checks"] = ["b_flip"]
+        verdicts, _ = run_scenario(load_scenario(raw))
+        assert [(v.status, v.detail) for v in verdicts] == [
+            ("fail", "scenario lists b_flip but has no structure")
+        ]
 
     def test_off_level_point_fails_reduction(self):
         raw = copy.deepcopy(builtin_raw("kahler_c2_circle"))
@@ -372,6 +411,12 @@ class TestCli:
             ("moment", {"structure": "j", "functions": ["*".join(["t1"] * 3000), "-t2"]}),
             ("moment", {"structure": "j", "functions": ["(t1+t2+t1*t2+E(x1;1)+1)^16", "-t2"]}),
             ("points", _TRUE_QUARTER_TURN),
+            (
+                "chart",
+                [[None, "periodic"], ["t1", "affine"],
+                 ["x2", "periodic"], ["t2", "affine"]],
+            ),
+            ("structures", {"j": {"kind": [1], "two_form": []}}),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):
@@ -391,12 +436,77 @@ class TestCli:
             )
 
 
+    def test_chart_over_max_coords_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "wide.json"
+        raw = dense_symplectic(MAX_COORDS + 1, ["algebraic"])
+        target.write_text(json.dumps(raw))
+        assert main(["check", "--scenario", str(target)]) == 2
+        assert capsys.readouterr().err == (
+            "error: chart: chart has 17 coordinates, at most 16 are allowed\n"
+        )
+
     def test_overlong_integer_literal_exits_2(self, tmp_path, capsys):
         text = json.dumps(builtin_raw("gamma_torus_cylinder"))
         target = tmp_path / "long_integer.json"
         target.write_text(text.replace('"x1": 0', '"x1": ' + "1" * 5000, 1))
         assert main(["check", "--scenario", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: scenario file is not valid JSON")
+
+
+def _paths(node, path=()):
+    """The path (keys and indices) to every node of a JSON value."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+# Replacement values: every JSON type, expressions that parse, do not
+# parse or name no coordinate, and numbers as levels and point values.
+_HOSTILE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from(
+        ["", "(", "x1", "t1", "y1*t1", "x1^2 - 1", "1/0", "2*", "E(x1; 1)",
+         "I", "1/2", "-1", "nope", "affine", "periodic"]
+    ),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(
+        st.sampled_from(["x1", "t1", "coeff"]), st.integers(0, 2), max_size=2
+    ),
+)
+
+
+@st.composite
+def mutated_catalog_json(draw):
+    """A builtin scenario with one to three of its nodes dropped or
+    replaced."""
+    raw = copy.deepcopy(builtin_raw(draw(st.sampled_from(catalog_names()))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(raw))[1:]))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_HOSTILE)
+    return raw
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mutated_catalog_json())
+def test_mutated_catalog_json_fails_only_with_workbench_messages(raw):
+    """Loading and running a mutated builtin gives a report or a
+    ValidationError or ParseError, never another exception."""
+    try:
+        run_scenario(load_scenario(raw))
+    except (ValidationError, ParseError):
+        pass
 
 
 class TestSelftest:

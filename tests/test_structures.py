@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from gkbench.calculus import DiffForm, VectorField, wedge_all
 from gkbench.errors import ValidationError
-from gkbench.linalg import mat_mul
+from gkbench.catalog import catalog_names, load_builtin
+from gkbench.linalg import inverse, mat_mul, transpose
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.structures import (
     GenSection,
@@ -398,3 +399,72 @@ def test_bracket_jacobiator_is_exact(u, v, w):
         + courant_bracket(courant_bracket(w, u, zero_twist(R2)), v, zero_twist(R2))
     )
     assert jac.vector.is_zero
+
+
+# --- the pairing test of GenStructure.algebraic ---------------------------------
+
+
+def _preserves_pairing_by_product(matrix, chart):
+    """J^T G J = G with G the pairing matrix as ring constants: the triple
+    product that GenStructure.algebraic replaced by a skew test."""
+    gram = tuple(
+        tuple(RingElement.constant(chart, x) for x in row)
+        for row in pairing_matrix(chart.dim)
+    )
+    return mat_mul(transpose(matrix), mat_mul(gram, matrix)) == gram
+
+
+def _catalog_structures():
+    out = []
+    for name in catalog_names():
+        scen = load_builtin(name)
+        for sname in sorted(scen.structures):
+            out.append((f"{name}/{sname}", scen.structures[sname]))
+    return out
+
+
+CATALOG_STRUCTURES = _catalog_structures()
+
+
+def test_skew_pairing_test_matches_the_product_on_the_catalog():
+    for label, struct in CATALOG_STRUCTURES:
+        assert struct.squares_to_minus_one, label
+        by_product = _preserves_pairing_by_product(struct.matrix, struct.chart)
+        assert struct.algebraic[0] == by_product, label
+
+
+_ENTRIES = st.integers(-2, 2).map(Scalar.of)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_skew_pairing_test_matches_the_product_on_conjugates(data):
+    """S J S^-1, for a catalog structure J and a rational invertible S
+    (unit upper triangular times a diagonal of nonzero entries), is real
+    and squares to -Id but usually does not preserve the pairing; the
+    verdict of algebraic agrees with the product J^T G J = G either way."""
+    label, struct = data.draw(st.sampled_from(CATALOG_STRUCTURES))
+    chart, size = struct.chart, 2 * struct.chart.dim
+    entries = {
+        (i, j): data.draw(_ENTRIES) for i in range(size) for j in range(i + 1, size)
+        if data.draw(st.integers(0, 3)) == 0
+    }
+    diag = [data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])) for _ in range(size)]
+    s = tuple(
+        tuple(
+            Scalar.of(diag[i]) if i == j else entries.get((i, j), Scalar.of(0))
+            for j in range(size)
+        )
+        for i in range(size)
+    )
+
+    def ring(m):
+        return tuple(tuple(RingElement.constant(chart, x) for x in row) for row in m)
+
+    moved = mat_mul(ring(s), mat_mul(struct.matrix, ring(inverse(s))))
+    conjugate = GenStructure(chart, moved, struct.twist)
+    assert conjugate.squares_to_minus_one, label
+    ok, detail = conjugate.algebraic
+    assert ok == _preserves_pairing_by_product(moved, chart), label
+    if not ok:
+        assert detail == "matrix does not preserve the pairing"
