@@ -3,18 +3,30 @@
 A matrix is a tuple of row tuples.  One set of arithmetic helpers --
 mat, transpose, mat_sub, mat_neg, mat_mul and mat_vec -- serves both
 entry types: Scalar entries at a point and RingElement entries over a
-chart.  They use only +, -, *, unary minus and is_zero; the products
-skip every term with a zero factor and take the zero of the entry type
-from the operands, so no helper branches on the entry type.  Matrix
-identities are stated with ==, since both entry types are canonical.
+chart.  They use only +, -, *, unary minus and is_zero, so no helper
+branches on the entry type.  Matrix identities are stated with ==,
+since both entry types are canonical.
+
+The matrices of a reduction are mostly zeros (padded vectors, the
+pairing, [B | Id], diagonal eigenvalue matrices), so the kernel works on
+supports: the pairs (j, x) of a row or column with x nonzero.  mat_mul
+is the row-support product (Gustavson, ACM TOMS 4(3), 1978): it reads
+each row of b as its support once, and row i of the result adds
+a[i][k] * b[k][j] over the nonzero a[i][k] in increasing k, at the j of
+row k's support; mat_vec reads the column's support once.  A result
+entry that no term reaches is a zero taken from the operands, so it
+keeps their entry type and chart, and every sum runs in increasing k,
+so ring results are built in a fixed order.
 
 Scalar matrices also get the elimination toolkit, built on one
-Gauss-Jordan pivot loop: rref, rank, nullspace and inversion read its
-reduced rows and pivot columns, det reads its pivot values and row
-swaps, and the subspace helpers (canonical bases, equality, greedy
-extension) sit on those.  The Sylvester test on real symmetric
-matrices reads its leading minors from one elimination without row
-swaps.  Everything is exact; no pivot thresholds exist.
+Gauss-Jordan pivot loop that scales the pivot row and clears the other
+rows only at the pivot row's support, which lies right of the pivot:
+rref, rank, nullspace and inversion read its reduced rows and pivot
+columns, det reads its pivot values and row swaps, and the subspace
+helpers (canonical bases, equality, greedy extension) sit on those.
+The Sylvester test on real symmetric matrices reads its leading minors
+from one elimination without row swaps, under the same support rule.
+Everything is exact; no pivot thresholds exist.
 
 Ring matrices add what needs a chart or has no pivots: the chart-bound
 constructors, scaling, evaluation at a point, and the determinant and
@@ -54,9 +66,7 @@ def identity(n: int) -> Mat:
 
 
 def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return ()
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
+    return tuple(zip(*m))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -67,39 +77,70 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValidationError("matrix shapes do not compose")
-    bt = transpose(b)
-    return tuple(
-        tuple(_dot(row, col) for col in bt) for row in a
-    )
-
-
-def _dot(u: Sequence[Entry], v: Sequence[Entry]) -> Entry:
-    """The sum of x * y over paired entries, skipping each pair with a
-    zero factor.  When every pair has one, that zero factor is the sum,
-    so the result keeps the operands' entry type."""
-    total = zero = None
-    for x, y in zip(u, v):
+def _support(v: Sequence[Entry]) -> tuple[Entry | None, list[tuple[int, Entry]]]:
+    """The pairs (j, v[j]) with v[j] nonzero, and one zero entry of v
+    (None when v has none)."""
+    zero = None
+    support = []
+    for j, x in enumerate(v):
         if x.is_zero:
             zero = x
-        elif y.is_zero:
-            zero = y
-        elif total is None:
-            total = x * y
         else:
-            total = total + x * y
-    if total is not None:
-        return total
-    if zero is None:
-        raise ValidationError("an empty sum has no entry to take its zero from")
-    return zero
+            support.append((j, x))
+    return zero, support
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The row-support product.  An entry that no term reaches had a
+    zero factor in each of its terms, and the last zero seen stands for
+    them."""
+    if a and b and len(a[0]) != len(b):
+        raise ValidationError("matrix shapes do not compose")
+    if not b:
+        return tuple(() for _ in a)
+    zero = None
+    supports = []
+    for row in b:
+        row_zero, support = _support(row)
+        if row_zero is not None:
+            zero = row_zero
+        supports.append(support)
+    width = len(b[0])
+    out = []
+    for row in a:
+        sums: list = [None] * width
+        for x, support in zip(row, supports):
+            if x.is_zero:
+                zero = x
+                continue
+            for j, y in support:
+                term = x * y
+                total = sums[j]
+                sums[j] = term if total is None else total + term
+        out.append(tuple(zero if total is None else total for total in sums))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Sequence[Entry]) -> tuple[Entry, ...]:
-    """A matrix times a column."""
-    return tuple(_dot(row, v) for row in a)
+    """A matrix times a column, over the column's support."""
+    zero, support = _support(v)
+    out = []
+    for row in a:
+        total = None
+        for k, y in support:
+            x = row[k]
+            if x.is_zero:
+                zero = x
+            elif total is None:
+                total = x * y
+            else:
+                total = total + x * y
+        if total is None:
+            if zero is None:
+                raise ValidationError("an empty sum has no entry to take its zero from")
+            total = zero
+        out.append(total)
+    return tuple(out)
 
 
 def mat_conj(a: Mat) -> Mat:
@@ -129,11 +170,19 @@ def _eliminate(m: Mat) -> tuple[list[list[Scalar]], list[int], list[Scalar], int
             swaps += 1
         value = rows[r][c]
         inv = value.inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        # Left of c the pivot row is zero: each earlier pivot column was
+        # cleared in it, and each earlier non-pivot column was zero in
+        # every row from the pivot row down.
+        pivot_row = rows[r]
+        support = [(j, pivot_row[j] * inv) for j in range(c, nc) if pivot_row[j]]
+        for j, y in support:
+            pivot_row[j] = y
         for i in range(nr):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            factor = row[c]
+            if i != r and factor:
+                for j, y in support:
+                    row[j] = row[j] - factor * y
         pivots.append(c)
         values.append(value)
         r += 1
@@ -245,11 +294,13 @@ def leading_principal_minors(m: Mat) -> tuple[Scalar, ...]:
         if not pivot:
             break
         inv = pivot.inverse()
+        support = [(j, rows[k][j]) for j in range(k + 1, n) if rows[k][j]]
         for i in range(k + 1, n):
-            if rows[i][k]:
-                factor = rows[i][k] * inv
-                for j in range(k + 1, n):
-                    rows[i][j] = rows[i][j] - factor * rows[k][j]
+            row = rows[i]
+            if row[k]:
+                factor = row[k] * inv
+                for j, y in support:
+                    row[j] = row[j] - factor * y
     for k in range(len(minors), n):
         minors.append(det(tuple(row[: k + 1] for row in m[: k + 1])))
     return tuple(minors)

@@ -40,8 +40,10 @@ preserves the pairing.  gk_reduce checks the +1 eigenspace C+ of -J1 J2
 (its dimension, its meet with W, its image and positivity there),
 J2^2 = -Id and a real C+; that the reduced pair commutes with a positive
 definite product metric follows.  The two-step oracle keeps all its
-checks.  A failed check raises ValidationError with a sharp message,
-which the scenario runner turns into a failing verdict.
+checks, and two_step_disagreement names which of its two comparisons
+with the one-step quotient fails.  A failed check raises
+ValidationError with a sharp message, which the scenario runner turns
+into a failing verdict.
 
 Level-set closure is one pass per check through
 structures.closing_brackets: given the scenario's named points, the
@@ -87,6 +89,7 @@ from .linalg import (
     rmat_eval,
     row_space_basis,
     rref,
+    span_eq,
     transpose,
 )
 from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
@@ -400,6 +403,27 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
     return TwoStepResult(jmat=jmat, l_rows=tuple(l2_rows), comparison=comparison)
 
 
+def two_step_disagreement(red: ReducedFiber, two: TwoStepResult) -> str | None:
+    """The first comparison on which the two-step factorization disagrees
+    with the one-step reduction, or None when both hold: the comparison
+    map must intertwine the reduced structures and carry the reduced
+    eigenbundle onto the two-step one."""
+    if not red.fiber.m:
+        return None
+    phi = two.comparison
+    if mat_mul(phi, red.jmat) != mat_mul(two.jmat, phi):
+        return (
+            "two-step factorization disagrees: the comparison map does not "
+            "intertwine the reduced structures"
+        )
+    if not span_eq([mat_vec(phi, u) for u in red.l_rows], two.l_rows):
+        return (
+            "two-step factorization disagrees: the comparison map does not "
+            "carry the reduced eigenbundle onto the two-step one"
+        )
+    return None
+
+
 # --- generalized Kahler reduction ---------------------------------------------
 
 
@@ -462,10 +486,9 @@ def reduced_type_of_matrix(jmat: Mat, m: int) -> int:
     if m == 0:
         return 0
     block = tuple(tuple(jmat[i][m + j] for j in range(m)) for i in range(m))
-    r = rank(block)
-    if (m - r) % 2 != 0:
-        raise ValidationError("reduced type parity violated")
-    return (m - r) // 2
+    # gram_q J is skew and gram_q = [[0, X], [X^T, 0]], so X^T times the block
+    # is skew and the block has even rank; m is even, as a structure needs.
+    return (m - rank(block)) // 2
 
 
 def gk_type_prediction(j2: GenStructure, fiber: FiberData) -> tuple[int, str]:

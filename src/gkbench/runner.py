@@ -37,7 +37,7 @@ from .equivariant import (
     moment_b_transform,
 )
 from .errors import ValidationError
-from .linalg import Mat, inverse, mat_mul, mat_vec, rmat_eval, span_eq
+from .linalg import Mat, inverse, mat_mul, rmat_eval
 from .reduction import (
     FiberData,
     GkReducedFiber,
@@ -52,6 +52,7 @@ from .reduction import (
     level_substitution,
     reduced_type,
     reduced_type_of_matrix,
+    two_step_disagreement,
     two_step_reduce,
 )
 from .scenario import KNOWN_CHECKS, Scenario, form_from_terms
@@ -391,15 +392,8 @@ def _check_reduction(ws: Workspace) -> list[Verdict]:
             out.append(_bad(check, str(e)))
             continue
         reds[pname] = (fiber, red)
-        problems = []
-        if fiber.m and (
-            mat_mul(two.comparison, red.jmat)
-            != mat_mul(two.jmat, two.comparison)
-            or not span_eq(
-                [mat_vec(two.comparison, u) for u in red.l_rows], two.l_rows
-            )
-        ):
-            problems.append("two-step factorization disagrees")
+        disagreement = two_step_disagreement(red, two)
+        problems = [disagreement] if disagreement else []
         dim = 2 * fiber.m
         if want_dim is not None and dim != want_dim:
             problems.append(f"quotient dimension {dim}, expected {want_dim}")

@@ -34,7 +34,7 @@ from gkbench.linalg import (
     span_eq,
     transpose,
 )
-from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
+from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart, parse_expr
 
 
 def s(re, im=0):
@@ -319,3 +319,151 @@ def test_leading_minors_are_the_leading_determinants(a):
     assert leading_principal_minors(a) == tuple(
         det(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))
     )
+
+
+# --- the sparse kernel ----------------------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols, entries, zero):
+    """rows x cols matrices with about one entry in five nonzero; with
+    some rows and columns blanked outright, all-zero rows and columns
+    are common."""
+    blank_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    blank_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+
+    def entry(i, j):
+        if i in blank_rows or j in blank_cols or draw(st.integers(0, 4)):
+            return zero
+        return draw(entries)
+
+    return mat([[entry(i, j) for j in range(cols)] for i in range(rows)])
+
+
+_NONZERO_SCALARS = scalars.filter(lambda x: not x.is_zero)
+_NONZERO_RING = ring_elements().filter(lambda x: not x.is_zero)
+_RING_ZERO = RingElement.zero(_RING_CHART)
+
+
+@st.composite
+def sparse_products(draw):
+    """(a, b, zero): a is r x k and b is k x c, over Scalar or over the
+    ring; r = 0 gives a with no rows, k = 0 gives b with no rows."""
+    entries, zero = draw(
+        st.sampled_from([(_NONZERO_SCALARS, ZERO), (_NONZERO_RING, _RING_ZERO)])
+    )
+    r, k, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    a = draw(sparse_matrices(r, k, entries, zero))
+    b = draw(sparse_matrices(k, c, entries, zero))
+    return a, b, zero
+
+
+def _dense_product(a, b, zero):
+    """Every term, zero factors included, summed from the entry type's zero."""
+    width = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(b))), zero) for j in range(width))
+        for row in a
+    )
+
+
+def _keeps_entry_type(m, zero):
+    return all(
+        type(x) is type(zero) and getattr(x, "chart", None) == getattr(zero, "chart", None)
+        for row in m
+        for x in row
+    )
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(sparse_products())
+def test_sparse_products_match_the_dense_reference(case):
+    """mat_mul and mat_vec equal the sum over every (i, k, j), and their
+    zero entries are zeros of the operands' type and chart."""
+    a, b, zero = case
+    product = mat_mul(a, b)
+    assert product == _dense_product(a, b, zero)
+    assert len(product) == len(a) and _keeps_entry_type(product, zero)
+    if b:
+        column = tuple(row[0] for row in b)
+        got = mat_vec(a, column)
+        assert got == tuple(row[0] for row in _dense_product(a, b, zero))
+        assert _keeps_entry_type((got,), zero)
+
+
+def test_products_with_no_rows():
+    """A product with a row-less b has an empty row for each row of a;
+    a row-less a gives no rows; shapes that do not compose are refused."""
+    assert mat_mul(((), ()), ()) == ((), ())
+    assert mat_mul((), m([[1, 2]])) == ()
+    assert mat_vec((), (s(1),)) == ()
+    with pytest.raises(ValidationError, match="do not compose"):
+        mat_mul(m([[1, 2]]), m([[1, 2]]))
+
+
+def _counting_mul(monkeypatch):
+    """Record the factors of every Scalar product from here on."""
+    calls = []
+    original = Scalar.__mul__
+
+    def mul(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", mul)
+    return calls
+
+
+def _counting_zero_tests(monkeypatch):
+    """Count every read of Scalar.is_zero from here on."""
+    reads = []
+    original = Scalar.is_zero
+
+    def is_zero(x):
+        reads.append(x)
+        return original.fget(x)
+
+    monkeypatch.setattr(Scalar, "is_zero", property(is_zero))
+    return reads
+
+
+def test_product_multiplies_exactly_its_live_triples(monkeypatch):
+    """A sparse product multiplies a[i][k] * b[k][j] for the (i, k, j) with
+    both factors nonzero, once each and in row, then k, then j order; a
+    dense loop would multiply all 3 * 4 * 3 = 36 triples.  It tests each
+    entry of either operand for zero once, where a loop over the pairs
+    of each (i, j) would test 36 entries of a alone."""
+    a = m([[1, 0, 0, 2], [0, 0, 0, 0], [0, 3, 0, 7]])
+    b = m([[0, 1, 0], [0, 0, 0], [4, 0, 0], [0, 5, 6]])
+    live = [
+        (a[i][k], b[k][j])
+        for i in range(3)
+        for k in range(4)
+        for j in range(3)
+        if a[i][k] and b[k][j]
+    ]
+    want = m([[0, 11, 12], [0, 0, 0], [0, 35, 42]])
+    calls = _counting_mul(monkeypatch)
+    reads = _counting_zero_tests(monkeypatch)
+    product = mat_mul(a, b)
+    assert calls == live and len(live) == 5
+    assert len(reads) == 3 * 4 + 4 * 3
+    calls.clear()
+    reads.clear()
+    column = mat_vec(a, (s(0), s(1), s(0), s(2)))
+    assert calls == [(s(2), s(2)), (s(3), s(1)), (s(7), s(2))]
+    # the column's 4 entries, then each row at the column's 2 nonzeros
+    assert len(reads) == 4 + 3 * 2
+    monkeypatch.undo()
+    assert product == want and column == (s(4), s(0), s(17))
+
+
+def test_elimination_multiplies_only_pivot_row_support(monkeypatch):
+    """Gauss-Jordan on a scaled permutation matrix scales each pivot row at
+    its one nonzero entry and clears nothing else: n products, where a
+    dense loop would scale whole rows."""
+    a = m([[0, 0, 2, 0], [5, 0, 0, 0], [0, 0, 0, -1], [0, 3, 0, 0]])
+    calls = _counting_mul(monkeypatch)
+    reduced, pivots = rref(a)
+    assert reduced == identity(4) and pivots == (0, 1, 2, 3)
+    assert len(calls) == 4

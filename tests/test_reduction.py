@@ -38,6 +38,7 @@ from gkbench.linalg import (
 )
 from gkbench.reduction import (
     FiberData,
+    TwoStepResult,
     _eigen_matrix,
     _push_down,
     level_substitution,
@@ -51,6 +52,7 @@ from gkbench.reduction import (
     gk_type_prediction,
     reduced_type,
     reduced_type_of_matrix,
+    two_step_disagreement,
     two_step_reduce,
 )
 from gkbench.ring import (
@@ -683,6 +685,23 @@ def test_reduced_pairs_are_generalized_kahler():
         assert is_positive_definite(metric)[0], label
 
 
+def test_reduced_upper_right_blocks_have_even_rank():
+    """reduced_type_of_matrix halves m - rank of the upper-right block B
+    without a parity check: gram_q J is skew and gram_q = [[0, X], [X^T, 0]],
+    so X^T B is skew and B has even rank, and m is even."""
+    found = [(label, red.jmat, red.fiber) for label, red in catalog_reductions()]
+    found += [(label, gk.jmat2, red1.fiber) for label, red1, gk in catalog_gk_reductions()]
+    found = [(label, j, fiber) for label, j, fiber in found if fiber.m]
+    assert len(found) == 26 + 13
+    for label, j, fiber in found:
+        m = fiber.m
+        block = tuple(row[m:] for row in j[:m])
+        x_t = transpose(tuple(row[m:] for row in fiber.gram_q[:m]))
+        skew = mat_mul(x_t, block)
+        assert skew == mat_neg(transpose(skew)), label
+        assert m % 2 == 0 and rank(block) % 2 == 0, label
+
+
 # --- a witness for each failure branch of dirac_reduce and gk_reduce -------------
 
 # The fiber of kahler_c2_circle at pole_x1 = (1, 0, 0, 0): W-perp is spanned
@@ -793,6 +812,27 @@ def test_gk_reduce_failure_witnesses(plus, message):
     with pytest.raises(ValidationError) as err:
         gk_reduce(red1, j1, j2)
     assert str(err.value) == message
+
+
+def test_two_step_disagreement_names_the_failing_comparison():
+    """The two-step oracle agrees at pole_x1.  The opposite two-step
+    structure breaks the intertwining.  The conjugate two-step eigenbundle
+    keeps both structures, so only the second comparison fails."""
+    ws = pole_workspace()
+    struct, _, _ = ws.reduction_entry("j1", None)
+    red = ws.reduced("j1", "pole_x1")
+    two = two_step_reduce(struct, red.fiber)
+    assert two_step_disagreement(red, two) is None
+    flipped = TwoStepResult(mat_neg(two.jmat), two.l_rows, two.comparison)
+    assert two_step_disagreement(red, flipped) == (
+        "two-step factorization disagrees: the comparison map does not "
+        "intertwine the reduced structures"
+    )
+    conjugate = TwoStepResult(two.jmat, mat_conj(two.l_rows), two.comparison)
+    assert two_step_disagreement(red, conjugate) == (
+        "two-step factorization disagrees: the comparison map does not "
+        "carry the reduced eigenbundle onto the two-step one"
+    )
 
 
 def test_eigenbundle_rows_needs_half_rank():

@@ -24,6 +24,7 @@ from gkbench.linalg import (  # noqa: E402
     nullspace,
     rank,
     ring_det,
+    rref,
     transpose,
 )
 from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart  # noqa: E402
@@ -116,9 +117,7 @@ def test_rank_and_nullspace_match_sympy(m):
         assert sympy.Matrix.hstack(*[sym_vector(v) for v in ours]).rank() == len(ours)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(matrices(square=True))
-def test_det_and_inverse_match_sympy(m):
+def check_det_and_inverse(m):
     sm = sym_matrix(m)
     want = sympy.expand(sm.det())
     assert to_sympy(det(m)) == want
@@ -127,6 +126,12 @@ def test_det_and_inverse_match_sympy(m):
             inverse(m)
     else:
         assert sym_matrix(inverse(m)) == sympy.expand(sm.inv())
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(matrices(square=True))
+def test_det_and_inverse_match_sympy(m):
+    check_det_and_inverse(m)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -142,6 +147,47 @@ def test_descartes_inertia_of_a_diagonal():
     # The reference itself: diag(1, -2, 0) has one eigenvalue of each sign.
     m = mat([[Scalar(1), ZERO, ZERO], [ZERO, Scalar(-2), ZERO], [ZERO] * 3])
     assert descartes_inertia(sym_matrix(m)) == (1, 1, 1)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """About one entry in five nonzero, with a row and a column often
+    blanked outright.  A square draw may instead put its nonzeros on a random
+    permutation, so that sparse nonsingular matrices are common too."""
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    nonzero = gaussians.filter(lambda x: not x.is_zero)
+    if square and draw(st.booleans()):
+        perm = draw(st.permutations(range(r)))
+        return mat([[draw(nonzero) if j == perm[i] else ZERO for j in range(c)]
+                    for i in range(r)])
+    blank_rows = draw(st.sets(st.integers(0, r - 1), max_size=1))
+    blank_cols = draw(st.sets(st.integers(0, c - 1), max_size=1))
+
+    def entry(i, j):
+        if i in blank_rows or j in blank_cols or draw(st.integers(0, 4)):
+            return ZERO
+        return draw(nonzero)
+
+    return mat([[entry(i, j) for j in range(c)] for i in range(r)])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rref_and_nullspace_match_sympy(m):
+    """The reduced row echelon form is unique, and so is the nullspace
+    basis read from it (each free column set to one): both equal sympy's."""
+    sm = sym_matrix(m)
+    reduced, pivots = rref(m)
+    want, want_pivots = sm.rref()
+    assert sym_matrix(reduced) == want and pivots == want_pivots
+    assert [sym_vector(v) for v in nullspace(m)] == sm.nullspace()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(sparse_matrices(square=True))
+def test_sparse_det_and_inverse_match_sympy(m):
+    check_det_and_inverse(m)
 
 
 # --- the function ring ----------------------------------------------------
