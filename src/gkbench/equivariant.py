@@ -329,9 +329,12 @@ def gamma_from_connection(moment: MomentData, conn: Connection) -> DiffForm:
     (it is one of the closedness equations) and is checked here, since
     otherwise no single 2-form has the right contractions.
 
-    Postconditions, verified by the caller's checks and by tests:
-    i_{xi_j} Gamma = alpha_j and, for invariant moment data, Gamma is
-    invariant and H + d Gamma is basic.
+    i_{xi_j} Gamma = alpha_j holds by construction, for any connection
+    and any antisymmetric one-forms, invariant or not: theta_i(xi_j) =
+    delta_ij and antisymmetry give i_{xi_j} Gamma = alpha_j -
+    alpha_j(xi_j) theta_j, and alpha_j(xi_j) = 0; tests pin it.  For
+    invariant moment data, Gamma is invariant and H + d Gamma is basic,
+    which the caller's checks verify.
     """
     if moment.action is not conn.action and moment.action != conn.action:
         raise ValidationError("moment data and connection use different actions")

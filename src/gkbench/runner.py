@@ -4,6 +4,11 @@ Checks run in a fixed registry order regardless of how the scenario
 lists them.  Every verdict is pass, fail, or skipped, with a human
 readable detail; a ValidationError raised by library code becomes a
 failing verdict rather than an exception.  All comparisons are exact.
+A check that judges items one at a time (each structure, level-set
+point or connection) does so in one loop, `_per_item`: a ValidationError
+fails only the item it was raised for, with its message as the detail,
+and the other items are still judged.  Raised outside the items, it
+fails the whole check.
 
 When a scenario carries a B-field, the moment-map, equivariance, gamma,
 closure, and reduction checks operate on the transformed structure and
@@ -14,18 +19,19 @@ connection to remove them.
 The Workspace reduces each point once per run: `fiber` builds the
 quotient data at a named point and `reduced` the Dirac reduction of a
 structure there, and the reduction, gk_reduction and b_commute checks
-and the `reduce` command all read them.  Only successes are cached: a
-point whose reduction raises ValidationError is recomputed by the next
-check that asks and raises the same message again, so each check
-reports its own failing verdict for it.  The two-step factorization
-stays an independent oracle, computed once per point by the reduction
-check.
+and the `reduce` command all read them.  Its derived objects share one
+memo, which keeps only successes: a point whose reduction raises
+ValidationError is recomputed by the next check that asks and raises the
+same message again, so each check reports its own failing verdict for
+it.  The two-step factorization stays an independent oracle, computed
+once per point by the reduction check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import wraps
+from typing import Any, Callable, Iterable
 
 from .calculus import DiffForm
 from .equivariant import (
@@ -37,7 +43,7 @@ from .equivariant import (
     moment_b_transform,
 )
 from .errors import ValidationError
-from .linalg import Mat, inverse, mat_mul, rmat_eval
+from .linalg import inverse, mat_mul, rmat_eval
 from .reduction import (
     FiberData,
     GkReducedFiber,
@@ -89,9 +95,37 @@ def _judged(check: str, ok: bool, detail: str) -> Verdict:
     return Verdict(check, "pass" if ok else "fail", detail)
 
 
-def _listed(check: str, problems: list[str], passed: str) -> Verdict:
+def _listed(problems: list[str], passed: str) -> tuple[bool, str]:
     """Fails naming every problem, or passes with the given detail."""
-    return _judged(check, not problems, "; ".join(problems) or passed)
+    return not problems, "; ".join(problems) or passed
+
+
+def _per_item(
+    items: Iterable[tuple[str, Any]], judge: Callable[[Any], tuple[bool, str]]
+) -> list[Verdict]:
+    """One verdict per (verdict name, item) pair, judged by judge(item);
+    a ValidationError fails only the item it was raised for."""
+    out = []
+    for check, item in items:
+        try:
+            out.append(_judged(check, *judge(item)))
+        except ValidationError as e:
+            out.append(_bad(check, str(e)))
+    return out
+
+
+def _memoized(method: Callable) -> Callable:
+    """A Workspace method computed once per arguments, in the instance's
+    memo; a call that raises leaves nothing behind."""
+
+    @wraps(method)
+    def once(self: Workspace, *args: Any) -> Any:
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return once
 
 
 class Workspace:
@@ -100,70 +134,55 @@ class Workspace:
     def __init__(self, scen: Scenario):
         self.scen = scen
         self.quantities: dict[str, Any] = {}
-        self._work: dict[str, GenStructure] = {}
-        self._moment_w: MomentData | None = None
-        self._reduction: dict[str | None, tuple] = {}
-        self._fibers: dict[str, FiberData] = {}
-        self._reduced: dict[tuple[str, str], ReducedFiber] = {}
+        self._memo: dict[tuple, Any] = {}
 
+    @_memoized
     def work(self, name: str) -> GenStructure:
         """The structure after the scenario's B-field, if any."""
-        if name not in self._work:
-            base = self.scen.structures[name]
-            if self.scen.b_field is None:
-                self._work[name] = base
-            else:
-                self._work[name] = b_transform_structure(self.scen.b_field, base)
-        return self._work[name]
+        base = self.scen.structures[name]
+        if self.scen.b_field is None:
+            return base
+        return b_transform_structure(self.scen.b_field, base)
 
+    @_memoized
     def moment_w(self) -> MomentData:
         """Moment data transported through the scenario's B-field."""
-        if self.scen.moment is None:
+        scen = self.scen
+        if scen.moment is None:
             raise ValidationError("this check needs moment data")
-        if self._moment_w is None:
-            if self.scen.b_field is None:
-                self._moment_w = self.scen.moment
-            else:
-                base = self.scen.structures[self.scen.moment_structure]
-                _, self._moment_w = moment_b_transform(
-                    self.scen.moment, self.scen.b_field, base.twist
-                )
-        return self._moment_w
+        if scen.b_field is None:
+            return scen.moment
+        base = scen.structures[scen.moment_structure]
+        return moment_b_transform(scen.moment, scen.b_field, base.twist)[1]
 
+    @_memoized
     def reduction_entry(
         self, structure_name: str, connection: str | None
     ) -> tuple[GenStructure, MomentData, DiffForm | None]:
         """Structure and moment data ready for fiber reduction: one-forms
         removed by the named connection's potential when necessary."""
-        key = (structure_name, connection)
-        if key in self._reduction:
-            return self._reduction[key]
         moment = self.moment_w()
         struct = self.work(structure_name)
-        gamma = None
-        if any(not a.is_zero for a in moment.one_forms):
-            if connection is None:
-                raise ValidationError(
-                    "moment one-forms are nonzero and the scenario lists no "
-                    "connection to remove them"
-                )
-            conn = self.scen.connections[connection]
-            gamma = gamma_from_connection(moment, conn)
-            # e^-gamma e^B = e^(B - gamma): one transform of the scenario's
-            # structure, which keeps its matrix, and so its eigenbundle,
-            # when the potential equals the B-field.
-            b_field = self.scen.b_field
-            shift = -gamma if b_field is None else b_field - gamma
-            struct = b_transform_structure(shift, self.scen.structures[structure_name])
-            # i_{xi_j} Gamma = alpha_j - alpha_j(xi_j) theta_j = alpha_j, as
-            # gamma_from_connection's antisymmetry check makes alpha_j(xi_j) = 0.
-            _, moment = moment_b_transform(moment, -gamma, self.work(structure_name).twist)
-            if not is_basic(struct.twist, moment.action):
-                raise ValidationError(
-                    "twist is not basic after the potential transform"
-                )
-        self._reduction[key] = (struct, moment, gamma)
-        return self._reduction[key]
+        if all(a.is_zero for a in moment.one_forms):
+            return struct, moment, None
+        if connection is None:
+            raise ValidationError(
+                "moment one-forms are nonzero and the scenario lists no "
+                "connection to remove them"
+            )
+        gamma = gamma_from_connection(moment, self.scen.connections[connection])
+        # e^-gamma e^B = e^(B - gamma): one transform of the scenario's
+        # structure, which keeps its matrix, and so its eigenbundle,
+        # when the potential equals the B-field.
+        b_field = self.scen.b_field
+        shift = -gamma if b_field is None else b_field - gamma
+        moved = b_transform_structure(shift, self.scen.structures[structure_name])
+        # i_{xi_j} Gamma = alpha_j - alpha_j(xi_j) theta_j = alpha_j, as
+        # gamma_from_connection's antisymmetry check makes alpha_j(xi_j) = 0.
+        _, moment = moment_b_transform(moment, -gamma, struct.twist)
+        if not is_basic(moved.twist, moment.action):
+            raise ValidationError("twist is not basic after the potential transform")
+        return moved, moment, gamma
 
     def primary_connection(self) -> str | None:
         names = list(self.scen.connections)
@@ -177,29 +196,22 @@ class Workspace:
             return None
         return pair[1] if pair[0] == name else pair[0]
 
+    @_memoized
     def fiber(self, point_name: str) -> FiberData:
         """Reduction data at a named point.  A B-field or potential leaves
         the moment functions and the action unchanged, so the moment data
         of the moment structure's reduction entry serves every structure."""
-        if point_name not in self._fibers:
-            _, moment, _ = self.reduction_entry(
-                self.scen.moment_structure, self.primary_connection()
-            )
-            self._fibers[point_name] = fiber_data(
-                moment, self.scen.points[point_name], self.scen.level
-            )
-        return self._fibers[point_name]
+        _, moment, _ = self.reduction_entry(
+            self.scen.moment_structure, self.primary_connection()
+        )
+        return fiber_data(moment, self.scen.points[point_name], self.scen.level)
 
+    @_memoized
     def reduced(self, structure_name: str, point_name: str) -> ReducedFiber:
         """A structure's reduction entry for the primary connection,
         reduced at a named point."""
-        key = (structure_name, point_name)
-        if key not in self._reduced:
-            struct, _, _ = self.reduction_entry(
-                structure_name, self.primary_connection()
-            )
-            self._reduced[key] = dirac_reduce(struct, self.fiber(point_name))
-        return self._reduced[key]
+        struct, _, _ = self.reduction_entry(structure_name, self.primary_connection())
+        return dirac_reduce(struct, self.fiber(point_name))
 
     def gk_reduced(self, point_name: str) -> GkReducedFiber:
         """The partner transported through the moment structure's
@@ -211,16 +223,16 @@ class Workspace:
         return gk_reduce(red1, struct1, struct2)
 
 
-def _conjugate_by_descended(b_field: DiffForm, red: ReducedFiber) -> Mat:
-    """The reduced structure conjugated by the B-transform of a basic
-    two-form, descended to the quotient."""
+def _reduction_commutes(moved: GenStructure, beta: DiffForm, red: ReducedFiber) -> bool:
+    """For a basic two-form beta and moved = e^beta J: whether the
+    reduction of moved equals red, the reduction of J, conjugated by
+    e^beta descended to the quotient."""
     fiber = red.fiber
+    reduced = dirac_reduce(moved, fiber).jmat
     if not fiber.m:
-        return ()
-    carrier = descend_endomorphism(
-        rmat_eval(b_exponential(b_field), fiber.point), fiber
-    )
-    return mat_mul(carrier, mat_mul(red.jmat, inverse(carrier)))
+        return not reduced
+    carrier = descend_endomorphism(rmat_eval(b_exponential(beta), fiber.point), fiber)
+    return reduced == mat_mul(carrier, mat_mul(red.jmat, inverse(carrier)))
 
 
 def _each_structure(
@@ -228,12 +240,12 @@ def _each_structure(
 ) -> list[Verdict]:
     """A check of every structure, and of its B-transform when the
     scenario has a B-field."""
-    out = []
+    items = []
     for name in sorted(ws.scen.structures):
-        out.append(_judged(f"{label}:{name}", *check(ws.scen.structures[name])))
+        items.append((f"{label}:{name}", lambda name=name: ws.scen.structures[name]))
         if ws.scen.b_field is not None:
-            out.append(_judged(f"{label}:{name}+b", *check(ws.work(name))))
-    return out
+            items.append((f"{label}:{name}+b", lambda name=name: ws.work(name)))
+    return _per_item(items, lambda get: check(get()))
 
 
 def _check_algebraic(ws: Workspace) -> list[Verdict]:
@@ -250,26 +262,18 @@ def _check_type(ws: Workspace) -> list[Verdict]:
     want = ws.scen.expected.get("types", {})
     if not want:
         return [_bad("type", "scenario lists the type check but expects no types")]
-    out = []
-    types_seen: dict[str, int] = {}
-    for name in sorted(want):
+
+    def judge(name: str) -> tuple[bool, str]:
         if name not in ws.scen.structures:
-            out.append(_bad(f"type:{name}", "no such structure"))
-            continue
+            return False, "no such structure"
         struct = ws.scen.structures[name]
-        values = {
-            pname: type_at(struct, p) for pname, p in ws.scen.points.items()
-        }
-        ok = all(v == want[name] for v in values.values())
-        if ok:
-            types_seen[name] = want[name]
-        out.append(_judged(f"type:{name}", ok, (
-            f"type {want[name]} at all {len(values)} points" if ok
-            else f"expected type {want[name]}, computed {values}"
-        )))
-    if types_seen:
-        ws.quantities["types"] = types_seen
-    return out
+        values = {pname: type_at(struct, p) for pname, p in ws.scen.points.items()}
+        if any(v != want[name] for v in values.values()):
+            return False, f"expected type {want[name]}, computed {values}"
+        ws.quantities.setdefault("types", {})[name] = want[name]
+        return True, f"type {want[name]} at all {len(values)} points"
+
+    return _per_item(((f"type:{name}", name) for name in sorted(want)), judge)
 
 
 def _check_gk_pair(ws: Workspace) -> list[Verdict]:
@@ -300,33 +304,26 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
     moment = ws.moment_w()
     struct = ws.work(scen.moment_structure)
     action = moment.action
-    out = []
     gammas: dict[str, DiffForm] = {}
-    for cname, conn in scen.connections.items():
-        check = f"gamma:{cname}"
-        try:
-            gamma = gamma_from_connection(moment, conn)
-        except ValidationError as e:
-            out.append(_bad(check, str(e)))
-            continue
-        gammas[cname] = gamma
-        problems = []
-        for i, xi in enumerate(action.generators):
-            if gamma.interior(xi) != moment.one_forms[i]:
-                problems.append(f"contraction with generator {i + 1} is off")
-            if not gamma.lie(xi).is_zero:
-                problems.append(f"not invariant under generator {i + 1}")
-        shifted = struct.twist + gamma.d()
-        if not is_basic(shifted, action):
+
+    # gamma_from_connection contracts to the moment one-forms by
+    # construction, so only invariance and basicness are left to check.
+    def judge(cname: str) -> tuple[bool, str]:
+        gamma = gammas[cname] = gamma_from_connection(moment, scen.connections[cname])
+        problems = [
+            f"not invariant under generator {i + 1}"
+            for i, xi in enumerate(action.generators)
+            if not gamma.lie(xi).is_zero
+        ]
+        if not is_basic(struct.twist + gamma.d(), action):
             problems.append("twist plus d(potential) is not basic")
-        out.append(
-            _listed(
-                check,
-                problems,
-                "potential contracts to the moment one-forms, is "
-                "invariant, and makes the twist basic",
-            )
+        return _listed(
+            problems,
+            "potential contracts to the moment one-forms, is "
+            "invariant, and makes the twist basic",
         )
+
+    out = _per_item(((f"gamma:{cname}", cname) for cname in scen.connections), judge)
     if gammas:
         first = next(iter(gammas))
         ws.quantities["gamma"] = str(gammas[first])
@@ -376,79 +373,58 @@ def _check_level_closure(ws: Workspace) -> list[Verdict]:
 
 def _check_reduction(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
-    out = []
-    primary = ws.primary_connection()
-    struct, moment, gamma = ws.reduction_entry(scen.moment_structure, primary)
+    name = scen.moment_structure
+    struct, moment, gamma = ws.reduction_entry(name, ws.primary_connection())
     want_dim = scen.expected.get("reduced_dim")
-    want_type = scen.expected.get("reduced_types", {}).get(scen.moment_structure)
-    reds = {}
-    for pname in scen.points:
-        check = f"reduction:{pname}"
-        try:
-            fiber = ws.fiber(pname)
-            red = ws.reduced(scen.moment_structure, pname)
-            two = two_step_reduce(struct, fiber)
-        except ValidationError as e:
-            out.append(_bad(check, str(e)))
-            continue
-        reds[pname] = (fiber, red)
-        disagreement = two_step_disagreement(red, two)
+    want_type = scen.expected.get("reduced_types", {}).get(name)
+    reds: dict[str, ReducedFiber] = {}
+
+    def judge(pname: str) -> tuple[bool, str]:
+        red = ws.reduced(name, pname)
+        disagreement = two_step_disagreement(red, two_step_reduce(struct, red.fiber))
+        reds[pname] = red
         problems = [disagreement] if disagreement else []
-        dim = 2 * fiber.m
+        dim, rtype = 2 * red.fiber.m, reduced_type(red)
+        # The first point reduced gives the quantities.
+        ws.quantities.setdefault("reduced_dim", dim)
+        ws.quantities.setdefault("reduced_types", {}).setdefault(name, rtype)
         if want_dim is not None and dim != want_dim:
             problems.append(f"quotient dimension {dim}, expected {want_dim}")
-        rtype = reduced_type(red)
         if want_type is not None and rtype != want_type:
             problems.append(f"reduced type {rtype}, expected {want_type}")
-        out.append(
-            _listed(
-                check,
-                problems,
-                f"quotient dimension {dim}, reduced type {rtype}, "
-                "two-step factorization agrees",
-            )
+        return _listed(
+            problems,
+            f"quotient dimension {dim}, reduced type {rtype}, "
+            "two-step factorization agrees",
         )
-    if reds:
-        some = next(iter(reds.values()))
-        ws.quantities["reduced_dim"] = 2 * some[0].m
-        ws.quantities.setdefault("reduced_types", {})[scen.moment_structure] = (
-            reduced_type(some[1])
-        )
-    if gamma is not None:
-        for cname in list(scen.connections)[1:]:
-            check = f"reduction:independence({cname})"
+
+    def independent(cname: str) -> tuple[bool, str]:
+        struct_alt, _, gamma_alt = ws.reduction_entry(name, cname)
+        diff = gamma - gamma_alt
+        if not is_basic(diff, moment.action):
+            return False, "connection change is not basic"
+        problems = []
+        for pname, red in reds.items():
             try:
-                struct_alt, moment_alt, gamma_alt = ws.reduction_entry(
-                    scen.moment_structure, cname
-                )
-            except ValidationError as e:
-                out.append(_bad(check, str(e)))
-                continue
-            diff = gamma - gamma_alt
-            if not is_basic(diff, moment.action):
-                out.append(_bad(check, "connection change is not basic"))
-                continue
-            problems = []
-            for pname, (fiber, red) in reds.items():
-                try:
-                    red_alt = dirac_reduce(struct_alt, fiber)
-                    moved = _conjugate_by_descended(diff, red)
-                except ValidationError as e:
-                    problems.append(f"{pname}: {e}")
-                    continue
-                if red_alt.jmat != moved:
+                if not _reduction_commutes(struct_alt, diff, red):
                     problems.append(
                         f"{pname}: reduced structures differ by more than "
                         "the descended transform"
                     )
-            out.append(
-                _listed(
-                    check,
-                    problems,
-                    "reduced structures agree up to the descended "
-                    "basic transform at all points",
-                )
-            )
+            except ValidationError as e:
+                problems.append(f"{pname}: {e}")
+        return _listed(
+            problems,
+            "reduced structures agree up to the descended "
+            "basic transform at all points",
+        )
+
+    out = _per_item(((f"reduction:{pname}", pname) for pname in scen.points), judge)
+    if gamma is not None:
+        alternatives = list(scen.connections)[1:]
+        out += _per_item(
+            ((f"reduction:independence({c})", c) for c in alternatives), independent
+        )
     return out
 
 
@@ -463,17 +439,10 @@ def _check_gk_reduction(ws: Workspace) -> list[Verdict]:
     other = ws.partner()
     struct2, _, _ = ws.reduction_entry(other, ws.primary_connection())
     want = scen.expected.get("reduced_types", {}).get(other)
-    out = []
-    seen_type = None
-    for pname in scen.points:
-        check = f"gk_reduction:{pname}"
-        try:
-            fiber = ws.fiber(pname)
-            gk = ws.gk_reduced(pname)
-        except ValidationError as e:
-            out.append(_bad(check, str(e)))
-            continue
-        rtype = reduced_type_of_matrix(gk.jmat2, fiber.m)
+
+    def judge(pname: str) -> tuple[bool, str]:
+        fiber = ws.fiber(pname)
+        rtype = reduced_type_of_matrix(ws.gk_reduced(pname).jmat2, fiber.m)
         predicted, formula = gk_type_prediction(struct2, fiber)
         problems = []
         if rtype != predicted:
@@ -484,13 +453,11 @@ def _check_gk_reduction(ws: Workspace) -> list[Verdict]:
         if want is not None and rtype != want:
             problems.append(f"reduced type {rtype}, expected {want}")
         if not problems:
-            seen_type = rtype
-        out.append(
-            _listed(check, problems, f"reduced type {rtype} matches the count: {formula}")
-        )
-    if seen_type is not None:
-        ws.quantities.setdefault("reduced_types", {})[other] = seen_type
-    return out
+            # The last passing point gives the quantity.
+            ws.quantities.setdefault("reduced_types", {})[other] = rtype
+        return _listed(problems, f"reduced type {rtype} matches the count: {formula}")
+
+    return _per_item(((f"gk_reduction:{pname}", pname) for pname in scen.points), judge)
 
 
 def _check_b_flip(ws: Workspace) -> list[Verdict]:
@@ -529,27 +496,19 @@ def _check_b_commute(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if scen.basic_field is None:
         return [_bad("b_commute", "scenario lists b_commute but no basic_field")]
-    primary = ws.primary_connection()
-    struct, moment, _ = ws.reduction_entry(scen.moment_structure, primary)
+    name = scen.moment_structure
+    struct, moment, _ = ws.reduction_entry(name, ws.primary_connection())
     basic = scen.basic_field
     if not is_basic(basic, moment.action):
         return [_bad("b_commute", "basic_field is not basic for the action")]
     moved = b_transform_structure(basic, struct)
-    out = []
-    for pname in scen.points:
-        check = f"b_commute:{pname}"
-        try:
-            fiber = ws.fiber(pname)
-            red = ws.reduced(scen.moment_structure, pname)
-            red_moved = dirac_reduce(moved, fiber)
-            conjugated = _conjugate_by_descended(basic, red)
-        except ValidationError as e:
-            out.append(_bad(check, str(e)))
-            continue
-        commutes = red_moved.jmat == conjugated
+
+    def judge(pname: str) -> tuple[bool, str]:
+        commutes = _reduction_commutes(moved, basic, ws.reduced(name, pname))
         verb = "commutes" if commutes else "does not commute"
-        out.append(_judged(check, commutes, f"reduction {verb} with the basic transform"))
-    return out
+        return commutes, f"reduction {verb} with the basic transform"
+
+    return _per_item(((f"b_commute:{pname}", pname) for pname in scen.points), judge)
 
 
 _REGISTRY: dict[str, Callable[[Workspace], list[Verdict]]] = {

@@ -11,17 +11,20 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkbench import reduction, structures
-from gkbench.calculus import DiffForm
+from gkbench.calculus import DiffForm, VectorField, lie_bracket
+from gkbench.equivariant import MomentData, TorusAction
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import mat, mat_sub, mat_vec, rmat_identity
 from gkbench.reduction import (
     check_adapted_closure,
     check_level_closure,
+    coisotropic_frame,
     level_substitution,
 )
-from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart
+from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.runner import Workspace, run_scenario
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
@@ -110,6 +113,40 @@ def test_level_closure_brackets_each_pair_once(monkeypatch):
     rank = scen.chart.dim - len(scen.level)
     assert calls.count("lie_bracket") == comb(rank, 2)
     assert calls.count("courant_bracket") == comb(rank, 2)
+
+
+R4 = make_chart(("a", "affine"), ("b", "affine"), ("c", "affine"), ("e", "affine"))
+_MONOMIALS = st.sampled_from(["1", "a", "b", "e", "a*b", "b*c", "c^2", "a*e^2", "a*b*c"])
+
+
+@st.composite
+def polynomials(draw):
+    terms = draw(
+        st.lists(st.tuples(st.integers(-2, 2), _MONOMIALS), min_size=1, max_size=3)
+    )
+    return parse_expr(" + ".join(f"({c})*{m}" for c, m in terms), R4)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(polynomials(), min_size=1, max_size=2))
+def test_moment_differentials_annihilate_frame_brackets(functions):
+    """Why check_adapted_closure computes no tangency residual: each df_i
+    annihilates the cross-eliminated vector parts, and so annihilates
+    their Lie brackets, df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0."""
+    names = ("a", "b")[: len(functions)]
+    generators = tuple(VectorField.coordinate(R4, n) for n in names)
+    moment = MomentData(
+        TorusAction(R4, generators),
+        tuple(DiffForm.zero(R4, 1) for _ in functions),
+        tuple(functions),
+    )
+    vectors = [s.vector for s in coisotropic_frame(moment)]
+    dfs = [DiffForm.function(f).d() for f in functions]
+    for i, x in enumerate(vectors):
+        assert all(df.apply([x]).is_zero for df in dfs)
+        for y in vectors[i + 1 :]:
+            bracket = lie_bracket(x, y)
+            assert all(df.apply([bracket]).is_zero for df in dfs)
 
 
 @pytest.mark.parametrize(

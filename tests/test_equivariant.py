@@ -332,16 +332,50 @@ def test_cartan_differential_of_invariant_b_is_closed(b):
     assert ok, detail
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(invariant_two_forms())
-def test_gamma_contracts_to_moment_forms(b):
+def t_form(draw, texts):
+    """p dt1 + q dt2 with p, q drawn from the given texts."""
+    return d(CYL, "t1").scale(fn(draw(texts), CYL)) + d(CYL, "t2").scale(
+        fn(draw(texts), CYL)
+    )
+
+
+@st.composite
+def connections(draw):
+    """theta_i = dx_i + p_i dt1 + q_i dt2, with p_i and q_i functions of
+    t alone: invariant, and theta_i(xi_j) = delta_ij."""
+    action = cylinder_action()
+    return Connection(
+        action, tuple(d(CYL, x) + t_form(draw, basic_texts) for x in ("x1", "x2"))
+    )
+
+
+free_texts = st.sampled_from(["0", "1", "t1", "cos(x1)", "t2*sin(x2)", "t1*cos(x2)"])
+
+
+@st.composite
+def antisymmetric_one_forms(draw):
+    """alpha_1 = a dx2 + ..., alpha_2 = -a dx1 + ..., the rest along dt:
+    alpha_i(xi_l) is antisymmetric, and the coefficients may depend on
+    the orbit coordinates, so the forms need not be invariant."""
+    a = fn(draw(free_texts), CYL)
+    return (
+        d(CYL, "x2").scale(a) + t_form(draw, free_texts),
+        d(CYL, "x1").scale(-a) + t_form(draw, free_texts),
+    )
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(invariant_two_forms(), connections(), antisymmetric_one_forms())
+def test_gamma_contracts_to_moment_forms(b, conn, extra):
+    """i_{xi_j} Gamma = alpha_j for every connection and every
+    antisymmetric moment one-forms, invariant or not, so the gamma check
+    needs no contraction test."""
     action = cylinder_action()
     moment = MomentData(
         action,
-        tuple(b.interior(g) for g in action.generators),
+        tuple(b.interior(g) + e for g, e in zip(action.generators, extra)),
         (RingElement.zero(CYL), RingElement.zero(CYL)),
     )
-    conn = Connection(action, (d(CYL, "x1"), d(CYL, "x2")))
     gamma = gamma_from_connection(moment, conn)
     for i, g in enumerate(action.generators):
         assert gamma.interior(g) == moment.one_forms[i]

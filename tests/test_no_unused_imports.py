@@ -1,7 +1,13 @@
 """No module of the package imports a name it never uses, so a deletion
 that leaves its last import behind is caught here.  A name counts as used
 when it is read anywhere in the module, named in a string annotation, or
-re-exported through __all__."""
+re-exported through __all__.
+
+No top-level function or class of the package goes unread either, so a
+refactor that leaves a helper behind is caught too.  A definition counts
+as read when a statement of the package other than its own definition
+reads its name, as a name, an attribute, a string annotation or an
+__all__ entry."""
 
 import ast
 from pathlib import Path
@@ -82,3 +88,62 @@ def test_detector_sees_unused_imports():
         "    return rank(os.sep)\n"
     )
     assert unused_imports(source) == ["line 2: system", "line 3: mat"]
+
+
+
+# The Cartan-model oracles: the tests compare the runtime closedness check
+# against these two, and nothing in the package calls them.
+ORACLES = {"cartan_d", "equivariant_three_form"}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names a statement reads: names, attributes and string annotations."""
+    names = set(_annotation_names(node))
+    for leaf in ast.walk(node):
+        if isinstance(leaf, ast.Name):
+            names.add(leaf.id)
+        elif isinstance(leaf, ast.Attribute):
+            names.add(leaf.attr)
+    return names
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, as "module:name", whose name no
+    other statement of the given modules reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(stmt, _reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    exported = set().union(*map(_exported, trees.values()))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{module}:{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, kinds)
+        and stmt.name not in exported
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    ]
+
+
+def test_every_definition_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    unread = unread_definitions(sources)
+    assert [name for name in unread if name.split(":")[1] not in ORACLES] == []
+
+
+def test_detector_sees_unread_definitions():
+    sources = {
+        "a.py": (
+            "def used(): pass\n"
+            "def unused(): pass\n"
+            "def only_itself(n): return only_itself(n - 1)\n"
+            "class Noted: pass\n"
+            "class Listed: pass\n"
+            "__all__ = ['Listed']\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "def caller(x: 'Noted'): return a.used()\n"
+            "caller(None)\n"
+        ),
+    }
+    assert unread_definitions(sources) == ["a.py:unused", "a.py:only_itself"]

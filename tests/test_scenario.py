@@ -260,6 +260,38 @@ class TestRunner:
         assert statuses["reduction:outside"] == "fail"
         assert statuses["reduction:pole_x1"] == "pass"
 
+    @staticmethod
+    def bent_j2(entries, checks):
+        """bihermitian_r4_translation with some entries of j2's first row
+        replaced, running only the given checks."""
+        raw = copy.deepcopy(builtin_raw("bihermitian_r4_translation"))
+        for column, value in entries.items():
+            raw["structures"]["j2"]["matrix"][0][column] = value
+        raw["checks"] = checks
+        verdicts, _ = run_scenario(load_scenario(raw))
+        return [(v.check, v.status, v.detail) for v in verdicts]
+
+    def test_type_failure_names_its_structure(self):
+        """A structure whose type cannot be read fails alone; the other
+        structure still gets its verdict."""
+        assert self.bent_j2({5: "0", 6: "0"}, ["type"]) == [
+            ("type:j1", "pass", "type 0 at all 3 points"),
+            (
+                "type:j2",
+                "fail",
+                "type parity violated at (x1=0, y1=1, x2=2, y2=3): corank 1",
+            ),
+        ]
+
+    def test_gk_reduction_failure_names_each_point(self):
+        """A type prediction that raises fails the point it was made for,
+        not the whole check."""
+        message = "eigenbundle does not have half rank at the point"
+        assert self.bent_j2({3: "-1/2", 7: "1/2"}, ["gk_reduction"]) == [
+            (f"gk_reduction:{point}", "fail", message)
+            for point in ("first", "second", "third")
+        ]
+
     def test_each_point_is_reduced_once(self, monkeypatch):
         points, reductions = [], []
 
