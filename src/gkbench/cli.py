@@ -19,12 +19,13 @@ import sys
 from .catalog import builtin_raw, catalog_names, load_builtin
 from .errors import ValidationError
 from .linalg import Mat
-from .reduction import reduced_type, reduced_type_of_matrix
+from .reduction import reduced_type
 from .report import build_report, render_json, render_text, report_passed
 from .ring import scalar_text
 from .runner import Workspace, run_scenario
 from .scenario import Scenario, scenario_from_path
 from .selftest import run_selftest
+from .structures import matrix_type
 
 
 def _load(spec: str) -> Scenario:
@@ -80,7 +81,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     other = ws.partner()
     if other is not None:
         gk = ws.gk_reduced(args.point)
-        rtype = reduced_type_of_matrix(gk.jmat2, fiber.m)
+        rtype = matrix_type(gk.jmat2, fiber.point)
         print(f"transported partner {other} (type {rtype}):")
         print(_fmt_matrix(gk.jmat2))
         print("product operator:")

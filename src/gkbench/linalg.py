@@ -322,9 +322,7 @@ def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:
 def rmat_identity(chart: Chart, n: int) -> RMat:
     one = RingElement.one(chart)
     zero = RingElement.zero(chart)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def rmat_zeros(chart: Chart, r: int, c: int) -> RMat:
@@ -337,7 +335,10 @@ def rmat_scale(a: RMat, s: Scalar) -> RMat:
 
 
 def rmat_eval(m: RMat, point: EvalPoint) -> Mat:
-    return tuple(tuple(x.evaluate(point) for x in row) for row in m)
+    """The matrix at a point; a zero entry is ZERO there, unevaluated."""
+    return tuple(
+        tuple(ZERO if x.is_zero else x.evaluate(point) for x in row) for row in m
+    )
 
 
 def _det_and_adjugate(m: RMat) -> tuple[RingElement, RMat]:
@@ -349,9 +350,7 @@ def _det_and_adjugate(m: RMat) -> tuple[RingElement, RMat]:
     n = len(m)
     if n == 0:
         raise ValidationError("determinant of an empty matrix")
-    chart = m[0][0].chart
-    one, zero = RingElement.one(chart), RingElement.zero(chart)
-    step = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    step = rmat_identity(m[0][0].chart, n)
     product = m  # A M_1
     for k in range(1, n + 1):
         trace = sum((product[i][i] for i in range(1, n)), product[0][0])

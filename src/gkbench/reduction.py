@@ -29,6 +29,11 @@ comparison isomorphism, the induced second structure of a generalized
 Kahler pair, the reduced-type arithmetic, level-set bracket closure, and
 descent of basic B-fields all live here.
 
+No structure is evaluated here: J(p), P(p), the +i eigenbundle and the
+type at p come from GenStructure.at, and reduced types from the same
+rule, structures.matrix_type.  The two-step oracle reads the eigenbundle
+the one-step quotient reads; its independence lies in its own quotient.
+
 Each function checks what some input can break and leaves what its own
 construction guarantees to a one-line comment.  fiber_data checks the
 level, the independence of the generators and of the moment
@@ -86,7 +91,6 @@ from .linalg import (
     mat_vec,
     nullspace,
     rank,
-    rmat_eval,
     row_space_basis,
     rref,
     span_eq,
@@ -99,9 +103,9 @@ from .structures import (
     Points,
     closing_brackets,
     courant_bracket,
+    matrix_type,
     pairing_matrix,
     standard_frame,
-    type_at,
 )
 
 
@@ -260,10 +264,9 @@ def fiber_data(
 
 
 def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:
-    """Canonical basis of the +i eigenbundle of a structure at a point."""
-    proj = rmat_eval(struct.eigenprojector, point)
-    rows = row_space_basis(transpose(proj))
-    if len(rows) != struct.chart.dim:
+    """Canonical basis of the +i eigenbundle at a point, of half rank."""
+    rows = struct.at(point).eigenrows
+    if len(rows) != struct.dim:
         raise ValidationError("eigenbundle does not have half rank at the point")
     return rows
 
@@ -299,7 +302,7 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
 def reduced_type(red: ReducedFiber) -> int:
     """Type of the reduced structure from the upper-right block in the
     adapted quotient basis."""
-    return reduced_type_of_matrix(red.jmat, red.fiber.m)
+    return matrix_type(red.jmat, red.fiber.point)
 
 
 # --- two-step factorization --------------------------------------------------
@@ -311,11 +314,8 @@ def _eigen_matrix(plus: Sequence[Vec], minus: Sequence[Vec], value: Scalar) -> M
     columns of U."""
     u_cols = transpose(mat(tuple(plus) + tuple(minus)))
     values = [value] * len(plus) + [-value] * len(minus)
-    diag = tuple(
-        tuple(x if i == j else ZERO for j in range(len(values)))
-        for i, x in enumerate(values)
-    )
-    return mat_mul(u_cols, mat_mul(diag, inverse(u_cols)))
+    scaled = tuple(tuple(x * v for x, v in zip(row, values)) for row in u_cols)
+    return mat_mul(scaled, inverse(u_cols))
 
 
 def _structure_from_eigenrows(rows: Sequence[Vec]) -> Mat:
@@ -356,9 +356,7 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
     else:
         df_rows_plain = tuple(row[n:] for row in fiber.d_rows)
         ker_df = nullspace(mat(df_rows_plain))
-        covector_ext = extend_basis(
-            df_rows_plain, tuple(identity(n))
-        )
+        covector_ext = extend_basis(df_rows_plain, tuple(identity(n)))
     lifts1 = tuple(_embed_vector(n, v) for v in ker_df) + tuple(
         _embed_covector(n, identity(n)[i]) for i in covector_ext
     )
@@ -377,9 +375,7 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
     if k == 0:
         lifts2 = tuple(identity(dim1))
     else:
-        constraint = mat(
-            tuple(mat_vec(quot1.gram_q, a) for a in a1_rows)
-        )
+        constraint = mat(tuple(mat_vec(quot1.gram_q, a) for a in a1_rows))
         a1_perp = nullspace(constraint)
         chosen = extend_basis(a1_rows, a1_perp)
         lifts2 = tuple(a1_perp[i] for i in chosen)
@@ -444,9 +440,7 @@ def gk_reduce(
     n, m = fiber.n, fiber.m
     if m == 0:
         return GkReducedFiber((), (), ())
-    j1_val = rmat_eval(j1.matrix, point)
-    j2_val = rmat_eval(j2.matrix, point)
-    g_big = mat_neg(mat_mul(j1_val, j2_val))
+    g_big = mat_neg(mat_mul(j1.at(point).matrix, j2.at(point).matrix))
     c_plus = nullspace(mat_sub(g_big, identity(2 * n)))
     if len(c_plus) != n:
         raise ValidationError(
@@ -482,15 +476,6 @@ def gk_reduce(
     return GkReducedFiber(jmat2=jmat2, g_mat=g_tilde, c_plus_rows=tuple(c_rows))
 
 
-def reduced_type_of_matrix(jmat: Mat, m: int) -> int:
-    if m == 0:
-        return 0
-    block = tuple(tuple(jmat[i][m + j] for j in range(m)) for i in range(m))
-    # gram_q J is skew and gram_q = [[0, X], [X^T, 0]], so X^T times the block
-    # is skew and the block has even rank; m is even, as a structure needs.
-    return (m - rank(block)) // 2
-
-
 def gk_type_prediction(j2: GenStructure, fiber: FiberData) -> tuple[int, str]:
     """The reduced-type arithmetic for the second structure: type at the
     point, minus half the group and stabilizer dimensions (equal here,
@@ -499,7 +484,7 @@ def gk_type_prediction(j2: GenStructure, fiber: FiberData) -> tuple[int, str]:
     """
     point = fiber.point
     n, k = fiber.n, fiber.k
-    base_type = type_at(j2, point)
+    base_type = j2.at(point).type
     l_rows = eigenbundle_rows(j2, point)
     pi_rows = row_space_basis([row[:n] for row in l_rows])
     a_plain = tuple(row[:n] for row in fiber.a_rows)
@@ -672,11 +657,10 @@ def check_adapted_closure(
     frame = adapted_eigen_frame(struct, moment)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
     n = struct.dim
-    top = struct.eigenprojector[:n]
 
     def bound(p: EvalPoint) -> int:
         dF = mat([df.covector_at(p) for df in dfs])
-        return n - rank(mat_mul(dF, rmat_eval(top, p)))
+        return n - rank(mat_mul(dF, struct.at(p).projector[:n]))
 
     basis, hits = closing_brackets(
         frame,

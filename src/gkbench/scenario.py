@@ -1,6 +1,6 @@
 """Scenario files: JSON descriptions of a chart, structures, action and
 moment data, plus the list of checks to run and the expected exact
-quantities.
+quantities; the expected potential, expected.gamma, is parsed here.
 
 All numeric payloads are strings parsed by the exact expression parser
 (coefficients, functions) or as rationals (levels, affine point values);
@@ -94,8 +94,8 @@ def form_from_terms(
             piece = wedge_all(
                 [DiffForm.d_coord(chart, name) for name in frame]
             ).scale(coeff)
-        except KeyError as e:
-            raise ValidationError(f"{where}: unknown coordinate {e}") from e
+        except ValidationError as e:  # an unknown coordinate name
+            raise ValidationError(f"{where}: {e}") from e
         total = total + piece
     return total
 
@@ -207,9 +207,7 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     for sname in sorted(specs):
         spec = specs[sname]
         try:
-            structures[sname] = _structure(
-                chart, spec, twist, f"structure {sname}"
-            )
+            structures[sname] = _structure(chart, spec, twist, f"structure {sname}")
         except ValidationError as e:
             if str(e).startswith(f"structure {sname}"):
                 raise
@@ -254,9 +252,7 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
             not isinstance(moment_structure, str)
             or moment_structure not in structures
         ):
-            raise ValidationError(
-                "moment data must name one of the defined structures"
-            )
+            raise ValidationError("moment data must name one of the defined structures")
         k = action.k
         if "one_forms" not in mdata:
             one_forms = tuple(DiffForm.zero(chart, 1) for _ in range(k))
@@ -319,6 +315,8 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     expected = dict(_field(data, "expected", dict, {}))
     for key in ("types", "reduced_types"):
         _field(expected, key, dict, {})
+    if "gamma" in expected:
+        expected["gamma"] = form_from_terms(chart, expected["gamma"], 2, "expected gamma")
 
     return Scenario(
         name=name,

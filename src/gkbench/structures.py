@@ -6,17 +6,21 @@ and generalized (almost) complex structures as 2n x 2n ring matrices all
 live here, together with the algebraic, integrability, type and
 generalized Kahler pair checks.
 
-A GenStructure builds its eigenprojector, the opposite projector, the
-+i frame and its algebraic verdict once; with_twist hands them to the
-same matrix under another twist.  open_brackets is the one loop over
-frame pairs.  closing_brackets is the one "certified basis, else full
-frame" pass over it, for check_integrable here and the level-set closure
-checks of reduction: certify_basis picks, at a named point, a subset of
-the frame that is a basis of its span over the fraction field of the
-coefficient ring, and when every bracket of that basis closes the whole
-frame closes.  When no point certifies a basis, or some basis bracket
-fails, the full frame is bracketed as before, so every failing detail
-names a pair in the full frame's numbering.
+A GenStructure builds its eigenprojector, the opposite projector, the +i
+frame and its algebraic verdict once; with_twist hands them to the same
+matrix under another twist, together with the values of at(p): J(p),
+P(p) = (Id - iJ(p))/2, the canonical basis of the +i eigenbundle and the
+type, built once per matrix and point.  No other module evaluates a
+structure, and one upper-right-block rule, matrix_type, types J(p) and
+the reduced structures.  open_brackets is the one loop over frame pairs.
+closing_brackets is the one "certified basis, else full frame" pass over
+it, for check_integrable here and the level-set closure checks of
+reduction: certify_basis picks, at a named point, a subset of the frame
+that is a basis of its span over the fraction field of the coefficient
+ring, and when every bracket of that basis closes the whole frame
+closes.  When no point certifies a basis, or some basis bracket fails,
+the full frame is bracketed as before, so every failing detail names a
+pair in the full frame's numbering.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -33,7 +37,7 @@ is exact and is pinned down by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -45,6 +49,7 @@ from .errors import ChartMismatchError, ValidationError
 from .linalg import (
     Mat,
     RMat,
+    Vec,
     extend_basis,
     is_positive_definite,
     mat,
@@ -58,11 +63,13 @@ from .linalg import (
     rmat_identity,
     rmat_scale,
     rmat_zeros,
+    row_space_basis,
     transpose,
 )
 from .ring import Chart, EvalPoint, IMAG, RingElement, Scalar, ZERO
 
 HALF = Scalar.of(Fraction(1, 2))
+MINUS_HALF_I = Scalar.of(0, Fraction(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -232,6 +239,47 @@ def b_exponential(b_field: DiffForm) -> RMat:
 # --- generalized structures ------------------------------------------------
 
 
+def matrix_type(jmat: Mat, point: EvalPoint) -> int:
+    """Type of a structure matrix at a point, in the standard frame or a
+    quotient's adapted basis: half the corank of the upper-right block,
+    which takes a covector to the tangent part of its image.  Parity is
+    enforced; on a quotient it always holds, gram_q J being skew."""
+    n = len(jmat) // 2
+    corank = n - rank(tuple(row[n:] for row in jmat[:n])) if n else 0
+    if corank % 2:
+        raise ValidationError(f"type parity violated at {point}: corank {corank}")
+    return corank // 2
+
+
+class StructureAt:
+    """A structure at a point p: J(p), then P(p), the canonical basis of
+    the +i eigenbundle and the type, each built on first use.  It holds
+    no reference to its structure."""
+
+    def __init__(self, matrix: Mat, point: EvalPoint) -> None:
+        self.matrix = matrix
+        self.point = point
+
+    @cached_property
+    def projector(self) -> Mat:
+        """P(p) = (Id - i J(p))/2, from the nonzero entries of J(p)."""
+        rows = []
+        for i, row in enumerate(self.matrix):
+            out = [x * MINUS_HALF_I if x else ZERO for x in row]
+            out[i] = out[i] + HALF
+            rows.append(tuple(out))
+        return tuple(rows)
+
+    @cached_property
+    def eigenrows(self) -> tuple[Vec, ...]:
+        """Canonical basis of the +i eigenbundle, the span of P(p)'s columns."""
+        return row_space_basis(transpose(self.projector))
+
+    @cached_property
+    def type(self) -> int:
+        return matrix_type(self.matrix, self.point)
+
+
 @dataclass(frozen=True)
 class GenStructure:
     """A generalized almost complex structure with its background twist.
@@ -244,6 +292,8 @@ class GenStructure:
     chart: Chart
     matrix: RMat
     twist: DiffForm
+    # The values at(p) has built, by point; with_twist shares the dict.
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.chart.dim
@@ -266,6 +316,13 @@ class GenStructure:
 
     def apply(self, u: GenSection) -> GenSection:
         return section_from_column(self.chart, mat_vec(self.matrix, u.column()))
+
+    def at(self, point: EvalPoint) -> StructureAt:
+        """The structure at a point, built once per matrix and point."""
+        here = self._points.get(point)
+        if here is None:
+            here = self._points[point] = StructureAt(rmat_eval(self.matrix, point), point)
+        return here
 
     # Built on first use and kept in the instance __dict__, which a
     # frozen dataclass allows.
@@ -323,6 +380,7 @@ class GenStructure:
 
 # The cached values of a GenStructure that depend on its matrix alone.
 _MATRIX_ONLY = (
+    "_points",
     "eigenprojector",
     "anti_projector",
     "plus_i_frame",
@@ -519,21 +577,20 @@ def closing_brackets(
 def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, str]:
     """Courant involutivity of the +i eigenbundle against the twist.
 
-    The projector is checked to be idempotent (read from J^2 = -Id,
-    which is the same condition), the eigenbundle rank is
-    checked at the sample points, and every bracket of spanning sections
-    is required to stay inside the eigenbundle (zero residual under the
-    opposite projector).  For an isotropic subbundle this spanning-set
-    computation settles involutivity for all sections; when the structure
-    is algebraic, the brackets of n columns of P certified at a point
-    settle it (certify_basis).
+    The projector is checked to be idempotent (read from J^2 = -Id, which is
+    the same condition), the eigenbundle rank is checked at the sample points
+    (the length of the basis at(p) holds), and every bracket of spanning
+    sections is required to stay inside the eigenbundle (zero residual under
+    the opposite projector).  For an isotropic subbundle this spanning-set
+    computation settles involutivity for all sections; when the structure is
+    algebraic, the brackets of n columns of P certified at a point settle it
+    (certify_basis).
     """
     n = struct.dim
     if not struct.squares_to_minus_one:
         return False, "eigenprojector is not idempotent"
-    proj = struct.eigenprojector
     for _, p in named_points(points):
-        if rank(rmat_eval(proj, p)) != n:
+        if len(struct.at(p).eigenrows) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
     basis, hits = closing_brackets(
         struct.plus_i_frame,
@@ -553,25 +610,6 @@ def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, s
     if basis is None:
         return True, "eigenbundle is involutive for the twisted bracket"
     return True, f"eigenbundle is involutive for the twisted bracket: {basis} close"
-
-
-def type_at(struct: GenStructure, point: EvalPoint) -> int:
-    """Type at a point: half the corank of the upper-right block.
-
-    The upper-right n x n block of the structure matrix is the map taking
-    a covector to the tangent projection of its image; the projection of
-    the +i eigenbundle has complex dimension n minus half that block's
-    rank ... concretely the type is (n - rank) / 2 and parity is enforced.
-    """
-    n = struct.chart.dim
-    block = tuple(
-        tuple(struct.matrix[i][n + j].evaluate(point) for j in range(n))
-        for i in range(n)
-    )
-    r = rank(block)
-    if (n - r) % 2 != 0:
-        raise ValidationError(f"type parity violated at {point}: corank {n - r}")
-    return (n - r) // 2
 
 
 def check_gk_pair(

@@ -34,7 +34,6 @@ from gkbench.reduction import (
     gk_reduce,
     gk_type_prediction,
     reduced_type,
-    reduced_type_of_matrix,
     two_step_reduce,
 )
 from gkbench.ring import Scalar, parse_expr
@@ -44,7 +43,7 @@ from gkbench.structures import (
     b_transform_structure,
     check_algebraic,
     check_integrable,
-    type_at,
+    matrix_type,
 )
 
 ZERO = Scalar.of(0)
@@ -228,13 +227,13 @@ def test_criterion_6_type_formulas():
     for pname, point in scen.points.items():
         fiber = fiber_data(moment_r, point, scen.level)
         red1 = dirac_reduce(struct1, fiber)
-        assert type_at(struct1, point) == 0
+        assert struct1.at(point).type == 0
         assert reduced_type(red1) == 0, pname
         gk = gk_reduce(red1, struct1, struct2)
-        computed = reduced_type_of_matrix(gk.jmat2, fiber.m)
+        computed = matrix_type(gk.jmat2, fiber.point)
         predicted, formula = gk_type_prediction(struct2, fiber)
         assert computed == predicted == 1, (pname, formula)
-        assert type_at(struct2, point) - fiber.k == 1, pname
+        assert struct2.at(point).type - fiber.k == 1, pname
 
     scen = load_builtin("bihermitian_r4_translation")
     ws, _, _ = workspace_moment(scen)
@@ -243,9 +242,9 @@ def test_criterion_6_type_formulas():
     for pname, point in scen.points.items():
         fiber = fiber_data(moment_r, point, scen.level)
         red1 = dirac_reduce(struct1, fiber)
-        assert reduced_type(red1) == type_at(struct1, point) == 0, pname
+        assert reduced_type(red1) == struct1.at(point).type == 0, pname
         gk = gk_reduce(red1, struct1, struct2)
-        computed = reduced_type_of_matrix(gk.jmat2, fiber.m)
+        computed = matrix_type(gk.jmat2, fiber.point)
         predicted, formula = gk_type_prediction(struct2, fiber)
         assert computed == predicted == 1, (pname, formula)
         assert "2*1" in formula, formula

@@ -264,6 +264,27 @@ def test_evaluation_commutes_with_products(a, b, p):
     )
 
 
+@settings(max_examples=40, derandomize=True)
+@given(ring_matrices(3, 3), ring_points)
+def test_evaluation_skips_zero_entries(a, p):
+    """rmat_eval gives every entry its value and evaluates only the nonzero
+    entries."""
+    evaluated = []
+    real = RingElement.evaluate
+
+    def counted(x, point):
+        evaluated.append(x)
+        return real(x, point)
+
+    RingElement.evaluate = counted
+    try:
+        value = rmat_eval(a, p)
+    finally:
+        RingElement.evaluate = real
+    assert value == tuple(tuple(x.evaluate(p) for x in row) for row in a)
+    assert len(evaluated) == sum(not x.is_zero for row in a for x in row)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: ring_matrices(n, n)))
 def test_adjugate_times_matrix_is_det_times_identity(a):

@@ -7,7 +7,9 @@ No top-level function or class of the package goes unread either, so a
 refactor that leaves a helper behind is caught too.  A definition counts
 as read when a statement of the package other than its own definition
 reads its name, as a name, an attribute, a string annotation or an
-__all__ entry."""
+__all__ entry.  The same holds for the methods and properties of the
+package's classes, dunders aside: each must be read by some statement
+other than its own definition, such as another method of its class."""
 
 import ast
 from pathlib import Path
@@ -147,3 +149,59 @@ def test_detector_sees_unread_definitions():
         ),
     }
     assert unread_definitions(sources) == ["a.py:unused", "a.py:only_itself"]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """Methods and properties of top-level classes, as
+    "module:Class.name", whose name no other statement of the given
+    modules reads; each statement of a class body counts on its own."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    units = [
+        inner
+        for tree in trees.values()
+        for stmt in tree.body
+        for inner in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
+    ]
+    reads = [(unit, _reads(unit)) for unit in units]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [
+        f"{module}:{cls.name}.{meth.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for meth in cls.body
+        if isinstance(meth, kinds)
+        and not _is_dunder(meth.name)
+        and not any(meth.name in names for other, names in reads if other is not meth)
+    ]
+
+
+def test_every_method_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_methods(sources) == []
+
+
+def test_detector_sees_unread_methods():
+    sources = {
+        "a.py": (
+            "from functools import cached_property\n"
+            "class Value:\n"
+            "    def __init__(self): self.x = self.helper()\n"
+            "    def helper(self): return 1\n"
+            "    def unused(self): return 2\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    @cached_property\n"
+            "    def shown(self): return 3\n"
+            "    @cached_property\n"
+            "    def hidden(self): return 4\n"
+            "    def __repr__(self): return 'Value'\n"
+        ),
+        "b.py": "from .a import Value\nprint(Value().shown)\n",
+    }
+    assert unread_methods(sources) == [
+        "a.py:Value.unused", "a.py:Value.recursive", "a.py:Value.hidden"
+    ]

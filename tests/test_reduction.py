@@ -51,7 +51,6 @@ from gkbench.reduction import (
     gk_reduce,
     gk_type_prediction,
     reduced_type,
-    reduced_type_of_matrix,
     two_step_disagreement,
     two_step_reduce,
 )
@@ -65,8 +64,8 @@ from gkbench.structures import (
     b_exponential,
     b_transform_structure,
     complex_structure,
+    matrix_type,
     symplectic_structure,
-    type_at,
     zero_twist,
 )
 
@@ -333,7 +332,7 @@ class TestGkReduce:
         red1 = dirac_reduce(j1, fiber)
         gk = gk_reduce(red1, j1, j2)
         predicted, detail = gk_type_prediction(j2, fiber)
-        assert reduced_type_of_matrix(gk.jmat2, fiber.m) == 1
+        assert matrix_type(gk.jmat2, fiber.point) == 1
         assert predicted == 1
         assert "2*0" in detail
 
@@ -346,7 +345,7 @@ class TestGkReduce:
             red1 = dirac_reduce(j1, fiber)
             gk = gk_reduce(red1, j1, j2)
             predicted, _ = gk_type_prediction(j2, fiber)
-            assert reduced_type_of_matrix(gk.jmat2, fiber.m) == predicted == 1
+            assert matrix_type(gk.jmat2, fiber.point) == predicted == 1
 
 
 class TestTrivialAction:
@@ -360,7 +359,7 @@ class TestTrivialAction:
         j1 = symplectic_structure(omega_r4())
         red = dirac_reduce(j1, fiber)
         assert red.jmat == rmat_eval(j1.matrix, p)
-        assert reduced_type(red) == type_at(j1, p) == 0
+        assert reduced_type(red) == j1.at(p).type == 0
 
     def test_gk_reduces_to_evaluation(self):
         p = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
@@ -371,7 +370,7 @@ class TestTrivialAction:
         gk = gk_reduce(red1, j1, j2)
         assert gk.jmat2 == rmat_eval(j2.matrix, p)
         predicted, _ = gk_type_prediction(j2, fiber)
-        assert predicted == reduced_type_of_matrix(gk.jmat2, 4) == 2
+        assert predicted == matrix_type(gk.jmat2, p) == 2
 
 
 class TestZeroDimensionalQuotient:
@@ -686,9 +685,9 @@ def test_reduced_pairs_are_generalized_kahler():
 
 
 def test_reduced_upper_right_blocks_have_even_rank():
-    """reduced_type_of_matrix halves m - rank of the upper-right block B
-    without a parity check: gram_q J is skew and gram_q = [[0, X], [X^T, 0]],
-    so X^T B is skew and B has even rank, and m is even."""
+    """matrix_type's parity check never fails on a quotient: gram_q J is
+    skew and gram_q = [[0, X], [X^T, 0]], so X^T times the upper-right
+    block B is skew and B has even rank, and m is even."""
     found = [(label, red.jmat, red.fiber) for label, red in catalog_reductions()]
     found += [(label, gk.jmat2, red1.fiber) for label, red1, gk in catalog_gk_reductions()]
     found = [(label, j, fiber) for label, j, fiber in found if fiber.m]

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkbench.calculus import DiffForm
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench import runner
 from gkbench.cli import main
@@ -149,6 +150,18 @@ class TestLoader:
         raw["b_field"] = [{"coeff": "I", "frame": ["t1", "t2"]}]
         with pytest.raises(ValidationError, match="real"):
             load_scenario(raw)
+
+    def test_expected_gamma_is_parsed_by_the_loader(self):
+        """The gamma check compares with the loaded form and parses nothing;
+        a bad expected potential stops the load under its own name."""
+        raw = copy.deepcopy(builtin_raw("gamma_torus_cylinder"))
+        scen = load_scenario(raw)
+        assert isinstance(scen.expected["gamma"], DiffForm)
+        assert raw["expected"]["gamma"] == scen.raw["expected"]["gamma"]
+        raw["expected"]["gamma"] = [{"coeff": "1", "frame": ["zz", "x1"]}]
+        with pytest.raises(ValidationError) as err:
+            load_scenario(raw)
+        assert str(err.value) == "expected gamma: unknown coordinate 'zz'"
 
     def test_digest_tracks_content(self):
         raw = builtin_raw("complex_r2")
@@ -449,6 +462,8 @@ class TestCli:
                  ["x2", "periodic"], ["t2", "affine"]],
             ),
             ("structures", {"j": {"kind": [1], "two_form": []}}),
+            ("expected", {"gamma": [{"coeff": "1", "frame": ["zz", "x1"]}]}),
+            ("expected", {"gamma": 5}),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):
@@ -466,6 +481,9 @@ class TestCli:
                 "error: point base: periodic coordinate 'x1' takes integer "
                 "quarter turns\n"
             )
+        if isinstance(value, dict) and "gamma" in value:
+            # Parsed once, by the loader, under its own name.
+            assert err.startswith("error: expected gamma: ")
 
 
     def test_chart_over_max_coords_exits_2(self, tmp_path, capsys):

@@ -9,15 +9,19 @@ other candidate signs fail.
 """
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkbench import structures
 from gkbench.calculus import DiffForm, VectorField, wedge_all
 from gkbench.errors import ValidationError
 from gkbench.catalog import catalog_names, load_builtin
-from gkbench.linalg import inverse, mat_mul, transpose
+from gkbench.linalg import inverse, mat_mul, rank, rmat_eval, row_space_basis, transpose
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
+from gkbench.runner import run_scenario
 from gkbench.structures import (
     GenSection,
     GenStructure,
@@ -34,7 +38,6 @@ from gkbench.structures import (
     standard_frame,
     symplectic_structure,
     two_form_rmatrix,
-    type_at,
     zero_twist,
 )
 
@@ -198,7 +201,7 @@ class TestSymplectic:
         origin = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
         ok, detail = check_integrable(struct, [origin])
         assert ok, detail
-        assert type_at(struct, origin) == 0
+        assert struct.at(origin).type == 0
 
     def test_eigenbundle_is_graph_of_i_omega(self):
         # The +i eigenbundle contains X + i i_X omega for coordinate fields.
@@ -235,7 +238,7 @@ class TestComplex:
         origin = EvalPoint.at(R2, x=0, y=0)
         ok, detail = check_integrable(struct, [origin])
         assert ok, detail
-        assert type_at(struct, origin) == 1
+        assert struct.at(origin).type == 1
 
     def test_non_square_root_rejected(self):
         z = RingElement.zero(R2)
@@ -468,3 +471,98 @@ def test_skew_pairing_test_matches_the_product_on_conjugates(data):
     assert ok == _preserves_pairing_by_product(moved, chart), label
     if not ok:
         assert detail == "matrix does not preserve the pairing"
+
+
+# --- the structure at a point -----------------------------------------------------
+
+
+def _block_type(struct, point):
+    """The type as it was read before GenStructure.at: half the corank of
+    the upper-right block, evaluated alone."""
+    n = struct.dim
+    block = tuple(
+        tuple(struct.matrix[i][n + j].evaluate(point) for j in range(n))
+        for i in range(n)
+    )
+    corank = n - rank(block)
+    assert corank % 2 == 0
+    return corank // 2
+
+
+def _catalog_structures_with_b():
+    """Every catalog structure, and its B-transform when the scenario has
+    a B-field, with the scenario's points."""
+    out = []
+    for name in catalog_names():
+        scen = load_builtin(name)
+        for sname in sorted(scen.structures):
+            struct = scen.structures[sname]
+            out.append((f"{name}/{sname}", struct, scen.points))
+            if scen.b_field is not None:
+                moved = b_transform_structure(scen.b_field, struct)
+                out.append((f"{name}/{sname}+b", moved, scen.points))
+    return out
+
+
+def test_point_values_match_the_ring_projector_and_the_block_rule():
+    checked = 0
+    for label, struct, points in _catalog_structures_with_b():
+        for pname, p in points.items():
+            here = struct.at(p)
+            want_rows = row_space_basis(transpose(rmat_eval(struct.eigenprojector, p)))
+            assert here.matrix == rmat_eval(struct.matrix, p), (label, pname)
+            assert here.projector == rmat_eval(struct.eigenprojector, p), (label, pname)
+            assert here.eigenrows == want_rows, (label, pname)
+            assert here.type == _block_type(struct, p), (label, pname)
+            checked += 1
+    assert checked == 46
+
+
+def test_point_value_is_built_once_and_holds_no_structure():
+    scen = load_builtin("kahler_c2_circle")
+    struct, p = scen.structures["j1"], next(iter(scen.points.values()))
+    here = struct.at(p)
+    assert struct.at(p) is here
+    assert not any(isinstance(v, GenStructure) for v in vars(here).values())
+
+
+def test_with_twist_shares_the_point_values():
+    struct = symplectic_structure(omega_r4())
+    p = EvalPoint.at(R4, x1=1, y1=0, x2=2, y2=-1)
+    q = EvalPoint.at(R4, x1=0, y1=3, x2=0, y2=1)
+    twist = d(R4, "x1").wedge(d(R4, "x2")).wedge(d(R4, "y2"))
+    before = struct.at(p)
+    other = struct.with_twist(twist)
+    assert other.at(p) is before
+    # A value built through either structure after the split is shared too.
+    assert struct.at(q) is other.at(q)
+
+
+def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
+    """integrability, reduction with its two-step oracle, level closure and
+    gk_reduction all read eigenbundles at the scenario's points; none is
+    eliminated twice for the same matrix and point."""
+    owners, eliminated = {}, []
+    real_at = GenStructure.at
+    plain_rows = structures.StructureAt.eigenrows.func
+
+    def at(struct, point):
+        here = real_at(struct, point)
+        owners[id(here)] = (tuple(map(str, chain(*struct.matrix))), point)
+        return here
+
+    def counted_rows(here):
+        eliminated.append(owners[id(here)])
+        return plain_rows(here)
+
+    rows = cached_property(counted_rows)
+    rows.__set_name__(structures.StructureAt, "eigenrows")
+    monkeypatch.setattr(GenStructure, "at", at)
+    monkeypatch.setattr(structures.StructureAt, "eigenrows", rows)
+    scen = load_builtin("bihermitian_r4_translation")
+    assert {"integrability", "reduction", "gk_reduction"} <= set(scen.checks)
+    verdicts, _ = run_scenario(scen)
+    assert all(v.status == "pass" for v in verdicts)
+    # j1 and j2 as given, and each after the potential transform, at 3 points.
+    assert len(eliminated) == 12
+    assert len(set(eliminated)) == len(eliminated)
