@@ -110,9 +110,6 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def evaluate(self, point: EvalPoint) -> tuple[Scalar, ...]:
-        return tuple(c.evaluate(point) for c in self.components)
-
     def __str__(self) -> str:
         parts = []
         for i, c in enumerate(self.components):

@@ -95,48 +95,6 @@ class EquivariantForm:
     def is_zero(self) -> bool:
         return not self.components
 
-    def __add__(self, other: "EquivariantForm") -> "EquivariantForm":
-        if self.chart != other.chart or self.k != other.k:
-            raise ValidationError("equivariant forms are not compatible")
-        out: dict[MultiDegree, DiffForm] = dict(self.components)
-        for deg, form in other.components.items():
-            cur = out.get(deg)
-            out[deg] = form if cur is None else cur + form
-        return EquivariantForm(self.chart, self.k, out)
-
-    def __neg__(self) -> "EquivariantForm":
-        return EquivariantForm(
-            self.chart, self.k, {d: -f for d, f in self.components.items()}
-        )
-
-    def __sub__(self, other: "EquivariantForm") -> "EquivariantForm":
-        return self + (-other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EquivariantForm):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.k == other.k
-            and self.components == other.components
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __str__(self) -> str:
-        if not self.components:
-            return "0"
-        parts = []
-        for deg in sorted(self.components):
-            vars_text = "*".join(
-                f"u{i + 1}" + (f"^{d}" if d > 1 else "")
-                for i, d in enumerate(deg)
-                if d > 0
-            )
-            body = str(self.components[deg])
-            parts.append(f"({body})" if not vars_text else f"{vars_text}*({body})")
-        return " + ".join(parts)
-
 
 def cartan_d(eform: EquivariantForm, action: TorusAction) -> EquivariantForm:
     """The Cartan differential: component at m picks up d(omega_m) and

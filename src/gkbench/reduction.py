@@ -29,10 +29,12 @@ comparison isomorphism, the induced second structure of a generalized
 Kahler pair, the reduced-type arithmetic, level-set bracket closure, and
 descent of basic B-fields all live here.
 
-No structure is evaluated here: J(p), P(p), the +i eigenbundle and the
-type at p come from GenStructure.at, and reduced types from the same
-rule, structures.matrix_type.  The two-step oracle reads the eigenbundle
-the one-step quotient reads; its independence lies in its own quotient.
+No structure is evaluated here: J(p), P(p), the +i eigenbundle (the
+columns of P(p) that GenStructure.at picks, a basis that every reader
+here canonicalizes or only spans) and the type at p come from
+GenStructure.at, and reduced types from the same rule,
+structures.matrix_type.  The two-step oracle reads the eigenbundle the
+one-step quotient reads; its independence lies in its own quotient.
 
 Each function checks what some input can break and leaves what its own
 construction guarantees to a one-line comment.  fiber_data checks the
@@ -52,16 +54,17 @@ into a failing verdict.
 
 Level-set closure is one pass per check through
 structures.closing_brackets: given the scenario's named points, the
-brackets of a basis certified at one of them (for the coisotropic frame,
-N - rank(dF) vector fields; for the adapted frame, n - rank(dF.rho.P)
-eigenbundle sections), and the full frame's pairs when no point
-certifies a basis or some basis bracket fails.  check_level_closure
-reads only vector parts (the vector part of a twisted bracket is the Lie
-bracket of the vector parts).  Each check also judges the level slice
-from the same pass: a certified chart-wide pass is a slice pass, and a
-full-frame pass pulls back only the residuals that did not vanish on the
-chart.  level_substitution returns a slice map only when every moment
-function pulls back to its level constant.
+brackets of a basis that structures.certify_basis certifies at one of
+them (for the coisotropic frame, N - rank(dF) vector fields; for the
+adapted frame, n - rank(dF.rho.P) eigenbundle sections), and the full
+frame's pairs when no point certifies a basis or some basis bracket
+fails.  check_level_closure reads only vector parts (the vector part of
+a twisted bracket is the Lie bracket of the vector parts).  Each check
+also judges the level slice from the same pass: a certified chart-wide
+pass is a slice pass, and a full-frame pass pulls back only the
+residuals that did not vanish on the chart.  level_substitution returns
+a slice map only when every moment function pulls back to its level
+constant.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ from .linalg import (
     mat_vec,
     nullspace,
     rank,
+    rmat_eval,
     row_space_basis,
     rref,
     span_eq,
@@ -101,6 +105,7 @@ from .structures import (
     GenSection,
     GenStructure,
     Points,
+    certify_basis,
     closing_brackets,
     courant_bracket,
     matrix_type,
@@ -228,7 +233,7 @@ def fiber_data(
                 f"point is not on the level set: f_{i + 1} = {value}, "
                 f"expected {want}"
             )
-    xi_rows = tuple(tuple(g.evaluate(point)) for g in action.generators)
+    xi_rows = rmat_eval(tuple(g.components for g in action.generators), point)
     df_rows = tuple(
         DiffForm.function(f).d().covector_at(point) for f in moment.functions
     )
@@ -264,7 +269,7 @@ def fiber_data(
 
 
 def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:
-    """Canonical basis of the +i eigenbundle at a point, of half rank."""
+    """A basis of the +i eigenbundle at a point, of half rank."""
     rows = struct.at(point).eigenrows
     if len(rows) != struct.dim:
         raise ValidationError("eigenbundle does not have half rank at the point")
@@ -613,13 +618,15 @@ def check_level_closure(
     given a slice map, the verdict on the level slice (otherwise None)."""
     frame = coisotropic_frame(moment)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
+    vectors = [s.vector for s in frame]
     dim = moment.action.chart.dim
-    basis, hits = closing_brackets(
-        [s.vector for s in frame],
-        lie_bracket,
-        lambda w: (df.apply([w]) for df in dfs),
+    certified = certify_basis(
+        [v.components for v in vectors],
         points,
         lambda p: dim - rank(mat([df.covector_at(p) for df in dfs])),
+    )
+    basis, hits = closing_brackets(
+        vectors, lie_bracket, lambda w: (df.apply([w]) for df in dfs), certified
     )
     done = basis or f"all {comb(len(frame), 2)} frame brackets"
     return _closure_verdicts(
@@ -662,12 +669,14 @@ def check_adapted_closure(
         dF = mat([df.covector_at(p) for df in dfs])
         return n - rank(mat_mul(dF, struct.at(p).projector[:n]))
 
+    certified = certify_basis(
+        [u.column() for u in frame], points if struct.algebraic[0] else (), bound
+    )
     basis, hits = closing_brackets(
         frame,
         lambda u, v: courant_bracket(u, v, struct.twist),
         lambda w: mat_vec(struct.anti_projector, w.column()),
-        points if struct.algebraic[0] else (),
-        bound,
+        certified,
     )
     # No tangency residual: df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0 for tangent X, Y.
     done = basis or f"all {comb(len(frame), 2)} adapted brackets"

@@ -318,9 +318,6 @@ class EvalPoint:
                 values.append(_as_fraction(raw))
         return EvalPoint(chart, tuple(values))
 
-    def value(self, name: str) -> Union[Fraction, int]:
-        return self.values[self.chart.index(name)]
-
     def __str__(self) -> str:
         parts = [f"{n}={v}" for (n, _), v in zip(self.chart.coords, self.values)]
         return "(" + ", ".join(parts) + ")"
@@ -756,18 +753,41 @@ def _numeral(text: str, pos: int) -> int:
     return int(digits)
 
 
+def _rational_literal(toks: _Tokens, text: str, pos: int) -> int | Fraction:
+    """The rational literal whose first numeral, text at pos, was just
+    taken: an integer, or p/q with q nonzero."""
+    numer = _numeral(text, pos)
+    if toks.peek()[0] != "/":
+        return numer
+    toks.take()
+    _, dtext, dpos = toks.take("num")
+    denom = _numeral(dtext, dpos)
+    if denom == 0:
+        raise ParseError("zero denominator", dpos)
+    return Fraction(numer, denom)
+
+
+def parse_rational(src: str) -> Fraction:
+    """A signed rational literal, read by the rule parse_expr reads
+    rationals with: an optional sign, then an integer or p/q, each
+    numeral of at most MAX_DIGITS digits."""
+    toks = _Tokens(src)
+    sign = toks.peek()[0]
+    if sign in ("+", "-"):
+        toks.take()
+    _, text, pos = toks.take("num")
+    value = Fraction(_rational_literal(toks, text, pos))
+    kind, text, pos = toks.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", pos)
+    return -value if sign == "-" else value
+
+
 def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
     kind, text, pos = toks.take()
     if kind == "num":
-        numer = _numeral(text, pos)
-        if toks.peek()[0] == "/":
-            toks.take()
-            _, dtext, dpos = toks.take("num")
-            denom = _numeral(dtext, dpos)
-            if denom == 0:
-                raise ParseError("zero denominator", dpos)
-            return RingElement.constant(chart, Scalar.of(Fraction(numer, denom)))
-        return RingElement.constant(chart, Scalar.of(numer))
+        literal = _rational_literal(toks, text, pos)
+        return RingElement.constant(chart, Scalar.of(literal))
     if kind == "(":
         inner = _parse_sum(toks, chart)
         toks.take(")")

@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 from .calculus import DiffForm, VectorField, wedge_all
 from .equivariant import Connection, MomentData, TorusAction
 from .errors import ParseError, ValidationError
-from .ring import Chart, EvalPoint, RingElement, make_chart, parse_expr
+from .ring import Chart, EvalPoint, RingElement, make_chart, parse_expr, parse_rational
 from .structures import (
     GenStructure,
     complex_structure,
@@ -101,9 +101,11 @@ def form_from_terms(
 
 
 def _rational(raw: Any, where: str) -> Fraction:
+    """A JSON integer, or a string holding an integer or p/q, by the
+    parser's rule for rational literals (ring.parse_rational)."""
     try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError) as e:
+        return parse_rational(str(raw))
+    except ParseError as e:
         raise ValidationError(f"{where}: {raw}") from e
 
 

@@ -9,18 +9,21 @@ generalized Kahler pair checks.
 A GenStructure builds its eigenprojector, the opposite projector, the +i
 frame and its algebraic verdict once; with_twist hands them to the same
 matrix under another twist, together with the values of at(p): J(p),
-P(p) = (Id - iJ(p))/2, the canonical basis of the +i eigenbundle and the
-type, built once per matrix and point.  No other module evaluates a
-structure, and one upper-right-block rule, matrix_type, types J(p) and
-the reduced structures.  open_brackets is the one loop over frame pairs.
+P(p) = (Id - iJ(p))/2, the columns of P(p) picked greedily by one
+elimination as a basis of the +i eigenbundle, and the type, built once
+per matrix and point.  No other module evaluates a structure, and one
+upper-right-block rule, matrix_type, types J(p) and the reduced
+structures.  open_brackets is the one loop over frame pairs.
 closing_brackets is the one "certified basis, else full frame" pass over
 it, for check_integrable here and the level-set closure checks of
-reduction: certify_basis picks, at a named point, a subset of the frame
-that is a basis of its span over the fraction field of the coefficient
-ring, and when every bracket of that basis closes the whole frame
-closes.  When no point certifies a basis, or some basis bracket fails,
-the full frame is bracketed as before, so every failing detail names a
-pair in the full frame's numbering.
+reduction.  A certified basis is a subset of the frame, picked at a
+named point, that is a basis of its span over the fraction field of the
+coefficient ring, and when every bracket of that basis closes the whole
+frame closes.  check_integrable reads its basis from at(p), the columns
+of P picked there; certify_basis picks one for the level-set frames.
+When no point certifies a basis, or some basis bracket fails, the full
+frame is bracketed as before, so every failing detail names a pair in
+the full frame's numbering.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -63,7 +66,6 @@ from .linalg import (
     rmat_identity,
     rmat_scale,
     rmat_zeros,
-    row_space_basis,
     transpose,
 )
 from .ring import Chart, EvalPoint, IMAG, RingElement, Scalar, ZERO
@@ -114,9 +116,6 @@ class GenSection:
     def scale(self, f) -> "GenSection":
         return GenSection(self.vector.scale(f), self.form.scale(f))
 
-    def conj(self) -> "GenSection":
-        return GenSection(self.vector.conj(), self.form.conj())
-
     @property
     def is_zero(self) -> bool:
         return self.vector.is_zero and self.form.is_zero
@@ -129,9 +128,6 @@ class GenSection:
         for (i,), coeff in self.form.terms.items():
             covector[i] = coeff
         return tuple(self.vector.components) + tuple(covector)
-
-    def evaluate(self, point: EvalPoint) -> tuple[Scalar, ...]:
-        return tuple(c.evaluate(point) for c in self.column())
 
     def __str__(self) -> str:
         return f"{self.vector} (+) {self.form}"
@@ -252,9 +248,9 @@ def matrix_type(jmat: Mat, point: EvalPoint) -> int:
 
 
 class StructureAt:
-    """A structure at a point p: J(p), then P(p), the canonical basis of
-    the +i eigenbundle and the type, each built on first use.  It holds
-    no reference to its structure."""
+    """A structure at a point p: J(p), then P(p), a basis of the +i
+    eigenbundle picked from P(p)'s columns and the type, each built on
+    first use.  It holds no reference to its structure."""
 
     def __init__(self, matrix: Mat, point: EvalPoint) -> None:
         self.matrix = matrix
@@ -271,9 +267,16 @@ class StructureAt:
         return tuple(rows)
 
     @cached_property
+    def basis(self) -> tuple[int, ...]:
+        """The indices of P(p)'s columns picked greedily, in order, by one
+        elimination: the first columns that span the +i eigenbundle."""
+        return extend_basis((), transpose(self.projector))
+
+    @cached_property
     def eigenrows(self) -> tuple[Vec, ...]:
-        """Canonical basis of the +i eigenbundle, the span of P(p)'s columns."""
-        return row_space_basis(transpose(self.projector))
+        """A basis of the +i eigenbundle: the picked columns of P(p)."""
+        cols = transpose(self.projector)
+        return tuple(cols[i] for i in self.basis)
 
     @cached_property
     def type(self) -> int:
@@ -511,21 +514,26 @@ def named_points(points: Points) -> list[tuple[str, EvalPoint]]:
 
 
 def certify_basis(
-    frame: Sequence, points: Points, bound: Callable[[EvalPoint], int]
+    columns: Sequence[Sequence[RingElement]],
+    points: Points,
+    bound: Callable[[EvalPoint], int],
 ) -> Basis | None:
-    """A basis of the frame's span over the fraction field of the
-    coefficient ring, certified at the first point that can, or None.
+    """A basis of the span of a frame, given by the ring columns of its
+    sections, over the fraction field of the coefficient ring, certified
+    at the first point that can, or None.
 
-    At each point p in order, the nonzero frame sections are evaluated and
-    a subset S independent at p is picked greedily (one elimination).  S
-    is accepted when |S| equals bound(p), an upper bound on the rank of
-    the frame's span read at p: an S independent at p has a nonzero minor
-    there, so it is independent over the fraction field, and the generic
-    rank lies between |S| and bound(p).  The bounds the checks use are n
-    for the columns of P (with the structure algebraic), n - rank(dF.rho.P)
-    at p for the level-tangent eigenbundle frame, and N - rank(dF) at p
-    for the vector parts of the coisotropic frame; rank at a point never
+    At each point p in order, the columns are evaluated (rmat_eval, which
+    skips zero entries) and a subset S independent at p is picked
+    greedily (one elimination).  S is accepted when |S| equals bound(p),
+    an upper bound on the rank of the frame's span read at p: an S
+    independent at p has a nonzero minor there, so it is independent over
+    the fraction field, and the generic rank lies between |S| and
+    bound(p).  The bounds the level-set checks use are n - rank(dF.rho.P)
+    at p for the level-tangent eigenbundle frame and N - rank(dF) at p for
+    the vector parts of the coisotropic frame; rank at a point never
     exceeds the generic rank, so each bounds the generic rank from above.
+    check_integrable takes its S from GenStructure.at(p), the columns of
+    P picked at p, with the bound n that an algebraic structure gives.
 
     Why a certified S decides the same verdicts as the full frame.  The
     coefficient ring Q(i)[x][E(y)^+-1] is an integral domain.  Cramer's
@@ -543,13 +551,10 @@ def certify_basis(
     isotropy of the eigenbundle needs the structure to be algebraic; the
     callers pass no points otherwise.
     """
-    live = [i for i, u in enumerate(frame) if not u.is_zero]
-    if not live:
-        return None
     for name, p in named_points(points):
-        picked = extend_basis((), [frame[i].evaluate(p) for i in live])
+        picked = extend_basis((), rmat_eval(columns, p))
         if len(picked) == bound(p):
-            return Basis(name, tuple(live[i] for i in picked))
+            return Basis(name, picked)
     return None
 
 
@@ -557,16 +562,14 @@ def closing_brackets(
     frame: Sequence,
     bracket: Callable,
     residuals: Callable[..., Iterable[RingElement]],
-    points: Points,
-    bound: Callable[[EvalPoint], int],
+    basis: Basis | None,
 ) -> tuple[Basis | None, Iterator[tuple[int, int, int, RingElement]]]:
     """The one "certified basis, else full frame" closure pass.
 
     Returns the certified basis and no open brackets when every bracket
-    of a basis from certify_basis closes; otherwise None and the full
-    frame's open_brackets, so a failure is reported in the full frame's
+    of the basis closes; otherwise None and the full frame's
+    open_brackets, so a failure is reported in the full frame's
     numbering, exactly as without a certificate."""
-    basis = certify_basis(frame, points, bound)
     if basis is not None:
         sub = [frame[i] for i in basis.indices]
         if next(open_brackets(sub, bracket, residuals), None) is None:
@@ -579,25 +582,29 @@ def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, s
 
     The projector is checked to be idempotent (read from J^2 = -Id, which is
     the same condition), the eigenbundle rank is checked at the sample points
-    (the length of the basis at(p) holds), and every bracket of spanning
-    sections is required to stay inside the eigenbundle (zero residual under
-    the opposite projector).  For an isotropic subbundle this spanning-set
-    computation settles involutivity for all sections; when the structure is
-    algebraic, the brackets of n columns of P certified at a point settle it
-    (certify_basis).
+    (the number of columns of P that at(p) picks), and every bracket of
+    spanning sections is required to stay inside the eigenbundle (zero
+    residual under the opposite projector).  For an isotropic subbundle this
+    spanning-set computation settles involutivity for all sections; when the
+    structure is algebraic, the brackets of the n columns of P picked at the
+    first point settle it (see certify_basis).
     """
     n = struct.dim
     if not struct.squares_to_minus_one:
         return False, "eigenprojector is not idempotent"
-    for _, p in named_points(points):
-        if len(struct.at(p).eigenrows) != n:
+    named = named_points(points)
+    for _, p in named:
+        if len(struct.at(p).basis) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
+    certified = None
+    if named and struct.algebraic[0]:
+        name, p = named[0]
+        certified = Basis(name, struct.at(p).basis)
     basis, hits = closing_brackets(
         struct.plus_i_frame,
         lambda u, v: courant_bracket(u, v, struct.twist),
         lambda w: mat_vec(struct.anti_projector, w.column()),
-        points if struct.algebraic[0] else (),
-        lambda p: n,
+        certified,
     )
     hit = next(hits, None)
     if hit is not None:

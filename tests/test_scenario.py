@@ -14,7 +14,7 @@ from gkbench import runner
 from gkbench.cli import main
 from gkbench.errors import ParseError, ValidationError
 from gkbench.report import build_report, render_json, render_text, report_passed
-from gkbench.ring import MAX_COORDS
+from gkbench.ring import MAX_COORDS, MAX_DIGITS
 from gkbench.runner import run_scenario
 from gkbench.scenario import load_scenario, scenario_digest, scenario_from_path
 from gkbench.selftest import invariant_results
@@ -24,6 +24,11 @@ from gkbench.selftest import invariant_results
 _TRUE_QUARTER_TURN = [
     {"name": "base", "values": {"x1": True, "t1": "1", "x2": 0, "t2": "1"}}
 ]
+
+
+def _base_point(t1):
+    """gamma_torus_cylinder's base point with the value t1 for t1."""
+    return [{"name": "base", "values": {"x1": 0, "t1": t1, "x2": 0, "t2": "1"}}]
 
 
 def dense_symplectic(n, checks):
@@ -464,6 +469,9 @@ class TestCli:
             ("structures", {"j": {"kind": [1], "two_form": []}}),
             ("expected", {"gamma": [{"coeff": "1", "frame": ["zz", "x1"]}]}),
             ("expected", {"gamma": 5}),
+            ("level", ["1e5000", "-1"]),
+            ("points", _base_point("1e5000")),
+            ("points", _base_point("1e1000000")),
         ],
     )
     def test_hostile_field_exits_2(self, tmp_path, capsys, key, value):
@@ -485,6 +493,31 @@ class TestCli:
             # Parsed once, by the loader, under its own name.
             assert err.startswith("error: expected gamma: ")
 
+
+    @pytest.mark.parametrize(
+        "key, value, err",
+        [
+            ("level", [0.5, "-1"], "level: bad value: 0.5"),
+            ("points", _base_point("0.5"), "point base: bad value for t1: 0.5"),
+            (
+                "points",
+                _base_point("1" * (MAX_DIGITS + 1)),
+                "point base: bad value for t1: " + "1" * (MAX_DIGITS + 1),
+            ),
+        ],
+    )
+    def test_rational_fields_take_integers_and_fractions_only(
+        self, tmp_path, capsys, key, value, err
+    ):
+        """Level and affine point values are read by the parser's rule for
+        rational literals: decimals, exponents and numerals over
+        MAX_DIGITS digits are refused under the field's name."""
+        raw = copy.deepcopy(builtin_raw("gamma_torus_cylinder"))
+        raw[key] = value
+        target = tmp_path / "rational.json"
+        target.write_text(json.dumps(raw))
+        assert main(["check", "--scenario", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_chart_over_max_coords_exits_2(self, tmp_path, capsys):
         target = tmp_path / "wide.json"
@@ -522,7 +555,7 @@ _HOSTILE = st.one_of(
     st.integers(-3, 3),
     st.sampled_from(
         ["", "(", "x1", "t1", "y1*t1", "x1^2 - 1", "1/0", "2*", "E(x1; 1)",
-         "I", "1/2", "-1", "nope", "affine", "periodic"]
+         "I", "1/2", "-1", "nope", "affine", "periodic", "1e5000", "0.5"]
     ),
     st.lists(st.integers(0, 2), max_size=3),
     st.dictionaries(

@@ -19,10 +19,21 @@ from gkbench import structures
 from gkbench.calculus import DiffForm, VectorField, wedge_all
 from gkbench.errors import ValidationError
 from gkbench.catalog import catalog_names, load_builtin
-from gkbench.linalg import inverse, mat_mul, rank, rmat_eval, row_space_basis, transpose
+from gkbench.linalg import (
+    extend_basis,
+    inverse,
+    mat_mul,
+    rank,
+    rmat_eval,
+    row_space_basis,
+    span_eq,
+    transpose,
+)
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.runner import run_scenario
+from gkbench.scenario import load_scenario
 from gkbench.structures import (
+    Basis,
     GenSection,
     GenStructure,
     b_exponential,
@@ -509,13 +520,75 @@ def test_point_values_match_the_ring_projector_and_the_block_rule():
     for label, struct, points in _catalog_structures_with_b():
         for pname, p in points.items():
             here = struct.at(p)
-            want_rows = row_space_basis(transpose(rmat_eval(struct.eigenprojector, p)))
+            columns = transpose(rmat_eval(struct.eigenprojector, p))
+            picked = extend_basis((), columns)
             assert here.matrix == rmat_eval(struct.matrix, p), (label, pname)
             assert here.projector == rmat_eval(struct.eigenprojector, p), (label, pname)
-            assert here.eigenrows == want_rows, (label, pname)
+            assert here.eigenrows == tuple(columns[i] for i in picked), (label, pname)
+            assert span_eq(here.eigenrows, row_space_basis(columns)), (label, pname)
             assert here.type == _block_type(struct, p), (label, pname)
             checked += 1
     assert checked == 46
+
+
+def _old_integrability_basis(struct, points):
+    """The basis check_integrable bracketed while it ran certify_basis on
+    the +i frame: greedy over the live columns of P evaluated at each
+    point, at the first point whose pick has n elements."""
+    if not struct.algebraic[0]:
+        return None
+    frame = struct.plus_i_frame
+    live = [i for i, u in enumerate(frame) if not u.is_zero]
+    for name, p in points.items():
+        values = [tuple(c.evaluate(p) for c in frame[i].column()) for i in live]
+        picked = extend_basis((), values)
+        if len(picked) == struct.dim:
+            return Basis(name, tuple(live[i] for i in picked))
+    return None
+
+
+def test_integrability_brackets_the_basis_the_old_rule_picks(monkeypatch):
+    bracketed = []
+    real = structures.closing_brackets
+
+    def closing(frame, bracket, residuals, basis):
+        bracketed.append(basis)
+        return real(frame, bracket, residuals, basis)
+
+    monkeypatch.setattr(structures, "closing_brackets", closing)
+    checked = 0
+    for label, struct, points in _catalog_structures_with_b():
+        bracketed.clear()
+        check_integrable(struct, points)
+        want = _old_integrability_basis(struct, points)
+        # Every catalog structure is algebraic, so some point certifies.
+        assert want is not None, label
+        assert bracketed == [want], label
+        checked += 1
+    assert checked == 17
+
+
+def test_non_real_structure_fails_the_eigenbundle_rank():
+    """J = I.Id squares to -Id but is not real, and P = Id has rank 2n:
+    check_integrable and the runner's verdict stop at the rank test."""
+    want = "eigenbundle rank is not 2 at (x=0, y=0)"
+    entries = [["I" if r == c else "0" for c in range(4)] for r in range(4)]
+    raw = {
+        "name": "imaginary_identity",
+        "chart": [["x", "affine"], ["y", "affine"]],
+        "structures": {"j": {"kind": "matrix", "matrix": entries}},
+        "points": [{"name": "origin", "values": {"x": "0", "y": "0"}}],
+        "checks": ["integrability"],
+    }
+    scen = load_scenario(raw)
+    struct = scen.structures["j"]
+    assert struct.squares_to_minus_one
+    assert struct.at(scen.points["origin"]).basis == (0, 1, 2, 3)
+    assert check_integrable(struct, scen.points) == (False, want)
+    verdicts, _ = run_scenario(scen)
+    assert [v.as_dict() for v in verdicts] == [
+        {"check": "integrability:j", "status": "fail", "detail": want}
+    ]
 
 
 def test_point_value_is_built_once_and_holds_no_structure():
@@ -541,24 +614,32 @@ def test_with_twist_shares_the_point_values():
 def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
     """integrability, reduction with its two-step oracle, level closure and
     gk_reduction all read eigenbundles at the scenario's points; none is
-    eliminated twice for the same matrix and point."""
-    owners, eliminated = {}, []
+    eliminated twice for the same matrix and point.  No run of a builtin
+    evaluates a zero ring element."""
+    owners, eliminated, zeros = {}, [], []
     real_at = GenStructure.at
-    plain_rows = structures.StructureAt.eigenrows.func
+    plain_basis = structures.StructureAt.basis.func
+    real_evaluate = RingElement.evaluate
 
     def at(struct, point):
         here = real_at(struct, point)
         owners[id(here)] = (tuple(map(str, chain(*struct.matrix))), point)
         return here
 
-    def counted_rows(here):
+    def counted_basis(here):
         eliminated.append(owners[id(here)])
-        return plain_rows(here)
+        return plain_basis(here)
 
-    rows = cached_property(counted_rows)
-    rows.__set_name__(structures.StructureAt, "eigenrows")
+    def evaluate(element, point):
+        if element.is_zero:
+            zeros.append(point)
+        return real_evaluate(element, point)
+
+    basis = cached_property(counted_basis)
+    basis.__set_name__(structures.StructureAt, "basis")
     monkeypatch.setattr(GenStructure, "at", at)
-    monkeypatch.setattr(structures.StructureAt, "eigenrows", rows)
+    monkeypatch.setattr(structures.StructureAt, "basis", basis)
+    monkeypatch.setattr(RingElement, "evaluate", evaluate)
     scen = load_builtin("bihermitian_r4_translation")
     assert {"integrability", "reduction", "gk_reduction"} <= set(scen.checks)
     verdicts, _ = run_scenario(scen)
@@ -566,3 +647,6 @@ def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
     # j1 and j2 as given, and each after the potential transform, at 3 points.
     assert len(eliminated) == 12
     assert len(set(eliminated)) == len(eliminated)
+    for name in catalog_names():
+        run_scenario(load_builtin(name))
+    assert zeros == []
