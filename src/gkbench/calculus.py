@@ -59,21 +59,6 @@ class VectorField:
         _set(out, "components", components)
         return out
 
-    @staticmethod
-    def zero(chart: Chart) -> "VectorField":
-        return VectorField(chart, tuple(RingElement.zero(chart) for _ in range(chart.dim)))
-
-    @staticmethod
-    def coordinate(chart: Chart, name: str) -> "VectorField":
-        i = chart.index(name)
-        return VectorField(
-            chart,
-            tuple(
-                RingElement.one(chart) if j == i else RingElement.zero(chart)
-                for j in range(chart.dim)
-            ),
-        )
-
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_chart(self.chart, other.chart)
         return VectorField._of_valid(

@@ -26,8 +26,8 @@ FiberData values.
 The one-step Dirac quotient, an independent two-step factorization
 (first the moment directions, then the group directions) with an explicit
 comparison isomorphism, the induced second structure of a generalized
-Kahler pair, the reduced-type arithmetic, level-set bracket closure, and
-descent of basic B-fields all live here.
+Kahler pair, the reduced-type arithmetic, closure of the level-tangent
+eigenbundle, and descent of basic B-fields all live here.
 
 No structure is evaluated here: J(p), P(p), the +i eigenbundle (the
 columns of P(p) that GenStructure.at picks, a basis that every reader
@@ -52,14 +52,15 @@ with the one-step quotient fails.  A failed check raises
 ValidationError with a sharp message, which the scenario runner turns
 into a failing verdict.
 
-Level-set closure is one pass per check through
+The level distribution ker dF is involutive for every moment map, since
+df_i([X, Y]) = X(df_i Y) - Y(df_i X) vanishes for fields X, Y tangent to
+the level sets; that is an identity, so no bracket of tangent fields is
+computed for it.  What can fail is closure of the level-tangent part of
+the eigenbundle, and check_adapted_closure judges it in one pass through
 structures.closing_brackets: given the scenario's named points, the
-brackets of a basis that structures.certify_basis certifies at one of
-them (for the coisotropic frame, N - rank(dF) vector fields; for the
-adapted frame, n - rank(dF.rho.P) eigenbundle sections), and the full
-frame's pairs when no point certifies a basis or some basis bracket
-fails.  check_level_closure reads only vector parts (the vector part of
-a twisted bracket is the Lie bracket of the vector parts).  Each check
+brackets of a basis of n - rank(dF.rho.P) eigenbundle sections that
+structures.certify_basis certifies at one of them, and the full frame's
+pairs when no point certifies a basis or some basis bracket fails.  It
 also judges the level slice from the same pass: a certified chart-wide
 pass is a slice pass, and a full-frame pass pulls back only the
 residuals that did not vanish on the chart.  level_substitution returns
@@ -74,9 +75,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
-from .calculus import ChartMap, DiffForm, lie_bracket
+from .calculus import ChartMap, DiffForm
 from .equivariant import MomentData
 from .errors import ValidationError
 from .linalg import (
@@ -102,6 +103,7 @@ from .linalg import (
 )
 from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
 from .structures import (
+    NO_POINTS,
     GenSection,
     GenStructure,
     Points,
@@ -110,7 +112,6 @@ from .structures import (
     courant_bracket,
     matrix_type,
     pairing_matrix,
-    standard_frame,
 )
 
 
@@ -529,15 +530,6 @@ def _cross_eliminate(
     return tuple(sections)
 
 
-def coisotropic_frame(moment: MomentData) -> tuple[GenSection, ...]:
-    """Spanning sections of the annihilator distribution of the moment
-    differentials: every coordinate covector, plus vector fields obtained
-    by cross-elimination against each moment function in turn."""
-    chart = moment.action.chart
-    frame = standard_frame(chart)
-    return frame[chart.dim:] + _cross_eliminate(list(frame[: chart.dim]), moment)
-
-
 def level_substitution(
     moment: MomentData, level: Sequence[Fraction]
 ) -> ChartMap | None:
@@ -588,58 +580,6 @@ def level_substitution(
 Outcome = tuple[bool, str]
 
 
-def _closure_verdicts(
-    hits: Iterator[tuple], restrict: ChartMap | None,
-    failure: Callable[[tuple], str], closed: Callable[[str], str],
-) -> tuple[Outcome, Outcome | None]:
-    """The chart verdict from the first open bracket of one pass and, given
-    a slice map, the slice verdict from the first open bracket whose
-    residual survives the pullback: a residual zero on the chart is zero
-    on the slice, so no bracket is computed twice."""
-    first = next(hits, None)
-    chart = (True, closed("globally")) if first is None else (False, failure(first))
-    if restrict is None:
-        return chart, None
-    rest = () if first is None else chain([first], hits)
-    bad = next((h for h in rest if not restrict.pull_function(h[3]).is_zero), None)
-    if bad is None:
-        return chart, (True, closed("on the level slice"))
-    return chart, (False, failure(bad))
-
-
-def check_level_closure(
-    moment: MomentData, restrict: ChartMap | None = None, points: Points = ()
-) -> tuple[Outcome, Outcome | None]:
-    """Brackets of the coisotropic frame stay inside the distribution: the
-    moment differentials annihilate their vector parts, which are the Lie
-    brackets of the vector parts, so pairs with a pure-covector section
-    are skipped.  Given points, only a basis certified at one of them is
-    bracketed when it closes.  Returns the verdict on the chart and,
-    given a slice map, the verdict on the level slice (otherwise None)."""
-    frame = coisotropic_frame(moment)
-    dfs = [DiffForm.function(f).d() for f in moment.functions]
-    vectors = [s.vector for s in frame]
-    dim = moment.action.chart.dim
-    certified = certify_basis(
-        [v.components for v in vectors],
-        points,
-        lambda p: dim - rank(mat([df.covector_at(p) for df in dfs])),
-    )
-    basis, hits = closing_brackets(
-        vectors, lie_bracket, lambda w: (df.apply([w]) for df in dfs), certified
-    )
-    done = basis or f"all {comb(len(frame), 2)} frame brackets"
-    return _closure_verdicts(
-        hits,
-        restrict,
-        lambda hit: (
-            f"bracket of frame sections {hit[0]} and {hit[1]} leaves the "
-            f"distribution: df_{hit[2] + 1} gives {hit[3]}"
-        ),
-        lambda where: f"{done} stay tangent {where}",
-    )
-
-
 def adapted_eigen_frame(
     struct: GenStructure, moment: MomentData
 ) -> tuple[GenSection, ...]:
@@ -653,14 +593,16 @@ def check_adapted_closure(
     struct: GenStructure,
     moment: MomentData,
     restrict: ChartMap | None = None,
-    points: Points = (),
+    points: Points = NO_POINTS,
 ) -> tuple[Outcome, Outcome | None]:
     """Brackets of level-tangent eigenbundle sections stay in the
     eigenbundle, and so stay tangent: the vector part of a Courant bracket
     is the Lie bracket of the vector parts.  Given points and an algebraic
     structure, only a basis certified at one of them is bracketed when it
     closes.  Returns the verdict on the chart and, given a slice map, the
-    verdict on the level slice (otherwise None)."""
+    verdict on the level slice (otherwise None): the first open bracket
+    whose residual survives the pullback, as a residual zero on the chart
+    is zero on the slice, so no bracket is computed twice."""
     frame = adapted_eigen_frame(struct, moment)
     dfs = [DiffForm.function(f).d() for f in moment.functions]
     n = struct.dim
@@ -669,9 +611,9 @@ def check_adapted_closure(
         dF = mat([df.covector_at(p) for df in dfs])
         return n - rank(mat_mul(dF, struct.at(p).projector[:n]))
 
-    certified = certify_basis(
-        [u.column() for u in frame], points if struct.algebraic[0] else (), bound
-    )
+    if not struct.algebraic[0]:
+        points = NO_POINTS
+    certified = certify_basis([u.column() for u in frame], points, bound)
     basis, hits = closing_brackets(
         frame,
         lambda u, v: courant_bracket(u, v, struct.twist),
@@ -680,14 +622,19 @@ def check_adapted_closure(
     )
     # No tangency residual: df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0 for tangent X, Y.
     done = basis or f"all {comb(len(frame), 2)} adapted brackets"
-    return _closure_verdicts(
-        hits,
-        restrict,
-        lambda hit: (
-            f"bracket of adapted sections {hit[0]} and {hit[1]} leaves the eigenbundle"
-        ),
-        lambda where: f"{done} stay in the eigenbundle, {where}",
-    )
+
+    def verdict(hit: tuple | None, where: str) -> Outcome:
+        if hit is None:
+            return True, f"{done} stay in the eigenbundle, {where}"
+        a, b = hit[:2]
+        return False, f"bracket of adapted sections {a} and {b} leaves the eigenbundle"
+
+    first = next(hits, None)
+    if restrict is None:
+        return verdict(first, "globally"), None
+    rest = () if first is None else chain([first], hits)
+    bad = next((h for h in rest if not restrict.pull_function(h[3]).is_zero), None)
+    return verdict(first, "globally"), verdict(bad, "on the level slice")
 
 
 # --- descent of endomorphisms ---------------------------------------------------

@@ -15,15 +15,15 @@ per matrix and point.  No other module evaluates a structure, and one
 upper-right-block rule, matrix_type, types J(p) and the reduced
 structures.  open_brackets is the one loop over frame pairs.
 closing_brackets is the one "certified basis, else full frame" pass over
-it, for check_integrable here and the level-set closure checks of
+it, for check_integrable here and the adapted level-set closure check of
 reduction.  A certified basis is a subset of the frame, picked at a
 named point, that is a basis of its span over the fraction field of the
 coefficient ring, and when every bracket of that basis closes the whole
 frame closes.  check_integrable reads its basis from at(p), the columns
-of P picked there; certify_basis picks one for the level-set frames.
-When no point certifies a basis, or some basis bracket fails, the full
-frame is bracketed as before, so every failing detail names a pair in
-the full frame's numbering.
+of P picked there; certify_basis picks one for the level-tangent
+eigenbundle frame.  When no point certifies a basis, or some basis
+bracket fails, the full frame is bracketed as before, so every failing
+detail names a pair in the full frame's numbering.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .calculus import DiffForm, VectorField, lie_bracket
@@ -91,19 +92,6 @@ class GenSection:
     def chart(self) -> Chart:
         return self.vector.chart
 
-    @staticmethod
-    def of(vector: VectorField | None = None, form: DiffForm | None = None,
-           chart: Chart | None = None) -> "GenSection":
-        if vector is None and form is None:
-            if chart is None:
-                raise ValidationError("empty section needs a chart")
-            vector = VectorField.zero(chart)
-        if vector is None:
-            vector = VectorField.zero(form.chart)
-        if form is None:
-            form = DiffForm.zero(vector.chart, 1)
-        return GenSection(vector, form)
-
     def __add__(self, other: "GenSection") -> "GenSection":
         return GenSection(self.vector + other.vector, self.form + other.form)
 
@@ -140,13 +128,6 @@ def section_from_column(chart: Chart, col: Sequence[RingElement]) -> GenSection:
     vector = VectorField(chart, tuple(col[:n]))
     form = DiffForm(chart, 1, {(i,): col[n + i] for i in range(n)})
     return GenSection(vector, form)
-
-
-def standard_frame(chart: Chart) -> tuple[GenSection, ...]:
-    """The 2n coordinate sections: d_x1 ... d_xn, dx1 ... dxn."""
-    return tuple(
-        GenSection.of(vector=VectorField.coordinate(chart, name)) for name in chart.names
-    ) + tuple(GenSection.of(form=DiffForm.d_coord(chart, name)) for name in chart.names)
 
 
 def pairing(u: GenSection, v: GenSection) -> RingElement:
@@ -502,15 +483,9 @@ class Basis:
         )
 
 
-Points = Mapping[str, EvalPoint] | Sequence[EvalPoint]
-
-
-def named_points(points: Points) -> list[tuple[str, EvalPoint]]:
-    """Scenario points by name, in order; bare points are named by their
-    coordinates."""
-    if isinstance(points, Mapping):
-        return list(points.items())
-    return [(str(p), p) for p in points]
+# Scenario points by name, in order.
+Points = Mapping[str, EvalPoint]
+NO_POINTS: Points = MappingProxyType({})
 
 
 def certify_basis(
@@ -520,7 +495,8 @@ def certify_basis(
 ) -> Basis | None:
     """A basis of the span of a frame, given by the ring columns of its
     sections, over the fraction field of the coefficient ring, certified
-    at the first point that can, or None.
+    at the first point that can, or None.  It serves the level-tangent
+    eigenbundle frame of reduction.check_adapted_closure.
 
     At each point p in order, the columns are evaluated (rmat_eval, which
     skips zero entries) and a subset S independent at p is picked
@@ -528,12 +504,11 @@ def certify_basis(
     an upper bound on the rank of the frame's span read at p: an S
     independent at p has a nonzero minor there, so it is independent over
     the fraction field, and the generic rank lies between |S| and
-    bound(p).  The bounds the level-set checks use are n - rank(dF.rho.P)
-    at p for the level-tangent eigenbundle frame and N - rank(dF) at p for
-    the vector parts of the coisotropic frame; rank at a point never
-    exceeds the generic rank, so each bounds the generic rank from above.
-    check_integrable takes its S from GenStructure.at(p), the columns of
-    P picked at p, with the bound n that an algebraic structure gives.
+    bound(p).  The bound for the level-tangent eigenbundle frame is
+    n - rank(dF.rho.P) at p; rank at a point never exceeds the generic
+    rank, so it bounds the generic rank from above.  check_integrable
+    takes its S from GenStructure.at(p), the columns of P picked at p,
+    with the bound n that an algebraic structure gives.
 
     Why a certified S decides the same verdicts as the full frame.  The
     coefficient ring Q(i)[x][E(y)^+-1] is an integral domain.  Cramer's
@@ -541,17 +516,16 @@ def certify_basis(
     a nonzero minor of S and ring elements r_s.  Each check's residual map
     is ring-linear and vanishes on every frame section, and on an
     isotropic subbundle the Courant bracket obeys the Leibniz rule with no
-    pairing term, [u, f v] = f [u, v] + (rho(u) f) v (the Lie bracket of
-    vector fields obeys it with no condition).  So delta^2 times the
+    pairing term, [u, f v] = f [u, v] + (rho(u) f) v.  So delta^2 times the
     residual of any frame pair is a ring combination of the residuals of
     the S-pairs: every residual vanishes exactly when every S-pair
     residual does, and then every pullback to a level slice vanishes too.
     A chart-wide pass of S therefore also gives the slice pass, and the
-    certifying point need not lie on the slice.  For a Courant frame,
-    isotropy of the eigenbundle needs the structure to be algebraic; the
-    callers pass no points otherwise.
+    certifying point need not lie on the slice.  Isotropy of the
+    eigenbundle needs the structure to be algebraic; both checks certify
+    no basis otherwise.
     """
-    for name, p in named_points(points):
+    for name, p in points.items():
         picked = extend_basis((), rmat_eval(columns, p))
         if len(picked) == bound(p):
             return Basis(name, picked)
@@ -577,7 +551,9 @@ def closing_brackets(
     return None, open_brackets(frame, bracket, residuals)
 
 
-def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, str]:
+def check_integrable(
+    struct: GenStructure, points: Points = NO_POINTS
+) -> tuple[bool, str]:
     """Courant involutivity of the +i eigenbundle against the twist.
 
     The projector is checked to be idempotent (read from J^2 = -Id, which is
@@ -592,13 +568,12 @@ def check_integrable(struct: GenStructure, points: Points = ()) -> tuple[bool, s
     n = struct.dim
     if not struct.squares_to_minus_one:
         return False, "eigenprojector is not idempotent"
-    named = named_points(points)
-    for _, p in named:
+    for p in points.values():
         if len(struct.at(p).basis) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
     certified = None
-    if named and struct.algebraic[0]:
-        name, p = named[0]
+    if points and struct.algebraic[0]:
+        name, p = next(iter(points.items()))
         certified = Basis(name, struct.at(p).basis)
     basis, hits = closing_brackets(
         struct.plus_i_frame,

@@ -2,7 +2,8 @@
 builds once, the one loop over frame pairs, the level-slice verdict
 judged from the same brackets as the chart-wide one, and the basis
 certified at a scenario point that decides the same verdicts as the full
-frame."""
+frame.  The level distribution's own closure is an identity, which the
+runner states without computing a bracket; the tests here prove it."""
 
 from __future__ import annotations
 
@@ -13,26 +14,24 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkbench import reduction, structures
-from gkbench.calculus import DiffForm, VectorField, lie_bracket
+from gkbench import calculus, reduction, structures
+from gkbench.calculus import DiffForm, lie_bracket
 from gkbench.equivariant import MomentData, TorusAction
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import mat, mat_sub, mat_vec, rmat_identity
 from gkbench.reduction import (
+    _cross_eliminate,
     check_adapted_closure,
-    check_level_closure,
-    coisotropic_frame,
     level_substitution,
 )
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
-from gkbench.runner import Workspace, run_scenario
+from gkbench.runner import LEVEL_FRAME_CLOSES, Workspace, run_scenario
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
     GenStructure,
     b_transform_structure,
     check_integrable,
     section_from_column,
-    standard_frame,
     zero_twist,
 )
 
@@ -58,12 +57,21 @@ def closure_verdicts(name: str, twist=None) -> list[tuple[str, str, str]]:
     return [(v.check, v.status, v.detail) for v in verdicts]
 
 
+FRAME_PASS = ("level_closure:frame", "pass", LEVEL_FRAME_CLOSES)
+
+
+def unit_columns(chart, count):
+    """The first count unit columns of length 2n: d_x1 ... d_xn, then
+    dx1 ... dxn."""
+    return rmat_identity(chart, 2 * chart.dim)[:count]
+
+
 def test_frame_is_the_projected_standard_frame():
     for label, struct in catalog_structures():
         proj = struct.eigenprojector
         want = tuple(
-            section_from_column(struct.chart, mat_vec(proj, e.column()))
-            for e in standard_frame(struct.chart)
+            section_from_column(struct.chart, mat_vec(proj, e))
+            for e in unit_columns(struct.chart, 2 * struct.dim)
         )
         assert struct.plus_i_frame == want, label
 
@@ -96,22 +104,32 @@ def test_level_slice_is_the_level_set():
 def test_level_closure_brackets_each_pair_once(monkeypatch):
     scen = load_builtin("gamma_torus_cylinder")
     calls = []
-    for name in ("courant_bracket", "lie_bracket"):
-        original = getattr(reduction, name, None)
-        if original is None:
-            continue
+    inside = []
+    courant, lie = reduction.courant_bracket, calculus.lie_bracket
 
-        def counted(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+    def counted_courant(*args):
+        calls.append("courant_bracket")
+        inside.append(1)
+        try:
+            return courant(*args)
+        finally:
+            inside.pop()
 
-        monkeypatch.setattr(reduction, name, counted)
+    def counted_lie(*args):
+        if not inside:
+            calls.append("lie_bracket")
+        return lie(*args)
+
+    monkeypatch.setattr(reduction, "courant_bracket", counted_courant)
+    for module in (calculus, structures):
+        monkeypatch.setattr(module, "lie_bracket", counted_lie)
     assert [status for _, status, _ in closure_verdicts(scen.name)] == ["pass"] * 3
     # Only a basis certified at a scenario point is bracketed, and the slice
-    # reuses the chart's brackets.  The free torus action makes the level
-    # distribution and the level-tangent eigenbundle both of rank N - k.
+    # reuses the chart's brackets.  The free torus action makes the
+    # level-tangent eigenbundle of rank N - k.  The level distribution's
+    # closure is an identity: no Lie bracket is taken outside a Courant one.
     rank = scen.chart.dim - len(scen.level)
-    assert calls.count("lie_bracket") == comb(rank, 2)
+    assert calls.count("lie_bracket") == 0
     assert calls.count("courant_bracket") == comb(rank, 2)
 
 
@@ -130,17 +148,20 @@ def polynomials(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.lists(polynomials(), min_size=1, max_size=2))
 def test_moment_differentials_annihilate_frame_brackets(functions):
-    """Why check_adapted_closure computes no tangency residual: each df_i
-    annihilates the cross-eliminated vector parts, and so annihilates
+    """Why check_adapted_closure computes no tangency residual, and why the
+    runner's level_closure:frame verdict computes no bracket: each df_i
+    annihilates the cross-eliminated coordinate fields, and so annihilates
     their Lie brackets, df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0."""
-    names = ("a", "b")[: len(functions)]
-    generators = tuple(VectorField.coordinate(R4, n) for n in names)
+    generators = tuple(
+        section_from_column(R4, e).vector for e in unit_columns(R4, len(functions))
+    )
     moment = MomentData(
         TorusAction(R4, generators),
         tuple(DiffForm.zero(R4, 1) for _ in functions),
         tuple(functions),
     )
-    vectors = [s.vector for s in coisotropic_frame(moment)]
+    units = [section_from_column(R4, e) for e in unit_columns(R4, R4.dim)]
+    vectors = [s.vector for s in _cross_eliminate(units, moment)]
     dfs = [DiffForm.function(f).d() for f in functions]
     for i, x in enumerate(vectors):
         assert all(df.apply([x]).is_zero for df in dfs)
@@ -200,9 +221,18 @@ def test_moment_differentials_annihilate_frame_brackets(functions):
 )
 def test_failing_closure_verdicts(name, twist, adapted, on_slice):
     frame, got_adapted, got_slice = closure_verdicts(name, twist)
-    assert frame[:2] == ("level_closure:frame", "pass")
+    assert frame == FRAME_PASS
     assert got_adapted == ("level_closure:adapted", *adapted)
     assert got_slice == ("level_closure:slice", *on_slice)
+
+
+def test_frame_verdict_is_the_identity():
+    # Every catalog scenario with moment data passes the level distribution
+    # by the identity, as every failing twist above does.
+    moment_names = [n for n in catalog_names() if "moment" in builtin_raw(n)]
+    assert len(moment_names) >= 4
+    for name in moment_names:
+        assert closure_verdicts(name)[0] == FRAME_PASS, name
 
 
 SLICE_SCENARIOS = (
@@ -235,9 +265,8 @@ def closure_inputs(name: str, twist=None):
 
 
 def all_outcomes(struct, moment, sub, points):
-    """Chart and slice verdicts of both closure checks, and integrability."""
+    """Chart and slice verdicts of the adapted closure, and integrability."""
     return (
-        *check_level_closure(moment, sub, points),
         *check_adapted_closure(struct, moment, sub, points),
         check_integrable(struct, points),
     )
@@ -271,7 +300,7 @@ def test_certified_basis_decides_as_the_full_frame():
         for twist in twist_variants(name):
             struct, moment, sub, points = closure_inputs(name, twist)
             certified = all_outcomes(struct, moment, sub, points)
-            full = all_outcomes(struct, moment, sub, ())
+            full = all_outcomes(struct, moment, sub, {})
             assert [o and o[0] for o in certified] == [o and o[0] for o in full]
             assert failing(certified) == failing(full), (name, twist)
             failures += len(failing(full))
@@ -281,7 +310,7 @@ def test_certified_basis_decides_as_the_full_frame():
 def test_full_frame_without_points():
     verdicts = closure_verdicts_with_points("gamma_torus_cylinder", [])
     assert verdicts == [
-        ("level_closure:frame", "pass", "all 15 frame brackets stay tangent globally"),
+        FRAME_PASS,
         (
             "level_closure:adapted",
             "pass",
@@ -296,22 +325,19 @@ def test_full_frame_without_points():
 
 
 def test_full_frame_when_the_point_drops_rank():
-    # dF vanishes at the origin of C^2, so the level bound there is N = 4,
-    # while every rotation field vanishes there: no basis is certified.
+    # dF vanishes at the origin of C^2, so the adapted bound there is n,
+    # which the level-tangent eigenbundle frame does not reach: no basis is
+    # certified.
     origin = {"name": "origin", "values": dict.fromkeys(["x1", "y1", "x2", "y2"], "0")}
     frame, adapted, _ = closure_verdicts_with_points("kahler_c2_circle", [origin])
-    assert frame[1:] == ("pass", "all 45 frame brackets stay tangent globally")
+    assert frame == FRAME_PASS
     assert adapted[1:] == (
         "pass",
         "all 276 adapted brackets stay in the eigenbundle, globally",
     )
     pole = {"name": "pole", "values": {**origin["values"], "x1": "1"}}
     frame, adapted, _ = closure_verdicts_with_points("kahler_c2_circle", [origin, pole])
-    assert frame[1:] == (
-        "pass",
-        "all brackets of a 3-section basis certified at pole (3 pairs) stay "
-        "tangent globally",
-    )
+    assert frame == FRAME_PASS
     assert adapted[1:] == (
         "pass",
         "all brackets of a 3-section basis certified at pole (3 pairs) stay in "
@@ -339,7 +365,7 @@ def test_full_frame_when_the_structure_is_not_algebraic(monkeypatch):
         structures, "courant_bracket", lambda *a: calls.append(1) or original(*a)
     )
     point = EvalPoint.at(chart, x=0, y=0)
-    ok, detail = check_integrable(struct, [point])
+    ok, detail = check_integrable(struct, {"origin": point})
     assert (ok, detail) == (True, "eigenbundle is involutive for the twisted bracket")
     live = sum(not u.is_zero for u in struct.plus_i_frame)
     assert len(calls) == comb(live, 2) > comb(struct.dim, 2)
@@ -355,7 +381,7 @@ def test_full_frame_witness_when_a_basis_bracket_fails():
     wrong = struct.with_twist(struct.twist.scale(Scalar.of(2)))
     ok, detail = check_integrable(wrong, points)
     assert not ok
-    assert (ok, detail) == check_integrable(wrong, ())
+    assert (ok, detail) == check_integrable(wrong, {})
     assert detail.startswith("bracket of frame sections ")
 
 

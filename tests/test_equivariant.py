@@ -52,10 +52,7 @@ def omega_r4():
 def cylinder_action():
     return TorusAction(
         CYL,
-        (
-            VectorField.coordinate(CYL, "x1"),
-            VectorField.coordinate(CYL, "x2"),
-        ),
+        (vf(CYL, ["1", "0", "0", "0"]), vf(CYL, ["0", "0", "1", "0"])),
     )
 
 

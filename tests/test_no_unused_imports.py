@@ -9,7 +9,10 @@ as read when a statement of the package other than its own definition
 reads its name, as a name, an attribute, a string annotation or an
 __all__ entry.  The same holds for the methods and properties of the
 package's classes, dunders aside: each must be read by some statement
-other than its own definition, such as another method of its class."""
+other than its own definition, such as another method of its class.  A
+static method counts as read only through its class name, as in
+RingElement.zero, so a read of the same name on another object does not
+keep it."""
 
 import ast
 from pathlib import Path
@@ -99,13 +102,16 @@ ORACLES = {"cartan_d", "equivariant_three_form"}
 
 
 def _reads(node: ast.AST) -> set[str]:
-    """Names a statement reads: names, attributes and string annotations."""
+    """Names a statement reads: names, attributes and string annotations,
+    and "Owner.attr" for an attribute read on a bare name."""
     names = set(_annotation_names(node))
     for leaf in ast.walk(node):
         if isinstance(leaf, ast.Name):
             names.add(leaf.id)
         elif isinstance(leaf, ast.Attribute):
             names.add(leaf.attr)
+            if isinstance(leaf.value, ast.Name):
+                names.add(f"{leaf.value.id}.{leaf.attr}")
     return names
 
 
@@ -155,10 +161,21 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _read_as(cls: ast.ClassDef, meth: ast.FunctionDef) -> str:
+    """The name a read of the method must carry: a static method's is
+    qualified by its class."""
+    static = any(
+        isinstance(dec, ast.Name) and dec.id == "staticmethod"
+        for dec in meth.decorator_list
+    )
+    return f"{cls.name}.{meth.name}" if static else meth.name
+
+
 def unread_methods(sources: dict[str, str]) -> list[str]:
     """Methods and properties of top-level classes, as
     "module:Class.name", whose name no other statement of the given
-    modules reads; each statement of a class body counts on its own."""
+    modules reads (a static method's only as Class.name); each statement
+    of a class body counts on its own."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     units = [
         inner
@@ -176,7 +193,9 @@ def unread_methods(sources: dict[str, str]) -> list[str]:
         for meth in cls.body
         if isinstance(meth, kinds)
         and not _is_dunder(meth.name)
-        and not any(meth.name in names for other, names in reads if other is not meth)
+        and not any(
+            _read_as(cls, meth) in names for other, names in reads if other is not meth
+        )
     ]
 
 
@@ -199,9 +218,18 @@ def test_detector_sees_unread_methods():
             "    @cached_property\n"
             "    def hidden(self): return 4\n"
             "    def __repr__(self): return 'Value'\n"
+            "    @staticmethod\n"
+            "    def made(): return Value()\n"
+            "    @staticmethod\n"
+            "    def other_made(): return Value()\n"
         ),
-        "b.py": "from .a import Value\nprint(Value().shown)\n",
+        "b.py": (
+            "from .a import Value\n"
+            "print(Value().shown, Value.made())\n"
+            "print(other.other_made())\n"
+        ),
     }
     assert unread_methods(sources) == [
-        "a.py:Value.unused", "a.py:Value.recursive", "a.py:Value.hidden"
+        "a.py:Value.unused", "a.py:Value.recursive", "a.py:Value.hidden",
+        "a.py:Value.other_made",
     ]

@@ -15,7 +15,7 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkbench.calculus import DiffForm, VectorField
+from gkbench.calculus import DiffForm, VectorField, lie_bracket
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.equivariant import MomentData, TorusAction
 from gkbench.errors import ValidationError
@@ -32,6 +32,7 @@ from gkbench.linalg import (
     nullspace,
     rank,
     rmat_eval,
+    rmat_identity,
     row_space_basis,
     span_eq,
     transpose,
@@ -39,12 +40,11 @@ from gkbench.linalg import (
 from gkbench.reduction import (
     FiberData,
     TwoStepResult,
+    _cross_eliminate,
     _eigen_matrix,
     _push_down,
     level_substitution,
     check_adapted_closure,
-    check_level_closure,
-    coisotropic_frame,
     descend_endomorphism,
     dirac_reduce,
     fiber_data,
@@ -65,6 +65,7 @@ from gkbench.structures import (
     b_transform_structure,
     complex_structure,
     matrix_type,
+    section_from_column,
     symplectic_structure,
     zero_twist,
 )
@@ -377,7 +378,7 @@ class TestZeroDimensionalQuotient:
     def cylinder_moment(self):
         action = TorusAction(
             CYL,
-            (VectorField.coordinate(CYL, "x1"), VectorField.coordinate(CYL, "x2")),
+            (vf(CYL, ["1", "0", "0", "0"]), vf(CYL, ["0", "0", "1", "0"])),
         )
         return MomentData(
             action,
@@ -400,7 +401,7 @@ class TestZeroDimensionalQuotient:
 
 class TestDescent:
     def tube_moment(self):
-        action = TorusAction(TUBE, (VectorField.coordinate(TUBE, "x"),))
+        action = TorusAction(TUBE, (vf(TUBE, ["1", "0", "0", "0"]),))
         return MomentData(action, (DiffForm.zero(TUBE, 1),), (fn("-t", TUBE),))
 
     def tube_fiber(self):
@@ -433,11 +434,24 @@ class TestDescent:
         assert red_moved.jmat == conjugated
 
 
+def level_tangent_fields(moment):
+    """Vector fields spanning ker dF: the coordinate fields, as unit
+    columns, cross-eliminated against each moment function."""
+    chart = moment.action.chart
+    units = rmat_identity(chart, 2 * chart.dim)[: chart.dim]
+    sections = [section_from_column(chart, e) for e in units]
+    return [s.vector for s in _cross_eliminate(sections, moment)]
+
+
 class TestLevelClosure:
     def test_sphere_frame_closes(self):
-        (ok, detail), _ = check_level_closure(sphere_moment())
-        assert ok, detail
-        assert "brackets" in detail
+        # The identity the runner's level_closure:frame verdict states:
+        # df([X, Y]) = X(df Y) - Y(df X) = 0 for fields tangent to the sphere.
+        vectors = level_tangent_fields(sphere_moment())
+        df = DiffForm.function(sphere_moment().functions[0]).d()
+        for i, x in enumerate(vectors):
+            for y in vectors[i + 1 :]:
+                assert df.apply([lie_bracket(x, y)]).is_zero
 
     def test_adapted_eigen_frame_closes(self):
         j = symplectic_structure(omega_r4())
@@ -445,16 +459,17 @@ class TestLevelClosure:
         assert ok, detail
 
     def test_cross_elimination_spans_the_distribution(self):
-        frame = coisotropic_frame(sphere_moment())
+        vectors = level_tangent_fields(sphere_moment())
         df = DiffForm.function(sphere_moment().functions[0]).d()
-        assert any(not s.vector.is_zero for s in frame)
-        for s in frame:
-            assert df.apply([s.vector]).is_zero
+        for x in vectors:
+            assert df.apply([x]).is_zero
+        # dF has rank 1 at P0, so ker dF has rank 3 there.
+        assert rank(rmat_eval(tuple(x.components for x in vectors), P0)) == 3
 
     def test_level_substitution_on_cylinder(self):
         action = TorusAction(
             CYL,
-            (VectorField.coordinate(CYL, "x1"), VectorField.coordinate(CYL, "x2")),
+            (vf(CYL, ["1", "0", "0", "0"]), vf(CYL, ["0", "0", "1", "0"])),
         )
         moment = MomentData(
             action,
@@ -466,7 +481,9 @@ class TestLevelClosure:
         assert sub.source.names == ("x1", "x2")
         assert sub.pull_function(fn("t1", CYL)) == fn("1", sub.source)
         assert sub.pull_function(fn("t2", CYL)) == fn("2", sub.source)
-        _, (ok, detail) = check_level_closure(moment, sub)
+        omega = d(CYL, "x1").wedge(d(CYL, "t1")) + d(CYL, "x2").wedge(d(CYL, "t2"))
+        struct = symplectic_structure(omega)
+        _, (ok, detail) = check_adapted_closure(struct, moment, sub)
         assert ok, detail
         assert "slice" in detail
 

@@ -310,6 +310,28 @@ class TestRunner:
             for point in ("first", "second", "third")
         ]
 
+    @pytest.mark.parametrize(
+        "name, checks",
+        [
+            ("kahler_c2_circle", ["reduction", "gk_reduction"]),
+            ("kahler_c2_circle", ["type"]),
+            ("gamma_cylinder_product", ["reduction", "b_commute"]),
+        ],
+    )
+    def test_pointwise_checks_need_a_point(self, name, checks):
+        """On no points a pointwise check fails once, named after the
+        check, instead of saying nothing or passing on no points."""
+        raw = copy.deepcopy(builtin_raw(name))
+        raw["points"] = []
+        raw["checks"] = checks
+        scen = load_scenario(raw)
+        verdicts, quantities = run_scenario(scen)
+        assert [(v.check, v.status, v.detail) for v in verdicts] == [
+            (check, "fail", "needs at least one point") for check in checks
+        ]
+        assert quantities == {}
+        assert not report_passed(build_report(scen, verdicts, quantities))
+
     def test_each_point_is_reduced_once(self, monkeypatch):
         points, reductions = [], []
 

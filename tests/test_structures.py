@@ -25,6 +25,7 @@ from gkbench.linalg import (
     mat_mul,
     rank,
     rmat_eval,
+    rmat_identity,
     row_space_basis,
     span_eq,
     transpose,
@@ -46,7 +47,7 @@ from gkbench.structures import (
     courant_bracket,
     pairing,
     pairing_matrix,
-    standard_frame,
+    section_from_column,
     symplectic_structure,
     two_form_rmatrix,
     zero_twist,
@@ -67,11 +68,20 @@ def d(chart, name):
 
 
 def coord_vf(chart, name):
-    return VectorField.coordinate(chart, name)
+    units = (fn("1" if n == name else "0", chart) for n in chart.names)
+    return VectorField(chart, tuple(units))
 
 
 def sec(chart, vector=None, form=None):
-    return GenSection.of(vector=vector, form=form, chart=chart)
+    if vector is None:
+        vector = VectorField(chart, tuple(RingElement.zero(chart) for _ in chart.names))
+    return GenSection(vector, DiffForm.zero(chart, 1) if form is None else form)
+
+
+def unit_sections(chart):
+    """The 2n coordinate sections d_x1 ... d_xn, dx1 ... dxn: unit columns."""
+    eye = rmat_identity(chart, 2 * chart.dim)
+    return tuple(section_from_column(chart, e) for e in eye)
 
 
 def omega_r4():
@@ -94,7 +104,7 @@ class TestPairing:
         assert pairing(v, v).is_zero
 
     def test_matches_gram_matrix(self):
-        frame = standard_frame(R2)
+        frame = unit_sections(R2)
         gram = pairing_matrix(2)
         for i, u in enumerate(frame):
             for j, v in enumerate(frame):
@@ -149,7 +159,7 @@ class TestBTransform:
             d(R3, "z")
         ).scale(fn("x^2", R3))
         big = b_exponential(b)
-        for u in standard_frame(R3):
+        for u in unit_sections(R3):
             via_matrix = [
                 sum(
                     (entry * comp for entry, comp in zip(row, u.column())),
@@ -165,7 +175,7 @@ class TestBTransform:
         h = wedge_all([d(R3, "x"), d(R3, "y"), d(R3, "z")]).scale(Scalar.of(2))
         b = d(R3, "y").wedge(d(R3, "z")).scale(fn("x", R3))
         shifted = h - b.d()
-        frame = standard_frame(R3)
+        frame = unit_sections(R3)
         for i, u in enumerate(frame):
             for v in frame[i + 1 :]:
                 lhs = courant_bracket(
@@ -210,7 +220,7 @@ class TestSymplectic:
     def test_integrable_and_type_zero(self):
         struct = symplectic_structure(omega_r4())
         origin = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
-        ok, detail = check_integrable(struct, [origin])
+        ok, detail = check_integrable(struct, {"origin": origin})
         assert ok, detail
         assert struct.at(origin).type == 0
 
@@ -247,7 +257,7 @@ class TestComplex:
         ok, detail = check_algebraic(struct)
         assert ok, detail
         origin = EvalPoint.at(R2, x=0, y=0)
-        ok, detail = check_integrable(struct, [origin])
+        ok, detail = check_integrable(struct, {"origin": origin})
         assert ok, detail
         assert struct.at(origin).type == 1
 
@@ -278,10 +288,10 @@ class TestTwistSign:
     symplectic structure by a non-closed B must produce a structure that
     is integrable against H - dB and against nothing else nearby."""
 
-    POINTS = [
-        EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0),
-        EvalPoint.at(R4, x1=1, y1=0, x2=0, y2=Fraction(1, 2)),
-    ]
+    POINTS = {
+        "origin": EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0),
+        "off": EvalPoint.at(R4, x1=1, y1=0, x2=0, y2=Fraction(1, 2)),
+    }
 
     def b_field(self):
         return d(R4, "x2").wedge(d(R4, "y2")).scale(fn("x1", R4))
