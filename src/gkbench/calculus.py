@@ -81,11 +81,12 @@ class VectorField:
         if f.chart is not self.chart and f.chart != self.chart:
             raise ChartMismatchError("function over a different chart")
         total = RingElement.zero(self.chart)
-        names = self.chart.names
-        for i, comp in enumerate(self.components):
+        for name, comp in zip(self.chart.names, self.components):
             if comp.is_zero:
                 continue
-            total = total + comp * f.partial(names[i])
+            derivative = f.partial(name)
+            if not derivative.is_zero:
+                total = total + comp * derivative
         return total
 
     def conj(self) -> "VectorField":

@@ -58,14 +58,14 @@ the level sets; that is an identity, so no bracket of tangent fields is
 computed for it.  What can fail is closure of the level-tangent part of
 the eigenbundle, and check_adapted_closure judges it in one pass through
 structures.closing_brackets: given the scenario's named points, the
-brackets of a basis of n - rank(dF.rho.P) eigenbundle sections that
-structures.certify_basis certifies at one of them, and the full frame's
-pairs when no point certifies a basis or some basis bracket fails.  It
-also judges the level slice from the same pass: a certified chart-wide
-pass is a slice pass, and a full-frame pass pulls back only the
-residuals that did not vanish on the chart.  level_substitution returns
-a slice map only when every moment function pulls back to its level
-constant.
+brackets of the n - rank(dF.rho.P) sections that
+structures.certified_basis pivots out of the eigenbundle basis picked
+at one of them against dF, and the cross-eliminated frame's pairs,
+built only when no point certifies a basis or a basis bracket fails.  It also judges the
+level slice from the same pass: a certified chart-wide pass is a slice
+pass, and a full-frame pass pulls back only the residuals that did not
+vanish on the chart.  level_substitution returns a slice map only when
+every moment function pulls back to its level constant.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ from .structures import (
     GenSection,
     GenStructure,
     Points,
-    certify_basis,
+    certified_basis,
     closing_brackets,
-    courant_bracket,
     matrix_type,
     pairing_matrix,
 )
@@ -580,15 +579,6 @@ def level_substitution(
 Outcome = tuple[bool, str]
 
 
-def adapted_eigen_frame(
-    struct: GenStructure, moment: MomentData
-) -> tuple[GenSection, ...]:
-    """Spanning sections of the eigenbundle that are tangent to the level
-    sets, produced by cross-elimination of the projected frame against
-    each moment function."""
-    return _cross_eliminate([u for u in struct.plus_i_frame if not u.is_zero], moment)
-
-
 def check_adapted_closure(
     struct: GenStructure,
     moment: MomentData,
@@ -597,28 +587,17 @@ def check_adapted_closure(
 ) -> tuple[Outcome, Outcome | None]:
     """Brackets of level-tangent eigenbundle sections stay in the
     eigenbundle, and so stay tangent: the vector part of a Courant bracket
-    is the Lie bracket of the vector parts.  Given points and an algebraic
-    structure, only a basis certified at one of them is bracketed when it
-    closes.  Returns the verdict on the chart and, given a slice map, the
-    verdict on the level slice (otherwise None): the first open bracket
-    whose residual survives the pullback, as a residual zero on the chart
-    is zero on the slice, so no bracket is computed twice."""
-    frame = adapted_eigen_frame(struct, moment)
+    is the Lie bracket of the vector parts.  Only the certified_basis
+    annihilated by dF is bracketed when it closes; the cross-eliminated
+    frame is built otherwise.  Returns the verdict on the chart and, given a slice map,
+    on the level slice (otherwise None): the first open bracket whose
+    residual survives the pullback, as a residual zero on the chart is
+    zero on the slice, so no bracket is computed twice."""
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-    n = struct.dim
-
-    def bound(p: EvalPoint) -> int:
-        dF = mat([df.covector_at(p) for df in dfs])
-        return n - rank(mat_mul(dF, struct.at(p).projector[:n]))
-
-    if not struct.algebraic[0]:
-        points = NO_POINTS
-    certified = certify_basis([u.column() for u in frame], points, bound)
-    basis, hits = closing_brackets(
-        frame,
-        lambda u, v: courant_bracket(u, v, struct.twist),
-        lambda w: mat_vec(struct.anti_projector, w.column()),
-        certified,
+    certified = certified_basis(struct, points, dfs)
+    live = [u for u in struct.plus_i_frame if not u.is_zero]
+    basis, frame, hits = closing_brackets(
+        struct, certified, lambda: _cross_eliminate(live, moment)
     )
     # No tangency residual: df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0 for tangent X, Y.
     done = basis or f"all {comb(len(frame), 2)} adapted brackets"

@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .calculus import DiffForm, VectorField, wedge_all
 from .equivariant import Connection, MomentData, TorusAction
@@ -61,19 +61,29 @@ _TOP_KEYS = {
 }
 
 
-def _expr(text: str, chart: Chart, where: str) -> RingElement:
+# Texts parsed so far in one load_scenario call, each to its element.
+Parsed = dict[str, RingElement]
+
+
+def _expr(text: str, chart: Chart, where: str, parsed: Parsed) -> RingElement:
+    """The element a text denotes, parsed once per load: a repeated text,
+    such as a "0" matrix entry, shares its element.  A text that fails to
+    parse is not kept, so each bad entry raises with its own where."""
     if not isinstance(text, str):
         raise ValidationError(
             f"{where}: expression must be a string, got {type(text).__name__}"
         )
-    try:
-        return parse_expr(text, chart)
-    except ParseError as e:
-        raise ValidationError(f"{where}: {e}") from e
+    element = parsed.get(text)
+    if element is None:
+        try:
+            element = parsed[text] = parse_expr(text, chart)
+        except ParseError as e:
+            raise ValidationError(f"{where}: {e}") from e
+    return element
 
 
 def form_from_terms(
-    chart: Chart, terms: Sequence[Mapping[str, Any]], degree: int, where: str
+    chart: Chart, terms: list, degree: int, where: str, parsed: Parsed
 ) -> DiffForm:
     if not isinstance(terms, list):
         raise ValidationError(f"{where}: terms must be a list")
@@ -89,7 +99,7 @@ def form_from_terms(
             raise ValidationError(
                 f"{where}: term frame {frame} does not have degree {degree}"
             )
-        coeff = _expr(item.get("coeff", "1"), chart, where)
+        coeff = _expr(item.get("coeff", "1"), chart, where, parsed)
         try:
             piece = wedge_all(
                 [DiffForm.d_coord(chart, name) for name in frame]
@@ -138,7 +148,7 @@ def _point(chart: Chart, values: Any, where: str) -> EvalPoint:
 
 
 def _structure(
-    chart: Chart, spec: Mapping[str, Any], twist: DiffForm, where: str
+    chart: Chart, spec: Mapping[str, Any], twist: DiffForm, where: str, parsed: Parsed
 ) -> GenStructure:
     if not isinstance(spec, dict):
         raise ValidationError(f"{where}: must be an object")
@@ -148,7 +158,7 @@ def _structure(
     if extra:
         raise ValidationError(f"{where}: unknown structure keys {sorted(extra)}")
     if kind == "symplectic":
-        two_form = form_from_terms(chart, spec.get("two_form", []), 2, where)
+        two_form = form_from_terms(chart, spec.get("two_form", []), 2, where, parsed)
         return symplectic_structure(two_form, twist)
     if kind in ("complex", "matrix"):
         # an n x n J on the tangent bundle, or the 2n x 2n structure itself
@@ -159,7 +169,7 @@ def _structure(
         ):
             raise ValidationError(f"{where}: matrix must be {size} x {size}")
         entries = tuple(
-            tuple(_expr(entry, chart, where) for entry in row) for row in rows
+            tuple(_expr(entry, chart, where, parsed) for entry in row) for row in rows
         )
         if kind == "complex":
             return complex_structure(entries, chart, twist)
@@ -202,14 +212,17 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     except (ValidationError, TypeError, ValueError) as e:
         raise ValidationError(f"chart: {e}") from e
 
-    twist = form_from_terms(chart, data.get("twist", []), 3, "twist")
+    parsed: Parsed = {}
+    twist = form_from_terms(chart, data.get("twist", []), 3, "twist", parsed)
 
     structures: dict[str, GenStructure] = {}
     specs = _field(data, "structures", dict, {})
     for sname in sorted(specs):
         spec = specs[sname]
         try:
-            structures[sname] = _structure(chart, spec, twist, f"structure {sname}")
+            structures[sname] = _structure(
+                chart, spec, twist, f"structure {sname}", parsed
+            )
         except ValidationError as e:
             if str(e).startswith(f"structure {sname}"):
                 raise
@@ -228,15 +241,11 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     if "action" in data:
         gens = []
         for i, comps in enumerate(_field(data, "action", list, [])):
+            where = f"action generator {i + 1}"
             if not isinstance(comps, list) or len(comps) != chart.dim:
-                raise ValidationError(
-                    f"action generator {i + 1} needs {chart.dim} components"
-                )
+                raise ValidationError(f"{where} needs {chart.dim} components")
             gens.append(
-                VectorField(
-                    chart,
-                    tuple(_expr(c, chart, f"action generator {i + 1}") for c in comps),
-                )
+                VectorField(chart, tuple(_expr(c, chart, where, parsed) for c in comps))
             )
         try:
             action = TorusAction(chart, tuple(gens))
@@ -260,11 +269,11 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
             one_forms = tuple(DiffForm.zero(chart, 1) for _ in range(k))
         else:
             one_forms = tuple(
-                form_from_terms(chart, terms, 1, f"moment one-form {i + 1}")
+                form_from_terms(chart, terms, 1, f"moment one-form {i + 1}", parsed)
                 for i, terms in enumerate(_field(mdata, "one_forms", list, []))
             )
         functions = tuple(
-            _expr(text, chart, f"moment function {i + 1}")
+            _expr(text, chart, f"moment function {i + 1}", parsed)
             for i, text in enumerate(_field(mdata, "functions", list, []))
         )
         try:
@@ -279,7 +288,7 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
         if not isinstance(terms_list, list):
             raise ValidationError(f"connection {cname} must be a list of one-forms")
         forms = tuple(
-            form_from_terms(chart, terms, 1, f"connection {cname}")
+            form_from_terms(chart, terms, 1, f"connection {cname}", parsed)
             for terms in terms_list
         )
         try:
@@ -302,12 +311,14 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
 
     b_field = None
     if "b_field" in data:
-        b_field = form_from_terms(chart, data["b_field"], 2, "b_field")
+        b_field = form_from_terms(chart, data["b_field"], 2, "b_field", parsed)
         if not b_field.is_real:
             raise ValidationError("b_field must be real")
     basic_field = None
     if "basic_field" in data:
-        basic_field = form_from_terms(chart, data["basic_field"], 2, "basic_field")
+        basic_field = form_from_terms(
+            chart, data["basic_field"], 2, "basic_field", parsed
+        )
 
     checks = tuple(_field(data, "checks", list, []))
     for c in checks:
@@ -318,7 +329,9 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     for key in ("types", "reduced_types"):
         _field(expected, key, dict, {})
     if "gamma" in expected:
-        expected["gamma"] = form_from_terms(chart, expected["gamma"], 2, "expected gamma")
+        expected["gamma"] = form_from_terms(
+            chart, expected["gamma"], 2, "expected gamma", parsed
+        )
 
     return Scenario(
         name=name,

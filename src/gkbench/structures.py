@@ -16,14 +16,14 @@ upper-right-block rule, matrix_type, types J(p) and the reduced
 structures.  open_brackets is the one loop over frame pairs.
 closing_brackets is the one "certified basis, else full frame" pass over
 it, for check_integrable here and the adapted level-set closure check of
-reduction.  A certified basis is a subset of the frame, picked at a
-named point, that is a basis of its span over the fraction field of the
-coefficient ring, and when every bracket of that basis closes the whole
-frame closes.  check_integrable reads its basis from at(p), the columns
-of P picked there; certify_basis picks one for the level-tangent
-eigenbundle frame.  When no point certifies a basis, or some basis
-bracket fails, the full frame is bracketed as before, so every failing
-detail names a pair in the full frame's numbering.
+reduction.  A certified basis is a set of sections, independent at a
+named point, that spans the frame's span over the fraction field of the
+coefficient ring; when every bracket of it closes, the whole frame
+closes.  certified_basis picks the n sections whose columns at(p)
+picks, for check_integrable, and pivots them against the moment
+differentials for the adapted check.  The full frame is built and
+bracketed only when no point certifies a basis or a basis bracket
+fails, so every failing detail names a pair in its numbering.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .calculus import DiffForm, VectorField, lie_bracket
 from .errors import ChartMismatchError, ValidationError
@@ -449,33 +449,33 @@ def check_algebraic(struct: GenStructure) -> tuple[bool, str]:
 
 
 def open_brackets(
-    frame: Sequence,
-    bracket: Callable,
-    residuals: Callable[..., Iterable[RingElement]],
+    struct: GenStructure, frame: Sequence[GenSection]
 ) -> Iterator[tuple[int, int, int, RingElement]]:
-    """Bracket each pair a < b of nonzero frame sections once, in order,
-    and yield (a, b, i, r) for each nonzero entry r of the residuals of
-    the bracket.  The brackets stay in the subbundle the residuals test
-    exactly when nothing is yielded; pairs are bracketed lazily, so
-    stopping at the first yield brackets no further pair."""
+    """Bracket each pair a < b of nonzero sections of a frame of the +i
+    eigenbundle once, in order, under the structure's twisted Courant
+    bracket, and yield (a, b, i, r) for each nonzero entry r of the
+    bracket's -i part (the anti-projector applied to its column).  The
+    brackets stay in the eigenbundle exactly when nothing is yielded;
+    pairs are bracketed lazily, so stopping at the first yield brackets
+    no further pair."""
     live = [i for i, u in enumerate(frame) if not u.is_zero]
     for a, b in combinations(live, 2):
-        w = bracket(frame[a], frame[b])
-        for i, r in enumerate(residuals(w)):
+        w = courant_bracket(frame[a], frame[b], struct.twist)
+        for i, r in enumerate(mat_vec(struct.anti_projector, w.column())):
             if not r.is_zero:
                 yield a, b, i, r
 
 
 @dataclass(frozen=True)
 class Basis:
-    """Frame indices certified at a named point to be a basis of the
-    frame's span over the fraction field of the coefficient ring."""
+    """Sections certified at a named point to be a basis, over the
+    fraction field of the coefficient ring, of the span of a frame."""
 
     point: str
-    indices: tuple[int, ...]
+    sections: tuple[GenSection, ...]
 
     def __str__(self) -> str:
-        k = len(self.indices)
+        k = len(self.sections)
         pairs = comb(k, 2)
         return (
             f"all brackets of a {k}-section basis certified at {self.point} "
@@ -488,67 +488,79 @@ Points = Mapping[str, EvalPoint]
 NO_POINTS: Points = MappingProxyType({})
 
 
-def certify_basis(
-    columns: Sequence[Sequence[RingElement]],
-    points: Points,
-    bound: Callable[[EvalPoint], int],
+def certified_basis(
+    struct: GenStructure, points: Points, forms: Sequence[DiffForm] = ()
 ) -> Basis | None:
-    """A basis of the span of a frame, given by the ring columns of its
-    sections, over the fraction field of the coefficient ring, certified
-    at the first point that can, or None.  It serves the level-tangent
-    eigenbundle frame of reduction.check_adapted_closure.
+    """A basis, over the fraction field of the coefficient ring, of the +i
+    eigenbundle sections whose vector parts the given 1-forms annihilate
+    (with none, the eigenbundle; with the moment differentials, its
+    level-tangent part), certified at the first named point that can, or
+    None, as always for a structure that is not algebraic.
 
-    At each point p in order, the columns are evaluated (rmat_eval, which
-    skips zero entries) and a subset S independent at p is picked
-    greedily (one elimination).  S is accepted when |S| equals bound(p),
-    an upper bound on the rank of the frame's span read at p: an S
-    independent at p has a nonzero minor there, so it is independent over
-    the fraction field, and the generic rank lies between |S| and
-    bound(p).  The bound for the level-tangent eigenbundle frame is
-    n - rank(dF.rho.P) at p; rank at a point never exceeds the generic
-    rank, so it bounds the generic rank from above.  check_integrable
-    takes its S from GenStructure.at(p), the columns of P picked at p,
-    with the bound n that an algebraic structure gives.
+    At a point p it starts from the n sections of the +i frame whose
+    columns at(p) picks and takes each form df in turn, with
+    c_i = df(rho u_i).  When every c_i is zero the sections stay;
+    otherwise it pivots on the first u_q with c_q(p) != 0 and keeps, for
+    i != q, u_i where c_i = 0 and c_q u_i - c_i u_q elsewhere; when no
+    c_q(p) is nonzero, the next point is tried.  Each step is triangular
+    at p with diagonal c_q(p) or 1, so the sections stay independent at p,
+    df annihilates each new one, and the elimination is exact over the
+    fraction field: the result is a basis of the annihilated subbundle, of
+    its generic rank n - rank(dF.rho.P).  Up to sign each section is one
+    of reduction's cross-eliminated frame.
 
-    Why a certified S decides the same verdicts as the full frame.  The
-    coefficient ring Q(i)[x][E(y)^+-1] is an integral domain.  Cramer's
-    rule gives delta.v = sum_s r_s s for every frame section v, with delta
-    a nonzero minor of S and ring elements r_s.  Each check's residual map
-    is ring-linear and vanishes on every frame section, and on an
-    isotropic subbundle the Courant bracket obeys the Leibniz rule with no
-    pairing term, [u, f v] = f [u, v] + (rho(u) f) v.  So delta^2 times the
-    residual of any frame pair is a ring combination of the residuals of
-    the S-pairs: every residual vanishes exactly when every S-pair
-    residual does, and then every pullback to a level slice vanishes too.
-    A chart-wide pass of S therefore also gives the slice pass, and the
-    certifying point need not lie on the slice.  Isotropy of the
-    eigenbundle needs the structure to be algebraic; both checks certify
-    no basis otherwise.
+    Why a basis S decides the same verdicts as the full frame: the ring
+    Q(i)[x][E(y)^+-1] is an integral domain, so Cramer's rule gives
+    delta.v = sum_s r_s s for every frame section v, with delta a nonzero
+    minor of S and ring elements r_s.  Each residual map is ring-linear
+    and vanishes on the frame, and on an isotropic subbundle (the
+    structure is algebraic) the Courant bracket obeys the Leibniz rule
+    [u, f v] = f [u, v] + (rho(u) f) v with no pairing term.  So delta^2
+    times the residual of any frame pair is a ring combination of those of
+    the S-pairs: all vanish exactly when the S-pairs' do, and then so does
+    every pullback to a level slice, wherever the certifying point lies.
     """
+    if not struct.algebraic[0]:
+        return None
+    frame = struct.plus_i_frame
     for name, p in points.items():
-        picked = extend_basis((), rmat_eval(columns, p))
-        if len(picked) == bound(p):
-            return Basis(name, picked)
+        # A real J(p) squaring to -Id has an n-dimensional +i eigenspace.
+        sections = [frame[i] for i in struct.at(p).basis]
+        for df in forms:
+            coeffs = [df.apply([u.vector]) for u in sections]
+            moving = [i for i, c in enumerate(coeffs) if not c.is_zero]
+            if not moving:
+                continue
+            q = next((i for i in moving if coeffs[i].evaluate(p)), None)
+            if q is None:
+                break
+            cq, uq = coeffs[q], sections[q]
+            sections = [
+                u if c.is_zero else u.scale(cq) - uq.scale(c)
+                for i, (u, c) in enumerate(zip(sections, coeffs))
+                if i != q
+            ]
+        else:
+            return Basis(name, tuple(sections))
     return None
 
 
 def closing_brackets(
-    frame: Sequence,
-    bracket: Callable,
-    residuals: Callable[..., Iterable[RingElement]],
+    struct: GenStructure,
     basis: Basis | None,
-) -> tuple[Basis | None, Iterator[tuple[int, int, int, RingElement]]]:
+    full_frame: Callable[[], Sequence[GenSection]],
+) -> tuple[Basis | None, Sequence[GenSection], Iterator[tuple]]:
     """The one "certified basis, else full frame" closure pass.
 
-    Returns the certified basis and no open brackets when every bracket
-    of the basis closes; otherwise None and the full frame's
-    open_brackets, so a failure is reported in the full frame's
-    numbering, exactly as without a certificate."""
-    if basis is not None:
-        sub = [frame[i] for i in basis.indices]
-        if next(open_brackets(sub, bracket, residuals), None) is None:
-            return basis, iter(())
-    return None, open_brackets(frame, bracket, residuals)
+    Returns the basis, its sections and no open brackets when every
+    bracket of the basis closes (certified_basis argues why that settles
+    the full frame); otherwise None, the frame that full_frame() builds
+    only then, and its open_brackets, so a failure is reported in the
+    full frame's numbering, exactly as without a certificate."""
+    if basis is not None and next(open_brackets(struct, basis.sections), None) is None:
+        return basis, basis.sections, iter(())
+    frame = full_frame()
+    return None, frame, open_brackets(struct, frame)
 
 
 def check_integrable(
@@ -563,7 +575,7 @@ def check_integrable(
     residual under the opposite projector).  For an isotropic subbundle this
     spanning-set computation settles involutivity for all sections; when the
     structure is algebraic, the brackets of the n columns of P picked at the
-    first point settle it (see certify_basis).
+    first point, a basis over the fraction field, settle it (certified_basis).
     """
     n = struct.dim
     if not struct.squares_to_minus_one:
@@ -571,16 +583,8 @@ def check_integrable(
     for p in points.values():
         if len(struct.at(p).basis) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
-    certified = None
-    if points and struct.algebraic[0]:
-        name, p = next(iter(points.items()))
-        certified = Basis(name, struct.at(p).basis)
-    basis, hits = closing_brackets(
-        struct.plus_i_frame,
-        lambda u, v: courant_bracket(u, v, struct.twist),
-        lambda w: mat_vec(struct.anti_projector, w.column()),
-        certified,
-    )
+    certified = certified_basis(struct, points)
+    basis, _, hits = closing_brackets(struct, certified, lambda: struct.plus_i_frame)
     hit = next(hits, None)
     if hit is not None:
         a, b, _, total = hit

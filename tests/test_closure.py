@@ -18,7 +18,7 @@ from gkbench import calculus, reduction, structures
 from gkbench.calculus import DiffForm, lie_bracket
 from gkbench.equivariant import MomentData, TorusAction
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
-from gkbench.linalg import mat, mat_sub, mat_vec, rmat_identity
+from gkbench.linalg import mat, mat_mul, mat_sub, mat_vec, rank, rmat_eval, rmat_identity
 from gkbench.reduction import (
     _cross_eliminate,
     check_adapted_closure,
@@ -30,6 +30,7 @@ from gkbench.scenario import load_scenario
 from gkbench.structures import (
     GenStructure,
     b_transform_structure,
+    certified_basis,
     check_integrable,
     section_from_column,
     zero_twist,
@@ -105,7 +106,7 @@ def test_level_closure_brackets_each_pair_once(monkeypatch):
     scen = load_builtin("gamma_torus_cylinder")
     calls = []
     inside = []
-    courant, lie = reduction.courant_bracket, calculus.lie_bracket
+    courant, lie = structures.courant_bracket, calculus.lie_bracket
 
     def counted_courant(*args):
         calls.append("courant_bracket")
@@ -120,7 +121,7 @@ def test_level_closure_brackets_each_pair_once(monkeypatch):
             calls.append("lie_bracket")
         return lie(*args)
 
-    monkeypatch.setattr(reduction, "courant_bracket", counted_courant)
+    monkeypatch.setattr(structures, "courant_bracket", counted_courant)
     for module in (calculus, structures):
         monkeypatch.setattr(module, "lie_bracket", counted_lie)
     assert [status for _, status, _ in closure_verdicts(scen.name)] == ["pass"] * 3
@@ -415,3 +416,113 @@ def test_each_matrix_builds_its_eigenbundle_once_per_run(monkeypatch):
         built.clear()
         run_scenario(load_builtin(name))
         assert len(built) == len(set(built)), name
+
+
+def kahler_c3_circle():
+    """Flat Kahler C^3 with the diagonal circle action and its moment map
+    |z|^2/2, at two points: the origin, where dF vanishes, and a point of
+    the level set |z|^2 = 1."""
+    names = [f"{axis}{j}" for j in (1, 2, 3) for axis in "xy"]
+    origin = dict.fromkeys(names, "0")
+    return {
+        "name": "kahler_c3_circle",
+        "chart": [[name, "affine"] for name in names],
+        "structures": {
+            "j1": {
+                "kind": "symplectic",
+                "two_form": [
+                    {"coeff": "1", "frame": [f"x{j}", f"y{j}"]} for j in (1, 2, 3)
+                ],
+            }
+        },
+        "action": [[c for j in (1, 2, 3) for c in (f"-y{j}", f"x{j}")]],
+        "moment": {
+            "structure": "j1",
+            "functions": [" + ".join(f"1/2*x{j}^2 + 1/2*y{j}^2" for j in (1, 2, 3))],
+        },
+        "level": ["1/2"],
+        "points": [
+            {"name": "origin", "values": origin},
+            {"name": "p", "values": {**origin, "x1": "3/5", "y2": "4/5"}},
+        ],
+        "checks": ["level_closure"],
+    }
+
+
+# The point and size of the basis that the old certificate, a greedy pick
+# among the evaluated columns of the cross-eliminated frame accepted at the
+# bound n - rank(dF.rho.P), certified for the runner's inputs.
+CERTIFIED = {
+    "kahler_c2_circle": ("pole_x1", 3),
+    "gamma_torus_cylinder": ("base", 2),
+    "trivial_action": ("origin", 4),
+    "mixed_r4_rotation": ("unit", 3),
+    "gamma_cylinder_product": ("base", 4),
+    "bihermitian_r4_translation": ("first", 3),
+    "kahler_c3_circle": ("p", 5),
+}
+
+
+def moment_scenarios():
+    for name in catalog_names():
+        if "moment" in builtin_raw(name):
+            yield load_builtin(name)
+    yield load_scenario(kahler_c3_circle())
+
+
+def test_pivoted_basis_certifies_where_the_full_frame_did():
+    got = {}
+    for scen in moment_scenarios():
+        ws = Workspace(scen)
+        struct, moment = ws.work(scen.moment_structure), ws.moment_w()
+        dfs = [DiffForm.function(f).d() for f in moment.functions]
+        basis = certified_basis(struct, scen.points, dfs)
+        got[scen.name] = (basis.point, len(basis.sections))
+        p = scen.points[basis.point]
+        n = struct.dim
+        # Every df annihilates each section, and they are independent at p.
+        for u in basis.sections:
+            assert all(df.apply([u.vector]).is_zero for df in dfs), scen.name
+        values = rmat_eval(tuple(u.column() for u in basis.sections), p)
+        assert rank(values) == len(basis.sections), scen.name
+        # Its size is the old bound, and each section is, up to sign, a
+        # section of the cross-eliminated frame.
+        if dfs:
+            dF = mat([df.covector_at(p) for df in dfs])
+            bound = n - rank(mat_mul(dF, struct.at(p).projector[:n]))
+        else:
+            bound = n
+        assert len(basis.sections) == bound, scen.name
+        live = [u for u in struct.plus_i_frame if not u.is_zero]
+        frame = _cross_eliminate(live, moment)
+        for u in basis.sections:
+            assert u in frame or -u in frame, scen.name
+    assert got == CERTIFIED
+
+
+def test_certified_closure_builds_no_full_frame(monkeypatch):
+    scen = load_scenario(kahler_c3_circle())
+    calls = []
+    courant = structures.courant_bracket
+
+    def counted(*args):
+        calls.append(1)
+        return courant(*args)
+
+    def refused(*args):
+        raise AssertionError("the cross-eliminated frame was built")
+
+    monkeypatch.setattr(structures, "courant_bracket", counted)
+    monkeypatch.setattr(reduction, "_cross_eliminate", refused)
+    verdicts, _ = run_scenario(scen)
+    assert [(v.check, v.status) for v in verdicts] == [
+        ("level_closure:frame", "pass"),
+        ("level_closure:adapted", "pass"),
+        ("level_closure:slice", "skipped"),
+    ]
+    assert verdicts[1].detail == (
+        "all brackets of a 5-section basis certified at p (10 pairs) stay in "
+        "the eigenbundle, globally"
+    )
+    # The rank n - k level-tangent eigenbundle: C^3 has n = 6, the circle k = 1.
+    assert len(calls) == comb(scen.chart.dim - 1, 2)

@@ -1,7 +1,7 @@
-"""No module of the package imports a name it never uses, so a deletion
-that leaves its last import behind is caught here.  A name counts as used
-when it is read anywhere in the module, named in a string annotation, or
-re-exported through __all__.
+"""No module of the package, and no test module, imports a name it never
+uses, so a deletion that leaves its last import behind is caught here.  A
+name counts as used when it is read anywhere in the module, named in a
+string annotation, or re-exported through __all__.
 
 No top-level function or class of the package goes unread either, so a
 refactor that leaves a helper behind is caught too.  A definition counts
@@ -20,6 +20,7 @@ from pathlib import Path
 import gkbench
 
 SOURCES = sorted(Path(gkbench.__file__).parent.rglob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:
@@ -72,12 +73,13 @@ def unused_imports(source: str) -> list[str]:
 
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"ring.py", "linalg.py", "reduction.py"}
+    assert {p.name for p in TESTS} >= {"test_ring.py", "test_no_unused_imports.py"}
 
 
 def test_no_unused_imports():
     offenders = {
-        path.name: names
-        for path in SOURCES
+        str(path.relative_to(path.parents[1])): names
+        for path in SOURCES + TESTS
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}

@@ -12,7 +12,6 @@ from gkbench.ring import (
     MAX_DIGITS,
     MAX_EXPONENT,
     MAX_TERMS,
-    Chart,
     EvalPoint,
     RingElement,
     Scalar,

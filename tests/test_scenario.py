@@ -168,6 +168,41 @@ class TestLoader:
             load_scenario(raw)
         assert str(err.value) == "expected gamma: unknown coordinate 'zz'"
 
+    def test_repeated_texts_share_one_element_per_load(self):
+        """Each text is parsed once per load: equal entries of a matrix
+        structure are one element, and a second load of the same scenario
+        shares no element with the first."""
+        raw = builtin_raw("mixed_r4_rotation")
+        texts = [text for row in raw["structures"]["j"]["matrix"] for text in row]
+
+        def entries(scen):
+            return [x for row in scen.structures["j"].matrix for x in row]
+
+        first, second = entries(load_scenario(raw)), entries(load_scenario(raw))
+        by_text = {}
+        for text, element in zip(texts, first):
+            assert by_text.setdefault(text, element) is element, text
+        assert len({id(x) for x in first}) == len(set(texts)) == 3
+        assert not {id(x) for x in first} & {id(x) for x in second}
+
+    def test_a_repeated_text_is_judged_at_each_entry(self):
+        """A text parsed before does not hide a later entry's own fault,
+        and a text that fails is not kept: each error names its entry."""
+        raw = copy.deepcopy(builtin_raw("mixed_r4_rotation"))
+        raw["action"][0][2] = 0
+        with pytest.raises(ValidationError) as err:
+            load_scenario(raw)
+        assert str(err.value) == (
+            "action generator 1: expression must be a string, got int"
+        )
+        raw = copy.deepcopy(builtin_raw("mixed_r4_rotation"))
+        raw["action"][0][2] = raw["moment"]["functions"][0] = "x1 +"
+        with pytest.raises(ValidationError, match="^action generator 1: "):
+            load_scenario(raw)
+        raw["action"][0][2] = "0"
+        with pytest.raises(ValidationError, match="^moment function 1: "):
+            load_scenario(raw)
+
     def test_digest_tracks_content(self):
         raw = builtin_raw("complex_r2")
         d1 = scenario_digest(raw)

@@ -49,7 +49,6 @@ from gkbench.structures import (
     pairing_matrix,
     section_from_column,
     symplectic_structure,
-    two_form_rmatrix,
     zero_twist,
 )
 
@@ -542,7 +541,7 @@ def test_point_values_match_the_ring_projector_and_the_block_rule():
 
 
 def _old_integrability_basis(struct, points):
-    """The basis check_integrable bracketed while it ran certify_basis on
+    """The basis check_integrable bracketed when a certificate searched
     the +i frame: greedy over the live columns of P evaluated at each
     point, at the first point whose pick has n elements."""
     if not struct.algebraic[0]:
@@ -553,7 +552,7 @@ def _old_integrability_basis(struct, points):
         values = [tuple(c.evaluate(p) for c in frame[i].column()) for i in live]
         picked = extend_basis((), values)
         if len(picked) == struct.dim:
-            return Basis(name, tuple(live[i] for i in picked))
+            return Basis(name, tuple(frame[live[i]] for i in picked))
     return None
 
 
@@ -561,9 +560,9 @@ def test_integrability_brackets_the_basis_the_old_rule_picks(monkeypatch):
     bracketed = []
     real = structures.closing_brackets
 
-    def closing(frame, bracket, residuals, basis):
+    def closing(struct, basis, full_frame):
         bracketed.append(basis)
-        return real(frame, bracket, residuals, basis)
+        return real(struct, basis, full_frame)
 
     monkeypatch.setattr(structures, "closing_brackets", closing)
     checked = 0
