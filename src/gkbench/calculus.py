@@ -7,8 +7,8 @@ derivative and Lie bracket are all implemented directly from their
 coordinate formulas, so identities like the Cartan magic formula stay
 honest test material instead of definitions.
 
-The public constructors (`DiffForm(...)`, the `VectorField` dataclass and
-the named constructors) validate what they are given: index arity,
+The public constructors (`DiffForm(...)`, `VectorField(...)` and the
+named constructors) validate what they are given: index arity,
 strictly increasing indices inside the chart, one component per
 coordinate, and every coefficient over the same chart; they drop zero
 coefficients.  The results of +, -, scale, conj, wedge, d, interior,
@@ -23,7 +23,6 @@ domain, and a sum that cancels is deleted where it cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ValidationError
@@ -33,30 +32,29 @@ from .ring import Chart, EvalPoint, RingElement, Scalar, PERIODIC, ZERO, quarter
 Index = tuple[int, ...]
 
 _new = object.__new__
-_set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class VectorField:
     """A vector field written in the coordinate frame of its chart."""
 
-    chart: Chart
-    components: tuple[RingElement, ...]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self) -> None:
-        if len(self.components) != self.chart.dim:
+    def __init__(self, chart: Chart, components: tuple[RingElement, ...]) -> None:
+        if len(components) != chart.dim:
             raise ValidationError("component count does not match chart")
-        for c in self.components:
-            if c.chart is not self.chart and c.chart != self.chart:
+        for c in components:
+            if c.chart is not chart and c.chart != chart:
                 raise ChartMismatchError("component over a different chart")
+        self.chart = chart
+        self.components = components
 
     @staticmethod
     def _of_valid(chart: Chart, components: tuple[RingElement, ...]) -> "VectorField":
         """A field from one component per coordinate over the chart, taken
         as it is (results of field operations)."""
         out = _new(VectorField)
-        _set(out, "chart", chart)
-        _set(out, "components", components)
+        out.chart = chart
+        out.components = components
         return out
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -74,7 +72,9 @@ class VectorField:
     def scale(self, f: Union[RingElement, Scalar]) -> "VectorField":
         if isinstance(f, Scalar):
             return VectorField._of_valid(self.chart, tuple(c.scale(f) for c in self.components))
-        return VectorField._of_valid(self.chart, tuple(f * c for c in self.components))
+        return VectorField._of_valid(
+            self.chart, tuple(c if c.is_zero else f * c for c in self.components)
+        )
 
     def apply(self, f: RingElement) -> RingElement:
         """Directional derivative X(f)."""
@@ -95,6 +95,13 @@ class VectorField:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return self.chart == other.chart and self.components == other.components
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
         parts = []
@@ -338,8 +345,9 @@ class DiffForm:
         if self.degree == 0:
             return self.terms.get((), total)
         for idx, coeff in self.terms.items():
-            block = mat([[v.components[i] for i in idx] for v in vectors])
-            total = total + coeff * ring_det(block)
+            det = ring_det(mat([[v.components[i] for i in idx] for v in vectors]))
+            if not det.is_zero:
+                total = total + coeff * det
         return total
 
     def covector_at(self, point: EvalPoint) -> tuple[Scalar, ...]:
@@ -383,7 +391,6 @@ def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
 # --- chart maps ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChartMap:
     """A map between charts, given per target coordinate.
 
@@ -393,29 +400,33 @@ class ChartMap:
     target = source + offset * pi/2, with None for a constant angle.
     """
 
-    source: Chart
-    target: Chart
-    affine_values: Mapping[str, RingElement]
-    periodic_values: Mapping[str, tuple[Union[str, None], int]]
+    __slots__ = ("source", "target", "affine_values", "periodic_values")
 
-    def __post_init__(self) -> None:
-        for name, kind in self.target.coords:
+    def __init__(
+        self, source: Chart, target: Chart, affine_values: Mapping[str, RingElement],
+        periodic_values: Mapping[str, tuple[Union[str, None], int]],
+    ) -> None:
+        for name, kind in target.coords:
             if kind == PERIODIC:
-                if name not in self.periodic_values:
+                if name not in periodic_values:
                     raise ValidationError(f"no assignment for periodic target {name!r}")
-                src, _ = self.periodic_values[name]
+                src, _ = periodic_values[name]
                 if src is not None:
-                    i = self.source.index(src)
-                    if self.source.is_affine(i):
+                    i = source.index(src)
+                    if source.is_affine(i):
                         raise ValidationError(
                             f"periodic target {name!r} must pull back from a periodic "
                             "source coordinate"
                         )
             else:
-                if name not in self.affine_values:
+                if name not in affine_values:
                     raise ValidationError(f"no assignment for affine target {name!r}")
-                if self.affine_values[name].chart != self.source:
+                if affine_values[name].chart != source:
                     raise ChartMismatchError("assignment over a different chart")
+        self.source = source
+        self.target = target
+        self.affine_values = affine_values
+        self.periodic_values = periodic_values
 
     def pull_function(self, f: RingElement) -> RingElement:
         if f.chart != self.target:

@@ -13,7 +13,6 @@ recovers the moment one-forms, making the shifted twist basic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .calculus import DiffForm, VectorField, lie_bracket
@@ -24,23 +23,30 @@ from .structures import GenSection, GenStructure
 MultiDegree = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class TorusAction:
     """k commuting real vector fields generating a torus action."""
 
-    chart: Chart
-    generators: tuple[VectorField, ...]
+    __slots__ = ("chart", "generators")
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.chart != self.chart:
+    def __init__(self, chart: Chart, generators: tuple[VectorField, ...]) -> None:
+        for g in generators:
+            if g.chart != chart:
                 raise ChartMismatchError("generator over a different chart")
             if any(not c.is_real for c in g.components):
                 raise ValidationError("generators must be real vector fields")
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 1 :]:
+        for i, a in enumerate(generators):
+            for b in generators[i + 1 :]:
                 if not lie_bracket(a, b).is_zero:
                     raise ValidationError("generators do not commute")
+        self.chart = chart
+        self.generators = generators
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TorusAction):
+            return NotImplemented
+        return self.chart == other.chart and self.generators == other.generators
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def k(self) -> int:
@@ -126,30 +132,33 @@ def cartan_d(eform: EquivariantForm, action: TorusAction) -> EquivariantForm:
 # --- moment data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MomentData:
     """One real one-form and one real invariant function per generator."""
 
-    action: TorusAction
-    one_forms: tuple[DiffForm, ...]
-    functions: tuple[RingElement, ...]
+    __slots__ = ("action", "one_forms", "functions")
 
-    def __post_init__(self) -> None:
-        k = self.action.k
-        if len(self.one_forms) != k or len(self.functions) != k:
+    def __init__(
+        self, action: TorusAction, one_forms: tuple[DiffForm, ...],
+        functions: tuple[RingElement, ...],
+    ) -> None:
+        k = action.k
+        if len(one_forms) != k or len(functions) != k:
             raise ValidationError("moment data length does not match the action")
-        for a in self.one_forms:
+        for a in one_forms:
             if a.degree != 1:
                 raise ValidationError("moment one-forms must have degree 1")
-            if a.chart != self.action.chart:
+            if a.chart != action.chart:
                 raise ChartMismatchError("moment one-form over a different chart")
             if not a.is_real:
                 raise ValidationError("moment one-forms must be real")
-        for f in self.functions:
-            if f.chart != self.action.chart:
+        for f in functions:
+            if f.chart != action.chart:
                 raise ChartMismatchError("moment function over a different chart")
             if not f.is_real:
                 raise ValidationError("moment functions must be real")
+        self.action = action
+        self.one_forms = one_forms
+        self.functions = functions
 
     def section(self, i: int) -> GenSection:
         """The eigen-section candidate xi_i + alpha_i - i d f_i."""
@@ -246,25 +255,23 @@ def moment_b_transform(
 # --- connections and the potential -------------------------------------------
 
 
-@dataclass(frozen=True)
 class Connection:
     """Invariant one-forms theta_i with theta_i(xi_j) = delta_ij."""
 
-    action: TorusAction
-    one_forms: tuple[DiffForm, ...]
+    __slots__ = ("action", "one_forms")
 
-    def __post_init__(self) -> None:
-        if len(self.one_forms) != self.action.k:
+    def __init__(self, action: TorusAction, one_forms: tuple[DiffForm, ...]) -> None:
+        if len(one_forms) != action.k:
             raise ValidationError("connection length does not match the action")
-        chart = self.action.chart
-        for i, theta in enumerate(self.one_forms):
+        chart = action.chart
+        for i, theta in enumerate(one_forms):
             if theta.degree != 1:
                 raise ValidationError("connection forms must have degree 1")
             if theta.chart != chart:
                 raise ChartMismatchError("connection form over a different chart")
             if not theta.is_real:
                 raise ValidationError("connection forms must be real")
-            for j, g in enumerate(self.action.generators):
+            for j, g in enumerate(action.generators):
                 want = RingElement.one(chart) if i == j else RingElement.zero(chart)
                 got = theta.apply([g])
                 if got != want:
@@ -272,10 +279,12 @@ class Connection:
                         f"theta_{i + 1}(xi_{j + 1}) must be "
                         f"{'1' if i == j else '0'}, found {got}"
                     )
-        for theta in self.one_forms:
-            for g in self.action.generators:
+        for theta in one_forms:
+            for g in action.generators:
                 if not theta.lie(g).is_zero:
                     raise ValidationError("connection forms must be invariant")
+        self.action = action
+        self.one_forms = one_forms
 
 
 def gamma_from_connection(moment: MomentData, conn: Connection) -> DiffForm:

@@ -70,7 +70,6 @@ every moment function pulls back to its level constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -127,7 +126,6 @@ def _gram(rows: Sequence[Vec], g: Mat) -> Mat:
     return mat_mul(mat(rows), mat_mul(g, transpose(mat(rows))))
 
 
-@dataclass(frozen=True)
 class FiberData:
     """A quotient W / W-perp of a 2n-dimensional fiber at a point.
 
@@ -142,12 +140,16 @@ class FiberData:
     quotients of the same type, by d_rows alone and then by a_rows alone.
     """
 
-    point: EvalPoint
-    n: int
-    lifts: tuple[Vec, ...]
-    a_rows: tuple[Vec, ...]
-    d_rows: tuple[Vec, ...]
-    gram_q: Mat
+    def __init__(
+        self, point: EvalPoint, n: int, lifts: tuple[Vec, ...], a_rows: tuple[Vec, ...],
+        d_rows: tuple[Vec, ...], gram_q: Mat,
+    ) -> None:
+        self.point = point
+        self.n = n
+        self.lifts = lifts
+        self.a_rows = a_rows
+        self.d_rows = d_rows
+        self.gram_q = gram_q
 
     @property
     def k(self) -> int:
@@ -276,13 +278,15 @@ def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:
     return rows
 
 
-@dataclass(frozen=True)
 class ReducedFiber:
     """A reduced structure on the quotient fiber."""
 
-    fiber: FiberData
-    jmat: Mat
-    l_rows: tuple[Vec, ...]
+    __slots__ = ("fiber", "jmat", "l_rows")
+
+    def __init__(self, fiber: FiberData, jmat: Mat, l_rows: tuple[Vec, ...]) -> None:
+        self.fiber = fiber
+        self.jmat = jmat
+        self.l_rows = l_rows
 
 
 def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
@@ -336,11 +340,13 @@ def _structure_from_eigenrows(rows: Sequence[Vec]) -> Mat:
         ) from None
 
 
-@dataclass(frozen=True)
 class TwoStepResult:
-    jmat: Mat
-    l_rows: tuple[Vec, ...]
-    comparison: Mat  # one-step quotient coords -> two-step quotient coords
+    __slots__ = ("jmat", "l_rows", "comparison")
+
+    def __init__(self, jmat: Mat, l_rows: tuple[Vec, ...], comparison: Mat) -> None:
+        self.jmat = jmat
+        self.l_rows = l_rows
+        self.comparison = comparison  # one-step quotient coords -> two-step quotient coords
 
 
 def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
@@ -428,11 +434,13 @@ def two_step_disagreement(red: ReducedFiber, two: TwoStepResult) -> str | None:
 # --- generalized Kahler reduction ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class GkReducedFiber:
-    jmat2: Mat
-    g_mat: Mat
-    c_plus_rows: tuple[Vec, ...]
+    __slots__ = ("jmat2", "g_mat", "c_plus_rows")
+
+    def __init__(self, jmat2: Mat, g_mat: Mat, c_plus_rows: tuple[Vec, ...]) -> None:
+        self.jmat2 = jmat2
+        self.g_mat = g_mat
+        self.c_plus_rows = c_plus_rows
 
 
 def gk_reduce(

@@ -31,7 +31,6 @@ e^{i k y} lands in {1, i, -1, -i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, prod
 from operator import add as _add
@@ -62,7 +61,6 @@ MAX_COORDS = 16
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class Chart:
     """An ordered list of named coordinates, each affine or periodic.
 
@@ -71,21 +69,18 @@ class Chart:
     which read the coordinates alone.
     """
 
-    coords: tuple[tuple[str, str], ...]
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    affine: tuple[bool, ...] = field(init=False, repr=False, compare=False)
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("coords", "names", "affine", "_positions")
 
-    def __post_init__(self) -> None:
-        if len(self.coords) < 1:
+    def __init__(self, coords: tuple[tuple[str, str], ...]) -> None:
+        if len(coords) < 1:
             raise ValidationError("chart needs at least one coordinate")
-        if len(self.coords) > MAX_COORDS:
+        if len(coords) > MAX_COORDS:
             raise ValidationError(
-                f"chart has {len(self.coords)} coordinates, at most "
+                f"chart has {len(coords)} coordinates, at most "
                 f"{MAX_COORDS} are allowed"
             )
         seen: set[str] = set()
-        for name, kind in self.coords:
+        for name, kind in coords:
             if kind not in (AFFINE, PERIODIC):
                 raise ValidationError(f"unknown coordinate kind {kind!r}")
             if not (isinstance(name, str) and name.isidentifier()
@@ -94,10 +89,18 @@ class Chart:
             if name in seen:
                 raise ValidationError(f"duplicate coordinate name {name!r}")
             seen.add(name)
-        names = tuple(name for name, _ in self.coords)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "affine", tuple(kind == AFFINE for _, kind in self.coords))
-        object.__setattr__(self, "_positions", {name: i for i, name in enumerate(names)})
+        self.coords = coords
+        self.names = tuple(name for name, _ in coords)
+        self.affine = tuple(kind == AFFINE for _, kind in coords)
+        self._positions = {name: i for i, name in enumerate(self.names)}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Chart):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
 
     @property
     def dim(self) -> int:
@@ -286,13 +289,23 @@ def scalar_text(s: Scalar) -> str:
     return f"({frac(s.re)}{joiner}{imag})"
 
 
-@dataclass(frozen=True)
 class EvalPoint:
     """A chart point: rationals on affine coordinates, integer quarter
     turns (value = q*pi/2) on periodic ones."""
 
-    chart: Chart
-    values: tuple[Union[Fraction, int], ...]
+    __slots__ = ("chart", "values")
+
+    def __init__(self, chart: Chart, values: tuple[Union[Fraction, int], ...]) -> None:
+        self.chart = chart
+        self.values = values
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvalPoint):
+            return NotImplemented
+        return (self.chart, self.values) == (other.chart, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.values))
 
     @staticmethod
     def at(chart: Chart, **named: RationalLike) -> "EvalPoint":

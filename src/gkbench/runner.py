@@ -31,7 +31,6 @@ once per point by the reduction check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from typing import Any, Callable, Iterable
 
@@ -73,11 +72,13 @@ from .structures import (
 )
 
 
-@dataclass
 class Verdict:
-    check: str
-    status: str
-    detail: str
+    __slots__ = ("check", "status", "detail")
+
+    def __init__(self, check: str, status: str, detail: str) -> None:
+        self.check = check
+        self.status = status
+        self.detail = detail
 
     def as_dict(self) -> dict[str, str]:
         return {"check": self.check, "status": self.status, "detail": self.detail}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -177,25 +176,39 @@ def _structure(
     raise ValidationError(f"{where}: unknown structure kind {kind!r}")
 
 
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    title: str
-    chart: Chart
-    twist: DiffForm
-    structures: dict[str, GenStructure]
-    pair: tuple[str, str] | None
-    action: TorusAction | None
-    moment: MomentData | None
-    moment_structure: str | None
-    connections: dict[str, Connection]
-    level: tuple[Fraction, ...]
-    points: dict[str, EvalPoint]
-    b_field: DiffForm | None
-    basic_field: DiffForm | None
-    checks: tuple[str, ...]
-    expected: dict[str, Any] = field(default_factory=dict)
-    raw: dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "name", "title", "chart", "twist", "structures", "pair", "action", "moment",
+        "moment_structure", "connections", "level", "points", "b_field", "basic_field",
+        "checks", "expected", "raw",
+    )
+
+    def __init__(
+        self, name: str, title: str, chart: Chart, twist: DiffForm,
+        structures: dict[str, GenStructure], pair: tuple[str, str] | None,
+        action: TorusAction | None, moment: MomentData | None, moment_structure: str | None,
+        connections: dict[str, Connection], level: tuple[Fraction, ...],
+        points: dict[str, EvalPoint], b_field: DiffForm | None, basic_field: DiffForm | None,
+        checks: tuple[str, ...], expected: dict[str, Any] | None = None,
+        raw: dict[str, Any] | None = None,
+    ) -> None:
+        self.name = name
+        self.title = title
+        self.chart = chart
+        self.twist = twist
+        self.structures = structures
+        self.pair = pair
+        self.action = action
+        self.moment = moment
+        self.moment_structure = moment_structure
+        self.connections = connections
+        self.level = level
+        self.points = points
+        self.b_field = b_field
+        self.basic_field = basic_field
+        self.checks = checks
+        self.expected = {} if expected is None else expected
+        self.raw = {} if raw is None else raw
 
 
 def load_scenario(data: Mapping[str, Any]) -> Scenario:

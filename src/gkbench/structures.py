@@ -40,7 +40,6 @@ is exact and is pinned down by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -75,18 +74,25 @@ HALF = Scalar.of(Fraction(1, 2))
 MINUS_HALF_I = Scalar.of(0, Fraction(-1, 2))
 
 
-@dataclass(frozen=True)
 class GenSection:
     """A section X + a of the generalized tangent bundle."""
 
-    vector: VectorField
-    form: DiffForm
+    __slots__ = ("vector", "form")
 
-    def __post_init__(self) -> None:
-        if self.form.degree != 1:
+    def __init__(self, vector: VectorField, form: DiffForm) -> None:
+        if form.degree != 1:
             raise ValidationError("the form part of a section must be a 1-form")
-        if self.vector.chart != self.form.chart:
+        if vector.chart != form.chart:
             raise ChartMismatchError("vector and form parts live on different charts")
+        self.vector = vector
+        self.form = form
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GenSection):
+            return NotImplemented
+        return self.vector == other.vector and self.form == other.form
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def chart(self) -> Chart:
@@ -264,7 +270,6 @@ class StructureAt:
         return matrix_type(self.matrix, self.point)
 
 
-@dataclass(frozen=True)
 class GenStructure:
     """A generalized almost complex structure with its background twist.
 
@@ -273,26 +278,25 @@ class GenStructure:
     enforced here so every downstream check may rely on them.
     """
 
-    chart: Chart
-    matrix: RMat
-    twist: DiffForm
-    # The values at(p) has built, by point; with_twist shares the dict.
-    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = self.chart.dim
-        if len(self.matrix) != 2 * n or any(len(r) != 2 * n for r in self.matrix):
+    def __init__(self, chart: Chart, matrix: RMat, twist: DiffForm) -> None:
+        n = chart.dim
+        if len(matrix) != 2 * n or any(len(r) != 2 * n for r in matrix):
             raise ValidationError("structure matrix must be 2n x 2n")
-        if any(entry.chart != self.chart for row in self.matrix for entry in row):
+        if any(entry.chart != chart for row in matrix for entry in row):
             raise ChartMismatchError("matrix entry over a different chart")
-        if self.twist.degree != 3:
+        if twist.degree != 3:
             raise ValidationError("twist must be a 3-form")
-        if self.twist.chart != self.chart:
+        if twist.chart != chart:
             raise ChartMismatchError("twist over a different chart")
-        if not self.twist.is_real:
+        if not twist.is_real:
             raise ValidationError("twist must be real")
-        if not self.twist.d().is_zero:
+        if not twist.d().is_zero:
             raise ValidationError("twist is not closed")
+        self.chart = chart
+        self.matrix = matrix
+        self.twist = twist
+        # The values at(p) has built, by point; with_twist shares the dict.
+        self._points: dict[EvalPoint, StructureAt] = {}
 
     @property
     def dim(self) -> int:
@@ -308,8 +312,8 @@ class GenStructure:
             here = self._points[point] = StructureAt(rmat_eval(self.matrix, point), point)
         return here
 
-    # Built on first use and kept in the instance __dict__, which a
-    # frozen dataclass allows.
+    # Built on first use and kept in the instance __dict__, so the class
+    # has no __slots__.
     @cached_property
     def eigenprojector(self) -> RMat:
         """P = (Id - i J)/2, projecting onto the +i eigenbundle."""
@@ -466,13 +470,22 @@ def open_brackets(
                 yield a, b, i, r
 
 
-@dataclass(frozen=True)
 class Basis:
     """Sections certified at a named point to be a basis, over the
     fraction field of the coefficient ring, of the span of a frame."""
 
-    point: str
-    sections: tuple[GenSection, ...]
+    __slots__ = ("point", "sections")
+
+    def __init__(self, point: str, sections: tuple[GenSection, ...]) -> None:
+        self.point = point
+        self.sections = sections
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Basis):
+            return NotImplemented
+        return self.point == other.point and self.sections == other.sections
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
         k = len(self.sections)

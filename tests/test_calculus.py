@@ -66,6 +66,26 @@ class TestBasics:
         v = vf(["1", "0", "t"])
         assert omega.apply([u, v]) == fn("x*t - 2")
 
+    def test_no_zero_operand_is_multiplied(self, monkeypatch):
+        """scale keeps a zero component as it is, and apply skips a term
+        whose determinant vanishes."""
+        operands = []
+        real = RingElement.__mul__
+
+        def mul(a, b):
+            operands.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(RingElement, "__mul__", mul)
+        u = vf(["x", "0", "2"])
+        scaled = u.scale(fn("t + 1"))
+        assert scaled.components[1] is u.components[1]
+        assert len(operands) == 2 and not any(a.is_zero or b.is_zero for a, b in operands)
+        coeff = fn("x*t")
+        omega = DiffForm(CHART, 2, {(0, 2): coeff})
+        assert omega.apply([u, vf(["2*x", "1", "4"])]).is_zero
+        assert not any(coeff is a or coeff is b for a, b in operands)
+
     def test_lie_bracket_example(self):
         # [x d_t, d_x] = -d_t
         a = vf(["0", "0", "x"])
