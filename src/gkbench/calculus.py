@@ -5,7 +5,9 @@ tuples (i1 < ... < ik) to ring coefficients.  The exterior derivative,
 interior product (contraction in the first slot), wedge product, Lie
 derivative and Lie bracket are all implemented directly from their
 coordinate formulas, so identities like the Cartan magic formula stay
-honest test material instead of definitions.
+honest test material instead of definitions.  A form is evaluated on
+fields by contracting one field at a time, so this layer needs no
+matrix and imports nothing from linalg.
 
 The public constructors (`DiffForm(...)`, `VectorField(...)` and the
 named constructors) validate what they are given: index arity,
@@ -26,7 +28,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ValidationError
-from .linalg import mat, ring_det
 from .ring import Chart, EvalPoint, RingElement, Scalar, PERIODIC, ZERO, quarter_phase
 
 Index = tuple[int, ...]
@@ -336,19 +337,14 @@ class DiffForm:
         return DiffForm._of_valid(chart, self.degree, out)
 
     def apply(self, vectors: Sequence[VectorField]) -> RingElement:
-        """Full evaluation on a list of vector fields."""
+        """Full evaluation w(v1, ..., vk): contraction with v1, then v2, and
+        so on down to a function."""
         if len(vectors) != self.degree:
             raise ValidationError("wrong number of vector arguments")
+        form = self
         for v in vectors:
-            _same_chart(self.chart, v.chart)
-        total = RingElement.zero(self.chart)
-        if self.degree == 0:
-            return self.terms.get((), total)
-        for idx, coeff in self.terms.items():
-            det = ring_det(mat([[v.components[i] for i in idx] for v in vectors]))
-            if not det.is_zero:
-                total = total + coeff * det
-        return total
+            form = form.interior(v)
+        return form.terms.get((), RingElement.zero(self.chart))
 
     def covector_at(self, point: EvalPoint) -> tuple[Scalar, ...]:
         """For a 1-form: its component tuple at a point."""

@@ -234,11 +234,10 @@ def check_moment_map(
     return True, "moment sections are +i eigenvectors and functions are invariant"
 
 
-def moment_b_transform(
-    moment: MomentData, b_field: DiffForm, twist: DiffForm
-) -> tuple[DiffForm, MomentData]:
-    """Transform moment data by an invariant B-field: the twist drops by
-    dB and each one-form gains i_{xi} B; the functions are untouched."""
+def moment_b_transform(moment: MomentData, b_field: DiffForm) -> MomentData:
+    """Transform moment data by an invariant B-field: each one-form gains
+    i_{xi} B and the functions are untouched.  The twist drops by dB,
+    which b_transform_structure carries."""
     if b_field.degree != 2:
         raise ValidationError("a B-field is a 2-form")
     if not b_field.is_real:
@@ -249,7 +248,7 @@ def moment_b_transform(
         a + b_field.interior(g)
         for a, g in zip(moment.one_forms, moment.action.generators)
     )
-    return twist - b_field.d(), MomentData(moment.action, new_forms, moment.functions)
+    return MomentData(moment.action, new_forms, moment.functions)
 
 
 # --- connections and the potential -------------------------------------------

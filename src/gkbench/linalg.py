@@ -22,11 +22,12 @@ Scalar matrices also get the elimination toolkit, built on one
 Gauss-Jordan pivot loop that scales the pivot row and clears the other
 rows only at the pivot row's support, which lies right of the pivot:
 rref, rank, nullspace and inversion read its reduced rows and pivot
-columns, det reads its pivot values and row swaps, and the subspace
+columns, det reads its pivot values and row-swap flags, and the subspace
 helpers (canonical bases, equality, greedy extension) sit on those.
 The Sylvester test on real symmetric matrices reads its leading minors
-from one elimination without row swaps, under the same support rule.
-Everything is exact; no pivot thresholds exist.
+from the same loop, as running products of the pivot values while each
+pivot sits on the diagonal unswapped.  Everything is exact; no pivot
+thresholds exist.
 
 Ring matrices add what needs a chart or has no pivots: the chart-bound
 constructors, scaling, evaluation at a point, and the determinant and
@@ -150,24 +151,25 @@ def mat_conj(a: Mat) -> Mat:
 # --- elimination --------------------------------------------------------
 
 
-def _eliminate(m: Mat) -> tuple[list[list[Scalar]], list[int], list[Scalar], int]:
+def _eliminate(
+    m: Mat,
+) -> tuple[list[list[Scalar]], list[int], list[Scalar], list[bool]]:
     """The one Gauss-Jordan pivot loop: the reduced rows, the pivot
     columns, the pivot values as found (before their rows are scaled to
-    one) and the number of row swaps."""
+    one) and, per pivot, whether its row was swapped into place."""
     rows = [list(r) for r in m]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots: list[int] = []
     values: list[Scalar] = []
-    swaps = 0
+    swapped: list[bool] = []
     r = 0
     for c in range(nc):
         pivot = next((i for i in range(r, nr) if rows[i][c]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            swaps += 1
+        swapped.append(pivot != r)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
         value = rows[r][c]
         inv = value.inverse()
         # Left of c the pivot row is zero: each earlier pivot column was
@@ -188,7 +190,7 @@ def _eliminate(m: Mat) -> tuple[list[list[Scalar]], list[int], list[Scalar], int
         r += 1
         if r == nr:
             break
-    return rows, pivots, values, swaps
+    return rows, pivots, values, swapped
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -222,10 +224,10 @@ def det(m: Mat) -> Scalar:
     """The product of the pivot values, negated for an odd number of row
     swaps: scaling each pivot row to one and clearing its column reduce
     a nonsingular matrix to the identity."""
-    _, pivots, values, swaps = _eliminate(m)
+    _, pivots, values, swapped = _eliminate(m)
     if len(pivots) < len(m):
         return ZERO
-    out = -ONE if swaps % 2 else ONE
+    out = -ONE if sum(swapped) % 2 else ONE
     for value in values:
         out = out * value
     return out
@@ -276,31 +278,25 @@ def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, .
 def leading_principal_minors(m: Mat) -> tuple[Scalar, ...]:
     """The determinants of the leading k x k blocks, k = 1..n.
 
-    One elimination without row swaps gives them: adding a multiple of
-    an earlier row to a later one changes no leading minor, and once the
-    first k columns are cleared below the diagonal the leading block of
-    order k + 1 is triangular, so its minor is the running product of
-    the pivots.  After the first zero pivot, whose minor is that zero
-    product, the remaining minors are computed one by one with det.
+    They come from the one pivot loop: while the pivots sit on the
+    diagonal and no row was swapped, each row operation either scales a
+    row by a pivot's inverse or adds a multiple of one row of a leading
+    block to another, so the minor of order k + 1 is the running product
+    of the first k + 1 pivot values.  At the first pivot that is swapped
+    or off the diagonal that minor is zero, and the remaining minors are
+    computed one by one with det.
     """
     n = len(m)
-    rows = [list(row) for row in m]
+    _, pivots, values, swapped = _eliminate(m)
     minors: list[Scalar] = []
     running = ONE
-    for k in range(n):
-        pivot = rows[k][k]
-        running = running * pivot
-        minors.append(running)
-        if not pivot:
+    for k, (c, value, moved) in enumerate(zip(pivots, values, swapped)):
+        if c != k or moved:
             break
-        inv = pivot.inverse()
-        support = [(j, rows[k][j]) for j in range(k + 1, n) if rows[k][j]]
-        for i in range(k + 1, n):
-            row = rows[i]
-            if row[k]:
-                factor = row[k] * inv
-                for j, y in support:
-                    row[j] = row[j] - factor * y
+        running = running * value
+        minors.append(running)
+    if len(minors) < n:
+        minors.append(ZERO)
     for k in range(len(minors), n):
         minors.append(det(tuple(row[: k + 1] for row in m[: k + 1])))
     return tuple(minors)
@@ -364,14 +360,6 @@ def _det_and_adjugate(m: RMat) -> tuple[RingElement, RMat]:
     if n % 2:
         return -c, step
     return c, mat_neg(step)
-
-
-def ring_det(m: RMat) -> RingElement:
-    """The determinant; a 1 x 1 matrix, which every 1-form evaluation
-    on a vector field builds, is its entry without the loop."""
-    if len(m) == 1:
-        return m[0][0]
-    return _det_and_adjugate(m)[0]
 
 
 def ring_inverse(m: RMat) -> RMat:

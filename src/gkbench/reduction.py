@@ -57,11 +57,12 @@ df_i([X, Y]) = X(df_i Y) - Y(df_i X) vanishes for fields X, Y tangent to
 the level sets; that is an identity, so no bracket of tangent fields is
 computed for it.  What can fail is closure of the level-tangent part of
 the eigenbundle, and check_adapted_closure judges it in one pass through
-structures.closing_brackets: given the scenario's named points, the
-brackets of the n - rank(dF.rho.P) sections that
-structures.certified_basis pivots out of the eigenbundle basis picked
-at one of them against dF, and the cross-eliminated frame's pairs,
-built only when no point certifies a basis or a basis bracket fails.  It also judges the
+structures.closing_brackets, handed the scenario's named points and the
+moment differentials, derived once: the brackets of the
+n - rank(dF.rho.P) sections that structures.certified_basis pivots out
+of the eigenbundle basis picked at one of them against dF, and the
+cross-eliminated frame's pairs, which that pass builds only when no
+point certifies a basis or a basis bracket fails.  It also judges the
 level slice from the same pass: a certified chart-wide pass is a slice
 pass, and a full-frame pass pulls back only the residuals that did not
 vanish on the chart.  level_substitution returns a slice map only when
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -103,10 +104,8 @@ from .linalg import (
 from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
 from .structures import (
     NO_POINTS,
-    GenSection,
     GenStructure,
     Points,
-    certified_basis,
     closing_brackets,
     matrix_type,
     pairing_matrix,
@@ -517,26 +516,6 @@ def gk_type_prediction(j2: GenStructure, fiber: FiberData) -> tuple[int, str]:
 # --- level-set closure ---------------------------------------------------------
 
 
-def _cross_eliminate(
-    sections: list[GenSection], moment: MomentData
-) -> tuple[GenSection, ...]:
-    """Cross-elimination against each moment function in turn: keep the
-    sections whose vector part df annihilates, add c_b u_a - c_a u_b for
-    every pair with nonzero coefficients c_a = df(u_a), c_b = df(u_b), and
-    drop the zero sections."""
-    for f in moment.functions:
-        df = DiffForm.function(f).d()
-        coeffs = [df.apply([u.vector]) for u in sections]
-        kept = [u for u, c in zip(sections, coeffs) if c.is_zero]
-        moving = [a for a, c in enumerate(coeffs) if not c.is_zero]
-        kept += [
-            sections[a].scale(coeffs[b]) - sections[b].scale(coeffs[a])
-            for a, b in combinations(moving, 2)
-        ]
-        sections = [u for u in kept if not u.is_zero]
-    return tuple(sections)
-
-
 def level_substitution(
     moment: MomentData, level: Sequence[Fraction]
 ) -> ChartMap | None:
@@ -602,25 +581,21 @@ def check_adapted_closure(
     residual survives the pullback, as a residual zero on the chart is
     zero on the slice, so no bracket is computed twice."""
     dfs = [DiffForm.function(f).d() for f in moment.functions]
-    certified = certified_basis(struct, points, dfs)
-    live = [u for u in struct.plus_i_frame if not u.is_zero]
-    basis, frame, hits = closing_brackets(
-        struct, certified, lambda: _cross_eliminate(live, moment)
-    )
+    basis, frame, hits = closing_brackets(struct, points, dfs)
     # No tangency residual: df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0 for tangent X, Y.
     done = basis or f"all {comb(len(frame), 2)} adapted brackets"
 
     def verdict(hit: tuple | None, where: str) -> Outcome:
         if hit is None:
             return True, f"{done} stay in the eigenbundle, {where}"
-        a, b = hit[:2]
+        a, b, _ = hit
         return False, f"bracket of adapted sections {a} and {b} leaves the eigenbundle"
 
     first = next(hits, None)
     if restrict is None:
         return verdict(first, "globally"), None
     rest = () if first is None else chain([first], hits)
-    bad = next((h for h in rest if not restrict.pull_function(h[3]).is_zero), None)
+    bad = next((h for h in rest if not restrict.pull_function(h[2]).is_zero), None)
     return verdict(first, "globally"), verdict(bad, "on the level slice")
 
 

@@ -153,8 +153,7 @@ class Workspace:
             raise ValidationError("this check needs moment data")
         if scen.b_field is None:
             return scen.moment
-        base = scen.structures[scen.moment_structure]
-        return moment_b_transform(scen.moment, scen.b_field, base.twist)[1]
+        return moment_b_transform(scen.moment, scen.b_field)
 
     @_memoized
     def reduction_entry(
@@ -180,7 +179,7 @@ class Workspace:
         moved = b_transform_structure(shift, self.scen.structures[structure_name])
         # i_{xi_j} Gamma = alpha_j - alpha_j(xi_j) theta_j = alpha_j, as
         # gamma_from_connection's antisymmetry check makes alpha_j(xi_j) = 0.
-        _, moment = moment_b_transform(moment, -gamma, struct.twist)
+        moment = moment_b_transform(moment, -gamma)
         if not is_basic(moved.twist, moment.action):
             raise ValidationError("twist is not basic after the potential transform")
         return moved, moment, gamma

@@ -15,15 +15,17 @@ per matrix and point.  No other module evaluates a structure, and one
 upper-right-block rule, matrix_type, types J(p) and the reduced
 structures.  open_brackets is the one loop over frame pairs.
 closing_brackets is the one "certified basis, else full frame" pass over
-it, for check_integrable here and the adapted level-set closure check of
-reduction.  A certified basis is a set of sections, independent at a
-named point, that spans the frame's span over the fraction field of the
-coefficient ring; when every bracket of it closes, the whole frame
-closes.  certified_basis picks the n sections whose columns at(p)
-picks, for check_integrable, and pivots them against the moment
-differentials for the adapted check.  The full frame is built and
-bracketed only when no point certifies a basis or a basis bracket
-fails, so every failing detail names a pair in its numbering.
+it, for check_integrable here (no 1-form) and the adapted level-set
+closure check of reduction (the moment differentials).  A certified
+basis is a set of sections, independent at a named point, that spans
+the frame's span over the fraction field of the coefficient ring; when
+every bracket of it closes, the whole frame closes.  certified_basis
+picks the n sections whose columns at(p) picks and pivots them against
+each 1-form.  Only when no point certifies a basis or a basis bracket
+fails does the pass build the full frame, the +i frame cross-eliminated
+against the same 1-forms (_cross_eliminate; with none, the +i frame as
+it is), and bracket it, so every failing detail names a pair in its
+numbering.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -45,7 +47,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .calculus import DiffForm, VectorField, lie_bracket
 from .errors import ChartMismatchError, ValidationError
@@ -454,10 +456,10 @@ def check_algebraic(struct: GenStructure) -> tuple[bool, str]:
 
 def open_brackets(
     struct: GenStructure, frame: Sequence[GenSection]
-) -> Iterator[tuple[int, int, int, RingElement]]:
+) -> Iterator[tuple[int, int, RingElement]]:
     """Bracket each pair a < b of nonzero sections of a frame of the +i
     eigenbundle once, in order, under the structure's twisted Courant
-    bracket, and yield (a, b, i, r) for each nonzero entry r of the
+    bracket, and yield (a, b, r) for each nonzero entry r of the
     bracket's -i part (the anti-projector applied to its column).  The
     brackets stay in the eigenbundle exactly when nothing is yielded;
     pairs are bracketed lazily, so stopping at the first yield brackets
@@ -465,9 +467,9 @@ def open_brackets(
     live = [i for i, u in enumerate(frame) if not u.is_zero]
     for a, b in combinations(live, 2):
         w = courant_bracket(frame[a], frame[b], struct.twist)
-        for i, r in enumerate(mat_vec(struct.anti_projector, w.column())):
+        for r in mat_vec(struct.anti_projector, w.column()):
             if not r.is_zero:
-                yield a, b, i, r
+                yield a, b, r
 
 
 class Basis:
@@ -520,7 +522,7 @@ def certified_basis(
     df annihilates each new one, and the elimination is exact over the
     fraction field: the result is a basis of the annihilated subbundle, of
     its generic rank n - rank(dF.rho.P).  Up to sign each section is one
-    of reduction's cross-eliminated frame.
+    of the frame that _cross_eliminate builds from the +i frame.
 
     Why a basis S decides the same verdicts as the full frame: the ring
     Q(i)[x][E(y)^+-1] is an integral domain, so Cramer's rule gives
@@ -558,21 +560,41 @@ def certified_basis(
     return None
 
 
-def closing_brackets(
-    struct: GenStructure,
-    basis: Basis | None,
-    full_frame: Callable[[], Sequence[GenSection]],
-) -> tuple[Basis | None, Sequence[GenSection], Iterator[tuple]]:
-    """The one "certified basis, else full frame" closure pass.
+def _cross_eliminate(
+    sections: Sequence[GenSection], forms: Sequence[DiffForm]
+) -> tuple[GenSection, ...]:
+    """Cross-elimination against each 1-form df in turn: keep the sections
+    whose vector part df annihilates, add c_b u_a - c_a u_b for every
+    pair with nonzero coefficients c_a = df(u_a), c_b = df(u_b), and drop
+    the zero sections.  With no form the sections come back as they are."""
+    for df in forms:
+        coeffs = [df.apply([u.vector]) for u in sections]
+        kept = [u for u, c in zip(sections, coeffs) if c.is_zero]
+        moving = [a for a, c in enumerate(coeffs) if not c.is_zero]
+        kept += [
+            sections[a].scale(coeffs[b]) - sections[b].scale(coeffs[a])
+            for a, b in combinations(moving, 2)
+        ]
+        sections = [u for u in kept if not u.is_zero]
+    return tuple(sections)
 
-    Returns the basis, its sections and no open brackets when every
-    bracket of the basis closes (certified_basis argues why that settles
-    the full frame); otherwise None, the frame that full_frame() builds
-    only then, and its open_brackets, so a failure is reported in the
-    full frame's numbering, exactly as without a certificate."""
+
+def closing_brackets(
+    struct: GenStructure, points: Points, forms: Sequence[DiffForm] = ()
+) -> tuple[Basis | None, Sequence[GenSection], Iterator[tuple]]:
+    """The one "certified basis, else full frame" closure pass over the +i
+    eigenbundle sections that the 1-forms annihilate.
+
+    Returns the certified_basis, its sections and no open brackets when
+    every bracket of the basis closes (certified_basis argues why that
+    settles the full frame); otherwise None, the +i frame cross-eliminated
+    against the forms, built only then, and its open_brackets, so a
+    failure is reported in the full frame's numbering, exactly as
+    without a certificate."""
+    basis = certified_basis(struct, points, forms)
     if basis is not None and next(open_brackets(struct, basis.sections), None) is None:
         return basis, basis.sections, iter(())
-    frame = full_frame()
+    frame = _cross_eliminate(struct.plus_i_frame, forms)
     return None, frame, open_brackets(struct, frame)
 
 
@@ -596,11 +618,10 @@ def check_integrable(
     for p in points.values():
         if len(struct.at(p).basis) != n:
             return False, f"eigenbundle rank is not {n} at {p}"
-    certified = certified_basis(struct, points)
-    basis, _, hits = closing_brackets(struct, certified, lambda: struct.plus_i_frame)
+    basis, _, hits = closing_brackets(struct, points)
     hit = next(hits, None)
     if hit is not None:
-        a, b, _, total = hit
+        a, b, total = hit
         return (
             False,
             f"bracket of frame sections {a} and {b} leaves the "

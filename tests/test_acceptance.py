@@ -266,20 +266,21 @@ def test_criterion_7_moment_map_examples():
     scen = load_builtin("gamma_torus_cylinder")
     base = scen.structures[scen.moment_structure]
     b = scen.b_field
-    twist1, moment1 = moment_b_transform(scen.moment, b, base.twist)
+    moment1 = moment_b_transform(scen.moment, b)
     for i, xi in enumerate(moment1.action.generators):
         assert moment1.one_forms[i] == scen.moment.one_forms[i] + b.interior(xi)
     moved = b_transform_structure(b, base)
-    assert moved.twist == twist1
+    assert moved.twist == base.twist - b.d()
     ok, detail = check_moment_map(moved, moment1)
     assert ok, detail
 
     chart = scen.chart
     dc = lambda n: DiffForm.d_coord(chart, n)
     second = dc("t1").wedge(dc("t2")) + dc("x2").wedge(dc("t2")).scale(Scalar.of(3))
-    twist2, moment2 = moment_b_transform(moment1, second, twist1)
-    twist_sum, moment_sum = moment_b_transform(scen.moment, b + second, base.twist)
-    assert twist2 == twist_sum
+    moment2 = moment_b_transform(moment1, second)
+    moment_sum = moment_b_transform(scen.moment, b + second)
+    twist2 = b_transform_structure(second, moved).twist
+    assert twist2 == b_transform_structure(b + second, base).twist
     assert moment2.one_forms == moment_sum.one_forms
     assert moment2.functions == moment_sum.functions
     print(

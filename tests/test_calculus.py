@@ -1,9 +1,12 @@
 """Tests for forms, vector fields, chart maps and the classical identities
 relating d, the interior product, the wedge and the Lie derivative."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkbench import linalg
 from gkbench.calculus import ChartMap, DiffForm, VectorField, lie_bracket, wedge_all
 from gkbench.errors import ValidationError
 from gkbench.ring import RingElement, Scalar, make_chart, parse_expr
@@ -67,8 +70,8 @@ class TestBasics:
         assert omega.apply([u, v]) == fn("x*t - 2")
 
     def test_no_zero_operand_is_multiplied(self, monkeypatch):
-        """scale keeps a zero component as it is, and apply skips a term
-        whose determinant vanishes."""
+        """scale keeps a zero component as it is, and apply, contracting
+        one field at a time, skips every zero component."""
         operands = []
         real = RingElement.__mul__
 
@@ -81,10 +84,9 @@ class TestBasics:
         scaled = u.scale(fn("t + 1"))
         assert scaled.components[1] is u.components[1]
         assert len(operands) == 2 and not any(a.is_zero or b.is_zero for a, b in operands)
-        coeff = fn("x*t")
-        omega = DiffForm(CHART, 2, {(0, 2): coeff})
+        omega = DiffForm(CHART, 2, {(0, 2): fn("x*t")})
         assert omega.apply([u, vf(["2*x", "1", "4"])]).is_zero
-        assert not any(coeff is a or coeff is b for a, b in operands)
+        assert not any(a.is_zero or b.is_zero for a, b in operands)
 
     def test_lie_bracket_example(self):
         # [x d_t, d_x] = -d_t
@@ -271,6 +273,44 @@ def test_pullback_commutes_with_d(w):
 @given(one_forms(), one_forms())
 def test_pullback_respects_wedge(a, b):
     assert PHI.pull_form(a.wedge(b)) == PHI.pull_form(a).wedge(PHI.pull_form(b))
+
+
+# A polynomial chart and a periodic one, each with its own coefficients.
+EVAL_CHARTS = {
+    make_chart(*((n, "affine") for n in "abcd")): (
+        "0", "0", "1", "a", "b - c", "a*d", "c^2", "2*b*d + 1", "-d",
+    ),
+    make_chart(("p", "periodic"), ("q", "periodic"), ("r", "periodic")): (
+        "0", "0", "1", "cos(p)", "sin(q)", "E(r;1)", "cos(p)*sin(r)", "E(q;-1) + 2",
+    ),
+}
+
+
+@st.composite
+def form_with_fields(draw):
+    """A form of degree 1 to 3 with every coefficient drawn, and as many
+    fields, over one of EVAL_CHARTS."""
+    chart = draw(st.sampled_from(list(EVAL_CHARTS)))
+    texts = st.sampled_from(EVAL_CHARTS[chart])
+    k = draw(st.integers(1, 3))
+    terms = {
+        idx: fn(draw(texts), chart) for idx in combinations(range(chart.dim), k)
+    }
+    fields = [vf([draw(texts) for _ in range(chart.dim)], chart) for _ in range(k)]
+    return DiffForm(chart, k, terms), fields
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(form_with_fields())
+def test_apply_is_the_determinant_formula(case):
+    """Contraction, one field at a time, evaluates a form as
+    sum_I c_I det(v_j^(i_l)), the determinant formula it replaced."""
+    w, vs = case
+    want = RingElement.zero(w.chart)
+    for idx, coeff in w.terms.items():
+        minor = linalg.mat([[v.components[i] for i in idx] for v in vs])
+        want = want + coeff * linalg._det_and_adjugate(minor)[0]
+    assert w.apply(vs) == want
 
 
 def assert_canonical_function(c):

@@ -14,21 +14,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkbench import calculus, reduction, structures
+from gkbench import calculus, structures
 from gkbench.calculus import DiffForm, lie_bracket
-from gkbench.equivariant import MomentData, TorusAction
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import mat, mat_mul, mat_sub, mat_vec, rank, rmat_eval, rmat_identity
-from gkbench.reduction import (
-    _cross_eliminate,
-    check_adapted_closure,
-    level_substitution,
-)
+from gkbench.reduction import check_adapted_closure, level_substitution
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.runner import LEVEL_FRAME_CLOSES, Workspace, run_scenario
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
     GenStructure,
+    _cross_eliminate,
     b_transform_structure,
     certified_basis,
     check_integrable,
@@ -153,17 +149,9 @@ def test_moment_differentials_annihilate_frame_brackets(functions):
     runner's level_closure:frame verdict computes no bracket: each df_i
     annihilates the cross-eliminated coordinate fields, and so annihilates
     their Lie brackets, df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0."""
-    generators = tuple(
-        section_from_column(R4, e).vector for e in unit_columns(R4, len(functions))
-    )
-    moment = MomentData(
-        TorusAction(R4, generators),
-        tuple(DiffForm.zero(R4, 1) for _ in functions),
-        tuple(functions),
-    )
     units = [section_from_column(R4, e) for e in unit_columns(R4, R4.dim)]
-    vectors = [s.vector for s in _cross_eliminate(units, moment)]
     dfs = [DiffForm.function(f).d() for f in functions]
+    vectors = [s.vector for s in _cross_eliminate(units, dfs)]
     for i, x in enumerate(vectors):
         assert all(df.apply([x]).is_zero for df in dfs)
         for y in vectors[i + 1 :]:
@@ -323,6 +311,32 @@ def test_full_frame_without_points():
             "all 15 adapted brackets stay in the eigenbundle, on the level slice",
         ),
     ]
+
+
+def test_full_frame_without_moment_functions_is_the_plus_i_frame():
+    """With no moment function the fallback frame is the +i frame as it
+    is, zero sections and numbering included, as check_integrable reads
+    it.  J = diag(i, -i, i, -i) is not real, so no basis is certified,
+    and P = diag(1, 0, 1, 0) has two zero columns: of the frame's 6
+    pairs only (0, 2) is bracketed, and the zero sections keep their
+    numbers."""
+    diag = ["I", "-I", "I", "-I"]
+    raw = {
+        "name": "no_moment_functions",
+        "chart": [["x", "affine"], ["y", "affine"]],
+        "structures": {"j": {"kind": "matrix", "matrix": [
+            [diag[r] if r == c else "0" for c in range(4)] for r in range(4)
+        ]}},
+        "action": [],
+        "moment": {"structure": "j", "functions": []},
+        "points": [{"name": "o", "values": {"x": "0", "y": "0"}}],
+        "checks": ["level_closure"],
+    }
+    scen = load_scenario(raw)
+    struct = scen.structures["j"]
+    (ok, detail), _ = check_adapted_closure(struct, scen.moment, points=scen.points)
+    assert ok and detail == "all 6 adapted brackets stay in the eigenbundle, globally"
+    assert [u.is_zero for u in struct.plus_i_frame] == [False, True, False, True]
 
 
 def test_full_frame_when_the_point_drops_rank():
@@ -493,8 +507,7 @@ def test_pivoted_basis_certifies_where_the_full_frame_did():
         else:
             bound = n
         assert len(basis.sections) == bound, scen.name
-        live = [u for u in struct.plus_i_frame if not u.is_zero]
-        frame = _cross_eliminate(live, moment)
+        frame = _cross_eliminate(struct.plus_i_frame, dfs)
         for u in basis.sections:
             assert u in frame or -u in frame, scen.name
     assert got == CERTIFIED
@@ -513,7 +526,7 @@ def test_certified_closure_builds_no_full_frame(monkeypatch):
         raise AssertionError("the cross-eliminated frame was built")
 
     monkeypatch.setattr(structures, "courant_bracket", counted)
-    monkeypatch.setattr(reduction, "_cross_eliminate", refused)
+    monkeypatch.setattr(structures, "_cross_eliminate", refused)
     verdicts, _ = run_scenario(scen)
     assert [(v.check, v.status) for v in verdicts] == [
         ("level_closure:frame", "pass"),

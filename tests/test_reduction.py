@@ -40,7 +40,6 @@ from gkbench.linalg import (
 from gkbench.reduction import (
     FiberData,
     TwoStepResult,
-    _cross_eliminate,
     _eigen_matrix,
     _push_down,
     level_substitution,
@@ -61,6 +60,7 @@ from gkbench.runner import Workspace
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
     GenStructure,
+    _cross_eliminate,
     b_exponential,
     b_transform_structure,
     complex_structure,
@@ -440,7 +440,8 @@ def level_tangent_fields(moment):
     chart = moment.action.chart
     units = rmat_identity(chart, 2 * chart.dim)[: chart.dim]
     sections = [section_from_column(chart, e) for e in units]
-    return [s.vector for s in _cross_eliminate(sections, moment)]
+    dfs = [DiffForm.function(f).d() for f in moment.functions]
+    return [s.vector for s in _cross_eliminate(sections, dfs)]
 
 
 class TestLevelClosure:

@@ -558,13 +558,13 @@ def _old_integrability_basis(struct, points):
 
 def test_integrability_brackets_the_basis_the_old_rule_picks(monkeypatch):
     bracketed = []
-    real = structures.closing_brackets
+    real = structures.certified_basis
 
-    def closing(struct, basis, full_frame):
-        bracketed.append(basis)
-        return real(struct, basis, full_frame)
+    def certified(*args):
+        bracketed.append(real(*args))
+        return bracketed[-1]
 
-    monkeypatch.setattr(structures, "closing_brackets", closing)
+    monkeypatch.setattr(structures, "certified_basis", certified)
     checked = 0
     for label, struct, points in _catalog_structures_with_b():
         bracketed.clear()

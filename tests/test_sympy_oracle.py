@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gkbench.calculus import DiffForm  # noqa: E402
 from gkbench.errors import ValidationError  # noqa: E402
 from gkbench.linalg import (  # noqa: E402
+    _det_and_adjugate,
     det,
     inverse,
+    leading_principal_minors,
     mat,
     mat_mul,
     nullspace,
     rank,
-    ring_det,
     rref,
     transpose,
 )
@@ -190,6 +191,14 @@ def test_sparse_det_and_inverse_match_sympy(m):
     check_det_and_inverse(m)
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.one_of(matrices(square=True), sparse_matrices(square=True)))
+def test_leading_minors_match_sympy(m):
+    assert [to_sympy(x) for x in leading_principal_minors(m)] == [
+        sympy.expand(sym_matrix(m)[: k + 1, : k + 1].det()) for k in range(len(m))
+    ]
+
+
 # --- the function ring ----------------------------------------------------
 
 CHART = make_chart(("x", "affine"), ("y", "periodic"), ("t", "affine"))
@@ -286,4 +295,4 @@ def test_ring_det_matches_sympy(rows):
     want = sympy.Matrix([[sym_laurent(x) for x in row] for row in m]).det(
         method="berkowitz"
     )
-    assert same(sym_laurent(ring_det(m)), want)
+    assert same(sym_laurent(_det_and_adjugate(m)[0]), want)
