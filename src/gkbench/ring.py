@@ -16,6 +16,16 @@ for (a + b*I)/d, normalized to d > 0 and gcd(a, b, d) == 1 with zero as
 (0, 0, 1).  Equal values therefore have equal triples, and scalar
 arithmetic is plain int work.
 
+A product of ring elements works on these triples directly.  When one
+operand has a single term c*x^e, the other's exponents are shifted by e
+and its coefficients scaled by c in one pass (a scale alone when e = 0,
+and nothing at all when the term is the constant one).  Otherwise the
+raw triples of each pair of terms are multiplied and summed per output
+exponent as plain ints, and each surviving sum is normalized once, so no
+Scalar is built for a partial product.
+A difference subtracts each coefficient in place, with no negated copy
+of its right operand.
+
 Elements made by the public constructors (`RingElement(...)`, `zero`,
 `constant`, `coordinate`, `fourier`, `parse_expr`) are validated: each
 exponent has the chart's arity and no negative degree on an affine
@@ -445,28 +455,41 @@ class RingElement:
         return RingElement._of_valid(self.chart, out)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
+        _check_chart(self, other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            cur = out.get(expo)
+            if cur is None:
+                out[expo] = -coeff
+            else:
+                coeff = cur - coeff
+                if coeff:
+                    out[expo] = coeff
+                else:
+                    del out[expo]
+        return RingElement._of_valid(self.chart, out)
 
     def __neg__(self) -> "RingElement":
         return RingElement._of_valid(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         _check_chart(self, other)
-        out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(_add, e1, e2))
-                prod = c1 * c2
-                cur = out.get(expo)
-                if cur is None:
-                    out[expo] = prod
-                else:
-                    prod = cur + prod
-                    if prod:
-                        out[expo] = prod
-                    else:
-                        del out[expo]
-        return RingElement._of_valid(self.chart, out)
+        if len(other.terms) == 1:
+            mono, rest = other, self
+        elif len(self.terms) == 1:
+            mono, rest = self, other
+        else:
+            return RingElement._of_valid(self.chart, _product(self.terms, other.terms))
+        ((shift, c),) = mono.terms.items()
+        if any(shift):
+            terms = {tuple(map(_add, e, shift)): x * c for e, x in rest.terms.items()}
+        elif c._a == c._d == 1 and not c._b:
+            return rest
+        else:
+            terms = {e: x * c for e, x in rest.terms.items()}
+        return RingElement._of_valid(self.chart, terms)
 
     def scale(self, s: Scalar) -> "RingElement":
         if not s:
@@ -508,12 +531,14 @@ class RingElement:
             for expo, coeff in self.terms.items():
                 e = expo[i]
                 if e:
-                    out[expo[:i] + (e - 1,) + expo[i + 1 :]] = coeff * Scalar.of(e)
+                    out[expo[:i] + (e - 1,) + expo[i + 1 :]] = _make(
+                        coeff._a * e, coeff._b * e, coeff._d
+                    )
         else:
             for expo, coeff in self.terms.items():
                 e = expo[i]
-                if e:
-                    out[expo] = coeff * Scalar.of(0, e)  # d/dy e^{iky} = i k e^{iky}
+                if e:  # d/dy e^{iky} = i k e^{iky}
+                    out[expo] = _make(-coeff._b * e, coeff._a * e, coeff._d)
         return RingElement._of_valid(self.chart, out)
 
     def evaluate(self, point: EvalPoint) -> Scalar:
@@ -600,6 +625,38 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self} over {self.chart}>"
+
+
+def _product(left: dict[Exponent, Scalar], right: dict[Exponent, Scalar]) -> dict[Exponent, Scalar]:
+    """The terms of a product of two elements: the (a, b, d) triples of
+    each pair's coefficient product, summed per exponent as ints, then
+    normalized once per exponent whose sum does not cancel.  Two sums
+    with different denominators meet over their lcm, so an exponent's
+    denominator is at most the lcm of its pairs' denominators, never
+    their product."""
+    sums: dict[Exponent, list[int]] = {}
+    for e1, c1 in left.items():
+        a1, b1, d1 = c1._a, c1._b, c1._d
+        for e2, c2 in right.items():
+            a2, b2 = c2._a, c2._b
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * c2._d
+            expo = tuple(map(_add, e1, e2))
+            acc = sums.get(expo)
+            if acc is None:
+                sums[expo] = [a, b, d]
+            elif acc[2] == d:
+                acc[0] += a
+                acc[1] += b
+            else:
+                f = acc[2]
+                g = gcd(f, d)
+                f, d = f // g, d // g
+                acc[0] = acc[0] * d + a * f
+                acc[1] = acc[1] * d + b * f
+                acc[2] *= d
+    return {e: _make(a, b, d) for e, (a, b, d) in sums.items() if a or b}
 
 
 # --- parser -----------------------------------------------------------

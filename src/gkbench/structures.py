@@ -32,6 +32,9 @@ Sign conventions, fixed once and used everywhere:
   * pairing:  <X+a, Y+b> = (b(X) + a(Y)) / 2
   * bracket:  [X+a, Y+b]_H = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2
               + i_Y i_X H          (contract H with X first, then Y)
+              computed in its Cartan form, equal by L_X = i_X d + d i_X:
+              [X,Y] + i_X db - i_Y da + d(i_X b - i_Y a)/2 + i_Y i_X H;
+              the identity suite still tests L_X against Cartan's formula
   * transform: e^B (X+a) = X + a + i_X B
 
 With these choices a B-transform carries an H-twisted structure to an
@@ -158,21 +161,19 @@ def pairing_matrix(n: int) -> Mat:
 
 
 def courant_bracket(u: GenSection, v: GenSection, twist: DiffForm) -> GenSection:
-    """The twisted Courant bracket of two sections."""
+    """The twisted Courant bracket of two sections, in the Cartan form
+    of the module's convention."""
     if twist.degree != 3:
         raise ValidationError("twist must be a 3-form")
     x, a = u.vector, u.form
     y, b = v.vector, v.form
-    vector = lie_bracket(x, y)
-    ixb = b.interior(x)
-    iya = a.interior(y)
     form = (
-        b.lie(x)
-        - a.lie(y)
-        - (ixb - iya).d().scale(HALF)
+        b.d().interior(x)
+        - a.d().interior(y)
+        + (b.interior(x) - a.interior(y)).d().scale(HALF)
         + twist.interior(x).interior(y)
     )
-    return GenSection(vector, form)
+    return GenSection(lie_bracket(x, y), form)
 
 
 def b_transform_section(b_field: DiffForm, u: GenSection) -> GenSection:
@@ -239,11 +240,15 @@ def matrix_type(jmat: Mat, point: EvalPoint) -> int:
 class StructureAt:
     """A structure at a point p: J(p), then P(p), a basis of the +i
     eigenbundle picked from P(p)'s columns and the type, each built on
-    first use.  It holds no reference to its structure."""
+    first use.  It holds no reference to its structure, only the dict of
+    picked bases that its matrix family shares, keyed by the value J(p)."""
 
-    def __init__(self, matrix: Mat, point: EvalPoint) -> None:
+    def __init__(
+        self, matrix: Mat, point: EvalPoint, bases: dict[tuple[int, ...], tuple[int, ...]]
+    ) -> None:
         self.matrix = matrix
         self.point = point
+        self._bases = bases
 
     @cached_property
     def projector(self) -> Mat:
@@ -258,8 +263,14 @@ class StructureAt:
     @cached_property
     def basis(self) -> tuple[int, ...]:
         """The indices of P(p)'s columns picked greedily, in order, by one
-        elimination: the first columns that span the +i eigenbundle."""
-        return extend_basis((), transpose(self.projector))
+        elimination: the first columns that span the +i eigenbundle.  Two
+        points where J takes one value share the elimination; the key is
+        J(p)'s integer triples, since a Scalar's hash builds Fractions."""
+        key = tuple(n for row in self.matrix for x in row for n in (x._a, x._b, x._d))
+        picked = self._bases.get(key)
+        if picked is None:
+            picked = self._bases[key] = extend_basis((), transpose(self.projector))
+        return picked
 
     @cached_property
     def eigenrows(self) -> tuple[Vec, ...]:
@@ -297,8 +308,10 @@ class GenStructure:
         self.chart = chart
         self.matrix = matrix
         self.twist = twist
-        # The values at(p) has built, by point; with_twist shares the dict.
+        # The values at(p) has built, by point, and the bases they picked,
+        # by the value J(p); with_twist shares both dicts.
         self._points: dict[EvalPoint, StructureAt] = {}
+        self._bases: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -311,7 +324,9 @@ class GenStructure:
         """The structure at a point, built once per matrix and point."""
         here = self._points.get(point)
         if here is None:
-            here = self._points[point] = StructureAt(rmat_eval(self.matrix, point), point)
+            here = self._points[point] = StructureAt(
+                rmat_eval(self.matrix, point), point, self._bases
+            )
         return here
 
     # Built on first use and kept in the instance __dict__, so the class
@@ -371,6 +386,7 @@ class GenStructure:
 # The cached values of a GenStructure that depend on its matrix alone.
 _MATRIX_ONLY = (
     "_points",
+    "_bases",
     "eigenprojector",
     "anti_projector",
     "plus_i_frame",

@@ -3,6 +3,7 @@
 import copy
 import json
 import time
+from datetime import timedelta
 from itertools import combinations
 
 import pytest
@@ -638,11 +639,13 @@ def mutated_catalog_json(draw):
     return raw
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=timedelta(seconds=2))
 @given(mutated_catalog_json())
 def test_mutated_catalog_json_fails_only_with_workbench_messages(raw):
     """Loading and running a mutated builtin gives a report or a
-    ValidationError or ParseError, never another exception."""
+    ValidationError or ParseError, never another exception, and within
+    two seconds: an example takes milliseconds, so one that runs for
+    seconds is an input the loader should have bounded."""
     try:
         run_scenario(load_scenario(raw))
     except (ValidationError, ParseError):

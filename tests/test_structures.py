@@ -618,16 +618,22 @@ def test_with_twist_shares_the_point_values():
     assert other.at(p) is before
     # A value built through either structure after the split is shared too.
     assert struct.at(q) is other.at(q)
+    # J is constant, so both points share one elimination, through either.
+    assert other.at(p).basis is struct.at(q).basis
+    assert len(struct._bases) == 1
 
 
 def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
     """integrability, reduction with its two-step oracle, level closure and
     gk_reduction all read eigenbundles at the scenario's points; none is
-    eliminated twice for the same matrix and point.  No run of a builtin
-    evaluates a zero ring element."""
+    read twice for the same matrix and point, and within a matrix family
+    (a structure and its with_twist copies) each value of J(p) is
+    eliminated once.  No run of a builtin evaluates a zero ring element."""
     owners, eliminated, zeros = {}, [], []
+    families, reading, eliminations = [], [], []
     real_at = GenStructure.at
     plain_basis = structures.StructureAt.basis.func
+    real_extend = structures.extend_basis
     real_evaluate = RingElement.evaluate
 
     def at(struct, point):
@@ -637,7 +643,18 @@ def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
 
     def counted_basis(here):
         eliminated.append(owners[id(here)])
-        return plain_basis(here)
+        if not any(f is here._bases for f in families):
+            families.append(here._bases)
+        family = next(i for i, f in enumerate(families) if f is here._bases)
+        reading.append((family, tuple(map(str, chain(*here.matrix)))))
+        try:
+            return plain_basis(here)
+        finally:
+            reading.pop()
+
+    def counted_extend(rows, candidates):
+        eliminations.append(reading[-1])
+        return real_extend(rows, candidates)
 
     def evaluate(element, point):
         if element.is_zero:
@@ -648,6 +665,7 @@ def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
     basis.__set_name__(structures.StructureAt, "basis")
     monkeypatch.setattr(GenStructure, "at", at)
     monkeypatch.setattr(structures.StructureAt, "basis", basis)
+    monkeypatch.setattr(structures, "extend_basis", counted_extend)
     monkeypatch.setattr(RingElement, "evaluate", evaluate)
     scen = load_builtin("bihermitian_r4_translation")
     assert {"integrability", "reduction", "gk_reduction"} <= set(scen.checks)
@@ -656,6 +674,9 @@ def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
     # j1 and j2 as given, and each after the potential transform, at 3 points.
     assert len(eliminated) == 12
     assert len(set(eliminated)) == len(eliminated)
+    # Each of the four matrices takes one value at the three points.
+    assert len(families) == 4
+    assert len(set(eliminations)) == len(eliminations) == 4
     for name in catalog_names():
         run_scenario(load_builtin(name))
     assert zeros == []
