@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ValidationError
-from .ring import Chart, EvalPoint, RingElement, Scalar, PERIODIC, ZERO, quarter_phase
+from .ring import Chart, RingElement, Scalar, PERIODIC, quarter_phase
 
 Index = tuple[int, ...]
 
@@ -345,15 +345,6 @@ class DiffForm:
         for v in vectors:
             form = form.interior(v)
         return form.terms.get((), RingElement.zero(self.chart))
-
-    def covector_at(self, point: EvalPoint) -> tuple[Scalar, ...]:
-        """For a 1-form: its component tuple at a point."""
-        if self.degree != 1:
-            raise ValidationError("covector_at needs a 1-form")
-        out = [ZERO] * self.chart.dim
-        for (i,), coeff in self.terms.items():
-            out[i] = coeff.evaluate(point)
-        return tuple(out)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -18,7 +18,7 @@ from typing import Mapping
 from .calculus import DiffForm, VectorField, lie_bracket
 from .errors import ChartMismatchError, ValidationError
 from .ring import Chart, RingElement, Scalar
-from .structures import GenSection, GenStructure
+from .structures import GenSection, GenStructure, section_from_column
 
 MultiDegree = tuple[int, ...]
 
@@ -59,12 +59,9 @@ def is_invariant(form: DiffForm, action: TorusAction) -> bool:
 
 def is_basic(form: DiffForm, action: TorusAction) -> bool:
     """No contraction with any generator, and invariant."""
-    for g in action.generators:
-        if form.degree > 0 and not form.interior(g).is_zero:
-            return False
-        if not form.lie(g).is_zero:
-            return False
-    return True
+    if form.degree > 0 and any(not form.interior(g).is_zero for g in action.generators):
+        return False
+    return is_invariant(form, action)
 
 
 class EquivariantForm:
@@ -216,12 +213,12 @@ def check_moment_map(
     if struct.chart != moment.action.chart:
         return False, "structure and action live on different charts"
     for i in range(moment.action.k):
-        v = moment.section(i)
-        residual = struct.apply(v) - v.scale(Scalar.of(0, 1))
-        if not residual.is_zero:
+        residual = struct.residual(moment.section(i).column())
+        if any(not r.is_zero for r in residual):
+            section = section_from_column(struct.chart, residual)
             return (
                 False,
-                f"section {i + 1} is not a +i eigenvector (residual {residual})",
+                f"section {i + 1} is not a +i eigenvector (residual {section})",
             )
     for j, g in enumerate(moment.action.generators):
         for i, f in enumerate(moment.functions):

@@ -29,12 +29,13 @@ comparison isomorphism, the induced second structure of a generalized
 Kahler pair, the reduced-type arithmetic, closure of the level-tangent
 eigenbundle, and descent of basic B-fields all live here.
 
-No structure is evaluated here: J(p), P(p), the +i eigenbundle (the
-columns of P(p) that GenStructure.at picks, a basis that every reader
-here canonicalizes or only spans) and the type at p come from
-GenStructure.at, and reduced types from the same rule,
-structures.matrix_type.  The two-step oracle reads the eigenbundle the
-one-step quotient reads; its independence lies in its own quotient.
+No structure is evaluated here: J(p), the +i eigenbundle (the columns
+of Id - iJ(p) that GenStructure.at picks, eigenrows, of half rank or a
+ValidationError, a basis that every reader here canonicalizes or only
+spans) and the type at p come from GenStructure.at, and reduced types
+from the same rule, structures.matrix_type.  The two-step oracle reads
+the eigenbundle the one-step quotient reads; its independence lies in
+its own quotient.
 
 Each function checks what some input can break and leaves what its own
 construction guarantees to a one-line comment.  fiber_data checks the
@@ -59,10 +60,10 @@ computed for it.  What can fail is closure of the level-tangent part of
 the eigenbundle, and check_adapted_closure judges it in one pass through
 structures.closing_brackets, handed the scenario's named points and the
 moment differentials, derived once: the brackets of the
-n - rank(dF.rho.P) sections that structures.certified_basis pivots out
-of the eigenbundle basis picked at one of them against dF, and the
-cross-eliminated frame's pairs, which that pass builds only when no
-point certifies a basis or a basis bracket fails.  It also judges the
+n - rank(dF.rho.(Id - iJ)) sections that structures.certified_basis
+pivots out of the eigenbundle basis picked at one of them against dF,
+and the cross-eliminated frame's pairs, which that pass builds only when
+no point certifies a basis or a basis bracket fails.  It also judges the
 level slice from the same pass: a certified chart-wide pass is a slice
 pass, and a full-frame pass pulls back only the residuals that did not
 vanish on the chart.  level_substitution returns a slice map only when
@@ -235,8 +236,10 @@ def fiber_data(
                 f"expected {want}"
             )
     xi_rows = rmat_eval(tuple(g.components for g in action.generators), point)
-    df_rows = tuple(
-        DiffForm.function(f).d().covector_at(point) for f in moment.functions
+    zero = RingElement.zero(chart)
+    dfs = [DiffForm.function(f).d() for f in moment.functions]
+    df_rows = rmat_eval(
+        tuple(tuple(df.terms.get((i,), zero) for i in range(n)) for df in dfs), point
     )
     if k == 0:
         ann_a = ker_df = tuple(identity(n))
@@ -269,14 +272,6 @@ def fiber_data(
     return FiberData(point, n, lifts, a_rows, d_rows, gram_q)
 
 
-def eigenbundle_rows(struct: GenStructure, point: EvalPoint) -> tuple[Vec, ...]:
-    """A basis of the +i eigenbundle at a point, of half rank."""
-    rows = struct.at(point).eigenrows
-    if len(rows) != struct.dim:
-        raise ValidationError("eigenbundle does not have half rank at the point")
-    return rows
-
-
 class ReducedFiber:
     """A reduced structure on the quotient fiber."""
 
@@ -292,7 +287,7 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
     """Push the +i eigenbundle through the quotient and rebuild the
     structure matrix from the reduced eigenbundle."""
     m = fiber.m
-    _, lq_rows = _push_down(eigenbundle_rows(struct, fiber.point), fiber)
+    _, lq_rows = _push_down(struct.at(fiber.point).eigenrows, fiber)
     if len(lq_rows) != m:
         raise ValidationError(
             f"reduced eigenbundle has dimension {len(lq_rows)}, expected {m}"
@@ -372,7 +367,7 @@ def two_step_reduce(struct: GenStructure, fiber: FiberData) -> TwoStepResult:
     )
     quot1 = FiberData(point, n, lifts1, (), fiber.d_rows, _gram(lifts1, gram))
 
-    _, l1_rows = _push_down(eigenbundle_rows(struct, point), quot1)
+    _, l1_rows = _push_down(struct.at(point).eigenrows, quot1)
     if len(l1_rows) != n - k:
         raise ValidationError(
             f"stage-one eigenbundle has dimension {len(l1_rows)}, "
@@ -497,7 +492,7 @@ def gk_type_prediction(j2: GenStructure, fiber: FiberData) -> tuple[int, str]:
     point = fiber.point
     n, k = fiber.n, fiber.k
     base_type = j2.at(point).type
-    l_rows = eigenbundle_rows(j2, point)
+    l_rows = j2.at(point).eigenrows
     pi_rows = row_space_basis([row[:n] for row in l_rows])
     a_plain = tuple(row[:n] for row in fiber.a_rows)
     if not a_plain:

@@ -6,12 +6,15 @@ and generalized (almost) complex structures as 2n x 2n ring matrices all
 live here, together with the algebraic, integrability, type and
 generalized Kahler pair checks.
 
-A GenStructure builds its eigenprojector, the opposite projector, the +i
-frame and its algebraic verdict once; with_twist hands them to the same
-matrix under another twist, together with the values of at(p): J(p),
-P(p) = (Id - iJ(p))/2, the columns of P(p) picked greedily by one
-elimination as a basis of the +i eigenbundle, and the type, built once
-per matrix and point.  No other module evaluates a structure, and one
+The +i eigenbundle L = ker(J - i) has one form: the columns of Id - iJ,
+which (J - i)(Id - iJ) = -i(J^2 + Id) puts in L once J^2 = -Id, and
+(J - i)u is the one test of membership (GenStructure.residual).  A
+GenStructure builds its +i frame, the columns of Id - iJ as sections,
+and its algebraic verdict once; with_twist hands them to the same matrix
+under another twist, together with the values of at(p): J(p), the
+columns of Id - iJ(p), those of them picked greedily by one elimination
+as a basis of the +i eigenbundle, and the type, built once per matrix
+and point.  No other module evaluates a structure, and one
 upper-right-block rule, matrix_type, types J(p) and the reduced
 structures.  open_brackets is the one loop over frame pairs.
 closing_brackets is the one "certified basis, else full frame" pass over
@@ -73,10 +76,9 @@ from .linalg import (
     rmat_zeros,
     transpose,
 )
-from .ring import Chart, EvalPoint, IMAG, RingElement, Scalar, ZERO
+from .ring import Chart, EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO
 
 HALF = Scalar.of(Fraction(1, 2))
-MINUS_HALF_I = Scalar.of(0, Fraction(-1, 2))
 
 
 class GenSection:
@@ -186,22 +188,17 @@ def b_transform_section(b_field: DiffForm, u: GenSection) -> GenSection:
 # --- matrices of geometric operators --------------------------------------
 
 
-def two_form_rmatrix(b_field: DiffForm) -> RMat:
-    """R[i][j] = B(d_i, d_j) as a ring matrix."""
+def interior_operator(b_field: DiffForm) -> RMat:
+    """Matrix of X -> i_X B on components: its (j, i) entry is B(d_i, d_j)."""
     if b_field.degree != 2:
         raise ValidationError("expected a 2-form")
     chart = b_field.chart
     n = chart.dim
     grid = [[RingElement.zero(chart) for _ in range(n)] for _ in range(n)]
     for (i, j), coeff in b_field.terms.items():
-        grid[i][j] = coeff
-        grid[j][i] = -coeff
+        grid[j][i] = coeff
+        grid[i][j] = -coeff
     return mat(grid)
-
-
-def interior_operator(b_field: DiffForm) -> RMat:
-    """Matrix of X -> i_X B on components: the transpose of two_form_rmatrix."""
-    return transpose(two_form_rmatrix(b_field))
 
 
 def _block(ul: RMat, ur: RMat, ll: RMat, lr: RMat) -> RMat:
@@ -238,10 +235,11 @@ def matrix_type(jmat: Mat, point: EvalPoint) -> int:
 
 
 class StructureAt:
-    """A structure at a point p: J(p), then P(p), a basis of the +i
-    eigenbundle picked from P(p)'s columns and the type, each built on
-    first use.  It holds no reference to its structure, only the dict of
-    picked bases that its matrix family shares, keyed by the value J(p)."""
+    """A structure at a point p: J(p), then the columns of Id - iJ(p), a
+    basis of the +i eigenbundle picked from them and the type, each built
+    on first use.  It holds no reference to its structure, only the dict
+    of picked bases that its matrix family shares, keyed by the value
+    J(p)."""
 
     def __init__(
         self, matrix: Mat, point: EvalPoint, bases: dict[tuple[int, ...], tuple[int, ...]]
@@ -251,32 +249,35 @@ class StructureAt:
         self._bases = bases
 
     @cached_property
-    def projector(self) -> Mat:
-        """P(p) = (Id - i J(p))/2, from the nonzero entries of J(p)."""
-        rows = []
-        for i, row in enumerate(self.matrix):
-            out = [x * MINUS_HALF_I if x else ZERO for x in row]
-            out[i] = out[i] + HALF
-            rows.append(tuple(out))
-        return tuple(rows)
+    def columns(self) -> tuple[Vec, ...]:
+        """The columns of Id - i J(p), from the nonzero entries of J(p)."""
+        minus_i = -IMAG
+        cols = []
+        for j, col in enumerate(transpose(self.matrix)):
+            out = [x * minus_i if x else ZERO for x in col]
+            out[j] = out[j] + ONE
+            cols.append(tuple(out))
+        return tuple(cols)
 
     @cached_property
     def basis(self) -> tuple[int, ...]:
-        """The indices of P(p)'s columns picked greedily, in order, by one
+        """The indices of the columns picked greedily, in order, by one
         elimination: the first columns that span the +i eigenbundle.  Two
         points where J takes one value share the elimination; the key is
         J(p)'s integer triples, since a Scalar's hash builds Fractions."""
         key = tuple(n for row in self.matrix for x in row for n in (x._a, x._b, x._d))
         picked = self._bases.get(key)
         if picked is None:
-            picked = self._bases[key] = extend_basis((), transpose(self.projector))
+            picked = self._bases[key] = extend_basis((), self.columns)
         return picked
 
     @cached_property
     def eigenrows(self) -> tuple[Vec, ...]:
-        """A basis of the +i eigenbundle: the picked columns of P(p)."""
-        cols = transpose(self.projector)
-        return tuple(cols[i] for i in self.basis)
+        """A basis of the +i eigenbundle, the picked columns, which has
+        half rank when J(p) is a structure."""
+        if 2 * len(self.basis) != len(self.matrix):
+            raise ValidationError("eigenbundle does not have half rank at the point")
+        return tuple(self.columns[i] for i in self.basis)
 
     @cached_property
     def type(self) -> int:
@@ -317,8 +318,12 @@ class GenStructure:
     def dim(self) -> int:
         return self.chart.dim
 
-    def apply(self, u: GenSection) -> GenSection:
-        return section_from_column(self.chart, mat_vec(self.matrix, u.column()))
+    def residual(self, column: Sequence[RingElement]) -> tuple[RingElement, ...]:
+        """(J - i)u on a column u: zero exactly when u lies in the +i
+        eigenbundle."""
+        return tuple(
+            x - u.scale(IMAG) for x, u in zip(mat_vec(self.matrix, column), column)
+        )
 
     def at(self, point: EvalPoint) -> StructureAt:
         """The structure at a point, built once per matrix and point."""
@@ -332,25 +337,17 @@ class GenStructure:
     # Built on first use and kept in the instance __dict__, so the class
     # has no __slots__.
     @cached_property
-    def eigenprojector(self) -> RMat:
-        """P = (Id - i J)/2, projecting onto the +i eigenbundle."""
-        ident = rmat_identity(self.chart, 2 * self.dim)
-        return rmat_scale(mat_sub(ident, rmat_scale(self.matrix, IMAG)), HALF)
-
-    @cached_property
-    def anti_projector(self) -> RMat:
-        """Id - P, projecting onto the -i eigenbundle."""
-        return mat_sub(rmat_identity(self.chart, 2 * self.dim), self.eigenprojector)
-
-    @cached_property
     def plus_i_frame(self) -> tuple[GenSection, ...]:
-        """P applied to the standard frame: the columns of P as sections."""
-        cols = transpose(self.eigenprojector)
+        """The columns of Id - iJ as sections, which span the +i
+        eigenbundle."""
+        ident = rmat_identity(self.chart, 2 * self.dim)
+        cols = transpose(mat_sub(ident, rmat_scale(self.matrix, IMAG)))
         return tuple(section_from_column(self.chart, col) for col in cols)
 
     @cached_property
     def squares_to_minus_one(self) -> bool:
-        """J^2 = -Id, which is also P^2 = P: P^2 - P = -(J^2 + Id)/4."""
+        """J^2 = -Id, which is also P^2 = P for P = (Id - iJ)/2:
+        P^2 - P = -(J^2 + Id)/4."""
         minus_one = mat_neg(rmat_identity(self.chart, 2 * self.dim))
         return mat_mul(self.matrix, self.matrix) == minus_one
 
@@ -387,8 +384,6 @@ class GenStructure:
 _MATRIX_ONLY = (
     "_points",
     "_bases",
-    "eigenprojector",
-    "anti_projector",
     "plus_i_frame",
     "squares_to_minus_one",
     "algebraic",
@@ -476,14 +471,14 @@ def open_brackets(
     """Bracket each pair a < b of nonzero sections of a frame of the +i
     eigenbundle once, in order, under the structure's twisted Courant
     bracket, and yield (a, b, r) for each nonzero entry r of the
-    bracket's -i part (the anti-projector applied to its column).  The
+    bracket's residual (J - i)w, which is -2i times its -i part.  The
     brackets stay in the eigenbundle exactly when nothing is yielded;
     pairs are bracketed lazily, so stopping at the first yield brackets
     no further pair."""
     live = [i for i, u in enumerate(frame) if not u.is_zero]
     for a, b in combinations(live, 2):
         w = courant_bracket(frame[a], frame[b], struct.twist)
-        for r in mat_vec(struct.anti_projector, w.column()):
+        for r in struct.residual(w.column()):
             if not r.is_zero:
                 yield a, b, r
 
@@ -537,8 +532,8 @@ def certified_basis(
     at p with diagonal c_q(p) or 1, so the sections stay independent at p,
     df annihilates each new one, and the elimination is exact over the
     fraction field: the result is a basis of the annihilated subbundle, of
-    its generic rank n - rank(dF.rho.P).  Up to sign each section is one
-    of the frame that _cross_eliminate builds from the +i frame.
+    its generic rank n - rank(dF.rho.(Id - iJ)).  Up to sign each section
+    is one of the frame that _cross_eliminate builds from the +i frame.
 
     Why a basis S decides the same verdicts as the full frame: the ring
     Q(i)[x][E(y)^+-1] is an integral domain, so Cramer's rule gives
@@ -619,14 +614,16 @@ def check_integrable(
 ) -> tuple[bool, str]:
     """Courant involutivity of the +i eigenbundle against the twist.
 
-    The projector is checked to be idempotent (read from J^2 = -Id, which is
-    the same condition), the eigenbundle rank is checked at the sample points
-    (the number of columns of P that at(p) picks), and every bracket of
-    spanning sections is required to stay inside the eigenbundle (zero
-    residual under the opposite projector).  For an isotropic subbundle this
-    spanning-set computation settles involutivity for all sections; when the
-    structure is algebraic, the brackets of the n columns of P picked at the
-    first point, a basis over the fraction field, settle it (certified_basis).
+    J^2 = -Id is checked first; it is also the idempotence of the
+    eigenprojector P = (Id - iJ)/2, as P^2 - P = -(J^2 + Id)/4, which is
+    what the failing verdict names.  The eigenbundle rank is checked at the
+    sample points (the number of columns of Id - iJ(p) that at(p) picks),
+    and every bracket of spanning sections is required to stay inside the
+    eigenbundle (zero residual (J - i)w).  For an isotropic subbundle this
+    spanning-set computation settles involutivity for all sections; when
+    the structure is algebraic, the brackets of the n columns of Id - iJ
+    picked at the first point, a basis over the fraction field, settle it
+    (certified_basis).
     """
     n = struct.dim
     if not struct.squares_to_minus_one:

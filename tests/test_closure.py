@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 from gkbench import calculus, structures
 from gkbench.calculus import DiffForm, lie_bracket
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
-from gkbench.linalg import mat, mat_mul, mat_sub, mat_vec, rank, rmat_eval, rmat_identity
+from gkbench.linalg import mat, mat_mul, mat_vec, rank, rmat_eval, rmat_identity, transpose
 from gkbench.reduction import check_adapted_closure, level_substitution
-from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
+from gkbench.ring import IMAG, EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.runner import LEVEL_FRAME_CLOSES, Workspace, run_scenario
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
@@ -64,22 +64,29 @@ def unit_columns(chart, count):
 
 
 def test_frame_is_the_projected_standard_frame():
+    """The +i frame is Id - iJ applied to the standard frame: twice the
+    projection P = (Id - iJ)/2 of each unit column."""
     for label, struct in catalog_structures():
-        proj = struct.eigenprojector
         want = tuple(
-            section_from_column(struct.chart, mat_vec(proj, e))
+            section_from_column(
+                struct.chart,
+                tuple(x - y.scale(IMAG) for x, y in zip(e, mat_vec(struct.matrix, e))),
+            )
             for e in unit_columns(struct.chart, 2 * struct.dim)
         )
         assert struct.plus_i_frame == want, label
 
 
 def test_eigenbundle_is_built_once():
-    struct = load_builtin("kahler_c2_circle").structures["j1"]
-    ident = rmat_identity(struct.chart, 2 * struct.dim)
-    assert struct.eigenprojector is struct.eigenprojector
-    assert struct.anti_projector is struct.anti_projector
+    scen = load_builtin("kahler_c2_circle")
+    struct, p = scen.structures["j1"], next(iter(scen.points.values()))
     assert struct.plus_i_frame is struct.plus_i_frame
-    assert struct.anti_projector == mat_sub(ident, struct.eigenprojector)
+    here = struct.at(p)
+    assert here.columns is here.columns
+    assert here.eigenrows is here.eigenrows
+    # Each frame section lies in the eigenbundle: (J - i)u = 0.
+    for u in struct.plus_i_frame:
+        assert all(r.is_zero for r in struct.residual(u.column()))
 
 
 def test_level_slice_is_the_level_set():
@@ -403,22 +410,21 @@ def test_full_frame_witness_when_a_basis_bracket_fails():
 def test_with_twist_keeps_the_matrix_only_values():
     scen = load_builtin("btwist_t4")
     struct = scen.structures["j"]
-    struct.plus_i_frame, struct.algebraic  # built here, anti_projector not
+    struct.plus_i_frame, struct.squares_to_minus_one  # built here, algebraic not
     db = scen.b_field.d()
     other = struct.with_twist(db)
     assert other.twist == db and other.matrix == struct.matrix
-    assert other.eigenprojector is struct.eigenprojector
     assert other.plus_i_frame is struct.plus_i_frame
-    assert other.algebraic is struct.algebraic
-    assert "anti_projector" not in vars(other)
+    assert other.squares_to_minus_one is struct.squares_to_minus_one
+    assert "algebraic" not in vars(other)
     # A transform that leaves the matrix alone shares what was built.
     zero = DiffForm.zero(struct.chart, 2)
     same = b_transform_structure(zero, struct)
-    assert same.eigenprojector is struct.eigenprojector
+    assert same.plus_i_frame is struct.plus_i_frame
 
 
 def test_each_matrix_builds_its_eigenbundle_once_per_run(monkeypatch):
-    prop = structures.GenStructure.__dict__["eigenprojector"]
+    prop = structures.GenStructure.__dict__["plus_i_frame"]
     built = []
 
     def counted(struct, _original=prop.func):
@@ -426,10 +432,13 @@ def test_each_matrix_builds_its_eigenbundle_once_per_run(monkeypatch):
         return _original(struct)
 
     monkeypatch.setattr(prop, "func", counted)
+    runs = 0
     for name in catalog_names():
         built.clear()
         run_scenario(load_builtin(name))
         assert len(built) == len(set(built)), name
+        runs += bool(built)
+    assert runs == len(catalog_names())
 
 
 def kahler_c3_circle():
@@ -502,8 +511,10 @@ def test_pivoted_basis_certifies_where_the_full_frame_did():
         # Its size is the old bound, and each section is, up to sign, a
         # section of the cross-eliminated frame.
         if dfs:
-            dF = mat([df.covector_at(p) for df in dfs])
-            bound = n - rank(mat_mul(dF, struct.at(p).projector[:n]))
+            zero = RingElement.zero(struct.chart)
+            components = tuple(tuple(df.terms.get((i,), zero) for i in range(n)) for df in dfs)
+            dF = rmat_eval(components, p)
+            bound = n - rank(mat_mul(dF, transpose(struct.at(p).columns)[:n]))
         else:
             bound = n
         assert len(basis.sections) == bound, scen.name

@@ -853,7 +853,8 @@ def test_two_step_disagreement_names_the_failing_comparison():
 
 
 def test_eigenbundle_rows_needs_half_rank():
-    """J = 0 is no structure: P = Id/2 has rank 2n at every point."""
+    """J = 0 is no structure: the columns of Id - iJ = Id have rank 2n
+    at every point."""
     zero = tuple((Scalar.of(0),) * 8 for _ in range(8))
     fiber = pole_workspace().fiber("pole_x1")
     with pytest.raises(ValidationError) as err:

@@ -8,6 +8,7 @@ the tests verify both the section-level identity and the fact that the
 other candidate signs fail.
 """
 
+import copy
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -18,14 +19,17 @@ from hypothesis import given, settings, strategies as st
 from gkbench import structures
 from gkbench.calculus import DiffForm, VectorField, wedge_all
 from gkbench.errors import ValidationError
-from gkbench.catalog import catalog_names, load_builtin
+from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import (
     extend_basis,
     inverse,
     mat_mul,
+    mat_sub,
+    mat_vec,
     rank,
     rmat_eval,
     rmat_identity,
+    rmat_scale,
     row_space_basis,
     span_eq,
     transpose,
@@ -226,23 +230,14 @@ class TestSymplectic:
     def test_eigenbundle_is_graph_of_i_omega(self):
         # The +i eigenbundle contains X + i i_X omega for coordinate fields.
         struct = symplectic_structure(omega_r4())
-        proj = struct.eigenprojector
+        i = Scalar.of(0, 1)
         x = sec(R4, vector=coord_vf(R4, "x1"))
-        expected = GenSection(
-            x.vector, d(R4, "y1").scale(Scalar.of(0, 1))
-        )
-        image = struct.apply(x)  # J(d_x1) = -i_{d_x1} omega = -dy1
-        assert image.form == -d(R4, "y1")
-        assert image.vector.is_zero
-        # P applied to the section of the graph reproduces it
-        col = expected.column()
-        out = []
-        for row in proj:
-            total = RingElement.zero(R4)
-            for entry, comp in zip(row, col):
-                total = total + entry * comp
-            out.append(total)
-        assert tuple(out) == col
+        expected = GenSection(x.vector, d(R4, "y1").scale(i))
+        # (J - i) d_x1 = -dy1 - i d_x1, as J(d_x1) = -i_{d_x1} omega = -dy1
+        image = section_from_column(R4, struct.residual(x.column()))
+        assert image == GenSection(x.vector.scale(-i), -d(R4, "y1"))
+        # (J - i) annihilates the section of the graph
+        assert all(r.is_zero for r in struct.residual(expected.column()))
 
     def test_degenerate_form_rejected(self):
         degenerate = d(R4, "x1").wedge(d(R4, "y1"))
@@ -278,7 +273,7 @@ class TestComplex:
         assert "squares_to_minus_one" in vars(struct.with_twist(struct.twist))
         good = complex_structure(jmat_r2(), R2)
         for candidate in (struct, good):
-            p = candidate.eigenprojector
+            p = _old_projector(candidate)
             assert (mat_mul(p, p) == p) is candidate.squares_to_minus_one
 
 
@@ -525,19 +520,125 @@ def _catalog_structures_with_b():
 
 
 def test_point_values_match_the_ring_projector_and_the_block_rule():
+    """At every point, J(p) and the columns of Id - iJ(p) are the values
+    of J and of the ring frame's columns, and the eigenbundle basis is
+    the greedy pick among those columns."""
     checked = 0
     for label, struct, points in _catalog_structures_with_b():
+        frame = tuple(u.column() for u in struct.plus_i_frame)
         for pname, p in points.items():
             here = struct.at(p)
-            columns = transpose(rmat_eval(struct.eigenprojector, p))
+            columns = rmat_eval(frame, p)
             picked = extend_basis((), columns)
             assert here.matrix == rmat_eval(struct.matrix, p), (label, pname)
-            assert here.projector == rmat_eval(struct.eigenprojector, p), (label, pname)
+            assert here.columns == columns, (label, pname)
             assert here.eigenrows == tuple(columns[i] for i in picked), (label, pname)
             assert span_eq(here.eigenrows, row_space_basis(columns)), (label, pname)
             assert here.type == _block_type(struct, p), (label, pname)
             checked += 1
     assert checked == 46
+
+
+HALF, MINUS_HALF_I = Scalar.of(Fraction(1, 2)), Scalar.of(0, Fraction(-1, 2))
+
+
+def _old_projector(struct):
+    """The eigenprojector P = (Id - iJ)/2 as a ring matrix, which this
+    package built until the columns of Id - iJ took its place."""
+    ident = rmat_identity(struct.chart, 2 * struct.dim)
+    return rmat_scale(mat_sub(ident, rmat_scale(struct.matrix, Scalar.of(0, 1))), HALF)
+
+
+def _old_point_projector(jp):
+    """P(p) = (Id - iJ(p))/2, written out from the values of J(p)."""
+    return tuple(
+        tuple(x * MINUS_HALF_I + (HALF if i == j else Scalar.of(0)) for j, x in enumerate(row))
+        for i, row in enumerate(jp)
+    )
+
+
+def _old_pick(columns):
+    """The greedy column pick: keep each column that raises the rank."""
+    picked = []
+    for j, col in enumerate(columns):
+        if rank([columns[i] for i in picked] + [col]) > len(picked):
+            picked.append(j)
+    return tuple(picked)
+
+
+def _frame_brackets(struct):
+    """Every bracket of two live sections of the +i frame, under the
+    structure's own twist, which closes, and, on a chart of dimension 3
+    or more, under the twist of its first three coordinates, which mostly
+    does not."""
+    chart = struct.chart
+    twists = [struct.twist]
+    if chart.dim >= 3:
+        twists.append(wedge_all([DiffForm.d_coord(chart, x) for x in chart.names[:3]]))
+    live = [u for u in struct.plus_i_frame if not u.is_zero]
+    for twist in twists:
+        for a, u in enumerate(live):
+            for v in live[a + 1 :]:
+                yield courant_bracket(u, v, twist)
+
+
+def test_eigenbundle_follows_the_old_projector_rule():
+    """The old rule as the oracle: P = (Id - iJ)/2, the greedy pick among
+    the columns of P(p) and the anti-projector residual (Id - P)w.  The
+    columns of Id - iJ are twice those of P, (J - i)(Id - iJ) is
+    -i(J^2 + Id) and J - i is -2i(Id - P)."""
+    i, two, minus_two_i = Scalar.of(0, 1), Scalar.of(2), Scalar.of(0, -2)
+    z, one = RingElement.zero(R2), RingElement.one(R2)
+    not_a_root = GenStructure(
+        R2, tuple(tuple(one if r == c else z for c in range(4)) for r in range(4)),
+        zero_twist(R2),
+    )
+    points = 0
+    for label, struct, named in _catalog_structures_with_b() + [("J = Id", not_a_root, {})]:
+        for pname, p in named.items():
+            here = struct.at(p)
+            columns = transpose(_old_point_projector(here.matrix))
+            picked = _old_pick(columns)
+            assert here.basis == picked, (label, pname)
+            assert here.eigenrows == tuple(
+                tuple(x * two for x in columns[c]) for c in picked
+            ), (label, pname)
+            points += 1
+        annihilated = all(
+            (x - y.scale(i)).is_zero
+            for col in (u.column() for u in struct.plus_i_frame)
+            for x, y in zip(mat_vec(struct.matrix, col), col)
+        )
+        assert annihilated is struct.squares_to_minus_one, label
+    assert points == 46
+    moved = 0
+    for label, struct, _ in _catalog_structures_with_b():
+        anti = mat_sub(rmat_identity(struct.chart, 2 * struct.dim), _old_projector(struct))
+        for w in _frame_brackets(struct):
+            old = mat_vec(anti, w.column())
+            assert struct.residual(w.column()) == tuple(r.scale(minus_two_i) for r in old), label
+            moved += any(not r.is_zero for r in old)
+    assert moved > 0
+
+
+def test_failing_integrability_names_the_residual_of_id_minus_ij():
+    """The residual component a failing integrability verdict names is an
+    entry of (J - i)w for the bracket w of two columns of Id - iJ: -8i
+    times the entry of (Id - P)w for the bracket of two columns of P."""
+    cases = [
+        ("bihermitian_r4_translation", ["x1", "y1", "x2"], "integrability:j1", "1/4"),
+        ("gamma_torus_cylinder", ["x1", "t1", "x2"], "integrability:j+b", "t2^2 - 2*I*t2 - 1"),
+    ]
+    for name, frame, check, residual in cases:
+        raw = copy.deepcopy(builtin_raw(name))
+        raw["twist"] = [{"coeff": "1", "frame": frame}]
+        raw["checks"] = ["integrability"]
+        verdicts, _ = run_scenario(load_scenario(raw))
+        detail = next(v.detail for v in verdicts if v.check == check)
+        assert detail == (
+            "bracket of frame sections 0 and 1 leaves the eigenbundle "
+            f"(residual component {residual})"
+        ), name
 
 
 def _old_integrability_basis(struct, points):
@@ -578,7 +679,7 @@ def test_integrability_brackets_the_basis_the_old_rule_picks(monkeypatch):
 
 
 def test_non_real_structure_fails_the_eigenbundle_rank():
-    """J = I.Id squares to -Id but is not real, and P = Id has rank 2n:
+    """J = I.Id squares to -Id but is not real, and Id - iJ = 2 Id has rank 2n:
     check_integrable and the runner's verdict stop at the rank test."""
     want = "eigenbundle rank is not 2 at (x=0, y=0)"
     entries = [["I" if r == c else "0" for c in range(4)] for r in range(4)]
