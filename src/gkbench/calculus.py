@@ -346,6 +346,12 @@ class DiffForm:
             form = form.interior(v)
         return form.terms.get((), RingElement.zero(self.chart))
 
+    def covector(self) -> tuple[RingElement, ...]:
+        """A 1-form's components in the coordinate coframe, one per
+        coordinate."""
+        zero = RingElement.zero(self.chart)
+        return tuple(self.terms.get((i,), zero) for i in range(self.chart.dim))
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -13,6 +13,7 @@ recovers the moment one-forms, making the shifted twist basic.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping
 
 from .calculus import DiffForm, VectorField, lie_bracket
@@ -130,9 +131,9 @@ def cartan_d(eform: EquivariantForm, action: TorusAction) -> EquivariantForm:
 
 
 class MomentData:
-    """One real one-form and one real invariant function per generator."""
-
-    __slots__ = ("action", "one_forms", "functions")
+    """One real one-form and one real invariant function per generator,
+    with the functions' differentials dF derived once, on first use (kept
+    in the instance __dict__, so the class has no __slots__)."""
 
     def __init__(
         self, action: TorusAction, one_forms: tuple[DiffForm, ...],
@@ -157,11 +158,15 @@ class MomentData:
         self.one_forms = one_forms
         self.functions = functions
 
+    @cached_property
+    def differentials(self) -> tuple[DiffForm, ...]:
+        """dF: the differential d f_i of each moment function."""
+        return tuple(DiffForm.function(f).d() for f in self.functions)
+
     def section(self, i: int) -> GenSection:
         """The eigen-section candidate xi_i + alpha_i - i d f_i."""
         xi = self.action.generators[i]
-        df = DiffForm.function(self.functions[i]).d()
-        form = self.one_forms[i] - df.scale(Scalar.of(0, 1))
+        form = self.one_forms[i] - self.differentials[i].scale(Scalar.of(0, 1))
         return GenSection(xi, form)
 
 

@@ -78,7 +78,7 @@ from itertools import chain
 from math import comb
 from typing import Sequence
 
-from .calculus import ChartMap, DiffForm
+from .calculus import ChartMap
 from .equivariant import MomentData
 from .errors import ValidationError
 from .linalg import (
@@ -236,11 +236,7 @@ def fiber_data(
                 f"expected {want}"
             )
     xi_rows = rmat_eval(tuple(g.components for g in action.generators), point)
-    zero = RingElement.zero(chart)
-    dfs = [DiffForm.function(f).d() for f in moment.functions]
-    df_rows = rmat_eval(
-        tuple(tuple(df.terms.get((i,), zero) for i in range(n)) for df in dfs), point
-    )
+    df_rows = rmat_eval(tuple(df.covector() for df in moment.differentials), point)
     if k == 0:
         ann_a = ker_df = tuple(identity(n))
     else:
@@ -575,8 +571,7 @@ def check_adapted_closure(
     on the level slice (otherwise None): the first open bracket whose
     residual survives the pullback, as a residual zero on the chart is
     zero on the slice, so no bracket is computed twice."""
-    dfs = [DiffForm.function(f).d() for f in moment.functions]
-    basis, frame, hits = closing_brackets(struct, points, dfs)
+    basis, frame, hits = closing_brackets(struct, points, moment.differentials)
     # No tangency residual: df_i([X, Y]) = X(df_i Y) - Y(df_i X) = 0 for tangent X, Y.
     done = basis or f"all {comb(len(frame), 2)} adapted brackets"
 

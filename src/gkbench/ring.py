@@ -16,22 +16,27 @@ for (a + b*I)/d, normalized to d > 0 and gcd(a, b, d) == 1 with zero as
 (0, 0, 1).  Equal values therefore have equal triples, and scalar
 arithmetic is plain int work.
 
-A product of ring elements works on these triples directly.  When one
-operand has a single term c*x^e, the other's exponents are shifted by e
-and its coefficients scaled by c in one pass (a scale alone when e = 0,
-and nothing at all when the term is the constant one).  Otherwise the
-raw triples of each pair of terms are multiplied and summed per output
-exponent as plain ints, and each surviving sum is normalized once, so no
-Scalar is built for a partial product.
-A difference subtracts each coefficient in place, with no negated copy
-of its right operand.
+Inside the ring kernel a coefficient is that triple itself, with no
+Scalar around it: an element's dict maps each exponent to its triple,
+every operation (sum, difference, negation, product, scale, conjugate,
+partial derivative, evaluation) works on the ints and normalizes through
+the one private normalizer, and no operation builds or unpacks a Scalar.
+`evaluate` and `constant_value` build one Scalar for their result, and
+readers outside the kernel see `RingElement.terms`, a view of the same
+terms with Scalar coefficients.  When one factor of a product has a
+single term c*x^e, the other's exponents are shifted by e and its
+triples multiplied by c in one pass (a scale alone when e = 0, and
+nothing at all when the term is the constant one).  Otherwise the
+triples of each pair of terms are multiplied and summed per output
+exponent as plain ints, and each surviving sum is normalized once.
 
-Elements made by the public constructors (`RingElement(...)`, `zero`,
-`constant`, `coordinate`, `fourier`, `parse_expr`) are validated: each
-exponent has the chart's arity and no negative degree on an affine
-coordinate.  The results of ring operations are not re-checked: each
-operation builds its terms canonical in one pass (see RingElement), so
-scenario input is checked once, where it enters.
+Elements made by the public constructor `RingElement(...)` and by
+`parse_expr` are validated: each exponent has the chart's arity and no
+negative degree on an affine coordinate.  The named constructors
+(`zero`, `one`, `constant`, `coordinate`, `fourier`) build valid terms by
+construction, and the results of ring operations are not re-checked:
+each operation builds its terms canonical in one pass (see RingElement),
+so scenario input is checked once, where it enters.
 
 The ring is closed under addition, multiplication, partial derivatives and
 complex conjugation.  Evaluation is exact at points whose periodic
@@ -354,22 +359,72 @@ def _check_chart(a: "RingElement", b: "RingElement") -> None:
         raise ChartMismatchError(f"charts differ: {a.chart} vs {b.chart}")
 
 
+Triple = tuple[int, int, int]
+
+
+def _norm(a: int, b: int, d: int) -> Triple:
+    """The normalized triple of (a + b*I)/d for any d > 0: the kernel's one
+    normalizer, with the rule `_make` applies to a Scalar."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _times(x: Triple, y: Triple) -> Triple:
+    """The normalized product of two triples."""
+    a, b, d = x
+    c, e, f = y
+    if not b and not e:
+        return _norm(a * c, 0, d * f)
+    return _norm(a * c - b * e, a * e + b * c, d * f)
+
+
+def _merge(out: dict[Exponent, Triple], terms: dict[Exponent, Triple], sign: int) -> None:
+    """Add sign times each of the terms into out, deleting an exponent
+    whose sum cancels."""
+    for expo, t in terms.items():
+        cur = out.get(expo)
+        if cur is None:
+            out[expo] = t if sign > 0 else (-t[0], -t[1], t[2])
+            continue
+        a, b, d = cur
+        c, e, f = t
+        if sign < 0:
+            c, e = -c, -e
+        if d == f:
+            a, b = a + c, b + e
+        else:
+            a, b, d = a * f + c * d, b * f + e * d, d * f
+        if a or b:
+            out[expo] = _norm(a, b, d)
+        else:
+            del out[expo]
+
+
 class RingElement:
     """A canonical sparse sum of monomials over a fixed chart.
 
-    The public constructors validate their terms: every exponent has the
+    Inside the kernel each coefficient is the normalized integer triple
+    (a, b, d) of a Scalar, with no zero stored, so equal elements have
+    equal dicts and no ring operation builds or unpacks a Scalar.  Readers
+    outside the kernel see `terms`, the same dict with Scalar values.
+
+    The public constructor validates its terms: every exponent has the
     chart's arity and no negative degree on an affine coordinate, and
-    zero coefficients are dropped.  The results of ring operations are
-    built through `_of_valid`, which trusts its terms, because each
-    operation keeps the terms canonical as it builds them: exponents of
-    sums, products, conjugates and derivatives of valid exponents are
-    valid, and a coefficient that cancels is deleted where it cancels.
+    zero coefficients are dropped.  The named constructors and the
+    results of ring operations are built through `_of_valid`, which
+    trusts its terms, because each keeps them canonical as it builds
+    them: exponents of sums, products, conjugates and derivatives of valid
+    exponents are valid, and a coefficient that cancels is deleted where
+    it cancels.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Scalar]) -> None:
-        clean: dict[Exponent, Scalar] = {}
+        clean: dict[Exponent, Triple] = {}
         n = chart.dim
         for expo, coeff in terms.items():
             if len(expo) != n:
@@ -378,33 +433,40 @@ class RingElement:
                 if chart.is_affine(i) and e < 0:
                     raise ValidationError("negative degree on affine coordinate")
             if not coeff.is_zero:
-                clean[expo] = coeff
+                clean[expo] = (coeff._a, coeff._b, coeff._d)
         self.chart = chart
-        self.terms = clean
+        self._terms = clean
 
     @staticmethod
-    def _of_valid(chart: Chart, terms: dict[Exponent, Scalar]) -> "RingElement":
-        """An element from canonical terms (valid exponents, no zero
+    def _of_valid(chart: Chart, terms: dict[Exponent, Triple]) -> "RingElement":
+        """An element from canonical triples (valid exponents, no zero
         coefficient), taken as they are: the dict becomes the element's,
         so the caller must not keep changing it."""
         out = _new(RingElement)
         out.chart = chart
-        out.terms = terms
+        out._terms = terms
         return out
+
+    @property
+    def terms(self) -> dict[Exponent, Scalar]:
+        """The terms with Scalar coefficients, a new dict on each read."""
+        return {e: _triple(a, b, d) for e, (a, b, d) in self._terms.items()}
 
     # --- constructors -------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "RingElement":
-        return RingElement(chart, {})
+        return RingElement._of_valid(chart, {})
 
     @staticmethod
     def constant(chart: Chart, value: Scalar) -> "RingElement":
-        return RingElement(chart, {(0,) * chart.dim: value})
+        if not value:
+            return RingElement._of_valid(chart, {})
+        return RingElement._of_valid(chart, {(0,) * chart.dim: (value._a, value._b, value._d)})
 
     @staticmethod
     def one(chart: Chart) -> "RingElement":
-        return RingElement.constant(chart, ONE)
+        return RingElement._of_valid(chart, {(0,) * chart.dim: (1, 0, 1)})
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "RingElement":
@@ -414,7 +476,7 @@ class RingElement:
                 f"periodic coordinate {name!r} enters only through E({name}; k)"
             )
         expo = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return RingElement(chart, {expo: ONE})
+        return RingElement._of_valid(chart, {expo: (1, 0, 1)})
 
     @staticmethod
     def fourier(chart: Chart, name: str, k: int) -> "RingElement":
@@ -424,7 +486,7 @@ class RingElement:
                 f"Fourier exponential needs a periodic coordinate, {name!r} is affine"
             )
         expo = tuple(k if j == i else 0 for j in range(chart.dim))
-        return RingElement(chart, {expo: ONE})
+        return RingElement._of_valid(chart, {expo: (1, 0, 1)})
 
     # --- ring operations ----------------------------------------------
     #
@@ -437,64 +499,51 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         _check_chart(self, other)
-        if not other.terms:
+        if not other._terms:
             return self
-        if not self.terms:
+        if not self._terms:
             return other
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            cur = out.get(expo)
-            if cur is None:
-                out[expo] = coeff
-            else:
-                coeff = cur + coeff
-                if coeff:
-                    out[expo] = coeff
-                else:
-                    del out[expo]
+        out = dict(self._terms)
+        _merge(out, other._terms, 1)
         return RingElement._of_valid(self.chart, out)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         _check_chart(self, other)
-        if not other.terms:
+        if not other._terms:
             return self
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            cur = out.get(expo)
-            if cur is None:
-                out[expo] = -coeff
-            else:
-                coeff = cur - coeff
-                if coeff:
-                    out[expo] = coeff
-                else:
-                    del out[expo]
+        out = dict(self._terms)
+        _merge(out, other._terms, -1)
         return RingElement._of_valid(self.chart, out)
 
     def __neg__(self) -> "RingElement":
-        return RingElement._of_valid(self.chart, {e: -c for e, c in self.terms.items()})
+        if not self._terms:
+            return self
+        return RingElement._of_valid(
+            self.chart, {e: (-a, -b, d) for e, (a, b, d) in self._terms.items()}
+        )
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         _check_chart(self, other)
-        if len(other.terms) == 1:
+        if len(other._terms) == 1:
             mono, rest = other, self
-        elif len(self.terms) == 1:
+        elif len(self._terms) == 1:
             mono, rest = self, other
         else:
-            return RingElement._of_valid(self.chart, _product(self.terms, other.terms))
-        ((shift, c),) = mono.terms.items()
+            return RingElement._of_valid(self.chart, _product(self._terms, other._terms))
+        ((shift, c),) = mono._terms.items()
         if any(shift):
-            terms = {tuple(map(_add, e, shift)): x * c for e, x in rest.terms.items()}
-        elif c._a == c._d == 1 and not c._b:
+            terms = {tuple(map(_add, e, shift)): _times(x, c) for e, x in rest._terms.items()}
+        elif c == (1, 0, 1):
             return rest
         else:
-            terms = {e: x * c for e, x in rest.terms.items()}
+            terms = {e: _times(x, c) for e, x in rest._terms.items()}
         return RingElement._of_valid(self.chart, terms)
 
     def scale(self, s: Scalar) -> "RingElement":
         if not s:
             return RingElement._of_valid(self.chart, {})
-        return RingElement._of_valid(self.chart, {e: c * s for e, c in self.terms.items()})
+        c = (s._a, s._b, s._d)
+        return RingElement._of_valid(self.chart, {e: _times(x, c) for e, x in self._terms.items()})
 
     def __pow__(self, power: int) -> "RingElement":
         if power < 0:
@@ -515,8 +564,8 @@ class RingElement:
         return RingElement._of_valid(
             self.chart,
             {
-                tuple(e if a else -e for e, a in zip(expo, affine)): coeff.conj()
-                for expo, coeff in self.terms.items()
+                tuple(e if a else -e for e, a in zip(expo, affine)): (a, -b, d)
+                for expo, (a, b, d) in self._terms.items()
             },
         )
 
@@ -526,63 +575,81 @@ class RingElement:
         own exponent (periodic) or lowers it by one (affine), so no two
         terms meet."""
         i = self.chart.index(name)
-        out: dict[Exponent, Scalar] = {}
+        out: dict[Exponent, Triple] = {}
         if self.chart.affine[i]:
-            for expo, coeff in self.terms.items():
+            for expo, (a, b, d) in self._terms.items():
                 e = expo[i]
                 if e:
-                    out[expo[:i] + (e - 1,) + expo[i + 1 :]] = _make(
-                        coeff._a * e, coeff._b * e, coeff._d
-                    )
+                    out[expo[:i] + (e - 1,) + expo[i + 1 :]] = _norm(a * e, b * e, d)
         else:
-            for expo, coeff in self.terms.items():
+            for expo, (a, b, d) in self._terms.items():
                 e = expo[i]
                 if e:  # d/dy e^{iky} = i k e^{iky}
-                    out[expo] = _make(-coeff._b * e, coeff._a * e, coeff._d)
+                    out[expo] = _norm(-b * e, a * e, d)
         return RingElement._of_valid(self.chart, out)
 
     def evaluate(self, point: EvalPoint) -> Scalar:
+        """The exact value at the point.  Each term's value is an
+        unnormalized triple; the values are summed over the lcm of their
+        denominators, and the one Scalar is built from the normalized sum."""
         if point.chart is not self.chart and point.chart != self.chart:
             raise ChartMismatchError("point lives on a different chart")
-        total = ZERO
+        ta, tb, td = 0, 0, 1
         slots = tuple(zip(self.chart.affine, point.values))
-        for expo, coeff in self.terms.items():
-            value = coeff
+        for expo, (a, b, d) in self._terms.items():
             for e, (affine, base) in zip(expo, slots):
                 if e == 0:
                     continue
                 if affine:
-                    # base is in lowest terms, so is its power
-                    value = value * _triple(base.numerator**e, 0, base.denominator**e)
+                    p = base.numerator**e
+                    a, b, d = a * p, b * p, d * base.denominator**e
                 else:
-                    value = value * _I_POWERS[(e * base) % 4]
-            total = total + value
-        return total
+                    k = (e * base) % 4  # times i^k
+                    if k == 1:
+                        a, b = -b, a
+                    elif k == 2:
+                        a, b = -a, -b
+                    elif k == 3:
+                        a, b = b, -a
+            if d == td:
+                ta, tb = ta + a, tb + b
+            else:
+                g = gcd(td, d)
+                f, d = td // g, d // g
+                ta, tb, td = ta * d + a * f, tb * d + b * f, td * d
+        return _triple(*_norm(ta, tb, td))
 
     # --- predicates and text -------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     @property
     def is_real(self) -> bool:
-        return self == self.conj()
+        """Each term's conjugate exponent carries the conjugate triple."""
+        affine = self.chart.affine
+        terms = self._terms
+        for expo, (a, b, d) in terms.items():
+            mirror = tuple(e if aff else -e for e, aff in zip(expo, affine))
+            if terms.get(mirror) != (a, -b, d):
+                return False
+        return True
 
     def is_constant(self) -> bool:
-        return not any(any(expo) for expo in self.terms)
+        return not any(any(expo) for expo in self._terms)
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValidationError("element is not constant")
         if self.is_zero:
             return ZERO
-        return next(iter(self.terms.values()))
+        return _triple(*next(iter(self._terms.values())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return self.chart == other.chart and self._terms == other._terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -612,11 +679,12 @@ class RingElement:
         return sign, f"{head}*{mono}" if mono else head
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         pieces: list[tuple[int, str]] = []
-        for expo in sorted(self.terms, reverse=True):
-            pieces.append(self._term_text(expo, self.terms[expo]))
+        for expo in sorted(terms, reverse=True):
+            pieces.append(self._term_text(expo, terms[expo]))
         sign, body = pieces[0]
         out = ("-" if sign < 0 else "") + body
         for sign, body in pieces[1:]:
@@ -627,21 +695,18 @@ class RingElement:
         return f"<{self} over {self.chart}>"
 
 
-def _product(left: dict[Exponent, Scalar], right: dict[Exponent, Scalar]) -> dict[Exponent, Scalar]:
-    """The terms of a product of two elements: the (a, b, d) triples of
-    each pair's coefficient product, summed per exponent as ints, then
-    normalized once per exponent whose sum does not cancel.  Two sums
-    with different denominators meet over their lcm, so an exponent's
-    denominator is at most the lcm of its pairs' denominators, never
-    their product."""
+def _product(left: dict[Exponent, Triple], right: dict[Exponent, Triple]) -> dict[Exponent, Triple]:
+    """The terms of a product of two elements: the triples of each pair's
+    coefficient product, summed per exponent as ints, then normalized
+    once per exponent whose sum does not cancel.  Two sums with different
+    denominators meet over their lcm, so an exponent's denominator is at
+    most the lcm of its pairs' denominators, never their product."""
     sums: dict[Exponent, list[int]] = {}
-    for e1, c1 in left.items():
-        a1, b1, d1 = c1._a, c1._b, c1._d
-        for e2, c2 in right.items():
-            a2, b2 = c2._a, c2._b
+    for e1, (a1, b1, d1) in left.items():
+        for e2, (a2, b2, d2) in right.items():
             a = a1 * a2 - b1 * b2
             b = a1 * b2 + b1 * a2
-            d = d1 * c2._d
+            d = d1 * d2
             expo = tuple(map(_add, e1, e2))
             acc = sums.get(expo)
             if acc is None:
@@ -656,7 +721,7 @@ def _product(left: dict[Exponent, Scalar], right: dict[Exponent, Scalar]) -> dic
                 acc[0] = acc[0] * d + a * f
                 acc[1] = acc[1] * d + b * f
                 acc[2] *= d
-    return {e: _make(a, b, d) for e, (a, b, d) in sums.items() if a or b}
+    return {e: _norm(a, b, d) for e, (a, b, d) in sums.items() if a or b}
 
 
 # --- parser -----------------------------------------------------------
@@ -785,13 +850,13 @@ def _check_product(factors: tuple[tuple[RingElement, int], ...], pos: int) -> No
     or more than MAX_TERMS terms; judged from the terms of the factors,
     before the product is built.  A factor of t terms to the power p has at
     most comb(t + p - 1, p) terms, one per multiset of p of its terms."""
-    if all(f.terms for f, _ in factors):
+    if all(f._terms for f, _ in factors):
         for i in range(factors[0][0].chart.dim):
             for pick in (max, min):
-                reach = sum(p * pick(e[i] for e in f.terms) for f, p in factors)
+                reach = sum(p * pick(e[i] for e in f._terms) for f, p in factors)
                 if abs(reach) > MAX_EXPONENT:
                     raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", pos)
-    terms = prod(comb(max(len(f.terms) + p - 1, 0), p) for f, p in factors)
+    terms = prod(comb(max(len(f._terms) + p - 1, 0), p) for f, p in factors)
     if terms > MAX_TERMS:
         raise ParseError(f"product or power could exceed {MAX_TERMS} terms", pos)
 

@@ -124,11 +124,7 @@ class GenSection:
     def column(self) -> tuple[RingElement, ...]:
         """Components as a length-2n column: vector entries, then covector
         entries in the coordinate coframe."""
-        chart = self.chart
-        covector = [RingElement.zero(chart) for _ in range(chart.dim)]
-        for (i,), coeff in self.form.terms.items():
-            covector[i] = coeff
-        return tuple(self.vector.components) + tuple(covector)
+        return tuple(self.vector.components) + self.form.covector()
 
     def __str__(self) -> str:
         return f"{self.vector} (+) {self.form}"
@@ -271,12 +267,19 @@ class StructureAt:
             picked = self._bases[key] = extend_basis((), self.columns)
         return picked
 
+    @property
+    def rank_defect(self) -> str | None:
+        """Why the picked columns are no basis of a structure's +i
+        eigenbundle, which has half rank n; None when they are."""
+        n = len(self.matrix) // 2
+        return None if len(self.basis) == n else f"eigenbundle rank is not {n} at {self.point}"
+
     @cached_property
     def eigenrows(self) -> tuple[Vec, ...]:
-        """A basis of the +i eigenbundle, the picked columns, which has
-        half rank when J(p) is a structure."""
-        if 2 * len(self.basis) != len(self.matrix):
-            raise ValidationError("eigenbundle does not have half rank at the point")
+        """A basis of the +i eigenbundle, the picked columns; raises when
+        they do not have half rank."""
+        if self.rank_defect is not None:
+            raise ValidationError(self.rank_defect)
         return tuple(self.columns[i] for i in self.basis)
 
     @cached_property
@@ -625,12 +628,12 @@ def check_integrable(
     picked at the first point, a basis over the fraction field, settle it
     (certified_basis).
     """
-    n = struct.dim
     if not struct.squares_to_minus_one:
         return False, "eigenprojector is not idempotent"
     for p in points.values():
-        if len(struct.at(p).basis) != n:
-            return False, f"eigenbundle rank is not {n} at {p}"
+        defect = struct.at(p).rank_defect
+        if defect is not None:
+            return False, defect
     basis, _, hits = closing_brackets(struct, points)
     hit = next(hits, None)
     if hit is not None:

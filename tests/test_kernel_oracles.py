@@ -1,9 +1,11 @@
 """The ring and calculus kernels against the plain formulas they replace.
 
 Each kernel builds its canonical result without intermediate objects:
-the ring multiply sums raw triples, `partial` scales the triple itself,
-a ring difference builds no negated copy and the Courant bracket uses
-its Cartan form.  Each oracle here is the older construction written out
+a ring element stores its coefficients as normalized (a, b, d) triples,
+the ring multiply sums them per exponent, `partial` scales the triple
+itself, `is_real` compares each term with its conjugate exponent's, a
+ring difference builds no negated copy and the Courant bracket uses its
+Cartan form.  `terms`, the Scalar view of the triples, must round-trip.  Each oracle here is the older construction written out
 in full, and each comparison is of canonical terms, so an unnormalized
 triple, a wrong sign or a lost factor fails it.  Every case is drawn
 over a polynomial chart and a periodic one.
@@ -141,21 +143,21 @@ def test_cancelling_products():
 
 def test_denominators_sharing_a_large_factor_meet_over_their_lcm(monkeypatch):
     """Forty pair products land on a^40 with denominators P*m, m = 1..40,
-    for a 201-digit P.  Summed over the lcm, the triple handed to `_make`
-    has a denominator of about 220 digits; multiplied out, it would have
-    about 8000 and the final gcd would run on those."""
+    for a 201-digit P.  Summed over the lcm, the triple handed to the
+    normalizer `_norm` has a denominator of about 220 digits; multiplied
+    out, it would have about 8000 and the final gcd would run on those."""
     chart = POLY
     big = 10**200 + 357
     f = RingElement(chart, {(m, 0, 0, 0): Scalar.of(Fraction(1, big * m)) for m in range(1, 41)})
     g = RingElement(chart, {(40 - m, 0, 0, 0): Scalar.of(1) for m in range(1, 41)})
     denominators = []
-    real_make = ring._make
+    real_norm = ring._norm
 
-    def make(a, b, d):
+    def norm(a, b, d):
         denominators.append(d)
-        return real_make(a, b, d)
+        return real_norm(a, b, d)
 
-    monkeypatch.setattr(ring, "_make", make)
+    monkeypatch.setattr(ring, "_norm", norm)
     product = f * g
     monkeypatch.undo()
     assert product.terms == scalar_loop_product(f, g)
@@ -182,6 +184,47 @@ def test_ring_difference_is_adding_the_negation(data):
     for p, q in ((f, g), (g, f), (f, f), (f, RingElement.zero(chart)), (RingElement.zero(chart), g)):
         assert (p - q).terms == (p + (-q)).terms
         assert_canonical(p - q)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_is_real_is_equality_with_the_conjugate(data):
+    """`is_real` decides from the triples; the oracle builds the conjugate.
+    f + conj(f) is real, and an imaginary constant, whose exponent is its
+    own conjugate, makes it not real."""
+    chart = data.draw(charts)
+    f = data.draw(elements(chart, 4))
+    real = f + f.conj()
+    i = RingElement.constant(chart, Scalar.of(0, 1))
+    half_i = RingElement.constant(chart, Scalar.of(Fraction(1, 2), Fraction(1, 3)))
+    for x in (f, real, real + i, real + half_i, real * i, f * f.conj(), i):
+        assert x.is_real == (x == x.conj())
+    assert real.is_real and (f * f.conj()).is_real
+    assert not (real + i).is_real and not (real + half_i).is_real
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_negation(data):
+    chart = data.draw(charts)
+    f = data.draw(elements(chart))
+    assert (-RingElement.zero(chart)).is_zero
+    assert -(-f) == f
+    assert (f + (-f)).is_zero
+    assert_canonical(-f)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_terms_view_round_trips(data):
+    """`terms` holds canonical Scalars, and building from it gives the
+    element back."""
+    chart = data.draw(charts)
+    f, g = data.draw(elements(chart)), data.draw(elements(chart))
+    derived = (f, f * g, f + g, f - g, f.conj(), f.partial(chart.names[0]), f.scale(COEFFS[9]))
+    for x in derived:
+        assert_canonical(x)
+        assert RingElement(chart, x.terms) == x
 
 
 def test_ring_difference_refuses_another_chart():

@@ -859,7 +859,7 @@ def test_eigenbundle_rows_needs_half_rank():
     fiber = pole_workspace().fiber("pole_x1")
     with pytest.raises(ValidationError) as err:
         dirac_reduce(constant_structure(zero), fiber)
-    assert str(err.value) == "eigenbundle does not have half rank at the point"
+    assert str(err.value) == "eigenbundle rank is not 4 at (x1=1, y1=0, x2=0, y2=0)"
 
 
 def test_potential_transform_needs_a_basic_twist():

@@ -340,10 +340,13 @@ class TestRunner:
     def test_gk_reduction_failure_names_each_point(self):
         """A type prediction that raises fails the point it was made for,
         not the whole check."""
-        message = "eigenbundle does not have half rank at the point"
         assert self.bent_j2({3: "-1/2", 7: "1/2"}, ["gk_reduction"]) == [
-            (f"gk_reduction:{point}", "fail", message)
-            for point in ("first", "second", "third")
+            (f"gk_reduction:{point}", "fail", f"eigenbundle rank is not 4 at {where}")
+            for point, where in (
+                ("first", "(x1=0, y1=1, x2=2, y2=3)"),
+                ("second", "(x1=5, y1=0, x2=1, y2=-2)"),
+                ("third", "(x1=-1, y1=-3, x2=-2, y2=7)"),
+            )
         ]
 
     @pytest.mark.parametrize(

@@ -9,14 +9,15 @@ other candidate signs fail.
 """
 
 import copy
+import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from gkbench import structures
+from gkbench import selftest, structures
 from gkbench.calculus import DiffForm, VectorField, wedge_all
 from gkbench.errors import ValidationError
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
@@ -405,18 +406,137 @@ def test_bracket_is_antisymmetric(u, v):
     assert (w_plus + w_minus).is_zero
 
 
-@settings(max_examples=15, derandomize=True, deadline=None)
-@given(sections(), sections(), sections())
-def test_bracket_jacobiator_is_exact(u, v, w):
-    """The Courant bracket fails Jacobi by an exact term: the jacobiator
-    must equal d(Nijenhuis function)/... here we only assert its vector
-    part vanishes, which is the Lie-bracket Jacobi identity."""
-    jac = (
-        courant_bracket(courant_bracket(u, v, zero_twist(R2)), w, zero_twist(R2))
-        + courant_bracket(courant_bracket(v, w, zero_twist(R2)), u, zero_twist(R2))
-        + courant_bracket(courant_bracket(w, u, zero_twist(R2)), v, zero_twist(R2))
+# --- the twisted Courant algebroid axioms -----------------------------------
+#
+# Drawn as the identity suite draws: a seed, one of its two 3-dimensional
+# charts, and its random sections, fields and forms.  A 3-form on a
+# 3-dimensional chart is closed, so H = d(beta) + 3 vol is a closed twist.
+
+seeds = st.integers(0, 2**32 - 1)
+THIRD = Scalar.of(Fraction(1, 3))
+# A smaller seed draws unrelated sections, so shrinking one only spends
+# minutes before a failure is reported.
+NO_SHRINK = (Phase.explicit, Phase.generate)
+
+
+def _volume(chart):
+    return wedge_all([DiffForm.d_coord(chart, n) for n in chart.names])
+
+
+def _covector(form):
+    """The section with zero vector part and the given 1-form."""
+    chart = form.chart
+    return GenSection(VectorField(chart, tuple(RingElement.zero(chart) for _ in chart.names)), form)
+
+
+def _jacobiator(u, v, w, twist):
+    def br(a, b):
+        return courant_bracket(a, b, twist)
+
+    return br(br(u, v), w) + br(br(v, w), u) + br(br(w, u), v)
+
+
+def _nijenhuis_d(u, v, w, twist):
+    """d N for N = (<[u,v],w> + <[v,w],u> + <[w,u],v>)/3."""
+    total = (
+        pairing(courant_bracket(u, v, twist), w)
+        + pairing(courant_bracket(v, w, twist), u)
+        + pairing(courant_bracket(w, u, twist), v)
     )
+    return DiffForm.function(total.scale(THIRD)).d()
+
+
+def _suite_draw(seed):
+    rng = random.Random(seed)
+    return rng, selftest._CHARTS[rng.randrange(2)]
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(seeds)
+def test_bracket_jacobiator_is_exact(seed):
+    """The Courant bracket fails Jacobi by an exact term: under a closed
+    twist the jacobiator is (0, d N), whose vector part is the Lie-bracket
+    Jacobi identity."""
+    rng, chart = _suite_draw(seed)
+    u, v, w = (selftest._rand_section(rng, chart) for _ in range(3))
+    twist = selftest._rand_form(rng, chart, 2).d() + _volume(chart).scale(Scalar.of(3))
+    jac = _jacobiator(u, v, w, twist)
     assert jac.vector.is_zero
+    assert jac.form == _nijenhuis_d(u, v, w, twist)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(seeds)
+def test_bracket_leibniz_rule(seed):
+    """[u, f v] = f [u, v] + (rho(u) f) v - <u, v> df."""
+    rng, chart = _suite_draw(seed)
+    u, v = (selftest._rand_section(rng, chart) for _ in range(2))
+    f = selftest._rand_field(rng, chart)
+    twist = selftest._rand_form(rng, chart, 3)
+    df = DiffForm.function(f).d()
+    want = (
+        courant_bracket(u, v, twist).scale(f)
+        + v.scale(u.vector.apply(f))
+        - _covector(df.scale(pairing(u, v)))
+    )
+    assert courant_bracket(u, v.scale(f), twist) == want
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(seeds)
+def test_pairing_is_invariant_under_the_dorfman_bracket(seed):
+    """rho(u)<v, w> = <u o v, w> + <v, u o w> for the Dorfman bracket
+    u o v = [u, v] + d<u, v>, under a random twist."""
+    rng, chart = _suite_draw(seed)
+    u, v, w = (selftest._rand_section(rng, chart) for _ in range(3))
+    twist = selftest._rand_form(rng, chart, 3)
+
+    def dorfman(a, b):
+        return courant_bracket(a, b, twist) + _covector(DiffForm.function(pairing(a, b)).d())
+
+    assert u.vector.apply(pairing(v, w)) == pairing(dorfman(u, v), w) + pairing(v, dorfman(u, w))
+
+
+C4 = make_chart(("p", "periodic"), ("t", "affine"), ("u", "affine"), ("s", "affine"))
+C4_MONOMIALS = tuple(
+    parse_expr(text, C4) for text in ("1", "t", "u", "s", "t*s", "cos(p)", "sin(p)*u")
+)
+
+
+def _field4(rng):
+    out = RingElement.zero(C4)
+    for _ in range(rng.randrange(2, 4)):
+        out = out + rng.choice(C4_MONOMIALS).scale(Scalar.of(rng.randrange(-3, 4)))
+    return out
+
+
+def _form4(rng, degree):
+    out = DiffForm.zero(C4, degree)
+    for names in combinations(C4.names, degree):
+        out = out + wedge_all([DiffForm.d_coord(C4, n) for n in names]).scale(_field4(rng))
+    return out
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(seeds)
+def test_jacobiator_under_a_twist_that_is_not_closed(seed):
+    """On a 4-dimensional chart the jacobiator's form part is
+    d N - i_w i_v i_u dH.  The term s^3 dp^dt^du keeps dH nonzero: its
+    differential 3s^2 ds^dp^dt^du meets no partial derivative of the
+    drawn terms, which have degree at most one in s."""
+    rng = random.Random(seed)
+    u, v, w = (
+        GenSection(VectorField(C4, tuple(_field4(rng) for _ in range(4))), _form4(rng, 1))
+        for _ in range(3)
+    )
+    twist = _form4(rng, 3) + wedge_all([d(C4, "p"), d(C4, "t"), d(C4, "u")]).scale(fn("s^3", C4))
+    dh = twist.d()
+    assert not dh.is_zero
+    jac = _jacobiator(u, v, w, twist)
+    assert jac.vector.is_zero
+    assert jac.form == _nijenhuis_d(u, v, w, twist) - dh.interior(u.vector).interior(
+        v.vector
+    ).interior(w.vector)
 
 
 # --- the pairing test of GenStructure.algebraic ---------------------------------
