@@ -21,6 +21,13 @@ inside the chart, every coefficient comes from ring operations on the
 operands' coefficients (so it is over their chart), a product of nonzero
 coefficients is nonzero because the function ring is an integral
 domain, and a sum that cancels is deleted where it cancels.
+
+Each result coefficient is accumulated once: X(f), each component of a
+Lie bracket, and each coefficient of an interior or wedge product is
+one `sum_of_products` call over all of its signed products, so no
+product or partial sum in between is built as an element.  A constant
+is not differentiated: X(f) of a constant f is zero without a partial
+derivative, and d skips constant coefficients.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Union
 
 from .errors import ChartMismatchError, ValidationError
-from .ring import Chart, RingElement, Scalar, PERIODIC, quarter_phase
+from .ring import Chart, RingElement, Scalar, PERIODIC, quarter_phase, sum_of_products
 
 Index = tuple[int, ...]
+# Signed products (sign, x, y) of ring elements, summed by sum_of_products.
+Pairs = list[tuple[int, RingElement, RingElement]]
 
 _new = object.__new__
 
@@ -78,17 +87,25 @@ class VectorField:
         )
 
     def apply(self, f: RingElement) -> RingElement:
-        """Directional derivative X(f)."""
+        """Directional derivative X(f) = sum_i X^i d_i f."""
         if f.chart is not self.chart and f.chart != self.chart:
             raise ChartMismatchError("function over a different chart")
-        total = RingElement.zero(self.chart)
+        return sum_of_products(self.chart, self._derivative_pairs(f, 1))
+
+    def _derivative_pairs(self, f: RingElement, sign: int) -> Pairs:
+        """(sign, X^i, d_i f) for each coordinate where both factors are
+        nonzero, the pairs of sign * X(f); none when f is constant, which
+        is differentiated in no coordinate."""
+        if f.is_constant():
+            return []
+        pairs = []
         for name, comp in zip(self.chart.names, self.components):
             if comp.is_zero:
                 continue
             derivative = f.partial(name)
             if not derivative.is_zero:
-                total = total + comp * derivative
-        return total
+                pairs.append((sign, comp, derivative))
+        return pairs
 
     def conj(self) -> "VectorField":
         return VectorField._of_valid(self.chart, tuple(c.conj() for c in self.components))
@@ -114,11 +131,14 @@ class VectorField:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y] with components X(Y^i) - Y(X^i)."""
+    """[X, Y] with components X(Y^i) - Y(X^i), each one sum of products."""
     _same_chart(x.chart, y.chart)
     return VectorField._of_valid(
         x.chart,
-        tuple(x.apply(yc) - y.apply(xc) for xc, yc in zip(x.components, y.components)),
+        tuple(
+            sum_of_products(x.chart, x._derivative_pairs(yc, 1) + y._derivative_pairs(xc, -1))
+            for xc, yc in zip(x.components, y.components)
+        ),
     )
 
 
@@ -143,6 +163,17 @@ def _merge_sign(left: Index, right: Index) -> tuple[Index, int]:
         sign *= (-1) ** (len(merged) - pos)
         merged.insert(pos, r)
     return tuple(merged), sign
+
+
+def _sum_groups(chart: Chart, groups: dict[Index, Pairs]) -> dict[Index, RingElement]:
+    """One sum of products per output index, leaving out the sums that
+    cancel."""
+    out = {}
+    for idx, pairs in groups.items():
+        total = sum_of_products(chart, pairs)
+        if not total.is_zero:
+            out[idx] = total
+    return out
 
 
 def _accumulate(out: dict[Index, RingElement], idx: Index, coeff: RingElement) -> None:
@@ -249,7 +280,7 @@ class DiffForm:
 
     @property
     def is_real(self) -> bool:
-        return self == self.conj()
+        return all(c.is_real for c in self.terms.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffForm):
@@ -264,29 +295,34 @@ class DiffForm:
 
     # --- the calculus ------------------------------------------------------
     #
-    # Each result is built canonical: a product of nonzero coefficients is
-    # nonzero (the function ring is an integral domain), merged indices
-    # stay sorted and inside the chart, and _accumulate deletes a
-    # coefficient where it cancels.
+    # Each result is built canonical: merged indices stay sorted and
+    # inside the chart, and a coefficient that cancels is left out where
+    # it cancels (by _sum_groups or _accumulate).  Wedge and interior
+    # collect their signed products by output index and sum each index's
+    # products in one sum_of_products call.
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
         _same_chart(self.chart, other.chart)
-        out: dict[Index, RingElement] = {}
+        groups: dict[Index, Pairs] = {}
         for i1, c1 in self.terms.items():
             for i2, c2 in other.terms.items():
                 try:
                     merged, sign = _merge_sign(i1, i2)
                 except ValueError:
                     continue
-                piece = c1 * c2
-                _accumulate(out, merged, piece if sign > 0 else -piece)
-        return DiffForm._of_valid(self.chart, self.degree + other.degree, out)
+                groups.setdefault(merged, []).append((sign, c1, c2))
+        return DiffForm._of_valid(
+            self.chart, self.degree + other.degree, _sum_groups(self.chart, groups)
+        )
 
     def d(self) -> "DiffForm":
-        """Exterior derivative."""
+        """Exterior derivative; a constant coefficient is differentiated
+        in no coordinate."""
         out: dict[Index, RingElement] = {}
         names = self.chart.names
         for idx, coeff in self.terms.items():
+            if coeff.is_constant():
+                continue
             for i in range(self.chart.dim):
                 if i in idx:
                     continue
@@ -302,15 +338,14 @@ class DiffForm:
         _same_chart(self.chart, x.chart)
         if self.degree == 0:
             raise ValidationError("cannot contract a 0-form")
-        out: dict[Index, RingElement] = {}
+        groups: dict[Index, Pairs] = {}
         for idx, coeff in self.terms.items():
             for pos, i in enumerate(idx):
                 comp = x.components[i]
-                if comp.is_zero:
-                    continue
-                piece = comp * coeff
-                _accumulate(out, idx[:pos] + idx[pos + 1 :], -piece if pos % 2 else piece)
-        return DiffForm._of_valid(self.chart, self.degree - 1, out)
+                if not comp.is_zero:
+                    rest = idx[:pos] + idx[pos + 1 :]
+                    groups.setdefault(rest, []).append((-1 if pos % 2 else 1, comp, coeff))
+        return DiffForm._of_valid(self.chart, self.degree - 1, _sum_groups(self.chart, groups))
 
     def lie(self, x: VectorField) -> "DiffForm":
         """Lie derivative along x, computed term by term from the

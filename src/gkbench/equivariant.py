@@ -133,7 +133,9 @@ def cartan_d(eform: EquivariantForm, action: TorusAction) -> EquivariantForm:
 class MomentData:
     """One real one-form and one real invariant function per generator,
     with the functions' differentials dF derived once, on first use (kept
-    in the instance __dict__, so the class has no __slots__)."""
+    in the instance __dict__, so the class has no __slots__);
+    moment_b_transform hands them to its copy, which has the same
+    functions."""
 
     def __init__(
         self, action: TorusAction, one_forms: tuple[DiffForm, ...],
@@ -250,7 +252,10 @@ def moment_b_transform(moment: MomentData, b_field: DiffForm) -> MomentData:
         a + b_field.interior(g)
         for a, g in zip(moment.one_forms, moment.action.generators)
     )
-    return MomentData(moment.action, new_forms, moment.functions)
+    out = MomentData(moment.action, new_forms, moment.functions)
+    # The same functions have the same differentials: hand them over.
+    out.differentials = moment.differentials
+    return out
 
 
 # --- connections and the potential -------------------------------------------

@@ -23,12 +23,19 @@ partial derivative, evaluation) works on the ints and normalizes through
 the one private normalizer, and no operation builds or unpacks a Scalar.
 `evaluate` and `constant_value` build one Scalar for their result, and
 readers outside the kernel see `RingElement.terms`, a view of the same
-terms with Scalar coefficients.  When one factor of a product has a
-single term c*x^e, the other's exponents are shifted by e and its
-triples multiplied by c in one pass (a scale alone when e = 0, and
-nothing at all when the term is the constant one).  Otherwise the
-triples of each pair of terms are multiplied and summed per output
-exponent as plain ints, and each surviving sum is normalized once.
+terms with Scalar coefficients.
+
+The ring has one product loop, `sum_of_products`: the sum of +-x*y over
+a list of pairs of elements, in which the triples of each pair of terms
+are multiplied and summed per output exponent as plain ints, across all
+the pairs, and each surviving sum is normalized once.  A product x*y is
+that sum over one pair, except when one factor has a single term c*x^e:
+then the other's exponents are shifted by e and its triples multiplied
+by c in one pass (a scale alone when e = 0, and nothing at all when the
+term is the constant one).  The exterior calculus (X(f), the Lie
+bracket, interior and wedge products) and the eigen-residual (J - i)u
+hand the loop all the products of one output coefficient at once, so
+no product or partial sum in between is built as an element.
 
 Elements made by the public constructor `RingElement(...)` and by
 `parse_expr` are validated: each exponent has the chart's arity and no
@@ -49,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, prod
 from operator import add as _add
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import ChartMismatchError, ParseError, ValidationError
 
@@ -529,7 +536,7 @@ class RingElement:
         elif len(self._terms) == 1:
             mono, rest = self, other
         else:
-            return RingElement._of_valid(self.chart, _product(self._terms, other._terms))
+            return sum_of_products(self.chart, ((1, self, other),))
         ((shift, c),) = mono._terms.items()
         if any(shift):
             terms = {tuple(map(_add, e, shift)): _times(x, c) for e, x in rest._terms.items()}
@@ -637,7 +644,7 @@ class RingElement:
         return True
 
     def is_constant(self) -> bool:
-        return not any(any(expo) for expo in self._terms)
+        return not any(map(any, self._terms))
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
@@ -695,33 +702,49 @@ class RingElement:
         return f"<{self} over {self.chart}>"
 
 
-def _product(left: dict[Exponent, Triple], right: dict[Exponent, Triple]) -> dict[Exponent, Triple]:
-    """The terms of a product of two elements: the triples of each pair's
-    coefficient product, summed per exponent as ints, then normalized
-    once per exponent whose sum does not cancel.  Two sums with different
+def sum_of_products(
+    chart: Chart, pairs: Iterable[tuple[int, RingElement, RingElement]]
+) -> RingElement:
+    """The sum of sign * x * y over (sign, x, y) in pairs, each sign 1 or
+    -1 and each x and y over the chart: the ring's one product loop.
+
+    The triples of each pair of terms are multiplied and summed per
+    output exponent as plain ints, over every pair at once, and each sum
+    that does not cancel is normalized once.  Two sums with different
     denominators meet over their lcm, so an exponent's denominator is at
-    most the lcm of its pairs' denominators, never their product."""
-    sums: dict[Exponent, list[int]] = {}
-    for e1, (a1, b1, d1) in left.items():
-        for e2, (a2, b2, d2) in right.items():
-            a = a1 * a2 - b1 * b2
-            b = a1 * b2 + b1 * a2
-            d = d1 * d2
-            expo = tuple(map(_add, e1, e2))
-            acc = sums.get(expo)
-            if acc is None:
-                sums[expo] = [a, b, d]
-            elif acc[2] == d:
-                acc[0] += a
-                acc[1] += b
-            else:
-                f = acc[2]
-                g = gcd(f, d)
-                f, d = f // g, d // g
-                acc[0] = acc[0] * d + a * f
-                acc[1] = acc[1] * d + b * f
-                acc[2] *= d
-    return {e: _norm(a, b, d) for e, (a, b, d) in sums.items() if a or b}
+    most the lcm of its pairs' denominators, never their product.  The
+    outer loop runs over the factor with fewer terms, so a constant factor
+    shifts no exponent."""
+    sums: dict[Exponent, Triple] = {}
+    for sign, x, y in pairs:
+        if (x.chart is not chart or y.chart is not chart) and not x.chart == chart == y.chart:
+            raise ChartMismatchError(f"factors over {x.chart} and {y.chart}, not {chart}")
+        left, right = x._terms, y._terms
+        if len(left) > len(right):
+            left, right = right, left
+        for e1, (a1, b1, d1) in left.items():
+            if sign < 0:
+                a1, b1 = -a1, -b1
+            shifted = any(e1)
+            for e2, (a2, b2, d2) in right.items():
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+                d = d1 * d2
+                expo = tuple(map(_add, e1, e2)) if shifted else e2
+                acc = sums.get(expo)
+                if acc is None:
+                    sums[expo] = (a, b, d)
+                    continue
+                p, q, f = acc
+                if f == d:
+                    sums[expo] = (p + a, q + b, d)
+                else:
+                    g = gcd(f, d)
+                    f, d = f // g, d // g
+                    sums[expo] = (p * d + a * f, q * d + b * f, f * d * g)
+    return RingElement._of_valid(
+        chart, {e: _norm(*t) for e, t in sums.items() if t[0] or t[1]}
+    )
 
 
 # --- parser -----------------------------------------------------------

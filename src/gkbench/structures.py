@@ -67,7 +67,6 @@ from .linalg import (
     mat_mul,
     mat_neg,
     mat_sub,
-    mat_vec,
     rank,
     ring_inverse,
     rmat_eval,
@@ -76,7 +75,7 @@ from .linalg import (
     rmat_zeros,
     transpose,
 )
-from .ring import Chart, EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO
+from .ring import Chart, EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, sum_of_products
 
 HALF = Scalar.of(Fraction(1, 2))
 
@@ -323,9 +322,21 @@ class GenStructure:
 
     def residual(self, column: Sequence[RingElement]) -> tuple[RingElement, ...]:
         """(J - i)u on a column u: zero exactly when u lies in the +i
-        eigenbundle."""
+        eigenbundle.  Entry r is one sum of products: J[r][k] * u[k] over
+        the nonzero pairs, and -i * u[r] in the same sum.  A zero column
+        is its own residual."""
+        chart = self.chart
+        support = [(k, u) for k, u in enumerate(column) if not u.is_zero]
+        if not support:
+            return tuple(column)
+        imag = RingElement.constant(chart, IMAG)
         return tuple(
-            x - u.scale(IMAG) for x, u in zip(mat_vec(self.matrix, column), column)
+            sum_of_products(
+                chart,
+                [(1, row[k], u) for k, u in support if not row[k].is_zero]
+                + ([] if column[r].is_zero else [(-1, imag, column[r])]),
+            )
+            for r, row in enumerate(self.matrix)
         )
 
     def at(self, point: EvalPoint) -> StructureAt:

@@ -2,13 +2,17 @@
 
 Each kernel builds its canonical result without intermediate objects:
 a ring element stores its coefficients as normalized (a, b, d) triples,
-the ring multiply sums them per exponent, `partial` scales the triple
-itself, `is_real` compares each term with its conjugate exponent's, a
-ring difference builds no negated copy and the Courant bracket uses its
-Cartan form.  `terms`, the Scalar view of the triples, must round-trip.  Each oracle here is the older construction written out
-in full, and each comparison is of canonical terms, so an unnormalized
-triple, a wrong sign or a lost factor fails it.  Every case is drawn
-over a polynomial chart and a periodic one.
+one sum-of-products loop serves the ring multiply and every sum of
+products above it (X(f), the Lie bracket, interior and wedge products,
+the eigen-residual (J - i)u), `partial` scales the triple itself and is
+never asked for the derivative of a constant, `is_real` compares each
+term with its conjugate exponent's, a ring difference builds no negated
+copy and the Courant bracket uses its Cartan form.  `terms`, the Scalar
+view of the triples, must round-trip.  Each oracle here is the older
+construction written out in full with plain ring `*`, `+` and `-`, and
+each comparison is of canonical terms, so an unnormalized triple, a
+wrong sign or a lost factor fails it.  Every case is drawn over a
+polynomial chart and a periodic one.
 """
 
 from fractions import Fraction
@@ -19,9 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from gkbench import ring
 from gkbench.calculus import DiffForm, VectorField, lie_bracket
+from gkbench.catalog import catalog_names, load_builtin
 from gkbench.errors import ChartMismatchError
-from gkbench.ring import ZERO, RingElement, Scalar, make_chart
-from gkbench.structures import HALF, GenSection, courant_bracket
+from gkbench.linalg import mat_vec
+from gkbench.ring import IMAG, ZERO, RingElement, Scalar, make_chart, sum_of_products
+from gkbench.runner import run_scenario
+from gkbench.scenario import load_scenario
+from gkbench.structures import HALF, GenSection, GenStructure, courant_bracket, zero_twist
 
 POLY = make_chart(*((n, "affine") for n in "abcd"))
 TRIG = make_chart(*((n, "periodic") for n in "pqrs"))
@@ -253,3 +261,278 @@ def test_courant_bracket_is_the_lie_derivative_formula(data):
     )
     assert got.form.terms == want.terms
     assert got.vector == lie_bracket(x, y)
+
+
+# --- the one sum of products -------------------------------------------------
+
+
+@st.composite
+def signed_pairs(draw, chart):
+    """Up to four (sign, x, y) triples whose factors meet on exponents."""
+    count = draw(st.integers(0, 4))
+    return [
+        (draw(st.sampled_from((1, -1))), draw(elements(chart)), draw(elements(chart)))
+        for _ in range(count)
+    ]
+
+
+def scalar_loop_sum(chart, pairs):
+    """The terms of the sum of sign * x * y, each pair's product taken by
+    the Scalar loop and the products summed with Scalar `+` and `-`."""
+    out = {}
+    for sign, x, y in pairs:
+        for expo, c in scalar_loop_product(x, y).items():
+            cur = out.get(expo, ZERO)
+            out[expo] = cur + c if sign > 0 else cur - c
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_sum_of_products_is_the_scalar_loop(data):
+    """Drawn pairs, then the same pairs with each product cancelled by its
+    negation, which must leave nothing."""
+    chart = data.draw(charts)
+    pairs = data.draw(signed_pairs(chart))
+    total = sum_of_products(chart, pairs)
+    assert total.terms == scalar_loop_sum(chart, pairs)
+    assert_canonical(total)
+    assert sum_of_products(chart, pairs + [(-s, y, x) for s, x, y in pairs]).is_zero
+
+
+def test_sum_of_products_cancels_across_mixed_denominators():
+    chart = POLY
+    a, b = RingElement.coordinate(chart, "a"), RingElement.coordinate(chart, "b")
+
+    def const(re, im=0):
+        return RingElement.constant(chart, Scalar.of(re, im))
+
+    half, third, sixth = const(Fraction(1, 2)), const(Fraction(1, 3)), const(Fraction(5, 6))
+    # a^2/2 + a^2/3 - 5a^2/6 = 0, though no two denominators agree.
+    pairs = [(1, half * a, a), (1, third * a, a), (-1, sixth * a, a)]
+    assert sum_of_products(chart, pairs).is_zero
+    # (a + i/2)(a - i/2) - a^2 = 1/4, and the i*a terms cancel between pairs.
+    i_half = const(0, Fraction(1, 2))
+    total = sum_of_products(chart, [(1, a + i_half, a - i_half), (-1, a, a)])
+    assert total.terms == {(0,) * 4: Scalar.of(Fraction(1, 4))}
+    # 3/4 * 2/3 b + 1/6 * 3 b = b: the unnormalized 6/12 b and 3/6 b meet
+    # over the lcm 12, and 12/12 normalizes to 1.
+    pairs = [
+        (1, const(Fraction(3, 4)), const(Fraction(2, 3)) * b),
+        (1, const(Fraction(1, 6)), b.scale(Scalar.of(3))),
+    ]
+    total = sum_of_products(chart, pairs)
+    assert total == b
+    assert_canonical(total)
+    assert sum_of_products(chart, []) == RingElement.zero(chart)
+    with pytest.raises(ChartMismatchError):
+        sum_of_products(chart, [(1, a, RingElement.one(TRIG))])
+
+
+# --- the calculus and the residual, written with ring *, + and - -------------
+
+
+def plain_apply(x, f):
+    """X(f) as the sum over i of X^i * d_i f."""
+    total = RingElement.zero(x.chart)
+    for name, comp in zip(x.chart.names, x.components):
+        total = total + comp * f.partial(name)
+    return total
+
+
+def accumulate(out, idx, coeff):
+    cur = out.get(idx)
+    total = coeff if cur is None else cur + coeff
+    if total.is_zero:
+        out.pop(idx, None)
+    else:
+        out[idx] = total
+
+
+def loop_interior(form, x):
+    """i_X w, one product and one sum per term and slot; slot pos of the
+    index carries the sign (-1)^pos."""
+    out = {}
+    for idx, coeff in form.terms.items():
+        for pos, i in enumerate(idx):
+            piece = x.components[i] * coeff
+            if not piece.is_zero:
+                accumulate(out, idx[:pos] + idx[pos + 1 :], -piece if pos % 2 else piece)
+    return out
+
+
+def sorted_sign(left, right):
+    """The sorted union of two disjoint increasing indices and the sign of
+    the shuffle, (-1) to the number of pairs out of order; None when they
+    share an index."""
+    if set(left) & set(right):
+        return None, 0
+    inversions = sum(1 for i in left for j in right if i > j)
+    return tuple(sorted(left + right)), -1 if inversions % 2 else 1
+
+
+def loop_wedge(v, w):
+    out = {}
+    for i1, c1 in v.terms.items():
+        for i2, c2 in w.terms.items():
+            merged, sign = sorted_sign(i1, i2)
+            if merged is not None:
+                piece = c1 * c2
+                accumulate(out, merged, piece if sign > 0 else -piece)
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_apply_is_the_sum_over_coordinates(data):
+    chart = data.draw(charts)
+    x = data.draw(fields(chart))
+    for f in (data.draw(elements(chart, 4)), data.draw(singles(chart)), RingElement.one(chart)):
+        got = x.apply(f)
+        assert got.terms == plain_apply(x, f).terms
+        assert_canonical(got)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_lie_bracket_is_the_difference_of_derivatives(data):
+    chart = data.draw(charts)
+    x, y = data.draw(fields(chart)), data.draw(fields(chart))
+    got = lie_bracket(x, y)
+    for c, xc, yc in zip(got.components, x.components, y.components):
+        assert c.terms == (x.apply(yc) - y.apply(xc)).terms
+        assert_canonical(c)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_interior_is_the_product_loop(data):
+    chart = data.draw(charts)
+    x = data.draw(fields(chart))
+    for degree in (1, 2, 3):
+        form = data.draw(forms(chart, degree))
+        got = form.interior(x)
+        assert got.degree == degree - 1
+        assert got.terms == loop_interior(form, x)
+        for c in got.terms.values():
+            assert not c.is_zero
+            assert_canonical(c)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_wedge_is_the_product_loop(data):
+    chart = data.draw(charts)
+    for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        v, w = data.draw(forms(chart, p)), data.draw(forms(chart, q))
+        got = v.wedge(w)
+        assert got.degree == p + q
+        assert got.terms == loop_wedge(v, w)
+        for c in got.terms.values():
+            assert not c.is_zero
+            assert_canonical(c)
+
+
+@st.composite
+def entries(draw, chart):
+    """A ring entry that is zero half of the time."""
+    return draw(st.one_of(st.just(RingElement.zero(chart)), elements(chart, 2)))
+
+
+def plain_residual(struct, column):
+    """(J - i)u as J times u, less i times u."""
+    return tuple(r - u.scale(IMAG) for r, u in zip(mat_vec(struct.matrix, column), column))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_residual_is_the_matrix_product_less_i_u(data):
+    """Over a two-coordinate chart, with any matrix and column (the
+    residual reads nothing of J's algebra), and a column of zeros."""
+    kinds = data.draw(st.sampled_from(("affine", "periodic")))
+    chart = make_chart(("s", kinds), ("t", kinds))
+    size = 2 * chart.dim
+    matrix = tuple(tuple(data.draw(entries(chart)) for _ in range(size)) for _ in range(size))
+    struct = GenStructure(chart, matrix, zero_twist(chart))
+    zero = RingElement.zero(chart)
+    for column in (tuple(data.draw(entries(chart)) for _ in range(size)), (zero,) * size):
+        got = struct.residual(column)
+        assert [r.terms for r in got] == [r.terms for r in plain_residual(struct, column)]
+        for r in got:
+            assert_canonical(r)
+
+
+def test_residual_on_catalog_frames():
+    """Every builtin structure's +i frame has zero residual, and i times a
+    frame column, which lies in the -i eigenbundle when J is real, has
+    the residual the plain product gives."""
+    runs = 0
+    for name in catalog_names():
+        for struct in load_builtin(name).structures.values():
+            for u in struct.plus_i_frame:
+                column = u.column()
+                assert all(r.is_zero for r in struct.residual(column))
+                conj = tuple(c.conj() for c in column)
+                want = plain_residual(struct, conj)
+                assert [r.terms for r in struct.residual(conj)] == [r.terms for r in want]
+                runs += 1
+    assert runs
+
+
+# --- no constant is differentiated ---------------------------------------------
+
+
+def kahler_c3_circle():
+    """Flat Kahler C^3 with its symplectic and complex structures and the
+    diagonal circle action, reduced at |z|^2 = 1, with every check a
+    symbolic closure pass runs."""
+    names = [f"{axis}{j}" for j in (1, 2, 3) for axis in "xy"]
+    jmat = [["0"] * 6 for _ in range(6)]
+    for j in range(3):
+        jmat[2 * j][2 * j + 1], jmat[2 * j + 1][2 * j] = "-1", "1"
+    point = dict.fromkeys(names, "0")
+    return {
+        "name": "kahler_c3_circle",
+        "chart": [[name, "affine"] for name in names],
+        "structures": {
+            "j1": {
+                "kind": "symplectic",
+                "two_form": [{"coeff": "1", "frame": [f"x{j}", f"y{j}"]} for j in (1, 2, 3)],
+            },
+            "j2": {"kind": "complex", "matrix": jmat},
+        },
+        "pair": ["j1", "j2"],
+        "action": [[c for j in (1, 2, 3) for c in (f"-y{j}", f"x{j}")]],
+        "moment": {
+            "structure": "j1",
+            "functions": [" + ".join(f"1/2*x{j}^2 + 1/2*y{j}^2" for j in (1, 2, 3))],
+        },
+        "level": ["1/2"],
+        "points": [{"name": "p", "values": {**point, "x1": "3/5", "y2": "4/5"}}],
+        "checks": [
+            "algebraic", "integrability", "type", "gk_pair", "moment", "equivariant",
+            "level_closure",
+        ],
+        "expected": {"types": {"j1": 0, "j2": 3}},
+    }
+
+
+def test_no_constant_is_differentiated(monkeypatch):
+    """Across every builtin scenario and a Kahler C^3 closure pass, loading
+    included, `partial` is asked for no derivative of a constant."""
+    real = RingElement.partial
+    calls, constants = [0], []
+
+    def partial(self, name):
+        calls[0] += 1
+        if self.is_constant():
+            constants.append(str(self))
+        return real(self, name)
+
+    monkeypatch.setattr(RingElement, "partial", partial)
+    scenarios = [load_builtin(name) for name in catalog_names()]
+    for scen in scenarios + [load_scenario(kahler_c3_circle())]:
+        verdicts, _ = run_scenario(scen)
+        assert all(v.status in ("pass", "skipped") for v in verdicts), scen.name
+    assert calls[0] > 0
+    assert constants == []
