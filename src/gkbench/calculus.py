@@ -176,14 +176,18 @@ def _sum_groups(chart: Chart, groups: dict[Index, Pairs]) -> dict[Index, RingEle
     return out
 
 
-def _accumulate(out: dict[Index, RingElement], idx: Index, coeff: RingElement) -> None:
-    """Add a nonzero coefficient into out[idx], deleting the key when the
-    sum cancels, so that out never holds a zero coefficient."""
+def _accumulate(
+    out: dict[Index, RingElement], idx: Index, coeff: RingElement, sign: int = 1
+) -> None:
+    """Add sign * coeff, for a nonzero coeff and a sign of 1 or -1, into
+    out[idx], deleting the key when the sum cancels, so that out never
+    holds a zero coefficient.  Only a coefficient that meets no other
+    is negated; where two meet, the ring difference takes the sign."""
     cur = out.get(idx)
     if cur is None:
-        out[idx] = coeff
+        out[idx] = coeff if sign > 0 else -coeff
     else:
-        coeff = cur + coeff
+        coeff = cur + coeff if sign > 0 else cur - coeff
         if coeff.is_zero:
             del out[idx]
         else:
@@ -242,20 +246,24 @@ class DiffForm:
     # --- linear structure --------------------------------------------------
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
+        return self._signed_sum(other, 1)
+
+    def __sub__(self, other: "DiffForm") -> "DiffForm":
+        return self._signed_sum(other, -1)
+
+    def _signed_sum(self, other: "DiffForm", sign: int) -> "DiffForm":
+        """self + sign * other, one merge for the sum and the difference."""
         _same_chart(self.chart, other.chart)
         if self.degree != other.degree:
             raise ValidationError("cannot add forms of different degree")
         if not other.terms:
             return self
-        if not self.terms:
+        if not self.terms and sign > 0:
             return other
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
-            _accumulate(out, idx, coeff)
+            _accumulate(out, idx, coeff, sign)
         return DiffForm._of_valid(self.chart, self.degree, out)
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (-other)
 
     def __neg__(self) -> "DiffForm":
         return DiffForm._of_valid(
@@ -330,7 +338,7 @@ class DiffForm:
                 if dcoeff.is_zero:
                     continue
                 merged, sign = _merge_sign((i,), idx)
-                _accumulate(out, merged, dcoeff if sign > 0 else -dcoeff)
+                _accumulate(out, merged, dcoeff, sign)
         return DiffForm._of_valid(self.chart, self.degree + 1, out)
 
     def interior(self, x: VectorField) -> "DiffForm":

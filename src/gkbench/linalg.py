@@ -1,11 +1,13 @@
 """Exact linear algebra over Gaussian rationals and over the function ring.
 
 A matrix is a tuple of row tuples.  One set of arithmetic helpers --
-mat, transpose, mat_sub, mat_neg, mat_mul and mat_vec -- serves both
-entry types: Scalar entries at a point and RingElement entries over a
-chart.  They use only +, -, *, unary minus and is_zero, so no helper
+mat, transpose, mat_add, mat_sub, mat_neg, mat_mul and mat_vec -- serves
+both entry types: Scalar entries at a point and RingElement entries over
+a chart.  They use only +, -, *, unary minus and is_zero, so no helper
 branches on the entry type.  Matrix identities are stated with ==,
-since both entry types are canonical.
+since both entry types are canonical, or entrywise (is_scalar_matrix,
+is_skew) where the other side would be a negated matrix built only to
+be compared.
 
 The matrices of a reduction are mostly zeros (padded vectors, the
 pairing, [B | Id], diagonal eigenvalue matrices), so the kernel works on
@@ -21,7 +23,7 @@ so ring results are built in a fixed order.
 Scalar matrices also get the elimination toolkit, built on one
 Gauss-Jordan pivot loop that scales the pivot row and clears the other
 rows only at the pivot row's support, which lies right of the pivot:
-rref, rank, nullspace and inversion read its reduced rows and pivot
+rref, rank, nullspace and solve read its reduced rows and pivot
 columns, det reads its pivot values and row-swap flags, and the subspace
 helpers (canonical bases, equality, greedy extension) sit on those.
 The Sylvester test on real symmetric matrices reads its leading minors
@@ -70,12 +72,34 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
+
+
+def is_scalar_matrix(m: Matrix, value: Entry) -> bool:
+    """Whether the square matrix m is value times the identity."""
+    return all(
+        x == value if i == j else x.is_zero
+        for i, row in enumerate(m)
+        for j, x in enumerate(row)
+    )
+
+
+def is_skew(m: Matrix) -> bool:
+    """Whether the square matrix m equals minus its transpose, read on
+    and above the diagonal: m[i][i] + m[i][i] vanishes only when
+    m[i][i] does."""
+    return all(
+        (m[i][j] + m[j][i]).is_zero for i in range(len(m)) for j in range(i, len(m))
+    )
 
 
 def _support(v: Sequence[Entry]) -> tuple[Entry | None, list[tuple[int, Entry]]]:
@@ -233,11 +257,13 @@ def det(m: Mat) -> Scalar:
     return out
 
 
-def inverse(m: Mat) -> Mat:
-    n = len(m)
-    eye = identity(n)
-    reduced, pivots = rref(tuple(row + e for row, e in zip(m, eye)))
-    if pivots != tuple(range(n)):
+def solve(a: Mat, b: Mat) -> Mat:
+    """The X with a X = b, for a square nonsingular a: one elimination
+    of [a | b], whose pivots are the columns of a exactly when a is
+    nonsingular, leaves X as the right half."""
+    n = len(a)
+    reduced, pivots = rref(tuple(ra + rb for ra, rb in zip(a, b)))
+    if pivots[:n] != tuple(range(n)):
         raise ValidationError("matrix is singular")
     return tuple(row[n:] for row in reduced)
 

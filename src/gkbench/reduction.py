@@ -16,12 +16,14 @@ read off the same way.
 
 FiberData is the one quotient type: lifts of a quotient basis, the
 subspace W-perp it is divided by and the induced pairing.  W is never
-built: it is the span of the lifts and W-perp, and one change of basis
-per quotient -- a single elimination giving the inverse of the lifts
-and W-perp completed to a basis of the fiber -- decides membership in W
-and gives every quotient coordinate as one product.  The one-step
-quotient at a point and both stages of the two-step factorization are
-FiberData values.
+built: it is the span of the lifts and W-perp.  There is one change of
+basis per quotient -- a single elimination giving the inverse of the
+lifts and W-perp completed to a basis of the fiber -- which decides
+membership in W and gives every quotient coordinate as one product,
+and one elimination per push-down, which meets a subspace with W and
+gives the canonical basis of its image.  A reduced structure is one
+solve of its eigenvector equations.  The one-step quotient at a point
+and both stages of the two-step factorization are FiberData values.
 
 The one-step Dirac quotient, an independent two-step factorization
 (first the moment directions, then the group directions) with an explicit
@@ -86,19 +88,19 @@ from .linalg import (
     Vec,
     extend_basis,
     identity,
-    inverse,
     is_positive_definite,
+    is_scalar_matrix,
     mat,
+    mat_add,
     mat_conj,
     mat_mul,
-    mat_neg,
-    mat_sub,
     mat_vec,
     nullspace,
     rank,
     rmat_eval,
     row_space_basis,
     rref,
+    solve,
     span_eq,
     transpose,
 )
@@ -191,23 +193,29 @@ class FiberData:
 
 def _push_down(rows: Sequence[Vec], quot: FiberData) -> tuple[int, tuple[Vec, ...]]:
     """The dimension of the meet of span(rows) with W, for independent
-    rows, and the canonical basis of its image in the quotient.
+    rows, and the canonical basis of its image in the quotient: one
+    change of basis per quotient, one elimination per push-down.
 
-    One product with the change of basis per row decides both: a
-    combination of the rows lies in W exactly when the same combination
-    of their unit-vector coordinates vanishes, and its quotient image is
-    the same combination of their lift coordinates.  When W is the whole
-    fiber there are no unit-vector coordinates and every combination
-    lies in W.
+    A combination of the rows lies in W exactly when the same
+    combination of their unit-vector coordinates (outside W) vanishes,
+    and its quotient image is the same combination of their lift
+    coordinates (the heads).  One elimination of the rows written as
+    outside coordinates, then heads, decides both: the pivots in the
+    outside columns span the outside part, so the meet has dimension the
+    number of rows less theirs, and the reduced rows pivoting in the
+    head columns vanish outside W and span the meet's image, their heads
+    in reduced form, which is the canonical basis of that image.  When W
+    is the whole fiber there are no outside columns.
     """
     lead = len(quot.lifts)
     cut = lead + len(quot.wperp)
-    xs = [mat_vec(quot._change_of_basis, v) for v in rows]
-    heads = mat([x[:lead] for x in xs])
-    outside = transpose(mat([x[cut:] for x in xs]))
-    if outside:
-        heads = mat_mul(nullspace(outside), heads)
-    return len(heads), row_space_basis(heads)
+    width = 2 * quot.n - cut  # the number of outside coordinates
+    # The W-perp coordinates take no part, so they are not computed.
+    picked = quot._change_of_basis[cut:] + quot._change_of_basis[:lead]
+    reduced, pivots = rref(tuple(mat_vec(picked, v) for v in rows))
+    outside = sum(1 for c in pivots if c < width)
+    heads = tuple(reduced[r][width:] for r in range(outside, len(pivots)))
+    return len(rows) - outside, heads
 
 
 def fiber_data(
@@ -308,13 +316,14 @@ def reduced_type(red: ReducedFiber) -> int:
 
 
 def _eigen_matrix(plus: Sequence[Vec], minus: Sequence[Vec], value: Scalar) -> Mat:
-    """The matrix acting as value on span(plus) and as -value on
-    span(minus): U diag U^-1 with the rows of plus and minus as the
-    columns of U."""
-    u_cols = transpose(mat(tuple(plus) + tuple(minus)))
+    """The matrix J acting as value on span(plus) and as -value on
+    span(minus): with the rows of plus and minus as the columns of U and
+    D the diagonal of values, J U = U D, so J^T is the solution X of
+    U^T X = (U D)^T, whose rows are the given rows, scaled."""
+    rows = mat(tuple(plus) + tuple(minus))
     values = [value] * len(plus) + [-value] * len(minus)
-    scaled = tuple(tuple(x * v for x, v in zip(row, values)) for row in u_cols)
-    return mat_mul(scaled, inverse(u_cols))
+    scaled = tuple(tuple(x * v for x in row) for row, v in zip(rows, values))
+    return transpose(solve(rows, scaled))
 
 
 def _structure_from_eigenrows(rows: Sequence[Vec]) -> Mat:
@@ -443,8 +452,10 @@ def gk_reduce(
     n, m = fiber.n, fiber.m
     if m == 0:
         return GkReducedFiber((), (), ())
-    g_big = mat_neg(mat_mul(j1.at(point).matrix, j2.at(point).matrix))
-    c_plus = nullspace(mat_sub(g_big, identity(2 * n)))
+    # C+, where -J1 J2 = Id, is the kernel of J1 J2 + Id.
+    c_plus = nullspace(
+        mat_add(mat_mul(j1.at(point).matrix, j2.at(point).matrix), identity(2 * n))
+    )
     if len(c_plus) != n:
         raise ValidationError(
             f"the +1 eigenspace of the product operator has dimension "
@@ -470,7 +481,7 @@ def gk_reduce(
     jmat2 = mat_mul(red1.jmat, g_tilde)
     # As J1^2 = -Id and G~^2 = Id, J2^2 = -Id says J1 G~ = G~ J1, which gives
     # J1 J2 = J2 J1 and -J1 J2 = G~; G~ is gram_q-self-adjoint, C- being C+-perp.
-    if mat_mul(jmat2, jmat2) != mat_neg(identity(2 * m)):
+    if not is_scalar_matrix(mat_mul(jmat2, jmat2), -ONE):
         raise ValidationError("reduced second structure does not square to -Id")
     # A real C+ is positive, so C- is negative (gram_q has signature (m, m)) and
     # the metric gram_q.G~ positive definite; a non-real partner may break it.

@@ -44,7 +44,7 @@ from .equivariant import (
     moment_b_transform,
 )
 from .errors import ValidationError
-from .linalg import inverse, mat_mul, rmat_eval
+from .linalg import mat_mul, rmat_eval
 from .reduction import (
     FiberData,
     GkReducedFiber,
@@ -232,7 +232,8 @@ def _reduction_commutes(moved: GenStructure, beta: DiffForm, red: ReducedFiber) 
     if not fiber.m:
         return not reduced
     carrier = descend_endomorphism(rmat_eval(b_exponential(beta), fiber.point), fiber)
-    return reduced == mat_mul(carrier, mat_mul(red.jmat, inverse(carrier)))
+    # carrier is invertible (the descent of e^-beta inverts it), so no inverse is formed.
+    return mat_mul(reduced, carrier) == mat_mul(carrier, red.jmat)
 
 
 def _each_structure(

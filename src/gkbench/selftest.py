@@ -15,10 +15,10 @@ import random
 from itertools import combinations, product
 from typing import Any, Callable
 
-from .calculus import ChartMap, DiffForm, VectorField, lie_bracket, wedge_all
+from .calculus import ChartMap, DiffForm, VectorField, lie_bracket
 from .catalog import catalog_names, load_builtin
 from .report import build_report, report_passed
-from .ring import Chart, EvalPoint, RingElement, Scalar, make_chart, parse_expr
+from .ring import Chart, EvalPoint, RingElement, Scalar, make_chart, parse_expr, sum_of_products
 from .runner import run_scenario
 from .structures import (
     GenSection,
@@ -43,14 +43,25 @@ _MONOMIALS = {
 
 _CHARTS = (_PLANE, _TUBE)
 
+# The constants -3 to 3, built once; a draw of c picks _CONSTANTS[chart][c + 3].
+_CONSTANTS = {
+    chart: tuple(RingElement.constant(chart, Scalar.of(c)) for c in range(-3, 4))
+    for chart in _CHARTS
+}
+
 
 def _rand_field(rng: random.Random, chart: Chart) -> RingElement:
+    """Two or three terms, each a constant from -3 to 3 times a drawn
+    monomial, summed in one call."""
     mons = _MONOMIALS[chart]
-    out = RingElement.zero(chart)
-    for _ in range(rng.randrange(2, 4)):
-        c = rng.randrange(-3, 4)
-        out = out + rng.choice(mons).scale(Scalar.of(c))
-    return out
+    consts = _CONSTANTS[chart]
+    return sum_of_products(
+        chart,
+        (
+            (1, consts[rng.randrange(-3, 4) + 3], rng.choice(mons))
+            for _ in range(rng.randrange(2, 4))
+        ),
+    )
 
 
 def _rand_vector(rng: random.Random, chart: Chart) -> VectorField:
@@ -60,13 +71,12 @@ def _rand_vector(rng: random.Random, chart: Chart) -> VectorField:
 
 
 def _rand_form(rng: random.Random, chart: Chart, degree: int) -> DiffForm:
-    if degree == 0:
-        return DiffForm.function(_rand_field(rng, chart))
-    out = DiffForm.zero(chart, degree)
-    for names in combinations(chart.names, degree):
-        basis = wedge_all([DiffForm.d_coord(chart, n) for n in names])
-        out = out + basis.scale(_rand_field(rng, chart))
-    return out
+    """A drawn field on every basis form, in increasing index order."""
+    return DiffForm(
+        chart,
+        degree,
+        {idx: _rand_field(rng, chart) for idx in combinations(range(chart.dim), degree)},
+    )
 
 
 def _rand_section(rng: random.Random, chart: Chart) -> GenSection:

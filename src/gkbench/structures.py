@@ -63,6 +63,8 @@ from .linalg import (
     Vec,
     extend_basis,
     is_positive_definite,
+    is_scalar_matrix,
+    is_skew,
     mat,
     mat_mul,
     mat_neg,
@@ -362,8 +364,9 @@ class GenStructure:
     def squares_to_minus_one(self) -> bool:
         """J^2 = -Id, which is also P^2 = P for P = (Id - iJ)/2:
         P^2 - P = -(J^2 + Id)/4."""
-        minus_one = mat_neg(rmat_identity(self.chart, 2 * self.dim))
-        return mat_mul(self.matrix, self.matrix) == minus_one
+        return is_scalar_matrix(
+            mat_mul(self.matrix, self.matrix), -RingElement.one(self.chart)
+        )
 
     @cached_property
     def algebraic(self) -> tuple[bool, str]:
@@ -380,7 +383,7 @@ class GenStructure:
             return False, "matrix does not square to minus the identity"
         n = self.dim
         swapped = self.matrix[n:] + self.matrix[:n]
-        if swapped != mat_neg(transpose(swapped)):
+        if not is_skew(swapped):
             return False, "matrix does not preserve the pairing"
         return True, "real, squares to -Id, preserves the pairing"
 
@@ -443,7 +446,7 @@ def complex_structure(jmat: RMat, chart: Chart, twist: DiffForm | None = None) -
     n = chart.dim
     if len(jmat) != n or any(len(r) != n for r in jmat):
         raise ValidationError("J must be n x n")
-    if mat_mul(jmat, jmat) != mat_neg(rmat_identity(chart, n)):
+    if not is_scalar_matrix(mat_mul(jmat, jmat), -RingElement.one(chart)):
         raise ValidationError("J does not square to minus the identity")
     matrix = _block(
         mat_neg(jmat),
@@ -679,12 +682,12 @@ def check_gk_pair(
     prod = mat_mul(j1.matrix, j2.matrix)
     if prod != mat_mul(j2.matrix, j1.matrix):
         return False, "structures do not commute"
-    g_op = mat_neg(prod)
-    if mat_mul(g_op, g_op) != rmat_identity(chart, 2 * chart.dim):
+    # G = -J1 J2 squares to Id exactly when J1 J2 does.
+    if not is_scalar_matrix(mat_mul(prod, prod), RingElement.one(chart)):
         return False, "product operator does not square to the identity"
     # The pairing matrix times G: half of G with its row halves swapped.
     n = chart.dim
-    metric = rmat_scale(g_op[n:] + g_op[:n], HALF)
+    metric = rmat_scale(prod[n:] + prod[:n], -HALF)
     if metric != transpose(metric):
         return False, "product metric is not symmetric"
     if not points:

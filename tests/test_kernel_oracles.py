@@ -1,4 +1,4 @@
-"""The ring and calculus kernels against the plain formulas they replace.
+"""The ring, calculus and reduction kernels against the plain formulas they replace.
 
 Each kernel builds its canonical result without intermediate objects:
 a ring element stores its coefficients as normalized (a, b, d) triples,
@@ -13,23 +13,57 @@ construction written out in full with plain ring `*`, `+` and `-`, and
 each comparison is of canonical terms, so an unnormalized triple, a
 wrong sign or a lost factor fails it.  Every case is drawn over a
 polynomial chart and a periodic one.
+
+The reduction's kernels are held to their older constructions the same
+way: a push-down against a nullspace, a product and a canonical basis,
+`solve` and each reduced structure against a formed inverse, the
+basic-transform test against conjugation by the inverse, the matrix
+comparisons against negated matrices, a form difference against adding
+the negation, and the identity suite's drawn forms against the wedges
+and sums it once built them from.  The reduction oracles run on drawn
+inputs and on every call a catalog pass makes.
 """
 
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gkbench import ring
-from gkbench.calculus import DiffForm, VectorField, lie_bracket
+from gkbench import reduction, ring, runner, selftest
+from gkbench.calculus import DiffForm, VectorField, lie_bracket, wedge_all
 from gkbench.catalog import catalog_names, load_builtin
-from gkbench.errors import ChartMismatchError
-from gkbench.linalg import mat_vec
-from gkbench.ring import IMAG, ZERO, RingElement, Scalar, make_chart, sum_of_products
-from gkbench.runner import run_scenario
+from gkbench.errors import ChartMismatchError, ValidationError
+from gkbench.linalg import (
+    identity,
+    is_scalar_matrix,
+    is_skew,
+    mat,
+    mat_mul,
+    mat_neg,
+    mat_vec,
+    nullspace,
+    rank,
+    rmat_eval,
+    row_space_basis,
+    rref,
+    solve,
+    transpose,
+)
+from gkbench.reduction import _push_down, descend_endomorphism, dirac_reduce
+from gkbench.ring import IMAG, ONE, ZERO, RingElement, Scalar, make_chart, sum_of_products
+from gkbench.runner import Workspace, run_scenario
 from gkbench.scenario import load_scenario
-from gkbench.structures import HALF, GenSection, GenStructure, courant_bracket, zero_twist
+from gkbench.structures import (
+    HALF,
+    GenSection,
+    GenStructure,
+    b_exponential,
+    courant_bracket,
+    zero_twist,
+)
 
 POLY = make_chart(*((n, "affine") for n in "abcd"))
 TRIG = make_chart(*((n, "periodic") for n in "pqrs"))
@@ -536,3 +570,310 @@ def test_no_constant_is_differentiated(monkeypatch):
         assert all(v.status in ("pass", "skipped") for v in verdicts), scen.name
     assert calls[0] > 0
     assert constants == []
+
+
+# --- the form difference -----------------------------------------------------------
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_form_difference_is_adding_the_negation(data):
+    """`DiffForm.__sub__` merges with a sign and negates only the
+    coefficients that meet nothing; the oracle negates the whole form
+    first.  The pairs include a form less itself, less a form sharing
+    some of its terms, and less zero, so keys cancel and survive."""
+    chart = data.draw(charts)
+    degree = data.draw(st.integers(0, 3))
+    a, b = data.draw(forms(chart, degree)), data.draw(forms(chart, degree))
+    zero = DiffForm.zero(chart, degree)
+    for p, q in ((a, b), (b, a), (a, a), (a + b, a), (a, a + b), (a, zero), (zero, b)):
+        got = p - q
+        assert got == p + (-q)
+        for coeff in got.terms.values():
+            assert not coeff.is_zero
+            assert_canonical(coeff)
+    assert (a - a).is_zero
+
+
+def test_form_difference_cancels_key_by_key():
+    dx, dy = (DiffForm.d_coord(POLY, n) for n in "ab")
+    f = RingElement.coordinate(POLY, "c")
+    a = dx.scale(f) + dy
+    b = dx.scale(f) - dy.scale(Scalar.of(2))
+    got = a - b
+    assert got.terms == {(1,): RingElement.constant(POLY, Scalar.of(3))}
+    assert got == a + (-b)
+
+
+# --- entrywise matrix comparisons ----------------------------------------------------
+
+
+@st.composite
+def square_scalar_matrices(draw):
+    """A small square matrix over Gaussian integers, often skew or a
+    multiple of the identity, so that both tests see both verdicts."""
+    size = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    m = [[Scalar.of(draw(small), draw(small)) for _ in range(size)] for _ in range(size)]
+    shape = draw(st.sampled_from(("any", "skew", "scalar")))
+    if shape == "skew":
+        m = [[m[i][j] - m[j][i] for j in range(size)] for i in range(size)]
+    elif shape == "scalar":
+        c = m[0][0]
+        m = [[c if i == j else ZERO for j in range(size)] for i in range(size)]
+    if draw(st.booleans()):  # one entry moved off the pattern
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        m[i][j] = m[i][j] + Scalar.of(draw(st.sampled_from((1, -1))), draw(small))
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_entrywise_tests_are_comparison_with_negated_matrices(data):
+    """`is_skew` and `is_scalar_matrix` read the entries; the oracles
+    build the negated transpose and the scaled identity and compare,
+    over Scalar entries and over constant ring entries."""
+    m = data.draw(square_scalar_matrices())
+    n = len(m)
+    value = data.draw(st.sampled_from((ONE, -ONE, IMAG, m[0][0])))
+    eye = identity(n)
+    scaled = tuple(tuple(x * value for x in row) for row in eye)
+    assert is_skew(m) == (m == mat_neg(transpose(m)))
+    assert is_scalar_matrix(m, value) == (m == scaled)
+    chart = data.draw(charts)
+
+    def ring(a):
+        return tuple(tuple(RingElement.constant(chart, x) for x in row) for row in a)
+
+    assert is_skew(ring(m)) == (ring(m) == mat_neg(transpose(ring(m))))
+    assert is_scalar_matrix(ring(m), RingElement.constant(chart, value)) == (
+        ring(m) == ring(scaled)
+    )
+
+
+# --- one elimination per push-down, one solve per reduced structure ----------------
+
+
+def inverse_by_rref(m):
+    """The inverse as one elimination of [m | Id], as linalg once had it."""
+    n = len(m)
+    reduced, pivots = rref(tuple(row + e for row, e in zip(m, identity(n))))
+    if pivots != tuple(range(n)):
+        raise ValidationError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def push_down_by_nullspace(rows, quot):
+    """The meet with W and its image as three steps: the combinations of
+    the rows whose outside coordinates vanish (a nullspace), their lift
+    coordinates (a product), and the canonical basis of those."""
+    lead = len(quot.lifts)
+    cut = lead + len(quot.wperp)
+    xs = [mat_vec(quot._change_of_basis, v) for v in rows]
+    heads = mat([x[:lead] for x in xs])
+    outside = transpose(mat([x[cut:] for x in xs]))
+    if outside:
+        heads = mat_mul(nullspace(outside), heads)
+    return len(heads), row_space_basis(heads)
+
+
+def eigen_matrix_by_inverse(plus, minus, value):
+    """U D U^-1, with the rows of plus and minus as the columns of U."""
+    u_cols = transpose(mat(tuple(plus) + tuple(minus)))
+    values = [value] * len(plus) + [-value] * len(minus)
+    scaled = tuple(tuple(x * v for x, v in zip(row, values)) for row in u_cols)
+    return mat_mul(scaled, inverse_by_rref(u_cols))
+
+
+def commutes_by_conjugation(moved, beta, red):
+    """The reduction of moved against red conjugated by the descended
+    e^beta, its inverse formed."""
+    fiber = red.fiber
+    reduced = dirac_reduce(moved, fiber).jmat
+    if not fiber.m:
+        return not reduced
+    carrier = descend_endomorphism(rmat_eval(b_exponential(beta), fiber.point), fiber)
+    return reduced == mat_mul(carrier, mat_mul(red.jmat, inverse_by_rref(carrier)))
+
+
+GAUSSIAN = st.builds(Scalar.of, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def scalar_matrices(draw, rows, cols):
+    return tuple(tuple(draw(GAUSSIAN) for _ in range(cols)) for _ in range(rows))
+
+
+@cache
+def catalog_fibers():
+    """(scenario/point, FiberData) at every catalog point whose reduction
+    data is valid."""
+    out = []
+    for name in catalog_names():
+        ws = Workspace(load_builtin(name))
+        for point in sorted(ws.scen.points):
+            try:
+                out.append((f"{name}/{point}", ws.fiber(point)))
+            except ValidationError:
+                continue
+    return tuple(out)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_push_down_is_the_nullspace_product_on_drawn_rows(data):
+    """Independent rows, some of them in W, over every catalog fiber."""
+    label, fiber = data.draw(st.sampled_from(catalog_fibers()))
+    dim = 2 * fiber.n
+    w = fiber.lifts + fiber.wperp
+    rows = []
+    for _ in range(data.draw(st.integers(1, min(4, dim)))):
+        if data.draw(st.booleans()):
+            rows.append(mat_vec(transpose(mat(w)), [data.draw(GAUSSIAN) for _ in w]))
+        else:
+            rows.append(tuple(data.draw(GAUSSIAN) for _ in range(dim)))
+    assume(rank(mat(rows)) == len(rows))
+    assert _push_down(rows, fiber) == push_down_by_nullspace(rows, fiber), label
+
+
+def run_catalog_comparing(monkeypatch, module, name, oracle):
+    """Run every builtin scenario with module.name replaced by a wrapper
+    that asserts the oracle's answer on each call; returns the calls."""
+    real = getattr(module, name)
+    seen = []
+
+    def compared(*args):
+        got = real(*args)
+        assert got == oracle(*args)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(module, name, compared)
+    for scen in catalog_names():
+        verdicts, _ = run_scenario(load_builtin(scen))
+        assert verdicts
+    return seen
+
+
+def test_push_down_is_the_nullspace_product_on_the_catalog(monkeypatch):
+    """Every push-down a catalog pass makes: each eigenbundle through the
+    one-step quotient and both two-step stages, and each C+ of a pair."""
+    seen = run_catalog_comparing(monkeypatch, reduction, "_push_down", push_down_by_nullspace)
+    assert len(seen) > 50
+    assert any(meet > len(basis) for meet, basis in seen)  # a meet with kernel
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_solve_is_the_inverse_times_b(data):
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(scalar_matrices(n, n))
+    if data.draw(st.booleans()):  # a repeated row: singular
+        a = a[:-1] + a[:1]
+    b = data.draw(scalar_matrices(n, data.draw(st.integers(1, 5))))
+    try:
+        want = mat_mul(inverse_by_rref(a), b)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="matrix is singular"):
+            solve(a, b)
+        return
+    assert solve(a, b) == want
+    assert solve(a, identity(n)) == inverse_by_rref(a)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_eigen_matrix_is_u_d_u_inverse(data):
+    """Drawn eigenvectors, independent or not: the same matrix, or the
+    same refusal."""
+    size = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, size))
+    rows = data.draw(scalar_matrices(size, size))
+    value = data.draw(st.sampled_from((ONE, IMAG, Scalar.of(2, -1))))
+    plus, minus = rows[:k], rows[k:]
+    try:
+        want = eigen_matrix_by_inverse(plus, minus, value)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="matrix is singular"):
+            reduction._eigen_matrix(plus, minus, value)
+        return
+    assert reduction._eigen_matrix(plus, minus, value) == want
+
+
+def test_eigen_matrix_is_u_d_u_inverse_on_the_catalog(monkeypatch):
+    """Every reduced structure and every G~ of a catalog pass."""
+    seen = run_catalog_comparing(monkeypatch, reduction, "_eigen_matrix", eigen_matrix_by_inverse)
+    assert len(seen) > 20
+
+
+def test_reduction_commutes_is_conjugation_on_the_catalog(monkeypatch):
+    """Every point that b_commute or reduction:independence judges."""
+    seen = run_catalog_comparing(
+        monkeypatch, runner, "_reduction_commutes", commutes_by_conjugation
+    )
+    assert len(seen) >= 5
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_commuting_with_c_is_conjugating_by_c(data):
+    """For an invertible C, R C = C J exactly when R = C J C^-1: drawn C
+    and J, with R the conjugate or the conjugate with one entry moved."""
+    n = data.draw(st.integers(1, 4))
+    c = data.draw(scalar_matrices(n, n))
+    assume(rank(c) == n)
+    j = data.draw(scalar_matrices(n, n))
+    conjugate = mat_mul(c, mat_mul(j, inverse_by_rref(c)))
+    r = [list(row) for row in conjugate]
+    if data.draw(st.booleans()):
+        r[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += ONE
+    r = mat(r)
+    assert (mat_mul(r, c) == mat_mul(c, j)) == (r == conjugate)
+
+
+# --- identity-suite draws --------------------------------------------------------------
+
+
+def rand_field_by_adding(rng, chart):
+    """A drawn field as the suite once built it: one ring sum per term."""
+    mons = selftest._MONOMIALS[chart]
+    out = RingElement.zero(chart)
+    for _ in range(rng.randrange(2, 4)):
+        c = rng.randrange(-3, 4)
+        out = out + rng.choice(mons).scale(Scalar.of(c))
+    return out
+
+
+def rand_form_by_wedging(rng, chart, degree):
+    """A drawn form as the suite once built it: each basis form a wedge of
+    coordinate differentials, scaled by a drawn field and added."""
+    if degree == 0:
+        return DiffForm.function(rand_field_by_adding(rng, chart))
+    out = DiffForm.zero(chart, degree)
+    for names in combinations(chart.names, degree):
+        basis = wedge_all([DiffForm.d_coord(chart, n) for n in names])
+        out = out + basis.scale(rand_field_by_adding(rng, chart))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 17, 39, selftest.SEED])
+def test_identity_suite_draws_are_the_wedged_sums(seed):
+    """The same forms and fields, the same text, and the generator left
+    in the same state, so every later draw is the same too."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for chart in selftest._CHARTS:
+        for degree in range(4):
+            got = selftest._rand_form(ours, chart, degree)
+            want = rand_form_by_wedging(theirs, chart, degree)
+            assert got == want and str(got) == str(want)
+            f, g = selftest._rand_field(ours, chart), rand_field_by_adding(theirs, chart)
+            assert f == g and str(f) == str(g)
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_identity_suite_results_match_the_wedged_sums(monkeypatch, seed):
+    got = selftest.invariant_results(seed)
+    monkeypatch.setattr(selftest, "_rand_field", rand_field_by_adding)
+    monkeypatch.setattr(selftest, "_rand_form", rand_form_by_wedging)
+    assert got == selftest.invariant_results(seed)

@@ -23,7 +23,7 @@ from gkbench.errors import ValidationError
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import (
     extend_basis,
-    inverse,
+    identity,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -32,6 +32,7 @@ from gkbench.linalg import (
     rmat_identity,
     rmat_scale,
     row_space_basis,
+    solve,
     span_eq,
     transpose,
 )
@@ -599,7 +600,7 @@ def test_skew_pairing_test_matches_the_product_on_conjugates(data):
     def ring(m):
         return tuple(tuple(RingElement.constant(chart, x) for x in row) for row in m)
 
-    moved = mat_mul(ring(s), mat_mul(struct.matrix, ring(inverse(s))))
+    moved = mat_mul(ring(s), mat_mul(struct.matrix, ring(solve(s, identity(size)))))
     conjugate = GenStructure(chart, moved, struct.twist)
     assert conjugate.squares_to_minus_one, label
     ok, detail = conjugate.algebraic

@@ -19,13 +19,14 @@ from gkbench.errors import ValidationError  # noqa: E402
 from gkbench.linalg import (  # noqa: E402
     _det_and_adjugate,
     det,
-    inverse,
+    identity,
     leading_principal_minors,
     mat,
     mat_mul,
     nullspace,
     rank,
     rref,
+    solve,
     transpose,
 )
 from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart  # noqa: E402
@@ -124,15 +125,31 @@ def check_det_and_inverse(m):
     assert to_sympy(det(m)) == want
     if want == 0:
         with pytest.raises(ValidationError, match="singular"):
-            inverse(m)
+            solve(m, identity(len(m)))
     else:
-        assert sym_matrix(inverse(m)) == sympy.expand(sm.inv())
+        assert sym_matrix(solve(m, identity(len(m)))) == sympy.expand(sm.inv())
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(matrices(square=True))
 def test_det_and_inverse_match_sympy(m):
     check_det_and_inverse(m)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_solve_matches_sympy(data):
+    """X with A X = B for a drawn square A and a B of any width: sympy's
+    A^-1 B, or the same refusal when A is singular."""
+    a = data.draw(st.one_of(matrices(square=True), sparse_matrices(square=True)))
+    width = data.draw(st.integers(1, 3))
+    b = mat([[data.draw(gaussians) for _ in range(width)] for _ in a])
+    sa = sym_matrix(a)
+    if sympy.expand(sa.det()) == 0:
+        with pytest.raises(ValidationError, match="singular"):
+            solve(a, b)
+    else:
+        assert sym_matrix(solve(a, b)) == sympy.expand(sa.inv() * sym_matrix(b))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
