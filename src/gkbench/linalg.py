@@ -22,10 +22,15 @@ so ring results are built in a fixed order.
 
 Scalar matrices also get the elimination toolkit, built on one
 Gauss-Jordan pivot loop that scales the pivot row and clears the other
-rows only at the pivot row's support, which lies right of the pivot:
-rref, rank, nullspace and solve read its reduced rows and pivot
-columns, det reads its pivot values and row-swap flags, and the subspace
-helpers (canonical bases, equality, greedy extension) sit on those.
+rows only at the pivot row's support, which lies right of the pivot.
+The loop holds each row sparse, as the integer triples of its nonzero
+entries keyed by column, so it never touches a zero: it scales a pivot
+row only when its pivot is not 1, sets the pivot column rather than
+computing it, and forms each updated entry as plain ints, normalized
+once by the ring's normalizer.  rref, rank, nullspace and solve read
+its reduced rows and pivot columns, det reads its pivot values and
+row-swap flags, and the subspace helpers (canonical bases, equality,
+greedy extension) sit on those.
 The Sylvester test on real symmetric matrices reads its leading minors
 from the same loop, as running products of the pivot values while each
 pivot sits on the diagonal unswapped.  Everything is exact; no pivot
@@ -45,7 +50,7 @@ from __future__ import annotations
 from typing import Sequence, TypeVar
 
 from .errors import ValidationError
-from .ring import Chart, EvalPoint, ONE, RingElement, Scalar, ZERO
+from .ring import Chart, EvalPoint, ONE, RingElement, Scalar, ZERO, _norm, _triple
 
 Vec = tuple[Scalar, ...]
 Mat = tuple[Vec, ...]
@@ -180,41 +185,89 @@ def _eliminate(
 ) -> tuple[list[list[Scalar]], list[int], list[Scalar], list[bool]]:
     """The one Gauss-Jordan pivot loop: the reduced rows, the pivot
     columns, the pivot values as found (before their rows are scaled to
-    one) and, per pivot, whether its row was swapped into place."""
-    rows = [list(r) for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
+    one) and, per pivot, whether its row was swapped into place.
+
+    Each row is a dict from a column to the (a, b, d) triple of its
+    nonzero entry, read from the Scalar once on the way in, so a pivot
+    is found by membership and no zero is ever touched.  The pivot row
+    is scaled only when its pivot is not 1 and it holds other entries,
+    and the pivot column is never computed: it is dropped from every
+    other row and set to ONE in the pivot row on the way out.  Each
+    updated entry, the product and the difference together, is formed
+    as plain ints and normalized once by the ring's normalizer; one
+    that cancels is deleted.  On the way out each entry left becomes a
+    Scalar again and every other entry is ZERO."""
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    rows = [
+        {j: (x._a, x._b, x._d) for j, x in enumerate(row) if x._a or x._b}
+        for row in m
+    ]
     pivots: list[int] = []
     values: list[Scalar] = []
     swapped: list[bool] = []
     r = 0
     for c in range(nc):
-        pivot = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, nr):
+            if c in rows[pivot]:
+                break
+        else:
             continue
         swapped.append(pivot != r)
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        value = rows[r][c]
-        inv = value.inverse()
         # Left of c the pivot row is zero: each earlier pivot column was
         # cleared in it, and each earlier non-pivot column was zero in
         # every row from the pivot row down.
         pivot_row = rows[r]
-        support = [(j, pivot_row[j] * inv) for j in range(c, nc) if pivot_row[j]]
-        for j, y in support:
-            pivot_row[j] = y
-        for i in range(nr):
-            row = rows[i]
-            factor = row[c]
-            if i != r and factor:
-                for j, y in support:
-                    row[j] = row[j] - factor * y
+        t = pivot_row.pop(c)
+        if t == (1, 0, 1):
+            values.append(ONE)
+        else:
+            values.append(_triple(*t))
+            if pivot_row:
+                a, b, d = t
+                p, q, s = _norm(d * a, -d * b, a * a + b * b)  # 1 / pivot
+                rows[r] = pivot_row = {
+                    j: _norm(x * p - y * q, x * q + y * p, z * s)
+                    for j, (x, y, z) in pivot_row.items()
+                }
+        for row in rows:
+            factor = row.pop(c, None)
+            if factor is None:
+                continue
+            fa, fb, fd = factor
+            for j, (x, y, z) in pivot_row.items():
+                # the factor times the pivot row's entry, (u + v*I)/w
+                if fb or y:
+                    u, v, w = fa * x - fb * y, fa * y + fb * x, fd * z
+                else:
+                    u, v, w = fa * x, 0, fd * z
+                cur = row.get(j)
+                if cur is None:
+                    row[j] = _norm(-u, -v, w)
+                    continue
+                ca, cb, cd = cur
+                if cd == w:
+                    u, v = ca - u, cb - v
+                else:
+                    u, v, w = ca * w - u * cd, cb * w - v * cd, cd * w
+                if u or v:
+                    row[j] = _norm(u, v, w)
+                else:
+                    del row[j]
         pivots.append(c)
-        values.append(value)
         r += 1
         if r == nr:
             break
-    return rows, pivots, values, swapped
+    out = []
+    for row in rows:
+        dense = [ZERO] * nc
+        for j, (a, b, d) in row.items():
+            dense[j] = _triple(a, b, d)
+        out.append(dense)
+    for k, c in enumerate(pivots):
+        out[k][c] = ONE
+    return out, pivots, values, swapped
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:

@@ -14,7 +14,10 @@ equality of dicts is equality in the ring.
 A Gaussian rational (`Scalar`) is the integer triple (a, b, d) standing
 for (a + b*I)/d, normalized to d > 0 and gcd(a, b, d) == 1 with zero as
 (0, 0, 1).  Equal values therefore have equal triples, and scalar
-arithmetic is plain int work.
+arithmetic is plain int work.  Outside this module one reader does
+arithmetic on those triples: the pivot loop `linalg._eliminate` reads
+each entry's triple once, works on the ints, normalizes each entry it
+updates with `_norm` and hands its results back through `_triple`.
 
 Inside the ring kernel a coefficient is that triple itself, with no
 Scalar around it: an element's dict maps each exponent to its triple,
@@ -162,6 +165,11 @@ class Scalar:
     int work and builds no Fraction; `re` and `im` give the parts as
     Fractions.  As with Fraction, instances are immutable: the triple sits
     in slots behind read-only properties.
+
+    Like a ring product by the constant one, the arithmetic does nothing
+    where nothing is to be done: x*1, 1*x, x*0, 0*x, x+0, x-0 and 0+x
+    return an operand, and x-x returns ZERO, without building a Scalar.
+    Since every triple is normalized, the tests are on the ints alone.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -190,22 +198,41 @@ class Scalar:
         return Fraction(self._b, self._d)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        d = self._d
-        if d == other._d:
-            return _make(self._a + other._a, self._b + other._b, d)
-        e = other._d
-        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        c, e = other._a, other._b
+        if not (c or e):
+            return self
+        a, b = self._a, self._b
+        if not (a or b):
+            return other
+        d, f = self._d, other._d
+        if d == f:
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        d = self._d
-        if d == other._d:
-            return _make(self._a - other._a, self._b - other._b, d)
-        e = other._d
-        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        c, e = other._a, other._b
+        if not (c or e):
+            return self
+        a, b, d, f = self._a, self._b, self._d, other._d
+        if d == f:
+            if a == c and b == e:
+                return ZERO
+            return _make(a - c, b - e, d)
+        return _make(a * f - c * d, b * f - e * d, d * f)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
+        if not e and f == 1:
+            if c == 1:
+                return self
+            if not c:
+                return other
+        if not b and d == 1:
+            if a == 1:
+                return other
+            if not a:
+                return self
         if not b and not e:
             return _make(a * c, 0, d * f)
         return _make(a * c - b * e, a * e + b * c, d * f)
@@ -313,13 +340,16 @@ def scalar_text(s: Scalar) -> str:
 
 class EvalPoint:
     """A chart point: rationals on affine coordinates, integer quarter
-    turns (value = q*pi/2) on periodic ones."""
+    turns (value = q*pi/2) on periodic ones.  A point is immutable and
+    keys the per-point memos, so its hash is taken once, when it is
+    made."""
 
-    __slots__ = ("chart", "values")
+    __slots__ = ("chart", "values", "_hash")
 
     def __init__(self, chart: Chart, values: tuple[Union[Fraction, int], ...]) -> None:
         self.chart = chart
         self.values = values
+        self._hash = hash((chart, values))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvalPoint):
@@ -327,7 +357,7 @@ class EvalPoint:
         return (self.chart, self.values) == (other.chart, other.values)
 
     def __hash__(self) -> int:
-        return hash((self.chart, self.values))
+        return self._hash
 
     @staticmethod
     def at(chart: Chart, **named: RationalLike) -> "EvalPoint":

@@ -22,24 +22,31 @@ comparisons against negated matrices, a form difference against adding
 the negation, and the identity suite's drawn forms against the wedges
 and sums it once built them from.  The reduction oracles run on drawn
 inputs and on every call a catalog pass makes.
+
+The one pivot loop, `linalg._eliminate`, works on sparse rows of
+integer triples; its oracle is the dense Scalar loop it replaced, held
+to all four of its outputs and to the readers built on them.
 """
 
 import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkbench import reduction, ring, runner, selftest
+from gkbench import linalg, reduction, ring, runner, selftest
 from gkbench.calculus import DiffForm, VectorField, lie_bracket, wedge_all
 from gkbench.catalog import catalog_names, load_builtin
 from gkbench.errors import ChartMismatchError, ValidationError
 from gkbench.linalg import (
+    det,
     identity,
     is_scalar_matrix,
     is_skew,
+    leading_principal_minors,
     mat,
     mat_mul,
     mat_neg,
@@ -877,3 +884,116 @@ def test_identity_suite_results_match_the_wedged_sums(monkeypatch, seed):
     monkeypatch.setattr(selftest, "_rand_field", rand_field_by_adding)
     monkeypatch.setattr(selftest, "_rand_form", rand_form_by_wedging)
     assert got == selftest.invariant_results(seed)
+
+
+# --- the pivot loop on sparse triples ----------------------------------------------------
+
+
+def dense_eliminate(m):
+    """Oracle: the dense Scalar Gauss-Jordan loop that `_eliminate`
+    replaced.  It scales the whole support of each pivot row, the pivot
+    included, and clears every other row at that support with Scalar
+    products and differences."""
+    rows = [list(r) for r in m]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots, values, swapped = [], [], []
+    r = 0
+    for c in range(nc):
+        pivot = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        swapped.append(pivot != r)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        value = rows[r][c]
+        inv = value.inverse()
+        pivot_row = rows[r]
+        support = [(j, pivot_row[j] * inv) for j in range(c, nc) if pivot_row[j]]
+        for j, y in support:
+            pivot_row[j] = y
+        for i in range(nr):
+            row = rows[i]
+            factor = row[c]
+            if i != r and factor:
+                for j, y in support:
+                    row[j] = row[j] - factor * y
+        pivots.append(c)
+        values.append(value)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots, values, swapped
+
+
+# Numerators near 2^50 over denominators near 2^25: the heights a
+# fiber_sweep pass reaches (its linalg.max_height_bits is about 50).
+HIGH = st.builds(
+    Fraction, st.integers(-(1 << 50), 1 << 50), st.integers(1, 1 << 25)
+)
+PIVOT_ENTRIES = st.one_of(
+    st.just(ZERO),
+    st.sampled_from((ONE, -ONE, IMAG, Scalar.of(2, -1), Scalar.of(Fraction(1, 3)))),
+    GAUSSIAN,
+    st.builds(Scalar.of, HIGH, st.one_of(st.just(0), HIGH)),
+)
+
+
+@st.composite
+def elimination_inputs(draw, rows, cols):
+    """A rows x cols matrix over PIVOT_ENTRIES, mostly zeros, with a drawn
+    row and a drawn column sometimes zeroed out."""
+    m = [
+        [draw(PIVOT_ENTRIES) if draw(st.booleans()) else ZERO for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rows and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [ZERO] * cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = ZERO
+    return tuple(tuple(row) for row in m)
+
+
+def assert_canonical_entries(rows):
+    for row in rows:
+        for x in row:
+            a, b, d = x._a, x._b, x._d
+            assert d > 0 and gcd(a, b, d) == 1 and (a or b or d == 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_eliminate_is_the_dense_scalar_loop(data):
+    """All four outputs, on wide, tall and square shapes."""
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 6))
+    m = data.draw(elimination_inputs(rows, cols))
+    got = linalg._eliminate(m)
+    assert got == dense_eliminate(m)
+    assert_canonical_entries(got[0])
+    assert all(type(x) is Scalar for row in got[0] for x in row)
+    assert all(type(v) is Scalar for v in got[2])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_elimination_readers_are_the_dense_scalar_loop(data):
+    """rref, det, solve and the leading principal minors read the same
+    answers from the sparse loop as from the dense one."""
+    n = data.draw(st.integers(1, 4))
+    wide = data.draw(elimination_inputs(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))))
+    a = data.draw(elimination_inputs(n, n))
+    b = data.draw(elimination_inputs(n, data.draw(st.integers(1, 3))))
+
+    def answers():
+        try:
+            solved = solve(a, b)
+        except ValidationError as exc:
+            solved = str(exc)
+        return rref(wide), det(a), solved, leading_principal_minors(a)
+
+    got = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", dense_eliminate)
+        want = answers()
+    assert got == want

@@ -485,12 +485,40 @@ def test_product_multiplies_exactly_its_live_triples(monkeypatch):
     assert product == want and column == (s(4), s(0), s(17))
 
 
+def _counting_norms(monkeypatch):
+    """Record every triple the pivot loop normalizes from here on."""
+    calls = []
+    original = linalg._norm
+
+    def norm(a, b, d):
+        calls.append((a, b, d))
+        return original(a, b, d)
+
+    monkeypatch.setattr(linalg, "_norm", norm)
+    return calls
+
+
 def test_elimination_multiplies_only_pivot_row_support(monkeypatch):
-    """Gauss-Jordan on a scaled permutation matrix scales each pivot row at
-    its one nonzero entry and clears nothing else: n products, where a
-    dense loop would scale whole rows."""
+    """The pivot loop forms each entry it updates as ints and normalizes
+    it once, and it updates only the pivot row's support.  On a scaled
+    permutation matrix each pivot row is its pivot alone, so nothing is
+    normalized: the pivot column is set to one, not computed.  A pivot 2
+    whose row has two more entries costs its inverse and those two
+    products, three normalizations in all, where a dense loop would
+    update all 15 entries; the pivot 1 below it costs none.  A row
+    cleared by a pivot 1 is updated at the pivot row's one other entry,
+    and the pivot it then holds has nothing else in its row."""
     a = m([[0, 0, 2, 0], [5, 0, 0, 0], [0, 0, 0, -1], [0, 3, 0, 0]])
-    calls = _counting_mul(monkeypatch)
+    b = m([[0, 2, 0, 4, 6], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]])
+    calls = _counting_norms(monkeypatch)
     reduced, pivots = rref(a)
     assert reduced == identity(4) and pivots == (0, 1, 2, 3)
-    assert len(calls) == 4
+    assert calls == []
+    reduced, pivots = rref(b)
+    assert reduced == m([[0, 1, 0, 2, 3], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]])
+    assert pivots == (1, 2)
+    assert len(calls) == 3
+    calls.clear()
+    reduced, pivots = rref(m([[1, 0, 3, 0], [2, 0, 0, 0]]))
+    assert reduced == m([[1, 0, 0, 0], [0, 0, 1, 0]]) and pivots == (0, 2)
+    assert calls == [(-6, 0, 1)]

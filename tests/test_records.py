@@ -8,6 +8,7 @@ do not hash; every other record compares by identity."""
 import copy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,27 @@ def test_an_equal_distinct_point_finds_the_same_structure_at_the_point():
     point = next(iter(scen.points.values()))
     twin = EvalPoint(make_chart(*point.chart.coords), point.values)
     assert twin is not point and twin == point and hash(twin) == hash(point)
+    assert hash(point) == hash((point.chart, point.values))
     assert struct.at(twin) is struct.at(point)
+
+
+def test_a_point_hashes_its_values_once(monkeypatch):
+    """A point is immutable, so its hash is taken when it is made: a
+    lookup by point hashes no Fraction."""
+    scen = load_builtin("kahler_c2_circle")
+    point = next(p for p in scen.points.values() if any(type(v) is Fraction for v in p.values))
+    want = hash((point.chart, point.values))
+    calls = []
+    original = Fraction.__hash__
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert hash(point) == want and not calls
+    scen.structures["j1"].at(point)
+    assert not calls
 
 
 def _field(chart, *texts):

@@ -113,3 +113,44 @@ def test_contract_edges():
         s.re = Fraction(3)
     with pytest.raises(AttributeError):
         s.extra = 1
+
+
+# x * 1, 1 * x, x * 0, x + 0, x - 0, 0 + x and x - x return an operand
+# (or ZERO) without building a Scalar; each must still be the canonical
+# triple of the general formula.
+units_and_zeros = st.sampled_from(
+    ((ONE, (1, 0)), (Scalar(1), (1, 0)), (Scalar(Fraction(3, 3)), (1, 0)),
+     (ZERO, (0, 0)), (Scalar(), (0, 0)), (IMAG - IMAG, (0, 0)))
+)
+operands = st.one_of(
+    pairs,
+    st.tuples(st.just(Fraction(0)), parts),
+    st.tuples(parts, parts.filter(bool)),
+    st.just((Fraction(0), Fraction(0))),
+)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(operands, units_and_zeros)
+def test_shortcuts_match_fraction_pairs(x, unit):
+    sx = Scalar(*x)
+    su, u = unit
+    results = [
+        (sx * su, ref_mul(x, u), (sx, su)),
+        (su * sx, ref_mul(u, x), (sx, su)),
+    ]
+    if u == (0, 0):
+        results += [
+            (sx + su, x, (sx, su)),
+            (su + sx, x, (sx, su)),
+            (sx - su, x, (sx, su)),
+        ]
+    for got, want, operand in results:
+        assert pair(got) == want
+        assert_canonical(got)
+        assert triple(got) == triple(Scalar(*want))
+        assert any(got is o for o in operand)
+    # A nonzero x - x is ZERO itself, whichever object holds the second x.
+    for diff in (sx - sx, sx - Scalar(*x)):
+        assert triple(diff) == (0, 0, 1)
+        assert diff is ZERO or x == (0, 0)
