@@ -19,7 +19,6 @@ import sys
 from .catalog import builtin_raw, catalog_names, load_builtin
 from .errors import ValidationError
 from .linalg import Mat
-from .reduction import reduced_type
 from .report import build_report, render_json, render_text, report_passed
 from .ring import scalar_text
 from .runner import Workspace, run_scenario
@@ -76,7 +75,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         print("the quotient is zero dimensional")
         return 0
     red = ws.reduced(scen.moment_structure, args.point)
-    print(f"reduced structure for {scen.moment_structure} (type {reduced_type(red)}):")
+    rtype = matrix_type(red.jmat, fiber.point)
+    print(f"reduced structure for {scen.moment_structure} (type {rtype}):")
     print(_fmt_matrix(red.jmat))
     other = ws.partner()
     if other is not None:

@@ -28,13 +28,12 @@ entries keyed by column, so it never touches a zero: it scales a pivot
 row only when its pivot is not 1, sets the pivot column rather than
 computing it, and forms each updated entry as plain ints, normalized
 once by the ring's normalizer.  rref, rank, nullspace and solve read
-its reduced rows and pivot columns, det reads its pivot values and
-row-swap flags, and the subspace helpers (canonical bases, equality,
-greedy extension) sit on those.
-The Sylvester test on real symmetric matrices reads its leading minors
-from the same loop, as running products of the pivot values while each
-pivot sits on the diagonal unswapped.  Everything is exact; no pivot
-thresholds exist.
+its reduced rows and pivot columns, and the subspace helpers (canonical
+bases, greedy extension) sit on those.  The pivot values and row-swap
+flags have one reader, the Sylvester test on real symmetric matrices,
+whose leading minors are running products of the pivot values while
+each pivot sits on the diagonal unswapped.  Everything is exact; no
+pivot thresholds exist.
 
 Ring matrices add what needs a chart or has no pivots: the chart-bound
 constructors, scaling, evaluation at a point, and the determinant and
@@ -297,19 +296,6 @@ def nullspace(m: Mat) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-def det(m: Mat) -> Scalar:
-    """The product of the pivot values, negated for an odd number of row
-    swaps: scaling each pivot row to one and clearing its column reduce
-    a nonsingular matrix to the identity."""
-    _, pivots, values, swapped = _eliminate(m)
-    if len(pivots) < len(m):
-        return ZERO
-    out = -ONE if sum(swapped) % 2 else ONE
-    for value in values:
-        out = out * value
-    return out
-
-
 def solve(a: Mat, b: Mat) -> Mat:
     """The X with a X = b, for a square nonsingular a: one elimination
     of [a | b], whose pivots are the columns of a exactly when a is
@@ -335,10 +321,6 @@ def row_space_basis(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(reduced[i] for i in range(len(pivots)))
 
 
-def span_eq(a: Sequence[Vec], b: Sequence[Vec]) -> bool:
-    return row_space_basis(a) == row_space_basis(b)
-
-
 def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, ...]:
     """Indices of candidates that extend rows to a larger independent set,
     greedily in order, until no candidate adds rank.
@@ -354,18 +336,20 @@ def extend_basis(rows: Sequence[Vec], candidates: Sequence[Vec]) -> tuple[int, .
 # --- real symmetric forms ------------------------------------------------
 
 
-def leading_principal_minors(m: Mat) -> tuple[Scalar, ...]:
-    """The determinants of the leading k x k blocks, k = 1..n.
+def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:
+    """Sylvester's test on a real symmetric matrix: the verdict, with the
+    leading principal minors up to and including the first that is not
+    positive (all n of them when the verdict holds) as witnesses.
 
-    They come from the one pivot loop: while the pivots sit on the
-    diagonal and no row was swapped, each row operation either scales a
-    row by a pivot's inverse or adds a multiple of one row of a leading
-    block to another, so the minor of order k + 1 is the running product
-    of the first k + 1 pivot values.  At the first pivot that is swapped
-    or off the diagonal that minor is zero, and the remaining minors are
-    computed one by one with det.
+    One pivot pass gives them: while the pivots sit on the diagonal and
+    no row was swapped, each row operation either scales a row by a
+    pivot's inverse or adds a multiple of one row of a leading block to
+    another, so the minor of order k + 1 is the running product of the
+    first k + 1 pivot values.  At the first pivot that is swapped or off
+    the diagonal, or is missing, that minor is zero.
     """
-    n = len(m)
+    if not all(x.is_real for row in m for x in row):
+        raise ValidationError("matrix entry is not real")
     _, pivots, values, swapped = _eliminate(m)
     minors: list[Scalar] = []
     running = ONE
@@ -374,21 +358,11 @@ def leading_principal_minors(m: Mat) -> tuple[Scalar, ...]:
             break
         running = running * value
         minors.append(running)
-    if len(minors) < n:
-        minors.append(ZERO)
-    for k in range(len(minors), n):
-        minors.append(det(tuple(row[: k + 1] for row in m[: k + 1])))
-    return tuple(minors)
-
-
-def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:
-    """Sylvester test on a real symmetric matrix; returns the verdict with
-    the leading principal minors as witnesses."""
-    if not all(x.is_real for row in m for x in row):
-        raise ValidationError("matrix entry is not real")
-    minors = leading_principal_minors(m)
-    ok = all(mi.is_real and mi.re > 0 for mi in minors)
-    return ok, minors
+        if running.re <= 0:
+            return False, tuple(minors)
+    if len(minors) < len(m):
+        return False, tuple(minors) + (ZERO,)
+    return True, tuple(minors)
 
 
 # --- matrices over the function ring -------------------------------------

@@ -101,7 +101,6 @@ from .linalg import (
     row_space_basis,
     rref,
     solve,
-    span_eq,
     transpose,
 )
 from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
@@ -110,7 +109,6 @@ from .structures import (
     GenStructure,
     Points,
     closing_brackets,
-    matrix_type,
     pairing_matrix,
 )
 
@@ -306,12 +304,6 @@ def dirac_reduce(struct: GenStructure, fiber: FiberData) -> ReducedFiber:
     return ReducedFiber(fiber, jmat, tuple(lq_rows))
 
 
-def reduced_type(red: ReducedFiber) -> int:
-    """Type of the reduced structure from the upper-right block in the
-    adapted quotient basis."""
-    return matrix_type(red.jmat, red.fiber.point)
-
-
 # --- two-step factorization --------------------------------------------------
 
 
@@ -422,7 +414,8 @@ def two_step_disagreement(red: ReducedFiber, two: TwoStepResult) -> str | None:
             "two-step factorization disagrees: the comparison map does not "
             "intertwine the reduced structures"
         )
-    if not span_eq([mat_vec(phi, u) for u in red.l_rows], two.l_rows):
+    # two.l_rows is _push_down's canonical basis: only phi's image is reduced.
+    if row_space_basis([mat_vec(phi, u) for u in red.l_rows]) != two.l_rows:
         return (
             "two-step factorization disagrees: the comparison map does not "
             "carry the reduced eigenbundle onto the two-step one"

@@ -269,7 +269,8 @@ class Scalar:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # The triple is canonical, so equal values hash equal.
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self) -> str:
         return f"Scalar(re={self.re!r}, im={self.im!r})"

@@ -56,7 +56,6 @@ from .reduction import (
     gk_reduce,
     gk_type_prediction,
     level_substitution,
-    reduced_type,
     two_step_disagreement,
     two_step_reduce,
 )
@@ -65,7 +64,6 @@ from .structures import (
     GenStructure,
     b_exponential,
     b_transform_structure,
-    check_algebraic,
     check_gk_pair,
     check_integrable,
     matrix_type,
@@ -250,7 +248,7 @@ def _each_structure(
 
 
 def _check_algebraic(ws: Workspace) -> list[Verdict]:
-    return _each_structure(ws, "algebraic", check_algebraic)
+    return _each_structure(ws, "algebraic", lambda struct: struct.algebraic)
 
 
 def _check_integrability(ws: Workspace) -> list[Verdict]:
@@ -387,7 +385,7 @@ def _check_reduction(ws: Workspace) -> list[Verdict]:
         disagreement = two_step_disagreement(red, two_step_reduce(struct, red.fiber))
         reds[pname] = red
         problems = [disagreement] if disagreement else []
-        dim, rtype = 2 * red.fiber.m, reduced_type(red)
+        dim, rtype = 2 * red.fiber.m, matrix_type(red.jmat, red.fiber.point)
         # The first point reduced gives the quantities.
         ws.quantities.setdefault("reduced_dim", dim)
         ws.quantities.setdefault("reduced_types", {}).setdefault(name, rtype)

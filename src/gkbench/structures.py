@@ -239,7 +239,7 @@ class StructureAt:
     J(p)."""
 
     def __init__(
-        self, matrix: Mat, point: EvalPoint, bases: dict[tuple[int, ...], tuple[int, ...]]
+        self, matrix: Mat, point: EvalPoint, bases: dict[Mat, tuple[int, ...]]
     ) -> None:
         self.matrix = matrix
         self.point = point
@@ -260,12 +260,11 @@ class StructureAt:
     def basis(self) -> tuple[int, ...]:
         """The indices of the columns picked greedily, in order, by one
         elimination: the first columns that span the +i eigenbundle.  Two
-        points where J takes one value share the elimination; the key is
-        J(p)'s integer triples, since a Scalar's hash builds Fractions."""
-        key = tuple(n for row in self.matrix for x in row for n in (x._a, x._b, x._d))
-        picked = self._bases.get(key)
+        points where J takes one value share the elimination, keyed by
+        J(p) itself."""
+        picked = self._bases.get(self.matrix)
         if picked is None:
-            picked = self._bases[key] = extend_basis((), self.columns)
+            picked = self._bases[self.matrix] = extend_basis((), self.columns)
         return picked
 
     @property
@@ -316,7 +315,7 @@ class GenStructure:
         # The values at(p) has built, by point, and the bases they picked,
         # by the value J(p); with_twist shares both dicts.
         self._points: dict[EvalPoint, StructureAt] = {}
-        self._bases: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._bases: dict[Mat, tuple[int, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -370,8 +369,8 @@ class GenStructure:
 
     @cached_property
     def algebraic(self) -> tuple[bool, str]:
-        """Real, squares to -Id, and preserves the pairing: the verdict of
-        check_algebraic, which reads only the matrix.
+        """Real, squares to -Id, and preserves the pairing: the algebraic
+        verdict, which reads only the matrix.
 
         The pairing is tested once J^2 = -Id holds, and then J^T G J = G
         says G J = J^-T G = -J^T G, that is, G J is skew.  With G the
@@ -474,12 +473,6 @@ def b_transform_structure(b_field: DiffForm, struct: GenStructure) -> GenStructu
 
 
 # --- checks -----------------------------------------------------------------
-
-
-def check_algebraic(struct: GenStructure) -> tuple[bool, str]:
-    """Real, squares to -Id, and preserves the pairing; computed once per
-    structure (GenStructure.algebraic)."""
-    return struct.algebraic
 
 
 def open_brackets(
@@ -667,26 +660,31 @@ def check_gk_pair(
 ) -> tuple[bool, str]:
     """Commuting structures with a positive definite product metric.
 
-    Positivity of the pairing restricted to the +1 eigenbundle of
-    G = -J1 J2 is equivalent to positive definiteness of (gram . G),
-    which is tested at every sample point through its leading principal
-    minors; a zero minor is reported as non-positive.  The verdict claims
-    positivity chart-wide only when every metric entry is constant, and
-    otherwise at the sample points alone.
+    Each member must square to -Id, a test the algebraic verdict has
+    already cached; commuting members then give
+    (J1 J2)^2 = J1^2 J2^2 = Id, so G = -J1 J2 squares to Id.
+    Positivity of the pairing restricted to the +1 eigenbundle of G is
+    equivalent to positive definiteness of (gram . G), which is tested at
+    every sample point through its leading principal minors; a zero
+    minor is reported as non-positive.  The verdict claims positivity
+    chart-wide only when every metric entry is constant, and otherwise
+    at the sample points alone.
     """
     if j1.chart != j2.chart:
         return False, "structures live on different charts"
     if j1.twist != j2.twist:
         return False, "structures carry different twists"
-    chart = j1.chart
     prod = mat_mul(j1.matrix, j2.matrix)
     if prod != mat_mul(j2.matrix, j1.matrix):
         return False, "structures do not commute"
-    # G = -J1 J2 squares to Id exactly when J1 J2 does.
-    if not is_scalar_matrix(mat_mul(prod, prod), RingElement.one(chart)):
-        return False, "product operator does not square to the identity"
+    for which, struct in (("first", j1), ("second", j2)):
+        if not struct.squares_to_minus_one:
+            return False, (
+                f"the {which} structure of the pair does not square to minus "
+                "the identity"
+            )
     # The pairing matrix times G: half of G with its row halves swapped.
-    n = chart.dim
+    n = j1.chart.dim
     metric = rmat_scale(prod[n:] + prod[:n], -HALF)
     if metric != transpose(metric):
         return False, "product metric is not symmetric"
@@ -696,11 +694,10 @@ def check_gk_pair(
         value = rmat_eval(metric, p)
         ok, minors = is_positive_definite(value)
         if not ok:
-            bad = next(i for i, m in enumerate(minors) if m.im != 0 or m.re <= 0)
             return (
                 False,
                 f"product metric not positive definite at {p}: leading minor "
-                f"{bad + 1} is {minors[bad]} (non-positive)",
+                f"{len(minors)} is {minors[-1]} (non-positive)",
             )
     if all(x.is_constant() for row in metric for x in row):
         scope = "chart-wide (the metric is constant)"

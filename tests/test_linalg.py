@@ -3,6 +3,7 @@ test, and ring-matrix inversion."""
 
 import ast
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,9 @@ from hypothesis import given, settings, strategies as st
 from gkbench import linalg
 from gkbench.errors import ValidationError
 from gkbench.linalg import (
-    det,
     extend_basis,
     identity,
     is_positive_definite,
-    leading_principal_minors,
     mat,
     mat_mul,
     mat_neg,
@@ -30,7 +29,6 @@ from gkbench.linalg import (
     row_space_basis,
     rref,
     solve,
-    span_eq,
     transpose,
 )
 from gkbench.ring import ZERO, EvalPoint, RingElement, Scalar, make_chart, parse_expr
@@ -61,11 +59,6 @@ class TestElimination:
         assert len(basis) == 1
         assert all(x.is_zero for x in mat_vec(a, basis[0]))
 
-    def test_det(self):
-        assert det(m([[1, 2], [3, 4]])) == s(-2)
-        assert det(m([[0, 1], [1, 0]])) == s(-1)
-        assert det(m([[0] * 2] * 2)) == s(0)
-
     def test_complex_inverse(self):
         a = mat([[Scalar.of(0, 1), Scalar.of(1)], [Scalar.of(0), Scalar.of(0, -1)]])
         assert mat_mul(a, solve(a, identity(2))) == identity(2)
@@ -79,7 +72,6 @@ class TestSubspaces:
     def test_row_space_basis_is_canonical(self):
         a = [tuple(r) for r in m([[1, 1, 0], [0, 1, 1]])]
         b = [tuple(r) for r in m([[1, 0, -1], [1, 2, 1]])]
-        assert span_eq(a, b)
         assert row_space_basis(a) == row_space_basis(b)
 
     def test_extend_basis(self):
@@ -93,14 +85,26 @@ class TestSymmetric:
         ok, minors = is_positive_definite(m([[2, 1], [1, 2]]))
         assert ok and minors == (s(2), s(3))
         ok, minors = is_positive_definite(m([[1, 0], [0, 0]]))
-        assert not ok and minors[1] == s(0)
+        assert not ok and minors == (s(1), s(0))
+        # The witnesses stop at the first minor that is not positive.
+        assert is_positive_definite(m([[-1, 0], [0, 1]])) == (False, (s(-1),))
+        assert is_positive_definite(m([[1, 2], [2, 1]])) == (False, (s(1), s(-3)))
+        assert is_positive_definite(()) == (True, ())
 
     def test_minors_across_a_swap(self):
         """A zero pivot with a nonzero entry below it is swapped into place,
-        and the minor it closes is zero; so is a singular middle block."""
-        assert leading_principal_minors(m([[0, 1], [1, 0]])) == (s(0), s(-1))
-        assert leading_principal_minors(m([[1, 2, 3], [2, 4, 5], [3, 5, 6]])) == (
-            s(1), s(0), s(-1),
+        and the minor it closes is zero; so is a singular middle block, and
+        so is the minor at a pivot that lands right of the diagonal
+        unswapped."""
+        assert is_positive_definite(m([[0, 1], [1, 0]])) == (False, (s(0),))
+        assert is_positive_definite(m([[1, 2, 3], [2, 4, 5], [3, 5, 6]])) == (
+            False, (s(1), s(0)),
+        )
+        assert linalg._eliminate(m([[1, 2, 0], [1, 2, 1], [0, 0, 0]]))[1:] == (
+            [0, 2], [s(1), s(1)], [False, False],
+        )
+        assert is_positive_definite(m([[1, 2, 0], [1, 2, 1], [0, 0, 0]])) == (
+            False, (s(1), s(0)),
         )
 
     def test_rejects_nonreal(self):
@@ -196,12 +200,6 @@ def square(draw, n=3):
 @given(square())
 def test_rank_plus_nullity(a):
     assert rank(a) + len(nullspace(a)) == 3
-
-
-@settings(max_examples=40, derandomize=True)
-@given(square())
-def test_det_vanishes_iff_singular(a):
-    assert (det(a) == Scalar.of(0)) == (rank(a) < 3)
 
 
 @settings(max_examples=30, derandomize=True)
@@ -337,15 +335,37 @@ def test_extend_basis_is_the_greedy_rank_rule(rows, candidates, repeat):
     assert extend_basis(rows, candidates) == _greedy_extension(rows, candidates)
 
 
+def _leibniz_det(a):
+    """The determinant as the signed sum over permutations."""
+    total = Scalar.of(0)
+    for perm in permutations(range(len(a))):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+        term = Scalar.of(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total + term
+    return total
+
+
+def _symmetric(a):
+    return mat([[a[min(i, j)][max(i, j)] for j in range(len(a))] for i in range(len(a))])
+
+
+sparse_squares = st.lists(sparse_vectors, min_size=4, max_size=4).map(mat)
+
+
 @settings(max_examples=80, derandomize=True)
-@given(st.one_of(st.lists(sparse_vectors, min_size=4, max_size=4).map(mat), square(4)))
+@given(st.one_of(sparse_squares, sparse_squares.map(_symmetric), square(4)))
 def test_leading_minors_are_the_leading_determinants(a):
-    """The pivot loop gives every leading minor while its pivots sit on
-    the diagonal unswapped, and past that the rest still equal det of the
-    leading blocks."""
-    assert leading_principal_minors(a) == tuple(
-        det(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))
-    )
+    """Sylvester's test from one pivot pass: the witnesses are the
+    determinants of the leading blocks up to the first that is not
+    positive, across zero, swapped and off-diagonal pivots, and the
+    verdict is that every one of them is positive."""
+    minors = tuple(_leibniz_det(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(4))
+    failing = next((k for k, x in enumerate(minors) if x.re <= 0), None)
+    ok, witnesses = is_positive_definite(a)
+    assert ok == (failing is None)
+    assert witnesses == (minors if ok else minors[: failing + 1])
 
 
 # --- the sparse kernel ----------------------------------------------------------

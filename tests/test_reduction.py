@@ -34,7 +34,6 @@ from gkbench.linalg import (
     rmat_identity,
     row_space_basis,
     solve,
-    span_eq,
     transpose,
 )
 from gkbench.reduction import (
@@ -49,7 +48,6 @@ from gkbench.reduction import (
     fiber_data,
     gk_reduce,
     gk_type_prediction,
-    reduced_type,
     two_step_disagreement,
     two_step_reduce,
 )
@@ -256,18 +254,18 @@ class TestDiracReduce:
         fiber = fiber_data(sphere_moment(), P0, SPHERE_LEVEL)
         red = dirac_reduce(symplectic_structure(omega_r4()), fiber)
         assert red.jmat == J1_REDUCED
-        assert reduced_type(red) == 0
+        assert matrix_type(red.jmat, red.fiber.point) == 0
         want = (
             (S(1), S(0), S(0), S(0, 1)),
             (S(0), S(1), S(0, -1), S(0)),
         )
-        assert span_eq(red.l_rows, want)
+        assert row_space_basis(red.l_rows) == row_space_basis(want)
 
     def test_complex_reduces_to_complex_model(self):
         fiber = fiber_data(sphere_moment(), P0, SPHERE_LEVEL)
         red = dirac_reduce(complex_r4(), fiber)
         assert red.jmat == J2_REDUCED
-        assert reduced_type(red) == 1
+        assert matrix_type(red.jmat, red.fiber.point) == 1
 
     def test_linear_solve_oracle(self):
         """Rebuild the reduced matrix by solving J a = -b, J b = a on the
@@ -294,7 +292,7 @@ class TestDiracReduce:
             phi = two.comparison
             assert mat_mul(phi, red.jmat) == mat_mul(two.jmat, phi)
             mapped = [mat_vec(phi, u) for u in red.l_rows]
-            assert span_eq(mapped, two.l_rows)
+            assert row_space_basis(mapped) == row_space_basis(two.l_rows)
 
     def test_other_sphere_points(self):
         moment = sphere_moment()
@@ -304,8 +302,8 @@ class TestDiracReduce:
             fiber = fiber_data(moment, p, SPHERE_LEVEL)
             red1 = dirac_reduce(j1, fiber)
             red2 = dirac_reduce(j2, fiber)
-            assert reduced_type(red1) == 0
-            assert reduced_type(red2) == 1
+            assert matrix_type(red1.jmat, red1.fiber.point) == 0
+            assert matrix_type(red2.jmat, red2.fiber.point) == 1
 
 
 class TestGkReduce:
@@ -319,7 +317,7 @@ class TestGkReduce:
             (S(1), S(0), S(1), S(0)),
             (S(0), S(1), S(0), S(1)),
         )
-        assert span_eq(gk.c_plus_rows, want_plus)
+        assert row_space_basis(gk.c_plus_rows) == row_space_basis(want_plus)
         assert gk.g_mat == G_REDUCED
         assert gk.jmat2 == J2_REDUCED
         # Transporting the +1 eigenspace agrees with reducing the second
@@ -360,7 +358,7 @@ class TestTrivialAction:
         j1 = symplectic_structure(omega_r4())
         red = dirac_reduce(j1, fiber)
         assert red.jmat == rmat_eval(j1.matrix, p)
-        assert reduced_type(red) == j1.at(p).type == 0
+        assert matrix_type(red.jmat, red.fiber.point) == j1.at(p).type == 0
 
     def test_gk_reduces_to_evaluation(self):
         p = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
@@ -394,7 +392,7 @@ class TestZeroDimensionalQuotient:
         assert fiber.m == 0
         red = dirac_reduce(j, fiber)
         assert red.jmat == ()
-        assert reduced_type(red) == 0
+        assert matrix_type(red.jmat, red.fiber.point) == 0
         two = two_step_reduce(j, fiber)
         assert two.jmat == ()
 
@@ -595,7 +593,8 @@ def test_lifts_and_wperp_span_w():
         w = _w_rows(fiber)
         assert rank(mat(w + fiber.wperp)) == len(w), label
         basis = fiber.lifts + fiber.wperp
-        assert len(basis) == len(w) and span_eq(basis, w), label
+        assert len(basis) == len(w), label
+        assert row_space_basis(basis) == row_space_basis(w), label
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -669,6 +668,60 @@ def test_push_down_matches_the_meet_with_w(data):
     meet = _meet(rows, w)
     want = (len(meet), row_space_basis([fiber.coords(v) for v in meet]))
     assert _push_down(rows, fiber) == want, label
+
+
+@st.composite
+def quotients(draw):
+    """A FiberData of independent random lifts and W-perp rows in a fiber
+    of dimension 2n, n <= 3; _push_down reads nothing else of it."""
+    n = draw(st.integers(1, 3))
+    rows = [
+        tuple(draw(_SCALARS) for _ in range(2 * n))
+        for _ in range(draw(st.integers(1, 2 * n)))
+    ]
+    assume(rank(mat(rows)) == len(rows))
+    cut = draw(st.integers(0, len(rows)))
+    return FiberData(None, n, tuple(rows[:cut]), tuple(rows[cut:]), (), ())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_push_down_basis_is_canonical(data):
+    """two_step_disagreement compares a push-down as built: the basis
+    _push_down returns is its own canonical basis, for any rows, in W or
+    not, against any quotient."""
+    quot = data.draw(quotients())
+    dim, basis = 2 * quot.n, quot.lifts + quot.wperp
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):  # a vector of W
+            coeffs = [data.draw(_SCALARS) for _ in basis]
+            rows.append(mat_vec(transpose(mat(basis)), coeffs))
+        else:
+            rows.append(tuple(data.draw(_SCALARS) for _ in range(dim)))
+    _, heads = _push_down(rows, quot)
+    assert heads == row_space_basis(heads)
+
+
+def test_push_downs_of_the_catalog_are_canonical():
+    """At every catalog point, the one-step push-down of each structure's
+    eigenbundle and the second stage of its two-step reduction are
+    canonical bases."""
+    checked = 0
+    for name, ws in catalog_workspaces():
+        for sname in sorted(ws.scen.structures):
+            for point in sorted(ws.scen.points):
+                try:
+                    red = ws.reduced(sname, point)
+                except ValidationError:
+                    continue
+                struct, _, _ = ws.reduction_entry(sname, ws.primary_connection())
+                two = two_step_reduce(struct, red.fiber)
+                label = (name, sname, point)
+                assert red.l_rows == row_space_basis(red.l_rows), label
+                assert two.l_rows == row_space_basis(two.l_rows), label
+                checked += 1
+    assert checked == len(catalog_reductions())
 
 
 # --- facts the reduction's construction guarantees -------------------------------
@@ -803,7 +856,7 @@ def test_dirac_reduce_failure_witnesses(rows, message):
         (
             [fvec(x2=1), fvec(y2=1), fvec(x1=1), fvec(dy1=1)],
             "induced pairing on the reduced +1 eigenspace is not positive "
-            "definite (leading minors ['0', '0'])",
+            "definite (leading minors ['0'])",
         ),
         (
             # positive definite, but J1 moves d_x2 + dx2 out of C+

@@ -33,7 +33,6 @@ from gkbench.linalg import (
     rmat_scale,
     row_space_basis,
     solve,
-    span_eq,
     transpose,
 )
 from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
@@ -46,7 +45,6 @@ from gkbench.structures import (
     b_exponential,
     b_transform_section,
     b_transform_structure,
-    check_algebraic,
     check_gk_pair,
     check_integrable,
     complex_structure,
@@ -207,7 +205,7 @@ class TestBTransform:
 class TestSymplectic:
     def test_algebraic(self):
         struct = symplectic_structure(omega_r4())
-        ok, detail = check_algebraic(struct)
+        ok, detail = struct.algebraic
         assert ok, detail
 
     def test_opposite_sign_convention_is_also_algebraic(self):
@@ -219,7 +217,7 @@ class TestSymplectic:
             tuple(tuple(-e for e in row) for row in struct.matrix),
             struct.twist,
         )
-        ok, detail = check_algebraic(mirrored)
+        ok, detail = mirrored.algebraic
         assert ok, detail
 
     def test_integrable_and_type_zero(self):
@@ -250,7 +248,7 @@ class TestSymplectic:
 class TestComplex:
     def test_r2_complex_structure(self):
         struct = complex_structure(jmat_r2(), R2)
-        ok, detail = check_algebraic(struct)
+        ok, detail = struct.algebraic
         assert ok, detail
         origin = EvalPoint.at(R2, x=0, y=0)
         ok, detail = check_integrable(struct, {"origin": origin})
@@ -271,7 +269,7 @@ class TestComplex:
         matrix = tuple(tuple(one if i == j else z for j in range(4)) for i in range(4))
         struct = GenStructure(R2, matrix, zero_twist(R2))
         assert check_integrable(struct) == (False, "eigenprojector is not idempotent")
-        assert not check_algebraic(struct)[0]
+        assert not struct.algebraic[0]
         assert "squares_to_minus_one" in vars(struct.with_twist(struct.twist))
         good = complex_structure(jmat_r2(), R2)
         for candidate in (struct, good):
@@ -297,7 +295,7 @@ class TestTwistSign:
         b = self.b_field()
         moved = b_transform_structure(b, struct)
         assert moved.twist == -b.d()
-        ok, detail = check_algebraic(moved)
+        ok, detail = moved.algebraic
         assert ok, detail
         ok, detail = check_integrable(moved, self.POINTS)
         assert ok, detail
@@ -368,6 +366,25 @@ class TestGkPair:
         ok, detail = check_gk_pair(j1, j1, [origin])
         assert not ok
         assert "non-positive" in detail
+
+    @pytest.mark.parametrize(
+        "scales, which",
+        [((2, 1), "first"), ((1, 2), "second"), ((2, Fraction(1, 2)), "first")],
+        ids=["first", "second", "product-squares-to-id"],
+    )
+    def test_member_must_square_to_minus_one(self, scales, which):
+        """A scaled member commutes with its partner but is no structure.
+        Scaled by 2 and 1/2, the product still squares to Id and the
+        metric is the Kahler one, so only the members' squares see it."""
+        pair = [
+            GenStructure(R4, rmat_scale(j.matrix, Scalar.of(c)), j.twist)
+            for j, c in zip(self.kahler_pair(), scales)
+        ]
+        origin = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
+        assert check_gk_pair(*pair, [origin]) == (
+            False,
+            f"the {which} structure of the pair does not square to minus the identity",
+        )
 
     def test_mismatched_twists_fail(self):
         j1, j2 = self.kahler_pair()
@@ -654,7 +671,7 @@ def test_point_values_match_the_ring_projector_and_the_block_rule():
             assert here.matrix == rmat_eval(struct.matrix, p), (label, pname)
             assert here.columns == columns, (label, pname)
             assert here.eigenrows == tuple(columns[i] for i in picked), (label, pname)
-            assert span_eq(here.eigenrows, row_space_basis(columns)), (label, pname)
+            assert row_space_basis(here.eigenrows) == row_space_basis(columns), (label, pname)
             assert here.type == _block_type(struct, p), (label, pname)
             checked += 1
     assert checked == 46

@@ -18,9 +18,8 @@ from gkbench.calculus import DiffForm  # noqa: E402
 from gkbench.errors import ValidationError  # noqa: E402
 from gkbench.linalg import (  # noqa: E402
     _det_and_adjugate,
-    det,
     identity,
-    leading_principal_minors,
+    is_positive_definite,
     mat,
     mat_mul,
     nullspace,
@@ -120,10 +119,10 @@ def test_rank_and_nullspace_match_sympy(m):
 
 
 def check_det_and_inverse(m):
+    """solve refuses exactly the matrices of determinant zero and
+    otherwise gives sympy's inverse."""
     sm = sym_matrix(m)
-    want = sympy.expand(sm.det())
-    assert to_sympy(det(m)) == want
-    if want == 0:
+    if sympy.expand(sm.det()) == 0:
         with pytest.raises(ValidationError, match="singular"):
             solve(m, identity(len(m)))
     else:
@@ -168,13 +167,13 @@ def test_descartes_inertia_of_a_diagonal():
 
 
 @st.composite
-def sparse_matrices(draw, square=False):
+def sparse_matrices(draw, square=False, entries=gaussians):
     """About one entry in five nonzero, with a row and a column often
     blanked outright.  A square draw may instead put its nonzeros on a random
     permutation, so that sparse nonsingular matrices are common too."""
     r = draw(st.integers(1, 5))
     c = r if square else draw(st.integers(1, 5))
-    nonzero = gaussians.filter(lambda x: not x.is_zero)
+    nonzero = entries.filter(lambda x: not x.is_zero)
     if square and draw(st.booleans()):
         perm = draw(st.permutations(range(r)))
         return mat([[draw(nonzero) if j == perm[i] else ZERO for j in range(c)]
@@ -208,12 +207,26 @@ def test_sparse_det_and_inverse_match_sympy(m):
     check_det_and_inverse(m)
 
 
+def symmetric(m):
+    return mat([[m[min(i, j)][max(i, j)] for j in range(len(m))] for i in range(len(m))])
+
+
+real_squares = st.one_of(
+    matrices(reals, square=True), sparse_matrices(square=True, entries=reals)
+)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(st.one_of(matrices(square=True), sparse_matrices(square=True)))
+@given(st.one_of(real_squares, real_squares.map(symmetric)))
 def test_leading_minors_match_sympy(m):
-    assert [to_sympy(x) for x in leading_principal_minors(m)] == [
-        sympy.expand(sym_matrix(m)[: k + 1, : k + 1].det()) for k in range(len(m))
-    ]
+    """Sylvester's test: positive definite exactly when every sympy
+    leading minor is positive, with sympy's minors as witnesses up to
+    the first that is not."""
+    want = [sympy.expand(sym_matrix(m)[: k + 1, : k + 1].det()) for k in range(len(m))]
+    failing = next((k for k, x in enumerate(want) if not x > 0), None)
+    ok, minors = is_positive_definite(m)
+    assert ok == (failing is None)
+    assert [to_sympy(x) for x in minors] == (want if ok else want[: failing + 1])
 
 
 # --- the function ring ----------------------------------------------------
