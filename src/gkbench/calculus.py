@@ -13,7 +13,7 @@ The public constructors (`DiffForm(...)`, `VectorField(...)` and the
 named constructors) validate what they are given: index arity,
 strictly increasing indices inside the chart, one component per
 coordinate, and every coefficient over the same chart; they drop zero
-coefficients.  The results of +, -, scale, conj, wedge, d, interior,
+coefficients.  The results of +, -, scale, wedge, d, interior,
 lie and the Lie bracket are built through private `_of_valid`
 constructors that trust their terms.  That is sound because these
 operations only combine valid inputs: merged indices are sorted and stay
@@ -107,9 +107,6 @@ class VectorField:
                 pairs.append((sign, comp, derivative))
         return pairs
 
-    def conj(self) -> "VectorField":
-        return VectorField._of_valid(self.chart, tuple(c.conj() for c in self.components))
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
@@ -148,8 +145,9 @@ def _same_chart(a: Chart, b: Chart) -> None:
 
 
 def _merge_sign(left: Index, right: Index) -> tuple[Index, int]:
-    """Sort the concatenation of two strictly increasing tuples, counting
-    inversions; returns (None, 0) stand-in via ValueError on repeats."""
+    """The sorted concatenation of two strictly increasing tuples and the
+    sign of the sorting permutation, from its inversions; raises
+    ValueError on a repeated index, which wedge reads as a zero term."""
     merged = list(left)
     sign = 1
     for r in right:
@@ -276,11 +274,6 @@ class DiffForm:
         else:
             terms = {i: f * c for i, c in self.terms.items()}
         return DiffForm._of_valid(self.chart, self.degree, {} if f.is_zero else terms)
-
-    def conj(self) -> "DiffForm":
-        return DiffForm._of_valid(
-            self.chart, self.degree, {i: c.conj() for i, c in self.terms.items()}
-        )
 
     @property
     def is_zero(self) -> bool:

@@ -16,7 +16,8 @@ When a scenario carries a B-field, the moment-map, equivariance, gamma,
 closure, and reduction checks operate on the transformed structure and
 transported moment data; when the transported moment one-forms are not
 zero, reduction first applies the potential of the scenario's first
-connection to remove them.
+connection to remove them.  The Workspace derives each connection's
+potential once per run, for the gamma check and every reduction entry.
 
 The Workspace reduces each point once per run: `fiber` builds the
 quotient data at a named point and `reduced` the Dirac reduction of a
@@ -154,37 +155,52 @@ class Workspace:
         return moment_b_transform(scen.moment, scen.b_field)
 
     @_memoized
+    def potential(self, connection: str) -> tuple[DiffForm, list[str], MomentData]:
+        """The named connection's potential Gamma on moment_w(): Gamma, one
+        problem per generator it is not invariant under, and the moment
+        data with its one-forms cleared, zero without computing them since
+        i_{xi_j} Gamma = alpha_j by construction (gamma_from_connection)."""
+        moment = self.moment_w()
+        action = moment.action
+        gamma = gamma_from_connection(moment, self.scen.connections[connection])
+        problems = [
+            f"not invariant under generator {i + 1}"
+            for i, xi in enumerate(action.generators)
+            if not gamma.lie(xi).is_zero
+        ]
+        zeros = (DiffForm.zero(action.chart, 1),) * action.k
+        cleared = MomentData(action, zeros, moment.functions)
+        cleared.differentials = moment.differentials
+        return gamma, problems, cleared
+
+    @_memoized
     def reduction_entry(
         self, structure_name: str, connection: str | None
     ) -> tuple[GenStructure, MomentData, DiffForm | None]:
         """Structure and moment data ready for fiber reduction: one-forms
         removed by the named connection's potential when necessary."""
         moment = self.moment_w()
-        struct = self.work(structure_name)
         if all(a.is_zero for a in moment.one_forms):
-            return struct, moment, None
+            return self.work(structure_name), moment, None
         if connection is None:
             raise ValidationError(
                 "moment one-forms are nonzero and the scenario lists no "
                 "connection to remove them"
             )
-        gamma = gamma_from_connection(moment, self.scen.connections[connection])
+        gamma, problems, cleared = self.potential(connection)
+        if problems:
+            raise ValidationError(f"potential of connection {connection}: {'; '.join(problems)}")
         # e^-gamma e^B = e^(B - gamma): one transform of the scenario's
         # structure, which keeps its matrix, and so its eigenbundle,
         # when the potential equals the B-field.
-        b_field = self.scen.b_field
-        shift = -gamma if b_field is None else b_field - gamma
+        shift = -gamma if self.scen.b_field is None else self.scen.b_field - gamma
         moved = b_transform_structure(shift, self.scen.structures[structure_name])
-        # i_{xi_j} Gamma = alpha_j - alpha_j(xi_j) theta_j = alpha_j, as
-        # gamma_from_connection's antisymmetry check makes alpha_j(xi_j) = 0.
-        moment = moment_b_transform(moment, -gamma)
-        if not is_basic(moved.twist, moment.action):
+        if not is_basic(moved.twist, cleared.action):
             raise ValidationError("twist is not basic after the potential transform")
-        return moved, moment, gamma
+        return moved, cleared, gamma
 
     def primary_connection(self) -> str | None:
-        names = list(self.scen.connections)
-        return names[0] if names else None
+        return next(iter(self.scen.connections), None)
 
     def partner(self) -> str | None:
         """The member of the pair that is not the moment structure, or
@@ -300,21 +316,16 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if not scen.connections:
         return [_bad("gamma", "scenario lists gamma but has no connections")]
-    moment = ws.moment_w()
+    action = ws.moment_w().action
     struct = ws.work(scen.moment_structure)
-    action = moment.action
     gammas: dict[str, DiffForm] = {}
 
-    # gamma_from_connection contracts to the moment one-forms by
-    # construction, so only invariance and basicness are left to check.
+    # The potential contracts to the moment one-forms by construction,
+    # so only invariance and basicness are left to check.
     def judge(cname: str) -> tuple[bool, str]:
-        gamma = gammas[cname] = gamma_from_connection(moment, scen.connections[cname])
-        problems = [
-            f"not invariant under generator {i + 1}"
-            for i, xi in enumerate(action.generators)
-            if not gamma.lie(xi).is_zero
-        ]
-        if not is_basic(struct.twist + gamma.d(), action):
+        gammas[cname], invariance, _ = ws.potential(cname)
+        problems = list(invariance)
+        if not is_basic(struct.twist + gammas[cname].d(), action):
             problems.append("twist plus d(potential) is not basic")
         return _listed(
             problems,
@@ -323,8 +334,9 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
         )
 
     out = _per_item(((f"gamma:{cname}", cname) for cname in scen.connections), judge)
-    if gammas:
-        first = next(iter(gammas))
+    names = list(gammas)
+    if names:
+        first = names[0]
         ws.quantities["gamma"] = str(gammas[first])
         if "gamma" in scen.expected:
             want = scen.expected["gamma"]
@@ -333,9 +345,8 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
                 f"potential equals {want}" if same
                 else f"potential {gammas[first]} differs from expected {want}"
             )))
-    names = list(gammas)
     for other in names[1:]:
-        basic = is_basic(gammas[other] - gammas[names[0]], action)
+        basic = is_basic(gammas[other] - gammas[first], action)
         out.append(_judged(
             f"gamma:difference({other})",
             basic,

@@ -102,10 +102,6 @@ class GenSection:
 
     __hash__ = None  # type: ignore[assignment]
 
-    @property
-    def chart(self) -> Chart:
-        return self.vector.chart
-
     def __add__(self, other: "GenSection") -> "GenSection":
         return GenSection(self.vector + other.vector, self.form + other.form)
 

@@ -343,7 +343,7 @@ def test_operation_results_are_canonical(a, b, w, x, y, f):
     (a - a, a ^ a) and scaling by zero."""
     zero = RingElement.zero(CHART)
     forms = [
-        a + b, a - b, a - a, (a + b) - b, -a, a.conj(), a - a.conj(),
+        a + b, a - b, a - a, (a + b) - b, -a,
         a.scale(f), a.scale(zero), a.scale(Scalar.of(3, -1)), a.scale(Scalar()),
         a.wedge(b), a.wedge(a), a.wedge(b) + b.wedge(a), a.wedge(w),
         a.d(), w.d(), DiffForm.function(f).d(),
@@ -353,7 +353,7 @@ def test_operation_results_are_canonical(a, b, w, x, y, f):
     for form in forms:
         assert_canonical_form(form)
     fields = [
-        x + y, x - y, x - x, -x, x.conj(), x.scale(f), x.scale(zero),
+        x + y, x - y, x - x, -x, x.scale(f), x.scale(zero),
         x.scale(Scalar.of(0, 2)), lie_bracket(x, y), lie_bracket(x, x),
     ]
     for field in fields:

@@ -349,6 +349,108 @@ class TestRunner:
             )
         ]
 
+    def test_non_invariant_potential_is_named_by_the_reduction_checks(self):
+        """A moment one-form (1 + x1) dy2 gives the potential
+        (1 + x1) dx1^dy2, which the translation d_x1 moves: the gamma
+        verdict and the reductions that read it name the connection and
+        the generator, and no B-field, which the scenario does not have."""
+        raw = copy.deepcopy(builtin_raw("bihermitian_r4_translation"))
+        raw["moment"]["one_forms"] = [[{"coeff": "1 + x1", "frame": ["y2"]}]]
+        raw["checks"] = ["gamma", "reduction", "gk_reduction"]
+        verdicts, _ = run_scenario(load_scenario(raw))
+        details = {v.check: v.detail for v in verdicts if v.status == "fail"}
+        named = "potential of connection theta: not invariant under generator 1"
+        assert details == {
+            "gamma:theta": "not invariant under generator 1",
+            "gamma:expected": (
+                "potential (x1 + 1)*dx1^dy2 differs from expected dx1^dy2"
+            ),
+            "reduction": named,
+            "gk_reduction": named,
+        }
+
+    @pytest.mark.parametrize(
+        "name, checks, edit, want",
+        [
+            (
+                "complex_r2", ["type"], lambda raw: raw.update(expected={}),
+                ("type", "scenario lists the type check but expects no types"),
+            ),
+            (
+                "complex_r2", ["gk_pair"], lambda raw: None,
+                ("gk_pair", "scenario lists gk_pair but names no pair"),
+            ),
+            (
+                "kahler_c2_circle", ["gk_pair"],
+                lambda raw: raw.update(pair=["j1", "j3"], structures={
+                    **raw["structures"],
+                    "j3": builtin_raw("bihermitian_r4_translation")["structures"]["j1"],
+                }),
+                ("gk_pair", "structures do not commute"),
+            ),
+            (
+                "kahler_c2_circle", ["gk_pair"], lambda raw: raw.update(points=[]),
+                ("gk_pair", "positivity needs at least one sample point"),
+            ),
+            (
+                "kahler_c2_circle", ["gamma"], lambda raw: None,
+                ("gamma", "scenario lists gamma but has no connections"),
+            ),
+            (
+                "kahler_c2_circle", ["reduction"],
+                lambda raw: raw.update(
+                    points=raw["points"][:1], expected={"reduced_types": {"j1": 1}}
+                ),
+                ("reduction:pole_x1", "reduced type 0, expected 1"),
+            ),
+            (
+                "kahler_c2_circle", ["gk_reduction"], lambda raw: raw.pop("pair"),
+                ("gk_reduction", "scenario names no pair"),
+            ),
+            (
+                "kahler_c2_circle", ["gk_reduction"],
+                lambda raw: raw.update(
+                    points=raw["points"][:1], expected={"reduced_types": {"j2": 0}}
+                ),
+                ("gk_reduction:pole_x1", "reduced type 1, expected 0"),
+            ),
+            (
+                "complex_r2", ["b_flip"], lambda raw: None,
+                ("b_flip", "scenario lists b_flip but has no b_field"),
+            ),
+            (
+                "btwist_t4", ["b_flip"],
+                lambda raw: raw.update(b_field=[{"coeff": "1", "frame": ["t2", "t3"]}]),
+                ("b_flip", "b_field is closed, the twist shift would be zero"),
+            ),
+            (
+                "kahler_c2_circle", ["b_commute"], lambda raw: None,
+                ("b_commute", "scenario lists b_commute but no basic_field"),
+            ),
+            (
+                "gamma_cylinder_product", ["b_commute"],
+                lambda raw: raw.update(basic_field=[{"coeff": "1", "frame": ["x1", "u"]}]),
+                ("b_commute", "basic_field is not basic for the action"),
+            ),
+        ],
+        ids=[
+            "type-expects-no-types", "gk_pair-no-pair", "gk_pair-not-commuting",
+            "gk_pair-no-points", "gamma-no-connections", "reduction-type-mismatch",
+            "gk_reduction-no-pair", "gk_reduction-type-mismatch",
+            "b_flip-no-b_field", "b_flip-closed-b_field",
+            "b_commute-no-basic_field", "b_commute-field-not-basic",
+        ],
+    )
+    def test_failing_verdicts_name_their_problem(self, name, checks, edit, want):
+        """Each failing verdict that the builtins never reach, on a builtin
+        edited to reach it, running only the check under test."""
+        raw = copy.deepcopy(builtin_raw(name))
+        raw["checks"] = checks
+        edit(raw)
+        verdicts, _ = run_scenario(load_scenario(raw))
+        check, detail = want
+        assert [(v.check, v.status, v.detail) for v in verdicts] == [(check, "fail", detail)]
+
     @pytest.mark.parametrize(
         "name, checks",
         [
@@ -577,6 +679,67 @@ class TestCli:
         raw[key] = value
         target = tmp_path / "rational.json"
         target.write_text(json.dumps(raw))
+        assert main(["check", "--scenario", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "edit, err",
+        [
+            (lambda raw: raw.update(twist=[5]), "twist: every term must be an object"),
+            (
+                lambda raw: raw.update(twist=[{"frame": ["x1", "t1", "x2"], "sign": 1}]),
+                "twist: unknown term keys ['sign']",
+            ),
+            (
+                lambda raw: raw.update(twist=[{"frame": ["x1"]}]),
+                "twist: term frame ['x1'] does not have degree 3",
+            ),
+            (
+                lambda raw: raw.update(structures={"j": {"kind": "quaternionic"}}),
+                "structure j: unknown structure kind 'quaternionic'",
+            ),
+            (
+                lambda raw: raw.update(action=[["1", "0"]]),
+                "action generator 1 needs 4 components",
+            ),
+            (
+                lambda raw: raw.update(action=[["I", "0", "0", "0"]]),
+                "action: generators must be real vector fields",
+            ),
+            (lambda raw: raw.pop("action"), "moment data requires an action"),
+            (
+                lambda raw: raw["moment"].update(functions=["-t1"]),
+                "moment: moment data length does not match the action",
+            ),
+            (
+                lambda raw: [raw.pop("action"), raw.pop("moment")],
+                "connections require an action",
+            ),
+            (
+                lambda raw: raw["connections"].update(theta=[[{"frame": ["x1"]}]]),
+                "connection theta: connection length does not match the action",
+            ),
+            (
+                lambda raw: raw.update(points=raw["points"][:1] * 2),
+                "every point needs a distinct name",
+            ),
+            (lambda raw: raw.clear(), "scenario file must contain a JSON object"),
+        ],
+        ids=[
+            "term-not-object", "unknown-term-key", "frame-degree",
+            "structure-kind", "generator-length", "complex-generator",
+            "moment-without-action", "moment-length", "connection-without-action",
+            "connection-length", "repeated-point-name", "not-an-object",
+        ],
+    )
+    def test_loader_errors_exit_2(self, tmp_path, capsys, edit, err):
+        """A gamma_torus_cylinder file edited to break one loader rule exits
+        2 with that rule's error line and nothing else on stderr.  The
+        edit that empties the object writes an empty JSON list instead."""
+        raw = copy.deepcopy(builtin_raw("gamma_torus_cylinder"))
+        edit(raw)
+        target = tmp_path / "broken.json"
+        target.write_text(json.dumps(raw or []))
         assert main(["check", "--scenario", str(target)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 
