@@ -134,8 +134,7 @@ class MomentData:
     """One real one-form and one real invariant function per generator,
     with the functions' differentials dF derived once, on first use (kept
     in the instance __dict__, so the class has no __slots__);
-    moment_b_transform and the runner's potential hand them to their
-    copies, which have the same functions."""
+    moment_b_transform hands them to its copy, which has the same functions."""
 
     def __init__(
         self, action: TorusAction, one_forms: tuple[DiffForm, ...],

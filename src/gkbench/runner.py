@@ -15,9 +15,12 @@ points each fails once, named after the check.
 When a scenario carries a B-field, the moment-map, equivariance, gamma,
 closure, and reduction checks operate on the transformed structure and
 transported moment data; when the transported moment one-forms are not
-zero, reduction first applies the potential of the scenario's first
-connection to remove them.  The Workspace derives each connection's
-potential once per run, for the gamma check and every reduction entry.
+zero, reduction moves each structure by e^(B - Gamma), Gamma the potential
+of the scenario's first connection, to remove them.  The Workspace judges
+each premise once per run, and every check that needs it reads that
+judgment: a connection's potential and its invariance, the shifted twist
+H - dB + dGamma and each connection change being basic, and a structure's
+integrability (the integrability check and the first leg of b_flip).
 
 The Workspace reduces each point once per run: `fiber` builds the
 quotient data at a named point and `reduced` the Dirac reduction of a
@@ -155,49 +158,64 @@ class Workspace:
         return moment_b_transform(scen.moment, scen.b_field)
 
     @_memoized
-    def potential(self, connection: str) -> tuple[DiffForm, list[str], MomentData]:
-        """The named connection's potential Gamma on moment_w(): Gamma, one
-        problem per generator it is not invariant under, and the moment
-        data with its one-forms cleared, zero without computing them since
-        i_{xi_j} Gamma = alpha_j by construction (gamma_from_connection)."""
+    def potential(self, connection: str) -> tuple[DiffForm, list[str]]:
+        """The named connection's potential Gamma on moment_w(), and one
+        problem per generator it is not invariant under."""
         moment = self.moment_w()
-        action = moment.action
         gamma = gamma_from_connection(moment, self.scen.connections[connection])
-        problems = [
+        return gamma, [
             f"not invariant under generator {i + 1}"
-            for i, xi in enumerate(action.generators)
+            for i, xi in enumerate(moment.action.generators)
             if not gamma.lie(xi).is_zero
         ]
-        zeros = (DiffForm.zero(action.chart, 1),) * action.k
-        cleared = MomentData(action, zeros, moment.functions)
-        cleared.differentials = moment.differentials
-        return gamma, problems, cleared
 
     @_memoized
+    def moved(self, structure_name: str, connection: str) -> GenStructure:
+        """The structure moved by e^(B - Gamma), Gamma the named connection's
+        potential, in one transform; its twist is H - dB + dGamma."""
+        gamma, _ = self.potential(connection)
+        shift = -gamma if self.scen.b_field is None else self.scen.b_field - gamma
+        return b_transform_structure(shift, self.scen.structures[structure_name])
+
+    @_memoized
+    def twist_is_basic(self, connection: str) -> bool:
+        """Whether H - dB + dGamma is basic, judged on the moved moment
+        structure: the loader gives every structure the scenario's twist."""
+        moved = self.moved(self.scen.moment_structure, connection)
+        return is_basic(moved.twist, self.moment_w().action)
+
+    @_memoized
+    def connection_change(self, connection: str) -> tuple[DiffForm, bool]:
+        """Gamma - Gamma', Gamma' the named connection's potential and Gamma
+        the primary connection's, and whether it is basic; where any potential
+        exists, all do, since gamma_from_connection fails alike for each."""
+        gamma, _ = self.potential(self.primary_connection())
+        change = gamma - self.potential(connection)[0]
+        return change, is_basic(change, self.moment_w().action)
+
+    @_memoized
+    def integrable(self, struct: GenStructure) -> tuple[bool, str]:
+        """check_integrable at the scenario's points, once per structure object."""
+        return check_integrable(struct, self.scen.points)
+
     def reduction_entry(
         self, structure_name: str, connection: str | None
-    ) -> tuple[GenStructure, MomentData, DiffForm | None]:
-        """Structure and moment data ready for fiber reduction: one-forms
-        removed by the named connection's potential when necessary."""
-        moment = self.moment_w()
-        if all(a.is_zero for a in moment.one_forms):
-            return self.work(structure_name), moment, None
+    ) -> tuple[GenStructure, DiffForm | None]:
+        """The structure ready for fiber reduction, and the potential that
+        removed the moment one-forms, None when they are zero."""
+        if all(a.is_zero for a in self.moment_w().one_forms):
+            return self.work(structure_name), None
         if connection is None:
             raise ValidationError(
                 "moment one-forms are nonzero and the scenario lists no "
                 "connection to remove them"
             )
-        gamma, problems, cleared = self.potential(connection)
+        gamma, problems = self.potential(connection)
         if problems:
             raise ValidationError(f"potential of connection {connection}: {'; '.join(problems)}")
-        # e^-gamma e^B = e^(B - gamma): one transform of the scenario's
-        # structure, which keeps its matrix, and so its eigenbundle,
-        # when the potential equals the B-field.
-        shift = -gamma if self.scen.b_field is None else self.scen.b_field - gamma
-        moved = b_transform_structure(shift, self.scen.structures[structure_name])
-        if not is_basic(moved.twist, cleared.action):
+        if not self.twist_is_basic(connection):
             raise ValidationError("twist is not basic after the potential transform")
-        return moved, cleared, gamma
+        return self.moved(structure_name, connection), gamma
 
     def primary_connection(self) -> str | None:
         return next(iter(self.scen.connections), None)
@@ -212,27 +230,25 @@ class Workspace:
 
     @_memoized
     def fiber(self, point_name: str) -> FiberData:
-        """Reduction data at a named point.  A B-field or potential leaves
-        the moment functions and the action unchanged, so the moment data
-        of the moment structure's reduction entry serves every structure."""
-        _, moment, _ = self.reduction_entry(
-            self.scen.moment_structure, self.primary_connection()
-        )
-        return fiber_data(moment, self.scen.points[point_name], self.scen.level)
+        """Reduction data at a named point, once the moment structure's entry
+        stands; fiber_data reads only the action and moment functions, which
+        neither a B-field nor a potential changes, so moment_w() serves all."""
+        self.reduction_entry(self.scen.moment_structure, self.primary_connection())
+        return fiber_data(self.moment_w(), self.scen.points[point_name], self.scen.level)
 
     @_memoized
     def reduced(self, structure_name: str, point_name: str) -> ReducedFiber:
         """A structure's reduction entry for the primary connection,
         reduced at a named point."""
-        struct, _, _ = self.reduction_entry(structure_name, self.primary_connection())
+        struct, _ = self.reduction_entry(structure_name, self.primary_connection())
         return dirac_reduce(struct, self.fiber(point_name))
 
     def gk_reduced(self, point_name: str) -> GkReducedFiber:
         """The partner transported through the moment structure's
         reduction at a named point; needs a partner."""
         primary = self.primary_connection()
-        struct1, _, _ = self.reduction_entry(self.scen.moment_structure, primary)
-        struct2, _, _ = self.reduction_entry(self.partner(), primary)
+        struct1, _ = self.reduction_entry(self.scen.moment_structure, primary)
+        struct2, _ = self.reduction_entry(self.partner(), primary)
         red1 = self.reduced(self.scen.moment_structure, point_name)
         return gk_reduce(red1, struct1, struct2)
 
@@ -268,9 +284,7 @@ def _check_algebraic(ws: Workspace) -> list[Verdict]:
 
 
 def _check_integrability(ws: Workspace) -> list[Verdict]:
-    return _each_structure(
-        ws, "integrability", lambda struct: check_integrable(struct, ws.scen.points)
-    )
+    return _each_structure(ws, "integrability", ws.integrable)
 
 
 def _check_type(ws: Workspace) -> list[Verdict]:
@@ -316,19 +330,16 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     if not scen.connections:
         return [_bad("gamma", "scenario lists gamma but has no connections")]
-    action = ws.moment_w().action
-    struct = ws.work(scen.moment_structure)
+    ws.moment_w()  # without moment data the whole check fails
     gammas: dict[str, DiffForm] = {}
 
     # The potential contracts to the moment one-forms by construction,
     # so only invariance and basicness are left to check.
     def judge(cname: str) -> tuple[bool, str]:
-        gammas[cname], invariance, _ = ws.potential(cname)
-        problems = list(invariance)
-        if not is_basic(struct.twist + gammas[cname].d(), action):
-            problems.append("twist plus d(potential) is not basic")
+        gammas[cname], invariance = ws.potential(cname)
+        basic = [] if ws.twist_is_basic(cname) else ["twist plus d(potential) is not basic"]
         return _listed(
-            problems,
+            invariance + basic,
             "potential contracts to the moment one-forms, is "
             "invariant, and makes the twist basic",
         )
@@ -346,7 +357,7 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
                 else f"potential {gammas[first]} differs from expected {want}"
             )))
     for other in names[1:]:
-        basic = is_basic(gammas[other] - gammas[first], action)
+        _, basic = ws.connection_change(other)
         out.append(_judged(
             f"gamma:difference({other})",
             basic,
@@ -386,7 +397,7 @@ def _check_level_closure(ws: Workspace) -> list[Verdict]:
 def _check_reduction(ws: Workspace) -> list[Verdict]:
     scen = ws.scen
     name = scen.moment_structure
-    struct, moment, gamma = ws.reduction_entry(name, ws.primary_connection())
+    struct, gamma = ws.reduction_entry(name, ws.primary_connection())
     want_dim = scen.expected.get("reduced_dim")
     want_type = scen.expected.get("reduced_types", {}).get(name)
     reds: dict[str, ReducedFiber] = {}
@@ -411,9 +422,9 @@ def _check_reduction(ws: Workspace) -> list[Verdict]:
         )
 
     def independent(cname: str) -> tuple[bool, str]:
-        struct_alt, _, gamma_alt = ws.reduction_entry(name, cname)
-        diff = gamma - gamma_alt
-        if not is_basic(diff, moment.action):
+        struct_alt, _ = ws.reduction_entry(name, cname)
+        diff, basic = ws.connection_change(cname)
+        if not basic:
             return False, "connection change is not basic"
         problems = []
         for pname, red in reds.items():
@@ -447,7 +458,7 @@ def _check_gk_reduction(ws: Workspace) -> list[Verdict]:
     if scen.moment_structure not in scen.pair:
         return [_bad("gk_reduction", "moment structure is not part of the pair")]
     other = ws.partner()
-    struct2, _, _ = ws.reduction_entry(other, ws.primary_connection())
+    struct2, _ = ws.reduction_entry(other, ws.primary_connection())
     want = scen.expected.get("reduced_types", {}).get(other)
 
     def judge(pname: str) -> tuple[bool, str]:
@@ -486,7 +497,7 @@ def _check_b_flip(ws: Workspace) -> list[Verdict]:
         ]
     points = scen.points
     moved = ws.work(name)
-    ok_shifted, detail = check_integrable(moved, points)
+    ok_shifted, detail = ws.integrable(moved)
     legs = [f"with twist shifted down: {'pass' if ok_shifted else detail}"]
     ok_same, _ = check_integrable(moved.with_twist(base.twist), points)
     legs.append(f"with the original twist: {'fails' if not ok_same else 'PASSES'}")
@@ -507,9 +518,9 @@ def _check_b_commute(ws: Workspace) -> list[Verdict]:
     if scen.basic_field is None:
         return [_bad("b_commute", "scenario lists b_commute but no basic_field")]
     name = scen.moment_structure
-    struct, moment, _ = ws.reduction_entry(name, ws.primary_connection())
+    struct, _ = ws.reduction_entry(name, ws.primary_connection())
     basic = scen.basic_field
-    if not is_basic(basic, moment.action):
+    if not is_basic(basic, ws.moment_w().action):
         return [_bad("b_commute", "basic_field is not basic for the action")]
     moved = b_transform_structure(basic, struct)
 

@@ -186,10 +186,10 @@ def test_criterion_4_potential_construction():
 def test_criterion_5_reduction_with_independent_oracle():
     scen = load_builtin("kahler_c2_circle")
     ws, _, moment = workspace_moment(scen)
-    struct, moment_r, _ = ws.reduction_entry(scen.moment_structure, None)
+    struct, _ = ws.reduction_entry(scen.moment_structure, None)
     assert len(scen.points) >= 5
     for pname, point in scen.points.items():
-        fiber = fiber_data(moment_r, point, scen.level)
+        fiber = fiber_data(moment, point, scen.level)
         red = dirac_reduce(struct, fiber)
         m = fiber.m
         assert len(red.l_rows) == m, pname
@@ -219,10 +219,10 @@ def test_criterion_5_reduction_with_independent_oracle():
 def test_criterion_6_type_formulas():
     scen = load_builtin("kahler_c2_circle")
     ws, _, _ = workspace_moment(scen)
-    struct1, moment_r, _ = ws.reduction_entry("j1", None)
-    struct2, _, _ = ws.reduction_entry("j2", None)
+    struct1, _ = ws.reduction_entry("j1", None)
+    struct2, _ = ws.reduction_entry("j2", None)
     for pname, point in scen.points.items():
-        fiber = fiber_data(moment_r, point, scen.level)
+        fiber = fiber_data(ws.moment_w(), point, scen.level)
         red1 = dirac_reduce(struct1, fiber)
         assert struct1.at(point).type == 0
         assert matrix_type(red1.jmat, red1.fiber.point) == 0, pname
@@ -234,10 +234,10 @@ def test_criterion_6_type_formulas():
 
     scen = load_builtin("bihermitian_r4_translation")
     ws, _, _ = workspace_moment(scen)
-    struct1, moment_r, _ = ws.reduction_entry("j1", ws.primary_connection())
-    struct2, _, _ = ws.reduction_entry("j2", ws.primary_connection())
+    struct1, _ = ws.reduction_entry("j1", ws.primary_connection())
+    struct2, _ = ws.reduction_entry("j2", ws.primary_connection())
     for pname, point in scen.points.items():
-        fiber = fiber_data(moment_r, point, scen.level)
+        fiber = fiber_data(ws.moment_w(), point, scen.level)
         red1 = dirac_reduce(struct1, fiber)
         assert matrix_type(red1.jmat, red1.fiber.point) == struct1.at(point).type == 0, pname
         gk = gk_reduce(red1, struct1, struct2)

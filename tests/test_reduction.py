@@ -715,7 +715,7 @@ def test_push_downs_of_the_catalog_are_canonical():
                     red = ws.reduced(sname, point)
                 except ValidationError:
                     continue
-                struct, _, _ = ws.reduction_entry(sname, ws.primary_connection())
+                struct, _ = ws.reduction_entry(sname, ws.primary_connection())
                 two = two_step_reduce(struct, red.fiber)
                 label = (name, sname, point)
                 assert red.l_rows == row_space_basis(red.l_rows), label
@@ -870,7 +870,7 @@ def test_gk_reduce_failure_witnesses(plus, message):
     """The partner J2 = J1 G, for G = Id on span(plus) and -Id on unit
     vectors completing it, has product operator -J1 J2 = G."""
     ws = pole_workspace()
-    j1, _, _ = ws.reduction_entry("j1", None)
+    j1, _ = ws.reduction_entry("j1", None)
     red1 = ws.reduced("j1", "pole_x1")
     if plus is None:
         j2 = j1
@@ -889,7 +889,7 @@ def test_two_step_disagreement_names_the_failing_comparison():
     structure breaks the intertwining.  The conjugate two-step eigenbundle
     keeps both structures, so only the second comparison fails."""
     ws = pole_workspace()
-    struct, _, _ = ws.reduction_entry("j1", None)
+    struct, _ = ws.reduction_entry("j1", None)
     red = ws.reduced("j1", "pole_x1")
     two = two_step_reduce(struct, red.fiber)
     assert two_step_disagreement(red, two) is None

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkbench.calculus import DiffForm
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
-from gkbench import runner
+from gkbench import runner, structures
 from gkbench.cli import main
 from gkbench.errors import ParseError, ValidationError
 from gkbench.report import build_report, render_json, render_text, report_passed
@@ -472,6 +472,51 @@ class TestRunner:
         ]
         assert quantities == {}
         assert not report_passed(build_report(scen, verdicts, quantities))
+
+    def test_every_structure_carries_the_scenario_twist(self):
+        """The loader gives every structure the scenario's twist, so one
+        judgment of the shifted twist serves every structure."""
+        for name in catalog_names():
+            scen = load_builtin(name)
+            for sname, struct in scen.structures.items():
+                assert struct.twist == scen.twist, (name, sname)
+
+    def test_a_pair_judges_its_shifted_twist_once(self, monkeypatch):
+        """bihermitian_r4_translation with the closed twist dx1^dy1^dx2,
+        which contracts with the translation d_x1: the potential dx1^dy2
+        is closed, so the shifted twist is the twist itself, judged once
+        for the gamma check and both structures of the pair."""
+        raw = copy.deepcopy(builtin_raw("bihermitian_r4_translation"))
+        raw["twist"] = [{"coeff": "1", "frame": ["x1", "y1", "x2"]}]
+        scen = load_scenario(raw)
+        judged, is_basic = [], runner.is_basic
+        monkeypatch.setattr(
+            runner, "is_basic", lambda form, act: judged.append(form) or is_basic(form, act)
+        )
+        verdicts, _ = run_scenario(scen)
+        details = {v.check: v.detail for v in verdicts if v.status == "fail"}
+        unbasic = "twist is not basic after the potential transform"
+        assert details["gamma:theta"] == "twist plus d(potential) is not basic"
+        assert details["reduction"] == details["gk_reduction"] == unbasic
+        assert details["equivariant"] == (
+            "contraction of the twist with generator 1 does not match d(alpha_1)"
+        )
+        assert judged.count(scen.twist) == 1
+
+    def test_integrability_is_checked_once_per_structure(self, monkeypatch):
+        """On btwist_t4, b_flip's first leg reads integrability:j+b's
+        check of e^B J instead of bracketing its frame again."""
+        brackets, checks = [], []
+        courant, check = structures.courant_bracket, runner.check_integrable
+        monkeypatch.setattr(
+            structures, "courant_bracket", lambda *a: brackets.append(1) or courant(*a)
+        )
+        monkeypatch.setattr(
+            runner, "check_integrable", lambda *a: checks.append(1) or check(*a)
+        )
+        verdicts, _ = run_scenario(load_builtin("btwist_t4"))
+        assert [v.status for v in verdicts] == ["pass"] * 6
+        assert (len(brackets), len(checks)) == (22, 5)
 
     def test_each_point_is_reduced_once(self, monkeypatch):
         points, reductions = [], []
