@@ -68,8 +68,10 @@ and the cross-eliminated frame's pairs, which that pass builds only when
 no point certifies a basis or a basis bracket fails.  It also judges the
 level slice from the same pass: a certified chart-wide pass is a slice
 pass, and a full-frame pass pulls back only the residuals that did not
-vanish on the chart.  level_substitution returns a slice map only when
-every moment function pulls back to its level constant.
+vanish on the chart.  The runner calls it only when check_integrable
+fails on the structure: every subbundle of an involutive eigenbundle
+closes.  level_substitution returns a slice map only when every moment
+function pulls back to its level constant.
 """
 
 from __future__ import annotations

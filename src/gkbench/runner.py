@@ -20,7 +20,8 @@ of the scenario's first connection, to remove them.  The Workspace judges
 each premise once per run, and every check that needs it reads that
 judgment: a connection's potential and its invariance, the shifted twist
 H - dB + dGamma and each connection change being basic, and a structure's
-integrability (the integrability check and the first leg of b_flip).
+integrability (the integrability check, the first leg of b_flip, and
+level_closure, which brackets nothing once the moment structure passes).
 
 The Workspace reduces each point once per run: `fiber` builds the
 quotient data at a named point and `reduced` the Dirac reduction of a
@@ -373,11 +374,22 @@ LEVEL_FRAME_CLOSES = (
 )
 
 
+# Every subbundle of an involutive eigenbundle is closed, the level-tangent one too.
+EIGENBUNDLE_CLOSES = (
+    "the eigenbundle of this structure is judged involutive, so brackets of its "
+    "level-tangent sections stay in it and no bracket is computed"
+)
+
+
 def _check_level_closure(ws: Workspace) -> list[Verdict]:
     moment = ws.moment_w()
     struct = ws.work(ws.scen.moment_structure)
     sub = level_substitution(moment, ws.scen.level)
-    adapted, adapted_slice = check_adapted_closure(struct, moment, sub, ws.scen.points)
+    if ws.integrable(struct)[0]:
+        adapted = (True, f"{EIGENBUNDLE_CLOSES}, globally")
+        adapted_slice = (True, f"{EIGENBUNDLE_CLOSES}, on the level slice")
+    else:
+        adapted, adapted_slice = check_adapted_closure(struct, moment, sub, ws.scen.points)
     out = [
         Verdict("level_closure:frame", "pass", LEVEL_FRAME_CLOSES),
         _judged("level_closure:adapted", *adapted),

@@ -3,7 +3,12 @@ builds once, the one loop over frame pairs, the level-slice verdict
 judged from the same brackets as the chart-wide one, and the basis
 certified at a scenario point that decides the same verdicts as the full
 frame.  The level distribution's own closure is an identity, which the
-runner states without computing a bracket; the tests here prove it."""
+runner states without computing a bracket; the tests here prove it.  The
+runner brackets level-tangent sections only when the moment structure
+fails integrability, since every subbundle of an involutive eigenbundle
+closes, so the adapted pass's own counts and details are tested on
+reduction.check_adapted_closure directly, and the implication behind
+the skip on every twist variant."""
 
 from __future__ import annotations
 
@@ -55,6 +60,10 @@ def closure_verdicts(name: str, twist=None) -> list[tuple[str, str, str]]:
 
 
 FRAME_PASS = ("level_closure:frame", "pass", LEVEL_FRAME_CLOSES)
+
+
+def moment_builtins():
+    return [n for n in catalog_names() if "moment" in builtin_raw(n)]
 
 
 def unit_columns(chart, count):
@@ -128,6 +137,9 @@ def test_level_closure_brackets_each_pair_once(monkeypatch):
     for module in (calculus, structures):
         monkeypatch.setattr(module, "lie_bracket", counted_lie)
     assert [status for _, status, _ in closure_verdicts(scen.name)] == ["pass"] * 3
+    calls.clear()
+    outcomes = check_adapted_closure(*closure_inputs(scen.name))
+    assert [ok for ok, _ in outcomes] == [True, True]
     # Only a basis certified at a scenario point is bracketed, and the slice
     # reuses the chart's brackets.  The free torus action makes the
     # level-tangent eigenbundle of rank N - k.  The level distribution's
@@ -225,7 +237,7 @@ def test_failing_closure_verdicts(name, twist, adapted, on_slice):
 def test_frame_verdict_is_the_identity():
     # Every catalog scenario with moment data passes the level distribution
     # by the identity, as every failing twist above does.
-    moment_names = [n for n in catalog_names() if "moment" in builtin_raw(n)]
+    moment_names = moment_builtins()
     assert len(moment_names) >= 4
     for name in moment_names:
         assert closure_verdicts(name)[0] == FRAME_PASS, name
@@ -246,14 +258,19 @@ def closure_verdicts_with_points(name: str, points: list) -> list[tuple[str, str
     return [(v.check, v.status, v.detail) for v in verdicts]
 
 
-def closure_inputs(name: str, twist=None):
+def closure_inputs(name: str, twist=None, points=None):
     """The moment structure, transported moment data, slice map and points
     the runner's level_closure check uses, for a builtin with an optional
-    replacement twist."""
+    replacement twist and replacement points."""
     raw = copy.deepcopy(builtin_raw(name))
     if twist is not None:
         raw["twist"] = twist
-    scen = load_scenario(raw)
+    if points is not None:
+        raw["points"] = points
+    return scenario_closure_inputs(load_scenario(raw))
+
+
+def scenario_closure_inputs(scen):
     ws = Workspace(scen)
     moment = ws.moment_w()
     sub = level_substitution(moment, scen.level)
@@ -304,20 +321,12 @@ def test_certified_basis_decides_as_the_full_frame():
 
 
 def test_full_frame_without_points():
-    verdicts = closure_verdicts_with_points("gamma_torus_cylinder", [])
-    assert verdicts == [
-        FRAME_PASS,
-        (
-            "level_closure:adapted",
-            "pass",
-            "all 15 adapted brackets stay in the eigenbundle, globally",
-        ),
-        (
-            "level_closure:slice",
-            "pass",
-            "all 15 adapted brackets stay in the eigenbundle, on the level slice",
-        ),
-    ]
+    assert closure_verdicts_with_points("gamma_torus_cylinder", [])[0] == FRAME_PASS
+    inputs = closure_inputs("gamma_torus_cylinder", points=[])
+    assert check_adapted_closure(*inputs) == (
+        (True, "all 15 adapted brackets stay in the eigenbundle, globally"),
+        (True, "all 15 adapted brackets stay in the eigenbundle, on the level slice"),
+    )
 
 
 def test_full_frame_without_moment_functions_is_the_plus_i_frame():
@@ -351,17 +360,18 @@ def test_full_frame_when_the_point_drops_rank():
     # which the level-tangent eigenbundle frame does not reach: no basis is
     # certified.
     origin = {"name": "origin", "values": dict.fromkeys(["x1", "y1", "x2", "y2"], "0")}
-    frame, adapted, _ = closure_verdicts_with_points("kahler_c2_circle", [origin])
-    assert frame == FRAME_PASS
-    assert adapted[1:] == (
-        "pass",
+    assert closure_verdicts_with_points("kahler_c2_circle", [origin])[0] == FRAME_PASS
+    adapted, _ = check_adapted_closure(*closure_inputs("kahler_c2_circle", points=[origin]))
+    assert adapted == (
+        True,
         "all 276 adapted brackets stay in the eigenbundle, globally",
     )
     pole = {"name": "pole", "values": {**origin["values"], "x1": "1"}}
-    frame, adapted, _ = closure_verdicts_with_points("kahler_c2_circle", [origin, pole])
-    assert frame == FRAME_PASS
-    assert adapted[1:] == (
-        "pass",
+    points = [origin, pole]
+    assert closure_verdicts_with_points("kahler_c2_circle", points)[0] == FRAME_PASS
+    adapted, _ = check_adapted_closure(*closure_inputs("kahler_c2_circle", points=points))
+    assert adapted == (
+        True,
         "all brackets of a 3-section basis certified at pole (3 pairs) stay in "
         "the eigenbundle, globally",
     )
@@ -487,9 +497,8 @@ CERTIFIED = {
 
 
 def moment_scenarios():
-    for name in catalog_names():
-        if "moment" in builtin_raw(name):
-            yield load_builtin(name)
+    for name in moment_builtins():
+        yield load_builtin(name)
     yield load_scenario(kahler_c3_circle())
 
 
@@ -544,9 +553,87 @@ def test_certified_closure_builds_no_full_frame(monkeypatch):
         ("level_closure:adapted", "pass"),
         ("level_closure:slice", "skipped"),
     ]
-    assert verdicts[1].detail == (
+    struct, moment, sub, points = scenario_closure_inputs(scen)
+    assert sub is None  # the moment map is quadratic: no slice verdict
+    calls.clear()
+    adapted, on_slice = check_adapted_closure(struct, moment, sub, points)
+    assert on_slice is None
+    assert adapted == (
+        True,
         "all brackets of a 5-section basis certified at p (10 pairs) stay in "
-        "the eigenbundle, globally"
+        "the eigenbundle, globally",
     )
     # The rank n - k level-tangent eigenbundle: C^3 has n = 6, the circle k = 1.
     assert len(calls) == comb(scen.chart.dim - 1, 2)
+
+
+def test_integrable_structures_close_their_level_tangent_part():
+    """Why the runner's level_closure reads the integrability judgment:
+    every subbundle of an involutive eigenbundle is closed, its
+    level-tangent part included, so whenever check_integrable passes, both
+    outcomes of the adapted pass do."""
+    cases = {
+        (name, str(twist)): closure_inputs(name, twist)
+        for name in moment_builtins()
+        for twist in twist_variants(name)
+    }
+    cases["kahler_c3_circle"] = scenario_closure_inputs(load_scenario(kahler_c3_circle()))
+    judged = []
+    for case, (struct, moment, sub, points) in cases.items():
+        ok, _ = check_integrable(struct, points)
+        judged.append(ok)
+        if ok:
+            outcomes = check_adapted_closure(struct, moment, sub, points)
+            assert not failing(outcomes), case
+    assert True in judged and False in judged
+
+
+def test_level_closure_reads_the_integrability_judgment(monkeypatch):
+    raw = kahler_c3_circle()
+    raw["checks"] = ["integrability", "level_closure"]
+    scen = load_scenario(raw)
+    calls = []
+    courant = structures.courant_bracket
+    monkeypatch.setattr(
+        structures, "courant_bracket", lambda *a: calls.append(1) or courant(*a)
+    )
+    verdicts, _ = run_scenario(scen)
+    assert [(v.check, v.status) for v in verdicts] == [
+        ("integrability:j1", "pass"),
+        ("level_closure:frame", "pass"),
+        ("level_closure:adapted", "pass"),
+        ("level_closure:slice", "skipped"),
+    ]
+    # Only integrability brackets: a 6-section basis of the eigenbundle of C^3.
+    assert len(calls) == comb(scen.chart.dim, 2)
+    assert "no bracket is computed" in verdicts[2].detail
+    assert verdicts[2].detail.endswith(", globally")
+
+
+def as_verdict(outcome):
+    ok, detail = outcome
+    return "pass" if ok else "fail", detail
+
+
+def test_level_closure_without_integrability_keeps_the_adapted_statuses():
+    """A scenario that lists level_closure alone: the runner judges
+    integrability itself, and its statuses are the adapted pass's; where
+    integrability fails, the details are too, byte for byte."""
+    failures = 0
+    for name in moment_builtins():
+        for twist in twist_variants(name):
+            struct, moment, sub, points = closure_inputs(name, twist)
+            adapted, on_slice = check_adapted_closure(struct, moment, sub, points)
+            want = [FRAME_PASS, ("level_closure:adapted", *as_verdict(adapted))]
+            if on_slice is None:
+                no_slice = "chart does not admit substituting the level values"
+                want.append(("level_closure:slice", "skipped", no_slice))
+            else:
+                want.append(("level_closure:slice", *as_verdict(on_slice)))
+            got = closure_verdicts(name, twist)
+            if check_integrable(struct, points)[0]:
+                assert [v[:2] for v in got] == [v[:2] for v in want], (name, twist)
+            else:
+                failures += 1
+                assert got == want, (name, twist)
+    assert failures
