@@ -1,24 +1,27 @@
 """Exact linear algebra over Gaussian rationals and over the function ring.
 
-A matrix is a tuple of row tuples.  One set of arithmetic helpers --
-mat, transpose, mat_add, mat_sub, mat_neg, mat_mul and mat_vec -- serves
-both entry types: Scalar entries at a point and RingElement entries over
-a chart.  They use only +, -, *, unary minus and is_zero, so no helper
-branches on the entry type.  Matrix identities are stated with ==,
-since both entry types are canonical, or entrywise (is_scalar_matrix,
-is_skew) where the other side would be a negated matrix built only to
-be compared.
+A matrix is a tuple of row tuples.  The helpers mat, transpose, mat_add,
+mat_neg, mat_vec and is_scalar_matrix serve both entry types: Scalar
+entries at a point and RingElement entries over a chart.  They use only
++, -, *, unary minus and is_zero, so no helper branches on the entry
+type.  Matrix identities are stated with ==, since both entry types are
+canonical, or entrywise (is_scalar_matrix) where the other side would be
+a scaled identity built only to be compared.
 
 The matrices of a reduction are mostly zeros (padded vectors, the
-pairing, [B | Id], diagonal eigenvalue matrices), so the kernel works on
-supports: the pairs (j, x) of a row or column with x nonzero.  mat_mul
-is the row-support product (Gustavson, ACM TOMS 4(3), 1978): it reads
-each row of b as its support once, and row i of the result adds
-a[i][k] * b[k][j] over the nonzero a[i][k] in increasing k, at the j of
-row k's support; mat_vec reads the column's support once.  A result
-entry that no term reaches is a zero taken from the operands, so it
-keeps their entry type and chart, and every sum runs in increasing k,
-so ring results are built in a fixed order.
+pairing, [B | Id], diagonal eigenvalue matrices), and so are the
+structure matrices of a chart, so the kernel works on supports: the
+pairs (j, x) of a row or column with x nonzero.  mat_mul, the product of
+point matrices, is the row-support product (Gustavson, ACM TOMS 4(3),
+1978): it reads each row of b as its support once, and row i of the
+result adds a[i][k] * b[k][j] over the nonzero a[i][k] in increasing k,
+at the j of row k's support; mat_vec reads the column's support once.
+A result entry that no term reaches is a zero taken from the operands,
+so it keeps their entry type, and every sum runs in increasing k.
+rmat_mul, the one product of ring matrices, walks the same supports,
+read once by row_supports, but gathers the pairs of each result entry
+and hands them to ring.sum_of_products in one call, the ring's one
+product loop, so no intermediate product or partial sum is built.
 
 Scalar matrices also get the elimination toolkit, built on one
 Gauss-Jordan pivot loop that scales the pivot row and clears the other
@@ -36,12 +39,13 @@ each pivot sits on the diagonal unswapped.  Everything is exact; no
 pivot thresholds exist.
 
 Ring matrices add what needs a chart or has no pivots: the chart-bound
-constructors, scaling, evaluation at a point, and the determinant and
-adjugate from one Faddeev-LeVerrier loop -- n - 1 matrix products and
-division by integers, so a dense n x n form costs O(n^4) ring products
-where cofactor expansion would cost n! -- with an inverse that exists only
-when the determinant is an invertible constant, which is what
-chart-wide inversion of a symplectic form requires.
+constructors, the product, scaling, evaluation at a point, and the
+determinant and adjugate from one Faddeev-LeVerrier loop -- n - 1 matrix
+products and division by integers, so a dense n x n form costs O(n^4)
+ring products where cofactor expansion would cost n! -- with an inverse
+that exists only when the determinant is an invertible constant, which
+is what chart-wide inversion of a symplectic form requires.  Scaling
+and evaluation pass a zero entry through untouched.
 """
 
 from __future__ import annotations
@@ -49,7 +53,17 @@ from __future__ import annotations
 from typing import Sequence, TypeVar
 
 from .errors import ValidationError
-from .ring import Chart, EvalPoint, ONE, RingElement, Scalar, ZERO, _norm, _triple
+from .ring import (
+    Chart,
+    EvalPoint,
+    ONE,
+    RingElement,
+    Scalar,
+    ZERO,
+    _norm,
+    _triple,
+    sum_of_products,
+)
 
 Vec = tuple[Scalar, ...]
 Mat = tuple[Vec, ...]
@@ -80,10 +94,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
@@ -94,15 +104,6 @@ def is_scalar_matrix(m: Matrix, value: Entry) -> bool:
         x == value if i == j else x.is_zero
         for i, row in enumerate(m)
         for j, x in enumerate(row)
-    )
-
-
-def is_skew(m: Matrix) -> bool:
-    """Whether the square matrix m equals minus its transpose, read on
-    and above the diagonal: m[i][i] + m[i][i] vanishes only when
-    m[i][i] does."""
-    return all(
-        (m[i][j] + m[j][i]).is_zero for i in range(len(m)) for j in range(i, len(m))
     )
 
 
@@ -120,9 +121,9 @@ def _support(v: Sequence[Entry]) -> tuple[Entry | None, list[tuple[int, Entry]]]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The row-support product.  An entry that no term reaches had a
-    zero factor in each of its terms, and the last zero seen stands for
-    them."""
+    """The row-support product of point matrices.  An entry that no term
+    reaches had a zero factor in each of its terms, and the last zero
+    seen stands for them."""
     if a and b and len(a[0]) != len(b):
         raise ValidationError("matrix shapes do not compose")
     if not b:
@@ -379,8 +380,47 @@ def rmat_zeros(chart: Chart, r: int, c: int) -> RMat:
     return tuple((zero,) * c for _ in range(r))
 
 
+def row_supports(m: RMat) -> tuple[dict[int, RingElement], ...]:
+    """Each row's nonzero entries, column -> entry in increasing column
+    order, read in one pass."""
+    return tuple({j: x for j, x in enumerate(row) if x._terms} for row in m)
+
+
+def rmat_mul(a: RMat, b: RMat) -> RMat:
+    """The product of ring matrices over b's row supports: for row i of a,
+    each nonzero a[i][k], in increasing k, contributes the pair
+    (a[i][k], b[k][j]) to entry j for each j of row k's support, and each
+    entry is one sum_of_products over its pairs.  An entry that no pair
+    reaches is the zero of b's chart."""
+    if a and b and len(a[0]) != len(b):
+        raise ValidationError("matrix shapes do not compose")
+    if not b or not b[0]:
+        return tuple(() for _ in a)
+    chart = b[0][0].chart
+    zero = RingElement.zero(chart)
+    supports = row_supports(b)
+    width = len(b[0])
+    out = []
+    for row in a:
+        pairs: dict[int, list] = {}
+        for x, support in zip(row, supports):
+            if not x._terms:
+                continue
+            for j, y in support.items():
+                got = pairs.get(j)
+                if got is None:
+                    pairs[j] = [(1, x, y)]
+                else:
+                    got.append((1, x, y))
+        entries = [zero] * width
+        for j, got in pairs.items():
+            entries[j] = sum_of_products(chart, got)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 def rmat_scale(a: RMat, s: Scalar) -> RMat:
-    return tuple(tuple(x.scale(s) for x in row) for row in a)
+    return tuple(tuple(x if x.is_zero else x.scale(s) for x in row) for row in a)
 
 
 def rmat_eval(m: RMat, point: EvalPoint) -> Mat:
@@ -409,7 +449,7 @@ def _det_and_adjugate(m: RMat) -> tuple[RingElement, RMat]:
                 tuple(x + c if i == j else x for j, x in enumerate(row))
                 for i, row in enumerate(product)
             )
-            product = mat_mul(m, step)
+            product = rmat_mul(m, step)
     if n % 2:
         return -c, step
     return c, mat_neg(step)

@@ -629,12 +629,18 @@ class RingElement:
     def evaluate(self, point: EvalPoint) -> Scalar:
         """The exact value at the point.  Each term's value is an
         unnormalized triple; the values are summed over the lcm of their
-        denominators, and the one Scalar is built from the normalized sum."""
+        denominators, and the one Scalar is built from the normalized sum.
+        A constant is its coefficient, and its exponent is not walked."""
         if point.chart is not self.chart and point.chart != self.chart:
             raise ChartMismatchError("point lives on a different chart")
+        terms = self._terms
+        if len(terms) == 1:
+            ((expo, t),) = terms.items()
+            if not any(expo):
+                return _triple(*t)
         ta, tb, td = 0, 0, 1
         slots = tuple(zip(self.chart.affine, point.values))
-        for expo, (a, b, d) in self._terms.items():
+        for expo, (a, b, d) in terms.items():
             for e, (affine, base) in zip(expo, slots):
                 if e == 0:
                     continue
@@ -905,11 +911,15 @@ def _check_product(factors: tuple[tuple[RingElement, int], ...], pos: int) -> No
     before the product is built.  A factor of t terms to the power p has at
     most comb(t + p - 1, p) terms, one per multiset of p of its terms."""
     if all(f._terms for f, _ in factors):
-        for i in range(factors[0][0].chart.dim):
-            for pick in (max, min):
-                reach = sum(p * pick(e[i] for e in f._terms) for f, p in factors)
-                if abs(reach) > MAX_EXPONENT:
-                    raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", pos)
+        dim = factors[0][0].chart.dim
+        high, low = [0] * dim, [0] * dim
+        for f, p in factors:
+            # one pass over the factor's exponents, coordinate by coordinate
+            for i, column in enumerate(zip(*f._terms)):
+                high[i] += p * max(column)
+                low[i] += p * min(column)
+        if any(abs(reach) > MAX_EXPONENT for reach in high + low):
+            raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", pos)
     terms = prod(comb(max(len(f._terms) + p - 1, 0), p) for f, p in factors)
     if terms > MAX_TERMS:
         raise ParseError(f"product or power could exceed {MAX_TERMS} terms", pos)

@@ -9,9 +9,14 @@ generalized Kahler pair checks.
 The +i eigenbundle L = ker(J - i) has one form: the columns of Id - iJ,
 which (J - i)(Id - iJ) = -i(J^2 + Id) puts in L once J^2 = -Id, and
 (J - i)u is the one test of membership (GenStructure.residual).  A
-GenStructure builds its +i frame, the columns of Id - iJ as sections,
-and its algebraic verdict once; with_twist hands them to the same matrix
-under another twist, together with the values of at(p): J(p), the
+GenStructure builds its row supports, the nonzero entries of each row
+of J keyed by column, once, and every reader of the matrix alone reads
+them, so none visits a zero: at(p) evaluates only the nonzero entries,
+the residual pairs a row with a column where both are nonzero, and the
++i frame and the algebraic verdict are built from them.  It builds its
++i frame, the columns of Id - iJ as sections, and its algebraic verdict
+once; with_twist hands them and the supports to the same matrix under
+another twist, together with the values of at(p): J(p), the
 columns of Id - iJ(p), those of them picked greedily by one elimination
 as a basis of the +i eigenbundle, and the type, built once per matrix
 and point.  No other module evaluates a structure, and one
@@ -64,22 +69,22 @@ from .linalg import (
     extend_basis,
     is_positive_definite,
     is_scalar_matrix,
-    is_skew,
     mat,
-    mat_mul,
     mat_neg,
-    mat_sub,
     rank,
     ring_inverse,
     rmat_eval,
     rmat_identity,
+    rmat_mul,
     rmat_scale,
     rmat_zeros,
+    row_supports,
     transpose,
 )
 from .ring import Chart, EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, sum_of_products
 
 HALF = Scalar.of(Fraction(1, 2))
+MINUS_I = -IMAG
 
 
 class GenSection:
@@ -244,10 +249,9 @@ class StructureAt:
     @cached_property
     def columns(self) -> tuple[Vec, ...]:
         """The columns of Id - i J(p), from the nonzero entries of J(p)."""
-        minus_i = -IMAG
         cols = []
         for j, col in enumerate(transpose(self.matrix)):
-            out = [x * minus_i if x else ZERO for x in col]
+            out = [x * MINUS_I if x else ZERO for x in col]
             out[j] = out[j] + ONE
             cols.append(tuple(out))
         return tuple(cols)
@@ -295,7 +299,7 @@ class GenStructure:
         n = chart.dim
         if len(matrix) != 2 * n or any(len(r) != 2 * n for r in matrix):
             raise ValidationError("structure matrix must be 2n x 2n")
-        if any(entry.chart != chart for row in matrix for entry in row):
+        if any(e.chart is not chart and e.chart != chart for row in matrix for e in row):
             raise ChartMismatchError("matrix entry over a different chart")
         if twist.degree != 3:
             raise ValidationError("twist must be a 3-form")
@@ -317,50 +321,76 @@ class GenStructure:
     def dim(self) -> int:
         return self.chart.dim
 
+    # Built on first use and kept in the instance __dict__, so the class
+    # has no __slots__.
+    @cached_property
+    def supports(self) -> tuple[dict[int, RingElement], ...]:
+        """The nonzero entries of each row of J, column -> entry: what
+        every reader of the matrix alone visits, so none touches a zero."""
+        return row_supports(self.matrix)
+
     def residual(self, column: Sequence[RingElement]) -> tuple[RingElement, ...]:
         """(J - i)u on a column u: zero exactly when u lies in the +i
-        eigenbundle.  Entry r is one sum of products: J[r][k] * u[k] over
-        the nonzero pairs, and -i * u[r] in the same sum.  A zero column
-        is its own residual."""
+        eigenbundle.  Entry r is one sum of products: J[r][k] * u[k] on
+        the k where both are nonzero, and -i * u[r] in the same sum.  A
+        zero column is its own residual."""
         chart = self.chart
-        support = [(k, u) for k, u in enumerate(column) if not u.is_zero]
+        support = {k: u for k, u in enumerate(column) if not u.is_zero}
         if not support:
             return tuple(column)
         imag = RingElement.constant(chart, IMAG)
         return tuple(
             sum_of_products(
                 chart,
-                [(1, row[k], u) for k, u in support if not row[k].is_zero]
-                + ([] if column[r].is_zero else [(-1, imag, column[r])]),
+                [(1, x, support[k]) for k, x in row.items() if k in support]
+                + ([(-1, imag, support[r])] if r in support else []),
             )
-            for r, row in enumerate(self.matrix)
+            for r, row in enumerate(self.supports)
         )
 
     def at(self, point: EvalPoint) -> StructureAt:
-        """The structure at a point, built once per matrix and point."""
+        """The structure at a point, built once per matrix and point from
+        the values of J's nonzero entries."""
         here = self._points.get(point)
         if here is None:
-            here = self._points[point] = StructureAt(
-                rmat_eval(self.matrix, point), point, self._bases
-            )
+            size = len(self.matrix)
+            value = []
+            for row in self.supports:
+                entries = [ZERO] * size
+                for j, x in row.items():
+                    entries[j] = x.evaluate(point)
+                value.append(tuple(entries))
+            here = self._points[point] = StructureAt(tuple(value), point, self._bases)
         return here
 
-    # Built on first use and kept in the instance __dict__, so the class
-    # has no __slots__.
     @cached_property
     def plus_i_frame(self) -> tuple[GenSection, ...]:
         """The columns of Id - iJ as sections, which span the +i
-        eigenbundle."""
-        ident = rmat_identity(self.chart, 2 * self.dim)
-        cols = transpose(mat_sub(ident, rmat_scale(self.matrix, IMAG)))
-        return tuple(section_from_column(self.chart, col) for col in cols)
+        eigenbundle: -i J[r][j] at each nonzero entry, plus one on the
+        diagonal, built as valid fields and forms."""
+        chart = self.chart
+        n = self.dim
+        zero, one = RingElement.zero(chart), RingElement.one(chart)
+        cols = [[zero] * (2 * n) for _ in range(2 * n)]
+        for r, row in enumerate(self.supports):
+            for j, x in row.items():
+                cols[j][r] = x.scale(MINUS_I)
+        frame = []
+        for j, col in enumerate(cols):
+            col[j] = one + col[j]
+            vector = VectorField._of_valid(chart, tuple(col[:n]))
+            form = DiffForm._of_valid(
+                chart, 1, {(i,): c for i, c in enumerate(col[n:]) if not c.is_zero}
+            )
+            frame.append(GenSection(vector, form))
+        return tuple(frame)
 
     @cached_property
     def squares_to_minus_one(self) -> bool:
         """J^2 = -Id, which is also P^2 = P for P = (Id - iJ)/2:
         P^2 - P = -(J^2 + Id)/4."""
         return is_scalar_matrix(
-            mat_mul(self.matrix, self.matrix), -RingElement.one(self.chart)
+            rmat_mul(self.matrix, self.matrix), -RingElement.one(self.chart)
         )
 
     @cached_property
@@ -371,15 +401,21 @@ class GenStructure:
         The pairing is tested once J^2 = -Id holds, and then J^T G J = G
         says G J = J^-T G = -J^T G, that is, G J is skew.  With G the
         pairing matrix, G J is half of J with its two row halves swapped,
-        so no product is formed."""
-        if not all(entry.is_real for row in self.matrix for entry in row):
+        so no product is formed.  Both tests read the nonzero entries:
+        G J is skew when each one has a mirror entry that cancels it, and
+        a diagonal entry never does."""
+        rows = self.supports
+        if not all(x.is_real for row in rows for x in row.values()):
             return False, "matrix has a non-real entry"
         if not self.squares_to_minus_one:
             return False, "matrix does not square to minus the identity"
         n = self.dim
-        swapped = self.matrix[n:] + self.matrix[:n]
-        if not is_skew(swapped):
-            return False, "matrix does not preserve the pairing"
+        swapped = rows[n:] + rows[:n]
+        for i, row in enumerate(swapped):
+            for j, x in row.items():
+                mirror = swapped[j].get(i)
+                if mirror is None or not (x + mirror).is_zero:
+                    return False, "matrix does not preserve the pairing"
         return True, "real, squares to -Id, preserves the pairing"
 
     def with_twist(self, twist: DiffForm) -> "GenStructure":
@@ -396,6 +432,7 @@ class GenStructure:
 _MATRIX_ONLY = (
     "_points",
     "_bases",
+    "supports",
     "plus_i_frame",
     "squares_to_minus_one",
     "algebraic",
@@ -441,7 +478,7 @@ def complex_structure(jmat: RMat, chart: Chart, twist: DiffForm | None = None) -
     n = chart.dim
     if len(jmat) != n or any(len(r) != n for r in jmat):
         raise ValidationError("J must be n x n")
-    if not is_scalar_matrix(mat_mul(jmat, jmat), -RingElement.one(chart)):
+    if not is_scalar_matrix(rmat_mul(jmat, jmat), -RingElement.one(chart)):
         raise ValidationError("J does not square to minus the identity")
     matrix = _block(
         mat_neg(jmat),
@@ -462,7 +499,7 @@ def b_transform_structure(b_field: DiffForm, struct: GenStructure) -> GenStructu
         raise ValidationError("B-field must be real")
     e_plus = b_exponential(b_field)
     e_minus = b_exponential(-b_field)
-    matrix = mat_mul(e_plus, mat_mul(struct.matrix, e_minus))
+    matrix = rmat_mul(e_plus, rmat_mul(struct.matrix, e_minus))
     if matrix == struct.matrix:
         return struct.with_twist(struct.twist - b_field.d())
     return GenStructure(struct.chart, matrix, struct.twist - b_field.d())
@@ -670,8 +707,8 @@ def check_gk_pair(
         return False, "structures live on different charts"
     if j1.twist != j2.twist:
         return False, "structures carry different twists"
-    prod = mat_mul(j1.matrix, j2.matrix)
-    if prod != mat_mul(j2.matrix, j1.matrix):
+    prod = rmat_mul(j1.matrix, j2.matrix)
+    if prod != rmat_mul(j2.matrix, j1.matrix):
         return False, "structures do not commute"
     for which, struct in (("first", j1), ("second", j2)):
         if not struct.squares_to_minus_one:

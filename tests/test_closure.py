@@ -426,6 +426,7 @@ def test_with_twist_keeps_the_matrix_only_values():
     assert other.twist == db and other.matrix == struct.matrix
     assert other.plus_i_frame is struct.plus_i_frame
     assert other.squares_to_minus_one is struct.squares_to_minus_one
+    assert other.supports is struct.supports
     assert "algebraic" not in vars(other)
     # A transform that leaves the matrix alone shares what was built.
     zero = DiffForm.zero(struct.chart, 2)

@@ -16,9 +16,9 @@ from gkbench.linalg import (
     identity,
     is_positive_definite,
     mat,
+    mat_add,
     mat_mul,
     mat_neg,
-    mat_sub,
     mat_vec,
     nullspace,
     rank,
@@ -152,7 +152,7 @@ class TestSharedToolkit:
             e("x*E(y;1)"),
         )
         assert transpose(a) == mat([[e("x"), e("0")], [e("1"), e("E(y;1)")]])
-        assert mat_sub(a, b) == mat(
+        assert mat_add(a, mat_neg(b)) == mat(
             [[e("x - 1"), e("1 - x")], [e("-E(y;-1)"), e("E(y;1)")]]
         )
         assert mat_neg(a) == mat([[e("-x"), e("-1")], [e("0"), e("-E(y;1)")]])

@@ -2,11 +2,12 @@
 conjugation, evaluation and canonical printing."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkbench import ring
 from gkbench.errors import ChartMismatchError, ParseError, ValidationError
 from gkbench.ring import (
     MAX_DIGITS,
@@ -155,6 +156,104 @@ class TestParsing:
     def test_only_ascii_digits_are_numerals(self):
         with pytest.raises(ParseError, match="unexpected character"):
             elem("x^\u00b2")
+
+
+def per_coordinate_check(factors, pos):
+    """The parser's bound check in its per-coordinate form, one pass over
+    a factor's terms per coordinate and per bound: the oracle for
+    `ring._check_product`, which takes each factor's largest and smallest
+    exponents in one pass."""
+    if all(f._terms for f, _ in factors):
+        for i in range(factors[0][0].chart.dim):
+            for pick in (max, min):
+                reach = sum(p * pick(e[i] for e in f._terms) for f, p in factors)
+                if abs(reach) > MAX_EXPONENT:
+                    raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", pos)
+    terms = prod(comb(max(len(f._terms) + p - 1, 0), p) for f, p in factors)
+    if terms > MAX_TERMS:
+        raise ParseError(f"product or power could exceed {MAX_TERMS} terms", pos)
+
+
+def bound_verdict(check, factors, pos=7):
+    """None when the check accepts, else its message and position."""
+    try:
+        check(factors, pos)
+    except ParseError as exc:
+        return str(exc), exc.position
+    return None
+
+
+def monomials(chart, exponents):
+    return RingElement(chart, {e: Scalar.of(1) for e in exponents})
+
+
+@st.composite
+def bound_factors(draw):
+    """One factor to a power, or two factors to the first power, over the
+    mixed chart, sometimes a zero factor.  Exponents reach up to 1, so
+    that many-term powers meet the term bound, or near MAX_EXPONENT, so
+    that sums of exponents meet the exponent bound; a periodic exponent
+    takes either sign."""
+    reach = draw(st.sampled_from((1, MAX_EXPONENT // 2 + 1, MAX_EXPONENT)))
+    slot = (st.integers(0, reach), st.integers(-reach, reach), st.integers(0, reach))
+
+    def factor():
+        count = draw(st.integers(0, 6))
+        exponents = draw(st.lists(st.tuples(*slot), min_size=count, max_size=count, unique=True))
+        return monomials(MIXED, exponents)
+
+    if draw(st.booleans()):
+        return ((factor(), draw(st.integers(0, MAX_EXPONENT))),)
+    return ((factor(), 1), (factor(), 1))
+
+
+class TestBoundCheck:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(bound_factors())
+    def test_is_the_per_coordinate_check(self, factors):
+        assert bound_verdict(ring._check_product, factors) == bound_verdict(
+            per_coordinate_check, factors
+        )
+
+    def test_boundaries(self):
+        top = MAX_EXPONENT
+        exponent_over = (f"exponent exceeds the bound {top} (at position 7)", 7)
+        terms_over = (f"product or power could exceed {MAX_TERMS} terms (at position 7)", 7)
+
+        def one(*exponents):
+            return monomials(MIXED, exponents)
+
+        at_top = (
+            ((one((top, 0, 0)), 1),),
+            ((one((0, -1, 0)), top),),
+            ((one((0, -top, 0), (0, 3, 0)), 1),),
+            ((one((0, 2, 0)), 1), (one((0, top - 2, 0)), 1)),
+            ((one((0, -2, 0)), 1), (one((0, 2 - top, 0)), 1)),
+        )
+        over = (
+            ((one((top, 0, 0)), 1), (one((1, 0, 0)), 1)),
+            ((one((0, -1, 0)), top + 1),),
+            ((one((0, 1, 0), (0, -3, 0)), 6),),
+            ((one((0, -2, 0)), 1), (one((0, 1 - top, 0)), 1)),
+        )
+        for factors in at_top:
+            assert bound_verdict(ring._check_product, factors) is None
+        for factors in over:
+            assert bound_verdict(ring._check_product, factors) == exponent_over
+        # A factor with no terms bounds no exponent.
+        assert bound_verdict(ring._check_product, ((one(), 1), (one((top + 5, 0, 0)), 1))) is None
+        # Factors of 40 and 25 terms reach MAX_TERMS exactly; 40 and 26
+        # pass it.
+        grid = [(a, 0, b) for a in range(8) for b in range(8)]
+        forty = one(*grid[:40])
+        assert bound_verdict(ring._check_product, ((forty, 1), (one(*grid[:25]), 1))) is None
+        assert bound_verdict(ring._check_product, ((forty, 1), (one(*grid[:26]), 1))) == terms_over
+        # A five-term factor to the power p has comb(p + 4, 4) terms: 715
+        # at p = 9 and 1001 at p = 10.
+        five = one((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 0))
+        assert comb(9 + 4, 4) < MAX_TERMS < comb(10 + 4, 4)
+        assert bound_verdict(ring._check_product, ((five, 9),)) is None
+        assert bound_verdict(ring._check_product, ((five, 10),)) == terms_over
 
 
 class TestChart:

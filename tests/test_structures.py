@@ -25,7 +25,6 @@ from gkbench.linalg import (
     extend_basis,
     identity,
     mat_mul,
-    mat_sub,
     mat_vec,
     rank,
     rmat_eval,
@@ -680,11 +679,16 @@ def test_point_values_match_the_ring_projector_and_the_block_rule():
 HALF, MINUS_HALF_I = Scalar.of(Fraction(1, 2)), Scalar.of(0, Fraction(-1, 2))
 
 
+def _difference(a, b):
+    """The entrywise difference a - b of two ring matrices."""
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def _old_projector(struct):
     """The eigenprojector P = (Id - iJ)/2 as a ring matrix, which this
     package built until the columns of Id - iJ took its place."""
     ident = rmat_identity(struct.chart, 2 * struct.dim)
-    return rmat_scale(mat_sub(ident, rmat_scale(struct.matrix, Scalar.of(0, 1))), HALF)
+    return rmat_scale(_difference(ident, rmat_scale(struct.matrix, Scalar.of(0, 1))), HALF)
 
 
 def _old_point_projector(jp):
@@ -751,7 +755,7 @@ def test_eigenbundle_follows_the_old_projector_rule():
     assert points == 46
     moved = 0
     for label, struct, _ in _catalog_structures_with_b():
-        anti = mat_sub(rmat_identity(struct.chart, 2 * struct.dim), _old_projector(struct))
+        anti = _difference(rmat_identity(struct.chart, 2 * struct.dim), _old_projector(struct))
         for w in _frame_brackets(struct):
             old = mat_vec(anti, w.column())
             assert struct.residual(w.column()) == tuple(r.scale(minus_two_i) for r in old), label
