@@ -7,11 +7,33 @@ happens whether or not an earlier instance failed, so a failure shifts
 the inputs of no later identity.  It then runs every builtin scenario.
 Iteration order is fixed throughout, so the rendered JSON is
 byte-identical across runs.
+
+Each identity is a draw, which takes the generator and a case and makes
+all of the instance's draws, and a check, which compares on the drawn
+inputs alone.  The instances are numbered in suite order, and share s
+of S judges those whose number is s mod S.  Every share makes every
+draw, in order, from its own generator with the one seed, so each
+share sees exactly the inputs of the one-process walk; it only skips
+the checks of the other shares, which cost far more than the draws.
+With S = 2 a forked child judges share 1 and sends one byte per
+instance through a pipe while the process judges share 0.  S is 2 only
+when the process can fork, runs one thread and may run on at least two
+CPUs, and never more: each share costs a fork and repeats the draws,
+and only two cores were there to show a gain.  Otherwise S = 1: the
+same loop, with no child.  When the fork fails, the child exits
+nonzero or its byte count is wrong, the process judges share 1 itself,
+so a failing check looks as it does in one process.  When a check
+raises in either share, the suite walks again in one process, which
+raises the exception of the first instance in suite order, as the
+one-process suite does.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import threading
 from itertools import combinations, product
 from typing import Any, Callable
 
@@ -83,34 +105,47 @@ def _rand_section(rng: random.Random, chart: Chart) -> GenSection:
     return GenSection(_rand_vector(rng, chart), _rand_form(rng, chart, 1))
 
 
-def _d_squared(rng: random.Random, chart: Chart, degree: int) -> bool:
-    return _rand_form(rng, chart, degree).d().d().is_zero
+# Each draw returns its instance's inputs, drawn left to right; its check
+# takes them and compares.
 
 
-def _cartan_formula(rng: random.Random, chart: Chart, degree: int) -> bool:
-    w = _rand_form(rng, chart, degree)
-    x = _rand_vector(rng, chart)
+def _draw_form(rng: random.Random, chart: Chart, degree: int) -> tuple:
+    return (_rand_form(rng, chart, degree),)
+
+
+def _d_squared(w: DiffForm) -> bool:
+    return w.d().d().is_zero
+
+
+def _draw_form_vector(rng: random.Random, chart: Chart, degree: int) -> tuple:
+    return _rand_form(rng, chart, degree), _rand_vector(rng, chart)
+
+
+def _cartan_formula(w: DiffForm, x: VectorField) -> bool:
     return w.lie(x) == w.interior(x).d() + w.d().interior(x)
 
 
-def _odd_derivation(rng: random.Random, chart: Chart) -> bool:
-    a = _rand_form(rng, chart, 1)
-    b = _rand_form(rng, chart, 2)
-    x = _rand_vector(rng, chart)
+def _draw_derivation(rng: random.Random, chart: Chart) -> tuple:
+    return _rand_form(rng, chart, 1), _rand_form(rng, chart, 2), _rand_vector(rng, chart)
+
+
+def _odd_derivation(a: DiffForm, b: DiffForm, x: VectorField) -> bool:
     return a.wedge(b).interior(x) == a.interior(x).wedge(b) - a.wedge(b.interior(x))
 
 
-def _bracket_contraction(rng: random.Random, chart: Chart, degree: int) -> bool:
-    w = _rand_form(rng, chart, degree)
-    x = _rand_vector(rng, chart)
-    y = _rand_vector(rng, chart)
+def _draw_form_two_vectors(rng: random.Random, chart: Chart, degree: int) -> tuple:
+    return _rand_form(rng, chart, degree), _rand_vector(rng, chart), _rand_vector(rng, chart)
+
+
+def _bracket_contraction(w: DiffForm, x: VectorField, y: VectorField) -> bool:
     return w.interior(lie_bracket(x, y)) == w.interior(y).lie(x) - w.lie(x).interior(y)
 
 
-def _jacobi(rng: random.Random, chart: Chart) -> bool:
-    x = _rand_vector(rng, chart)
-    y = _rand_vector(rng, chart)
-    z = _rand_vector(rng, chart)
+def _draw_three_vectors(rng: random.Random, chart: Chart) -> tuple:
+    return _rand_vector(rng, chart), _rand_vector(rng, chart), _rand_vector(rng, chart)
+
+
+def _jacobi(x: VectorField, y: VectorField, z: VectorField) -> bool:
     total = (
         lie_bracket(lie_bracket(x, y), z)
         + lie_bracket(lie_bracket(y, z), x)
@@ -119,28 +154,30 @@ def _jacobi(rng: random.Random, chart: Chart) -> bool:
     return total.is_zero
 
 
-def _pairing_invariant(rng: random.Random, chart: Chart) -> bool:
-    u = _rand_section(rng, chart)
-    v = _rand_section(rng, chart)
-    b = _rand_form(rng, chart, 2)
+def _draw_pairing(rng: random.Random, chart: Chart) -> tuple:
+    return _rand_section(rng, chart), _rand_section(rng, chart), _rand_form(rng, chart, 2)
+
+
+def _pairing_invariant(u: GenSection, v: GenSection, b: DiffForm) -> bool:
     lhs = pairing(b_transform_section(b, u), b_transform_section(b, v))
     return lhs == pairing(u, v)
 
 
-def _antisymmetric(rng: random.Random, chart: Chart) -> bool:
-    u = _rand_section(rng, chart)
-    v = _rand_section(rng, chart)
-    h = _rand_form(rng, chart, 3)
+def _draw_bracket(rng: random.Random, chart: Chart) -> tuple:
+    return _rand_section(rng, chart), _rand_section(rng, chart), _rand_form(rng, chart, 3)
+
+
+def _antisymmetric(u: GenSection, v: GenSection, h: DiffForm) -> bool:
     lhs = courant_bracket(u, v, h)
     rhs = -courant_bracket(v, u, h)
     return lhs.vector == rhs.vector and lhs.form == rhs.form
 
 
-def _twist_shift(rng: random.Random, chart: Chart) -> bool:
-    u = _rand_section(rng, chart)
-    v = _rand_section(rng, chart)
-    h = _rand_form(rng, chart, 3)
-    b = _rand_form(rng, chart, 2)
+def _draw_twist_shift(rng: random.Random, chart: Chart) -> tuple:
+    return _draw_bracket(rng, chart) + (_rand_form(rng, chart, 2),)
+
+
+def _twist_shift(u: GenSection, v: GenSection, h: DiffForm, b: DiffForm) -> bool:
     lhs = b_transform_section(b, courant_bracket(u, v, h))
     rhs = courant_bracket(
         b_transform_section(b, u), b_transform_section(b, v), h - b.d()
@@ -148,15 +185,19 @@ def _twist_shift(rng: random.Random, chart: Chart) -> bool:
     return lhs.vector == rhs.vector and lhs.form == rhs.form
 
 
-def _pullback_d(rng: random.Random, cmap: ChartMap, degree: int) -> bool:
-    w = _rand_form(rng, cmap.target, degree)
+def _draw_pullback(rng: random.Random, cmap: ChartMap, degree: int) -> tuple:
+    return cmap, _rand_form(rng, cmap.target, degree)
+
+
+def _pullback_d(cmap: ChartMap, w: DiffForm) -> bool:
     return cmap.pull_form(w.d()) == cmap.pull_form(w).d()
 
 
-def _evaluation(rng: random.Random, chart: Chart) -> bool:
-    point = _POINTS[chart]
-    f = _rand_field(rng, chart)
-    g = _rand_field(rng, chart)
+def _draw_evaluation(rng: random.Random, chart: Chart) -> tuple:
+    return _POINTS[chart], _rand_field(rng, chart), _rand_field(rng, chart)
+
+
+def _evaluation(point: EvalPoint, f: RingElement, g: RingElement) -> bool:
     product_rule = (
         DiffForm.function(f * g).d()
         == DiffForm.function(g).d().scale(f) + DiffForm.function(f).d().scale(g)
@@ -193,37 +234,128 @@ _POINTS = {
 }
 
 # Each identity: its name, the axes whose product gives its cases (three
-# seeded instances each, in order), and the test, which takes the
-# generator and a case, draws its inputs and compares.
-_IDENTITIES: tuple[tuple[str, tuple[tuple, ...], Callable[..., bool]], ...] = (
-    ("exterior square is zero", (_CHARTS, (0, 1, 2)), _d_squared),
-    ("lie derivative is the homotopy of d", (_CHARTS, (1, 2)), _cartan_formula),
-    ("contraction is an odd derivation of wedge", (_CHARTS,), _odd_derivation),
+# seeded instances each, in order), the draw, which takes the generator
+# and a case, and the check, which takes the drawn inputs.
+_IDENTITIES: tuple[tuple[str, tuple[tuple, ...], Callable[..., tuple], Callable[..., bool]], ...] = (
+    ("exterior square is zero", (_CHARTS, (0, 1, 2)), _draw_form, _d_squared),
+    ("lie derivative is the homotopy of d", (_CHARTS, (1, 2)), _draw_form_vector,
+     _cartan_formula),
+    ("contraction is an odd derivation of wedge", (_CHARTS,), _draw_derivation,
+     _odd_derivation),
     ("contraction with a bracket is the commutator", (_CHARTS, (2, 3)),
-     _bracket_contraction),
-    ("vector fields satisfy jacobi", (_CHARTS,), _jacobi),
-    ("pairing is invariant under two-form transforms", (_CHARTS,), _pairing_invariant),
-    ("twisted bracket is antisymmetric", (_CHARTS,), _antisymmetric),
+     _draw_form_two_vectors, _bracket_contraction),
+    ("vector fields satisfy jacobi", (_CHARTS,), _draw_three_vectors, _jacobi),
+    ("pairing is invariant under two-form transforms", (_CHARTS,), _draw_pairing,
+     _pairing_invariant),
+    ("twisted bracket is antisymmetric", (_CHARTS,), _draw_bracket, _antisymmetric),
     ("two-form transform shifts the twist down by its differential", (_CHARTS,),
-     _twist_shift),
-    ("pullback commutes with d", (_MAPS, (0, 1, 2)), _pullback_d),
-    ("evaluation respects the ring operations", (_CHARTS,), _evaluation),
+     _draw_twist_shift, _twist_shift),
+    ("pullback commutes with d", (_MAPS, (0, 1, 2)), _draw_pullback, _pullback_d),
+    ("evaluation respects the ring operations", (_CHARTS,), _draw_evaluation,
+     _evaluation),
 )
 
 
-def invariant_results(seed: int = SEED) -> list[dict[str, str]]:
-    """One result per identity.  Every instance is drawn and tested, so a
-    failure shifts the inputs of no later instance."""
+def _cases(axes: tuple[tuple, ...]) -> list[tuple]:
+    return [case for case in product(*axes) for _ in range(3)]
+
+
+def _judge(seed: int, share: int, shares: int) -> bytes:
+    """The verdicts of one share, b"1" or b"0" per instance whose number
+    is share mod shares, in order.  Every instance is drawn, so the
+    judged ones get the inputs of the one-process walk."""
     rng = random.Random(seed)
+    out = bytearray()
+    index = 0
+    for _, axes, draw, check in _IDENTITIES:
+        for case in _cases(axes):
+            inputs = draw(rng, *case)
+            if index % shares == share:
+                out += b"1" if check(*inputs) else b"0"
+            index += 1
+    return bytes(out)
+
+
+def _shares() -> int:
+    """2 when the process can fork, has no second thread (a fork copies
+    only the calling thread, and the locks the others hold stay held)
+    and may run on two CPUs, else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or affinity is None or threading.active_count() > 1:
+        return 1
+    return 2 if len(affinity(0)) >= 2 else 1
+
+
+def _judge_in_two(seed: int, instances: int) -> bytes:
+    """Every verdict: share 0 here, share 1 in a forked child that writes
+    its bytes to a pipe.  The child leaves through os._exit, running no
+    atexit handler and flushing no stdio buffer, with code 1 on any
+    exception.  Share 1 is judged here when the fork fails, the child
+    exits nonzero or sends the wrong number of bytes.  The child is always
+    reaped, and killed first when this process leaves early."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _judge(seed, 0, 1)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            data = _judge(seed, 1, 2)
+            while data:
+                data = data[os.write(write_end, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    reaped = False
+    try:
+        even = _judge(seed, 0, 2)
+        chunks = []
+        while chunk := os.read(read_end, 4096):
+            chunks.append(chunk)
+        odd = b"".join(chunks)
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if os.waitstatus_to_exitcode(status) != 0 or len(odd) != instances // 2:
+            odd = _judge(seed, 1, 2)
+    finally:
+        os.close(read_end)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out = bytearray(instances)
+    out[0::2] = even
+    out[1::2] = odd
+    return bytes(out)
+
+
+def _verdicts(seed: int, instances: int) -> bytes:
+    """Every verdict, in one share or two."""
+    if _shares() == 2:
+        try:
+            return _judge_in_two(seed, instances)
+        except Exception:
+            pass  # the walk below raises the first exception in suite order
+    return _judge(seed, 0, 1)
+
+
+def invariant_results(seed: int = SEED) -> list[dict[str, str]]:
+    """One result per identity, judged in one or two shares (see the
+    module docstring); the results do not depend on the number."""
+    counts = [len(_cases(axes)) for _, axes, _, _ in _IDENTITIES]
+    verdicts = _verdicts(seed, sum(counts))
     results = []
-    for name, axes, holds in _IDENTITIES:
-        cases = [case for case in product(*axes) for _ in range(3)]
-        ok = True
-        for case in cases:
-            ok = holds(rng, *case) and ok
+    start = 0
+    for (name, _, _, _), count in zip(_IDENTITIES, counts):
+        ok = b"0" not in verdicts[start:start + count]
+        start += count
         status = "pass" if ok else "fail"
         results.append(
-            {"name": name, "status": status, "detail": f"{len(cases)} seeded instances"}
+            {"name": name, "status": status, "detail": f"{count} seeded instances"}
         )
     return results
 

@@ -233,28 +233,35 @@ def matrix_type(jmat: Mat, point: EvalPoint) -> int:
 
 
 class StructureAt:
-    """A structure at a point p: J(p), then the columns of Id - iJ(p), a
-    basis of the +i eigenbundle picked from them and the type, each built
-    on first use.  It holds no reference to its structure, only the dict
-    of picked bases that its matrix family shares, keyed by the value
-    J(p)."""
+    """A structure at a point p: J(p) and its nonzero entries, then the
+    columns of Id - iJ(p), a basis of the +i eigenbundle picked from them
+    and the type, each built on first use.  It holds no reference to its
+    structure, only the dict of picked bases that its matrix family
+    shares, keyed by the value J(p)."""
 
     def __init__(
-        self, matrix: Mat, point: EvalPoint, bases: dict[Mat, tuple[int, ...]]
+        self,
+        matrix: Mat,
+        entries: tuple[tuple[int, int, Scalar], ...],
+        point: EvalPoint,
+        bases: dict[Mat, tuple[int, ...]],
     ) -> None:
         self.matrix = matrix
+        self._entries = entries
         self.point = point
         self._bases = bases
 
     @cached_property
     def columns(self) -> tuple[Vec, ...]:
-        """The columns of Id - i J(p), from the nonzero entries of J(p)."""
-        cols = []
-        for j, col in enumerate(transpose(self.matrix)):
-            out = [x * MINUS_I if x else ZERO for x in col]
-            out[j] = out[j] + ONE
-            cols.append(tuple(out))
-        return tuple(cols)
+        """The columns of Id - i J(p), from the nonzero entries (r, j, x)
+        of J(p): -i x at row r of column j, plus one on the diagonal."""
+        size = len(self.matrix)
+        cols = [[ZERO] * size for _ in range(size)]
+        for r, j, x in self._entries:
+            cols[j][r] = x * MINUS_I
+        for j, col in enumerate(cols):
+            col[j] = col[j] + ONE if col[j] else ONE
+        return tuple(map(tuple, cols))
 
     @cached_property
     def basis(self) -> tuple[int, ...]:
@@ -354,13 +361,18 @@ class GenStructure:
         here = self._points.get(point)
         if here is None:
             size = len(self.matrix)
-            value = []
-            for row in self.supports:
-                entries = [ZERO] * size
+            rows = []
+            entries = []
+            for r, row in enumerate(self.supports):
+                values = [ZERO] * size
                 for j, x in row.items():
-                    entries[j] = x.evaluate(point)
-                value.append(tuple(entries))
-            here = self._points[point] = StructureAt(tuple(value), point, self._bases)
+                    v = values[j] = x.evaluate(point)
+                    if v:
+                        entries.append((r, j, v))
+                rows.append(tuple(values))
+            here = self._points[point] = StructureAt(
+                tuple(rows), tuple(entries), point, self._bases
+            )
         return here
 
     @cached_property

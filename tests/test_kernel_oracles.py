@@ -19,8 +19,9 @@ way: a push-down against a nullspace, a product and a canonical basis,
 `solve` and each reduced structure against a formed inverse, the
 basic-transform test against conjugation by the inverse, the matrix
 comparisons against negated matrices, a form difference against adding
-the negation, and the identity suite's drawn forms against the wedges
-and sums it once built them from.  The reduction oracles run on drawn
+the negation, the identity suite's drawn forms against the wedges and
+sums it once built them from, and its results in two processes against
+its results in one.  The reduction oracles run on drawn
 inputs and on every call a catalog pass makes.
 
 The one pivot loop, `linalg._eliminate`, works on sparse rows of
@@ -28,6 +29,7 @@ integer triples; its oracle is the dense Scalar loop it replaced, held
 to all four of its outputs and to the readers built on them.
 """
 
+import os
 import random
 from fractions import Fraction
 from functools import cache
@@ -1000,6 +1002,162 @@ def test_identity_suite_results_match_the_wedged_sums(monkeypatch, seed):
     monkeypatch.setattr(selftest, "_rand_field", rand_field_by_adding)
     monkeypatch.setattr(selftest, "_rand_form", rand_form_by_wedging)
     assert got == selftest.invariant_results(seed)
+
+
+# --- the identity suite in two shares --------------------------------------------------
+
+
+def usable_cpus(monkeypatch, cpus):
+    """The number of CPUs the suite sees, hence its number of shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def counted_forks(monkeypatch):
+    """A list that gains one entry per os.fork call in this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def results_in(monkeypatch, seed, cpus):
+    """The suite's results when it sees `cpus` CPUs; checks that it forked
+    once for two shares and never for one, and left no child behind."""
+    forks = counted_forks(monkeypatch)
+    usable_cpus(monkeypatch, cpus)
+    try:
+        return selftest.invariant_results(seed)
+    finally:
+        assert len(forks) == (cpus >= 2)
+        assert_no_child_left()
+
+
+def first_of_parity(identity, parity):
+    """The number of the first instance of an identity with that parity."""
+    start = sum(len(selftest._cases(axes)) for _, axes, _, _ in selftest._IDENTITIES[:identity])
+    return start + (start % 2 != parity)
+
+
+def plant(monkeypatch, seed, effects):
+    """Replace the check of each instance numbered in `effects` by its
+    effect.  An instance is named by the generator's state before its
+    draws, which is the same in every share."""
+    rng, planted_at, number = random.Random(seed), {}, 0
+    for _, axes, draw, _ in selftest._IDENTITIES:
+        for case in selftest._cases(axes):
+            if number in effects:
+                planted_at[rng.getstate()] = effects[number]
+            draw(rng, *case)
+            number += 1
+
+    def planted(name, axes, draw, check):
+        def tagged(rng, *case):
+            return (rng.getstate(), *draw(rng, *case))
+
+        def judged(state, *inputs):
+            effect = planted_at.get(state)
+            return effect() if effect else check(*inputs)
+
+        return name, axes, tagged, judged
+
+    monkeypatch.setattr(
+        selftest, "_IDENTITIES", tuple(planted(*identity) for identity in selftest._IDENTITIES)
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 17, 39, selftest.SEED])
+def test_identity_suite_results_do_not_depend_on_the_shares(monkeypatch, seed):
+    assert results_in(monkeypatch, seed, 1) == results_in(monkeypatch, seed, 2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_planted_failure_of_either_parity_fails_only_its_identity(monkeypatch, cpus):
+    want = selftest.invariant_results(5)
+    assert all(r["status"] == "pass" for r in want)
+
+    def fail():
+        return False
+
+    plant(monkeypatch, 5, {first_of_parity(2, 0): fail, first_of_parity(7, 1): fail})
+    got = results_in(monkeypatch, 5, cpus)
+    for i, r in enumerate(want):
+        if i in (2, 7):
+            r = dict(r, status="fail")
+        assert got[i] == r
+
+
+def test_a_failed_fork_gives_the_same_results(monkeypatch):
+    want = results_in(monkeypatch, 3, 1)
+    usable_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert selftest.invariant_results(3) == want
+    assert_no_child_left()
+
+
+class Planted(Exception):
+    pass
+
+
+class PlantedEarlier(Exception):
+    pass
+
+
+def test_an_exception_in_the_child_alone_gives_the_same_results(monkeypatch):
+    """The child exits nonzero and the parent judges its share itself."""
+    want = results_in(monkeypatch, 3, 1)
+    parent = os.getpid()
+
+    def raise_in_child():
+        if os.getpid() != parent:
+            raise Planted
+        return True
+
+    plant(monkeypatch, 3, {first_of_parity(4, 1): raise_in_child})
+    assert results_in(monkeypatch, 3, 2) == want
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_exception_in_a_check_reaches_the_caller(monkeypatch, parity, cpus):
+    """A check that raises in either share raises the sequential suite's
+    exception, and the child is reaped, killed first when the parent
+    leaves early."""
+
+    def raise_planted():
+        raise Planted
+
+    plant(monkeypatch, 3, {first_of_parity(6, parity): raise_planted})
+    with pytest.raises(Planted):
+        results_in(monkeypatch, 3, cpus)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_first_exception_in_suite_order_reaches_the_caller(monkeypatch, parity, cpus):
+    """Checks that raise in both shares: the caller sees the exception of
+    the earlier instance, as in one process, whichever share judges it."""
+
+    def raise_earlier():
+        raise PlantedEarlier
+
+    def raise_planted():
+        raise Planted
+
+    plant(
+        monkeypatch,
+        3,
+        {first_of_parity(3, parity): raise_earlier, first_of_parity(6, 1 - parity): raise_planted},
+    )
+    with pytest.raises(PlantedEarlier):
+        results_in(monkeypatch, 3, cpus)
 
 
 # --- the pivot loop on sparse triples ----------------------------------------------------
