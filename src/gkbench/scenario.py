@@ -339,8 +339,20 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
             raise ValidationError(f"unknown check {c!r}")
 
     expected = dict(_field(data, "expected", dict, {}))
+    extra = set(expected) - {"types", "reduced_types", "reduced_dim", "gamma"}
+    if extra:
+        raise ValidationError(f"unknown expected keys {sorted(extra)}")
+    counts = [("reduced_dim", expected["reduced_dim"])] if "reduced_dim" in expected else []
     for key in ("types", "reduced_types"):
-        _field(expected, key, dict, {})
+        counts += (
+            (f"{key} {name}", value) for name, value in _field(expected, key, dict, {}).items()
+        )
+    for where, value in counts:
+        # A JSON true or false is a Python bool, which is an int.
+        if type(value) is not int or value < 0:
+            raise ValidationError(
+                f"expected {where}: {json.dumps(value)} is not a non-negative integer"
+            )
     if "gamma" in expected:
         expected["gamma"] = form_from_terms(
             chart, expected["gamma"], 2, "expected gamma", parsed

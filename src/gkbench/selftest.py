@@ -1,31 +1,27 @@
 """Deterministic self-test: seeded algebraic identities plus the catalog.
 
-The identity suite draws random fields, vectors, and forms from a
-generator with a fixed seed and checks structural identities of the
-calculus and bracket layer by exact symbolic comparison.  Every draw
-happens whether or not an earlier instance failed, so a failure shifts
-the inputs of no later identity.  It then runs every builtin scenario.
+The identity suite checks structural identities of the calculus and
+bracket layer by exact symbolic comparison on random fields, vectors,
+and forms.  Each identity is one function, which takes a generator and
+a case, draws its inputs and compares on them.  The instances are
+numbered in suite order, and instance i draws from its own generator,
+seeded with the text f"{seed}:{i}".  A text seed is hashed with
+SHA-512, so the draws do not depend on PYTHONHASHSEED, and no instance's
+inputs depend on another instance.  It then runs every builtin scenario.
 Iteration order is fixed throughout, so the rendered JSON is
 byte-identical across runs.
 
-Each identity is a draw, which takes the generator and a case and makes
-all of the instance's draws, and a check, which compares on the drawn
-inputs alone.  The instances are numbered in suite order, and share s
-of S judges those whose number is s mod S.  Every share makes every
-draw, in order, from its own generator with the one seed, so each
-share sees exactly the inputs of the one-process walk; it only skips
-the checks of the other shares, which cost far more than the draws.
-With S = 2 a forked child judges share 1 and sends one byte per
-instance through a pipe while the process judges share 0.  S is 2 only
-when the process can fork, runs one thread and may run on at least two
-CPUs, and never more: each share costs a fork and repeats the draws,
-and only two cores were there to show a gain.  Otherwise S = 1: the
-same loop, with no child.  When the fork fails, the child exits
-nonzero or its byte count is wrong, the process judges share 1 itself,
-so a failing check looks as it does in one process.  When a check
-raises in either share, the suite walks again in one process, which
-raises the exception of the first instance in suite order, as the
-one-process suite does.
+Share s of S draws and judges the instances whose number is s mod S,
+and no others.  With S = 2 a forked child judges share 1 and sends one
+byte per instance through a pipe while the process judges share 0.  S
+is 2 only when the process can fork, runs one thread and may run on at
+least two CPUs, and never more: each share costs a fork, and only two
+cores were there to show a gain.  Otherwise S = 1: the same loop, with
+no child.  When the fork fails, the child exits nonzero or its byte
+count is wrong, the process judges share 1 itself, so a failing check
+looks as it does in one process.  When a check raises in either share,
+the suite walks again in one process, which raises the exception of
+the first instance in suite order, as the one-process suite does.
 """
 
 from __future__ import annotations
@@ -105,47 +101,31 @@ def _rand_section(rng: random.Random, chart: Chart) -> GenSection:
     return GenSection(_rand_vector(rng, chart), _rand_form(rng, chart, 1))
 
 
-# Each draw returns its instance's inputs, drawn left to right; its check
-# takes them and compares.
+# Each identity takes the generator and a case, draws its inputs left to
+# right and compares on them.
 
 
-def _draw_form(rng: random.Random, chart: Chart, degree: int) -> tuple:
-    return (_rand_form(rng, chart, degree),)
+def _d_squared(rng: random.Random, chart: Chart, degree: int) -> bool:
+    return _rand_form(rng, chart, degree).d().d().is_zero
 
 
-def _d_squared(w: DiffForm) -> bool:
-    return w.d().d().is_zero
-
-
-def _draw_form_vector(rng: random.Random, chart: Chart, degree: int) -> tuple:
-    return _rand_form(rng, chart, degree), _rand_vector(rng, chart)
-
-
-def _cartan_formula(w: DiffForm, x: VectorField) -> bool:
+def _cartan_formula(rng: random.Random, chart: Chart, degree: int) -> bool:
+    w, x = _rand_form(rng, chart, degree), _rand_vector(rng, chart)
     return w.lie(x) == w.interior(x).d() + w.d().interior(x)
 
 
-def _draw_derivation(rng: random.Random, chart: Chart) -> tuple:
-    return _rand_form(rng, chart, 1), _rand_form(rng, chart, 2), _rand_vector(rng, chart)
-
-
-def _odd_derivation(a: DiffForm, b: DiffForm, x: VectorField) -> bool:
+def _odd_derivation(rng: random.Random, chart: Chart) -> bool:
+    a, b, x = _rand_form(rng, chart, 1), _rand_form(rng, chart, 2), _rand_vector(rng, chart)
     return a.wedge(b).interior(x) == a.interior(x).wedge(b) - a.wedge(b.interior(x))
 
 
-def _draw_form_two_vectors(rng: random.Random, chart: Chart, degree: int) -> tuple:
-    return _rand_form(rng, chart, degree), _rand_vector(rng, chart), _rand_vector(rng, chart)
-
-
-def _bracket_contraction(w: DiffForm, x: VectorField, y: VectorField) -> bool:
+def _bracket_contraction(rng: random.Random, chart: Chart, degree: int) -> bool:
+    w, x, y = _rand_form(rng, chart, degree), _rand_vector(rng, chart), _rand_vector(rng, chart)
     return w.interior(lie_bracket(x, y)) == w.interior(y).lie(x) - w.lie(x).interior(y)
 
 
-def _draw_three_vectors(rng: random.Random, chart: Chart) -> tuple:
-    return _rand_vector(rng, chart), _rand_vector(rng, chart), _rand_vector(rng, chart)
-
-
-def _jacobi(x: VectorField, y: VectorField, z: VectorField) -> bool:
+def _jacobi(rng: random.Random, chart: Chart) -> bool:
+    x, y, z = _rand_vector(rng, chart), _rand_vector(rng, chart), _rand_vector(rng, chart)
     total = (
         lie_bracket(lie_bracket(x, y), z)
         + lie_bracket(lie_bracket(y, z), x)
@@ -154,30 +134,22 @@ def _jacobi(x: VectorField, y: VectorField, z: VectorField) -> bool:
     return total.is_zero
 
 
-def _draw_pairing(rng: random.Random, chart: Chart) -> tuple:
-    return _rand_section(rng, chart), _rand_section(rng, chart), _rand_form(rng, chart, 2)
-
-
-def _pairing_invariant(u: GenSection, v: GenSection, b: DiffForm) -> bool:
+def _pairing_invariant(rng: random.Random, chart: Chart) -> bool:
+    u, v, b = _rand_section(rng, chart), _rand_section(rng, chart), _rand_form(rng, chart, 2)
     lhs = pairing(b_transform_section(b, u), b_transform_section(b, v))
     return lhs == pairing(u, v)
 
 
-def _draw_bracket(rng: random.Random, chart: Chart) -> tuple:
-    return _rand_section(rng, chart), _rand_section(rng, chart), _rand_form(rng, chart, 3)
-
-
-def _antisymmetric(u: GenSection, v: GenSection, h: DiffForm) -> bool:
+def _antisymmetric(rng: random.Random, chart: Chart) -> bool:
+    u, v, h = _rand_section(rng, chart), _rand_section(rng, chart), _rand_form(rng, chart, 3)
     lhs = courant_bracket(u, v, h)
     rhs = -courant_bracket(v, u, h)
     return lhs.vector == rhs.vector and lhs.form == rhs.form
 
 
-def _draw_twist_shift(rng: random.Random, chart: Chart) -> tuple:
-    return _draw_bracket(rng, chart) + (_rand_form(rng, chart, 2),)
-
-
-def _twist_shift(u: GenSection, v: GenSection, h: DiffForm, b: DiffForm) -> bool:
+def _twist_shift(rng: random.Random, chart: Chart) -> bool:
+    u, v, h = _rand_section(rng, chart), _rand_section(rng, chart), _rand_form(rng, chart, 3)
+    b = _rand_form(rng, chart, 2)
     lhs = b_transform_section(b, courant_bracket(u, v, h))
     rhs = courant_bracket(
         b_transform_section(b, u), b_transform_section(b, v), h - b.d()
@@ -185,19 +157,13 @@ def _twist_shift(u: GenSection, v: GenSection, h: DiffForm, b: DiffForm) -> bool
     return lhs.vector == rhs.vector and lhs.form == rhs.form
 
 
-def _draw_pullback(rng: random.Random, cmap: ChartMap, degree: int) -> tuple:
-    return cmap, _rand_form(rng, cmap.target, degree)
-
-
-def _pullback_d(cmap: ChartMap, w: DiffForm) -> bool:
+def _pullback_d(rng: random.Random, cmap: ChartMap, degree: int) -> bool:
+    w = _rand_form(rng, cmap.target, degree)
     return cmap.pull_form(w.d()) == cmap.pull_form(w).d()
 
 
-def _draw_evaluation(rng: random.Random, chart: Chart) -> tuple:
-    return _POINTS[chart], _rand_field(rng, chart), _rand_field(rng, chart)
-
-
-def _evaluation(point: EvalPoint, f: RingElement, g: RingElement) -> bool:
+def _evaluation(rng: random.Random, chart: Chart) -> bool:
+    point, f, g = _POINTS[chart], _rand_field(rng, chart), _rand_field(rng, chart)
     product_rule = (
         DiffForm.function(f * g).d()
         == DiffForm.function(g).d().scale(f) + DiffForm.function(f).d().scale(g)
@@ -234,25 +200,20 @@ _POINTS = {
 }
 
 # Each identity: its name, the axes whose product gives its cases (three
-# seeded instances each, in order), the draw, which takes the generator
-# and a case, and the check, which takes the drawn inputs.
-_IDENTITIES: tuple[tuple[str, tuple[tuple, ...], Callable[..., tuple], Callable[..., bool]], ...] = (
-    ("exterior square is zero", (_CHARTS, (0, 1, 2)), _draw_form, _d_squared),
-    ("lie derivative is the homotopy of d", (_CHARTS, (1, 2)), _draw_form_vector,
-     _cartan_formula),
-    ("contraction is an odd derivation of wedge", (_CHARTS,), _draw_derivation,
-     _odd_derivation),
+# seeded instances each, in order), and the function that draws and checks.
+_IDENTITIES: tuple[tuple[str, tuple[tuple, ...], Callable[..., bool]], ...] = (
+    ("exterior square is zero", (_CHARTS, (0, 1, 2)), _d_squared),
+    ("lie derivative is the homotopy of d", (_CHARTS, (1, 2)), _cartan_formula),
+    ("contraction is an odd derivation of wedge", (_CHARTS,), _odd_derivation),
     ("contraction with a bracket is the commutator", (_CHARTS, (2, 3)),
-     _draw_form_two_vectors, _bracket_contraction),
-    ("vector fields satisfy jacobi", (_CHARTS,), _draw_three_vectors, _jacobi),
-    ("pairing is invariant under two-form transforms", (_CHARTS,), _draw_pairing,
-     _pairing_invariant),
-    ("twisted bracket is antisymmetric", (_CHARTS,), _draw_bracket, _antisymmetric),
+     _bracket_contraction),
+    ("vector fields satisfy jacobi", (_CHARTS,), _jacobi),
+    ("pairing is invariant under two-form transforms", (_CHARTS,), _pairing_invariant),
+    ("twisted bracket is antisymmetric", (_CHARTS,), _antisymmetric),
     ("two-form transform shifts the twist down by its differential", (_CHARTS,),
-     _draw_twist_shift, _twist_shift),
-    ("pullback commutes with d", (_MAPS, (0, 1, 2)), _draw_pullback, _pullback_d),
-    ("evaluation respects the ring operations", (_CHARTS,), _draw_evaluation,
-     _evaluation),
+     _twist_shift),
+    ("pullback commutes with d", (_MAPS, (0, 1, 2)), _pullback_d),
+    ("evaluation respects the ring operations", (_CHARTS,), _evaluation),
 )
 
 
@@ -262,17 +223,14 @@ def _cases(axes: tuple[tuple, ...]) -> list[tuple]:
 
 def _judge(seed: int, share: int, shares: int) -> bytes:
     """The verdicts of one share, b"1" or b"0" per instance whose number
-    is share mod shares, in order.  Every instance is drawn, so the
-    judged ones get the inputs of the one-process walk."""
-    rng = random.Random(seed)
+    is share mod shares, in order.  Instance i draws from its own
+    generator, seeded with the text f"{seed}:{i}", and no other instance
+    is drawn."""
+    instances = [(check, case) for _, axes, check in _IDENTITIES for case in _cases(axes)]
     out = bytearray()
-    index = 0
-    for _, axes, draw, check in _IDENTITIES:
-        for case in _cases(axes):
-            inputs = draw(rng, *case)
-            if index % shares == share:
-                out += b"1" if check(*inputs) else b"0"
-            index += 1
+    for i in range(share, len(instances), shares):
+        check, case = instances[i]
+        out += b"1" if check(random.Random(f"{seed}:{i}"), *case) else b"0"
     return bytes(out)
 
 
@@ -346,11 +304,11 @@ def _verdicts(seed: int, instances: int) -> bytes:
 def invariant_results(seed: int = SEED) -> list[dict[str, str]]:
     """One result per identity, judged in one or two shares (see the
     module docstring); the results do not depend on the number."""
-    counts = [len(_cases(axes)) for _, axes, _, _ in _IDENTITIES]
+    counts = [len(_cases(axes)) for _, axes, _ in _IDENTITIES]
     verdicts = _verdicts(seed, sum(counts))
     results = []
     start = 0
-    for (name, _, _, _), count in zip(_IDENTITIES, counts):
+    for (name, _, _), count in zip(_IDENTITIES, counts):
         ok = b"0" not in verdicts[start:start + count]
         start += count
         status = "pass" if ok else "fail"

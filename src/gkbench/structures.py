@@ -237,14 +237,15 @@ class StructureAt:
     columns of Id - iJ(p), a basis of the +i eigenbundle picked from them
     and the type, each built on first use.  It holds no reference to its
     structure, only the dict of picked bases that its matrix family
-    shares, keyed by the value J(p)."""
+    shares, keyed by the value J(p) as the integer tuples (r, j, a, b, d)
+    of its nonzero entries (a + bi)/d."""
 
     def __init__(
         self,
         matrix: Mat,
         entries: tuple[tuple[int, int, Scalar], ...],
         point: EvalPoint,
-        bases: dict[Mat, tuple[int, ...]],
+        bases: dict[tuple[tuple[int, ...], ...], tuple[int, ...]],
     ) -> None:
         self.matrix = matrix
         self._entries = entries
@@ -267,11 +268,12 @@ class StructureAt:
     def basis(self) -> tuple[int, ...]:
         """The indices of the columns picked greedily, in order, by one
         elimination: the first columns that span the +i eigenbundle.  Two
-        points where J takes one value share the elimination, keyed by
-        J(p) itself."""
-        picked = self._bases.get(self.matrix)
+        points where J takes one value share the elimination.  The key
+        holds ints alone, so a lookup hashes no Scalar."""
+        key = tuple((r, j, x._a, x._b, x._d) for r, j, x in self._entries)
+        picked = self._bases.get(key)
         if picked is None:
-            picked = self._bases[self.matrix] = extend_basis((), self.columns)
+            picked = self._bases[key] = extend_basis((), self.columns)
         return picked
 
     @property
@@ -322,7 +324,7 @@ class GenStructure:
         # The values at(p) has built, by point, and the bases they picked,
         # by the value J(p); with_twist shares both dicts.
         self._points: dict[EvalPoint, StructureAt] = {}
-        self._bases: dict[Mat, tuple[int, ...]] = {}
+        self._bases: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 
     @property
     def dim(self) -> int:

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1038,35 +1039,53 @@ def results_in(monkeypatch, seed, cpus):
 
 def first_of_parity(identity, parity):
     """The number of the first instance of an identity with that parity."""
-    start = sum(len(selftest._cases(axes)) for _, axes, _, _ in selftest._IDENTITIES[:identity])
+    start = sum(len(selftest._cases(axes)) for _, axes, _ in selftest._IDENTITIES[:identity])
     return start + (start % 2 != parity)
 
 
-def plant(monkeypatch, seed, effects):
+def numbered_generators(monkeypatch):
+    """Make the suite draw from generators that keep their instance's
+    number, read from the seed text f"{seed}:{number}"; returns the list
+    of the numbers of the generators made in this process, in order."""
+    made = []
+
+    class Numbered(random.Random):
+        def __init__(self, text):
+            super().__init__(text)
+            self.number = int(text.rpartition(":")[2])
+            made.append(self.number)
+
+    monkeypatch.setattr(selftest, "random", SimpleNamespace(Random=Numbered))
+    return made
+
+
+def plant(monkeypatch, effects):
     """Replace the check of each instance numbered in `effects` by its
-    effect.  An instance is named by the generator's state before its
-    draws, which is the same in every share."""
-    rng, planted_at, number = random.Random(seed), {}, 0
-    for _, axes, draw, _ in selftest._IDENTITIES:
-        for case in selftest._cases(axes):
-            if number in effects:
-                planted_at[rng.getstate()] = effects[number]
-            draw(rng, *case)
-            number += 1
+    effect.  The planted check knows its instance by the number that its
+    generator was seeded with, which is the same in every share."""
+    numbered_generators(monkeypatch)
 
-    def planted(name, axes, draw, check):
-        def tagged(rng, *case):
-            return (rng.getstate(), *draw(rng, *case))
+    def planted(name, axes, check):
+        def judged(rng, *case):
+            effect = effects.get(rng.number)
+            return effect() if effect else check(rng, *case)
 
-        def judged(state, *inputs):
-            effect = planted_at.get(state)
-            return effect() if effect else check(*inputs)
-
-        return name, axes, tagged, judged
+        return name, axes, judged
 
     monkeypatch.setattr(
         selftest, "_IDENTITIES", tuple(planted(*identity) for identity in selftest._IDENTITIES)
     )
+
+
+@pytest.mark.parametrize("share", [0, 1])
+@pytest.mark.parametrize("seed", [1, 2, 3, 17, 39, selftest.SEED])
+def test_a_share_draws_and_judges_only_its_instances(monkeypatch, seed, share):
+    """Share s of two gives the one-process verdicts of the instances
+    numbered s mod 2, and makes the generators of those instances alone."""
+    whole = selftest._judge(seed, 0, 1)
+    made = numbered_generators(monkeypatch)
+    assert selftest._judge(seed, share, 2) == whole[share::2]
+    assert made == list(range(share, len(whole), 2))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 17, 39, selftest.SEED])
@@ -1082,7 +1101,7 @@ def test_a_planted_failure_of_either_parity_fails_only_its_identity(monkeypatch,
     def fail():
         return False
 
-    plant(monkeypatch, 5, {first_of_parity(2, 0): fail, first_of_parity(7, 1): fail})
+    plant(monkeypatch, {first_of_parity(2, 0): fail, first_of_parity(7, 1): fail})
     got = results_in(monkeypatch, 5, cpus)
     for i, r in enumerate(want):
         if i in (2, 7):
@@ -1120,7 +1139,7 @@ def test_an_exception_in_the_child_alone_gives_the_same_results(monkeypatch):
             raise Planted
         return True
 
-    plant(monkeypatch, 3, {first_of_parity(4, 1): raise_in_child})
+    plant(monkeypatch, {first_of_parity(4, 1): raise_in_child})
     assert results_in(monkeypatch, 3, 2) == want
 
 
@@ -1134,7 +1153,7 @@ def test_an_exception_in_a_check_reaches_the_caller(monkeypatch, parity, cpus):
     def raise_planted():
         raise Planted
 
-    plant(monkeypatch, 3, {first_of_parity(6, parity): raise_planted})
+    plant(monkeypatch, {first_of_parity(6, parity): raise_planted})
     with pytest.raises(Planted):
         results_in(monkeypatch, 3, cpus)
 
@@ -1153,7 +1172,6 @@ def test_the_first_exception_in_suite_order_reaches_the_caller(monkeypatch, pari
 
     plant(
         monkeypatch,
-        3,
         {first_of_parity(3, parity): raise_earlier, first_of_parity(6, 1 - parity): raise_planted},
     )
     with pytest.raises(PlantedEarlier):

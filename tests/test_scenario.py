@@ -728,6 +728,36 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize(
+        "expected, err",
+        [
+            ({"types": {"j": 1.0}}, "expected types j: 1.0 is not a non-negative integer"),
+            ({"types": {"j": True}}, "expected types j: true is not a non-negative integer"),
+            ({"types": {"j": "1"}}, 'expected types j: "1" is not a non-negative integer'),
+            ({"types": {"j": -1}}, "expected types j: -1 is not a non-negative integer"),
+            (
+                {"types": {"j": 1}, "reduced_types": {"j": False}},
+                "expected reduced_types j: false is not a non-negative integer",
+            ),
+            (
+                {"types": {"j": 1}, "reduced_dim": 2.5},
+                "expected reduced_dim: 2.5 is not a non-negative integer",
+            ),
+            ({"types": {"j": 1}, "type": {"j": 1}}, "unknown expected keys ['type']"),
+        ],
+    )
+    def test_expected_counts_are_non_negative_integers(self, tmp_path, capsys, expected, err):
+        """An expected type or quotient dimension is a JSON integer of at
+        least zero, and the expected block has no other keys than the
+        loader reads: each mistake exits 2, naming the key, before a
+        float could reach the report as a type or true pass as type 1."""
+        raw = copy.deepcopy(builtin_raw("complex_r2"))
+        raw["expected"] = expected
+        target = tmp_path / "expected.json"
+        target.write_text(json.dumps(raw))
+        assert main(["check", "--scenario", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
         "edit, err",
         [
             (lambda raw: raw.update(twist=[5]), "twist: every term must be an object"),

@@ -866,6 +866,26 @@ def test_with_twist_shares_the_point_values():
     assert len(struct._bases) == 1
 
 
+def test_a_basis_memo_miss_hashes_no_scalar(monkeypatch):
+    """The memo of picked bases is keyed by the integers of J(p)'s nonzero
+    entries: a miss hashes no Scalar, and two points where J takes one
+    value still share one elimination."""
+    struct = symplectic_structure(omega_r4())
+    p = EvalPoint.at(R4, x1=1, y1=0, x2=2, y2=-1)
+    q = EvalPoint.at(R4, x1=0, y1=3, x2=0, y2=1)
+    here, there = struct.at(p), struct.at(q)
+    assert here.matrix == there.matrix and here.point != there.point
+    hashed, eliminations = [], []
+    real_hash, real_extend = Scalar.__hash__, structures.extend_basis
+    monkeypatch.setattr(Scalar, "__hash__", lambda x: hashed.append(x) or real_hash(x))
+    monkeypatch.setattr(
+        structures, "extend_basis",
+        lambda rows, candidates: eliminations.append(1) or real_extend(rows, candidates),
+    )
+    assert here.basis is there.basis
+    assert hashed == [] and len(eliminations) == 1 and len(struct._bases) == 1
+
+
 def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
     """integrability, reduction with its two-step oracle, level closure and
     gk_reduction all read eigenbundles at the scenario's points; none is
