@@ -908,9 +908,14 @@ def _check_product(factors: tuple[tuple[RingElement, int], ...], pos: int) -> No
     """Raise ParseError when the product of the factors, each to its power,
     could have a coordinate exponent above MAX_EXPONENT in absolute value
     or more than MAX_TERMS terms; judged from the terms of the factors,
-    before the product is built.  A factor of t terms to the power p has at
-    most comb(t + p - 1, p) terms, one per multiset of p of its terms."""
-    if all(f._terms for f, _ in factors):
+    before the product is built.  No coordinate's exponent can exceed the
+    sum of p times each factor's largest |exponent|, so the coordinates
+    are walked one by one only when that sum does.  A factor of t terms to
+    the power p has at most comb(t + p - 1, p) terms, one per multiset of
+    p of its terms."""
+    if all(f._terms for f, _ in factors) and MAX_EXPONENT < sum(
+        p * max(max(map(max, f._terms)), -min(map(min, f._terms))) for f, p in factors
+    ):
         dim = factors[0][0].chart.dim
         high, low = [0] * dim, [0] * dim
         for f, p in factors:
@@ -952,18 +957,18 @@ def _numeral(text: str, pos: int) -> int:
     return int(digits)
 
 
-def _rational_literal(toks: _Tokens, text: str, pos: int) -> int | Fraction:
+def _rational_literal(toks: _Tokens, text: str, pos: int) -> tuple[int, int]:
     """The rational literal whose first numeral, text at pos, was just
-    taken: an integer, or p/q with q nonzero."""
+    taken, as (p, q) with q > 0: an integer p has q = 1."""
     numer = _numeral(text, pos)
     if toks.peek()[0] != "/":
-        return numer
+        return numer, 1
     toks.take()
     _, dtext, dpos = toks.take("num")
     denom = _numeral(dtext, dpos)
     if denom == 0:
         raise ParseError("zero denominator", dpos)
-    return Fraction(numer, denom)
+    return numer, denom
 
 
 def parse_rational(src: str) -> Fraction:
@@ -975,7 +980,7 @@ def parse_rational(src: str) -> Fraction:
     if sign in ("+", "-"):
         toks.take()
     _, text, pos = toks.take("num")
-    value = Fraction(_rational_literal(toks, text, pos))
+    value = Fraction(*_rational_literal(toks, text, pos))
     kind, text, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {text!r}", pos)
@@ -985,8 +990,10 @@ def parse_rational(src: str) -> Fraction:
 def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
     kind, text, pos = toks.take()
     if kind == "num":
-        literal = _rational_literal(toks, text, pos)
-        return RingElement.constant(chart, Scalar.of(literal))
+        # The constant's triple (p/g, 0, q/g), g = gcd(p, q), built directly.
+        numer, denom = _rational_literal(toks, text, pos)
+        terms = {(0,) * chart.dim: _norm(numer, 0, denom)} if numer else {}
+        return RingElement._of_valid(chart, terms)
     if kind == "(":
         inner = _parse_sum(toks, chart)
         toks.take(")")

@@ -353,6 +353,9 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
             raise ValidationError(
                 f"expected {where}: {json.dumps(value)} is not a non-negative integer"
             )
+    for sname in _field(expected, "reduced_types", dict, {}):
+        if sname not in structures:
+            raise ValidationError(f"expected reduced_types {sname}: no such structure")
     if "gamma" in expected:
         expected["gamma"] = form_from_terms(
             chart, expected["gamma"], 2, "expected gamma", parsed

@@ -21,7 +21,10 @@ columns of Id - iJ(p), those of them picked greedily by one elimination
 as a basis of the +i eigenbundle, and the type, built once per matrix
 and point.  No other module evaluates a structure, and one
 upper-right-block rule, matrix_type, types J(p) and the reduced
-structures.  open_brackets is the one loop over frame pairs.
+structures.  open_brackets is the one loop over frame pairs; on a frame
+of constant sections every derivative term of the bracket vanishes, so
+it takes each bracket as the twist term alone, and under a zero twist
+brackets nothing.
 closing_brackets is the one "certified basis, else full frame" pass over
 it, for check_integrable here (no 1-form) and the adapted level-set
 closure check of reduction (the moment differentials).  A certified
@@ -531,13 +534,36 @@ def open_brackets(
     bracket's residual (J - i)w, which is -2i times its -i part.  The
     brackets stay in the eigenbundle exactly when nothing is yielded;
     pairs are bracketed lazily, so stopping at the first yield brackets
-    no further pair."""
+    no further pair.
+
+    Whether every live section has constant coefficients, vector
+    components and form coefficients alike, is decided once per frame.
+    For such sections every derivative term of the bracket's Cartan form
+    vanishes, [X, Y], i_X db, i_Y da and d(i_X b - i_Y a)/2, so the
+    bracket is the twist term i_Y i_X H alone, with a zero vector part:
+    under a zero twist nothing is bracketed, and otherwise each pair's
+    residual is taken of that term.  Any other frame is bracketed by
+    courant_bracket, the one general formula."""
     live = [i for i, u in enumerate(frame) if not u.is_zero]
+    twist = struct.twist
+    constant = all(_is_constant(frame[i]) for i in live)
+    if constant and twist.is_zero:
+        return
+    zeros = (RingElement.zero(struct.chart),) * struct.dim
     for a, b in combinations(live, 2):
-        w = courant_bracket(frame[a], frame[b], struct.twist)
-        for r in struct.residual(w.column()):
+        u, v = frame[a], frame[b]
+        if constant:
+            w = zeros + twist.interior(u.vector).interior(v.vector).covector()
+        else:
+            w = courant_bracket(u, v, twist).column()
+        for r in struct.residual(w):
             if not r.is_zero:
                 yield a, b, r
+
+
+def _is_constant(u: GenSection) -> bool:
+    """Every vector component and every form coefficient is a constant."""
+    return all(c.is_constant() for c in u.column())
 
 
 class Basis:
@@ -680,7 +706,10 @@ def check_integrable(
     spanning-set computation settles involutivity for all sections; when
     the structure is algebraic, the brackets of the n columns of Id - iJ
     picked at the first point, a basis over the fraction field, settle it
-    (certified_basis).
+    (certified_basis).  A frame of constant sections brackets to the
+    twist term alone (open_brackets): under a zero twist it closes with
+    no bracket computed, and a failing detail names the same pair and
+    residual component as the general bracket.
     """
     if not struct.squares_to_minus_one:
         return False, "eigenprojector is not idempotent"

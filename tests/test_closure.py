@@ -378,17 +378,34 @@ def test_full_frame_when_the_point_drops_rank():
 
 
 def test_full_frame_when_the_structure_is_not_algebraic(monkeypatch):
-    # J squares to -Id, so P is idempotent and the constant eigenbundle is
-    # involutive, but J does not preserve the pairing: isotropy, which the
-    # certificate needs, is not known, and all frame pairs are bracketed.
-    chart = make_chart(("x", "affine"), ("y", "affine"))
+    # On (x, y), J squares to -Id, so P is idempotent and the constant
+    # eigenbundle is involutive, but J does not preserve the pairing:
+    # isotropy, which the certificate needs, is not known.  Under a zero
+    # twist a constant frame brackets to zero, so nothing is bracketed.
+    # On (u, v) the symplectic structure of du^dv, moved by the closed
+    # B = u du^dv, makes the frame non-constant without changing the
+    # verdict: its sections are isotropic and meet the (x, y) sections in
+    # no coordinate.  Then all frame pairs are bracketed.
+    chart = make_chart(("x", "affine"), ("y", "affine"), ("u", "affine"), ("v", "affine"))
 
     def c(text):
         return RingElement.constant(chart, Scalar.of(Fraction(text)))
 
-    a = ((c("0"), c("-2")), (c("1/2"), c("0")))
-    zero = ((c("0"), c("0")), (c("0"), c("0")))
-    matrix = mat([a[0] + zero[0], a[1] + zero[1], zero[0] + a[0], zero[1] + a[1]])
+    def block(*rows):
+        return [tuple(c(x) for x in row.split()) for row in rows]
+
+    matrix = mat(
+        block(
+            "0 -2 0 0 0 0 0 0",
+            "1/2 0 0 0 0 0 0 0",
+            "0 0 0 0 0 0 0 1",
+            "0 0 0 0 0 0 -1 0",
+            "0 0 0 0 0 -2 0 0",
+            "0 0 0 0 1/2 0 0 0",
+            "0 0 0 1 0 0 0 0",
+            "0 0 -1 0 0 0 0 0",
+        )
+    )
     struct = GenStructure(chart, matrix, zero_twist(chart))
     assert struct.algebraic == (False, "matrix does not preserve the pairing")
     calls = []
@@ -396,11 +413,17 @@ def test_full_frame_when_the_structure_is_not_algebraic(monkeypatch):
     monkeypatch.setattr(
         structures, "courant_bracket", lambda *a: calls.append(1) or original(*a)
     )
-    point = EvalPoint.at(chart, x=0, y=0)
-    ok, detail = check_integrable(struct, {"origin": point})
-    assert (ok, detail) == (True, "eigenbundle is involutive for the twisted bracket")
-    live = sum(not u.is_zero for u in struct.plus_i_frame)
-    assert len(calls) == comb(live, 2) > comb(struct.dim, 2)
+    points = {"origin": EvalPoint.at(chart, x=0, y=0, u=0, v=0)}
+    involutive = (True, "eigenbundle is involutive for the twisted bracket")
+    assert check_integrable(struct, points) == involutive
+    assert calls == []
+    b_field = DiffForm(chart, 2, {(2, 3): parse_expr("u", chart)})
+    moved = b_transform_structure(b_field, struct)
+    assert moved.twist.is_zero and moved.matrix != struct.matrix
+    assert moved.algebraic == struct.algebraic
+    assert check_integrable(moved, points) == involutive
+    live = sum(not u.is_zero for u in moved.plus_i_frame)
+    assert len(calls) == comb(live, 2) > comb(moved.dim, 2)
 
 
 def test_full_frame_witness_when_a_basis_bracket_fails():
@@ -590,8 +613,11 @@ def test_integrable_structures_close_their_level_tangent_part():
 
 
 def test_level_closure_reads_the_integrability_judgment(monkeypatch):
+    # The closed invariant B-field (x1^2 + y1^2) dx1^dy1 moves j1 to a
+    # structure with a non-constant frame, which level_closure judges.
     raw = kahler_c3_circle()
     raw["checks"] = ["integrability", "level_closure"]
+    raw["b_field"] = [{"coeff": "x1^2 + y1^2", "frame": ["x1", "y1"]}]
     scen = load_scenario(raw)
     calls = []
     courant = structures.courant_bracket
@@ -601,14 +627,19 @@ def test_level_closure_reads_the_integrability_judgment(monkeypatch):
     verdicts, _ = run_scenario(scen)
     assert [(v.check, v.status) for v in verdicts] == [
         ("integrability:j1", "pass"),
+        ("integrability:j1+b", "pass"),
         ("level_closure:frame", "pass"),
         ("level_closure:adapted", "pass"),
         ("level_closure:slice", "skipped"),
     ]
-    # Only integrability brackets: a 6-section basis of the eigenbundle of C^3.
+    # Only integrability:j1+b brackets: a 6-section basis of the eigenbundle
+    # of C^3.  The constant frame of j1 under a zero twist brackets nothing.
     assert len(calls) == comb(scen.chart.dim, 2)
-    assert "no bracket is computed" in verdicts[2].detail
-    assert verdicts[2].detail.endswith(", globally")
+    calls.clear()
+    assert check_integrable(scen.structures["j1"], scen.points)[0]
+    assert calls == []
+    assert "no bracket is computed" in verdicts[3].detail
+    assert verdicts[3].detail.endswith(", globally")
 
 
 def as_verdict(outcome):

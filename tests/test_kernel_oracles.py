@@ -12,7 +12,10 @@ view of the triples, must round-trip.  Each oracle here is the older
 construction written out in full with plain ring `*`, `+` and `-`, and
 each comparison is of canonical terms, so an unnormalized triple, a
 wrong sign or a lost factor fails it.  Every case is drawn over a
-polynomial chart and a periodic one.
+polynomial chart and a periodic one.  The bracket of a constant frame,
+which open_brackets takes as the twist term alone, is held to the
+general Courant bracket on drawn sections and on every builtin
+structure's integrability verdict.
 
 The reduction's kernels are held to their older constructions the same
 way: a push-down against a nullspace, a product and a canonical basis,
@@ -40,7 +43,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkbench import linalg, reduction, ring, runner, selftest
+from gkbench import linalg, reduction, ring, runner, selftest, structures
 from gkbench.calculus import DiffForm, VectorField, lie_bracket, wedge_all
 from gkbench.catalog import catalog_names, load_builtin
 from gkbench.errors import ChartMismatchError, ValidationError
@@ -72,6 +75,7 @@ from gkbench.structures import (
     GenSection,
     GenStructure,
     b_exponential,
+    check_integrable,
     courant_bracket,
     zero_twist,
 )
@@ -306,6 +310,117 @@ def test_courant_bracket_is_the_lie_derivative_formula(data):
     )
     assert got.form.terms == want.terms
     assert got.vector == lie_bracket(x, y)
+
+
+# --- brackets of a constant frame --------------------------------------------
+
+
+@st.composite
+def constant_sections(draw, chart):
+    """A section whose vector components and form coefficients are all
+    constants, zeros included."""
+    values = st.sampled_from((ZERO,) + COEFFS)
+    vector = VectorField(
+        chart, tuple(RingElement.constant(chart, draw(values)) for _ in range(chart.dim))
+    )
+    form = DiffForm(
+        chart, 1, {(i,): RingElement.constant(chart, draw(values)) for i in range(chart.dim)}
+    )
+    return GenSection(vector, form)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_constant_sections_bracket_to_the_twist_term(data):
+    """Why open_brackets takes no derivative on a constant frame: for
+    constant sections the general bracket is (0, i_Y i_X H).  H is drawn
+    closed, an exact form plus a constant one, with coefficients that need
+    not be constant."""
+    chart = data.draw(charts)
+    u, v = data.draw(constant_sections(chart)), data.draw(constant_sections(chart))
+    idx = list(combinations(range(chart.dim), 3))
+    picked = data.draw(st.lists(st.sampled_from(idx), max_size=2, unique=True))
+    constant = DiffForm(
+        chart, 3, {i: RingElement.constant(chart, data.draw(st.sampled_from(COEFFS))) for i in picked}
+    )
+    twist = data.draw(forms(chart, 2)).d() + constant
+    assert twist.d().is_zero
+    got = courant_bracket(u, v, twist)
+    assert got.vector.is_zero
+    assert got.form.terms == twist.interior(u.vector).interior(v.vector).terms
+
+
+def twisted_catalog_structures():
+    """Every builtin structure and its B-transform, each against its own
+    twist and, on a chart of three or more coordinates, against that twist
+    plus the constant closed one on the first three."""
+    for name in catalog_names():
+        scen = load_builtin(name)
+        ws = Workspace(scen)
+        for sname in sorted(scen.structures):
+            moved = [ws.work(sname)] if scen.b_field is not None else []
+            for struct in [scen.structures[sname]] + moved:
+                yield f"{name}:{sname}", struct, scen.points
+                chart = struct.chart
+                if chart.dim >= 3:
+                    h = DiffForm(chart, 3, {(0, 1, 2): RingElement.one(chart)})
+                    yield f"{name}:{sname} + h", struct.with_twist(struct.twist + h), scen.points
+
+
+def test_constant_frames_judge_as_the_general_bracket(monkeypatch):
+    """check_integrable's verdict and detail on every builtin structure,
+    with each frame bracketed as open_brackets chooses and with every
+    frame sent through courant_bracket."""
+    cases = list(twisted_catalog_structures())
+    fast = [check_integrable(struct, points) for _, struct, points in cases]
+    constant = sum(
+        all(structures._is_constant(u) for u in struct.plus_i_frame)
+        for _, struct, _ in cases
+    )
+    monkeypatch.setattr(structures, "_is_constant", lambda u: False)
+    for (label, struct, points), want in zip(cases, fast):
+        assert check_integrable(struct, points) == want, label
+    assert 0 < constant < len(cases)
+    assert {ok for ok, _ in fast} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "name, sname, frame, detail",
+    [
+        (
+            "kahler_c2_circle",
+            "j1",
+            ["y1", "x2", "y2"],
+            "bracket of frame sections 1 and 2 leaves the eigenbundle "
+            "(residual component 1)",
+        ),
+        (
+            "bihermitian_r4_translation",
+            "j1",
+            ["x1", "y1", "y2"],
+            "bracket of frame sections 0 and 1 leaves the eigenbundle "
+            "(residual component 1/4*I)",
+        ),
+    ],
+)
+def test_a_constant_frame_fails_on_its_twist_term(monkeypatch, name, sname, frame, detail):
+    """A constant structure against a constant twist that breaks its
+    integrability: no Courant bracket is taken, and the detail names the
+    pair and the residual component that the general bracket named."""
+    scen = load_builtin(name)
+    chart = scen.chart
+    twist = DiffForm(
+        chart, 3, {tuple(chart.index(c) for c in frame): RingElement.one(chart)}
+    )
+    struct = scen.structures[sname].with_twist(twist)
+    assert all(structures._is_constant(u) for u in struct.plus_i_frame)
+    calls = []
+    original = structures.courant_bracket
+    monkeypatch.setattr(
+        structures, "courant_bracket", lambda *a: calls.append(1) or original(*a)
+    )
+    assert check_integrable(struct, scen.points) == (False, detail)
+    assert calls == []
 
 
 # --- the one sum of products -------------------------------------------------

@@ -134,6 +134,48 @@ class TestParsing:
             with pytest.raises(ParseError, match="exponent exceeds the bound"):
                 elem(text)
 
+    def test_bound_edges_keep_their_messages_and_positions(self):
+        """Both sides of each bound, by text: a product whose factors'
+        largest exponents sum past MAX_EXPONENT on different coordinates
+        is accepted, on one coordinate it is refused at its '*' or '^'."""
+        assert MAX_EXPONENT == 16 and MAX_TERMS == 1000
+        accepted = {
+            "x^16": "x^16",
+            "x^16*t": "x^16*t",
+            "x^8*x^8": "x^16",
+            "E(y;-16)": "E(y;-16)",
+            "E(y;-16)*E(y;16)": "1",
+            "E(y;-8)^2": "E(y;-16)",
+            "E(y;-1)^16": "E(y;-16)",
+            "x^16*(t + E(y;-16))": "x^16*t + x^16*E(y;-16)",
+            "00012/0008*x^16": "3/2*x^16",
+            "0/5": "0",
+        }
+        for text, printed in accepted.items():
+            assert str(elem(text)) == printed, text
+        assert len(elem("(1 + x + t + x*t + E(y;1))^9").terms) == 385
+        refused = {
+            "x^17": ("integer exceeds the bound 16", 2),
+            "x^16*x": ("exponent exceeds the bound 16", 4),
+            "x*x^16": ("exponent exceeds the bound 16", 1),
+            "x^8*x^9": ("exponent exceeds the bound 16", 3),
+            "E(y;-17)": ("integer exceeds the bound 16", 5),
+            "E(y;-16)*E(y;-1)": ("exponent exceeds the bound 16", 8),
+            "E(y;-8)^3": ("exponent exceeds the bound 16", 8),
+            "(x^16 + t)^2": ("exponent exceeds the bound 16", 11),
+            "(1 + x + t + x*t + E(y;1))^10": (
+                "product or power could exceed 1000 terms",
+                27,
+            ),
+        }
+        for text, (message, position) in refused.items():
+            with pytest.raises(ParseError) as info:
+                elem(text)
+            assert (str(info.value), info.value.position) == (
+                f"{message} (at position {position})",
+                position,
+            ), text
+
     def test_product_terms_are_bounded(self):
         # (x + y + t + 1)^p has comb(p + 3, 3) terms, the bound the parser
         # judges from the four operand terms before building the power.
@@ -161,8 +203,9 @@ class TestParsing:
 def per_coordinate_check(factors, pos):
     """The parser's bound check in its per-coordinate form, one pass over
     a factor's terms per coordinate and per bound: the oracle for
-    `ring._check_product`, which takes each factor's largest and smallest
-    exponents in one pass."""
+    `ring._check_product`, which walks the coordinates only when the
+    factors' largest |exponent|s, each times its power, sum past the
+    bound."""
     if all(f._terms for f, _ in factors):
         for i in range(factors[0][0].chart.dim):
             for pick in (max, min):

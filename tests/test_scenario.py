@@ -505,7 +505,10 @@ class TestRunner:
 
     def test_integrability_is_checked_once_per_structure(self, monkeypatch):
         """On btwist_t4, b_flip's first leg reads integrability:j+b's
-        check of e^B J instead of bracketing its frame again."""
+        check of e^B J instead of bracketing its frame again.  J's own
+        frame is constant and its twist zero, so integrability:j brackets
+        nothing, and every bracket counted is of a frame moved by the
+        non-closed B = cos(t1) dt2^dt3."""
         brackets, checks = [], []
         courant, check = structures.courant_bracket, runner.check_integrable
         monkeypatch.setattr(
@@ -514,9 +517,13 @@ class TestRunner:
         monkeypatch.setattr(
             runner, "check_integrable", lambda *a: checks.append(1) or check(*a)
         )
-        verdicts, _ = run_scenario(load_builtin("btwist_t4"))
+        scen = load_builtin("btwist_t4")
+        verdicts, _ = run_scenario(scen)
         assert [v.status for v in verdicts] == ["pass"] * 6
-        assert (len(brackets), len(checks)) == (22, 5)
+        assert (len(brackets), len(checks)) == (16, 5)
+        brackets.clear()
+        assert structures.check_integrable(scen.structures["j"], scen.points)[0]
+        assert brackets == []
 
     def test_each_point_is_reduced_once(self, monkeypatch):
         points, reductions = [], []
@@ -743,13 +750,19 @@ class TestCli:
                 "expected reduced_dim: 2.5 is not a non-negative integer",
             ),
             ({"types": {"j": 1}, "type": {"j": 1}}, "unknown expected keys ['type']"),
+            (
+                {"types": {"j": 1}, "reduced_types": {"j": 0, "jx": 5}},
+                "expected reduced_types jx: no such structure",
+            ),
         ],
     )
     def test_expected_counts_are_non_negative_integers(self, tmp_path, capsys, expected, err):
         """An expected type or quotient dimension is a JSON integer of at
-        least zero, and the expected block has no other keys than the
-        loader reads: each mistake exits 2, naming the key, before a
-        float could reach the report as a type or true pass as type 1."""
+        least zero, the expected block has no other keys than the loader
+        reads, and an expected reduced type names a structure of the
+        scenario: each mistake exits 2, naming the key, before a float
+        could reach the report as a type, true pass as type 1, or a
+        reduced type go uncompared."""
         raw = copy.deepcopy(builtin_raw("complex_r2"))
         raw["expected"] = expected
         target = tmp_path / "expected.json"
