@@ -65,7 +65,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             f"no point named {args.point!r}; scenario has {sorted(scen.points)}"
         )
     ws = Workspace(scen)
-    fiber = ws.fiber(args.point)
+    red = ws.reduced(scen.moment_structure, args.point)
+    fiber = red.fiber
     print(f"scenario {scen.name}, point {args.point}")
     print(
         f"ambient dimension {fiber.n}, group rank {fiber.k}, "
@@ -74,7 +75,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if fiber.m == 0:
         print("the quotient is zero dimensional")
         return 0
-    red = ws.reduced(scen.moment_structure, args.point)
     rtype = matrix_type(red.jmat, fiber.point)
     print(f"reduced structure for {scen.moment_structure} (type {rtype}):")
     print(_fmt_matrix(red.jmat))

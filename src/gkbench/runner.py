@@ -12,14 +12,16 @@ fails the whole check.  The pointwise checks (type, reduction,
 gk_reduction, b_commute) need at least one point: on a scenario without
 points each fails once, named after the check.
 
-When a scenario carries a B-field, the moment-map, equivariance, gamma,
-closure, and reduction checks operate on the transformed structure and
-transported moment data; when the transported moment one-forms are not
-zero, reduction moves each structure by e^(B - Gamma), Gamma the potential
-of the scenario's first connection, to remove them.  The Workspace judges
-each premise once per run, and every check that needs it reads that
-judgment: a connection's potential and its invariance, the shifted twist
-H - dB + dGamma and each connection change being basic, and a structure's
+The Workspace's one memoized transform, `work`, moves a structure by
+e^(B - Gamma): B the scenario's B-field, Gamma a connection's potential,
+each zero when absent.  The moment-map, equivariance, gamma and closure
+checks read the transform by B and the moment data transported through
+B; reduction adds the potential of the first connection when the
+transported moment one-forms are nonzero, and on either path reduces
+only once the shifted twist H - dB + dGamma is basic.  The Workspace
+judges each premise once per run, and every check that needs it reads
+that judgment: a connection's potential and its invariance, the shifted
+twist and each connection change being basic, and a structure's
 integrability (the integrability check, the first leg of b_flip, and
 level_closure, which brackets nothing once the moment structure passes).
 
@@ -119,14 +121,16 @@ def _per_item(
 
 
 def _memoized(method: Callable) -> Callable:
-    """A Workspace method computed once per arguments, in the instance's
-    memo; a call that raises leaves nothing behind."""
+    """A Workspace method computed once per arguments, omitted defaults
+    filled in, in the instance's memo; a call that raises leaves nothing."""
+    defaults = method.__defaults__ or ()
+    width = method.__code__.co_argcount - 1
 
     @wraps(method)
     def once(self: Workspace, *args: Any) -> Any:
-        key = (method.__name__, *args)
+        key = (method.__name__, *args, *defaults[len(defaults) + len(args) - width:])
         if key not in self._memo:
-            self._memo[key] = method(self, *args)
+            self._memo[key] = method(self, *key[1:])
         return self._memo[key]
 
     return once
@@ -141,12 +145,16 @@ class Workspace:
         self._memo: dict[tuple, Any] = {}
 
     @_memoized
-    def work(self, name: str) -> GenStructure:
-        """The structure after the scenario's B-field, if any."""
+    def work(self, name: str, connection: str | None = None) -> GenStructure:
+        """The structure moved by e^(B - Gamma) in one transform, B the
+        scenario's B-field and Gamma the named connection's potential, each
+        zero when absent; its twist is H - dB + dGamma."""
+        shift = self.scen.b_field
+        if connection is not None:
+            gamma, _ = self.potential(connection)
+            shift = -gamma if shift is None else shift - gamma
         base = self.scen.structures[name]
-        if self.scen.b_field is None:
-            return base
-        return b_transform_structure(self.scen.b_field, base)
+        return base if shift is None else b_transform_structure(shift, base)
 
     @_memoized
     def moment_w(self) -> MomentData:
@@ -171,19 +179,12 @@ class Workspace:
         ]
 
     @_memoized
-    def moved(self, structure_name: str, connection: str) -> GenStructure:
-        """The structure moved by e^(B - Gamma), Gamma the named connection's
-        potential, in one transform; its twist is H - dB + dGamma."""
-        gamma, _ = self.potential(connection)
-        shift = -gamma if self.scen.b_field is None else self.scen.b_field - gamma
-        return b_transform_structure(shift, self.scen.structures[structure_name])
-
-    @_memoized
-    def twist_is_basic(self, connection: str) -> bool:
-        """Whether H - dB + dGamma is basic, judged on the moved moment
-        structure: the loader gives every structure the scenario's twist."""
-        moved = self.moved(self.scen.moment_structure, connection)
-        return is_basic(moved.twist, self.moment_w().action)
+    def twist_is_basic(self, connection: str | None) -> bool:
+        """Whether H - dB + dGamma is basic, Gamma zero for None, judged on
+        the moment structure's work entry: the loader gives every structure
+        the scenario's twist.  A zero twist is basic with no judgment."""
+        twist = self.work(self.scen.moment_structure, connection).twist
+        return twist.is_zero or is_basic(twist, self.moment_w().action)
 
     @_memoized
     def connection_change(self, connection: str) -> tuple[DiffForm, bool]:
@@ -202,21 +203,23 @@ class Workspace:
     def reduction_entry(
         self, structure_name: str, connection: str | None
     ) -> tuple[GenStructure, DiffForm | None]:
-        """The structure ready for fiber reduction, and the potential that
-        removed the moment one-forms, None when they are zero."""
+        """work(structure_name, connection), ready for fiber reduction once
+        its twist is basic, and the potential that removed the moment
+        one-forms; with zero one-forms the connection and potential are None."""
         if all(a.is_zero for a in self.moment_w().one_forms):
-            return self.work(structure_name), None
-        if connection is None:
+            connection = None
+        elif connection is None:
             raise ValidationError(
                 "moment one-forms are nonzero and the scenario lists no "
                 "connection to remove them"
             )
-        gamma, problems = self.potential(connection)
+        gamma, problems = (None, []) if connection is None else self.potential(connection)
         if problems:
             raise ValidationError(f"potential of connection {connection}: {'; '.join(problems)}")
         if not self.twist_is_basic(connection):
-            raise ValidationError("twist is not basic after the potential transform")
-        return self.moved(structure_name, connection), gamma
+            after = "" if gamma is None else " after the potential transform"
+            raise ValidationError(f"twist is not basic{after}")
+        return self.work(structure_name, connection), gamma
 
     def primary_connection(self) -> str | None:
         return next(iter(self.scen.connections), None)
@@ -231,10 +234,9 @@ class Workspace:
 
     @_memoized
     def fiber(self, point_name: str) -> FiberData:
-        """Reduction data at a named point, once the moment structure's entry
-        stands; fiber_data reads only the action and moment functions, which
-        neither a B-field nor a potential changes, so moment_w() serves all."""
-        self.reduction_entry(self.scen.moment_structure, self.primary_connection())
+        """Reduction data at a named point; fiber_data reads only the action
+        and moment functions, which neither a B-field nor a potential
+        changes, so moment_w() serves all."""
         return fiber_data(self.moment_w(), self.scen.points[point_name], self.scen.level)
 
     @_memoized
@@ -294,8 +296,6 @@ def _check_type(ws: Workspace) -> list[Verdict]:
         return [_bad("type", "scenario lists the type check but expects no types")]
 
     def judge(name: str) -> tuple[bool, str]:
-        if name not in ws.scen.structures:
-            return False, "no such structure"
         struct = ws.scen.structures[name]
         values = {pname: struct.at(p).type for pname, p in ws.scen.points.items()}
         if any(v != want[name] for v in values.values()):

@@ -337,6 +337,11 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ValidationError(f"unknown check {c!r}")
+    # A given level, and one that a check reduces or slices at, has one value per generator.
+    k = 0 if action is None else action.k
+    at_level = {"level_closure", "reduction", "gk_reduction", "b_commute"} & set(checks)
+    if ("level" in data or at_level) and len(level) != k:
+        raise ValidationError(f"level length {len(level)} is not the number of generators, {k}")
 
     expected = dict(_field(data, "expected", dict, {}))
     extra = set(expected) - {"types", "reduced_types", "reduced_dim", "gamma"}
@@ -353,9 +358,10 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
             raise ValidationError(
                 f"expected {where}: {json.dumps(value)} is not a non-negative integer"
             )
-    for sname in _field(expected, "reduced_types", dict, {}):
-        if sname not in structures:
-            raise ValidationError(f"expected reduced_types {sname}: no such structure")
+    for key in ("types", "reduced_types"):
+        for sname in _field(expected, key, dict, {}):
+            if sname not in structures:
+                raise ValidationError(f"expected {key} {sname}: no such structure")
     if "gamma" in expected:
         expected["gamma"] = form_from_terms(
             chart, expected["gamma"], 2, "expected gamma", parsed

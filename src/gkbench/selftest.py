@@ -12,20 +12,22 @@ Iteration order is fixed throughout, so the rendered JSON is
 byte-identical across runs.
 
 Share s of S draws and judges the instances whose number is s mod S,
-and no others.  With S = 2 a forked child judges share 1 and sends one
-byte per instance through a pipe while the process judges share 0.  S
-is 2 only when the process can fork, runs one thread and may run on at
-least two CPUs, and never more: each share costs a fork, and only two
-cores were there to show a gain.  Otherwise S = 1: the same loop, with
-no child.  When the fork fails, the child exits nonzero or its byte
-count is wrong, the process judges share 1 itself, so a failing check
-looks as it does in one process.  When a check raises in either share,
-the suite walks again in one process, which raises the exception of
-the first instance in suite order, as the one-process suite does.
+and no others.  With S = 2 a forked child judges share 1 and writes one
+byte per instance into a shared anonymous mapping while the process
+judges share 0.  S is 2 only when the process can fork, runs one thread
+and may run on at least two CPUs, and never more: each share costs a
+fork, and only two cores were there to show a gain.  Otherwise S = 1:
+the same loop, with no child.  When the fork fails or the child exits
+nonzero (as it does when its share does not fit the mapping), the
+process judges share 1 itself, so a failing check looks as it does in
+one process.  When a check raises in either share, the suite walks
+again in one process, which raises the exception of the first instance
+in suite order, as the one-process suite does.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 import signal
@@ -246,45 +248,34 @@ def _shares() -> int:
 
 def _judge_in_two(seed: int, instances: int) -> bytes:
     """Every verdict: share 0 here, share 1 in a forked child that writes
-    its bytes to a pipe.  The child leaves through os._exit, running no
-    atexit handler and flushing no stdio buffer, with code 1 on any
-    exception.  Share 1 is judged here when the fork fails, the child
-    exits nonzero or sends the wrong number of bytes.  The child is always
-    reaped, and killed first when this process leaves early."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return _judge(seed, 0, 1)
-    if pid == 0:
-        code = 1
+    its bytes into a shared anonymous mapping of their length.  The child
+    leaves through os._exit, running no atexit handler and flushing no
+    stdio buffer, with code 1 on any exception, a share of the wrong length
+    among them.  Share 1 is judged here when the fork fails or the child
+    exits nonzero.  The child is always reaped, and killed first when this
+    process leaves early."""
+    with mmap.mmap(-1, instances // 2) as shared:
         try:
-            os.close(read_end)
-            data = _judge(seed, 1, 2)
-            while data:
-                data = data[os.write(write_end, data):]
-            code = 0
+            pid = os.fork()
+        except OSError:
+            return _judge(seed, 0, 1)
+        if pid == 0:
+            code = 1
+            try:
+                shared[:] = _judge(seed, 1, 2)
+                code = 0
+            finally:
+                os._exit(code)
+        reaped = False
+        try:
+            even = _judge(seed, 0, 2)
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+            odd = shared[:] if os.waitstatus_to_exitcode(status) == 0 else _judge(seed, 1, 2)
         finally:
-            os._exit(code)
-    os.close(write_end)
-    reaped = False
-    try:
-        even = _judge(seed, 0, 2)
-        chunks = []
-        while chunk := os.read(read_end, 4096):
-            chunks.append(chunk)
-        odd = b"".join(chunks)
-        _, status = os.waitpid(pid, 0)
-        reaped = True
-        if os.waitstatus_to_exitcode(status) != 0 or len(odd) != instances // 2:
-            odd = _judge(seed, 1, 2)
-    finally:
-        os.close(read_end)
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     out = bytearray(instances)
     out[0::2] = even
     out[1::2] = odd

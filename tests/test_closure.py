@@ -53,6 +53,9 @@ def catalog_structures():
 def closure_verdicts(name: str, twist=None) -> list[tuple[str, str, str]]:
     raw = copy.deepcopy(builtin_raw(name))
     raw["checks"] = ["level_closure"]
+    # The loader refuses level_closure without a level; mixed_r4_rotation,
+    # which has none, gets 1/2, its moment function's value at point unit.
+    raw.setdefault("level", ["1/2"])
     if twist is not None:
         raw["twist"] = twist
     verdicts, _ = run_scenario(load_scenario(raw))
@@ -263,6 +266,7 @@ def closure_inputs(name: str, twist=None, points=None):
     the runner's level_closure check uses, for a builtin with an optional
     replacement twist and replacement points."""
     raw = copy.deepcopy(builtin_raw(name))
+    raw.setdefault("level", ["1/2"])  # as in closure_verdicts
     if twist is not None:
         raw["twist"] = twist
     if points is not None:

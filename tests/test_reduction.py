@@ -54,7 +54,8 @@ from gkbench.reduction import (
 from gkbench.ring import (
     IMAG, ONE, ZERO, EvalPoint, RingElement, Scalar, make_chart, parse_expr
 )
-from gkbench.runner import Workspace
+from gkbench import runner
+from gkbench.runner import Workspace, run_scenario
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
     GenStructure,
@@ -925,3 +926,70 @@ def test_potential_transform_needs_a_basic_twist():
     with pytest.raises(ValidationError) as err:
         ws.reduction_entry("j", "theta")
     assert str(err.value) == "twist is not basic after the potential transform"
+
+
+def zero_one_form_control(twist, b_field=None):
+    """S^1_x x R^3 with coordinates (t, a, b), omega = dx^dt + da^db, the
+    action d/dx and the moment -t at level -1: the moment one-forms are
+    zero, so the reduction entry applies no potential."""
+    raw = {
+        "name": "zero_one_form_control",
+        "chart": [["x", "periodic"], ["t", "affine"], ["a", "affine"], ["b", "affine"]],
+        "structures": {
+            "j": {
+                "kind": "symplectic",
+                "two_form": [{"frame": ["x", "t"]}, {"frame": ["a", "b"]}],
+            }
+        },
+        "action": [["1", "0", "0", "0"]],
+        "moment": {"structure": "j", "functions": ["-t"]},
+        "level": ["-1"],
+        "points": [
+            {"name": "origin", "values": {"x": 0, "t": "1", "a": "0", "b": "0"}},
+            {"name": "generic", "values": {"x": 1, "t": "1", "a": "2", "b": "-3"}},
+        ],
+        "checks": ["reduction"],
+    }
+    if twist is not None:
+        raw["twist"] = [{"frame": twist}]
+    if b_field is not None:
+        raw["b_field"] = b_field
+    return load_scenario(raw)
+
+
+@pytest.mark.parametrize(
+    "twist, statuses, detail",
+    [
+        (["x", "a", "b"], ["fail"], "twist is not basic"),
+        (["t", "a", "b"], ["pass", "pass"], None),
+        (None, ["pass", "pass"], None),
+    ],
+    ids=["contracts-with-the-generator", "basic", "none"],
+)
+def test_zero_one_forms_still_need_a_basic_twist(monkeypatch, twist, statuses, detail):
+    """With zero moment one-forms no potential is applied, and the twist
+    must still be basic before anything is reduced.  A zero twist is basic
+    with no judgment."""
+    calls = []
+
+    def counted_is_basic(form, action):
+        calls.append(form)
+        return is_basic(form, action)
+
+    is_basic = runner.is_basic
+    monkeypatch.setattr(runner, "is_basic", counted_is_basic)
+    verdicts, _ = run_scenario(zero_one_form_control(twist))
+    assert [v.status for v in verdicts] == statuses
+    if detail is not None:
+        assert verdicts[0].detail == detail
+    assert len(calls) == (twist is not None)
+
+
+@pytest.mark.parametrize("b_field", [None, [{"coeff": "t", "frame": ["a", "b"]}]])
+def test_the_entry_without_a_potential_is_the_work_structure(b_field):
+    """work(name) and reduction_entry(name, None) share one memo entry,
+    with or without a B-field: the entry is the same object."""
+    ws = Workspace(zero_one_form_control(["t", "a", "b"], b_field))
+    entry, gamma = ws.reduction_entry("j", None)
+    assert gamma is None
+    assert entry is ws.work("j") is ws.work("j", None)

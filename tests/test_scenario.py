@@ -298,6 +298,7 @@ class TestRunner:
         raw = copy.deepcopy(builtin_raw("btwist_t4"))
         raw["structures"] = {}
         raw["checks"] = ["b_flip"]
+        del raw["expected"]  # its types name a structure, which the loader now needs
         verdicts, _ = run_scenario(load_scenario(raw))
         assert [(v.status, v.detail) for v in verdicts] == [
             ("fail", "scenario lists b_flip but has no structure")
@@ -623,9 +624,11 @@ class TestCli:
 
     def test_reduce_names_the_reduction_check_problem(self, capsys):
         # mixed_r4_rotation has moment data whose one-forms no connection
-        # removes: reduce reports what the reduction check reports.
+        # removes: reduce reports what the reduction check reports.  The
+        # check needs a level to load; the command does not read it first.
         raw = copy.deepcopy(builtin_raw("mixed_r4_rotation"))
         raw["checks"] = ["reduction"]
+        raw["level"] = ["1/2"]
         verdicts, _ = run_scenario(load_scenario(raw))
         code = main(["reduce", "--scenario", "mixed_r4_rotation", "--point", "unit"])
         assert code == 2
@@ -640,7 +643,33 @@ class TestCli:
         code = main(["reduce", "--scenario", str(target), "--point", "pythagorean"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: level length does not match the number of generators\n"
+        assert err == "error: level length 2 is not the number of generators, 1\n"
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("mixed_r4_rotation", {"checks": ["level_closure"]}),
+            ("mixed_r4_rotation", {"checks": ["reduction"]}),
+            ("mixed_r4_rotation", {"checks": ["gk_reduction"]}),
+            ("mixed_r4_rotation", {"checks": ["b_commute"]}),
+            ("kahler_c2_circle", {"level": []}),
+            ("kahler_c2_circle", {"level": ["1/2", "1/2"], "checks": ["moment"]}),
+            ("trivial_action", {"level": ["0"]}),
+        ],
+    )
+    def test_level_needs_one_value_per_generator(self, tmp_path, capsys, name, edit):
+        """A given level has one value per generator, and so does the level
+        of a scenario that lists a check reducing or slicing at it: a
+        mismatch exits 2 at load, naming both counts."""
+        raw = copy.deepcopy(builtin_raw(name))
+        raw.update(edit)
+        target = tmp_path / "level.json"
+        target.write_text(json.dumps(raw))
+        assert main(["check", "--scenario", str(target)]) == 2
+        got, want = len(raw.get("level", [])), len(raw["action"])
+        assert capsys.readouterr().err == (
+            f"error: level length {got} is not the number of generators, {want}\n"
+        )
 
     @pytest.mark.parametrize(
         "key, value",
@@ -754,6 +783,7 @@ class TestCli:
                 {"types": {"j": 1}, "reduced_types": {"j": 0, "jx": 5}},
                 "expected reduced_types jx: no such structure",
             ),
+            ({"types": {"j": 1, "jx": 1}}, "expected types jx: no such structure"),
         ],
     )
     def test_expected_counts_are_non_negative_integers(self, tmp_path, capsys, expected, err):
