@@ -18,10 +18,15 @@ result adds a[i][k] * b[k][j] over the nonzero a[i][k] in increasing k,
 at the j of row k's support; mat_vec reads the column's support once.
 A result entry that no term reaches is a zero taken from the operands,
 so it keeps their entry type, and every sum runs in increasing k.
-rmat_mul, the one product of ring matrices, walks the same supports,
-read once by row_supports, but gathers the pairs of each result entry
-and hands them to ring.sum_of_products in one call, the ring's one
-product loop, so no intermediate product or partial sum is built.
+support_mul, the one product of ring matrices, takes row supports, read
+once by row_supports, and returns row supports: it gathers the pairs of
+each result entry and hands them to ring.sum_of_products in one call,
+the ring's one product loop, so no intermediate product or partial sum
+is built, and an entry that cancels is absent.  rmat_mul densifies it.
+A constant structure matrix has a few nonzero entries per row, so the
+structure tests (J^2 = -Id, J1 J2 = J2 J1, the symmetry of the GK
+metric) read the support product directly, and first_difference names
+the first entry, in row-major order, where two of them differ.
 
 Scalar matrices also get the elimination toolkit, built on one
 Gauss-Jordan pivot loop that scales the pivot row and clears the other
@@ -40,12 +45,14 @@ pivot thresholds exist.
 
 Ring matrices add what needs a chart or has no pivots: the chart-bound
 constructors, the product, scaling, evaluation at a point, and the
-determinant and adjugate from one Faddeev-LeVerrier loop -- n - 1 matrix
+inverse, which exists chart-wide only when the determinant is an
+invertible constant, as the inversion of a symplectic form requires.  A matrix of constants is inverted at its value by solve, the
+one pivot loop, and lifted back as constants.  A matrix with a
+non-constant entry has no pivot loop over the ring, so its determinant
+and adjugate come from one Faddeev-LeVerrier loop -- n - 1 matrix
 products and division by integers, so a dense n x n form costs O(n^4)
-ring products where cofactor expansion would cost n! -- with an inverse
-that exists only when the determinant is an invertible constant, which
-is what chart-wide inversion of a symplectic form requires.  Scaling
-and evaluation pass a zero entry through untouched.
+ring products where cofactor expansion would cost n!.  Scaling and
+evaluation pass a zero entry through untouched.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from .ring import (
 Vec = tuple[Scalar, ...]
 Mat = tuple[Vec, ...]
 RMat = tuple[tuple[RingElement, ...], ...]
+Supports = tuple[dict[int, RingElement], ...]
 
 Entry = TypeVar("Entry", Scalar, RingElement)
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -380,43 +388,87 @@ def rmat_zeros(chart: Chart, r: int, c: int) -> RMat:
     return tuple((zero,) * c for _ in range(r))
 
 
-def row_supports(m: RMat) -> tuple[dict[int, RingElement], ...]:
+def row_supports(m: RMat) -> Supports:
     """Each row's nonzero entries, column -> entry in increasing column
     order, read in one pass."""
     return tuple({j: x for j, x in enumerate(row) if x._terms} for row in m)
 
 
-def rmat_mul(a: RMat, b: RMat) -> RMat:
-    """The product of ring matrices over b's row supports: for row i of a,
-    each nonzero a[i][k], in increasing k, contributes the pair
-    (a[i][k], b[k][j]) to entry j for each j of row k's support, and each
-    entry is one sum_of_products over its pairs.  An entry that no pair
-    reaches is the zero of b's chart."""
-    if a and b and len(a[0]) != len(b):
-        raise ValidationError("matrix shapes do not compose")
-    if not b or not b[0]:
-        return tuple(() for _ in a)
-    chart = b[0][0].chart
-    zero = RingElement.zero(chart)
-    supports = row_supports(b)
-    width = len(b[0])
+def support_mul(a: Supports, b: Supports) -> Supports:
+    """The row supports of the product of two ring matrices given by
+    theirs: for row i of a, each a[i][k] of its support, in its order,
+    contributes the pair (a[i][k], b[k][j]) to entry j for each j of row
+    k's support, and
+    each entry is one sum_of_products over its pairs.  An entry that no
+    pair reaches, or whose sum cancels, is absent; a row's columns come in
+    the order first reached."""
     out = []
     for row in a:
         pairs: dict[int, list] = {}
-        for x, support in zip(row, supports):
-            if not x._terms:
-                continue
-            for j, y in support.items():
+        for k, x in row.items():
+            for j, y in b[k].items():
                 got = pairs.get(j)
                 if got is None:
                     pairs[j] = [(1, x, y)]
                 else:
                     got.append((1, x, y))
-        entries = [zero] * width
+        entries = {}
         for j, got in pairs.items():
-            entries[j] = sum_of_products(chart, got)
+            total = sum_of_products(got[0][1].chart, got)
+            if total._terms:
+                entries[j] = total
+        out.append(entries)
+    return tuple(out)
+
+
+def support_transpose(m: Supports) -> Supports:
+    """The row supports of the transpose of a square matrix given by its
+    row supports."""
+    out: list[dict[int, RingElement]] = [{} for _ in m]
+    for i, row in enumerate(m):
+        for j, x in row.items():
+            out[j][i] = x
+    return tuple(out)
+
+
+def first_difference(a: Supports, b: Supports) -> tuple[int, int, RingElement] | None:
+    """The first entry, in row-major order, where two matrices given by
+    their row supports differ, as (row, column, a[r][c] - b[r][c]); None
+    when they are equal.  Equal rows are passed over by one comparison."""
+    for r, (ra, rb) in enumerate(zip(a, b)):
+        if ra == rb:
+            continue
+        for c in sorted(ra.keys() | rb.keys()):
+            x, y = ra.get(c), rb.get(c)
+            if y is None:
+                return r, c, x
+            if x is None:
+                return r, c, -y
+            if x != y:
+                return r, c, x - y
+    return None
+
+
+def densify(m: Supports, width: int, zero: RingElement) -> RMat:
+    """The ring matrix of the given row supports, zero elsewhere."""
+    out = []
+    for row in m:
+        entries = [zero] * width
+        for j, x in row.items():
+            entries[j] = x
         out.append(tuple(entries))
     return tuple(out)
+
+
+def rmat_mul(a: RMat, b: RMat) -> RMat:
+    """The product of ring matrices: the support product of their row
+    supports, densified with the zero of b's chart."""
+    if a and b and len(a[0]) != len(b):
+        raise ValidationError("matrix shapes do not compose")
+    if not b or not b[0]:
+        return tuple(() for _ in a)
+    zero = RingElement.zero(b[0][0].chart)
+    return densify(support_mul(row_supports(a), row_supports(b)), len(b[0]), zero)
 
 
 def rmat_scale(a: RMat, s: Scalar) -> RMat:
@@ -460,12 +512,21 @@ def ring_inverse(m: RMat) -> RMat:
 
     A chart-wide inverse only exists when the determinant is a unit; this
     workbench needs the constant-determinant case (symplectic forms given
-    by constant-coefficient matrices) and refuses anything else.
+    by constant-coefficient matrices) and refuses anything else.  A matrix
+    of constants is inverted at its value by solve, the one Gauss-Jordan
+    loop, and lifted back as constants; Faddeev-LeVerrier runs only on a
+    matrix with a non-constant entry, where the ring has no pivot loop.
     """
+    refusal = "matrix determinant is not an invertible constant; no chart-wide inverse"
+    if m and all(x.is_constant() for row in m for x in row):
+        chart = m[0][0].chart
+        value = tuple(tuple(x.constant_value() for x in row) for row in m)
+        try:
+            inverse = solve(value, identity(len(m)))
+        except ValidationError:
+            raise ValidationError(refusal) from None
+        return tuple(tuple(RingElement.constant(chart, x) for x in row) for row in inverse)
     d, adjugate = _det_and_adjugate(m)
     if not d.is_constant() or d.is_zero:
-        raise ValidationError(
-            "matrix determinant is not an invertible constant; "
-            "no chart-wide inverse"
-        )
+        raise ValidationError(refusal)
     return rmat_scale(adjugate, d.constant_value().inverse())

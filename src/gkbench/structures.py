@@ -19,9 +19,13 @@ once; with_twist hands them and the supports to the same matrix under
 another twist, together with the values of at(p): J(p), the
 columns of Id - iJ(p), those of them picked greedily by one elimination
 as a basis of the +i eigenbundle, and the type, built once per matrix
-and point.  No other module evaluates a structure, and one
-upper-right-block rule, matrix_type, types J(p) and the reduced
-structures.  open_brackets is the one loop over frame pairs; on a frame
+and point; the basis and the type are kept by the value J(p) too, so a
+constant structure eliminates once for each, at any number of points.
+No other module evaluates a structure, and one upper-right-block rule,
+matrix_type, types J(p) and the reduced structures.  J^2 + Id, the
+commutator J1 J2 - J2 J1 and the GK metric are read on the support
+product of the row supports (linalg.support_mul), and each failing
+detail names the first nonzero entry of its residual.  open_brackets is the one loop over frame pairs; on a frame
 of constant sections every derivative term of the bracket vanishes, so
 it takes each bracket as the twist term alone, and under a zero twist
 brackets nothing.
@@ -68,10 +72,12 @@ from .errors import ChartMismatchError, ValidationError
 from .linalg import (
     Mat,
     RMat,
+    Supports,
     Vec,
+    densify,
     extend_basis,
+    first_difference,
     is_positive_definite,
-    is_scalar_matrix,
     mat,
     mat_neg,
     rank,
@@ -79,9 +85,10 @@ from .linalg import (
     rmat_eval,
     rmat_identity,
     rmat_mul,
-    rmat_scale,
     rmat_zeros,
     row_supports,
+    support_mul,
+    support_transpose,
     transpose,
 )
 from .ring import Chart, EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, sum_of_products
@@ -235,25 +242,35 @@ def matrix_type(jmat: Mat, point: EvalPoint) -> int:
     return corank // 2
 
 
+# The value J(p) as the integer tuples (r, j, a, b, d) of its nonzero
+# entries (a + bi)/d, so a lookup hashes no Scalar.
+ValueKey = tuple[tuple[int, ...], ...]
+
+
 class StructureAt:
     """A structure at a point p: J(p) and its nonzero entries, then the
     columns of Id - iJ(p), a basis of the +i eigenbundle picked from them
     and the type, each built on first use.  It holds no reference to its
-    structure, only the dict of picked bases that its matrix family
-    shares, keyed by the value J(p) as the integer tuples (r, j, a, b, d)
-    of its nonzero entries (a + bi)/d."""
+    structure, only the dicts of picked bases and of types that its
+    matrix family shares, both keyed by the value J(p)."""
 
     def __init__(
         self,
         matrix: Mat,
         entries: tuple[tuple[int, int, Scalar], ...],
         point: EvalPoint,
-        bases: dict[tuple[tuple[int, ...], ...], tuple[int, ...]],
+        bases: dict[ValueKey, tuple[int, ...]],
+        types: dict[ValueKey, int],
     ) -> None:
         self.matrix = matrix
         self._entries = entries
         self.point = point
         self._bases = bases
+        self._types = types
+
+    @cached_property
+    def _key(self) -> ValueKey:
+        return tuple((r, j, x._a, x._b, x._d) for r, j, x in self._entries)
 
     @cached_property
     def columns(self) -> tuple[Vec, ...]:
@@ -271,12 +288,10 @@ class StructureAt:
     def basis(self) -> tuple[int, ...]:
         """The indices of the columns picked greedily, in order, by one
         elimination: the first columns that span the +i eigenbundle.  Two
-        points where J takes one value share the elimination.  The key
-        holds ints alone, so a lookup hashes no Scalar."""
-        key = tuple((r, j, x._a, x._b, x._d) for r, j, x in self._entries)
-        picked = self._bases.get(key)
+        points where J takes one value share the elimination."""
+        picked = self._bases.get(self._key)
         if picked is None:
-            picked = self._bases[key] = extend_basis((), self.columns)
+            picked = self._bases[self._key] = extend_basis((), self.columns)
         return picked
 
     @property
@@ -296,7 +311,13 @@ class StructureAt:
 
     @cached_property
     def type(self) -> int:
-        return matrix_type(self.matrix, self.point)
+        """matrix_type of J(p); two points where J takes one value share
+        the elimination.  A parity violation is not kept, so it names
+        each point where it is met."""
+        found = self._types.get(self._key)
+        if found is None:
+            found = self._types[self._key] = matrix_type(self.matrix, self.point)
+        return found
 
 
 class GenStructure:
@@ -324,10 +345,11 @@ class GenStructure:
         self.chart = chart
         self.matrix = matrix
         self.twist = twist
-        # The values at(p) has built, by point, and the bases they picked,
-        # by the value J(p); with_twist shares both dicts.
+        # The values at(p) has built, by point, and the bases they picked
+        # and their types, by the value J(p); with_twist shares the dicts.
         self._points: dict[EvalPoint, StructureAt] = {}
-        self._bases: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+        self._bases: dict[ValueKey, tuple[int, ...]] = {}
+        self._types: dict[ValueKey, int] = {}
 
     @property
     def dim(self) -> int:
@@ -336,7 +358,7 @@ class GenStructure:
     # Built on first use and kept in the instance __dict__, so the class
     # has no __slots__.
     @cached_property
-    def supports(self) -> tuple[dict[int, RingElement], ...]:
+    def supports(self) -> Supports:
         """The nonzero entries of each row of J, column -> entry: what
         every reader of the matrix alone visits, so none touches a zero."""
         return row_supports(self.matrix)
@@ -376,7 +398,7 @@ class GenStructure:
                         entries.append((r, j, v))
                 rows.append(tuple(values))
             here = self._points[point] = StructureAt(
-                tuple(rows), tuple(entries), point, self._bases
+                tuple(rows), tuple(entries), point, self._bases, self._types
             )
         return here
 
@@ -403,12 +425,15 @@ class GenStructure:
         return tuple(frame)
 
     @cached_property
+    def square_witness(self) -> tuple[int, int, RingElement] | None:
+        """The first nonzero entry of J^2 + Id, None when J^2 = -Id."""
+        return _square_witness(self.supports, self.chart)
+
+    @cached_property
     def squares_to_minus_one(self) -> bool:
         """J^2 = -Id, which is also P^2 = P for P = (Id - iJ)/2:
         P^2 - P = -(J^2 + Id)/4."""
-        return is_scalar_matrix(
-            rmat_mul(self.matrix, self.matrix), -RingElement.one(self.chart)
-        )
+        return self.square_witness is None
 
     @cached_property
     def algebraic(self) -> tuple[bool, str]:
@@ -425,7 +450,9 @@ class GenStructure:
         if not all(x.is_real for row in rows for x in row.values()):
             return False, "matrix has a non-real entry"
         if not self.squares_to_minus_one:
-            return False, "matrix does not square to minus the identity"
+            return False, "matrix does not square to minus the identity: " + _entry_text(
+                "J^2 + Id", self.square_witness
+            )
         n = self.dim
         swapped = rows[n:] + rows[:n]
         for i, row in enumerate(swapped):
@@ -449,11 +476,29 @@ class GenStructure:
 _MATRIX_ONLY = (
     "_points",
     "_bases",
+    "_types",
     "supports",
     "plus_i_frame",
+    "square_witness",
     "squares_to_minus_one",
     "algebraic",
 )
+
+
+def _square_witness(
+    rows: Supports, chart: Chart
+) -> tuple[int, int, RingElement] | None:
+    """The first nonzero entry of J^2 + Id, in row-major order, for J given
+    by its row supports, from their support product; None when J^2 = -Id."""
+    minus_one = -RingElement.one(chart)
+    return first_difference(
+        support_mul(rows, rows), tuple({i: minus_one} for i in range(len(rows)))
+    )
+
+
+def _entry_text(name: str, witness: tuple[int, int, RingElement]) -> str:
+    r, c, x = witness
+    return f"entry ({r}, {c}) of {name} is {x}"
 
 
 def zero_twist(chart: Chart) -> DiffForm:
@@ -495,7 +540,7 @@ def complex_structure(jmat: RMat, chart: Chart, twist: DiffForm | None = None) -
     n = chart.dim
     if len(jmat) != n or any(len(r) != n for r in jmat):
         raise ValidationError("J must be n x n")
-    if not is_scalar_matrix(rmat_mul(jmat, jmat), -RingElement.one(chart)):
+    if _square_witness(row_supports(jmat), chart) is not None:
         raise ValidationError("J does not square to minus the identity")
     matrix = _block(
         mat_neg(jmat),
@@ -736,23 +781,28 @@ def check_gk_pair(
 ) -> tuple[bool, str]:
     """Commuting structures with a positive definite product metric.
 
-    Each member must square to -Id, a test the algebraic verdict has
-    already cached; commuting members then give
+    The commutator and the metric are read on row supports: J1 J2 and
+    J2 J1 are support products of the members' supports, and a failing
+    detail names the first nonzero entry of J1 J2 - J2 J1, or of the
+    metric minus its transpose.  Each member must square to -Id, a test
+    the algebraic verdict has already cached; commuting members then give
     (J1 J2)^2 = J1^2 J2^2 = Id, so G = -J1 J2 squares to Id.
     Positivity of the pairing restricted to the +1 eigenbundle of G is
-    equivalent to positive definiteness of (gram . G), which is tested at
-    every sample point through its leading principal minors; a zero
-    minor is reported as non-positive.  The verdict claims positivity
-    chart-wide only when every metric entry is constant, and otherwise
-    at the sample points alone.
+    equivalent to positive definiteness of (gram . G), which is tested
+    through its leading principal minors; a zero minor is reported as
+    non-positive.  A metric whose entries are all constant is tested at
+    the first point alone, and the verdict claims positivity chart-wide;
+    any other metric is tested at every sample point, and the verdict
+    claims positivity there alone.
     """
     if j1.chart != j2.chart:
         return False, "structures live on different charts"
     if j1.twist != j2.twist:
         return False, "structures carry different twists"
-    prod = rmat_mul(j1.matrix, j2.matrix)
-    if prod != rmat_mul(j2.matrix, j1.matrix):
-        return False, "structures do not commute"
+    prod = support_mul(j1.supports, j2.supports)
+    witness = first_difference(prod, support_mul(j2.supports, j1.supports))
+    if witness is not None:
+        return False, "structures do not commute: " + _entry_text("J1 J2 - J2 J1", witness)
     for which, struct in (("first", j1), ("second", j2)):
         if not struct.squares_to_minus_one:
             return False, (
@@ -761,21 +811,27 @@ def check_gk_pair(
             )
     # The pairing matrix times G: half of G with its row halves swapped.
     n = j1.chart.dim
-    metric = rmat_scale(prod[n:] + prod[:n], -HALF)
-    if metric != transpose(metric):
-        return False, "product metric is not symmetric"
+    metric = tuple(
+        {j: x.scale(-HALF) for j, x in row.items()} for row in prod[n:] + prod[:n]
+    )
+    witness = first_difference(metric, support_transpose(metric))
+    if witness is not None:
+        return False, "product metric is not symmetric: " + _entry_text(
+            "the metric minus its transpose", witness
+        )
     if not points:
         return False, "positivity needs at least one sample point"
-    for p in points:
-        value = rmat_eval(metric, p)
-        ok, minors = is_positive_definite(value)
+    constant = all(x.is_constant() for row in metric for x in row.values())
+    dense = densify(metric, 2 * n, RingElement.zero(j1.chart))
+    for p in points[:1] if constant else points:
+        ok, minors = is_positive_definite(rmat_eval(dense, p))
         if not ok:
             return (
                 False,
                 f"product metric not positive definite at {p}: leading minor "
                 f"{len(minors)} is {minors[-1]} (non-positive)",
             )
-    if all(x.is_constant() for row in metric for x in row):
+    if constant:
         scope = "chart-wide (the metric is constant)"
     else:
         scope = f"at {len(points)} point" + ("s" if len(points) != 1 else "")

@@ -15,7 +15,11 @@ wrong sign or a lost factor fails it.  Every case is drawn over a
 polynomial chart and a periodic one.  The bracket of a constant frame,
 which open_brackets takes as the twist term alone, is held to the
 general Courant bracket on drawn sections and on every builtin
-structure's integrability verdict.
+structure's integrability verdict.  The product of ring matrices and
+the support product under it are held to the row-support product with
+ring `*` and `+`, the first differing entry of two supports to a dense
+scan of the difference, and the inverse of a constant ring matrix, one
+elimination, to the Faddeev-LeVerrier adjugate over the determinant.
 
 The reduction's kernels are held to their older constructions the same
 way: a push-down against a nullspace, a product and a canonical basis,
@@ -52,6 +56,7 @@ from gkbench.linalg import (
     is_positive_definite,
     is_scalar_matrix,
     mat,
+    mat_add,
     mat_mul,
     mat_neg,
     mat_vec,
@@ -62,8 +67,10 @@ from gkbench.linalg import (
     rmat_mul,
     rmat_zeros,
     row_space_basis,
+    row_supports,
     rref,
     solve,
+    support_mul,
     transpose,
 )
 from gkbench.reduction import _push_down, descend_endomorphism, dirac_reduce
@@ -878,8 +885,104 @@ def test_ring_matrix_product_is_mat_mul(data):
         for x in row:
             assert x.chart is chart
             assert_canonical(x)
+    # The support product under it is the dense product's supports, with
+    # no entry that cancelled.
+    supports = support_mul(row_supports(a), row_supports(b))
+    assert supports == row_supports(product)
     if cancel:
         assert all(x.is_zero for row in product for x in row)
+        assert supports == tuple({} for _ in a)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_first_difference_is_the_first_nonzero_entry_of_the_difference(data):
+    """`first_difference` reads two matrices' row supports; the oracle
+    scans a - b densely in row-major order.  Half the time b is a with one
+    entry moved, so the matrices differ in one place or not at all."""
+    chart = data.draw(charts)
+    size = data.draw(st.integers(1, 3))
+    a = data.draw(ring_matrices(chart, size, size))
+    if data.draw(st.booleans()):
+        b = [list(row) for row in a]
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        b[i][j] = b[i][j] + data.draw(elements(chart, 1))
+        b = mat(b)
+    else:
+        b = data.draw(ring_matrices(chart, size, size))
+    dense = [
+        (r, c, x)
+        for r, row in enumerate(mat_add(a, mat_neg(b)))
+        for c, x in enumerate(row)
+        if not x.is_zero
+    ]
+    assert linalg.first_difference(row_supports(a), row_supports(b)) == (
+        dense[0] if dense else None
+    )
+    assert linalg.support_transpose(row_supports(a)) == row_supports(transpose(a))
+
+
+# --- the ring inverse --------------------------------------------------------------
+
+
+@st.composite
+def constant_matrices(draw, chart):
+    """A square matrix of Gaussian-rational constants, n <= 6, made
+    singular by a repeated or a zero row a third of the time."""
+    size = draw(st.integers(1, 6))
+    small = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    m = [
+        [RingElement.constant(chart, Scalar.of(draw(small), draw(small))) for _ in range(size)]
+        for _ in range(size)
+    ]
+    defect = draw(st.sampled_from(("none", "none", "repeated", "zero")))
+    if defect == "repeated" and size > 1:
+        m[-1] = list(m[0])
+    elif defect == "zero":
+        m[-1] = [RingElement.zero(chart)] * size
+    return mat(m)
+
+
+REFUSAL = "matrix determinant is not an invertible constant; no chart-wide inverse"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_constant_ring_inverse_is_the_adjugate_over_the_determinant(data):
+    """A matrix of constants is inverted by solve at its value, never by
+    Faddeev-LeVerrier; the oracle is that loop's adjugate divided by its
+    determinant, and a singular matrix is refused with the message the
+    loop's zero determinant gives."""
+    chart = data.draw(charts)
+    m = data.draw(constant_matrices(chart))
+    det, adjugate = linalg._det_and_adjugate(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_det_and_adjugate", None)  # not reached
+        if det.is_zero:
+            with pytest.raises(ValidationError) as refused:
+                linalg.ring_inverse(m)
+            assert str(refused.value) == REFUSAL
+            return
+        inverse = linalg.ring_inverse(m)
+    assert inverse == linalg.rmat_scale(adjugate, det.constant_value().inverse())
+    assert all(x.chart is chart and x.is_constant() for row in inverse for x in row)
+    assert rmat_mul(m, inverse) == rmat_identity(chart, len(m))
+
+
+def test_non_constant_ring_inverse_is_faddeev_leverrier(monkeypatch):
+    """A matrix with a non-constant entry has no pivot loop over the ring:
+    [[1, x], [0, 1]] goes through Faddeev-LeVerrier, and no solve runs."""
+    one, x = RingElement.one(POLY), RingElement.coordinate(POLY, "a")
+    zero = RingElement.zero(POLY)
+    loops = []
+    real = linalg._det_and_adjugate
+    monkeypatch.setattr(linalg, "_det_and_adjugate", lambda m: loops.append(m) or real(m))
+    monkeypatch.setattr(linalg, "solve", None)
+    assert linalg.ring_inverse(((one, x), (zero, one))) == ((one, -x), (zero, one))
+    assert len(loops) == 1
+    with pytest.raises(ValidationError) as refused:
+        linalg.ring_inverse(((x, zero), (zero, one)))
+    assert str(refused.value) == REFUSAL
 
 
 def test_ring_matrix_product_shapes():

@@ -98,8 +98,8 @@ class TestLoader:
 
     def test_dense_symplectic_form_loads(self):
         """A constant two-form with every dx_i ^ dx_j term on ten
-        coordinates: inverting its 10 x 10 matrix takes nine matrix
-        products, not a factorial cofactor expansion."""
+        coordinates: inverting its 10 x 10 matrix of constants takes one
+        elimination, not a factorial cofactor expansion."""
         start = time.perf_counter()
         scen = load_scenario(dense_symplectic(10, ["algebraic"]))
         assert time.perf_counter() - start < 10
@@ -387,7 +387,10 @@ class TestRunner:
                     **raw["structures"],
                     "j3": builtin_raw("bihermitian_r4_translation")["structures"]["j1"],
                 }),
-                ("gk_pair", "structures do not commute"),
+                (
+                    "gk_pair",
+                    "structures do not commute: entry (0, 3) of J1 J2 - J2 J1 is -1",
+                ),
             ),
             (
                 "kahler_c2_circle", ["gk_pair"], lambda raw: raw.update(points=[]),

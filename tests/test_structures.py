@@ -10,6 +10,7 @@ other candidate signs fail.
 
 import copy
 import random
+import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -24,11 +25,13 @@ from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import (
     extend_basis,
     identity,
+    mat,
     mat_mul,
     mat_vec,
     rank,
     rmat_eval,
     rmat_identity,
+    rmat_mul,
     rmat_scale,
     row_space_basis,
     solve,
@@ -384,6 +387,94 @@ class TestGkPair:
             False,
             f"the {which} structure of the pair does not square to minus the identity",
         )
+
+    def test_failing_details_name_their_first_witness(self):
+        """J^2 + Id, the commutator and the metric less its transpose are
+        read on row supports, and each failing detail names the first
+        nonzero entry of its residual in row-major order, as ring text."""
+        j1, j2 = self.kahler_pair()
+        origin = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
+        doubled = GenStructure(R4, rmat_scale(j1.matrix, Scalar.of(2)), j1.twist)
+        assert doubled.algebraic == (
+            False,
+            "matrix does not square to minus the identity: entry (0, 0) of J^2 + Id is -3",
+        )
+        bent = [list(row) for row in j2.matrix]
+        bent[2][3] = bent[2][3] + fn("x1", R4)
+        bent = GenStructure(R4, tuple(map(tuple, bent)), j2.twist)
+        assert bent.algebraic == (
+            False,
+            "matrix does not square to minus the identity: entry (2, 2) of J^2 + Id is -x1",
+        )
+        # A closed B-field with a non-constant coefficient keeps the twist
+        # and moves the complex member off the symplectic one.
+        b = d(R4, "x1").wedge(d(R4, "x2")).scale(fn("x1", R4))
+        assert check_gk_pair(j1, b_transform_structure(b, j2), [origin]) == (
+            False,
+            "structures do not commute: entry (0, 2) of J1 J2 - J2 J1 is -x1",
+        )
+        # A shear of the vector components alone does not preserve the
+        # pairing: both members conjugated by it still commute and square
+        # to -Id, but their metric is no longer symmetric.
+        shear, unshear = ([list(row) for row in rmat_identity(R4, 8)] for _ in range(2))
+        shear[0][2] = RingElement.one(R4)
+        unshear[0][2] = -RingElement.one(R4)
+        sheared = [
+            GenStructure(R4, rmat_mul(mat(shear), rmat_mul(j.matrix, mat(unshear))), j.twist)
+            for j in (j1, j2)
+        ]
+        assert all(j.squares_to_minus_one for j in sheared)
+        assert check_gk_pair(*sheared, [origin]) == (
+            False,
+            "product metric is not symmetric: entry (0, 2) of the metric minus "
+            "its transpose is -1/2",
+        )
+
+    def test_a_constant_metric_is_tested_at_the_first_point_alone(self, monkeypatch):
+        j1, j2 = self.kahler_pair()
+        points = [
+            EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0),
+            EvalPoint.at(R4, x1=1, y1=2, x2=0, y2=1),
+            EvalPoint.at(R4, x1=-1, y1=0, x2=3, y2=0),
+        ]
+        tested = []
+        real = structures.is_positive_definite
+        monkeypatch.setattr(
+            structures, "is_positive_definite", lambda m: tested.append(m) or real(m)
+        )
+        assert check_gk_pair(j1, j2, points) == (
+            True,
+            "commuting pair with positive definite product metric, chart-wide "
+            "(the metric is constant)",
+        )
+        assert len(tested) == 1
+
+    def test_a_non_constant_metric_is_tested_at_every_point(self, monkeypatch):
+        """A B-field with a non-constant coefficient makes the metric
+        non-constant; a positivity test that fails only at the second point
+        fails the pair there, with the detail it always had."""
+        j1, j2 = self.kahler_pair()
+        b = d(R4, "x1").wedge(d(R4, "x2")).scale(fn("y1", R4))
+        moved = (b_transform_structure(b, j1), b_transform_structure(b, j2))
+        points = [
+            EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0),
+            EvalPoint.at(R4, x1=1, y1=2, x2=0, y2=1),
+            EvalPoint.at(R4, x1=-1, y1=0, x2=3, y2=0),
+        ]
+        tested = []
+        real = structures.is_positive_definite
+
+        def second_fails(m):
+            tested.append(m)
+            return (False, (Scalar.of(1), Scalar.of(-1))) if len(tested) == 2 else real(m)
+
+        monkeypatch.setattr(structures, "is_positive_definite", second_fails)
+        assert check_gk_pair(*moved, points) == (
+            False,
+            "product metric not positive definite at (x1=1, y1=2, x2=0, y2=1): "
+            "leading minor 2 is -1 (non-positive)",
+        )
+        assert len(tested) == 2 and tested[0] != tested[1]
 
     def test_mismatched_twists_fail(self):
         j1, j2 = self.kahler_pair()
@@ -884,6 +975,36 @@ def test_a_basis_memo_miss_hashes_no_scalar(monkeypatch):
     )
     assert here.basis is there.basis
     assert hashed == [] and len(eliminations) == 1 and len(struct._bases) == 1
+
+
+def test_a_constant_structure_is_typed_once(monkeypatch):
+    """The type is memoized by the value J(p), like the basis: a constant
+    structure is typed by one elimination at any number of points and
+    through its with_twist copies.  A parity violation is not kept, so it
+    names each point where it is met."""
+    struct = symplectic_structure(omega_r4())
+    points = [
+        EvalPoint.at(R4, x1=1, y1=0, x2=2, y2=-1),
+        EvalPoint.at(R4, x1=0, y1=3, x2=0, y2=1),
+        EvalPoint.at(R4, x1=5, y1=5, x2=5, y2=5),
+    ]
+    typed = []
+    real_type = structures.matrix_type
+    monkeypatch.setattr(
+        structures, "matrix_type", lambda m, p: typed.append(p) or real_type(m, p)
+    )
+    other = struct.with_twist(d(R4, "x1").wedge(d(R4, "x2")).wedge(d(R4, "y2")))
+    assert [struct.at(p).type for p in points[:2]] + [other.at(points[2]).type] == [0, 0, 0]
+    assert typed == points[:1] and len(struct._types) == 1
+    one, zero = RingElement.one(R2), RingElement.zero(R2)
+    odd = GenStructure(
+        R2,
+        tuple(tuple(one if (i, j) == (0, 2) else zero for j in range(4)) for i in range(4)),
+        zero_twist(R2),
+    )
+    for p in (EvalPoint.at(R2, x=0, y=0), EvalPoint.at(R2, x=1, y=2)):
+        with pytest.raises(ValidationError, match=re.escape(f"violated at {p}: corank 1")):
+            odd.at(p).type
 
 
 def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
