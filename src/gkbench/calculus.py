@@ -408,15 +408,6 @@ class DiffForm:
         return f"<{self} : {self.degree}-form over {self.chart}>"
 
 
-def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
-    if not forms:
-        raise ValidationError("empty wedge")
-    out = forms[0]
-    for f in forms[1:]:
-        out = out.wedge(f)
-    return out
-
-
 # --- chart maps ----------------------------------------------------------
 
 

@@ -58,11 +58,21 @@ def is_invariant(form: DiffForm, action: TorusAction) -> bool:
     return all(form.lie(g).is_zero for g in action.generators)
 
 
-def is_basic(form: DiffForm, action: TorusAction) -> bool:
-    """No contraction with any generator, and invariant."""
-    if form.degree > 0 and any(not form.interior(g).is_zero for g in action.generators):
-        return False
-    return is_invariant(form, action)
+def is_basic(form: DiffForm, action: TorusAction) -> str | None:
+    """None when the form is basic: no contraction with any generator, and
+    invariant.  Otherwise its first failure as its witness, the
+    contractions judged before the Lie derivatives and each in generator
+    order, with the nonzero form as ring text."""
+    if form.degree > 0:
+        for i, g in enumerate(action.generators, 1):
+            contracted = form.interior(g)
+            if not contracted.is_zero:
+                return f"its contraction with generator {i} is {contracted}"
+    for i, g in enumerate(action.generators, 1):
+        moved = form.lie(g)
+        if not moved.is_zero:
+            return f"its Lie derivative along generator {i} is {moved}"
+    return None
 
 
 class EquivariantForm:

@@ -22,7 +22,8 @@ support_mul, the one product of ring matrices, takes row supports, read
 once by row_supports, and returns row supports: it gathers the pairs of
 each result entry and hands them to ring.sum_of_products in one call,
 the ring's one product loop, so no intermediate product or partial sum
-is built, and an entry that cancels is absent.  rmat_mul densifies it.
+is built, and an entry that cancels is absent.  rmat_mul densifies it,
+and support_add sums two matrices given by their row supports.
 A constant structure matrix has a few nonzero entries per row, so the
 structure tests (J^2 = -Id, J1 J2 = J2 J1, the symmetry of the GK
 metric) read the support product directly, and first_difference names
@@ -418,6 +419,27 @@ def support_mul(a: Supports, b: Supports) -> Supports:
             if total._terms:
                 entries[j] = total
         out.append(entries)
+    return tuple(out)
+
+
+def support_add(a: Supports, b: Supports, sign: int = 1) -> Supports:
+    """The row supports of a + sign * b, sign 1 or -1, for two matrices of
+    one shape given by theirs.  An entry that cancels is absent; a row's
+    columns come in a's order, then b's new ones."""
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for j, y in rb.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = y if sign > 0 else -y
+                continue
+            total = x + y if sign > 0 else x - y
+            if total._terms:
+                row[j] = total
+            else:
+                del row[j]
+        out.append(row)
     return tuple(out)
 
 

@@ -40,6 +40,16 @@ bracket, interior and wedge products) and the eigen-residual (J - i)u
 hand the loop all the products of one output coefficient at once, so
 no product or partial sum in between is built as an element.
 
+The parser reads a text in one pass over its words: every operator and
+ASCII whitespace character is one separator, and an ASCII numeral or
+identifier between two is taken as one slice, so only a word with
+another character (non-ASCII, or a mixed one such as 2x) is read one
+character at a time.  Rational literals have one reader, `_ratio`; a
+text that is a lone literal, such as a matrix entry "0" or a point
+value "3/5", goes to it with no token stream, in `parse_expr` and in
+`parse_rational` alike.  Tokens, positions and messages are those of a
+per-character lexer.
+
 Elements made by the public constructor `RingElement(...)` and by
 `parse_expr` are validated: each exponent has the chart's arity and no
 negative degree on an affine coordinate.  The named constructors
@@ -513,8 +523,7 @@ class RingElement:
             raise ValidationError(
                 f"periodic coordinate {name!r} enters only through E({name}; k)"
             )
-        expo = tuple(1 if j == i else 0 for j in range(chart.dim))
-        return RingElement._of_valid(chart, {expo: (1, 0, 1)})
+        return _unit(chart, i, 1)
 
     @staticmethod
     def fourier(chart: Chart, name: str, k: int) -> "RingElement":
@@ -523,8 +532,7 @@ class RingElement:
             raise ValidationError(
                 f"Fourier exponential needs a periodic coordinate, {name!r} is affine"
             )
-        expo = tuple(k if j == i else 0 for j in range(chart.dim))
-        return RingElement._of_valid(chart, {expo: (1, 0, 1)})
+        return _unit(chart, i, k)
 
     # --- ring operations ----------------------------------------------
     #
@@ -787,44 +795,20 @@ def sum_of_products(
 # --- parser -----------------------------------------------------------
 
 
+_OPERATORS = "+-*^();/"
+# Operators and ASCII whitespace become the one separator " ", which keeps
+# every position; other whitespace stays inside a word.
+_SEPARATORS = str.maketrans(
+    dict.fromkeys(_OPERATORS + "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", " ")
+)
+
+
 class _Tokens:
     """Hand lexer producing (kind, text, pos) triples."""
 
     def __init__(self, src: str) -> None:
-        self.src = src
-        self.pos = 0
-        self.items: list[tuple[str, str, int]] = []
-        self._lex()
+        self.items = _lex(src)
         self.cursor = 0
-
-    def _lex(self) -> None:
-        src = self.src
-        i = 0
-        while i < len(src):
-            ch = src[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if "0" <= ch <= "9":
-                j = i
-                while j < len(src) and "0" <= src[j] <= "9":
-                    j += 1
-                self.items.append(("num", src[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                self.items.append(("ident", src[i:j], i))
-                i = j
-                continue
-            if ch in "+-*^();/":
-                self.items.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.items.append(("end", "", len(src)))
 
     def peek(self) -> tuple[str, str, int]:
         return self.items[self.cursor]
@@ -835,6 +819,64 @@ class _Tokens:
             raise ParseError(f"expected {kind!r}, found {item[1]!r}", item[2])
         self.cursor += 1
         return item
+
+
+def _lex(src: str) -> list[tuple[str, str, int]]:
+    """The tokens of a text in one pass over its words.  With each
+    operator and ASCII whitespace character turned into a space, which
+    keeps every position, str.split(" ") gives the words between them, one
+    piece per separator.  An ASCII word of digits is a numeral and an
+    ASCII identifier an identifier, each taken whole; any other word, one
+    with a non-ASCII character or a mixed one such as 2x or 1.5, is read
+    character by character (_lex_chars).  Each separator that is an
+    operator is a token."""
+    items: list[tuple[str, str, int]] = []
+    append = items.append
+    size = len(src)
+    pos = 0
+    for word in src.translate(_SEPARATORS).split(" "):
+        if word:
+            if not word.isascii():
+                _lex_chars(word, pos, items)
+            elif word.isdigit():
+                append(("num", word, pos))
+            elif word.isidentifier():
+                append(("ident", word, pos))
+            else:
+                _lex_chars(word, pos, items)
+            pos += len(word)
+        if pos < size:
+            ch = src[pos]
+            if ch in _OPERATORS:
+                append((ch, ch, pos))
+            pos += 1
+    append(("end", "", size))
+    return items
+
+
+def _lex_chars(word: str, start: int, items: list[tuple[str, str, int]]) -> None:
+    """The tokens of a word, one character at a time: whitespace is
+    skipped, a run of ASCII digits is a numeral, a letter or underscore
+    starts an identifier that takes any letter, digit or underscore, and
+    any other character is refused."""
+    i = 0
+    while i < len(word):
+        ch = word[i]
+        j = i + 1
+        if ch.isspace():
+            i = j
+            continue
+        if "0" <= ch <= "9":
+            while j < len(word) and "0" <= word[j] <= "9":
+                j += 1
+            items.append(("num", word[i:j], start + i))
+        elif ch.isalpha() or ch == "_":
+            while j < len(word) and (word[j].isalnum() or word[j] == "_"):
+                j += 1
+            items.append(("ident", word[i:j], start + i))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", start + i)
+        i = j
 
 
 def parse_expr(src: str, chart: Chart) -> RingElement:
@@ -855,6 +897,10 @@ def parse_expr(src: str, chart: Chart) -> RingElement:
     expand into Fourier exponentials: cos(y) = (E(y;1)+E(y;-1))/2 and
     sin(y) = (E(y;1)-E(y;-1))/(2i).
     """
+    lone = _lone_literal(src)
+    if lone is not None:
+        negative, numer, denom = lone
+        return _constant(chart, -numer if negative else numer, denom)
     toks = _Tokens(src)
     value = _parse_sum(toks, chart)
     kind, text, pos = toks.peek()
@@ -957,24 +1003,55 @@ def _numeral(text: str, pos: int) -> int:
     return int(digits)
 
 
-def _rational_literal(toks: _Tokens, text: str, pos: int) -> tuple[int, int]:
-    """The rational literal whose first numeral, text at pos, was just
-    taken, as (p, q) with q > 0: an integer p has q = 1."""
+def _ratio(text: str, pos: int, dtext: str | None, dpos: int) -> tuple[int, int]:
+    """The rational literal with numeral text at pos and, unless dtext is
+    None, denominator numeral dtext at dpos, as (p, q) with q > 0: the one
+    rule for rational literals, read from tokens or from a lone literal."""
     numer = _numeral(text, pos)
-    if toks.peek()[0] != "/":
+    if dtext is None:
         return numer, 1
-    toks.take()
-    _, dtext, dpos = toks.take("num")
     denom = _numeral(dtext, dpos)
     if denom == 0:
         raise ParseError("zero denominator", dpos)
     return numer, denom
 
 
+def _rational_literal(toks: _Tokens, text: str, pos: int) -> tuple[int, int]:
+    """The rational literal whose first numeral, text at pos, was just
+    taken, as (p, q) with q > 0: an integer p has q = 1."""
+    if toks.peek()[0] != "/":
+        return _ratio(text, pos, None, 0)
+    toks.take()
+    _, dtext, dpos = toks.take("num")
+    return _ratio(text, pos, dtext, dpos)
+
+
+def _lone_literal(src: str) -> tuple[bool, int, int] | None:
+    """A text that is one rational literal, an optional sign then p or p/q
+    in ASCII digits with nothing else, as (negative, p, q) by _ratio; None
+    for any other text, which the token stream reads.  Such a text holds
+    no character the lexer refuses, so its errors are _ratio's, at the
+    positions the token stream gives them."""
+    body = src[1:] if src[:1] in ("+", "-") else src
+    text, slash, dtext = body.partition("/")
+    if not (text.isdigit() and text.isascii()):
+        return None
+    if slash and not (dtext.isdigit() and dtext.isascii()):
+        return None
+    pos = len(src) - len(body)
+    numer, denom = _ratio(text, pos, dtext if slash else None, pos + len(text) + 1)
+    return src[0] == "-", numer, denom
+
+
 def parse_rational(src: str) -> Fraction:
     """A signed rational literal, read by the rule parse_expr reads
     rationals with: an optional sign, then an integer or p/q, each
-    numeral of at most MAX_DIGITS digits."""
+    numeral of at most MAX_DIGITS digits.  A text with no space is read
+    with no token stream."""
+    lone = _lone_literal(src)
+    if lone is not None:
+        negative, numer, denom = lone
+        return Fraction(-numer if negative else numer, denom)
     toks = _Tokens(src)
     sign = toks.peek()[0]
     if sign in ("+", "-"):
@@ -990,10 +1067,7 @@ def parse_rational(src: str) -> Fraction:
 def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
     kind, text, pos = toks.take()
     if kind == "num":
-        # The constant's triple (p/g, 0, q/g), g = gcd(p, q), built directly.
-        numer, denom = _rational_literal(toks, text, pos)
-        terms = {(0,) * chart.dim: _norm(numer, 0, denom)} if numer else {}
-        return RingElement._of_valid(chart, terms)
+        return _constant(chart, *_rational_literal(toks, text, pos))
     if kind == "(":
         inner = _parse_sum(toks, chart)
         toks.take(")")
@@ -1004,36 +1078,51 @@ def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
         if text == "E":
             toks.take("(")
             _, name, npos = toks.take("ident")
-            _require_periodic(chart, name, npos)
+            i = _periodic_index(chart, name, npos)
             toks.take(";")
             k = _parse_int(toks)
             toks.take(")")
-            return RingElement.fourier(chart, name, k)
+            return _unit(chart, i, k)
         if text in ("cos", "sin"):
             toks.take("(")
             _, name, npos = toks.take("ident")
-            _require_periodic(chart, name, npos)
+            i = _periodic_index(chart, name, npos)
             toks.take(")")
-            plus = RingElement.fourier(chart, name, 1)
-            minus = RingElement.fourier(chart, name, -1)
+            plus, minus = _unit(chart, i, 1), _unit(chart, i, -1)
             if text == "cos":
                 return (plus + minus).scale(Scalar.of(Fraction(1, 2)))
             return (plus - minus).scale(Scalar.of(0, Fraction(-1, 2)))
-        if text in chart.names:
-            i = chart.index(text)
-            if not chart.is_affine(i):
-                raise ParseError(
-                    f"periodic coordinate {text!r} cannot carry a polynomial degree; "
-                    f"use E({text}; k), cos({text}) or sin({text})",
-                    pos,
-                )
-            return RingElement.coordinate(chart, text)
-        raise ParseError(f"unknown coordinate {text!r}", pos)
+        i = chart._positions.get(text)
+        if i is None:
+            raise ParseError(f"unknown coordinate {text!r}", pos)
+        if not chart.affine[i]:
+            raise ParseError(
+                f"periodic coordinate {text!r} cannot carry a polynomial degree; "
+                f"use E({text}; k), cos({text}) or sin({text})",
+                pos,
+            )
+        return _unit(chart, i, 1)
     raise ParseError(f"unexpected token {text!r}", pos)
 
 
-def _require_periodic(chart: Chart, name: str, pos: int) -> None:
-    if name not in chart.names:
+def _constant(chart: Chart, numer: int, denom: int) -> RingElement:
+    """The constant p/q, its triple (p/g, 0, q/g), g = gcd(p, q), built
+    directly."""
+    terms = {(0,) * chart.dim: _norm(numer, 0, denom)} if numer else {}
+    return RingElement._of_valid(chart, terms)
+
+
+def _periodic_index(chart: Chart, name: str, pos: int) -> int:
+    """The index of a periodic coordinate named in E(y; k), cos(y) or sin(y)."""
+    i = chart._positions.get(name)
+    if i is None:
         raise ParseError(f"unknown coordinate {name!r}", pos)
-    if chart.is_affine(chart.index(name)):
+    if chart.affine[i]:
         raise ParseError(f"coordinate {name!r} is affine, not periodic", pos)
+    return i
+
+
+def _unit(chart: Chart, i: int, k: int) -> RingElement:
+    """The monomial with exponent k at coordinate i, and coefficient one."""
+    expo = (0,) * i + (k,) + (0,) * (chart.dim - i - 1)
+    return RingElement._of_valid(chart, {expo: (1, 0, 1)})

@@ -21,9 +21,12 @@ transported moment one-forms are nonzero, and on either path reduces
 only once the shifted twist H - dB + dGamma is basic.  The Workspace
 judges each premise once per run, and every check that needs it reads
 that judgment: a connection's potential and its invariance, the shifted
-twist and each connection change being basic, and a structure's
-integrability (the integrability check, the first leg of b_flip, and
-level_closure, which brackets nothing once the moment structure passes).
+twist and each connection change being basic (each failure named by its
+witness, is_basic), and a structure's integrability (the integrability
+check, the first leg of b_flip, and level_closure, which brackets
+nothing once the moment structure passes; where the scenario does not
+list integrability and the structure is not constant, level_closure runs
+the adapted pass alone, which brackets less).
 
 The Workspace reduces each point once per run: `fiber` builds the
 quotient data at a named point and `reduced` the Dirac reduction of a
@@ -179,18 +182,20 @@ class Workspace:
         ]
 
     @_memoized
-    def twist_is_basic(self, connection: str | None) -> bool:
-        """Whether H - dB + dGamma is basic, Gamma zero for None, judged on
-        the moment structure's work entry: the loader gives every structure
-        the scenario's twist.  A zero twist is basic with no judgment."""
+    def twist_witness(self, connection: str | None) -> str | None:
+        """Why H - dB + dGamma is not basic (is_basic), Gamma zero for None,
+        judged on the moment structure's work entry: the loader gives every
+        structure the scenario's twist; None when it is basic.  A zero
+        twist is basic with no judgment."""
         twist = self.work(self.scen.moment_structure, connection).twist
-        return twist.is_zero or is_basic(twist, self.moment_w().action)
+        return None if twist.is_zero else is_basic(twist, self.moment_w().action)
 
     @_memoized
-    def connection_change(self, connection: str) -> tuple[DiffForm, bool]:
+    def connection_change(self, connection: str) -> tuple[DiffForm, str | None]:
         """Gamma - Gamma', Gamma' the named connection's potential and Gamma
-        the primary connection's, and whether it is basic; where any potential
-        exists, all do, since gamma_from_connection fails alike for each."""
+        the primary connection's, and why it is not basic, None when it is;
+        where any potential exists, all do, since gamma_from_connection
+        fails alike for each."""
         gamma, _ = self.potential(self.primary_connection())
         change = gamma - self.potential(connection)[0]
         return change, is_basic(change, self.moment_w().action)
@@ -216,9 +221,10 @@ class Workspace:
         gamma, problems = (None, []) if connection is None else self.potential(connection)
         if problems:
             raise ValidationError(f"potential of connection {connection}: {'; '.join(problems)}")
-        if not self.twist_is_basic(connection):
+        witness = self.twist_witness(connection)
+        if witness is not None:
             after = "" if gamma is None else " after the potential transform"
-            raise ValidationError(f"twist is not basic{after}")
+            raise ValidationError(f"twist is not basic{after}: {witness}")
         return self.work(structure_name, connection), gamma
 
     def primary_connection(self) -> str | None:
@@ -338,7 +344,7 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
     # so only invariance and basicness are left to check.
     def judge(cname: str) -> tuple[bool, str]:
         gammas[cname], invariance = ws.potential(cname)
-        basic = [] if ws.twist_is_basic(cname) else ["twist plus d(potential) is not basic"]
+        basic = [] if ws.twist_witness(cname) is None else ["twist plus d(potential) is not basic"]
         return _listed(
             invariance + basic,
             "potential contracts to the moment one-forms, is "
@@ -358,7 +364,7 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
                 else f"potential {gammas[first]} differs from expected {want}"
             )))
     for other in names[1:]:
-        _, basic = ws.connection_change(other)
+        basic = ws.connection_change(other)[1] is None
         out.append(_judged(
             f"gamma:difference({other})",
             basic,
@@ -385,7 +391,11 @@ def _check_level_closure(ws: Workspace) -> list[Verdict]:
     moment = ws.moment_w()
     struct = ws.work(ws.scen.moment_structure)
     sub = level_substitution(moment, ws.scen.level)
-    if ws.integrable(struct)[0]:
+    # Judging integrability brackets the whole eigenbundle basis, more than
+    # the adapted pass does, unless the frame is constant, where it takes
+    # no Courant bracket; so it is read only where listed or free.
+    judged = "integrability" in ws.scen.checks or struct.is_constant
+    if judged and ws.integrable(struct)[0]:
         adapted = (True, f"{EIGENBUNDLE_CLOSES}, globally")
         adapted_slice = (True, f"{EIGENBUNDLE_CLOSES}, on the level slice")
     else:
@@ -435,9 +445,9 @@ def _check_reduction(ws: Workspace) -> list[Verdict]:
 
     def independent(cname: str) -> tuple[bool, str]:
         struct_alt, _ = ws.reduction_entry(name, cname)
-        diff, basic = ws.connection_change(cname)
-        if not basic:
-            return False, "connection change is not basic"
+        diff, witness = ws.connection_change(cname)
+        if witness is not None:
+            return False, f"connection change is not basic: {witness}"
         problems = []
         for pname, red in reds.items():
             try:
@@ -532,8 +542,9 @@ def _check_b_commute(ws: Workspace) -> list[Verdict]:
     name = scen.moment_structure
     struct, _ = ws.reduction_entry(name, ws.primary_connection())
     basic = scen.basic_field
-    if not is_basic(basic, ws.moment_w().action):
-        return [_bad("b_commute", "basic_field is not basic for the action")]
+    witness = is_basic(basic, ws.moment_w().action)
+    if witness is not None:
+        return [_bad("b_commute", f"basic_field is not basic for the action: {witness}")]
     moved = b_transform_structure(basic, struct)
 
     def judge(pname: str) -> tuple[bool, str]:

@@ -7,24 +7,47 @@ All numeric payloads are strings parsed by the exact expression parser
 periodic point values are integer quarter turns.  Loading is strict: an
 unknown key, a malformed expression, or data violating a constructor
 invariant raises ValidationError naming the problem.
+
+Each text is parsed once per load.  A form is summed into one dict, each
+term's frame sorted into its index with the sign of the sort.  Every
+structure matrix is built over the chart, and the scenario's one twist
+is judged real and closed once, with the first structure in name order,
+where the public GenStructure(...) would judge it; so every structure
+takes the trusted constructor, GenStructure._of_valid, and each message
+is raised where the public constructor raised it.  The report's digest
+is SHA-256 from the interpreter's built-in module, so importing the
+loader loads no OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .calculus import DiffForm, VectorField, wedge_all
+from .calculus import DiffForm, VectorField
 from .equivariant import Connection, MomentData, TorusAction
 from .errors import ParseError, ValidationError
+from .linalg import RMat
 from .ring import Chart, EvalPoint, RingElement, make_chart, parse_expr, parse_rational
 from .structures import (
     GenStructure,
-    complex_structure,
-    symplectic_structure,
+    check_twist,
+    complex_matrix,
+    symplectic_matrix,
 )
+
+# The interpreter's built-in SHA-256 module, as the standard library's
+# random takes its SHA-512: hashlib would load OpenSSL, most of the cost of
+# importing this module.  hashlib only where the module is not built.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256 as _sha256
+    else:
+        from _sha256 import sha256 as _sha256
+except ImportError:
+    from hashlib import sha256 as _sha256
 
 KNOWN_CHECKS = (
     "algebraic",
@@ -84,9 +107,13 @@ def _expr(text: str, chart: Chart, where: str, parsed: Parsed) -> RingElement:
 def form_from_terms(
     chart: Chart, terms: list, degree: int, where: str, parsed: Parsed
 ) -> DiffForm:
+    """The sum of the terms, each coeff * d(frame[0]) ^ d(frame[1]) ^ ...,
+    built as one dict: each term's frame is sorted into its index, with
+    the sign of the sorting permutation, and a frame that repeats a
+    coordinate adds nothing."""
     if not isinstance(terms, list):
         raise ValidationError(f"{where}: terms must be a list")
-    total = DiffForm.zero(chart, degree)
+    total: dict[tuple[int, ...], RingElement] = {}
     for item in terms:
         if not isinstance(item, dict):
             raise ValidationError(f"{where}: every term must be an object")
@@ -100,13 +127,23 @@ def form_from_terms(
             )
         coeff = _expr(item.get("coeff", "1"), chart, where, parsed)
         try:
-            piece = wedge_all(
-                [DiffForm.d_coord(chart, name) for name in frame]
-            ).scale(coeff)
+            index = [chart.index(name) for name in frame]
         except ValidationError as e:  # an unknown coordinate name
             raise ValidationError(f"{where}: {e}") from e
-        total = total + piece
-    return total
+        ordered = tuple(sorted(index))
+        if coeff.is_zero or len(set(ordered)) < degree:
+            continue
+        inversions = sum(a > b for i, a in enumerate(index) for b in index[i + 1 :])
+        if inversions % 2:
+            coeff = -coeff
+        cur = total.get(ordered)
+        if cur is None:
+            total[ordered] = coeff
+        elif (cur := cur + coeff).is_zero:
+            del total[ordered]
+        else:
+            total[ordered] = cur
+    return DiffForm._of_valid(chart, degree, total)
 
 
 def _rational(raw: Any, where: str) -> Fraction:
@@ -146,9 +183,9 @@ def _point(chart: Chart, values: Any, where: str) -> EvalPoint:
         raise ValidationError(f"{where}: {e}") from e
 
 
-def _structure(
-    chart: Chart, spec: Mapping[str, Any], twist: DiffForm, where: str, parsed: Parsed
-) -> GenStructure:
+def _matrix(chart: Chart, spec: Mapping[str, Any], where: str, parsed: Parsed) -> RMat:
+    """The 2n x 2n matrix a structure spec describes, every check on the
+    spec itself made; the twist is the loader's to judge."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{where}: must be an object")
     kind = spec.get("kind")
@@ -157,8 +194,9 @@ def _structure(
     if extra:
         raise ValidationError(f"{where}: unknown structure keys {sorted(extra)}")
     if kind == "symplectic":
-        two_form = form_from_terms(chart, spec.get("two_form", []), 2, where, parsed)
-        return symplectic_structure(two_form, twist)
+        return symplectic_matrix(
+            form_from_terms(chart, spec.get("two_form", []), 2, where, parsed)
+        )
     if kind in ("complex", "matrix"):
         # an n x n J on the tangent bundle, or the 2n x 2n structure itself
         size = chart.dim if kind == "complex" else 2 * chart.dim
@@ -170,9 +208,7 @@ def _structure(
         entries = tuple(
             tuple(_expr(entry, chart, where, parsed) for entry in row) for row in rows
         )
-        if kind == "complex":
-            return complex_structure(entries, chart, twist)
-        return GenStructure(chart, entries, twist)
+        return complex_matrix(entries, chart) if kind == "complex" else entries
     raise ValidationError(f"{where}: unknown structure kind {kind!r}")
 
 
@@ -228,14 +264,17 @@ def load_scenario(data: Mapping[str, Any]) -> Scenario:
     parsed: Parsed = {}
     twist = form_from_terms(chart, data.get("twist", []), 3, "twist", parsed)
 
+    # Every matrix is built over the chart, and the one twist is judged
+    # once, with the first structure, where GenStructure(...) would judge
+    # it; so each structure takes the trusted constructor.
     structures: dict[str, GenStructure] = {}
     specs = _field(data, "structures", dict, {})
     for sname in sorted(specs):
-        spec = specs[sname]
         try:
-            structures[sname] = _structure(
-                chart, spec, twist, f"structure {sname}", parsed
-            )
+            matrix = _matrix(chart, specs[sname], f"structure {sname}", parsed)
+            if not structures:
+                check_twist(twist, chart)
+            structures[sname] = GenStructure._of_valid(chart, matrix, twist)
         except ValidationError as e:
             if str(e).startswith(f"structure {sname}"):
                 raise
@@ -402,5 +441,6 @@ def scenario_from_path(path: str) -> Scenario:
 
 
 def scenario_digest(raw: Mapping[str, Any]) -> str:
+    """SHA-256 of the scenario's canonical JSON, as hex."""
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(canonical.encode("utf-8")).hexdigest()

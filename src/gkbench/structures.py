@@ -25,7 +25,11 @@ No other module evaluates a structure, and one upper-right-block rule,
 matrix_type, types J(p) and the reduced structures.  J^2 + Id, the
 commutator J1 J2 - J2 J1 and the GK metric are read on the support
 product of the row supports (linalg.support_mul), and each failing
-detail names the first nonzero entry of its residual.  open_brackets is the one loop over frame pairs; on a frame
+detail names the first nonzero entry of its residual, and the
+B-transform e^B J e^-B is formed by n x n blocks on the same supports.
+GenStructure(...) checks its matrix and twist; the trusted
+GenStructure._of_valid serves the loader, which judges its one twist
+once, and the B-transform.  open_brackets is the one loop over frame pairs; on a frame
 of constant sections every derivative term of the bracket vanishes, so
 it takes each bracket as the twist term alone, and under a zero twist
 brackets nothing.
@@ -84,9 +88,9 @@ from .linalg import (
     ring_inverse,
     rmat_eval,
     rmat_identity,
-    rmat_mul,
     rmat_zeros,
     row_supports,
+    support_add,
     support_mul,
     support_transpose,
     transpose,
@@ -334,14 +338,20 @@ class GenStructure:
             raise ValidationError("structure matrix must be 2n x 2n")
         if any(e.chart is not chart and e.chart != chart for row in matrix for e in row):
             raise ChartMismatchError("matrix entry over a different chart")
-        if twist.degree != 3:
-            raise ValidationError("twist must be a 3-form")
-        if twist.chart != chart:
-            raise ChartMismatchError("twist over a different chart")
-        if not twist.is_real:
-            raise ValidationError("twist must be real")
-        if not twist.d().is_zero:
-            raise ValidationError("twist is not closed")
+        check_twist(twist, chart)
+        self._take(chart, matrix, twist)
+
+    @staticmethod
+    def _of_valid(chart: Chart, matrix: RMat, twist: DiffForm) -> "GenStructure":
+        """A structure from a 2n x 2n matrix over the chart and a real closed
+        3-form over it, taken unchecked: for the loader, which builds every
+        matrix over its chart and judges its one twist once, and for
+        b_transform_structure, whose H - dB is real and closed when H is."""
+        out = object.__new__(GenStructure)
+        out._take(chart, matrix, twist)
+        return out
+
+    def _take(self, chart: Chart, matrix: RMat, twist: DiffForm) -> None:
         self.chart = chart
         self.matrix = matrix
         self.twist = twist
@@ -425,6 +435,11 @@ class GenStructure:
         return tuple(frame)
 
     @cached_property
+    def is_constant(self) -> bool:
+        """Every entry of J is a constant, so its +i frame is constant."""
+        return all(x.is_constant() for row in self.supports for x in row.values())
+
+    @cached_property
     def square_witness(self) -> tuple[int, int, RingElement] | None:
         """The first nonzero entry of J^2 + Id, None when J^2 = -Id."""
         return _square_witness(self.supports, self.chart)
@@ -478,6 +493,7 @@ _MATRIX_ONLY = (
     "_bases",
     "_types",
     "supports",
+    "is_constant",
     "plus_i_frame",
     "square_witness",
     "squares_to_minus_one",
@@ -501,17 +517,23 @@ def _entry_text(name: str, witness: tuple[int, int, RingElement]) -> str:
     return f"entry ({r}, {c}) of {name} is {x}"
 
 
-def zero_twist(chart: Chart) -> DiffForm:
-    return DiffForm.zero(chart, 3)
+def check_twist(twist: DiffForm, chart: Chart) -> None:
+    """Raise unless the twist is a real closed 3-form over the chart: what
+    every structure may rely on."""
+    if twist.degree != 3:
+        raise ValidationError("twist must be a 3-form")
+    if twist.chart != chart:
+        raise ChartMismatchError("twist over a different chart")
+    if not twist.is_real:
+        raise ValidationError("twist must be real")
+    if not twist.d().is_zero:
+        raise ValidationError("twist is not closed")
 
 
-def symplectic_structure(omega: DiffForm, twist: DiffForm | None = None) -> GenStructure:
-    """The generalized structure of a symplectic form:
-    X + a  ->  omega^{-1}(a) - i_X omega.
-
-    The form must be real, closed and have an exactly invertible
-    coefficient matrix.
-    """
+def symplectic_matrix(omega: DiffForm) -> RMat:
+    """The generalized structure of a symplectic form, as its matrix:
+    X + a  ->  omega^{-1}(a) - i_X omega.  The form must be real, closed
+    and have an exactly invertible coefficient matrix."""
     if omega.degree != 2:
         raise ValidationError("a symplectic form is a 2-form")
     if not omega.is_real:
@@ -525,46 +547,72 @@ def symplectic_structure(omega: DiffForm, twist: DiffForm | None = None) -> GenS
     except ValidationError as exc:
         raise ValidationError(f"symplectic form is not invertible: {exc}") from exc
     n = chart.dim
-    matrix = _block(
+    return _block(
         rmat_zeros(chart, n, n),
         op_inv,
         mat_neg(op),
         rmat_zeros(chart, n, n),
     )
-    return GenStructure(chart, matrix, twist if twist is not None else zero_twist(chart))
 
 
-def complex_structure(jmat: RMat, chart: Chart, twist: DiffForm | None = None) -> GenStructure:
+def complex_matrix(jmat: RMat, chart: Chart) -> RMat:
     """The generalized structure of an almost complex structure J on the
-    tangent bundle:  X + a  ->  -J X + J^T a."""
+    tangent bundle, as its matrix:  X + a  ->  -J X + J^T a."""
     n = chart.dim
     if len(jmat) != n or any(len(r) != n for r in jmat):
         raise ValidationError("J must be n x n")
     if _square_witness(row_supports(jmat), chart) is not None:
         raise ValidationError("J does not square to minus the identity")
-    matrix = _block(
+    return _block(
         mat_neg(jmat),
         rmat_zeros(chart, n, n),
         rmat_zeros(chart, n, n),
         transpose(jmat),
     )
-    return GenStructure(chart, matrix, twist if twist is not None else zero_twist(chart))
 
 
 def b_transform_structure(b_field: DiffForm, struct: GenStructure) -> GenStructure:
     """Conjugate by e^B.  The twist drops by dB: an H-twisted structure
     becomes (H - dB)-twisted, matching the bracket identity
-    [e^B u, e^B v]_{H-dB} = e^B [u,v]_H."""
+    [e^B u, e^B v]_{H-dB} = e^B [u,v]_H.
+
+    With J = [[A, P], [Q, D]] in n x n blocks and B^ the matrix of
+    X -> i_X B, e^B = [[1, 0], [B^, 1]], so
+    e^B J e^-B = [[A - P B^, P], [B^ (A - P B^) + Q - D B^, D + B^ P]]:
+    four support products of J's row supports with B^'s, and none with an
+    identity block.  Where every B^ term cancels, the structure is J
+    itself under the new twist, sharing what J has built."""
     if b_field.chart != struct.chart:
         raise ChartMismatchError("B-field over a different chart")
     if not b_field.is_real:
         raise ValidationError("B-field must be real")
-    e_plus = b_exponential(b_field)
-    e_minus = b_exponential(-b_field)
-    matrix = rmat_mul(e_plus, rmat_mul(struct.matrix, e_minus))
-    if matrix == struct.matrix:
-        return struct.with_twist(struct.twist - b_field.d())
-    return GenStructure(struct.chart, matrix, struct.twist - b_field.d())
+    chart, n = struct.chart, struct.dim
+    twist = struct.twist - b_field.d()
+    bhat = row_supports(interior_operator(b_field))
+    rows = struct.supports
+    a, p = _split_columns(rows[:n], n)
+    q, d = _split_columns(rows[n:], n)
+    top_left = support_add(a, support_mul(p, bhat), -1)
+    bottom_left = support_add(
+        q, support_add(support_mul(bhat, top_left), support_mul(d, bhat), -1)
+    )
+    bottom_right = support_add(d, support_mul(bhat, p))
+    moved = tuple(
+        {**left, **{n + j: x for j, x in right.items()}}
+        for left, right in zip(top_left + bottom_left, p + bottom_right)
+    )
+    if moved == rows:
+        return struct.with_twist(twist)
+    zero = RingElement.zero(chart)
+    return GenStructure._of_valid(chart, densify(moved, 2 * n, zero), twist)
+
+
+def _split_columns(rows: Supports, n: int) -> tuple[Supports, Supports]:
+    """Row supports split at column n: the left block's, and the right
+    block's with its columns counted from n."""
+    left = tuple({j: x for j, x in row.items() if j < n} for row in rows)
+    right = tuple({j - n: x for j, x in row.items() if j >= n} for row in rows)
+    return left, right
 
 
 # --- checks -----------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Tests for forms, vector fields, chart maps and the classical identities
 relating d, the interior product, the wedge and the Lie derivative."""
 
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkbench import linalg
-from gkbench.calculus import ChartMap, DiffForm, VectorField, lie_bracket, wedge_all
+from gkbench.calculus import ChartMap, DiffForm, VectorField, lie_bracket
 from gkbench.errors import ValidationError
 from gkbench.ring import RingElement, Scalar, make_chart, parse_expr
 
@@ -49,7 +50,7 @@ class TestBasics:
         dx = DiffForm.d_coord(CHART, "x")
         dy = DiffForm.d_coord(CHART, "y")
         dt = DiffForm.d_coord(CHART, "t")
-        top = wedge_all([dx, dy, dt])
+        top = reduce(DiffForm.wedge, [dx, dy, dt])
         assert not top.is_zero
         assert top.wedge(dx).is_zero
 

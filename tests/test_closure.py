@@ -25,7 +25,7 @@ from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import mat, mat_mul, mat_vec, rank, rmat_eval, rmat_identity, transpose
 from gkbench.reduction import check_adapted_closure, level_substitution
 from gkbench.ring import IMAG, EvalPoint, RingElement, Scalar, make_chart, parse_expr
-from gkbench.runner import LEVEL_FRAME_CLOSES, Workspace, run_scenario
+from gkbench.runner import EIGENBUNDLE_CLOSES, LEVEL_FRAME_CLOSES, Workspace, run_scenario
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
     GenStructure,
@@ -34,7 +34,6 @@ from gkbench.structures import (
     certified_basis,
     check_integrable,
     section_from_column,
-    zero_twist,
 )
 
 
@@ -410,7 +409,7 @@ def test_full_frame_when_the_structure_is_not_algebraic(monkeypatch):
             "0 0 -1 0 0 0 0 0",
         )
     )
-    struct = GenStructure(chart, matrix, zero_twist(chart))
+    struct = GenStructure(chart, matrix, DiffForm.zero(chart, 3))
     assert struct.algebraic == (False, "matrix does not preserve the pairing")
     calls = []
     original = structures.courant_bracket
@@ -673,3 +672,43 @@ def test_level_closure_without_integrability_keeps_the_adapted_statuses():
                 failures += 1
                 assert got == want, (name, twist)
     assert failures
+
+
+@pytest.mark.parametrize(
+    "b_field, checks, brackets, adapted",
+    [
+        (
+            True, ["level_closure"], 10,
+            "all brackets of a 5-section basis certified at p (10 pairs) stay in "
+            "the eigenbundle, globally",
+        ),
+        (True, ["integrability", "level_closure"], 15, f"{EIGENBUNDLE_CLOSES}, globally"),
+        (False, ["level_closure"], 0, f"{EIGENBUNDLE_CLOSES}, globally"),
+    ],
+    ids=["alone", "with-integrability", "constant-frame"],
+)
+def test_level_closure_alone_runs_the_adapted_pass_alone(
+    monkeypatch, b_field, checks, brackets, adapted
+):
+    """kahler_c3_circle moved by the invariant B = (x1^2 + y1^2) dx1^dy1,
+    whose frame is not constant: judging integrability brackets its
+    6-section basis, 15 pairs, and the adapted pass alone its 5-section
+    level-tangent basis, 10 pairs, so level_closure judges integrability
+    only where the scenario lists it.  On the constant frame the judgment
+    takes no bracket, and level_closure reads it."""
+    raw = kahler_c3_circle()
+    raw["checks"] = checks
+    if b_field:
+        raw["b_field"] = [{"coeff": "x1^2 + y1^2", "frame": ["x1", "y1"]}]
+    calls = []
+    courant = structures.courant_bracket
+
+    def counted(*args):
+        calls.append(1)
+        return courant(*args)
+
+    monkeypatch.setattr(structures, "courant_bracket", counted)
+    verdicts, _ = run_scenario(load_scenario(raw))
+    assert all(v.status in ("pass", "skipped") for v in verdicts)
+    assert {v.check: v.detail for v in verdicts}["level_closure:adapted"] == adapted
+    assert len(calls) == brackets

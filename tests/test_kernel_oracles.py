@@ -39,7 +39,7 @@ to all four of its outputs and to the readers built on them.
 import os
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
@@ -48,7 +48,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkbench import linalg, reduction, ring, runner, selftest, structures
-from gkbench.calculus import DiffForm, VectorField, lie_bracket, wedge_all
+from gkbench.calculus import DiffForm, VectorField, lie_bracket
 from gkbench.catalog import catalog_names, load_builtin
 from gkbench.errors import ChartMismatchError, ValidationError
 from gkbench.linalg import (
@@ -84,7 +84,6 @@ from gkbench.structures import (
     b_exponential,
     check_integrable,
     courant_bracket,
-    zero_twist,
 )
 
 POLY = make_chart(*((n, "affine") for n in "abcd"))
@@ -620,7 +619,7 @@ def test_residual_is_the_matrix_product_less_i_u(data):
     chart = make_chart(("s", kinds), ("t", kinds))
     size = 2 * chart.dim
     matrix = tuple(tuple(data.draw(entries(chart)) for _ in range(size)) for _ in range(size))
-    struct = GenStructure(chart, matrix, zero_twist(chart))
+    struct = GenStructure(chart, matrix, DiffForm.zero(chart, 3))
     zero = RingElement.zero(chart)
     for column in (tuple(data.draw(entries(chart)) for _ in range(size)), (zero,) * size):
         got = struct.residual(column)
@@ -845,7 +844,7 @@ def test_pairing_verdict_is_comparison_with_the_negated_transpose(data):
     chart = data.draw(st.sampled_from(PLANES))
     swapped, defect = data.draw(swapped_halves(chart))
     n = chart.dim
-    struct = GenStructure(chart, swapped[n:] + swapped[:n], zero_twist(chart))
+    struct = GenStructure(chart, swapped[n:] + swapped[:n], DiffForm.zero(chart, 3))
     # The pairing is tested only once J^2 = -Id holds, which a drawn
     # matrix almost never does, so that verdict is fixed here.
     struct.__dict__["squares_to_minus_one"] = True
@@ -1195,7 +1194,7 @@ def rand_form_by_wedging(rng, chart, degree):
         return DiffForm.function(rand_field_by_adding(rng, chart))
     out = DiffForm.zero(chart, degree)
     for names in combinations(chart.names, degree):
-        basis = wedge_all([DiffForm.d_coord(chart, n) for n in names])
+        basis = reduce(DiffForm.wedge, [DiffForm.d_coord(chart, n) for n in names])
         out = out + basis.scale(rand_field_by_adding(rng, chart))
     return out
 

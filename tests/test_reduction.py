@@ -62,11 +62,10 @@ from gkbench.structures import (
     _cross_eliminate,
     b_exponential,
     b_transform_structure,
-    complex_structure,
+    complex_matrix,
     matrix_type,
     section_from_column,
-    symplectic_structure,
-    zero_twist,
+    symplectic_matrix,
 )
 
 R4 = make_chart(("x1", "affine"), ("y1", "affine"), ("x2", "affine"), ("y2", "affine"))
@@ -76,6 +75,17 @@ CYL = make_chart(
 TUBE = make_chart(
     ("x", "periodic"), ("t", "affine"), ("u", "affine"), ("v", "affine")
 )
+
+
+def symplectic_structure(omega):
+    """The generalized structure of a symplectic form, under the zero twist."""
+    return GenStructure(omega.chart, symplectic_matrix(omega), DiffForm.zero(omega.chart, 3))
+
+
+def complex_structure(jmat, chart):
+    """The generalized structure of an almost complex structure on the
+    tangent bundle, under the zero twist."""
+    return GenStructure(chart, complex_matrix(jmat, chart), DiffForm.zero(chart, 3))
 
 
 def fn(text, chart):
@@ -794,7 +804,7 @@ def constant_structure(matrix):
     return GenStructure(
         R4,
         tuple(tuple(RingElement.constant(R4, x) for x in row) for row in matrix),
-        zero_twist(R4),
+        DiffForm.zero(R4, 3),
     )
 
 
@@ -925,7 +935,10 @@ def test_potential_transform_needs_a_basic_twist():
     ws = Workspace(load_scenario(raw))
     with pytest.raises(ValidationError) as err:
         ws.reduction_entry("j", "theta")
-    assert str(err.value) == "twist is not basic after the potential transform"
+    assert str(err.value) == (
+        "twist is not basic after the potential transform: "
+        "its contraction with generator 2 is (-1)*dt1^dt2"
+    )
 
 
 def zero_one_form_control(twist, b_field=None):
@@ -960,7 +973,11 @@ def zero_one_form_control(twist, b_field=None):
 @pytest.mark.parametrize(
     "twist, statuses, detail",
     [
-        (["x", "a", "b"], ["fail"], "twist is not basic"),
+        (
+            ["x", "a", "b"],
+            ["fail"],
+            "twist is not basic: its contraction with generator 1 is da^db",
+        ),
         (["t", "a", "b"], ["pass", "pass"], None),
         (None, ["pass", "pass"], None),
     ],

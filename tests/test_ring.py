@@ -465,3 +465,188 @@ def test_printing_examples():
     assert str(elem("x - t")) == "x - t"
     assert str(elem("1/2*x^2 - I*E(y;-1)")) == "1/2*x^2 - I*E(y;-1)"
     assert str(elem("(1 + 2*I)*x")) == "(1+2*I)*x"
+
+
+# Texts the one-pass lexer and the lone-literal reader must read as the
+# per-character lexer did: each to its printed element, or to its message
+# and position.  Non-ASCII letters and digits, spaces inside a rational,
+# leading zeros, the MAX_DIGITS edge, zero denominators and trailing input.
+ONE_PASS_TEXTS = {
+    "x²": ("unknown coordinate 'x²'", 0),
+    "²": ("unexpected character '²'", 0),
+    "x^²": ("unexpected character '²'", 2),
+    "2²": ("unexpected character '²'", 1),
+    "١": ("unexpected character '١'", 0),
+    "1١": ("unexpected character '١'", 1),
+    "x١": ("unknown coordinate 'x١'", 0),
+    "é": ("unknown coordinate 'é'", 0),
+    "xé": ("unknown coordinate 'xé'", 0),
+    "١/2": ("unexpected character '١'", 0),
+    "1 / 2": "1/2",
+    " 1/2 ": "1/2",
+    "1/ 2": "1/2",
+    "1 /2": "1/2",
+    "1/ x": ("expected 'num', found 'x'", 3),
+    "1/": ("expected 'num', found ''", 2),
+    "/2": ("unexpected token '/'", 0),
+    "1//2": ("expected 'num', found '/'", 2),
+    "1/2/3": ("unexpected trailing input '/'", 3),
+    "1/2*x": "1/2*x",
+    "1/2x": ("unexpected trailing input 'x'", 3),
+    "007": "7",
+    "007*x": "7*x",
+    "00/1": "0",
+    "1/00": ("zero denominator", 2),
+    "0/0": ("zero denominator", 2),
+    "1/0": ("zero denominator", 2),
+    "1/000": ("zero denominator", 2),
+    "0001/0002": "1/2",
+    "1" * MAX_DIGITS: "1" * MAX_DIGITS,
+    "1" * (MAX_DIGITS + 1): (f"numeral has more than {MAX_DIGITS} digits", 0),
+    "0" * 5 + "1" * MAX_DIGITS: "1" * MAX_DIGITS,
+    "1/" + "2" * MAX_DIGITS: "1/" + "2" * MAX_DIGITS,
+    "1/" + "2" * (MAX_DIGITS + 1): (f"numeral has more than {MAX_DIGITS} digits", 2),
+    "9" * (MAX_DIGITS + 1) + "/0": (f"numeral has more than {MAX_DIGITS} digits", 0),
+    "1" * MAX_DIGITS + "/0": ("zero denominator", MAX_DIGITS + 1),
+    "1 2": ("unexpected trailing input '2'", 2),
+    "x y": ("unexpected trailing input 'y'", 2),
+    "1/2 3": ("unexpected trailing input '3'", 4),
+    "1)": ("unexpected trailing input ')'", 1),
+    "x)": ("unexpected trailing input ')'", 1),
+    "(x": ("expected ')', found ''", 2),
+    "1;": ("unexpected trailing input ';'", 1),
+    "x @": ("unexpected character '@'", 2),
+    "@": ("unexpected character '@'", 0),
+    "": ("unexpected token ''", 0),
+    " ": ("unexpected token ''", 1),
+    "\t1\n": "1",
+    "1\xa0": "1",
+    "1\u2003/\u20032": "1/2",
+    "-": ("unexpected token ''", 1),
+    "+-1": ("unexpected token '-'", 1),
+    "--1": ("unexpected token '-'", 1),
+    "- 1": "-1",
+    "-1/2": "-1/2",
+    "-(1/2)": "-1/2",
+    "E(y;1١)": ("unexpected character '١'", 5),
+    "E(y; ١)": ("unexpected character '١'", 5),
+    "x^0١": ("unexpected character '١'", 3),
+    "x^01": "x",
+    "_": ("unknown coordinate '_'", 0),
+    "_x": ("unknown coordinate '_x'", 0),
+    "x_1": ("unknown coordinate 'x_1'", 0),
+    "x.5": ("unexpected character '.'", 1),
+    "1.5": ("unexpected character '.'", 1),
+    "1e3": ("unexpected trailing input 'e3'", 1),
+    "x^-1": ("exponent must be a nonnegative integer", 2),
+    "E(y;-0)": "1",
+    "E(y;+2)": "E(y;2)",
+    "cos(y)*1/2": "1/4*E(y;1) + 1/4*E(y;-1)",
+    "2x": ("unexpected trailing input 'x'", 1),
+    "x2": ("unknown coordinate 'x2'", 0),
+    "1/2/0": ("unexpected trailing input '/'", 3),
+}
+
+# The same for parse_rational, which reads a lone literal with no token
+# stream and any other text with one.
+RATIONAL_TEXTS = {
+    "1": "1",
+    "-1": "-1",
+    "+1": "1",
+    "1/2": "1/2",
+    "-3/4": "-3/4",
+    " 1/2": "1/2",
+    "1 / 2": "1/2",
+    "1/ 2": "1/2",
+    "-  5": "-5",
+    "1/0": ("zero denominator", 2),
+    "0/0": ("zero denominator", 2),
+    "00": "0",
+    "007/010": "7/10",
+    "1/-2": ("expected 'num', found '-'", 2),
+    "1.5": ("unexpected character '.'", 1),
+    "1e3": ("unexpected trailing input 'e3'", 1),
+    "x": ("expected 'num', found 'x'", 0),
+    "": ("expected 'num', found ''", 0),
+    "-": ("expected 'num', found ''", 1),
+    "+": ("expected 'num', found ''", 1),
+    "1/": ("expected 'num', found ''", 2),
+    "/2": ("expected 'num', found '/'", 0),
+    "1 2": ("unexpected trailing input '2'", 2),
+    "1/2/3": ("unexpected trailing input '/'", 3),
+    "²": ("unexpected character '²'", 0),
+    "١": ("unexpected character '١'", 0),
+    "1١": ("unexpected character '١'", 1),
+    "1" * MAX_DIGITS: "1" * MAX_DIGITS,
+    "1" * (MAX_DIGITS + 1): (f"numeral has more than {MAX_DIGITS} digits", 0),
+    "1/" + "1" * (MAX_DIGITS + 1): (f"numeral has more than {MAX_DIGITS} digits", 2),
+    "1/0 ²": ("unexpected character '²'", 4),
+    "1²/0": ("unexpected character '²'", 1),
+    "+-1": ("expected 'num', found '-'", 1),
+    "--1": ("expected 'num', found '-'", 1),
+    "1/2 ": "1/2",
+    "\xa01": "1",
+    "(1)": ("expected 'num', found '('", 0),
+    "-0": "0",
+    "1١/2": ("unexpected character '١'", 1),
+}
+
+
+def read_outcome(read, text):
+    """What a reader makes of a text: the element or value as text, or
+    the message and position of its ParseError."""
+    try:
+        return str(read(text))
+    except ParseError as exc:
+        message = str(exc)
+        suffix = f" (at position {exc.position})"
+        assert message.endswith(suffix)
+        return message[: -len(suffix)], exc.position
+
+
+@pytest.mark.parametrize(
+    "reader, table",
+    [(elem, ONE_PASS_TEXTS), (ring.parse_rational, RATIONAL_TEXTS)],
+    ids=["parse_expr", "parse_rational"],
+)
+def test_texts_keep_their_elements_messages_and_positions(reader, table):
+    got = {text: read_outcome(reader, text) for text in table}
+    assert got == table
+
+
+def per_character_tokens(src):
+    """The reference lexer: one character at a time, digits ASCII only,
+    an identifier led by a letter or underscore."""
+    items, i = [], 0
+    while i < len(src):
+        ch = src[i]
+        j = i + 1
+        if ch.isspace():
+            i = j
+            continue
+        if "0" <= ch <= "9":
+            while j < len(src) and "0" <= src[j] <= "9":
+                j += 1
+            items.append(("num", src[i:j], i))
+        elif ch.isalpha() or ch == "_":
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            items.append(("ident", src[i:j], i))
+        elif ch in "+-*^();/":
+            items.append((ch, ch, i))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        i = j
+    return items + [("end", "", len(src))]
+
+
+LEXER_PIECES = st.sampled_from(
+    list("0123456789xyE_+-*^();/.@é²١Ⅻǅ")
+    + [" ", "\t", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "e\u0301", "\u203f", "x1", "007"]
+)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.lists(LEXER_PIECES, max_size=12).map("".join))
+def test_one_pass_lexer_matches_the_per_character_reference(src):
+    assert read_outcome(ring._lex, src) == read_outcome(per_character_tokens, src)

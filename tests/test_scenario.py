@@ -1,10 +1,15 @@
 """Tests for the scenario loader, the check runner, reports, and the CLI."""
 
 import copy
+import hashlib
+import importlib.util
 import json
+import subprocess
+import sys
 import time
 from datetime import timedelta
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +20,7 @@ from gkbench import runner, structures
 from gkbench.cli import main
 from gkbench.errors import ParseError, ValidationError
 from gkbench.report import build_report, render_json, render_text, report_passed
-from gkbench.ring import MAX_COORDS, MAX_DIGITS
+from gkbench.ring import MAX_COORDS, MAX_DIGITS, parse_expr
 from gkbench.runner import run_scenario
 from gkbench.scenario import load_scenario, scenario_digest, scenario_from_path
 from gkbench.selftest import invariant_results
@@ -50,6 +55,126 @@ def dense_symplectic(n, checks):
         },
         "checks": checks,
     }
+
+
+# A scenario on four affine coordinates that each case below patches, and
+# the load each must give: its message, or its twist and B-field as text.
+# The forms are built in one pass and the twist is judged once, with the
+# first structure in name order; the messages, and which comes first, are
+# those of a term-by-term build that judges the twist per structure.
+_R4 = {
+    "name": "r4",
+    "chart": [[name, "affine"] for name in ("x", "y", "z", "w")],
+    "structures": {},
+    "checks": [],
+}
+_OMEGA = {"kind": "symplectic", "two_form": [{"frame": ["x", "y"]}, {"frame": ["z", "w"]}]}
+_NOT_CLOSED = [{"coeff": "w", "frame": ["x", "y", "z"]}]
+FORM_LOADS = {
+    "twist bad name": (
+        {"twist": [{"frame": ["x", "q", "y"]}]}, "twist: unknown coordinate 'q'"
+    ),
+    "twist first bad name": (
+        {"twist": [{"frame": ["x", "q", "r"]}]}, "twist: unknown coordinate 'q'"
+    ),
+    "twist name not a string": (
+        {"twist": [{"frame": [1, "x", "y"]}]}, "twist: unknown coordinate 1"
+    ),
+    "coefficient before names": (
+        {"twist": [{"coeff": "1/0", "frame": ["x", "q", "y"]}]},
+        "twist: zero denominator (at position 2)",
+    ),
+    "wrong degree before names": (
+        {"twist": [{"frame": ["x", "q"]}]},
+        "twist: term frame ['x', 'q'] does not have degree 3",
+    ),
+    "frame not a list": ({"twist": [{"frame": "x"}]}, "frame must be a list"),
+    "term not an object": ({"twist": ["x"]}, "twist: every term must be an object"),
+    "unknown term key": (
+        {"twist": [{"frame": ["x", "y", "z"], "sign": 1}]},
+        "twist: unknown term keys ['sign']",
+    ),
+    "repeated name": ({"twist": [{"frame": ["x", "x", "y"]}]}, ("0", None)),
+    "symplectic bad name": (
+        {"structures": {"a": {"kind": "symplectic", "two_form": [{"frame": ["x", "q"]}]}}},
+        "structure a: unknown coordinate 'q'",
+    ),
+    "matrix bad entry": (
+        {"structures": {"a": {"kind": "matrix", "matrix": [["0"] * 7 + ["q"]] + [["0"] * 8] * 7}}},
+        "structure a: unknown coordinate 'q' (at position 0)",
+    ),
+    "b_field bad name": (
+        {"b_field": [{"coeff": "x", "frame": ["y", "v"]}]}, "b_field: unknown coordinate 'v'"
+    ),
+    "b_field terms cancel": (
+        {"b_field": [
+            {"coeff": "x", "frame": ["y", "z"]},
+            {"coeff": "x", "frame": ["z", "y"]},
+            {"frame": ["x", "w"]},
+        ]},
+        ("0", "dx^dw"),
+    ),
+    "twist not closed": (
+        {"twist": _NOT_CLOSED, "structures": {"b": _OMEGA, "a": _OMEGA}},
+        "structure a: twist is not closed",
+    ),
+    "twist not real": (
+        {
+            "twist": [{"coeff": "I", "frame": ["x", "y", "z"]}],
+            "structures": {"b": _OMEGA, "a": _OMEGA},
+        },
+        "structure a: twist must be real",
+    ),
+    "twist not closed, no structure": ({"twist": _NOT_CLOSED}, ("(w)*dx^dy^dz", None)),
+    "first structure's own message first": (
+        {
+            "twist": _NOT_CLOSED,
+            "structures": {
+                "a": {"kind": "symplectic", "two_form": [{"frame": ["x", "y"]}]},
+                "b": _OMEGA,
+            },
+        },
+        "structure a: symplectic form is not invertible: matrix determinant is not "
+        "an invertible constant; no chart-wide inverse",
+    ),
+    "twist not closed, complex": (
+        {"twist": _NOT_CLOSED, "structures": {"a": {"kind": "complex", "matrix": [
+            ["0", "-1", "0", "0"],
+            ["1", "0", "0", "0"],
+            ["0", "0", "0", "-1"],
+            ["0", "0", "1", "0"],
+        ]}}},
+        "structure a: twist is not closed",
+    ),
+    "twist not closed, matrix": (
+        {"twist": _NOT_CLOSED, "structures": {"a": {"kind": "matrix", "matrix": [["0"] * 8] * 8}}},
+        "structure a: twist is not closed",
+    ),
+}
+
+
+@pytest.mark.parametrize("patch, want", FORM_LOADS.values(), ids=FORM_LOADS.keys())
+def test_form_and_twist_loads_keep_their_messages(patch, want):
+    try:
+        scen = load_scenario({**_R4, **patch})
+    except ValidationError as exc:
+        assert str(exc) == want
+        return
+    b_field = None if scen.b_field is None else str(scen.b_field)
+    assert (str(scen.twist), b_field) == want
+
+
+def test_forms_are_the_wedge_of_their_frames():
+    """Each term is coeff * d(frame[0]) ^ ..., in the frame's order, so a
+    frame out of order carries the sign of its sorting permutation."""
+    chart = load_scenario(_R4).chart
+    d = {name: DiffForm.d_coord(chart, name) for name in chart.names}
+    for frame in combinations_with_replacement("xyzw", 3):
+        for order in {frame, frame[::-1], frame[1:] + frame[:1]}:
+            raw = {**_R4, "twist": [{"coeff": "x - 2*y", "frame": list(order)}]}
+            wedge = d[order[0]].wedge(d[order[1]]).wedge(d[order[2]])
+            want = wedge.scale(parse_expr("x - 2*y", chart))
+            assert load_scenario(raw).twist == want, order
 
 
 def run_builtin(name):
@@ -211,6 +336,40 @@ class TestLoader:
         changed = copy.deepcopy(raw)
         changed["title"] = "renamed"
         assert scenario_digest(changed) != d1
+
+    def test_digest_is_sha256_of_the_canonical_json(self):
+        """The built-in SHA-256 module gives hashlib's digest bytes."""
+        for name in catalog_names():
+            raw = builtin_raw(name)
+            canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+            want = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            assert scenario_digest(raw) == want, name
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("_sha2" if sys.version_info >= (3, 12) else "_sha256") is None,
+        reason="this interpreter has no built-in SHA-256 module",
+    )
+    def test_loading_and_reporting_load_no_openssl(self):
+        """hashlib binds OpenSSL (_hashlib), most of the cost of importing
+        the loader; a fresh interpreter that imports it and reports on a
+        builtin never imports _hashlib."""
+        src = str(Path(scenario_digest.__code__.co_filename).parents[1])
+        program = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import gkbench.scenario\n"
+            "from gkbench.catalog import load_builtin\n"
+            "from gkbench.report import build_report\n"
+            "from gkbench.runner import run_scenario\n"
+            "scen = load_builtin('complex_r2')\n"
+            "build_report(scen, *run_scenario(scen))\n"
+            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", program],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "[]\n"
 
     def test_path_loading(self, tmp_path):
         target = tmp_path / "scen.json"
@@ -434,7 +593,11 @@ class TestRunner:
             (
                 "gamma_cylinder_product", ["b_commute"],
                 lambda raw: raw.update(basic_field=[{"coeff": "1", "frame": ["x1", "u"]}]),
-                ("b_commute", "basic_field is not basic for the action"),
+                (
+                    "b_commute",
+                    "basic_field is not basic for the action: "
+                    "its contraction with generator 1 is du",
+                ),
             ),
         ],
         ids=[
@@ -499,7 +662,10 @@ class TestRunner:
         )
         verdicts, _ = run_scenario(scen)
         details = {v.check: v.detail for v in verdicts if v.status == "fail"}
-        unbasic = "twist is not basic after the potential transform"
+        unbasic = (
+            "twist is not basic after the potential transform: "
+            "its contraction with generator 1 is dy1^dx2"
+        )
         assert details["gamma:theta"] == "twist plus d(potential) is not basic"
         assert details["reduction"] == details["gk_reduction"] == unbasic
         assert details["equivariant"] == (

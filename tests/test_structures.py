@@ -12,14 +12,14 @@ import copy
 import random
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from gkbench import selftest, structures
-from gkbench.calculus import DiffForm, VectorField, wedge_all
+from gkbench.calculus import DiffForm, VectorField
 from gkbench.errors import ValidationError
 from gkbench.catalog import builtin_raw, catalog_names, load_builtin
 from gkbench.linalg import (
@@ -49,13 +49,12 @@ from gkbench.structures import (
     b_transform_structure,
     check_gk_pair,
     check_integrable,
-    complex_structure,
+    complex_matrix,
     courant_bracket,
     pairing,
     pairing_matrix,
     section_from_column,
-    symplectic_structure,
-    zero_twist,
+    symplectic_matrix,
 )
 
 R2 = make_chart(("x", "affine"), ("y", "affine"))
@@ -63,6 +62,16 @@ R3 = make_chart(("x", "affine"), ("y", "affine"), ("z", "affine"))
 T3 = make_chart(("p", "periodic"), ("q", "periodic"), ("r", "periodic"))
 R4 = make_chart(("x1", "affine"), ("y1", "affine"), ("x2", "affine"), ("y2", "affine"))
 
+
+def symplectic_structure(omega):
+    """The generalized structure of a symplectic form, under the zero twist."""
+    return GenStructure(omega.chart, symplectic_matrix(omega), DiffForm.zero(omega.chart, 3))
+
+
+def complex_structure(jmat, chart):
+    """The generalized structure of an almost complex structure on the
+    tangent bundle, under the zero twist."""
+    return GenStructure(chart, complex_matrix(jmat, chart), DiffForm.zero(chart, 3))
 
 def fn(text, chart):
     return parse_expr(text, chart)
@@ -120,7 +129,7 @@ class TestBracket:
     def test_vector_fields_reduce_to_lie_bracket(self):
         u = sec(R2, vector=coord_vf(R2, "x").scale(fn("y", R2)))
         v = sec(R2, vector=coord_vf(R2, "y"))
-        w = courant_bracket(u, v, zero_twist(R2))
+        w = courant_bracket(u, v, DiffForm.zero(R2, 3))
         assert w.form.is_zero
         assert w.vector == -coord_vf(R2, "x")
 
@@ -128,13 +137,13 @@ class TestBracket:
         # [d_x, x dx] = d(i_{d_x} x dx)/2 ... with these conventions: 1/2 dx
         u = sec(R2, vector=coord_vf(R2, "x"))
         v = sec(R2, form=d(R2, "x").scale(fn("x", R2)))
-        w = courant_bracket(u, v, zero_twist(R2))
+        w = courant_bracket(u, v, DiffForm.zero(R2, 3))
         assert w.vector.is_zero
         assert w.form == d(R2, "x").scale(Scalar.of(Fraction(1, 2)))
 
     def test_twist_term_contracts_first_slot_first(self):
         # On T^3 with H = dp^dq^dr: [d_p, d_q]_H = i_{d_q} i_{d_p} H = dr.
-        h = wedge_all([d(T3, "p"), d(T3, "q"), d(T3, "r")])
+        h = reduce(DiffForm.wedge, [d(T3, "p"), d(T3, "q"), d(T3, "r")])
         u = sec(T3, vector=coord_vf(T3, "p"))
         v = sec(T3, vector=coord_vf(T3, "q"))
         w = courant_bracket(u, v, h)
@@ -142,7 +151,7 @@ class TestBracket:
         assert w.form == d(T3, "r")
 
     def test_antisymmetry(self):
-        h = wedge_all([d(R3, "x"), d(R3, "y"), d(R3, "z")]).scale(fn("x", R3))
+        h = reduce(DiffForm.wedge, [d(R3, "x"), d(R3, "y"), d(R3, "z")]).scale(fn("x", R3))
         # the twisted bracket as implemented is antisymmetric in its arguments
         u = sec(R3, vector=coord_vf(R3, "x").scale(fn("y", R3)), form=d(R3, "z"))
         v = sec(R3, vector=coord_vf(R3, "z"), form=d(R3, "x").scale(fn("x*y", R3)))
@@ -177,7 +186,7 @@ class TestBTransform:
 
     def test_bracket_identity_with_shifted_twist(self):
         """[e^B u, e^B v]_{H - dB} = e^B [u, v]_H for every frame pair."""
-        h = wedge_all([d(R3, "x"), d(R3, "y"), d(R3, "z")]).scale(Scalar.of(2))
+        h = reduce(DiffForm.wedge, [d(R3, "x"), d(R3, "y"), d(R3, "z")]).scale(Scalar.of(2))
         b = d(R3, "y").wedge(d(R3, "z")).scale(fn("x", R3))
         shifted = h - b.d()
         frame = unit_sections(R3)
@@ -193,7 +202,7 @@ class TestBTransform:
         """The opposite twist shift H + dB breaks the identity, so the
         sign is meaningful and pinned."""
         b = d(R3, "y").wedge(d(R3, "z")).scale(fn("x", R3))
-        h = zero_twist(R3)
+        h = DiffForm.zero(R3, 3)
         wrong = h + b.d()
         u = sec(R3, vector=coord_vf(R3, "y"))
         v = sec(R3, vector=coord_vf(R3, "z"))
@@ -269,7 +278,7 @@ class TestComplex:
         z = RingElement.zero(R2)
         one = RingElement.one(R2)
         matrix = tuple(tuple(one if i == j else z for j in range(4)) for i in range(4))
-        struct = GenStructure(R2, matrix, zero_twist(R2))
+        struct = GenStructure(R2, matrix, DiffForm.zero(R2, 3))
         assert check_integrable(struct) == (False, "eigenprojector is not idempotent")
         assert not struct.algebraic[0]
         assert "squares_to_minus_one" in vars(struct.with_twist(struct.twist))
@@ -306,7 +315,7 @@ class TestTwistSign:
         struct = symplectic_structure(omega_r4())
         b = self.b_field()
         moved = b_transform_structure(b, struct)
-        for wrong in (zero_twist(R4), b.d()):
+        for wrong in (DiffForm.zero(R4, 3), b.d()):
             candidate = GenStructure(R4, moved.matrix, wrong)
             ok, _ = check_integrable(candidate, self.POINTS)
             assert not ok
@@ -509,8 +518,8 @@ def test_pairing_is_invariant_under_b_transform(u, v):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(sections(), sections())
 def test_bracket_is_antisymmetric(u, v):
-    w_plus = courant_bracket(u, v, zero_twist(R2))
-    w_minus = courant_bracket(v, u, zero_twist(R2))
+    w_plus = courant_bracket(u, v, DiffForm.zero(R2, 3))
+    w_minus = courant_bracket(v, u, DiffForm.zero(R2, 3))
     assert (w_plus + w_minus).is_zero
 
 
@@ -528,7 +537,7 @@ NO_SHRINK = (Phase.explicit, Phase.generate)
 
 
 def _volume(chart):
-    return wedge_all([DiffForm.d_coord(chart, n) for n in chart.names])
+    return reduce(DiffForm.wedge, [DiffForm.d_coord(chart, n) for n in chart.names])
 
 
 def _covector(form):
@@ -621,7 +630,8 @@ def _field4(rng):
 def _form4(rng, degree):
     out = DiffForm.zero(C4, degree)
     for names in combinations(C4.names, degree):
-        out = out + wedge_all([DiffForm.d_coord(C4, n) for n in names]).scale(_field4(rng))
+        basis = reduce(DiffForm.wedge, [DiffForm.d_coord(C4, n) for n in names])
+        out = out + basis.scale(_field4(rng))
     return out
 
 
@@ -637,7 +647,8 @@ def test_jacobiator_under_a_twist_that_is_not_closed(seed):
         GenSection(VectorField(C4, tuple(_field4(rng) for _ in range(4))), _form4(rng, 1))
         for _ in range(3)
     )
-    twist = _form4(rng, 3) + wedge_all([d(C4, "p"), d(C4, "t"), d(C4, "u")]).scale(fn("s^3", C4))
+    volume = reduce(DiffForm.wedge, [d(C4, "p"), d(C4, "t"), d(C4, "u")])
+    twist = _form4(rng, 3) + volume.scale(fn("s^3", C4))
     dh = twist.d()
     assert not dh.is_zero
     jac = _jacobiator(u, v, w, twist)
@@ -807,7 +818,8 @@ def _frame_brackets(struct):
     chart = struct.chart
     twists = [struct.twist]
     if chart.dim >= 3:
-        twists.append(wedge_all([DiffForm.d_coord(chart, x) for x in chart.names[:3]]))
+        frame = [DiffForm.d_coord(chart, x) for x in chart.names[:3]]
+        twists.append(reduce(DiffForm.wedge, frame))
     live = [u for u in struct.plus_i_frame if not u.is_zero]
     for twist in twists:
         for a, u in enumerate(live):
@@ -824,7 +836,7 @@ def test_eigenbundle_follows_the_old_projector_rule():
     z, one = RingElement.zero(R2), RingElement.one(R2)
     not_a_root = GenStructure(
         R2, tuple(tuple(one if r == c else z for c in range(4)) for r in range(4)),
-        zero_twist(R2),
+        DiffForm.zero(R2, 3),
     )
     points = 0
     for label, struct, named in _catalog_structures_with_b() + [("J = Id", not_a_root, {})]:
@@ -1000,7 +1012,7 @@ def test_a_constant_structure_is_typed_once(monkeypatch):
     odd = GenStructure(
         R2,
         tuple(tuple(one if (i, j) == (0, 2) else zero for j in range(4)) for i in range(4)),
-        zero_twist(R2),
+        DiffForm.zero(R2, 3),
     )
     for p in (EvalPoint.at(R2, x=0, y=0), EvalPoint.at(R2, x=1, y=2)):
         with pytest.raises(ValidationError, match=re.escape(f"violated at {p}: corank 1")):
@@ -1064,3 +1076,65 @@ def test_a_run_eliminates_each_eigenbundle_once(monkeypatch):
     for name in catalog_names():
         run_scenario(load_builtin(name))
     assert zeros == []
+
+
+# --- the block B-transform ----------------------------------------------------
+
+
+def _dense_b_transform(b_field, struct):
+    """e^B J e^-B as the two dense products that the block form replaced."""
+    return rmat_mul(b_exponential(b_field), rmat_mul(struct.matrix, b_exponential(-b_field)))
+
+
+def test_block_b_transform_is_the_dense_product_on_the_catalog():
+    """Every builtin structure moved by its scenario's B-field and by its
+    negative, and every structure of a builtin with no B-field by a closed
+    and a non-closed one of its chart."""
+    moved_any = 0
+    for name in catalog_names():
+        scen = load_builtin(name)
+        chart = scen.chart
+        plane = d(chart, chart.names[0]).wedge(d(chart, chart.names[1]))
+        last = chart.names[-1]
+        bend = fn(last if chart.is_affine(chart.dim - 1) else f"cos({last})", chart)
+        b_fields = (
+            [scen.b_field, -scen.b_field]
+            if scen.b_field is not None
+            else [plane, plane.scale(bend)]
+        )
+        for sname, struct in sorted(scen.structures.items()):
+            for b in b_fields:
+                moved = b_transform_structure(b, struct)
+                assert moved.matrix == _dense_b_transform(b, struct), (name, sname)
+                assert moved.twist == struct.twist - b.d()
+                moved_any += moved.matrix != struct.matrix
+    assert moved_any
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(seeds)
+def test_block_b_transform_is_the_dense_product_for_closed_b_fields(seed):
+    """A closed B = dA, A a drawn 1-form over C4, moving the symplectic
+    structure of dp^dt + du^ds and its transform by a drawn 2-form, whose
+    matrix is not constant."""
+    rng = random.Random(seed)
+    base = symplectic_structure(d(C4, "p").wedge(d(C4, "t")) + d(C4, "u").wedge(d(C4, "s")))
+    for struct in (base, b_transform_structure(_form4(rng, 2), base)):
+        b = _form4(rng, 1).d()
+        moved = b_transform_structure(b, struct)
+        assert moved.matrix == _dense_b_transform(b, struct)
+        assert moved.twist == struct.twist
+
+
+def test_a_b_field_that_cancels_shares_the_structure():
+    """On R^2 every 2-form is of type (1,1), so e^B J e^-B = J for the
+    complex structure: the moved structure is J under the new twist, and
+    shares what J has built."""
+    struct = complex_structure(jmat_r2(), R2)
+    b = d(R2, "x").wedge(d(R2, "y")).scale(fn("x*y + 3", R2))
+    assert struct.algebraic[0]
+    moved = b_transform_structure(b, struct)
+    assert moved.matrix is struct.matrix
+    assert moved.twist == -b.d()
+    assert moved.__dict__["algebraic"] is struct.__dict__["algebraic"]
+    assert moved._points is struct._points
