@@ -44,11 +44,9 @@ The parser reads a text in one pass over its words: every operator and
 ASCII whitespace character is one separator, and an ASCII numeral or
 identifier between two is taken as one slice, so only a word with
 another character (non-ASCII, or a mixed one such as 2x) is read one
-character at a time.  Rational literals have one reader, `_ratio`; a
-text that is a lone literal, such as a matrix entry "0" or a point
-value "3/5", goes to it with no token stream, in `parse_expr` and in
-`parse_rational` alike.  Tokens, positions and messages are those of a
-per-character lexer.
+character at a time.  Rational literals have one reader,
+`_rational_literal`, in `parse_expr` and `parse_rational` alike.
+Tokens, positions and messages are those of a per-character lexer.
 
 Elements made by the public constructor `RingElement(...)` and by
 `parse_expr` are validated: each exponent has the chart's arity and no
@@ -897,10 +895,6 @@ def parse_expr(src: str, chart: Chart) -> RingElement:
     expand into Fourier exponentials: cos(y) = (E(y;1)+E(y;-1))/2 and
     sin(y) = (E(y;1)-E(y;-1))/(2i).
     """
-    lone = _lone_literal(src)
-    if lone is not None:
-        negative, numer, denom = lone
-        return _constant(chart, -numer if negative else numer, denom)
     toks = _Tokens(src)
     value = _parse_sum(toks, chart)
     kind, text, pos = toks.peek()
@@ -1003,55 +997,25 @@ def _numeral(text: str, pos: int) -> int:
     return int(digits)
 
 
-def _ratio(text: str, pos: int, dtext: str | None, dpos: int) -> tuple[int, int]:
-    """The rational literal with numeral text at pos and, unless dtext is
-    None, denominator numeral dtext at dpos, as (p, q) with q > 0: the one
-    rule for rational literals, read from tokens or from a lone literal."""
+def _rational_literal(toks: _Tokens, text: str, pos: int) -> tuple[int, int]:
+    """The rational literal whose first numeral, text at pos, was just
+    taken, as (p, q) with q > 0: an integer p has q = 1.  The one reader
+    of rational literals, in parse_expr and parse_rational alike."""
     numer = _numeral(text, pos)
-    if dtext is None:
+    if toks.peek()[0] != "/":
         return numer, 1
+    toks.take()
+    _, dtext, dpos = toks.take("num")
     denom = _numeral(dtext, dpos)
     if denom == 0:
         raise ParseError("zero denominator", dpos)
     return numer, denom
 
 
-def _rational_literal(toks: _Tokens, text: str, pos: int) -> tuple[int, int]:
-    """The rational literal whose first numeral, text at pos, was just
-    taken, as (p, q) with q > 0: an integer p has q = 1."""
-    if toks.peek()[0] != "/":
-        return _ratio(text, pos, None, 0)
-    toks.take()
-    _, dtext, dpos = toks.take("num")
-    return _ratio(text, pos, dtext, dpos)
-
-
-def _lone_literal(src: str) -> tuple[bool, int, int] | None:
-    """A text that is one rational literal, an optional sign then p or p/q
-    in ASCII digits with nothing else, as (negative, p, q) by _ratio; None
-    for any other text, which the token stream reads.  Such a text holds
-    no character the lexer refuses, so its errors are _ratio's, at the
-    positions the token stream gives them."""
-    body = src[1:] if src[:1] in ("+", "-") else src
-    text, slash, dtext = body.partition("/")
-    if not (text.isdigit() and text.isascii()):
-        return None
-    if slash and not (dtext.isdigit() and dtext.isascii()):
-        return None
-    pos = len(src) - len(body)
-    numer, denom = _ratio(text, pos, dtext if slash else None, pos + len(text) + 1)
-    return src[0] == "-", numer, denom
-
-
 def parse_rational(src: str) -> Fraction:
     """A signed rational literal, read by the rule parse_expr reads
     rationals with: an optional sign, then an integer or p/q, each
-    numeral of at most MAX_DIGITS digits.  A text with no space is read
-    with no token stream."""
-    lone = _lone_literal(src)
-    if lone is not None:
-        negative, numer, denom = lone
-        return Fraction(-numer if negative else numer, denom)
+    numeral of at most MAX_DIGITS digits."""
     toks = _Tokens(src)
     sign = toks.peek()[0]
     if sign in ("+", "-"):

@@ -21,12 +21,12 @@ transported moment one-forms are nonzero, and on either path reduces
 only once the shifted twist H - dB + dGamma is basic.  The Workspace
 judges each premise once per run, and every check that needs it reads
 that judgment: a connection's potential and its invariance, the shifted
-twist and each connection change being basic (each failure named by its
-witness, is_basic), and a structure's integrability (the integrability
-check, the first leg of b_flip, and level_closure, which brackets
-nothing once the moment structure passes; where the scenario does not
-list integrability and the structure is not constant, level_closure runs
-the adapted pass alone, which brackets less).
+twist and each connection change being basic (the twist's failure named
+by its witness, is_basic), and a structure's integrability (the
+integrability check, the first leg of b_flip, and level_closure, which
+brackets nothing once the moment structure passes; where neither of
+the first two is listed and the structure is not constant,
+level_closure runs the adapted pass alone, which brackets less).
 
 The Workspace reduces each point once per run: `fiber` builds the
 quotient data at a named point and `reduced` the Dirac reduction of a
@@ -191,14 +191,13 @@ class Workspace:
         return None if twist.is_zero else is_basic(twist, self.moment_w().action)
 
     @_memoized
-    def connection_change(self, connection: str) -> tuple[DiffForm, str | None]:
+    def connection_change(self, connection: str) -> tuple[DiffForm, bool]:
         """Gamma - Gamma', Gamma' the named connection's potential and Gamma
-        the primary connection's, and why it is not basic, None when it is;
-        where any potential exists, all do, since gamma_from_connection
-        fails alike for each."""
+        the primary connection's, and whether it is basic; where any potential
+        exists, all do, since gamma_from_connection fails alike for each."""
         gamma, _ = self.potential(self.primary_connection())
         change = gamma - self.potential(connection)[0]
-        return change, is_basic(change, self.moment_w().action)
+        return change, is_basic(change, self.moment_w().action) is None
 
     @_memoized
     def integrable(self, struct: GenStructure) -> tuple[bool, str]:
@@ -364,7 +363,7 @@ def _check_gamma(ws: Workspace) -> list[Verdict]:
                 else f"potential {gammas[first]} differs from expected {want}"
             )))
     for other in names[1:]:
-        basic = ws.connection_change(other)[1] is None
+        _, basic = ws.connection_change(other)
         out.append(_judged(
             f"gamma:difference({other})",
             basic,
@@ -393,8 +392,9 @@ def _check_level_closure(ws: Workspace) -> list[Verdict]:
     sub = level_substitution(moment, ws.scen.level)
     # Judging integrability brackets the whole eigenbundle basis, more than
     # the adapted pass does, unless the frame is constant, where it takes
-    # no Courant bracket; so it is read only where listed or free.
-    judged = "integrability" in ws.scen.checks or struct.is_constant
+    # no Courant bracket; so it is read only where a listed check makes it
+    # anyway, or where it is free.
+    judged = struct.is_constant or not _JUDGE_INTEGRABILITY.isdisjoint(ws.scen.checks)
     if judged and ws.integrable(struct)[0]:
         adapted = (True, f"{EIGENBUNDLE_CLOSES}, globally")
         adapted_slice = (True, f"{EIGENBUNDLE_CLOSES}, on the level slice")
@@ -445,9 +445,9 @@ def _check_reduction(ws: Workspace) -> list[Verdict]:
 
     def independent(cname: str) -> tuple[bool, str]:
         struct_alt, _ = ws.reduction_entry(name, cname)
-        diff, witness = ws.connection_change(cname)
-        if witness is not None:
-            return False, f"connection change is not basic: {witness}"
+        diff, basic = ws.connection_change(cname)
+        if not basic:
+            return False, "connection change is not basic"
         problems = []
         for pname, red in reds.items():
             try:
@@ -571,6 +571,10 @@ _REGISTRY: dict[str, Callable[[Workspace], list[Verdict]]] = {
 }
 
 assert tuple(_REGISTRY) == KNOWN_CHECKS
+
+# The checks that judge Workspace.integrable on the moment structure moved
+# by the B-field, which level_closure then reads from the memo.
+_JUDGE_INTEGRABILITY = frozenset({"integrability", "b_flip"})
 
 # Checks judged point by point, which on no points would pass or say nothing.
 _POINTWISE = ("type", "reduction", "gk_reduction", "b_commute")

@@ -675,31 +675,34 @@ def test_level_closure_without_integrability_keeps_the_adapted_statuses():
 
 
 @pytest.mark.parametrize(
-    "b_field, checks, brackets, adapted",
+    "b_coeff, checks, brackets, adapted",
     [
         (
-            True, ["level_closure"], 10,
+            "x1^2 + y1^2", ["level_closure"], 10,
             "all brackets of a 5-section basis certified at p (10 pairs) stay in "
             "the eigenbundle, globally",
         ),
-        (True, ["integrability", "level_closure"], 15, f"{EIGENBUNDLE_CLOSES}, globally"),
-        (False, ["level_closure"], 0, f"{EIGENBUNDLE_CLOSES}, globally"),
+        ("x1^2 + y1^2", ["integrability", "level_closure"], 15, f"{EIGENBUNDLE_CLOSES}, globally"),
+        ("x2^2 + y2^2", ["level_closure", "b_flip"], 34, f"{EIGENBUNDLE_CLOSES}, globally"),
+        (None, ["level_closure"], 0, f"{EIGENBUNDLE_CLOSES}, globally"),
     ],
-    ids=["alone", "with-integrability", "constant-frame"],
+    ids=["alone", "with-integrability", "with-b_flip", "constant-frame"],
 )
 def test_level_closure_alone_runs_the_adapted_pass_alone(
-    monkeypatch, b_field, checks, brackets, adapted
+    monkeypatch, b_coeff, checks, brackets, adapted
 ):
-    """kahler_c3_circle moved by the invariant B = (x1^2 + y1^2) dx1^dy1,
-    whose frame is not constant: judging integrability brackets its
-    6-section basis, 15 pairs, and the adapted pass alone its 5-section
-    level-tangent basis, 10 pairs, so level_closure judges integrability
-    only where the scenario lists it.  On the constant frame the judgment
-    takes no bracket, and level_closure reads it."""
+    """kahler_c3_circle moved by an invariant B = b_coeff dx1^dy1, whose
+    frame is not constant: judging integrability brackets its 6-section
+    basis, 15 pairs, and the adapted pass alone its 5-section level-tangent
+    basis, 10 pairs, so level_closure judges integrability only where a
+    listed check makes that judgment too.  b_flip, on the B that is not
+    closed, makes it among its 34 brackets, and level_closure adds none to
+    them.  On the constant frame the judgment takes no bracket, and
+    level_closure reads it."""
     raw = kahler_c3_circle()
     raw["checks"] = checks
-    if b_field:
-        raw["b_field"] = [{"coeff": "x1^2 + y1^2", "frame": ["x1", "y1"]}]
+    if b_coeff is not None:
+        raw["b_field"] = [{"coeff": b_coeff, "frame": ["x1", "y1"]}]
     calls = []
     courant = structures.courant_bracket
 

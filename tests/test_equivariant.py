@@ -21,15 +21,12 @@ from gkbench.equivariant import (
 )
 from gkbench.errors import ValidationError
 from gkbench.ring import RingElement, make_chart, parse_expr
-from gkbench.structures import GenStructure, b_transform_structure, symplectic_matrix
+from gkbench.structures import b_transform_structure
+
+from plain_structures import symplectic_structure
 
 R4 = make_chart(("x1", "affine"), ("y1", "affine"), ("x2", "affine"), ("y2", "affine"))
 CYL = make_chart(("x1", "periodic"), ("t1", "affine"), ("x2", "periodic"), ("t2", "affine"))
-
-
-def symplectic_structure(omega):
-    """The generalized structure of a symplectic form, under the zero twist."""
-    return GenStructure(omega.chart, symplectic_matrix(omega), DiffForm.zero(omega.chart, 3))
 
 
 def fn(text, chart):

@@ -62,11 +62,11 @@ from gkbench.structures import (
     _cross_eliminate,
     b_exponential,
     b_transform_structure,
-    complex_matrix,
     matrix_type,
     section_from_column,
-    symplectic_matrix,
 )
+
+from plain_structures import complex_structure, symplectic_structure
 
 R4 = make_chart(("x1", "affine"), ("y1", "affine"), ("x2", "affine"), ("y2", "affine"))
 CYL = make_chart(
@@ -75,17 +75,6 @@ CYL = make_chart(
 TUBE = make_chart(
     ("x", "periodic"), ("t", "affine"), ("u", "affine"), ("v", "affine")
 )
-
-
-def symplectic_structure(omega):
-    """The generalized structure of a symplectic form, under the zero twist."""
-    return GenStructure(omega.chart, symplectic_matrix(omega), DiffForm.zero(omega.chart, 3))
-
-
-def complex_structure(jmat, chart):
-    """The generalized structure of an almost complex structure on the
-    tangent bundle, under the zero twist."""
-    return GenStructure(chart, complex_matrix(jmat, chart), DiffForm.zero(chart, 3))
 
 
 def fn(text, chart):

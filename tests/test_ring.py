@@ -467,10 +467,10 @@ def test_printing_examples():
     assert str(elem("(1 + 2*I)*x")) == "(1+2*I)*x"
 
 
-# Texts the one-pass lexer and the lone-literal reader must read as the
-# per-character lexer did: each to its printed element, or to its message
-# and position.  Non-ASCII letters and digits, spaces inside a rational,
-# leading zeros, the MAX_DIGITS edge, zero denominators and trailing input.
+# Texts the one-pass lexer must read as the per-character lexer did: each
+# to its printed element, or to its message and position.  Non-ASCII
+# letters and digits, spaces inside a rational, leading zeros, the
+# MAX_DIGITS edge, zero denominators and trailing input.
 ONE_PASS_TEXTS = {
     "x²": ("unknown coordinate 'x²'", 0),
     "²": ("unexpected character '²'", 0),
@@ -547,8 +547,7 @@ ONE_PASS_TEXTS = {
     "1/2/0": ("unexpected trailing input '/'", 3),
 }
 
-# The same for parse_rational, which reads a lone literal with no token
-# stream and any other text with one.
+# The same for parse_rational.
 RATIONAL_TEXTS = {
     "1": "1",
     "-1": "-1",

@@ -49,29 +49,19 @@ from gkbench.structures import (
     b_transform_structure,
     check_gk_pair,
     check_integrable,
-    complex_matrix,
     courant_bracket,
     pairing,
     pairing_matrix,
     section_from_column,
-    symplectic_matrix,
 )
+
+from plain_structures import complex_structure, symplectic_structure
 
 R2 = make_chart(("x", "affine"), ("y", "affine"))
 R3 = make_chart(("x", "affine"), ("y", "affine"), ("z", "affine"))
 T3 = make_chart(("p", "periodic"), ("q", "periodic"), ("r", "periodic"))
 R4 = make_chart(("x1", "affine"), ("y1", "affine"), ("x2", "affine"), ("y2", "affine"))
 
-
-def symplectic_structure(omega):
-    """The generalized structure of a symplectic form, under the zero twist."""
-    return GenStructure(omega.chart, symplectic_matrix(omega), DiffForm.zero(omega.chart, 3))
-
-
-def complex_structure(jmat, chart):
-    """The generalized structure of an almost complex structure on the
-    tangent bundle, under the zero twist."""
-    return GenStructure(chart, complex_matrix(jmat, chart), DiffForm.zero(chart, 3))
 
 def fn(text, chart):
     return parse_expr(text, chart)
