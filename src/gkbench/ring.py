@@ -1031,7 +1031,10 @@ def parse_rational(src: str) -> Fraction:
 def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
     kind, text, pos = toks.take()
     if kind == "num":
-        return _constant(chart, *_rational_literal(toks, text, pos))
+        # The constant's triple (p/g, 0, q/g), g = gcd(p, q), built directly.
+        numer, denom = _rational_literal(toks, text, pos)
+        terms = {(0,) * chart.dim: _norm(numer, 0, denom)} if numer else {}
+        return RingElement._of_valid(chart, terms)
     if kind == "(":
         inner = _parse_sum(toks, chart)
         toks.take(")")
@@ -1067,13 +1070,6 @@ def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
             )
         return _unit(chart, i, 1)
     raise ParseError(f"unexpected token {text!r}", pos)
-
-
-def _constant(chart: Chart, numer: int, denom: int) -> RingElement:
-    """The constant p/q, its triple (p/g, 0, q/g), g = gcd(p, q), built
-    directly."""
-    terms = {(0,) * chart.dim: _norm(numer, 0, denom)} if numer else {}
-    return RingElement._of_valid(chart, terms)
 
 
 def _periodic_index(chart: Chart, name: str, pos: int) -> int:
