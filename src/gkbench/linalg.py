@@ -368,7 +368,7 @@ def is_positive_definite(m: Mat) -> tuple[bool, tuple[Scalar, ...]]:
             break
         running = running * value
         minors.append(running)
-        if running.re <= 0:
+        if running._a <= 0:
             return False, tuple(minors)
     if len(minors) < len(m):
         return False, tuple(minors) + (ZERO,)

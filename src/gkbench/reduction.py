@@ -76,7 +76,6 @@ function pulls back to its level constant.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import comb
@@ -105,7 +104,7 @@ from .linalg import (
     solve,
     transpose,
 )
-from .ring import EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, make_chart
+from .ring import EvalPoint, IMAG, ONE, RationalLike, RingElement, Scalar, ZERO, make_chart
 from .structures import (
     NO_POINTS,
     GenStructure,
@@ -219,7 +218,7 @@ def _push_down(rows: Sequence[Vec], quot: FiberData) -> tuple[int, tuple[Vec, ..
 
 
 def fiber_data(
-    moment: MomentData, point: EvalPoint, level: Sequence[Fraction]
+    moment: MomentData, point: EvalPoint, level: Sequence[RationalLike]
 ) -> FiberData:
     """Extract and validate the reduction data at one point.
 
@@ -237,7 +236,7 @@ def fiber_data(
         raise ValidationError("level length does not match the number of generators")
     for i, f in enumerate(moment.functions):
         value = f.evaluate(point)
-        want = Scalar.of(Fraction(level[i]))
+        want = Scalar.of(level[i])
         if value != want:
             raise ValidationError(
                 f"point is not on the level set: f_{i + 1} = {value}, "
@@ -514,7 +513,7 @@ def gk_type_prediction(j2: GenStructure, fiber: FiberData) -> tuple[int, str]:
 
 
 def level_substitution(
-    moment: MomentData, level: Sequence[Fraction]
+    moment: MomentData, level: Sequence[RationalLike]
 ) -> ChartMap | None:
     """A chart map onto the level slice, when the moment functions are
     affine in the affine coordinates: one elimination solves f_i = level_i
@@ -525,7 +524,7 @@ def level_substitution(
     if len(level) != len(moment.functions):
         return None
     affine = [i for i in range(chart.dim) if chart.is_affine(i)]
-    targets = [Scalar.of(Fraction(want)) for want in level]
+    targets = [Scalar.of(want) for want in level]
     rows = []
     for f, target in zip(moment.functions, targets):
         row = dict.fromkeys(affine, ZERO)

@@ -19,6 +19,10 @@ arithmetic on those triples: the pivot loop `linalg._eliminate` reads
 each entry's triple once, works on the ints, normalizes each entry it
 updates with `_norm` and hands its results back through `_triple`.
 
+Scalar is the package's one exact rational, from the parser to report
+text.  `Scalar.re`, `.im` and the repr are compatibility properties that
+import the fractions module on first use.
+
 Inside the ring kernel a coefficient is that triple itself, with no
 Scalar around it: an element's dict maps each exponent to its triple,
 every operation (sum, difference, negation, product, scale, conjugate,
@@ -64,7 +68,8 @@ e^{i k y} lands in {1, i, -1, -i}.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
+from functools import cache
 from math import comb, gcd, prod
 from operator import add as _add
 from typing import Iterable, Mapping, Union
@@ -91,7 +96,7 @@ MAX_DIGITS = 1000
 MAX_TERMS = 1000
 MAX_COORDS = 16
 
-RationalLike = Union[int, Fraction]
+RationalLike = Union[int, "Scalar"]  # or a standard-library rational: see _real
 
 
 class Chart:
@@ -159,20 +164,34 @@ def make_chart(*coords: tuple[str, str]) -> Chart:
     return Chart(tuple(coords))
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ValidationError(f"expected an exact rational, got {value!r}")
-    return Fraction(value)
+@cache
+def _fraction() -> type:
+    """The fractions module's rational type, imported on first use."""
+    from fractions import Fraction
+    return Fraction
+
+
+def _real(value: RationalLike) -> "Scalar":
+    """An int, a real Scalar or a rational of the fractions module as a real
+    Scalar; bool, float and the rest raise.  That module's rational exists
+    only once it is loaded, so it is found through sys.modules unimported."""
+    if isinstance(value, Scalar) and not value._b:
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _triple(int(value), 0, 1)
+    module = sys.modules.get("fractions")
+    if module is not None and isinstance(value, module.Fraction):
+        return _triple(value.numerator, 0, value.denominator)
+    raise ValidationError(f"expected an exact rational, got {value!r}")
 
 
 class Scalar:
     """Gaussian rational (a + b*I)/d held as an integer triple (a, b, d).
 
     The triple is normalized: d > 0 and gcd(a, b, d) == 1, with zero as
-    (0, 0, 1), so equal values have equal triples.  Arithmetic is plain
-    int work and builds no Fraction; `re` and `im` give the parts as
-    Fractions.  As with Fraction, instances are immutable: the triple sits
-    in slots behind read-only properties.
+    (0, 0, 1), so equal values have equal triples, and all work is on the
+    ints.  `re`, `im` and the repr, the parts as fractions-module rationals,
+    are compatibility properties that import that module on first use.
 
     Like a ring product by the constant one, the arithmetic does nothing
     where nothing is to be done: x*1, 1*x, x*0, 0*x, x+0, x-0 and 0+x
@@ -186,24 +205,21 @@ class Scalar:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        re, im = _as_fraction(re), _as_fraction(im)
-        p, q = re.denominator, im.denominator
-        d = p // gcd(p, q) * q
-        self._a = re.numerator * (d // p)
-        self._b = im.numerator * (d // q)
-        self._d = d
+        x, y = _real(re), _real(im)  # each (a, 0, d) with gcd(a, d) == 1
+        d = x._d // gcd(x._d, y._d) * y._d
+        self._a, self._b, self._d = x._a * (d // x._d), y._a * (d // y._d), d
 
     @staticmethod
     def of(re: RationalLike = 0, im: RationalLike = 0) -> "Scalar":
         return Scalar(re, im)
 
     @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+    def re(self):
+        return _fraction()(self._a, self._d)
 
     @property
-    def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+    def im(self):
+        return _fraction()(self._b, self._d)
 
     def __add__(self, other: "Scalar") -> "Scalar":
         c, e = other._a, other._b
@@ -318,6 +334,8 @@ def _make(a: int, b: int, d: int) -> Scalar:
 ZERO = Scalar()
 ONE = Scalar(1)
 IMAG = Scalar(0, 1)
+HALF = _triple(1, 0, 2)
+_MINUS_HALF_I = _triple(0, -1, 2)  # sin(y) = (E(y;1) - E(y;-1)) * -I/2
 
 # i^k for k mod 4, used by quarter-turn evaluation.
 _I_POWERS = (ONE, IMAG, -ONE, -IMAG)
@@ -328,34 +346,30 @@ def quarter_phase(k: int) -> Scalar:
     return _I_POWERS[k % 4]
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms as "p" or "p/q", q > 0."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def scalar_text(s: Scalar) -> str:
     """Canonical text for a scalar, parseable by parse_expr."""
-
-    def frac(q: Fraction) -> str:
-        return str(q)
-
-    if s.im == 0:
-        return frac(s.re)
-    if s.re == 0:
-        if s.im == 1:
-            return "I"
-        if s.im == -1:
-            return "-I"
-        return f"{frac(s.im)}*I"
-    imag = "I" if s.im == 1 else ("-I" if s.im == -1 else f"{frac(s.im)}*I")
-    joiner = "" if imag.startswith("-") else "+"
-    return f"({frac(s.re)}{joiner}{imag})"
+    a, b, d = s._a, s._b, s._d
+    if not b:
+        return _ratio_text(a, d)
+    imag = "I" if b == d else "-I" if b == -d else f"{_ratio_text(b, d)}*I"
+    return f"({_ratio_text(a, d)}{'+' if b > 0 else ''}{imag})" if a else imag
 
 
 class EvalPoint:
-    """A chart point: rationals on affine coordinates, integer quarter
+    """A chart point: real Scalars on affine coordinates, integer quarter
     turns (value = q*pi/2) on periodic ones.  A point is immutable and
     keys the per-point memos, so its hash is taken once, when it is
     made."""
 
     __slots__ = ("chart", "values", "_hash")
 
-    def __init__(self, chart: Chart, values: tuple[Union[Fraction, int], ...]) -> None:
+    def __init__(self, chart: Chart, values: tuple[Union[Scalar, int], ...]) -> None:
         self.chart = chart
         self.values = values
         self._hash = hash((chart, values))
@@ -377,7 +391,7 @@ class EvalPoint:
         extra = set(named) - set(chart.names)
         if extra:
             raise ValidationError(f"unknown coordinates in point: {sorted(extra)}")
-        values: list[Union[Fraction, int]] = []
+        values: list[Union[Scalar, int]] = []
         for i, (name, kind) in enumerate(chart.coords):
             if name not in named:
                 raise ValidationError(f"point is missing coordinate {name!r}")
@@ -389,7 +403,7 @@ class EvalPoint:
                     )
                 values.append(raw)
             else:
-                values.append(_as_fraction(raw))
+                values.append(_real(raw))
         return EvalPoint(chart, tuple(values))
 
     def __str__(self) -> str:
@@ -651,8 +665,8 @@ class RingElement:
                 if e == 0:
                     continue
                 if affine:
-                    p = base.numerator**e
-                    a, b, d = a * p, b * p, d * base.denominator**e
+                    p = base._a**e
+                    a, b, d = a * p, b * p, d * base._d**e
                 else:
                     k = (e * base) % 4  # times i^k
                     if k == 1:
@@ -714,32 +728,20 @@ class RingElement:
             else:
                 factors.append(f"E({name};{e})")
         mono = "*".join(factors)
-        if coeff.re != 0 and coeff.im != 0:
-            body = scalar_text(coeff)
-            return 1, f"{body}*{mono}" if mono else body
-        if coeff.im == 0:
-            sign = 1 if coeff.re > 0 else -1
-            mag = abs(coeff.re)
-            if not mono:
-                return sign, str(mag)
-            return sign, mono if mag == 1 else f"{mag}*{mono}"
-        sign = 1 if coeff.im > 0 else -1
-        mag = abs(coeff.im)
-        head = "I" if mag == 1 else f"{mag}*I"
-        return sign, f"{head}*{mono}" if mono else head
+        a, b = coeff._a, coeff._b
+        if a and b:  # a complex coefficient keeps its sign inside parentheses
+            sign, body = 1, scalar_text(coeff)
+        else:  # a real or imaginary one as its sign and magnitude; one part is zero
+            sign, body = (1 if a + b > 0 else -1), scalar_text(_triple(abs(a), abs(b), coeff._d))
+        return sign, body if not mono else mono if body == "1" else f"{body}*{mono}"
 
     def __str__(self) -> str:
         terms = self.terms
         if not terms:
             return "0"
-        pieces: list[tuple[int, str]] = []
-        for expo in sorted(terms, reverse=True):
-            pieces.append(self._term_text(expo, terms[expo]))
-        sign, body = pieces[0]
-        out = ("-" if sign < 0 else "") + body
-        for sign, body in pieces[1:]:
-            out += (" - " if sign < 0 else " + ") + body
-        return out
+        pieces = (self._term_text(expo, terms[expo]) for expo in sorted(terms, reverse=True))
+        out = "".join((" - " if sign < 0 else " + ") + body for sign, body in pieces)
+        return out[3:] if out[1] == "+" else "-" + out[3:]  # a leading sign takes no spaces
 
     def __repr__(self) -> str:
         return f"<{self} over {self.chart}>"
@@ -1012,20 +1014,20 @@ def _rational_literal(toks: _Tokens, text: str, pos: int) -> tuple[int, int]:
     return numer, denom
 
 
-def parse_rational(src: str) -> Fraction:
-    """A signed rational literal, read by the rule parse_expr reads
-    rationals with: an optional sign, then an integer or p/q, each
-    numeral of at most MAX_DIGITS digits."""
+def parse_rational(src: str) -> Scalar:
+    """A signed rational literal as a real Scalar, read by the rule
+    parse_expr reads rationals with: an optional sign, then an integer or
+    p/q, each numeral of at most MAX_DIGITS digits."""
     toks = _Tokens(src)
     sign = toks.peek()[0]
     if sign in ("+", "-"):
         toks.take()
     _, text, pos = toks.take("num")
-    value = Fraction(*_rational_literal(toks, text, pos))
+    numer, denom = _rational_literal(toks, text, pos)
     kind, text, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {text!r}", pos)
-    return -value if sign == "-" else value
+    return _make(-numer if sign == "-" else numer, 0, denom)
 
 
 def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
@@ -1057,8 +1059,8 @@ def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
             toks.take(")")
             plus, minus = _unit(chart, i, 1), _unit(chart, i, -1)
             if text == "cos":
-                return (plus + minus).scale(Scalar.of(Fraction(1, 2)))
-            return (plus - minus).scale(Scalar.of(0, Fraction(-1, 2)))
+                return (plus + minus).scale(HALF)
+            return (plus - minus).scale(_MINUS_HALF_I)
         i = chart._positions.get(text)
         if i is None:
             raise ParseError(f"unknown coordinate {text!r}", pos)

@@ -3,10 +3,10 @@ moment data, plus the list of checks to run and the expected exact
 quantities; the expected potential, expected.gamma, is parsed here.
 
 All numeric payloads are strings parsed by the exact expression parser
-(coefficients, functions) or as rationals (levels, affine point values);
-periodic point values are integer quarter turns.  Loading is strict: an
-unknown key, a malformed expression, or data violating a constructor
-invariant raises ValidationError naming the problem.
+(coefficients, functions) or as rationals, real Scalars (levels, affine
+point values); periodic point values are integer quarter turns.  Loading
+is strict: an unknown key, a malformed expression, or data violating a
+constructor invariant raises ValidationError naming the problem.
 
 Each text is parsed once per load.  A form is summed into one dict, each
 term's frame sorted into its index with the sign of the sort.  Every
@@ -15,39 +15,27 @@ is judged real and closed once, with the first structure in name order,
 where the public GenStructure(...) would judge it; so every structure
 takes the trusted constructor, GenStructure._of_valid, and each message
 is raised where the public constructor raised it.  The report's digest
-is SHA-256 from the interpreter's built-in module, so importing the
-loader loads no OpenSSL.
+is SHA-256 from the interpreter's built-in module, bound when a digest
+is taken, so importing the loader loads no OpenSSL.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Mapping
 
 from .calculus import DiffForm, VectorField
 from .equivariant import Connection, MomentData, TorusAction
 from .errors import ParseError, ValidationError
 from .linalg import RMat
-from .ring import Chart, EvalPoint, RingElement, make_chart, parse_expr, parse_rational
+from .ring import Chart, EvalPoint, RingElement, Scalar, make_chart, parse_expr, parse_rational
 from .structures import (
     GenStructure,
     check_twist,
     complex_matrix,
     symplectic_matrix,
 )
-
-# The interpreter's built-in SHA-256 module, as the standard library's
-# random takes its SHA-512: hashlib would load OpenSSL, most of the cost of
-# importing this module.  hashlib only where the module is not built.
-try:
-    if sys.version_info >= (3, 12):
-        from _sha2 import sha256 as _sha256
-    else:
-        from _sha256 import sha256 as _sha256
-except ImportError:
-    from hashlib import sha256 as _sha256
 
 KNOWN_CHECKS = (
     "algebraic",
@@ -146,7 +134,7 @@ def form_from_terms(
     return DiffForm._of_valid(chart, degree, total)
 
 
-def _rational(raw: Any, where: str) -> Fraction:
+def _rational(raw: Any, where: str) -> Scalar:
     """A JSON integer, or a string holding an integer or p/q, by the
     parser's rule for rational literals (ring.parse_rational)."""
     try:
@@ -223,7 +211,7 @@ class Scenario:
         self, name: str, title: str, chart: Chart, twist: DiffForm,
         structures: dict[str, GenStructure], pair: tuple[str, str] | None,
         action: TorusAction | None, moment: MomentData | None, moment_structure: str | None,
-        connections: dict[str, Connection], level: tuple[Fraction, ...],
+        connections: dict[str, Connection], level: tuple[Scalar, ...],
         points: dict[str, EvalPoint], b_field: DiffForm | None, basic_field: DiffForm | None,
         checks: tuple[str, ...], expected: dict[str, Any] | None = None,
         raw: dict[str, Any] | None = None,
@@ -441,6 +429,15 @@ def scenario_from_path(path: str) -> Scenario:
 
 
 def scenario_digest(raw: Mapping[str, Any]) -> str:
-    """SHA-256 of the scenario's canonical JSON, as hex."""
+    """SHA-256 of the scenario's canonical JSON, as hex, from the built-in
+    module as random takes its SHA-512 (hashlib, which loads OpenSSL, only
+    where it is not built), bound here so that loading binds none."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return _sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

@@ -64,7 +64,6 @@ is exact and is pinned down by tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -95,9 +94,8 @@ from .linalg import (
     support_transpose,
     transpose,
 )
-from .ring import Chart, EvalPoint, IMAG, ONE, RingElement, Scalar, ZERO, sum_of_products
+from .ring import Chart, EvalPoint, HALF, IMAG, ONE, RingElement, Scalar, ZERO, sum_of_products
 
-HALF = Scalar.of(Fraction(1, 2))
 MINUS_I = -IMAG
 
 
@@ -458,23 +456,26 @@ class GenStructure:
         The pairing is tested once J^2 = -Id holds, and then J^T G J = G
         says G J = J^-T G = -J^T G, that is, G J is skew.  With G the
         pairing matrix, G J is half of J with its two row halves swapped,
-        so no product is formed.  Both tests read the nonzero entries:
-        G J is skew when each one has a mirror entry that cancels it, and
-        a diagonal entry never does."""
+        so no product is formed: G J is skew when those rows equal minus
+        their transpose, on the nonzero entries.  A failing detail names
+        the first non-real entry of J, or nonzero entry of the residual."""
         rows = self.supports
-        if not all(x.is_real for row in rows for x in row.values()):
-            return False, "matrix has a non-real entry"
+        for r, row in enumerate(rows):
+            for c, x in sorted(row.items()):
+                if not x.is_real:
+                    return False, "matrix has a non-real entry: " + _entry_text("J", (r, c, x))
         if not self.squares_to_minus_one:
             return False, "matrix does not square to minus the identity: " + _entry_text(
                 "J^2 + Id", self.square_witness
             )
         n = self.dim
         swapped = rows[n:] + rows[:n]
-        for i, row in enumerate(swapped):
-            for j, x in row.items():
-                mirror = swapped[j].get(i)
-                if mirror is None or not (x + mirror).is_zero:
-                    return False, "matrix does not preserve the pairing"
+        minus_t = tuple({j: -x for j, x in row.items()} for row in support_transpose(swapped))
+        witness = first_difference(swapped, minus_t)
+        if witness is not None:
+            r, c, x = witness
+            residual = _entry_text("G J + J^T G", (r, c, x.scale(HALF)))
+            return False, "matrix does not preserve the pairing: " + residual
         return True, "real, squares to -Id, preserves the pairing"
 
     def with_twist(self, twist: DiffForm) -> "GenStructure":

@@ -410,7 +410,10 @@ def test_full_frame_when_the_structure_is_not_algebraic(monkeypatch):
         )
     )
     struct = GenStructure(chart, matrix, DiffForm.zero(chart, 3))
-    assert struct.algebraic == (False, "matrix does not preserve the pairing")
+    assert struct.algebraic == (
+        False,
+        "matrix does not preserve the pairing: entry (0, 5) of G J + J^T G is -3/4",
+    )
     calls = []
     original = structures.courant_bracket
     monkeypatch.setattr(

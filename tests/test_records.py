@@ -8,7 +8,6 @@ do not hash; every other record compares by identity."""
 import copy
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from gkbench.reduction import (
     TwoStepResult,
     fiber_data,
 )
-from gkbench.ring import EvalPoint, RingElement, make_chart, parse_expr
+from gkbench.ring import EvalPoint, RingElement, Scalar, make_chart, parse_expr
 from gkbench.runner import Verdict
 from gkbench.structures import Basis, GenSection, GenStructure
 
@@ -66,18 +65,18 @@ def test_an_equal_distinct_point_finds_the_same_structure_at_the_point():
 
 def test_a_point_hashes_its_values_once(monkeypatch):
     """A point is immutable, so its hash is taken when it is made: a
-    lookup by point hashes no Fraction."""
+    lookup by point hashes none of its affine values, real Scalars."""
     scen = load_builtin("kahler_c2_circle")
-    point = next(p for p in scen.points.values() if any(type(v) is Fraction for v in p.values))
+    point = next(p for p in scen.points.values() if any(type(v) is Scalar for v in p.values))
     want = hash((point.chart, point.values))
     calls = []
-    original = Fraction.__hash__
+    original = Scalar.__hash__
 
     def counted(q):
         calls.append(q)
         return original(q)
 
-    monkeypatch.setattr(Fraction, "__hash__", counted)
+    monkeypatch.setattr(Scalar, "__hash__", counted)
     assert hash(point) == want and not calls
     scen.structures["j1"].at(point)
     assert not calls

@@ -7,8 +7,21 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkbench import ring
 from gkbench.errors import ValidationError
-from gkbench.ring import IMAG, ONE, ZERO, Scalar, quarter_phase
+from gkbench.ring import (
+    IMAG,
+    MAX_DIGITS,
+    ONE,
+    ZERO,
+    EvalPoint,
+    RingElement,
+    Scalar,
+    make_chart,
+    parse_rational,
+    quarter_phase,
+    scalar_text,
+)
 
 parts = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 pairs = st.tuples(parts, parts)
@@ -155,3 +168,114 @@ def test_shortcuts_match_fraction_pairs(x, unit):
     for diff in (sx - sx, sx - Scalar(*x)):
         assert triple(diff) == (0, 0, 1)
         assert diff is ZERO or x == (0, 0)
+
+
+def test_real_scalars_ints_and_fractions_are_the_rationals():
+    """Scalar(re, im), EvalPoint and fiber_data's level read an int, a
+    Fraction or a real Scalar as one value; bool, float, str and a
+    non-real Scalar are refused."""
+    half = Scalar(Fraction(1, 2))
+    assert Scalar(half, Scalar(-3)) == Scalar(Fraction(1, 2), -3) == Scalar(half, -3)
+    assert triple(Scalar(Scalar(Fraction(2, 3)), Fraction(1, 2))) == (4, 3, 6)
+    chart = make_chart(("x", "affine"), ("y", "periodic"))
+    point = EvalPoint.at(chart, x=half, y=1)
+    assert point == EvalPoint.at(chart, x=Fraction(1, 2), y=1)
+    assert point.values == (half, 1) and str(point) == "(x=1/2, y=1)"
+    assert EvalPoint.at(chart, x=3, y=0).values == (Scalar(3), 0)
+    for bad in (True, 0.5, "1/2", IMAG, Scalar(1, 1), None):
+        with pytest.raises(ValidationError, match="expected an exact rational"):
+            Scalar.of(bad)
+        with pytest.raises(ValidationError, match="expected an exact rational"):
+            EvalPoint.at(chart, x=bad, y=0)
+
+
+# Numerators and denominators from small to the parser's MAX_DIGITS edge.
+EDGE = 10**MAX_DIGITS - 1
+numerators = st.one_of(
+    st.sampled_from((0, 1, -1, EDGE, -EDGE)),
+    st.integers(-30, 30),
+    st.integers(-EDGE, EDGE),
+)
+denominators = st.one_of(
+    st.sampled_from((1, 2, EDGE)), st.integers(1, 30), st.integers(1, EDGE)
+)
+
+
+def fraction_scalar_text(re, im):
+    """The text of re + im*I from the Fraction parts: the oracle."""
+    if im == 0:
+        return str(re)
+    imag = "I" if im == 1 else "-I" if im == -1 else f"{im}*I"
+    if re == 0:
+        return imag
+    return f"({re}{'' if im < 0 else '+'}{imag})"
+
+
+def fraction_element_text(chart, terms):
+    """The text of a ring element from its (exponent, (re, im)) terms, each
+    coefficient a pair of Fractions: the oracle."""
+    pieces = []
+    for expo in sorted(terms, reverse=True):
+        re, im = terms[expo]
+        mono = "*".join(
+            (name if e == 1 else f"{name}^{e}") if affine else f"E({name};{e})"
+            for name, affine, e in zip(chart.names, chart.affine, expo)
+            if e
+        )
+        if re and im:
+            body = fraction_scalar_text(re, im)
+            pieces.append((1, f"{body}*{mono}" if mono else body))
+        elif not im:
+            mag = abs(re)
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            pieces.append((1 if re > 0 else -1, body))
+        else:
+            mag = abs(im)
+            head = "I" if mag == 1 else f"{mag}*I"
+            pieces.append((1 if im > 0 else -1, f"{head}*{mono}" if mono else head))
+    if not pieces:
+        return "0"
+    out = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
+    for sign, body in pieces[1:]:
+        out += (" - " if sign < 0 else " + ") + body
+    return out
+
+
+TEXT_CHART = make_chart(("x", "affine"), ("y", "periodic"))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 2), st.integers(-2, 2)), numerators, numerators, denominators
+        ),
+        max_size=4,
+    ),
+    numerators,
+    denominators,
+    st.integers(-5, 5),
+)
+def test_text_from_the_triple_matches_the_fraction_oracle(terms, p, q, turns):
+    """scalar_text, str(RingElement), str(EvalPoint) and parse_rational
+    read and print the triple; each agrees with the text and value that
+    Fraction gives, from zero and +-1 to numerals of MAX_DIGITS digits."""
+    coeffs = {}
+    for expo, a, b, d in terms:
+        re, im = Fraction(a, d), Fraction(b, d)
+        s = Scalar(re, im)
+        assert triple(s) == triple(ring._make(a, b, d))
+        assert scalar_text(s) == str(s) == fraction_scalar_text(re, im)
+        if s:
+            coeffs[expo] = (re, im)
+    element = RingElement(TEXT_CHART, {e: Scalar(*c) for e, c in coeffs.items()})
+    assert str(element) == fraction_element_text(TEXT_CHART, coeffs)
+    value = Fraction(p, q)
+    point = EvalPoint.at(TEXT_CHART, x=value, y=turns)
+    assert str(point) == f"(x={value}, y={turns})"
+    assert point == EvalPoint.at(TEXT_CHART, x=Scalar(value), y=turns)
+    for text in (f"{p}/{q}", f"{value}", f"+{abs(p)}/{q}", f"-{abs(p)}/{q}"):
+        got = parse_rational(text)
+        want = Fraction(text.replace("+", ""))
+        assert got == Scalar(want) and got.is_real
+        assert str(got) == str(want)

@@ -371,6 +371,32 @@ class TestLoader:
         )
         assert out.stdout == "[]\n"
 
+    def test_loading_and_reporting_load_no_fractions(self):
+        """Scalar is the one exact rational from the parser to the report
+        text, so a fresh interpreter that checks and renders every builtin
+        (levels such as 1/2, rational and periodic point values among them)
+        never imports fractions, nor the decimal and numbers modules it
+        brings."""
+        src = str(Path(scenario_digest.__code__.co_filename).parents[1])
+        program = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import gkbench.scenario\n"
+            "from gkbench.catalog import catalog_names, load_builtin\n"
+            "from gkbench.report import build_report, render_json\n"
+            "from gkbench.runner import run_scenario\n"
+            "for name in catalog_names():\n"
+            "    scen = load_builtin(name)\n"
+            "    render_json(build_report(scen, *run_scenario(scen)))\n"
+            "print(sorted(m for m in ('fractions', 'decimal', '_decimal', 'numbers')"
+            " if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", program],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "[]\n"
+
     def test_path_loading(self, tmp_path):
         target = tmp_path / "scen.json"
         target.write_text(json.dumps(builtin_raw("complex_r2")))

@@ -55,7 +55,7 @@ from gkbench.structures import (
     section_from_column,
 )
 
-from plain_structures import complex_structure, symplectic_structure
+from plain_structures import complex_structure, pairing_failure, symplectic_structure
 
 R2 = make_chart(("x", "affine"), ("y", "affine"))
 R3 = make_chart(("x", "affine"), ("y", "affine"), ("z", "affine"))
@@ -388,9 +388,10 @@ class TestGkPair:
         )
 
     def test_failing_details_name_their_first_witness(self):
-        """J^2 + Id, the commutator and the metric less its transpose are
-        read on row supports, and each failing detail names the first
-        nonzero entry of its residual in row-major order, as ring text."""
+        """J^2 + Id, G J + J^T G, the commutator and the metric less its
+        transpose are read on row supports, and each failing detail names
+        the first nonzero entry of its residual in row-major order, as ring
+        text; a non-real J names its first non-real entry."""
         j1, j2 = self.kahler_pair()
         origin = EvalPoint.at(R4, x1=0, y1=0, x2=0, y2=0)
         doubled = GenStructure(R4, rmat_scale(j1.matrix, Scalar.of(2)), j1.twist)
@@ -427,6 +428,22 @@ class TestGkPair:
             False,
             "product metric is not symmetric: entry (0, 2) of the metric minus "
             "its transpose is -1/2",
+        )
+        # Neither sheared member preserves the pairing: the detail names
+        # the first nonzero entry of G J + J^T G, as the dense oracle does.
+        details = [j.algebraic for j in sheared]
+        assert details == [
+            (False, "matrix does not preserve the pairing: entry (1, 2) of G J + J^T G is 1/2"),
+            (False, "matrix does not preserve the pairing: entry (2, 5) of G J + J^T G is 1/2"),
+        ]
+        assert [d for _, d in details] == [pairing_failure(j.matrix) for j in sheared]
+        # Two imaginary entries: the first in row-major order is named.
+        tinted = [list(row) for row in j2.matrix]
+        tinted[5][6] = tinted[5][6] + RingElement.constant(R4, Scalar.of(0, 1))
+        tinted[3][1] = fn("x1", R4).scale(Scalar.of(0, 1))
+        tinted = GenStructure(R4, tuple(map(tuple, tinted)), j2.twist)
+        assert tinted.algebraic == (
+            False, "matrix has a non-real entry: entry (3, 1) of J is I*x1"
         )
 
     def test_a_constant_metric_is_tested_at_the_first_point_alone(self, monkeypatch):
@@ -714,7 +731,7 @@ def test_skew_pairing_test_matches_the_product_on_conjugates(data):
     ok, detail = conjugate.algebraic
     assert ok == _preserves_pairing_by_product(moved, chart), label
     if not ok:
-        assert detail == "matrix does not preserve the pairing"
+        assert detail == pairing_failure(moved), label
 
 
 # --- the structure at a point -----------------------------------------------------
