@@ -23,11 +23,13 @@ coefficients is nonzero because the function ring is an integral
 domain, and a sum that cancels is deleted where it cancels.
 
 Each result coefficient is accumulated once: X(f), each component of a
-Lie bracket, and each coefficient of an interior or wedge product is
-one `sum_of_products` call over all of its signed products, so no
-product or partial sum in between is built as an element.  A constant
-is not differentiated: X(f) of a constant f is zero without a partial
-derivative, and d skips constant coefficients.
+Lie bracket, and each coefficient of an interior or wedge product or of
+a Lie derivative is one `sum_of_products` call over all of its signed
+products, so no product or partial sum in between is built as an
+element.  A Lie derivative differentiates each component of its field
+at most once per coordinate, however many terms of the form read it.
+A constant is not differentiated: X(f) of a constant f is zero without
+a partial derivative, and d and the Lie derivative skip constants.
 """
 
 from __future__ import annotations
@@ -161,6 +163,19 @@ def _merge_sign(left: Index, right: Index) -> tuple[Index, int]:
         sign *= (-1) ** (len(merged) - pos)
         merged.insert(pos, r)
     return tuple(merged), sign
+
+
+def _coordinate_partials(f: RingElement) -> list[tuple[int, RingElement]]:
+    """(m, d_m f) for each coordinate m where the derivative is nonzero;
+    none for a constant, which is differentiated in no coordinate."""
+    if f.is_constant():
+        return []
+    out = []
+    for m, name in enumerate(f.chart.names):
+        derivative = f.partial(name)
+        if not derivative.is_zero:
+            out.append((m, derivative))
+    return out
 
 
 def _sum_groups(chart: Chart, groups: dict[Index, Pairs]) -> dict[Index, RingElement]:
@@ -298,9 +313,9 @@ class DiffForm:
     #
     # Each result is built canonical: merged indices stay sorted and
     # inside the chart, and a coefficient that cancels is left out where
-    # it cancels (by _sum_groups or _accumulate).  Wedge and interior
-    # collect their signed products by output index and sum each index's
-    # products in one sum_of_products call.
+    # it cancels (by _sum_groups or _accumulate).  Wedge, interior and
+    # the Lie derivative collect their signed products by output index
+    # and sum each index's products in one sum_of_products call.
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
         _same_chart(self.chart, other.chart)
@@ -351,26 +366,37 @@ class DiffForm:
     def lie(self, x: VectorField) -> "DiffForm":
         """Lie derivative along x, computed term by term from the
         derivation rule (not from the Cartan formula, which stays a
-        theorem to test against)."""
+        theorem to test against):
+
+            L_X(f dx_I) = X(f) dx_I
+                + sum_j f dx_{i1} ^ ... ^ d(X^{ij}) ^ ... ^ dx_{ik}.
+
+        The product f * d_m X^{ij} lands on I with i_j replaced by m, with
+        the sign that sorts it, and on nothing when m is another index of
+        I.  Each component of x is differentiated once, in each
+        coordinate, when a term first needs it, and a constant component
+        not at all.  The signed products are collected by output index
+        and each index's products summed in one sum_of_products call."""
         _same_chart(self.chart, x.chart)
         chart = self.chart
-        one = RingElement.one(chart)
-        out: dict[Index, RingElement] = {}
+        partials: dict[int, list[tuple[int, RingElement]]] = {}
+        groups: dict[Index, Pairs] = {}
         for idx, coeff in self.terms.items():
-            # X(f) dx_I
-            xf = x.apply(coeff)
-            if not xf.is_zero:
-                _accumulate(out, idx, xf)
-            # f dx_{i1} ^ ... ^ d(X^{ij}) ^ ... ^ dx_{ik}
+            pairs = x._derivative_pairs(coeff, 1)  # X(f) dx_I
+            if pairs:
+                groups.setdefault(idx, []).extend(pairs)
             for pos, i in enumerate(idx):
-                dcomp = DiffForm.function(x.components[i]).d()
-                if dcomp.is_zero:
-                    continue
-                left = DiffForm._of_valid(chart, pos, {idx[:pos]: coeff})
-                right = DiffForm._of_valid(chart, self.degree - pos - 1, {idx[pos + 1 :]: one})
-                for j, c in left.wedge(dcomp).wedge(right).terms.items():
-                    _accumulate(out, j, c)
-        return DiffForm._of_valid(chart, self.degree, out)
+                dcomp = partials.get(i)
+                if dcomp is None:
+                    dcomp = partials[i] = _coordinate_partials(x.components[i])
+                rest = idx[:pos] + idx[pos + 1 :]
+                for m, dm in dcomp:
+                    if m in rest:
+                        continue
+                    merged, sign = _merge_sign((m,), rest)
+                    # d x_m moves from slot pos to the front: (-1)^pos more
+                    groups.setdefault(merged, []).append((-sign if pos % 2 else sign, coeff, dm))
+        return DiffForm._of_valid(chart, self.degree, _sum_groups(chart, groups))
 
     def apply(self, vectors: Sequence[VectorField]) -> RingElement:
         """Full evaluation w(v1, ..., vk): contraction with v1, then v2, and

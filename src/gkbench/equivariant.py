@@ -197,16 +197,22 @@ def is_equivariantly_closed(
 ) -> tuple[bool, str]:
     """The three component equations of closedness in the Cartan model:
     the twist is closed, each contraction i_{xi_i} H equals d alpha_i,
-    and the matrix alpha_j(xi_i) is antisymmetric."""
+    and the matrix alpha_j(xi_i) is antisymmetric.  A failing detail
+    names the first nonzero component of its residual."""
     action = moment.action
-    if not twist.d().is_zero:
-        return False, "twist is not closed"
+    dh = twist.d()
+    if not dh.is_zero:
+        return False, "twist is not closed: " + _first_component("dH", dh)
     for i, g in enumerate(action.generators):
-        if twist.interior(g) != moment.one_forms[i].d():
+        contracted, dalpha = twist.interior(g), moment.one_forms[i].d()
+        if contracted != dalpha:
+            residual = _first_component(
+                f"i_xi_{i + 1} H - d(alpha_{i + 1})", contracted - dalpha
+            )
             return (
                 False,
                 f"contraction of the twist with generator {i + 1} does not "
-                f"match d(alpha_{i + 1})",
+                f"match d(alpha_{i + 1}): {residual}",
             )
     for i, gi in enumerate(action.generators):
         for j in range(i, action.k):
@@ -219,6 +225,14 @@ def is_equivariantly_closed(
                     f"is {total}, not zero",
                 )
     return True, "equivariantly closed"
+
+
+def _first_component(name: str, form: DiffForm) -> str:
+    """The first nonzero component of a nonzero form of positive degree,
+    in index order, as text."""
+    idx = min(form.terms)
+    frame = "^".join(f"d{form.chart.names[i]}" for i in idx)
+    return f"component {frame} of {name} is {form.terms[idx]}"
 
 
 def check_moment_map(

@@ -7,9 +7,30 @@ An element is a finite sum
 where the x's are affine coordinates carrying polynomial degrees a >= 0,
 the y's are periodic (angle) coordinates carrying Fourier exponentials
 E(y; k) = e^{i k y} with k integral, and each coefficient c is a Gaussian
-rational.  The representation is a dict mapping one exponent tuple per
-coordinate to its coefficient, with zero coefficients never stored, so
-equality of dicts is equality in the ring.
+rational.  The representation is a dict mapping each monomial's exponent
+to its coefficient, with zero coefficients never stored, so equality of
+dicts is equality in the ring.
+
+Inside the kernel an exponent (e0, ..., e_{n-1}) is one int, its key
+e0 + e1 * 2^32 + ... + e_{n-1} * 2^(32 (n-1)): 32 bits per coordinate,
+each field signed.  The encoding is linear, so the exponent of a product
+is the sum of two keys, the exponent of a constant is 0, and an affine
+partial derivative subtracts 1 << 32 i.  A key is decoded back to its
+tuple only where a tuple is read: the `terms` view, `evaluate`, the text
+and the parser's bound screen.  The conjugate negates a key's periodic
+fields without decoding it (_mirror).  Keys stay private to this module:
+the public constructor takes exponent tuples and encodes them, and
+`terms` hands tuples back.
+
+A key stands for one exponent only while each field is below 2^31 in
+absolute value.  The public constructor refuses any |e| >= 2^30 with a
+ValidationError, and an exponent grows at two places alone, the output
+keys of `sum_of_products` and the monomial shift of `*` (a power goes
+through both).  Each checks every key it makes with one range test,
+(key + lift) & top with 2^30 in every field of lift and 2^31 in every
+field of top, which is zero exactly when every field lies in
+[-2^30, 2^30); a key outside raises ValidationError and is never
+returned.  The parser's own bound, MAX_EXPONENT, is far below.
 
 A Gaussian rational (`Scalar`) is the integer triple (a, b, d) standing
 for (a + b*I)/d, normalized to d > 0 and gcd(a, b, d) == 1 with zero as
@@ -71,7 +92,8 @@ from __future__ import annotations
 import sys
 from functools import cache
 from math import comb, gcd, prod
-from operator import add as _add
+from operator import lshift as _lshift
+from struct import Struct
 from typing import Iterable, Mapping, Union
 
 from .errors import ChartMismatchError, ParseError, ValidationError
@@ -96,18 +118,31 @@ MAX_DIGITS = 1000
 MAX_TERMS = 1000
 MAX_COORDS = 16
 
+# An exponent key has one signed field of _FIELD bits per coordinate (see
+# the module docstring).  Every exponent a key holds lies in
+# [-_BOUND, _BOUND]: the public constructor takes |e| < _BOUND, and the
+# range test of each new key passes [-_BOUND, _BOUND).
+_FIELD = 32
+_MASK = (1 << _FIELD) - 1
+_BOUND = 1 << 30
+
 RationalLike = Union[int, "Scalar"]  # or a standard-library rational: see _real
 
 
 class Chart:
     """An ordered list of named coordinates, each affine or periodic.
 
-    The names, the affine mask and the name-to-index map are built once,
-    when the chart is made; they take no part in equality or hashing,
-    which read the coordinates alone.
+    The names, the affine mask, the name-to-index map and the constants
+    of the ring's exponent keys (each field's bit offset, the lift and
+    top of the range test, the mask of the periodic fields and the
+    decoder) are built once, when the chart is made; they take no part
+    in equality or hashing, which read the coordinates alone.
     """
 
-    __slots__ = ("coords", "names", "affine", "_positions")
+    __slots__ = (
+        "coords", "names", "affine", "_positions",
+        "_shifts", "_lift", "_top", "_periodic", "_periodic_lift", "_width", "_unpack",
+    )
 
     def __init__(self, coords: tuple[tuple[str, str], ...]) -> None:
         if len(coords) < 1:
@@ -131,6 +166,15 @@ class Chart:
         self.names = tuple(name for name, _ in coords)
         self.affine = tuple(kind == AFFINE for _, kind in coords)
         self._positions = {name: i for i, name in enumerate(self.names)}
+        self._shifts = tuple(range(0, _FIELD * len(coords), _FIELD))
+        self._lift = sum(_BOUND << s for s in self._shifts)
+        self._top = self._lift << 1
+        self._periodic = sum(
+            _MASK << s for s, aff in zip(self._shifts, self.affine) if not aff
+        )
+        self._periodic_lift = self._lift & self._periodic
+        self._width = _FIELD // 8 * len(coords)
+        self._unpack = Struct(f"<{len(coords)}i").unpack
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chart):
@@ -412,6 +456,41 @@ class EvalPoint:
 
 
 Exponent = tuple[int, ...]
+Key = int  # an exponent as the kernel stores it: one signed field per coordinate
+
+
+def _encode(chart: Chart, expo: Exponent) -> Key:
+    return sum(map(_lshift, expo, chart._shifts))
+
+
+def _decode(chart: Chart, key: Key) -> Exponent:
+    """The exponent tuple of a key.  With 2^31 added to each field, every
+    field is e + 2^31 in [0, 2^32), so none borrows from the next; with
+    each field's top bit then flipped, the field is e's 32-bit two's
+    complement, and the bytes are read as signed 32-bit ints."""
+    top = chart._top
+    return chart._unpack(((key + top) ^ top).to_bytes(chart._width, "little"))
+
+
+_OUT_OF_RANGE = "an exponent of a product leaves the range [-2^30, 2^30)"
+
+
+def _mirror(chart: Chart, key: Key) -> Key:
+    """The key of the conjugate exponent, each periodic field negated:
+    key - 2P, with P the periodic fields of the key, read under the lift
+    as _decode reads them.  On a chart with no periodic coordinate P is 0."""
+    return key - 2 * (((key + chart._lift) & chart._periodic) - chart._periodic_lift)
+
+
+def _check_keys(chart: Chart, keys: Iterable[Key]) -> None:
+    """Raise ValidationError unless every field of every key lies in
+    [-2^30, 2^30): one range test per key, (key + lift) & top, which is
+    zero exactly then.  A plain loop: at every size it takes about half
+    the time of the same test mapped over the keys."""
+    lift, top = chart._lift, chart._top
+    for key in keys:
+        if (key + lift) & top:
+            raise ValidationError(_OUT_OF_RANGE)
 
 
 def _check_chart(a: "RingElement", b: "RingElement") -> None:
@@ -441,7 +520,7 @@ def _times(x: Triple, y: Triple) -> Triple:
     return _norm(a * c - b * e, a * e + b * c, d * f)
 
 
-def _merge(out: dict[Exponent, Triple], terms: dict[Exponent, Triple], sign: int) -> None:
+def _merge(out: dict[Key, Triple], terms: dict[Key, Triple], sign: int) -> None:
     """Add sign times each of the terms into out, deleting an exponent
     whose sum cancels."""
     for expo, t in terms.items():
@@ -466,25 +545,27 @@ def _merge(out: dict[Exponent, Triple], terms: dict[Exponent, Triple], sign: int
 class RingElement:
     """A canonical sparse sum of monomials over a fixed chart.
 
-    Inside the kernel each coefficient is the normalized integer triple
-    (a, b, d) of a Scalar, with no zero stored, so equal elements have
-    equal dicts and no ring operation builds or unpacks a Scalar.  Readers
-    outside the kernel see `terms`, the same dict with Scalar values.
+    Inside the kernel each exponent is its key and each coefficient the
+    normalized integer triple (a, b, d) of a Scalar, with no zero stored,
+    so equal elements have equal dicts and no ring operation builds or
+    unpacks a Scalar.  Readers outside the kernel see `terms`, the same
+    terms with exponent tuples and Scalar values.
 
     The public constructor validates its terms: every exponent has the
-    chart's arity and no negative degree on an affine coordinate, and
-    zero coefficients are dropped.  The named constructors and the
-    results of ring operations are built through `_of_valid`, which
-    trusts its terms, because each keeps them canonical as it builds
-    them: exponents of sums, products, conjugates and derivatives of valid
-    exponents are valid, and a coefficient that cancels is deleted where
-    it cancels.
+    chart's arity, no negative degree on an affine coordinate and no
+    |e| >= 2^30, and zero coefficients are dropped.  The named
+    constructors and the results of ring operations are built through
+    `_of_valid`, which trusts its terms, because each keeps them
+    canonical as it builds them: exponents of sums, conjugates and
+    derivatives of valid exponents are valid, those of products are
+    range-tested, and a coefficient that cancels is deleted where it
+    cancels.
     """
 
     __slots__ = ("chart", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Scalar]) -> None:
-        clean: dict[Exponent, Triple] = {}
+        clean: dict[Key, Triple] = {}
         n = chart.dim
         for expo, coeff in terms.items():
             if len(expo) != n:
@@ -492,13 +573,15 @@ class RingElement:
             for i, e in enumerate(expo):
                 if chart.is_affine(i) and e < 0:
                     raise ValidationError("negative degree on affine coordinate")
+                if not -_BOUND < e < _BOUND:
+                    raise ValidationError("exponent is 2^30 or more in absolute value")
             if not coeff.is_zero:
-                clean[expo] = (coeff._a, coeff._b, coeff._d)
+                clean[_encode(chart, expo)] = (coeff._a, coeff._b, coeff._d)
         self.chart = chart
         self._terms = clean
 
     @staticmethod
-    def _of_valid(chart: Chart, terms: dict[Exponent, Triple]) -> "RingElement":
+    def _of_valid(chart: Chart, terms: dict[Key, Triple]) -> "RingElement":
         """An element from canonical triples (valid exponents, no zero
         coefficient), taken as they are: the dict becomes the element's,
         so the caller must not keep changing it."""
@@ -509,8 +592,10 @@ class RingElement:
 
     @property
     def terms(self) -> dict[Exponent, Scalar]:
-        """The terms with Scalar coefficients, a new dict on each read."""
-        return {e: _triple(a, b, d) for e, (a, b, d) in self._terms.items()}
+        """The terms with exponent tuples and Scalar coefficients, a new
+        dict on each read."""
+        chart = self.chart
+        return {_decode(chart, k): _triple(a, b, d) for k, (a, b, d) in self._terms.items()}
 
     # --- constructors -------------------------------------------------
 
@@ -522,11 +607,11 @@ class RingElement:
     def constant(chart: Chart, value: Scalar) -> "RingElement":
         if not value:
             return RingElement._of_valid(chart, {})
-        return RingElement._of_valid(chart, {(0,) * chart.dim: (value._a, value._b, value._d)})
+        return RingElement._of_valid(chart, {0: (value._a, value._b, value._d)})
 
     @staticmethod
     def one(chart: Chart) -> "RingElement":
-        return RingElement._of_valid(chart, {(0,) * chart.dim: (1, 0, 1)})
+        return RingElement._of_valid(chart, {0: (1, 0, 1)})
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "RingElement":
@@ -589,8 +674,9 @@ class RingElement:
         else:
             return sum_of_products(self.chart, ((1, self, other),))
         ((shift, c),) = mono._terms.items()
-        if any(shift):
-            terms = {tuple(map(_add, e, shift)): _times(x, c) for e, x in rest._terms.items()}
+        if shift:
+            terms = {e + shift: _times(x, c) for e, x in rest._terms.items()}
+            _check_keys(self.chart, terms)
         elif c == (1, 0, 1):
             return rest
         else:
@@ -618,13 +704,9 @@ class RingElement:
         return out
 
     def conj(self) -> "RingElement":
-        affine = self.chart.affine
+        chart = self.chart
         return RingElement._of_valid(
-            self.chart,
-            {
-                tuple(e if a else -e for e, a in zip(expo, affine)): (a, -b, d)
-                for expo, (a, b, d) in self._terms.items()
-            },
+            chart, {_mirror(chart, k): (a, -b, d) for k, (a, b, d) in self._terms.items()}
         )
 
     def partial(self, name: str) -> "RingElement":
@@ -632,19 +714,22 @@ class RingElement:
         constant in the coordinate drop out; each other term keeps its
         own exponent (periodic) or lowers it by one (affine), so no two
         terms meet."""
-        i = self.chart.index(name)
-        out: dict[Exponent, Triple] = {}
-        if self.chart.affine[i]:
-            for expo, (a, b, d) in self._terms.items():
-                e = expo[i]
+        chart = self.chart
+        i = chart.index(name)
+        shift, lift = chart._shifts[i], chart._lift
+        out: dict[Key, Triple] = {}
+        if chart.affine[i]:
+            step = 1 << shift
+            for key, (a, b, d) in self._terms.items():
+                e = ((key + lift) >> shift & _MASK) - _BOUND  # field i, as in _decode
                 if e:
-                    out[expo[:i] + (e - 1,) + expo[i + 1 :]] = _norm(a * e, b * e, d)
+                    out[key - step] = _norm(a * e, b * e, d)
         else:
-            for expo, (a, b, d) in self._terms.items():
-                e = expo[i]
+            for key, (a, b, d) in self._terms.items():
+                e = ((key + lift) >> shift & _MASK) - _BOUND
                 if e:  # d/dy e^{iky} = i k e^{iky}
-                    out[expo] = _norm(-b * e, a * e, d)
-        return RingElement._of_valid(self.chart, out)
+                    out[key] = _norm(-b * e, a * e, d)
+        return RingElement._of_valid(chart, out)
 
     def evaluate(self, point: EvalPoint) -> Scalar:
         """The exact value at the point.  Each term's value is an
@@ -655,12 +740,15 @@ class RingElement:
             raise ChartMismatchError("point lives on a different chart")
         terms = self._terms
         if len(terms) == 1:
-            ((expo, t),) = terms.items()
-            if not any(expo):
+            ((key, t),) = terms.items()
+            if not key:
                 return _triple(*t)
         ta, tb, td = 0, 0, 1
-        slots = tuple(zip(self.chart.affine, point.values))
-        for expo, (a, b, d) in terms.items():
+        chart = self.chart
+        slots = tuple(zip(chart.affine, point.values))
+        top, width, unpack = chart._top, chart._width, chart._unpack
+        for key, (a, b, d) in terms.items():
+            expo = unpack(((key + top) ^ top).to_bytes(width, "little"))  # _decode, inline
             for e, (affine, base) in zip(expo, slots):
                 if e == 0:
                     continue
@@ -692,16 +780,14 @@ class RingElement:
     @property
     def is_real(self) -> bool:
         """Each term's conjugate exponent carries the conjugate triple."""
-        affine = self.chart.affine
-        terms = self._terms
-        for expo, (a, b, d) in terms.items():
-            mirror = tuple(e if aff else -e for e, aff in zip(expo, affine))
-            if terms.get(mirror) != (a, -b, d):
+        chart, terms = self.chart, self._terms
+        for key, (a, b, d) in terms.items():
+            if terms.get(_mirror(chart, key)) != (a, -b, d):
                 return False
         return True
 
     def is_constant(self) -> bool:
-        return not any(map(any, self._terms))
+        return not any(self._terms)
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
@@ -758,9 +844,11 @@ def sum_of_products(
     that does not cancel is normalized once.  Two sums with different
     denominators meet over their lcm, so an exponent's denominator is at
     most the lcm of its pairs' denominators, never their product.  The
-    outer loop runs over the factor with fewer terms, so a constant factor
-    shifts no exponent."""
-    sums: dict[Exponent, Triple] = {}
+    outer loop runs over the factor with fewer terms.  The exponent of a
+    product of terms is the sum of their keys, and each key is
+    range-tested once, as _check_keys does, when it first appears."""
+    lift, top = chart._lift, chart._top
+    sums: dict[Key, Triple] = {}
     for sign, x, y in pairs:
         if (x.chart is not chart or y.chart is not chart) and not x.chart == chart == y.chart:
             raise ChartMismatchError(f"factors over {x.chart} and {y.chart}, not {chart}")
@@ -770,14 +858,15 @@ def sum_of_products(
         for e1, (a1, b1, d1) in left.items():
             if sign < 0:
                 a1, b1 = -a1, -b1
-            shifted = any(e1)
             for e2, (a2, b2, d2) in right.items():
                 a = a1 * a2 - b1 * b2
                 b = a1 * b2 + b1 * a2
                 d = d1 * d2
-                expo = tuple(map(_add, e1, e2)) if shifted else e2
+                expo = e1 + e2
                 acc = sums.get(expo)
                 if acc is None:
+                    if (expo + lift) & top:
+                        raise ValidationError(_OUT_OF_RANGE)
                     sums[expo] = (a, b, d)
                     continue
                 p, q, f = acc
@@ -954,15 +1043,16 @@ def _check_product(factors: tuple[tuple[RingElement, int], ...], pos: int) -> No
     sum of p times each factor's largest |exponent|, so the coordinates
     are walked one by one only when that sum does.  A factor of t terms to
     the power p has at most comb(t + p - 1, p) terms, one per multiset of
-    p of its terms."""
-    if all(f._terms for f, _ in factors) and MAX_EXPONENT < sum(
-        p * max(max(map(max, f._terms)), -min(map(min, f._terms))) for f, p in factors
+    p of its terms.  The exponents are decoded from their keys once."""
+    exponents = [([_decode(f.chart, k) for k in f._terms], p) for f, p in factors]
+    if all(e for e, _ in exponents) and MAX_EXPONENT < sum(
+        p * max(max(map(max, e)), -min(map(min, e))) for e, p in exponents
     ):
         dim = factors[0][0].chart.dim
         high, low = [0] * dim, [0] * dim
-        for f, p in factors:
+        for e, p in exponents:
             # one pass over the factor's exponents, coordinate by coordinate
-            for i, column in enumerate(zip(*f._terms)):
+            for i, column in enumerate(zip(*e)):
                 high[i] += p * max(column)
                 low[i] += p * min(column)
         if any(abs(reach) > MAX_EXPONENT for reach in high + low):
@@ -1035,7 +1125,7 @@ def _parse_atom(toks: _Tokens, chart: Chart) -> RingElement:
     if kind == "num":
         # The constant's triple (p/g, 0, q/g), g = gcd(p, q), built directly.
         numer, denom = _rational_literal(toks, text, pos)
-        terms = {(0,) * chart.dim: _norm(numer, 0, denom)} if numer else {}
+        terms = {0: _norm(numer, 0, denom)} if numer else {}
         return RingElement._of_valid(chart, terms)
     if kind == "(":
         inner = _parse_sum(toks, chart)
@@ -1086,5 +1176,4 @@ def _periodic_index(chart: Chart, name: str, pos: int) -> int:
 
 def _unit(chart: Chart, i: int, k: int) -> RingElement:
     """The monomial with exponent k at coordinate i, and coefficient one."""
-    expo = (0,) * i + (k,) + (0,) * (chart.dim - i - 1)
-    return RingElement._of_valid(chart, {expo: (1, 0, 1)})
+    return RingElement._of_valid(chart, {k << chart._shifts[i]: (1, 0, 1)})

@@ -793,7 +793,8 @@ def check_integrable(
 
     J^2 = -Id is checked first; it is also the idempotence of the
     eigenprojector P = (Id - iJ)/2, as P^2 - P = -(J^2 + Id)/4, which is
-    what the failing verdict names.  The eigenbundle rank is checked at the
+    what the failing verdict names, with the first nonzero entry of
+    J^2 + Id.  The eigenbundle rank is checked at the
     sample points (the number of columns of Id - iJ(p) that at(p) picks),
     and every bracket of spanning sections is required to stay inside the
     eigenbundle (zero residual (J - i)w).  For an isotropic subbundle this
@@ -806,7 +807,9 @@ def check_integrable(
     residual component as the general bracket.
     """
     if not struct.squares_to_minus_one:
-        return False, "eigenprojector is not idempotent"
+        return False, "eigenprojector is not idempotent: " + _entry_text(
+            "J^2 + Id", struct.square_witness
+        )
     for p in points.values():
         defect = struct.at(p).rank_defect
         if defect is not None:

@@ -157,9 +157,24 @@ class TestCartanModel:
             ),
             moment.functions,
         )
-        ok, _ = is_equivariantly_closed(twist, bad)
+        ok, detail = is_equivariantly_closed(twist, bad)
         assert not ok
+        assert detail == (
+            "contraction of the twist with generator 1 does not match d(alpha_1): "
+            "component dt1^dt2 of i_xi_1 H - d(alpha_1) is -1"
+        )
         assert not cartan_d(equivariant_three_form(twist, bad), action).is_zero
+
+    def test_a_twist_that_is_not_closed_names_a_component_of_dh(self):
+        """A planted t1 dx1^dx2^dt2 in the twist: d of it is
+        dt1^dx1^dx2^dt2, that is -dx1^dt1^dx2^dt2, the one component of dH
+        the failing detail names."""
+        moment = cylinder_moment_after_transform()
+        planted = d(CYL, "x1").wedge(d(CYL, "x2")).wedge(d(CYL, "t2")).scale(fn("t1", CYL))
+        twist = -cylinder_b_total().d() + planted
+        assert is_equivariantly_closed(twist, moment) == (
+            False, "twist is not closed: component dx1^dt1^dx2^dt2 of dH is -1"
+        )
 
 
 class TestMomentMap:

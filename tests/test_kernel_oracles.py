@@ -74,7 +74,16 @@ from gkbench.linalg import (
     transpose,
 )
 from gkbench.reduction import _push_down, descend_endomorphism, dirac_reduce
-from gkbench.ring import IMAG, ONE, ZERO, RingElement, Scalar, make_chart, sum_of_products
+from gkbench.ring import (
+    IMAG,
+    MAX_COORDS,
+    ONE,
+    ZERO,
+    RingElement,
+    Scalar,
+    make_chart,
+    sum_of_products,
+)
 from gkbench.runner import Workspace, run_scenario
 from gkbench.scenario import load_scenario
 from gkbench.structures import (
@@ -294,6 +303,191 @@ def test_terms_view_round_trips(data):
 def test_ring_difference_refuses_another_chart():
     with pytest.raises(ChartMismatchError):
         RingElement.one(POLY) - RingElement.one(TRIG)
+
+
+# --- exponent keys ------------------------------------------------------------
+#
+# The kernel keys each term by one int, the sum of e_i * 2^(32 i), with a
+# signed 32-bit field per coordinate.  Each operation is held here to the
+# tuple-keyed formula it had before, written out on the `terms` view, over
+# drawn charts of up to MAX_COORDS coordinates: a negative periodic
+# exponent borrows from the field above it, and exponents of 2^29 - 1 and
+# -2^29 set the high bits of their fields, while a sum of two stays inside
+# the kernel's range.
+
+_AFFINE_DRAWS = (0, 0, 0, 1, 2, 2**29 - 1)
+_PERIODIC_DRAWS = (0, 0, 0, 1, -1, -2, 2**29 - 1, -(2**29))
+# Exponents that a point with any affine values can be raised to.
+_SMALL_AFFINE, _SMALL_PERIODIC = (0, 0, 1, 2), (0, 0, 1, -1, -2, 3)
+
+
+@st.composite
+def wide_charts(draw):
+    kinds = draw(st.lists(st.sampled_from(("affine", "periodic")), min_size=1, max_size=MAX_COORDS))
+    return make_chart(*((f"c{i}", kind) for i, kind in enumerate(kinds)))
+
+
+@st.composite
+def wide_terms(draw, chart, max_terms=4, small=False):
+    """Terms over the chart, mostly zero in each coordinate so that
+    products meet on an exponent."""
+    affine, periodic = (_SMALL_AFFINE, _SMALL_PERIODIC) if small else (_AFFINE_DRAWS, _PERIODIC_DRAWS)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        expo = tuple(draw(st.sampled_from(affine if aff else periodic)) for aff in chart.affine)
+        terms[expo] = draw(st.sampled_from(COEFFS))
+    return terms
+
+
+@st.composite
+def wide_elements(draw, chart, max_terms=4, small=False):
+    return RingElement(chart, draw(wide_terms(chart, max_terms, small)))
+
+
+def tuple_signed_sum(f, g, sign):
+    """f + sign * g on exponent tuples."""
+    out = dict(f.terms)
+    for expo, c in g.terms.items():
+        cur = out.get(expo, ZERO)
+        out[expo] = cur + c if sign > 0 else cur - c
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_mirror(chart, expo):
+    return tuple(e if aff else -e for e, aff in zip(expo, chart.affine))
+
+
+def tuple_conj(f):
+    return {tuple_mirror(f.chart, expo): c.conj() for expo, c in f.terms.items()}
+
+
+def tuple_is_real(f):
+    terms = f.terms
+    return all(terms.get(tuple_mirror(f.chart, expo)) == c.conj() for expo, c in terms.items())
+
+
+def tuple_is_constant(f):
+    return not any(map(any, f.terms))
+
+
+def scalar_power(s, e):
+    out = ONE
+    while e:
+        if e & 1:
+            out = out * s
+        s = s * s
+        e >>= 1
+    return out
+
+
+def tuple_evaluate(f, point):
+    """Each term's coefficient times each affine value to its degree and
+    each periodic quarter-turn phase, summed with Scalar `+`."""
+    total = ZERO
+    for expo, c in f.terms.items():
+        for e, aff, v in zip(expo, f.chart.affine, point.values):
+            c = c * (scalar_power(v, e) if aff else ring.quarter_phase(e * v))
+        total = total + c
+    return total
+
+
+def tuple_text(f):
+    """The text of an element from its exponent tuples: terms in
+    decreasing order of their tuples, each its coefficient and factors."""
+    terms = f.terms
+    if not terms:
+        return "0"
+    out = ""
+    for expo in sorted(terms, reverse=True):
+        coeff = terms[expo]
+        factors = []
+        for name, aff, e in zip(f.chart.names, f.chart.affine, expo):
+            if e:
+                factors.append((name if e == 1 else f"{name}^{e}") if aff else f"E({name};{e})")
+        mono = "*".join(factors)
+        a, b, d = coeff._a, coeff._b, coeff._d
+        if a and b:
+            negative, body = False, ring.scalar_text(coeff)
+        else:
+            negative = a + b < 0
+            body = ring.scalar_text(Scalar.of(Fraction(abs(a), d), Fraction(abs(b), d)))
+        body = body if not mono else mono if body == "1" else f"{body}*{mono}"
+        out += (" - " if negative else " + ") + body
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_keyed_terms_round_trip(data):
+    """The constructor encodes each exponent and `terms` decodes it: the
+    view is the input less its zero coefficients."""
+    chart = data.draw(wide_charts())
+    terms = data.draw(wide_terms(chart, 6))
+    terms[tuple(0 for _ in chart.affine)] = data.draw(st.sampled_from(COEFFS + (ZERO,)))
+    f = RingElement(chart, terms)
+    assert f.terms == {e: c for e, c in terms.items() if c}
+    assert RingElement(chart, f.terms) == f
+    assert f.is_constant() == tuple_is_constant(f)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_keyed_products_are_the_tuple_loop(data):
+    """sum_of_products and `*`, the general loop and the monomial shift."""
+    chart = data.draw(wide_charts())
+    f, g = data.draw(wide_elements(chart)), data.draw(wide_elements(chart))
+    mono = data.draw(wide_elements(chart, 1))
+    for p, q in ((f, g), (f, mono), (mono, g), (mono, mono)):
+        assert (p * q).terms == scalar_loop_product(p, q)
+        assert_canonical(p * q)
+    pairs = [(1, f, g), (-1, mono, f), (1, g, g)]
+    assert sum_of_products(chart, pairs).terms == scalar_loop_sum(chart, pairs)
+    assert sum_of_products(chart, pairs + [(-s, y, x) for s, x, y in pairs]).is_zero
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_keyed_sums_partials_and_conjugates_are_the_tuple_formulas(data):
+    chart = data.draw(wide_charts())
+    f, g = data.draw(wide_elements(chart)), data.draw(wide_elements(chart))
+    assert (f + g).terms == tuple_signed_sum(f, g, 1)
+    assert (f - g).terms == tuple_signed_sum(f, g, -1)
+    assert (-f).terms == tuple_signed_sum(RingElement.zero(chart), f, -1)
+    for i, name in enumerate(chart.names):
+        assert f.partial(name).terms == scalar_partial(f, i)
+    assert f.conj().terms == tuple_conj(f)
+    real = f + f.conj()
+    for x in (f, g, real, real + RingElement.constant(chart, IMAG), f * f.conj()):
+        assert x.is_real == tuple_is_real(x)
+        assert x.is_constant() == tuple_is_constant(x)
+    assert real.is_real
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_keyed_evaluation_is_the_tuple_formula(data):
+    """Small exponents at any point, and the high-bit draws at points
+    whose affine values are 0, 1 or -1, which any degree keeps small."""
+    chart = data.draw(wide_charts())
+    small = data.draw(st.booleans())
+    f = data.draw(wide_elements(chart, small=small))
+    values = (0, 1, -1, 2, Fraction(-1, 2), Fraction(3, 4)) if small else (0, 1, -1)
+    named = {
+        name: data.draw(st.sampled_from(values if aff else (0, 1, 2, 3, -1, 5)))
+        for name, aff in zip(chart.names, chart.affine)
+    }
+    point = ring.EvalPoint.from_mapping(chart, named)
+    assert f.evaluate(point) == tuple_evaluate(f, point)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_keyed_text_is_the_tuple_text(data):
+    """The text sorts terms by their exponent tuples, never by keys."""
+    chart = data.draw(wide_charts())
+    f = data.draw(wide_elements(chart, 5))
+    assert str(f) == tuple_text(f)
+    assert str(f.conj()) == tuple_text(f.conj())
 
 
 # --- the Courant bracket ---------------------------------------------------
@@ -569,6 +763,58 @@ def test_lie_bracket_is_the_difference_of_derivatives(data):
     for c, xc, yc in zip(got.components, x.components, y.components):
         assert c.terms == (x.apply(yc) - y.apply(xc)).terms
         assert_canonical(c)
+
+
+def composed_lie(form, x):
+    """The derivation rule as composed forms: X(f) dx_I, plus for each
+    slot of I the wedge of f dx_{I before the slot}, d(X^i) and
+    dx_{I after the slot}, all summed with form `+`."""
+    chart = form.chart
+    one = RingElement.one(chart)
+    out = DiffForm.zero(chart, form.degree)
+    for idx, coeff in form.terms.items():
+        out = out + DiffForm(chart, form.degree, {idx: x.apply(coeff)})
+        for pos, i in enumerate(idx):
+            dcomp = DiffForm.function(x.components[i]).d()
+            left = DiffForm(chart, pos, {idx[:pos]: coeff})
+            right = DiffForm(chart, form.degree - pos - 1, {idx[pos + 1 :]: one})
+            out = out + left.wedge(dcomp).wedge(right)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lie_is_the_composed_derivation_rule(seed):
+    """Forms of every degree from 0 to 3 and fields drawn as the identity
+    suite draws them, over both of its charts."""
+    rng = random.Random(seed)
+    for chart in selftest._CHARTS:
+        x = selftest._rand_vector(rng, chart)
+        for degree in range(4):
+            form = selftest._rand_form(rng, chart, degree)
+            got = form.lie(x)
+            assert got == composed_lie(form, x)
+            assert all(c.terms for c in got.terms.values())
+
+
+def test_lie_differentiates_each_component_once_per_coordinate(monkeypatch):
+    """On a 2-form whose terms share their indices, each component of the
+    field is differentiated at most once in each coordinate, where the
+    composed rule differentiated it once per term and slot."""
+    chart = selftest._PLANE
+    x = VectorField(chart, tuple(ring.parse_expr(t, chart) for t in ("x*y", "y^2 + z", "x*z")))
+    coeffs = (ring.parse_expr(t, chart) for t in ("z", "x + 1", "y"))
+    form = DiffForm(chart, 2, dict(zip(((0, 1), (0, 2), (1, 2)), coeffs)))
+    seen = []
+    partial = RingElement.partial
+    monkeypatch.setattr(
+        RingElement, "partial", lambda f, name: seen.append((id(f), name)) or partial(f, name)
+    )
+    form.lie(x)
+    component_calls = [(i, name) for i, c in enumerate(x.components) for f, name in seen if f == id(c)]
+    assert len(component_calls) == len(set(component_calls)) == 3 * 3
+    seen.clear()
+    composed_lie(form, x)
+    assert len([f for f, _ in seen if any(f == id(c) for c in x.components)]) == 2 * 3 * 3
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -206,13 +206,13 @@ def per_coordinate_check(factors, pos):
     `ring._check_product`, which walks the coordinates only when the
     factors' largest |exponent|s, each times its power, sum past the
     bound."""
-    if all(f._terms for f, _ in factors):
+    if all(f.terms for f, _ in factors):
         for i in range(factors[0][0].chart.dim):
             for pick in (max, min):
-                reach = sum(p * pick(e[i] for e in f._terms) for f, p in factors)
+                reach = sum(p * pick(e[i] for e in f.terms) for f, p in factors)
                 if abs(reach) > MAX_EXPONENT:
                     raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", pos)
-    terms = prod(comb(max(len(f._terms) + p - 1, 0), p) for f, p in factors)
+    terms = prod(comb(max(len(f.terms) + p - 1, 0), p) for f, p in factors)
     if terms > MAX_TERMS:
         raise ParseError(f"product or power could exceed {MAX_TERMS} terms", pos)
 
@@ -297,6 +297,54 @@ class TestBoundCheck:
         assert comb(9 + 4, 4) < MAX_TERMS < comb(10 + 4, 4)
         assert bound_verdict(ring._check_product, ((five, 9),)) is None
         assert bound_verdict(ring._check_product, ((five, 10),)) == terms_over
+
+
+class TestExponentKeys:
+    """Inside the kernel an exponent is one int with a signed 32-bit field
+    per coordinate.  The constructor takes |e| < 2^30, and every key a
+    product makes must keep each field in [-2^30, 2^30): a product that
+    leaves the range raises, and one at its edge decodes to its exponent."""
+
+    TOP = 2**30
+
+    def test_constructor_refuses_exponents_of_2_to_the_30(self):
+        for expo in ((self.TOP, 0, 0), (0, -self.TOP, 0), (0, 0, self.TOP + 5)):
+            with pytest.raises(ValidationError, match="2\\^30"):
+                RingElement(MIXED, {expo: Scalar.of(1)})
+        edge = {(self.TOP - 1, 1 - self.TOP, self.TOP - 1): Scalar.of(2)}
+        assert RingElement(MIXED, edge).terms == edge
+
+    def test_products_at_the_edge_round_trip(self):
+        x = RingElement(MIXED, {(self.TOP - 2, 0, 0): Scalar.of(1)})
+        y = RingElement(MIXED, {(0, 1 - self.TOP, 1): Scalar.of(3)})
+        one = RingElement.one(MIXED)
+        assert (x * elem("x")).terms == {(self.TOP - 1, 0, 0): Scalar.of(1)}
+        assert ((x + one) * (elem("x") + one)).terms[(self.TOP - 1, 0, 0)] == Scalar.of(1)
+        # -2^30 is the low end of the range a product may reach; its
+        # conjugate, 2^30, still decodes, and the fields beside it keep
+        # their values.
+        low = y * elem("E(y;-1)*t")
+        assert low.terms == {(0, -self.TOP, 2): Scalar.of(3)}
+        assert low.conj().terms == {(0, self.TOP, 2): Scalar.of(3)}
+        assert (low + elem("x")).partial("t").terms == {(0, -self.TOP, 1): Scalar.of(6)}
+
+    def test_products_past_the_edge_raise(self):
+        x = RingElement(MIXED, {(self.TOP - 1, 0, 0): Scalar.of(1)})
+        y = RingElement(MIXED, {(0, 1 - self.TOP, 0): Scalar.of(1)})
+        t = RingElement(MIXED, {(0, 0, self.TOP - 1): Scalar.of(1)})
+        one = RingElement.one(MIXED)
+        for product in (
+            lambda: x * elem("x"),  # the monomial shift
+            lambda: elem("x") * x,
+            lambda: (x + one) * (elem("x") + one),  # the product loop
+            lambda: y * elem("E(y;-2)"),  # a field below -2^30
+            lambda: (y + one) * (elem("E(y;-2)") + one),
+            lambda: t * t,  # the top field
+            lambda: RingElement(MIXED, {(2**15, 0, 0): Scalar.of(1)}) ** (2**15),
+            lambda: ring.sum_of_products(MIXED, ((1, x, elem("x")), (-1, x, elem("x")))),
+        ):
+            with pytest.raises(ValidationError, match="leaves the range"):
+                product()
 
 
 class TestChart:

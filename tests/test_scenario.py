@@ -695,7 +695,8 @@ class TestRunner:
         assert details["gamma:theta"] == "twist plus d(potential) is not basic"
         assert details["reduction"] == details["gk_reduction"] == unbasic
         assert details["equivariant"] == (
-            "contraction of the twist with generator 1 does not match d(alpha_1)"
+            "contraction of the twist with generator 1 does not match d(alpha_1): "
+            "component dy1^dx2 of i_xi_1 H - d(alpha_1) is 1"
         )
         assert judged.count(scen.twist) == 1
 

@@ -269,7 +269,9 @@ class TestComplex:
         one = RingElement.one(R2)
         matrix = tuple(tuple(one if i == j else z for j in range(4)) for i in range(4))
         struct = GenStructure(R2, matrix, DiffForm.zero(R2, 3))
-        assert check_integrable(struct) == (False, "eigenprojector is not idempotent")
+        assert check_integrable(struct) == (
+            False, "eigenprojector is not idempotent: entry (0, 0) of J^2 + Id is 2"
+        )
         assert not struct.algebraic[0]
         assert "squares_to_minus_one" in vars(struct.with_twist(struct.twist))
         good = complex_structure(jmat_r2(), R2)
